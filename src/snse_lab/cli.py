@@ -207,9 +207,7 @@ def cmd_run(args) -> int:
         status, error, code = "failed", {"type": type(exc).__name__, "message": str(exc)}, 3
         _print_error("admissibility", exc)
     except IntegrationError as exc:
-        status, code = "failed", 4
-        error = {"type": "IntegrationError", "message": str(exc), "step": exc.step}
-        _print_error("runtime", exc)
+        status, error, code = "failed", _report_integration_error(exc), 4
     except Exception as exc:  # noqa: BLE001 - structured reporting at the boundary
         status, error, code = "failed", {"type": type(exc).__name__, "message": str(exc)}, 4
         _print_error("runtime", exc)
@@ -233,6 +231,10 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else data.get("seed", 0)
     try:
         outputs = _dispatch(data, tmp, seed, args.workers or 1)
+    except IntegrationError as exc:
+        write_manifest(tmp, config_hash(data), __version__, [seed], [], "failed",
+                       _report_integration_error(exc))
+        return 4
     except RuntimeError as exc:
         write_manifest(tmp, config_hash(data), __version__, [seed], ["verify_report.json"],
                        "failed", {"type": "RuntimeError", "message": str(exc)})
@@ -403,6 +405,12 @@ def cmd_print_schema(args) -> int:
     return 0
 
 
+def _report_integration_error(exc: IntegrationError) -> dict:
+    """Report a solver blow-up on stderr; returns the failed manifest's error entry."""
+    _print_error("runtime", exc)
+    return {"type": "IntegrationError", "message": str(exc), "step": exc.step}
+
+
 def _print_error(stage: str, exc: Exception) -> None:
     payload = {"stage": stage, "type": type(exc).__name__, "message": str(exc)}
     offending = getattr(exc, "offending", None)
@@ -411,27 +419,37 @@ def _print_error(stage: str, exc: Exception) -> None:
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
+def _env_int(name: str) -> int | None:
+    raw = os.environ.get(name)
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {raw!r}", offending=[name]) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snse-lab",
         description="Spectral stochastic Navier-Stokes laboratory",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    env_seed = os.environ.get(ENV_SEED)
-    env_workers = os.environ.get(ENV_WORKERS)
+    env_seed = _env_int(ENV_SEED)
+    env_workers = _env_int(ENV_WORKERS)
 
     def common(p):
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument(
             "--seed",
             type=int,
-            default=int(env_seed) if env_seed else None,
+            default=env_seed,
             help="override the config seed",
         )
         p.add_argument(
             "--workers",
             type=int,
-            default=int(env_workers) if env_workers else None,
+            default=env_workers,
             help="worker processes for replicate-level fan-out",
         )
         p.add_argument("--out", default=None, help="override the output directory")
@@ -455,7 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        parser = build_parser()
+    except ConfigError as exc:
+        _print_error("config", exc)
+        return 2
+    args = parser.parse_args(argv)
     return args.fn(args)
 
 

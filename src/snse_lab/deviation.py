@@ -12,7 +12,7 @@ log-probability plots stay finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -23,6 +23,7 @@ from .noise import (
     kernel_norm_sq,
     sigma_adjoint_array,
     sigma_apply_array,
+    zero_control,
 )
 from .rng import substream
 from .solvers import (
@@ -35,9 +36,14 @@ from .solvers import (
     shifted_ensemble_run,
     skeleton_forward,
     solve_deterministic,
+    solve_skeleton,
+    _RecordingGrid,
+    _blowup_guard,
+    _guard_scale,
     _initial_coeffs,
-    _step_array,
-    _forcing_at,
+    _require_solver_grid,
+    _sup_plus_integral,
+    _trajectory,
 )
 from .spectral import (
     TWO_PI,
@@ -122,10 +128,7 @@ def require_admissible(epsilon: float, threshold: float, label: str) -> None:
 
 def energy_norm_sq(traj: Trajectory) -> float:
     """Squared trajectory norm: sup of |u|^2 plus left-endpoint integral of ||u||^2."""
-    out = float(np.max(traj.h2))
-    if traj.n_records > 1:
-        out += float(np.sum(traj.v2[:-1] * np.diff(traj.times)))
-    return out
+    return float(_sup_plus_integral(traj.h2, traj.v2, traj.times))
 
 
 def energy_norm(traj: Trajectory) -> float:
@@ -135,10 +138,7 @@ def energy_norm(traj: Trajectory) -> float:
 def _frames_energy_sq(grid, times: np.ndarray, frames: np.ndarray) -> float:
     h2 = h_norm_sq_array(grid, frames)
     v2 = v_norm_sq_array(grid, frames)
-    out = float(np.max(h2))
-    if len(times) > 1:
-        out += float(np.sum(v2[:-1] * np.diff(times)))
-    return out
+    return float(_sup_plus_integral(h2, v2, times))
 
 
 def energy_distance(a: Trajectory, b: Trajectory) -> float:
@@ -204,7 +204,6 @@ class _SkeletonObjective:
     def __init__(self, target_frames, u0_frames, config: SimConfig, opt: OptParams):
         self.config = config
         self.model = config.noise
-        self.prop = Propagator(config.grid, config.dt)
         self.u0 = u0_frames
         self.v = target_frames
         self.n_steps = config.n_steps
@@ -233,29 +232,41 @@ class _SkeletonObjective:
 
     def __call__(self, h_flat: np.ndarray) -> tuple[float, np.ndarray]:
         self.nfev += 1
-        cfg = self.config
-        grid = cfg.grid
-        h_values = h_flat.reshape(self.n_steps, self.J)
+        N = self.n_steps
+        h_values = h_flat.reshape(N, self.J)
         frames = self.forward(h_values)
         lse, integral, e, weights = self.distance_parts(frames)
         energy = float(np.sum(h_values**2 / self.lam) * self.dt)
         value = 0.5 * energy + 0.5 * self.mu * (lse + integral)
-        # adjoint sweep: gradients paired through the L2 inner product
-        k2 = grid.k2
+        k2 = self.config.grid.k2
+        sources = self.mu * (weights[:N, None, None, None] * e[:N] + self.dt * (k2 * e[:N]))
+        p_end = self.mu * weights[N] * e[N]
         grad_h = h_values * (self.dt / self.lam)
-        p = self.mu * weights[self.n_steps] * e[self.n_steps]
-        for n in range(self.n_steps - 1, -1, -1):
-            t = n * cfg.dt
-            phi_p = self.prop.phi * p
-            grad_h[n] += sigma_adjoint_array(self.model, t, self.u0[n], phi_p)
-            p_next = self.prop.decay * p
-            if cfg.nonlinear:
-                u0n = self.u0[n]
-                p_next = p_next + advection_array(grid, u0n, phi_p)
-                p_next = p_next - advection_gradient_transpose_array(grid, u0n, phi_p)
-            g_n = self.mu * (weights[n] * e[n] + self.dt * (k2 * e[n]))
-            p = p_next + g_n
+        grad_h = grad_h + _adjoint_sweep(self.config, self.u0, p_end, sources)
         return value, grad_h.ravel()
+
+
+def _adjoint_sweep(config: SimConfig, u0_frames, p_end, sources) -> np.ndarray:
+    """Control gradient of <p_end, x_N> + sum_n <sources[n], x_n> over the
+    frames x of skeleton_forward, by its discrete adjoint (L2 pairing).
+
+    p_end has shape (2, S, S) and sources (n_steps, 2, S, S); returns the
+    gradient with shape (n_steps, J).
+    """
+    grid = config.grid
+    prop = Propagator(grid, config.dt)
+    grad = np.zeros((config.n_steps, config.noise.n_directions))
+    p = p_end
+    for n in range(config.n_steps - 1, -1, -1):
+        u0n = u0_frames[n]
+        phi_p = prop.phi * p
+        grad[n] = sigma_adjoint_array(config.noise, n * config.dt, u0n, phi_p)
+        p_next = prop.decay * p
+        if config.nonlinear:
+            p_next = p_next + advection_array(grid, u0n, phi_p)
+            p_next = p_next - advection_gradient_transpose_array(grid, u0n, phi_p)
+        p = p_next + sources[n]
+    return grad
 
 
 def rate_function(
@@ -271,8 +282,6 @@ def rate_function(
     or the penalty ceiling, the result is flagged infeasible (the unreachable
     branch of the rate function) and carries the best iterate.
     """
-    from .solvers import _require_solver_grid
-
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
     _require_solver_grid(target, config, "target trajectory")
     objective = _SkeletonObjective(target.frames, u0_traj.frames, config, opt)
@@ -378,7 +387,6 @@ def max_energy_response(
     cfg = config
     grid = cfg.grid
     model = cfg.noise
-    prop = Propagator(grid, cfg.dt)
     n, J = cfg.n_steps, model.n_directions
     w_diag = cfg.dt / model.eigenvalues
 
@@ -397,24 +405,11 @@ def max_energy_response(
             v2 = v_norm_sq_array(grid, frames)
             value = float(np.max(x) + np.sum(v2[:-1]) * cfg.dt)
             n_star = int(np.argmax(x))
-            grad_h = np.zeros_like(h)
-            p = (1.0 if n_star == cfg.n_steps else 0.0) * frames[cfg.n_steps]
-            for m in range(cfg.n_steps - 1, -1, -1):
-                phi_p = prop.phi * p
-                grad_h[m] = sigma_adjoint_array(
-                    model, m * cfg.dt, u0_traj.frames[m], phi_p
-                )
-                p_next = prop.decay * p
-                if cfg.nonlinear:
-                    u0m = u0_traj.frames[m]
-                    p_next = p_next + advection_array(grid, u0m, phi_p)
-                    p_next = p_next - advection_gradient_transpose_array(
-                        grid, u0m, phi_p
-                    )
-                g_m = cfg.dt * (grid.k2 * frames[m])
-                if m == n_star:
-                    g_m = g_m + frames[m]
-                p = p_next + g_m
+            sources = cfg.dt * (grid.k2 * frames[:n])
+            if n_star < n:
+                sources[n_star] += frames[n_star]
+            p_end = (1.0 if n_star == n else 0.0) * frames[n]
+            grad_h = _adjoint_sweep(cfg, u0_traj.frames, p_end, sources)
             ascent = grad_h / w_diag
             norm = w_norm(ascent)
             if norm == 0.0:
@@ -494,18 +489,7 @@ class _PredicateObserver(TrajectoryObserver):
         n = data["frames"].shape[0]
         hits = np.zeros(n, dtype=bool)
         for i in range(n):
-            traj = Trajectory(
-                grid=self.config.grid,
-                dt=self.config.dt,
-                record_stride=self.config.record_stride,
-                times=data["times"][i],
-                frames=data["frames"][i],
-                h2=data["h2"][i],
-                v2=data["v2"][i],
-                sup_h2=float(data["sup_h2"][i]),
-                int_v2=float(data["int_v2"][i]),
-            )
-            hits[i] = bool(self.event(traj))
+            hits[i] = bool(self.event(_trajectory(self.config, data, i)))
         return {"hit": hits}
 
 
@@ -541,32 +525,19 @@ class DiffEnergyObserver:
         self.grid = config.grid
 
     def on_start(self, prop, n_paths, n_steps):
-        self.n_steps = n_steps
-        stride = self.config.record_stride
-        self.record_steps = [
-            i for i in range(n_steps + 1) if i % stride == 0 or i == n_steps
-        ]
-        R = len(self.record_steps)
-        self.times = np.zeros(R)
-        self.h2 = np.zeros((n_paths, R))
-        self.v2 = np.zeros((n_paths, R))
-        self._cursor = 0
+        self.rec = _RecordingGrid(n_steps, self.config.record_stride)
+        self.h2 = np.zeros((n_paths, len(self.rec)))
+        self.v2 = np.zeros((n_paths, len(self.rec)))
 
     def on_state(self, idx, t, coeffs):
-        if self._cursor < len(self.record_steps) and idx == self.record_steps[self._cursor]:
+        slot = self.rec.slot(idx, t)
+        if slot is not None:
             d = coeffs - self.ref[idx]
-            self.times[self._cursor] = t
-            self.h2[:, self._cursor] = h_norm_sq_array(self.grid, d)
-            self.v2[:, self._cursor] = v_norm_sq_array(self.grid, d)
-            self._cursor += 1
+            self.h2[:, slot] = h_norm_sq_array(self.grid, d)
+            self.v2[:, slot] = v_norm_sq_array(self.grid, d)
 
     def finish(self) -> dict:
-        sup = np.max(self.h2, axis=1)
-        if len(self.times) > 1:
-            integral = np.sum(self.v2[:, :-1] * np.diff(self.times), axis=1)
-        else:
-            integral = np.zeros_like(sup)
-        return {"diff_energy_sq": sup + integral}
+        return {"diff_energy_sq": _sup_plus_integral(self.h2, self.v2, self.rec.times)}
 
 
 def deviation_energy_samples(
@@ -659,8 +630,6 @@ def mdp_scaling_probe(
     optimizer surrogate for the cheapest rate in the event is included and the
     gap between the two curves is reported.
     """
-    from dataclasses import replace
-
     eps_grid = sorted(float(e) for e in eps_grid)
     if ledger is not None:
         for e in eps_grid:
@@ -761,50 +730,38 @@ class _ConditionalObserver:
         self.w_scale = 1.0 / math.sqrt(2.0 * self.ll)
 
     def on_start(self, prop, n_paths, n_steps):
-        self.n_steps = n_steps
-        stride = self.config.record_stride
-        self.record_steps = [
-            i for i in range(n_steps + 1) if i % stride == 0 or i == n_steps
-        ]
-        R = len(self.record_steps)
-        self.times = np.zeros(R)
+        self.rec = _RecordingGrid(n_steps, self.config.record_stride)
+        R = len(self.rec)
         self.h2 = np.zeros((n_paths, R))
         self.v2 = np.zeros((n_paths, R))
         self.zframes = np.zeros(
             (n_paths, R, 2, self.grid.n_coeff, self.grid.n_coeff), dtype=np.complex128
         )
-        self._cursor = 0
         J = self.config.noise.n_directions
         self.w_sum = np.zeros((n_paths, J))
         self.w_close_sq = np.zeros(n_paths)  # sup_t |w_scale W - int h|_0^2
 
-    def on_noise(self, step, dW):
+    def on_noise(self, step, t, coeffs, dW):
         self.w_sum += dW
         gap = self.w_scale * self.w_sum - self.h_prim[step + 1]
         q = kernel_norm_sq(self.config.noise, gap)
         np.maximum(self.w_close_sq, q, out=self.w_close_sq)
 
     def on_state(self, idx, t, coeffs):
-        if self._cursor < len(self.record_steps) and idx == self.record_steps[self._cursor]:
+        slot = self.rec.slot(idx, t)
+        if slot is not None:
             z = (coeffs - self.u0[idx]) * self.scale
-            d = z - self.x_rec[self._cursor]
-            self.times[self._cursor] = t
-            self.h2[:, self._cursor] = h_norm_sq_array(self.grid, d)
-            self.v2[:, self._cursor] = v_norm_sq_array(self.grid, d)
-            self.zframes[:, self._cursor] = z
-            self._cursor += 1
+            d = z - self.x_rec[slot]
+            self.h2[:, slot] = h_norm_sq_array(self.grid, d)
+            self.v2[:, slot] = v_norm_sq_array(self.grid, d)
+            self.zframes[:, slot] = z
 
     def finish(self) -> dict:
-        sup = np.max(self.h2, axis=1)
-        if len(self.times) > 1:
-            integral = np.sum(self.v2[:, :-1] * np.diff(self.times), axis=1)
-        else:
-            integral = np.zeros_like(sup)
         return {
-            "dist_sq": sup + integral,
+            "dist_sq": _sup_plus_integral(self.h2, self.v2, self.rec.times),
             "w_close_sq": self.w_close_sq,
             "z_frames": self.zframes,
-            "z_times": np.broadcast_to(self.times, self.h2.shape).copy(),
+            "z_times": np.broadcast_to(self.rec.times, self.h2.shape).copy(),
         }
 
 
@@ -831,14 +788,12 @@ def fw_conditional_probe(
     """Estimate the probability that the rescaled fluctuation strays from the
     steered path while the rescaled noise stays near the control, per epsilon,
     against the exponential comparison bound."""
-    from dataclasses import replace
-
     eps_grid = sorted(fw.eps_grid)
     if ledger is not None:
         for e in eps_grid:
             require_admissible(e, ledger.epsilon0, "the conditional-probe threshold")
     u0 = solve_deterministic(replace(config, record_stride=1))
-    x_traj = _skeleton_at_recording(h, u0, config)
+    x_traj = solve_skeleton(h, u0, config)
     times = config.dt * np.arange(config.n_steps + 1)
     h_prim = h.cumulative(times)
     rows = []
@@ -883,12 +838,6 @@ def fw_conditional_probe(
     return FWReport(rows=rows, below_bound_at_smallest=bool(rows[0]["below_bound"]))
 
 
-def _skeleton_at_recording(h: Control, u0_full: Trajectory, config: SimConfig):
-    from .solvers import solve_skeleton
-
-    return solve_skeleton(h, u0_full, config)
-
-
 # ---------------------------------------------------------------------------
 # dyadic time-increment statistic
 
@@ -908,10 +857,7 @@ def _dyadic_stat_frames(grid, times: np.ndarray, frames: np.ndarray, depth: int)
         raise ValueError("dyadic statistic requires a uniform recording grid")
     per_cell = steps // cells
     anchors = (np.arange(R) // per_cell).clip(max=cells - 1) * per_cell
-    diff = frames - frames[anchors]
-    h2 = h_norm_sq_array(grid, diff)
-    v2 = v_norm_sq_array(grid, diff)
-    return math.sqrt(float(np.max(h2) + np.sum(v2[:-1] * dt_rec)))
+    return math.sqrt(_frames_energy_sq(grid, times, frames - frames[anchors]))
 
 
 def dyadic_increment_stat(traj: Trajectory, depth: int) -> float:
@@ -1012,6 +958,42 @@ class MomentReport:
         }
 
 
+class _RemainderObserver:
+    """sup over steps of |u - u0 - sqrt(eps) Y|^2, with the linearization Y
+    stepped on the increments of the noisy path u."""
+
+    def __init__(self, config: SimConfig, u0_frames):
+        self.config = config
+        self.u0 = u0_frames
+        self.sqrt_eps = math.sqrt(config.epsilon)
+        self.scale = _guard_scale(config, _initial_coeffs(config))
+
+    def on_start(self, prop, n_paths, n_steps):
+        self.prop = prop
+        S = prop.grid.n_coeff
+        self.y = np.zeros((n_paths, 2, S, S), dtype=np.complex128)
+        self.sup = np.zeros(n_paths)
+
+    def on_noise(self, step, t, coeffs, dW):
+        cfg, prop, y, u0n = self.config, self.prop, self.y, self.u0[step]
+        rhs = np.zeros_like(y)
+        if cfg.nonlinear:
+            rhs = -advection_array(cfg.grid, y, u0n) - advection_array(cfg.grid, u0n, y)
+        self.y = (
+            prop.decay * y
+            + prop.phi * rhs
+            + prop.phi_rate * sigma_apply_array(cfg.noise, t, u0n, dW)
+        )
+        _blowup_guard(self.y, self.scale, step)
+
+    def on_state(self, idx, t, coeffs):
+        rem = coeffs - self.u0[idx] - self.sqrt_eps * self.y
+        np.maximum(self.sup, h_norm_sq_array(self.config.grid, rem), out=self.sup)
+
+    def finish(self) -> dict:
+        return {"sup": self.sup}
+
+
 def first_order_remainder_samples(
     config: SimConfig,
     epsilon: float,
@@ -1027,50 +1009,10 @@ def first_order_remainder_samples(
     quadratic term on it measures the second-order part of the deviation.
     """
     cfg = config.with_epsilon(epsilon)
-    model = cfg.noise
-    prop = Propagator(cfg.grid, cfg.dt)
-    n_steps = cfg.n_steps
-    J = model.n_directions
-    sqrt_eps = math.sqrt(epsilon)
-    sqrt_lam_dt = np.sqrt(model.eigenvalues * cfg.dt)
-    S = cfg.grid.n_coeff
-    out = np.zeros(n_samples)
-    size = max(1, min(chunk or 128, 8_000_000 // max(1, n_steps * J)))
-    start = 0
-    while start < n_samples:
-        stop = min(start + size, n_samples)
-        count = stop - start
-        normals = np.empty((count, n_steps, J))
-        for i in range(count):
-            normals[i] = substream(seed, start + i).standard_normal((n_steps, J))
-        u = np.broadcast_to(_initial_coeffs(cfg), (count, 2, S, S)).copy()
-        y = np.zeros((count, 2, S, S), dtype=np.complex128)
-        sup = np.zeros(count)
-        for step in range(n_steps):
-            t = step * cfg.dt
-            dW = normals[:, step, :] * sqrt_lam_dt
-            forcing = _forcing_at(cfg, t)
-            u_new = _step_array(prop, u, forcing, cfg.nonlinear)
-            u_new = u_new + prop.phi_rate * (
-                sqrt_eps * sigma_apply_array(model, t, u, dW)
-            )
-            u0n = u0_traj_full.frames[step]
-            rhs = np.zeros_like(y)
-            if cfg.nonlinear:
-                rhs = -advection_array(cfg.grid, y, u0n) - advection_array(
-                    cfg.grid, u0n, y
-                )
-            y = (
-                prop.decay * y
-                + prop.phi * rhs
-                + prop.phi_rate * sigma_apply_array(model, t, u0n, dW)
-            )
-            u = u_new
-            rem = u - u0_traj_full.frames[step + 1] - sqrt_eps * y
-            np.maximum(sup, h_norm_sq_array(cfg.grid, rem), out=sup)
-        out[start:stop] = sup
-        start = stop
-    return out
+    out = ensemble_run(
+        cfg, seed, n_samples, lambda: _RemainderObserver(cfg, u0_traj_full.frames), chunk=chunk
+    )
+    return out["sup"]
 
 
 def moment_bound_suite(
@@ -1091,9 +1033,6 @@ def moment_bound_suite(
     implied constant sup_eps mean / eps^stated.  Deterministic quantities
     (the zero-noise solution and steered-path bounds) are single numbers.
     """
-    from .noise import zero_control
-    from .solvers import solve_skeleton
-
     ledger = ledger or ConstantsLedger()
     eps_grid = sorted(float(e) for e in eps_grid)
     p_list = sorted(set([1.0] + [float(p) for p in p_list]))
@@ -1111,19 +1050,7 @@ def moment_bound_suite(
             if p >= 2:
                 require_admissible(e, 2.0 / (1.0 + 2.0 * p), "the 2p-moment estimate")
             require_admissible(e, ledger.epsilon2(max(p, 1.0)), "the shifted 2p-moment estimate")
-    u0_full = solve_deterministic(
-        SimConfig(
-            grid=config.grid,
-            noise=config.noise,
-            horizon=config.horizon,
-            dt=config.dt,
-            epsilon=0.0,
-            initial=config.initial,
-            forcing=config.forcing,
-            nonlinear=config.nonlinear,
-            record_stride=1,
-        )
-    )
+    u0_full = solve_deterministic(replace(config, record_stride=1))
     h = control or zero_control(config.noise, config.horizon, max(config.n_steps, 1))
     rows: list[dict] = []
     sections: dict[str, dict[float, float]] = {}

@@ -10,7 +10,10 @@ exploit.
 
 The ensemble entry points integrate many paths at once (vectorized over a
 chunk) while each path consumes its own counter-based substream, so results do
-not depend on chunking or scheduling.
+not depend on chunking or scheduling.  Every stochastic path is advanced by
+the one time loop in `_integrate_batch`; processes coupled to the noisy path
+(the shifted fluctuation here, the first-order linearization in the deviation
+module) are stepped by observers of that loop on the same increments.
 """
 
 from __future__ import annotations
@@ -143,6 +146,12 @@ def _initial_coeffs(config: SimConfig) -> np.ndarray:
     return config.initial.coeffs
 
 
+def _guard_scale(config: SimConfig, u0_coeffs: np.ndarray) -> float:
+    """Blow-up threshold shared by every stochastic solver: blowup_factor times
+    the initial amplitude, floored at 1/(2 pi)."""
+    return config.blowup_factor * max(np.max(np.abs(u0_coeffs)), 1.0 / TWO_PI)
+
+
 def _blowup_guard(coeffs: np.ndarray, scale: float, step: int) -> None:
     peak = np.max(np.abs(coeffs))
     if not np.isfinite(peak):
@@ -249,6 +258,12 @@ class Trajectory:
         )
 
 
+def _sup_plus_integral(h2: np.ndarray, v2: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Trajectory-norm contract over the last axis: sup of |u|^2 plus the
+    left-endpoint integral of ||u||^2 on the recording times."""
+    return np.max(h2, axis=-1) + np.sum(v2[..., :-1] * np.diff(times), axis=-1)
+
+
 def derived_trajectory(
     grid: SpectralGrid,
     times: np.ndarray,
@@ -260,10 +275,6 @@ def derived_trajectory(
     """Trajectory from precomputed frames; functionals on the recording grid."""
     h2 = h_norm_sq_array(grid, frames)
     v2 = v_norm_sq_array(grid, frames)
-    if len(times) > 1:
-        int_v2 = float(np.sum(v2[:-1] * np.diff(times)))
-    else:
-        int_v2 = 0.0
     return Trajectory(
         grid=grid,
         dt=dt,
@@ -273,7 +284,7 @@ def derived_trajectory(
         h2=h2,
         v2=v2,
         sup_h2=float(np.max(h2)),
-        int_v2=int_v2,
+        int_v2=float(_sup_plus_integral(np.zeros(1), v2, times)),  # the integral alone
         provenance=dict(provenance or {}),
     )
 
@@ -290,49 +301,26 @@ def combine_trajectories(
     )
 
 
-class _Recorder:
-    """Accumulates running functionals and recorded frames for one batch."""
+class _RecordingGrid:
+    """The solver steps kept on the recording grid (every stride-th step and
+    the last) and the times at which they were seen."""
 
-    def __init__(self, prop: Propagator, n_paths: int, n_steps: int, stride: int):
-        self.prop = prop
-        self.stride = stride
-        self.n_steps = n_steps
-        rec = [i for i in range(n_steps + 1) if i % stride == 0 or i == n_steps]
-        self.record_steps = rec
-        S = prop.grid.n_coeff
-        self.times = np.zeros(len(rec))
-        self.frames = np.zeros((n_paths, len(rec), 2, S, S), dtype=np.complex128)
-        self.h2 = np.zeros((n_paths, len(rec)))
-        self.v2 = np.zeros((n_paths, len(rec)))
-        self.sup_h2 = np.zeros(n_paths)
-        self.int_v2 = np.zeros(n_paths)
+    def __init__(self, n_steps: int, stride: int):
+        self.steps = [i for i in range(n_steps + 1) if i % stride == 0 or i == n_steps]
+        self.times = np.zeros(len(self.steps))
         self._cursor = 0
 
-    def on_state(self, idx: int, t: float, coeffs: np.ndarray) -> None:
-        h2 = h_norm_sq_array(self.prop.grid, coeffs)
-        np.maximum(self.sup_h2, h2, out=self.sup_h2)
-        if idx < self.n_steps:
-            self.int_v2 += self.prop.step_int_v2(coeffs)
-        if self._cursor < len(self.record_steps) and idx == self.record_steps[self._cursor]:
-            self.times[self._cursor] = t
-            self.frames[:, self._cursor] = coeffs
-            self.h2[:, self._cursor] = h2
-            self.v2[:, self._cursor] = v_norm_sq_array(self.prop.grid, coeffs)
-            self._cursor += 1
+    def __len__(self) -> int:
+        return len(self.steps)
 
-    def trajectory(self, path: int, config: SimConfig, provenance: dict) -> Trajectory:
-        return Trajectory(
-            grid=config.grid,
-            dt=config.dt,
-            record_stride=config.record_stride,
-            times=self.times.copy(),
-            frames=self.frames[path].copy(),
-            h2=self.h2[path].copy(),
-            v2=self.v2[path].copy(),
-            sup_h2=float(self.sup_h2[path]),
-            int_v2=float(self.int_v2[path]),
-            provenance=provenance,
-        )
+    def slot(self, idx: int, t: float) -> int | None:
+        """Record index of solver step idx (noting its time), or None if not kept."""
+        c = self._cursor
+        if c < len(self.steps) and idx == self.steps[c]:
+            self.times[c] = t
+            self._cursor += 1
+            return c
+        return None
 
 
 def _integrate_batch(
@@ -343,13 +331,16 @@ def _integrate_batch(
 ) -> None:
     """Advance a batch of paths in place, invoking hooks at each step.
 
-    hooks.on_noise(step, dW) and hooks.on_state(idx, t, coeffs) are optional
-    callables; state has shape (n, 2, S, S) and normals (n, n_steps, J).
+    This is the one time loop of every stochastic path.
+    hooks.on_noise(step, t, coeffs, dW) and hooks.on_state(idx, t, coeffs) are
+    optional callables; on_noise sees the pre-step state, so a coupled process
+    can be stepped inside it on the same increments.  state has shape
+    (n, 2, S, S) and normals (n, n_steps, J).
     """
     prop = Propagator(config.grid, config.dt)
     model = config.noise
     sqrt_eps = math.sqrt(config.epsilon)
-    scale = config.blowup_factor * max(np.max(np.abs(state)), 1.0 / TWO_PI)
+    scale = _guard_scale(config, state)
     on_noise = getattr(hooks, "on_noise", None)
     on_state = getattr(hooks, "on_state", None)
     if on_state:
@@ -359,38 +350,50 @@ def _integrate_batch(
         t = step * config.dt
         forcing = _forcing_at(config, t)
         new = _step_array(prop, state, forcing, config.nonlinear)
-        if config.epsilon > 0.0 and normals is not None:
+        if normals is not None:
             dW = normals[:, step, :] * sqrt_lam_dt
             if on_noise:
-                on_noise(step, dW)
-            noise = sigma_apply_array(model, t, state, dW)
-            new = new + prop.phi_rate * (sqrt_eps * noise)
-        elif on_noise is not None and normals is not None:
-            on_noise(step, normals[:, step, :] * sqrt_lam_dt)
+                on_noise(step, t, state, dW)
+            if config.epsilon > 0.0:
+                noise = sigma_apply_array(model, t, state, dW)
+                new = new + prop.phi_rate * (sqrt_eps * noise)
         state[...] = new
         _blowup_guard(state, scale, step)
         if on_state:
             on_state(step + 1, t + config.dt, state)
 
 
-class _SingleHooks:
-    def __init__(self, recorder: _Recorder):
-        self.rec = recorder
+def _trajectory(
+    config: SimConfig, data: dict, i: int, provenance: dict | None = None
+) -> Trajectory:
+    """Trajectory of path i from the output of a TrajectoryObserver."""
+    return Trajectory(
+        grid=config.grid,
+        dt=config.dt,
+        record_stride=config.record_stride,
+        times=data["times"][i],
+        frames=data["frames"][i],
+        h2=data["h2"][i],
+        v2=data["v2"][i],
+        sup_h2=float(data["sup_h2"][i]),
+        int_v2=float(data["int_v2"][i]),
+        provenance=dict(provenance or {}),
+    )
 
-    def on_state(self, idx, t, coeffs):
-        self.rec.on_state(idx, t, coeffs)
+
+def _solve_single(config: SimConfig, normals: np.ndarray | None, provenance: dict) -> Trajectory:
+    obs = TrajectoryObserver(config)
+    obs.on_start(Propagator(config.grid, config.dt), 1, config.n_steps)
+    _integrate_batch(config, _initial_coeffs(config)[None].copy(), normals, obs)
+    return _trajectory(config, obs.finish(), 0, provenance)
 
 
 def solve_deterministic(config: SimConfig, provenance: dict | None = None) -> Trajectory:
     """Integrate the zero-noise dynamics; deterministic given config."""
     cfg = config if config.epsilon == 0.0 else config.with_epsilon(0.0)
-    state = _initial_coeffs(cfg)[None].copy()
-    prop = Propagator(cfg.grid, cfg.dt)
-    rec = _Recorder(prop, 1, cfg.n_steps, cfg.record_stride)
-    _integrate_batch(cfg, state, None, _SingleHooks(rec))
     prov = dict(provenance or {})
     prov.setdefault("epsilon", 0.0)
-    return rec.trajectory(0, cfg, prov)
+    return _solve_single(cfg, None, prov)
 
 
 def solve_snse(config: SimConfig, seed: int, provenance: dict | None = None) -> Trajectory:
@@ -399,14 +402,10 @@ def solve_snse(config: SimConfig, seed: int, provenance: dict | None = None) -> 
         return solve_deterministic(config, provenance)
     rng = substream(seed, 0)
     normals = rng.standard_normal((1, config.n_steps, config.noise.n_directions))
-    state = _initial_coeffs(config)[None].copy()
-    prop = Propagator(config.grid, config.dt)
-    rec = _Recorder(prop, 1, config.n_steps, config.record_stride)
-    _integrate_batch(config, state, normals, _SingleHooks(rec))
     prov = dict(provenance or {})
     prov.setdefault("seed", seed)
     prov.setdefault("epsilon", config.epsilon)
-    return rec.trajectory(0, config, prov)
+    return _solve_single(config, normals, prov)
 
 
 def _require_solver_grid(traj: Trajectory, config: SimConfig, name: str) -> None:
@@ -469,12 +468,11 @@ def solve_skeleton(
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
     h_values = _control_values_on_steps(h, config)
     frames = skeleton_forward(h_values, u0_traj.frames, config)
-    prop = Propagator(config.grid, config.dt)
-    rec = _Recorder(prop, 1, config.n_steps, config.record_stride)
+    obs = TrajectoryObserver(config)
+    obs.on_start(Propagator(config.grid, config.dt), 1, config.n_steps)
     for idx in range(config.n_steps + 1):
-        rec.on_state(idx, idx * config.dt, frames[idx][None])
-    prov = dict(provenance or {})
-    return rec.trajectory(0, config, prov)
+        obs.on_state(idx, idx * config.dt, frames[idx][None])
+    return _trajectory(config, obs.finish(), 0, provenance)
 
 
 def shifted_diffusion_argument(
@@ -482,6 +480,45 @@ def shifted_diffusion_argument(
 ) -> np.ndarray:
     """State at which the diffusion coefficient is evaluated for the shifted process."""
     return math.sqrt(2.0 * epsilon * loglog(epsilon)) * z_coeffs + u0_coeffs
+
+
+class _ShiftedObserver:
+    """Steps the shifted fluctuation z on the increments of the noisy path and
+    shows the wrapped observer z in place of the noisy state.
+
+    The drift couples to the pre-step noisy state u and the deterministic
+    limit u0; the diffusion coefficient is evaluated at the recentred state.
+    """
+
+    def __init__(self, config: SimConfig, h_values, u0_frames, inner):
+        self.config = config
+        self.h_values = h_values
+        self.u0 = u0_frames
+        self.inner = inner
+        self.inv_sq = 1.0 / math.sqrt(2.0 * loglog(config.epsilon))
+        self.scale = _guard_scale(config, _initial_coeffs(config))
+
+    def on_start(self, prop: Propagator, n_paths: int, n_steps: int):
+        self.prop = prop
+        S = prop.grid.n_coeff
+        self.z = np.zeros((n_paths, 2, S, S), dtype=np.complex128)
+        self.inner.on_start(prop, n_paths, n_steps)
+
+    def on_noise(self, step, t, coeffs, dW):
+        cfg, prop, z, u0 = self.config, self.prop, self.z, self.u0[step]
+        arg = shifted_diffusion_argument(z, u0, cfg.epsilon)
+        rhs = sigma_apply_array(cfg.noise, t, arg, np.broadcast_to(self.h_values[step], dW.shape))
+        if cfg.nonlinear:
+            rhs = rhs - advection_array(cfg.grid, coeffs, z) - advection_array(cfg.grid, z, u0)
+        noise = sigma_apply_array(cfg.noise, t, arg, dW)
+        self.z = prop.decay * z + prop.phi * rhs + prop.phi_rate * (self.inv_sq * noise)
+        _blowup_guard(self.z, self.scale, step)
+
+    def on_state(self, idx, t, coeffs):
+        self.inner.on_state(idx, t, self.z)
+
+    def finish(self) -> dict:
+        return self.inner.finish()
 
 
 def solve_tilde_z(
@@ -495,44 +532,34 @@ def solve_tilde_z(
 ) -> Trajectory:
     """Integrate the shifted fluctuation process along a recorded noisy path.
 
-    The drift couples to the recorded noisy solution and the deterministic
-    limit; the diffusion coefficient is evaluated at the recentred state.
-    `seed` is the noise substream; None runs the degenerate zero-noise mode.
+    The recorded path is replayed through the observer that steps z in
+    shifted_ensemble_run, as a batch of one.  `seed` is the noise substream;
+    None runs the degenerate zero-noise mode.
     """
-    ll = loglog(epsilon)
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
     _require_solver_grid(u_eps_traj, config, "noisy trajectory")
     h_values = _control_values_on_steps(h, config)
-    model = config.noise
-    prop = Propagator(config.grid, config.dt)
+    obs = _ShiftedObserver(
+        config.with_epsilon(epsilon), h_values, u0_traj.frames, TrajectoryObserver(config)
+    )
     n = config.n_steps
-    inv_sq = 1.0 / math.sqrt(2.0 * ll)
+    J = config.noise.n_directions
     if seed is None:
-        normals = np.zeros((n, model.n_directions))
+        normals = np.zeros((n, J))
     else:
-        normals = substream(seed, 0).standard_normal((n, model.n_directions))
-    sqrt_lam_dt = np.sqrt(model.eigenvalues * config.dt)
-    rec = _Recorder(prop, 1, n, config.record_stride)
-    S = config.grid.n_coeff
-    z = np.zeros((2, S, S), dtype=np.complex128)
-    rec.on_state(0, 0.0, z[None])
+        normals = substream(seed, 0).standard_normal((n, J))
+    dW = normals * np.sqrt(config.noise.eigenvalues * config.dt)
+    u = u_eps_traj.frames[:, None]
+    obs.on_start(Propagator(config.grid, config.dt), 1, n)
+    obs.on_state(0, 0.0, u[0])
     for step in range(n):
         t = step * config.dt
-        arg = shifted_diffusion_argument(z, u0_traj.frames[step], epsilon)
-        rhs = sigma_apply_array(model, t, arg, h_values[step])
-        if config.nonlinear:
-            rhs = rhs - advection_array(
-                config.grid, u_eps_traj.frames[step], z
-            ) - advection_array(config.grid, z, u0_traj.frames[step])
-        dW = normals[step] * sqrt_lam_dt
-        noise = sigma_apply_array(model, t, arg, dW)
-        z = prop.decay * z + prop.phi * rhs + prop.phi_rate * (inv_sq * noise)
-        _blowup_guard(z, config.blowup_factor, step)
-        rec.on_state(step + 1, t + config.dt, z[None])
+        obs.on_noise(step, t, u[step], dW[step : step + 1])
+        obs.on_state(step + 1, t + config.dt, u[step + 1])
     prov = dict(provenance or {})
     prov.setdefault("epsilon", epsilon)
     prov.setdefault("seed", seed)
-    return rec.trajectory(0, config, prov)
+    return _trajectory(config, obs.finish(), 0, prov)
 
 
 def _auto_chunk(requested: int | None, n_steps: int, n_dirs: int) -> int:
@@ -556,9 +583,11 @@ def ensemble_run(
     standard-normal array of shape (n_steps, J) (used for common-noise
     couplings across parameter grids).  The observer factory is invoked per
     chunk; each observer must implement on_start(prop, n, n_steps), optional
-    on_noise(step, dW), on_state(idx, t, coeffs), and finish() -> dict of
-    arrays with leading axis n.  Results are concatenated across chunks, so
-    output is independent of the chunk size.
+    on_noise(step, t, coeffs, dW) (called with the pre-step state before each
+    noisy step), optional on_state(idx, t, coeffs) (called with the state
+    after each step, and once with the initial state), and finish() -> dict
+    of arrays with leading axis n.  Results are concatenated across chunks,
+    so output is independent of the chunk size.
     """
     J = config.noise.n_directions
     n_steps = config.n_steps
@@ -605,101 +634,66 @@ def shifted_ensemble_run(
     The observer sees the shifted process: on_state(idx, t, z_coeffs) with a
     leading path axis.  Used by the moment studies for the shifted process.
     """
-    ll = loglog(epsilon)
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
     h_values = _control_values_on_steps(h, config)
-    model = config.noise
-    prop = Propagator(config.grid, config.dt)
-    n_steps = config.n_steps
-    J = model.n_directions
-    inv_sq = 1.0 / math.sqrt(2.0 * ll)
-    sqrt_eps = math.sqrt(epsilon)
-    sqrt_lam_dt = np.sqrt(model.eigenvalues * config.dt)
-    S = config.grid.n_coeff
-    size = _auto_chunk(chunk, n_steps, J)
-    merged: dict[str, list[np.ndarray]] = {}
-    cfg_eps = config.with_epsilon(epsilon)
-    start = 0
-    while start < n_paths:
-        stop = min(start + size, n_paths)
-        count = stop - start
-        normals = np.empty((count, n_steps, J))
-        for i in range(count):
-            normals[i] = substream(seed, start + i).standard_normal((n_steps, J))
-        u = np.broadcast_to(_initial_coeffs(config), (count, 2, S, S)).copy()
-        z = np.zeros((count, 2, S, S), dtype=np.complex128)
-        obs = observer_factory()
-        obs.on_start(prop, count, n_steps)
-        if hasattr(obs, "on_state"):
-            obs.on_state(0, 0.0, z)
-        guard = cfg_eps.blowup_factor * max(np.max(np.abs(u)), 1.0 / TWO_PI, 1.0)
-        for step in range(n_steps):
-            t = step * config.dt
-            dW = normals[:, step, :] * sqrt_lam_dt
-            forcing = _forcing_at(cfg_eps, t)
-            u_new = _step_array(prop, u, forcing, cfg_eps.nonlinear)
-            u_noise = sigma_apply_array(model, t, u, dW)
-            u_new = u_new + prop.phi_rate * (sqrt_eps * u_noise)
-            arg = shifted_diffusion_argument(z, u0_traj.frames[step], epsilon)
-            rhs = sigma_apply_array(model, t, arg, np.broadcast_to(h_values[step], dW.shape))
-            if cfg_eps.nonlinear:
-                rhs = rhs - advection_array(config.grid, u, z) - advection_array(
-                    config.grid, z, u0_traj.frames[step]
-                )
-            z_noise = sigma_apply_array(model, t, arg, dW)
-            z = prop.decay * z + prop.phi * rhs + prop.phi_rate * (inv_sq * z_noise)
-            u = u_new
-            _blowup_guard(u, guard, step)
-            _blowup_guard(z, guard, step)
-            if hasattr(obs, "on_state"):
-                obs.on_state(step + 1, t + config.dt, z)
-        for key, val in obs.finish().items():
-            merged.setdefault(key, []).append(val)
-        start = stop
-    return {k: np.concatenate(v, axis=0) for k, v in merged.items()}
+    cfg = config.with_epsilon(epsilon)
+    return ensemble_run(
+        cfg,
+        seed,
+        n_paths,
+        lambda: _ShiftedObserver(cfg, h_values, u0_traj.frames, observer_factory()),
+        chunk=chunk,
+    )
 
 
 class TrajectoryObserver:
-    """Observer that materializes light trajectories for every path."""
+    """Observer that materializes light trajectories for every path.
+
+    sup_h2 and int_v2 run over every solver step (the integral by the
+    per-step integrating-factor quadrature); frames, h2 and v2 are kept on
+    the recording grid.
+    """
 
     def __init__(self, config: SimConfig):
         self.config = config
-        self.rec: _Recorder | None = None
 
     def on_start(self, prop: Propagator, n_paths: int, n_steps: int):
-        self.rec = _Recorder(prop, n_paths, n_steps, self.config.record_stride)
+        self.prop = prop
+        self.n_steps = n_steps
+        self.rec = _RecordingGrid(n_steps, self.config.record_stride)
+        S = prop.grid.n_coeff
+        R = len(self.rec)
+        self.frames = np.zeros((n_paths, R, 2, S, S), dtype=np.complex128)
+        self.h2 = np.zeros((n_paths, R))
+        self.v2 = np.zeros((n_paths, R))
+        self.sup_h2 = np.zeros(n_paths)
+        self.int_v2 = np.zeros(n_paths)
 
     def on_state(self, idx, t, coeffs):
-        self.rec.on_state(idx, t, coeffs)
+        h2 = h_norm_sq_array(self.prop.grid, coeffs)
+        np.maximum(self.sup_h2, h2, out=self.sup_h2)
+        if idx < self.n_steps:
+            self.int_v2 += self.prop.step_int_v2(coeffs)
+        slot = self.rec.slot(idx, t)
+        if slot is not None:
+            self.frames[:, slot] = coeffs
+            self.h2[:, slot] = h2
+            self.v2[:, slot] = v_norm_sq_array(self.prop.grid, coeffs)
 
     def finish(self) -> dict:
-        r = self.rec
-        n = r.frames.shape[0]
+        n = self.frames.shape[0]
         return {
-            "frames": r.frames,
-            "h2": r.h2,
-            "v2": r.v2,
-            "sup_h2": r.sup_h2,
-            "int_v2": r.int_v2,
-            "times": np.broadcast_to(r.times, (n, len(r.times))).copy(),
+            "frames": self.frames,
+            "h2": self.h2,
+            "v2": self.v2,
+            "sup_h2": self.sup_h2,
+            "int_v2": self.int_v2,
+            "times": np.broadcast_to(self.rec.times, (n, len(self.rec))).copy(),
         }
 
 
 def trajectories_from_ensemble(result: dict, config: SimConfig, seed: int) -> list[Trajectory]:
-    out = []
-    for i in range(result["frames"].shape[0]):
-        out.append(
-            Trajectory(
-                grid=config.grid,
-                dt=config.dt,
-                record_stride=config.record_stride,
-                times=result["times"][i],
-                frames=result["frames"][i],
-                h2=result["h2"][i],
-                v2=result["v2"][i],
-                sup_h2=float(result["sup_h2"][i]),
-                int_v2=float(result["int_v2"][i]),
-                provenance={"seed": seed, "path": i, "epsilon": config.epsilon},
-            )
-        )
-    return out
+    return [
+        _trajectory(config, result, i, {"seed": seed, "path": i, "epsilon": config.epsilon})
+        for i in range(result["frames"].shape[0])
+    ]

@@ -21,7 +21,7 @@ from snse_lab.persist import (
     sha256_file,
     write_trajectory,
 )
-from snse_lab.solvers import SimConfig, solve_deterministic
+from snse_lab.solvers import IntegrationError, SimConfig, solve_deterministic
 from snse_lab.spectral import single_mode_field
 
 
@@ -186,6 +186,14 @@ class TestRunVerb:
         s2 = sha256_file(os.path.join(out2, "trajectory.bin"))
         assert s1 == s2
 
+    def test_invalid_env_integer_is_config_error(self, tmp_path, monkeypatch, capsys):
+        path = _write(tmp_path, example_config("simulate"))
+        monkeypatch.setenv("SNSE_LAB_SEED", "abc")
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["stage"] == "config"
+        assert err["offending_keys"] == ["SNSE_LAB_SEED"]
+
     def test_rate_experiment_end_to_end(self, tmp_path):
         cfg = example_config("rate")
         cfg["solver"]["horizon"] = 0.1
@@ -225,6 +233,21 @@ class TestVerifyVerb:
         neg = [r for r in rep["results"]["rows"]
                if r["name"] == "corrupted_field_detected"][0]
         assert "offending mode" in neg["detail"]
+
+    def test_solver_blowup_exit_code(self, tmp_path, monkeypatch, capsys):
+        def blow_up(config, seed=0):
+            raise IntegrationError(7, "amplitude exceeded blowup guard")
+
+        monkeypatch.setattr("snse_lab.cli.run_invariant_suite", blow_up)
+        path = _write(tmp_path, example_config("verify"))
+        out = str(tmp_path / "out")
+        assert main(["verify", "--config", path, "--out", out]) == 4
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["type"] == "IntegrationError"
+        assert manifest["error"]["step"] == 7
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["stage"] == "runtime" and err["type"] == "IntegrationError"
 
 
 class TestEmitTables:

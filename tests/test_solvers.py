@@ -1,10 +1,20 @@
 """Integrator tests: exact linear behavior, stochastic moments, reductions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from snse_lab import deviation, solvers
+from snse_lab.deviation import (
+    FWConfig,
+    _MomentObserver,
+    deviation_energy_samples,
+    first_order_remainder_samples,
+    fw_conditional_probe,
+    mc_probability,
+)
 from snse_lab.noise import Control, NoiseModel, zero_control
 from snse_lab.rng import substream
 from snse_lab.solvers import (
@@ -15,6 +25,7 @@ from snse_lab.solvers import (
     combine_trajectories,
     ensemble_run,
     loglog,
+    shifted_ensemble_run,
     solve_deterministic,
     solve_skeleton,
     solve_snse,
@@ -214,14 +225,31 @@ class TestStochasticSolve:
         slope = np.polyfit(np.log(eps_grid), np.log(variances), 1)[0]
         assert abs(slope - 1.0) <= 0.1
 
-    def test_blowup_guard(self, grid1, noise1):
+    @pytest.mark.parametrize("solver", [
+        "solve_snse", "ensemble_run", "shifted_ensemble_run", "solve_tilde_z",
+        "first_order_remainder_samples",
+    ])
+    def test_blowup_guard(self, grid1, noise1, solver):
+        # every stochastic solver applies the same guard, scaled by |u(0)|
         huge = single_mode_field(grid1, (1, 0), (0.0, 1.0))
         cfg = SimConfig(
-            grid=grid1, noise=noise1, horizon=0.1, dt=1e-3, epsilon=1.0,
-            initial=huge, nonlinear=False, blowup_factor=1e-12,
+            grid=grid1, noise=noise1, horizon=0.1, dt=1e-3, epsilon=1e-3,
+            initial=huge, nonlinear=False, record_stride=1, blowup_factor=1e-12,
         )
+        u0 = solve_deterministic(replace(cfg, blowup_factor=1e6))
+        h = zero_control(noise1, cfg.horizon, 10)
+        runs = {
+            "solve_snse": lambda: solve_snse(cfg, seed=0),
+            "ensemble_run": lambda: ensemble_run(
+                cfg, 0, 3, lambda: TrajectoryObserver(cfg)),
+            "shifted_ensemble_run": lambda: shifted_ensemble_run(
+                cfg, h, cfg.epsilon, u0, 0, 3, lambda: _MomentObserver(cfg, [1.0])),
+            "solve_tilde_z": lambda: solve_tilde_z(h, u0, u0, cfg.epsilon, 0, cfg),
+            "first_order_remainder_samples": lambda: first_order_remainder_samples(
+                cfg, cfg.epsilon, u0, 3, seed=0),
+        }
         with pytest.raises(IntegrationError) as exc:
-            solve_snse(cfg, seed=0)
+            runs[solver]()
         assert exc.value.step >= 0
 
     def test_divergence_preserved_nonlinear(self, rng):
@@ -237,6 +265,20 @@ class TestStochasticSolve:
         for i in range(traj.n_records):
             div, amp = divergence_defect(traj.field_at(i))
             assert div <= 1e-12 * max(amp, 1e-300)
+
+
+def _assert_identical(a, b):
+    """Exact equality of nested dicts, sequences and arrays."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            _assert_identical(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_identical(x, y)
+    else:
+        np.testing.assert_array_equal(a, b)
 
 
 def _fast_path(cfg, seed, path):
@@ -395,14 +437,55 @@ class TestTrajectoryCombinators:
         np.testing.assert_allclose(diff.frames, a.frames - b.frames, atol=1e-16)
         assert diff.sup_h2 >= 0
 
-    def test_ensemble_chunking_invariance(self, grid1, noise1):
-        cfg = SimConfig(grid=grid1, noise=noise1, horizon=0.05, dt=1e-3,
-                        epsilon=1e-3, nonlinear=False, record_stride=10)
-        out_a = ensemble_run(cfg, seed=8, n_paths=7,
-                             observer_factory=lambda: TrajectoryObserver(cfg), chunk=2)
-        out_b = ensemble_run(cfg, seed=8, n_paths=7,
-                             observer_factory=lambda: TrajectoryObserver(cfg), chunk=7)
-        np.testing.assert_array_equal(out_a["frames"], out_b["frames"])
+    @pytest.mark.parametrize("kind", [
+        "ensemble_run", "deviation_energy_samples", "mc_probability",
+        "fw_conditional_probe", "shifted_ensemble_run",
+        "first_order_remainder_samples",
+    ])
+    def test_ensemble_chunking_invariance(self, grid3, noise3, kind, monkeypatch):
+        # every per-path output of every ensemble an entry point runs is
+        # identical whatever the chunk size
+        eps, seed, n = 1e-2, 8, 9
+        cfg = SimConfig(
+            grid=grid3, noise=noise3, horizon=0.02, dt=1e-3, epsilon=eps,
+            initial=random_solenoidal_field(grid3, np.random.default_rng(3), amplitude=0.5),
+            nonlinear=True, record_stride=5,
+        )
+        u0 = solve_deterministic(replace(cfg, record_stride=1))
+        h = Control(noise3, cfg.horizon, np.random.default_rng(4).standard_normal(
+            (4, noise3.n_directions)))
+        fw = FWConfig(rho=0.18, eta=0.9, target_exponent=0.5, increment_threshold=0.01,
+                      dyadic_depth=1, eps_grid=(eps,), n_samples=n)
+        runs = {
+            "ensemble_run": lambda c: solvers.ensemble_run(
+                cfg, seed, n, lambda: TrajectoryObserver(cfg), chunk=c),
+            "deviation_energy_samples": lambda c: deviation_energy_samples(
+                cfg, eps, u0, n, seed, chunk=c),
+            "mc_probability": lambda c: mc_probability(
+                lambda tr: tr.h2[-1] > u0.h2[-1], eps, n, cfg, seed, chunk=c).to_dict(),
+            "fw_conditional_probe": lambda c: fw_conditional_probe(
+                h, fw, cfg, seed, chunk=c).to_dict(),
+            "shifted_ensemble_run": lambda c: shifted_ensemble_run(
+                cfg, h, eps, u0, seed, n, lambda: _MomentObserver(cfg, [1.0, 2.0]), chunk=c),
+            "first_order_remainder_samples": lambda c: first_order_remainder_samples(
+                cfg, eps, u0, n, seed, chunk=c),
+        }
+        captured = []
+
+        def spy(*args, **kwargs):
+            captured.append(ensemble_run(*args, **kwargs))
+            return captured[-1]
+
+        monkeypatch.setattr(solvers, "ensemble_run", spy)
+        monkeypatch.setattr(deviation, "ensemble_run", spy)
+        outputs = []
+        for chunk in (1, 7, 256):
+            captured.clear()
+            result = runs[kind](chunk)
+            assert captured
+            outputs.append((result, list(captured)))
+        for other in outputs[1:]:
+            _assert_identical(outputs[0], other)
 
     def test_trajectories_from_ensemble(self, grid1, noise1):
         cfg = SimConfig(grid=grid1, noise=noise1, horizon=0.05, dt=1e-3,
