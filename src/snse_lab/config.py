@@ -19,7 +19,7 @@ from .deviation import ASpec, ConstantsLedger, FWConfig, OptParams
 from .lil import GeometricSchedule
 from .noise import Control, NoiseModel, SigmaParams
 from .rng import substream
-from .solvers import SimConfig
+from .solvers import ParameterError, SimConfig
 from .spectral import (
     SpectralField,
     SpectralGrid,
@@ -406,9 +406,16 @@ def example_config(kind: str = "simulate") -> dict:
 
 
 def admissibility_check(data: dict, ledger: ConstantsLedger) -> None:
-    """Cross-field rule: deviation experiments must keep the grid admissible."""
+    """Cross-field rule: deviation experiments must keep the grid admissible,
+    and the LIL schedules must start above the admissibility floor."""
     exp = data["experiment"]
     kind = exp["kind"]
+    if kind in ("lil-strassen", "lil-classical"):
+        schedule = build_schedule(exp)
+        try:
+            schedule.check_admissible(ledger)
+        except ParameterError as exc:
+            raise ConfigError(str(exc), offending=["experiment/j_min"]) from None
     if kind in ("mdp-scaling", "fw-probe", "moments"):
         eps0 = ledger.epsilon0
         for eps in exp.get("epsilon_grid", []):

@@ -517,24 +517,33 @@ def mc_probability(
 
 
 class DiffEnergyObserver:
-    """Per-path trajectory-norm of (path - reference) on the recording grid."""
+    """Per-path squared trajectory norm on the recording grid of
+    z = scale * path - scale * reference (given at every solver step), shape
+    (n,), or of z minus each recorded target of a (T, records, 2, S, S) stack,
+    shape (n, T)."""
 
-    def __init__(self, config: SimConfig, ref_frames_by_step: np.ndarray):
+    def __init__(self, config: SimConfig, ref_frames_by_step: np.ndarray, scale=1.0, targets=None):
         self.config = config
-        self.ref = ref_frames_by_step
         self.grid = config.grid
+        self.scale = scale
+        self.ref = ref_frames_by_step
+        self.targets = targets
 
     def on_start(self, prop, n_paths, n_steps):
         self.rec = _RecordingGrid(n_steps, self.config.record_stride)
-        self.h2 = np.zeros((n_paths, len(self.rec)))
-        self.v2 = np.zeros((n_paths, len(self.rec)))
+        shape = (n_paths,) if self.targets is None else (n_paths, len(self.targets))
+        self.h2 = np.zeros(shape + (len(self.rec),))
+        self.v2 = np.zeros(shape + (len(self.rec),))
 
     def on_state(self, idx, t, coeffs):
         slot = self.rec.slot(idx, t)
         if slot is not None:
-            d = coeffs - self.ref[idx]
-            self.h2[:, slot] = h_norm_sq_array(self.grid, d)
-            self.v2[:, slot] = v_norm_sq_array(self.grid, d)
+            self.on_record(slot, self.scale * coeffs - self.scale * self.ref[idx])
+
+    def on_record(self, slot, z):
+        d = z if self.targets is None else z[:, None] - self.targets[None, :, slot]
+        self.h2[..., slot] = h_norm_sq_array(self.grid, d)
+        self.v2[..., slot] = v_norm_sq_array(self.grid, d)
 
     def finish(self) -> dict:
         return {"diff_energy_sq": _sup_plus_integral(self.h2, self.v2, self.rec.times)}
@@ -547,17 +556,11 @@ def deviation_energy_samples(
     n_samples: int,
     seed: int,
     chunk: int | None = None,
-    normal_source=None,
 ) -> np.ndarray:
     """Trajectory-norm samples of (noisy - deterministic) at noise level epsilon."""
     cfg = config.with_epsilon(epsilon)
     out = ensemble_run(
-        cfg,
-        seed,
-        n_samples,
-        lambda: DiffEnergyObserver(cfg, u0_traj_full.frames),
-        chunk=chunk,
-        normal_source=normal_source,
+        cfg, seed, n_samples, lambda: DiffEnergyObserver(cfg, u0_traj_full.frames), chunk=chunk
     )
     return np.sqrt(out["diff_energy_sq"])
 
@@ -714,32 +717,26 @@ class FWConfig:
             raise ValueError("epsilon grid must be nonempty")
 
 
-class _ConditionalObserver:
-    """Joint event pieces: fluctuation distance to the steered path and
-    uniform closeness of the rescaled noise path to the control primitive."""
+class _ConditionalObserver(DiffEnergyObserver):
+    """Joint event pieces: distance of the rescaled fluctuation z to the
+    steered path, uniform closeness of the rescaled noise path to the control
+    primitive, and the trajectory norm of the dyadic increments of z, streamed
+    against the frame of z at the left anchor of the current dyadic cell."""
 
-    def __init__(self, config, u0_frames, x_frames_rec, h_primitive, eps):
-        self.config = config
-        self.grid = config.grid
-        self.u0 = u0_frames
-        self.x_rec = x_frames_rec
+    def __init__(self, config, u0_frames, x_frames_rec, h_primitive, eps, per_cell):
+        ll = loglog(eps)
+        super().__init__(config, u0_frames, 1.0 / math.sqrt(2.0 * eps * ll), x_frames_rec[None])
         self.h_prim = h_primitive  # (n_steps + 1, J)
-        self.eps = eps
-        self.ll = loglog(eps)
-        self.scale = 1.0 / math.sqrt(2.0 * eps * self.ll)
-        self.w_scale = 1.0 / math.sqrt(2.0 * self.ll)
+        self.w_scale = 1.0 / math.sqrt(2.0 * ll)
+        self.per_cell = per_cell  # recorded steps per dyadic cell
 
     def on_start(self, prop, n_paths, n_steps):
-        self.rec = _RecordingGrid(n_steps, self.config.record_stride)
-        R = len(self.rec)
-        self.h2 = np.zeros((n_paths, R))
-        self.v2 = np.zeros((n_paths, R))
-        self.zframes = np.zeros(
-            (n_paths, R, 2, self.grid.n_coeff, self.grid.n_coeff), dtype=np.complex128
-        )
+        super().on_start(prop, n_paths, n_steps)
         J = self.config.noise.n_directions
         self.w_sum = np.zeros((n_paths, J))
         self.w_close_sq = np.zeros(n_paths)  # sup_t |w_scale W - int h|_0^2
+        self.inc_h2 = np.zeros((n_paths, len(self.rec)))
+        self.inc_v2 = np.zeros((n_paths, len(self.rec)))
 
     def on_noise(self, step, t, coeffs, dW):
         self.w_sum += dW
@@ -747,21 +744,20 @@ class _ConditionalObserver:
         q = kernel_norm_sq(self.config.noise, gap)
         np.maximum(self.w_close_sq, q, out=self.w_close_sq)
 
-    def on_state(self, idx, t, coeffs):
-        slot = self.rec.slot(idx, t)
-        if slot is not None:
-            z = (coeffs - self.u0[idx]) * self.scale
-            d = z - self.x_rec[slot]
-            self.h2[:, slot] = h_norm_sq_array(self.grid, d)
-            self.v2[:, slot] = v_norm_sq_array(self.grid, d)
-            self.zframes[:, slot] = z
+    def on_record(self, slot, z):
+        super().on_record(slot, z)
+        # the last cell keeps its anchor through the final record
+        if slot % self.per_cell == 0 and slot < len(self.rec) - 1:
+            self.anchor = z
+        inc = z - self.anchor
+        self.inc_h2[:, slot] = h_norm_sq_array(self.grid, inc)
+        self.inc_v2[:, slot] = v_norm_sq_array(self.grid, inc)
 
     def finish(self) -> dict:
         return {
-            "dist_sq": _sup_plus_integral(self.h2, self.v2, self.rec.times),
+            "dist_sq": super().finish()["diff_energy_sq"][:, 0],
             "w_close_sq": self.w_close_sq,
-            "z_frames": self.zframes,
-            "z_times": np.broadcast_to(self.rec.times, self.h2.shape).copy(),
+            "increment_sq": _sup_plus_integral(self.inc_h2, self.inc_v2, self.rec.times),
         }
 
 
@@ -792,6 +788,8 @@ def fw_conditional_probe(
     if ledger is not None:
         for e in eps_grid:
             require_admissible(e, ledger.epsilon0, "the conditional-probe threshold")
+    rec_steps = _RecordingGrid(config.n_steps, config.record_stride).steps
+    per_cell = _dyadic_cell_records(config.dt * np.array(rec_steps), fw.dyadic_depth)
     u0 = solve_deterministic(replace(config, record_stride=1))
     x_traj = solve_skeleton(h, u0, config)
     times = config.dt * np.arange(config.n_steps + 1)
@@ -803,7 +801,7 @@ def fw_conditional_probe(
             cfg,
             seed,
             fw.n_samples,
-            lambda: _ConditionalObserver(cfg, u0.frames, x_traj.frames, h_prim, eps),
+            lambda: _ConditionalObserver(cfg, u0.frames, x_traj.frames, h_prim, eps, per_cell),
             chunk=chunk,
         )
         dist = np.sqrt(out["dist_sq"])
@@ -812,13 +810,7 @@ def fw_conditional_probe(
         est = estimate_from_hits(int(np.sum(joint)), fw.n_samples)
         bound = math.exp(-2.0 * fw.target_exponent * loglog(eps))
         # companion statistic: dyadic time-increment exceedances of the fluctuation
-        inc_hits = 0
-        z_times = out["z_times"][0]
-        for i in range(out["z_frames"].shape[0]):
-            stat = _dyadic_stat_frames(
-                config.grid, z_times, out["z_frames"][i], fw.dyadic_depth
-            )
-            inc_hits += int(stat > fw.increment_threshold)
+        inc_hits = int(np.sum(np.sqrt(out["increment_sq"]) > fw.increment_threshold))
         inc_est = estimate_from_hits(inc_hits, fw.n_samples)
         comparison = est.p_hat if est.hits > 0 else est.upper_bound
         rows.append(
@@ -842,7 +834,8 @@ def fw_conditional_probe(
 # dyadic time-increment statistic
 
 
-def _dyadic_stat_frames(grid, times: np.ndarray, frames: np.ndarray, depth: int) -> float:
+def _dyadic_cell_records(times: np.ndarray, depth: int) -> int:
+    """Recorded steps per cell of a uniform recording grid split into 2**depth cells."""
     R = len(times)
     cells = 2**depth
     if R < 2:
@@ -855,14 +848,15 @@ def _dyadic_stat_frames(grid, times: np.ndarray, frames: np.ndarray, depth: int)
     dt_rec = np.diff(times)
     if not np.allclose(dt_rec, dt_rec[0], rtol=1e-9, atol=1e-12):
         raise ValueError("dyadic statistic requires a uniform recording grid")
-    per_cell = steps // cells
-    anchors = (np.arange(R) // per_cell).clip(max=cells - 1) * per_cell
-    return math.sqrt(_frames_energy_sq(grid, times, frames - frames[anchors]))
+    return steps // cells
 
 
 def dyadic_increment_stat(traj: Trajectory, depth: int) -> float:
     """Trajectory norm of t -> u(t) - u(left dyadic anchor of t) at given depth."""
-    return _dyadic_stat_frames(traj.grid, traj.times, traj.frames, depth)
+    per_cell = _dyadic_cell_records(traj.times, depth)
+    cells = 2**depth
+    anchors = (np.arange(traj.n_records) // per_cell).clip(max=cells - 1) * per_cell
+    return math.sqrt(_frames_energy_sq(traj.grid, traj.times, traj.frames - traj.frames[anchors]))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .deviation import ConstantsLedger, energy_distance
+from .deviation import ConstantsLedger, DiffEnergyObserver, energy_distance
 from .noise import Control, control_energy
 from .rng import substream
 from .solvers import (
@@ -28,6 +28,7 @@ from .solvers import (
     SimConfig,
     Trajectory,
     combine_trajectories,
+    ensemble_run,
     loglog,
     solve_deterministic,
     solve_skeleton,
@@ -70,10 +71,13 @@ class GeometricSchedule:
             )
 
 
+def _fluctuation_scale(epsilon: float) -> float:
+    return 1.0 / math.sqrt(2.0 * epsilon * loglog(epsilon))
+
+
 def z_process(u_eps_traj: Trajectory, u0_traj: Trajectory, epsilon: float) -> Trajectory:
     """Rescaled fluctuation (u_eps - u0) / sqrt(2 eps log log(1/eps))."""
-    ll = loglog(epsilon)
-    scale = 1.0 / math.sqrt(2.0 * epsilon * ll)
+    scale = _fluctuation_scale(epsilon)
     return combine_trajectories(
         u_eps_traj,
         u0_traj,
@@ -190,33 +194,35 @@ class ClusterReport:
         }
 
 
-def _scaffold_source(seed: int, rep: int, n_steps: int, n_dirs: int):
-    """One pool of standard normals per replicate, reused across the schedule."""
-    return substream(seed, rep).standard_normal((n_steps, n_dirs))
-
-
-def _cluster_replicate(args) -> list[dict]:
-    schedule, probe, config, u0_rec, seed, rep = args
-    normals = _scaffold_source(
-        seed, rep, config.n_steps, config.noise.n_directions
-    )
-    rows = []
-    for j in schedule.indices:
-        eps = schedule.epsilon(j)
-        traj = _solve_with_normals(config.with_epsilon(eps), normals)
-        z = z_process(traj, u0_rec, eps)
-        dist, nearest = limit_set_distance(z, probe)
-        rows.append(
-            {
-                "replicate": rep,
-                "j": j,
-                "epsilon": eps,
-                "distance": dist,
-                "nearest": nearest,
-                "within_tolerance": bool(dist <= probe.tolerance),
-            }
+def _replicate_sq_distances(args) -> list[np.ndarray]:
+    """Squared distances of one replicate at each schedule intensity, each from
+    a one-path ensemble; one scaffold of normals is rescaled, not redrawn."""
+    config, u0_frames, epsilons, scales, targets, seed, rep = args
+    normals = substream(seed, rep).standard_normal((config.n_steps, config.noise.n_directions))
+    out = []
+    for eps, scale in zip(epsilons, scales):
+        cfg = config.with_epsilon(eps)
+        res = ensemble_run(
+            cfg, seed, 1, lambda: DiffEnergyObserver(cfg, u0_frames, scale, targets),
+            normal_source=lambda i: normals,
         )
-    return rows
+        out.append(res["diff_energy_sq"][0])
+    return out
+
+
+def _schedule_study(schedule, config, n_reps, seed, workers, scale_of, targets=None):
+    """(replicate, j, epsilon, squared trajectory norm of scale_of(eps) * (u - u0),
+    or its squared distance to each target), merged by replicate index."""
+    u0_frames = solve_deterministic(replace(config, record_stride=1)).frames
+    epsilons = [schedule.epsilon(j) for j in schedule.indices]
+    scales = [scale_of(eps) for eps in epsilons]
+    args = [(config, u0_frames, epsilons, scales, targets, seed, rep) for rep in range(n_reps)]
+    per_rep = _parallel_map(_replicate_sq_distances, args, workers)
+    return [
+        (rep, j, eps, d2)
+        for rep, sq in enumerate(per_rep)
+        for j, eps, d2 in zip(schedule.indices, epsilons, sq)
+    ]
 
 
 def _parallel_map(fn, arg_list, workers: int) -> list:
@@ -244,10 +250,22 @@ def strassen_cluster_study(
     are independent workers; results merge deterministically by replicate
     index regardless of the worker count.
     """
-    u0_rec = solve_deterministic(config)
-    arg_list = [(schedule, probe, config, u0_rec, seed, rep) for rep in range(n_reps)]
-    per_rep = _parallel_map(_cluster_replicate, arg_list, workers)
-    rows = [row for sub in per_rep for row in sub]
+    targets = np.stack([g.frames for g in probe.images])
+    study = _schedule_study(schedule, config, n_reps, seed, workers, _fluctuation_scale, targets)
+    rows = []
+    for rep, j, eps, d2 in study:
+        dist = np.sqrt(d2)
+        nearest = int(np.argmin(dist))
+        rows.append(
+            {
+                "replicate": rep,
+                "j": j,
+                "epsilon": eps,
+                "distance": float(dist[nearest]),
+                "nearest": nearest,
+                "within_tolerance": bool(dist[nearest] <= probe.tolerance),
+            }
+        )
     hits = np.zeros(probe.size)
     running_max = 0.0
     for row in rows:
@@ -261,20 +279,6 @@ def strassen_cluster_study(
         candidate_hit_fraction=frac,
         running_max_distance=running_max,
     )
-
-
-def _solve_with_normals(config: SimConfig, normals: np.ndarray) -> Trajectory:
-    """Single-path solve driven by a fixed standard-normal pool."""
-    from .solvers import ensemble_run, trajectories_from_ensemble, TrajectoryObserver
-
-    out = ensemble_run(
-        config,
-        seed=0,
-        n_paths=1,
-        observer_factory=lambda: TrajectoryObserver(config),
-        normal_source=lambda i: normals,
-    )
-    return trajectories_from_ensemble(out, config, seed=-1)[0]
 
 
 @dataclass
@@ -295,22 +299,6 @@ class RatioReport:
         }
 
 
-def _ratio_replicate(args) -> list[dict]:
-    from .deviation import deviation_energy_samples
-
-    schedule, config, u0_full, seed, rep = args
-    normals = _scaffold_source(seed, rep, config.n_steps, config.noise.n_directions)
-    rows = []
-    for j in schedule.indices:
-        eps = schedule.epsilon(j)
-        dist = deviation_energy_samples(
-            config, eps, u0_full, 1, seed, normal_source=lambda i: normals
-        )[0]
-        ratio = dist / math.sqrt(2.0 * eps * loglog(eps))
-        rows.append({"replicate": rep, "j": j, "epsilon": eps, "ratio": ratio})
-    return rows
-
-
 def classical_ratio_study(
     schedule: GeometricSchedule,
     n_reps: int,
@@ -324,10 +312,10 @@ def classical_ratio_study(
     The report presents the observed trend only; it asserts no limit values
     for the ratio.
     """
-    u0_full = solve_deterministic(replace(config, record_stride=1))
-    arg_list = [(schedule, config, u0_full, seed, rep) for rep in range(n_reps)]
-    per_rep = _parallel_map(_ratio_replicate, arg_list, workers)
-    rows = [row for sub in per_rep for row in sub]
+    rows = []
+    for rep, j, eps, d2 in _schedule_study(schedule, config, n_reps, seed, workers, lambda e: 1.0):
+        ratio = math.sqrt(d2) / math.sqrt(2.0 * eps * loglog(eps))
+        rows.append({"replicate": rep, "j": j, "epsilon": eps, "ratio": ratio})
     per_j: dict[int, list[float]] = {j: [] for j in schedule.indices}
     for row in rows:
         per_j[row["j"]].append(row["ratio"])

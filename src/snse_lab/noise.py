@@ -413,28 +413,28 @@ class Control:
     def cell_width(self) -> float:
         return self.horizon / self.n_cells
 
-    def cell_index(self, t: float) -> int:
+    def cell_index(self, t):
+        """Index of the cell holding time t (or of each time in an array)."""
+        t = np.asarray(t, dtype=np.float64)
         if self.horizon == 0:
-            return 0
-        return min(int(t / self.cell_width), self.n_cells - 1)
+            return np.zeros(t.shape, dtype=np.int64)
+        return np.minimum((t / self.cell_width).astype(np.int64), self.n_cells - 1)
 
-    def value_at(self, t: float) -> np.ndarray:
+    def value_at(self, t) -> np.ndarray:
         return self.values[self.cell_index(t)]
 
     def cumulative(self, times: np.ndarray) -> np.ndarray:
         """Pathwise primitive of the control at the given times, shape (T, J)."""
         J = self.values.shape[1]
-        out = np.zeros((len(times), J))
+        t = np.asarray(times, dtype=np.float64)
         if self.horizon == 0:
-            return out
+            return np.zeros((len(t), J))
         w = self.cell_width
         csum = np.concatenate(
             [np.zeros((1, J)), np.cumsum(self.values, axis=0) * w], axis=0
         )
-        for i, t in enumerate(times):
-            m = self.cell_index(t)
-            out[i] = csum[m] + (t - m * w) * self.values[m]
-        return out
+        m = self.cell_index(t)
+        return csum[m] + (t - m * w)[:, None] * self.values[m]
 
     def to_record(self) -> dict:
         return {"horizon": self.horizon, "values": np.asarray(self.values).tolist()}

@@ -422,10 +422,7 @@ def _require_solver_grid(traj: Trajectory, config: SimConfig, name: str) -> None
 def _control_values_on_steps(h: Control, config: SimConfig) -> np.ndarray:
     if abs(h.horizon - config.horizon) > 1e-12 * max(1.0, config.horizon):
         raise GridMismatchError("control horizon differs from run horizon")
-    vals = np.zeros((config.n_steps, h.model.n_directions))
-    for n in range(config.n_steps):
-        vals[n] = h.value_at(n * config.dt)
-    return vals
+    return h.value_at(np.arange(config.n_steps) * config.dt)
 
 
 def skeleton_forward(

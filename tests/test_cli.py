@@ -161,6 +161,19 @@ class TestRunVerb:
         assert manifest["status"] == "failed"
         assert "78" in manifest["error"]["message"]
 
+    @pytest.mark.parametrize("kind", ["lil-strassen", "lil-classical"])
+    def test_schedule_below_admissibility_floor(self, tmp_path, capsys, kind):
+        # default constants: eps0 = 1/78, so base-2 schedules must start above log2(78)
+        cfg = example_config(kind)
+        cfg["experiment"]["j_min"] = 5
+        path = _write(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", path, "--out", out]) == 3
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert manifest["status"] == "failed" and "j_min=5" in manifest["error"]["message"]
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["offending_keys"] == ["experiment/j_min"]
+
     def test_seed_override_changes_hashless_outputs(self, tmp_path):
         cfg = example_config("simulate")
         cfg["solver"]["horizon"] = 0.05

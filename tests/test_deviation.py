@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from snse_lab import deviation
 from snse_lab.deviation import (
     ASpec,
     AdmissibilityError,
@@ -24,14 +25,18 @@ from snse_lab.deviation import (
     rate_gradient_check,
     wilson_interval,
 )
+from snse_lab.lil import z_process
 from snse_lab.noise import Control, NoiseModel, control_energy, zero_control
 from snse_lab.rng import substream
 from snse_lab.solvers import (
     SimConfig,
+    TrajectoryObserver,
+    ensemble_run,
     solve_deterministic,
     solve_skeleton,
+    trajectories_from_ensemble,
 )
-from snse_lab.spectral import default_grid, single_mode_field, TWO_PI
+from snse_lab.spectral import default_grid, random_solenoidal_field, single_mode_field, TWO_PI
 
 import helpers
 
@@ -423,6 +428,43 @@ class TestConditionalProbe:
 
         est = mc_probability(event, eps, 400, linear_config, seed=9)
         assert abs(rep.rows[0]["p_hat"] - est.p_hat) <= 1e-12
+
+    def test_streamed_increment_statistic_matches_reference(self):
+        # the observer's running-anchor statistic against dyadic_increment_stat
+        # of z_process on the same paths (nonlinear, stride > 1)
+        g = default_grid(2)
+        m = NoiseModel(grid=g, num_directions=3)
+        cfg = SimConfig(grid=g, noise=m, horizon=0.04, dt=1e-3,
+                        initial=random_solenoidal_field(g, np.random.default_rng(5), amplitude=0.5),
+                        nonlinear=True, record_stride=5)
+        eps, seed, n, depth = 1e-2, 6, 8, 2
+        u0_rec = solve_deterministic(cfg)
+        out = ensemble_run(cfg.with_epsilon(eps), seed, n, lambda: TrajectoryObserver(cfg))
+        stats = np.array([
+            dyadic_increment_stat(z_process(u, u0_rec, eps), depth)
+            for u in trajectories_from_ensemble(out, cfg, seed)
+        ])
+        threshold = float(np.median(stats))
+        fw = FWConfig(rho=1.0, eta=1.0, target_exponent=0.5, increment_threshold=threshold,
+                      dyadic_depth=depth, eps_grid=(eps,), n_samples=n)
+        h = zero_control(m, cfg.horizon, 4)
+        row = fw_conditional_probe(h, fw, cfg, seed).rows[0]
+        assert 0.0 < row["increment_p_hat"] < 1.0
+        assert row["increment_p_hat"] == np.sum(stats > threshold) / n
+
+    def test_incompatible_dyadic_depth_fails_before_integrating(self, linear_config, noise1,
+                                                                monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ensemble_run called")
+
+        monkeypatch.setattr(deviation, "ensemble_run", no_run)
+        # more cells than recorded steps, then a cell count that does not divide them
+        for depth in (12, 3):
+            fw = FWConfig(rho=1.0, eta=1.0, target_exponent=0.5, increment_threshold=1.0,
+                          dyadic_depth=depth, eps_grid=(1e-3,), n_samples=4)
+            h = zero_control(noise1, linear_config.horizon, 10)
+            with pytest.raises(ValueError, match="dyadic depth"):
+                fw_conditional_probe(h, fw, linear_config, seed=0)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Iterated-logarithm study tests: rescaled process, probes, studies."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,13 +21,16 @@ from snse_lab.rng import substream
 from snse_lab.solvers import (
     ParameterError,
     SimConfig,
+    TrajectoryObserver,
     combine_trajectories,
+    ensemble_run,
     loglog,
     solve_deterministic,
     solve_skeleton,
     solve_snse,
+    trajectories_from_ensemble,
 )
-from snse_lab.spectral import default_grid, single_mode_field
+from snse_lab.spectral import default_grid, random_solenoidal_field, single_mode_field
 
 import helpers
 
@@ -116,8 +120,6 @@ class TestRescaledProcess:
 
 
 def _solve_one(cfg, eps, seed, path):
-    from snse_lab.solvers import ensemble_run
-
     class Last:
         def on_start(self, prop, n, n_steps):
             pass
@@ -216,6 +218,31 @@ class TestClusterStudy:
         a = strassen_cluster_study(sched, probe, 2, cfg, seed=7, workers=1)
         b = strassen_cluster_study(sched, probe, 2, cfg, seed=7, workers=2)
         assert a.rows == b.rows
+
+    def test_rows_equal_reference_distances(self):
+        # streamed distances against limit_set_distance(z_process(...)) on
+        # paths driven by the same scaffold normals (nonlinear, stride > 1)
+        g = default_grid(2)
+        m = NoiseModel(grid=g, num_directions=3)
+        cfg = SimConfig(grid=g, noise=m, horizon=0.04, dt=1e-3,
+                        initial=random_solenoidal_field(g, np.random.default_rng(5), amplitude=0.5),
+                        nonlinear=True, record_stride=4)
+        u0_rec = solve_deterministic(cfg)
+        # without the zero candidate the nearest image differs between replicates
+        probe = build_probe(cfg, solve_deterministic(replace(cfg, record_stride=1)),
+                            n_shapes=2, tolerance=0.25, include_zero=False)
+        sched = GeometricSchedule(base=2.0, j_min=7, j_max=9)
+        seed, n_reps = 3, 3
+        expected = []
+        for rep in range(n_reps):
+            normals = substream(seed, rep).standard_normal((cfg.n_steps, m.n_directions))
+            for j in sched.indices:
+                eps = sched.epsilon(j)
+                u = _solve_traj_with_normals(cfg, eps, normals)
+                dist, nearest = limit_set_distance(z_process(u, u0_rec, eps), probe)
+                expected.append({"replicate": rep, "j": j, "epsilon": eps, "distance": dist,
+                                 "nearest": nearest, "within_tolerance": dist <= 0.25})
+        assert strassen_cluster_study(sched, probe, n_reps, cfg, seed).rows == expected
 
 
 class TestRatioStudy:
@@ -398,6 +425,7 @@ class TestCompactnessSurrogates:
 
 
 def _solve_traj_with_normals(cfg, eps, normals):
-    from snse_lab.lil import _solve_with_normals
-
-    return _solve_with_normals(cfg.with_epsilon(eps), normals)
+    cfg = cfg.with_epsilon(eps)
+    out = ensemble_run(cfg, seed=0, n_paths=1, observer_factory=lambda: TrajectoryObserver(cfg),
+                       normal_source=lambda i: normals)
+    return trajectories_from_ensemble(out, cfg, seed=-1)[0]

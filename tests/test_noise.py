@@ -258,6 +258,22 @@ class TestControls:
         prim = h.cumulative(times)
         np.testing.assert_allclose(prim[:, 0], times, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "n_cells,horizon,dt", [(1, 1.0, 0.1), (7, 0.3, 1e-3), (10, 0.25, 1e-3), (3, 0.0, 1e-3)]
+    )
+    def test_vectorized_sampling_matches_loop(self, noise3, rng, n_cells, horizon, dt):
+        h = Control(noise3, horizon, rng.standard_normal((n_cells, noise3.n_directions)))
+        times = np.arange(max(round(horizon / dt), 1) + 1) * dt
+        w = h.cell_width
+        cells = [0 if horizon == 0 else min(int(t / w), n_cells - 1) for t in times]
+        csum = np.concatenate([np.zeros((1, noise3.n_directions)), np.cumsum(h.values, axis=0) * w])
+        values = np.array([h.values[m] for m in cells])
+        prim = np.array([csum[m] + (t - m * w) * h.values[m] for t, m in zip(times, cells)])
+        if horizon == 0:
+            prim = np.zeros_like(prim)
+        np.testing.assert_array_equal(h.value_at(times), values)
+        np.testing.assert_array_equal(h.cumulative(times), prim)
+
     def test_record_round_trip(self, noise3, rng):
         values = rng.standard_normal((6, noise3.n_directions))
         h = Control(noise3, 1.0, values)

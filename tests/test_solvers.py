@@ -483,6 +483,9 @@ class TestTrajectoryCombinators:
             captured.clear()
             result = runs[kind](chunk)
             assert captured
+            if kind == "fw_conditional_probe":
+                # per-path statistics only: no ensemble returns recorded frames
+                assert all(v.ndim <= 2 for out in captured for v in out.values())
             outputs.append((result, list(captured)))
         for other in outputs[1:]:
             _assert_identical(outputs[0], other)
