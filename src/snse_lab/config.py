@@ -15,11 +15,11 @@ import math
 import jsonschema
 import numpy as np
 
-from .deviation import ASpec, ConstantsLedger, FWConfig, OptParams
+from .deviation import ASpec, ConstantsLedger, FWConfig, OptParams, _dyadic_cell_records
 from .lil import GeometricSchedule
 from .noise import Control, NoiseModel, SigmaParams
 from .rng import substream
-from .solvers import ParameterError, SimConfig
+from .solvers import ParameterError, SimConfig, _RecordingGrid
 from .spectral import (
     SpectralField,
     SpectralGrid,
@@ -327,7 +327,7 @@ def build_fw_config(exp: dict) -> FWConfig:
 def build_schedule(exp: dict) -> GeometricSchedule:
     return GeometricSchedule(
         base=exp.get("schedule_base", 2.0),
-        j_min=exp.get("j_min", 6),
+        j_min=exp.get("j_min", 7),
         j_max=exp.get("j_max", 10),
     )
 
@@ -407,9 +407,19 @@ def example_config(kind: str = "simulate") -> dict:
 
 def admissibility_check(data: dict, ledger: ConstantsLedger) -> None:
     """Cross-field rule: deviation experiments must keep the grid admissible,
-    and the LIL schedules must start above the admissibility floor."""
+    the LIL schedules must start above the admissibility floor, and the
+    conditional probe's dyadic cells must tile its recording grid."""
     exp = data["experiment"]
     kind = exp["kind"]
+    if kind == "fw-probe":
+        solver = data["solver"]
+        n_steps = round(solver["horizon"] / solver["dt"])
+        steps = _RecordingGrid(n_steps, solver.get("record_stride", 1)).steps
+        depth = build_fw_config(exp).dyadic_depth
+        try:
+            _dyadic_cell_records(solver["dt"] * np.array(steps), depth)
+        except ValueError as exc:
+            raise ConfigError(str(exc), offending=["experiment/dyadic_depth"]) from None
     if kind in ("lil-strassen", "lil-classical"):
         schedule = build_schedule(exp)
         try:

@@ -10,6 +10,13 @@ with conjugate symmetry coeffs(-k) = conj(coeffs(k)) so that velocities are
 real.  All operators in this module are pure functions; nonlinear products are
 evaluated pseudo-spectrally on an N x N grid with the truncation back to the
 retained modes acting as the 2/3-rule dealiasing step.
+
+The grid transforms are real-to-complex.  They work on the half spectrum of a
+real N x N array, shape (..., N, N//2 + 1), whose entry [ky mod N, kx] holds
+the coefficient of mode (kx, ky) for kx >= 0 only; the kx < 0 half is implied
+by conjugate symmetry.  Conjugate symmetry of the coefficients is therefore a
+precondition of every transform: `to_physical` reads only the kx >= 0 half and
+`from_physical` writes the kx < 0 half as its conjugate mirror.
 """
 
 from __future__ import annotations
@@ -63,8 +70,7 @@ class SpectralGrid:
         kx = np.broadcast_to(order[None, :], (S, S)).copy()
         ky = np.broadcast_to(order[:, None], (S, S)).copy()
         k2 = (kx**2 + ky**2).astype(np.float64)
-        for name, arr in (("kx", kx), ("ky", ky), ("k2", k2),
-                          ("_embed", order % N)):
+        for name, arr in (("kx", kx), ("ky", ky), ("k2", k2)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -136,7 +142,8 @@ def worst_divergence_mode(field: SpectralField) -> tuple[int, int, float]:
 
 
 def leray_project_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Mode-wise projection onto k-orthogonal amplitudes; batched over leading axes."""
+    """Mode-wise projection onto k-orthogonal amplitudes, mean mode zeroed;
+    batched over leading axes."""
     kx, ky, k2 = grid.kx, grid.ky, grid.k2
     k2safe = np.where(k2 > 0, k2, 1.0)
     kdot = (kx * coeffs[..., 0, :, :] + ky * coeffs[..., 1, :, :]) / k2safe
@@ -165,41 +172,79 @@ def apply_stokes(field: SpectralField) -> SpectralField:
 
 
 def to_physical(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Evaluate coefficient arrays (..., S, S) on the N x N grid (batched)."""
-    N = grid.physical_resolution
-    idx = grid._embed
-    full = np.zeros(coeffs.shape[:-2] + (N, N), dtype=np.complex128)
-    full[..., idx[:, None], idx[None, :]] = coeffs
-    return np.fft.ifft2(full, axes=(-2, -1)).real * (N * N)
+    """Evaluate coefficient arrays (..., S, S) on the N x N grid (batched).
+
+    The coefficients must be conjugate symmetric, coeffs(-k) = conj(coeffs(k)):
+    only the kx >= 0 columns are read.  They fill columns 0..K of the half
+    spectrum (..., N, N//2 + 1), rows ky mod N, which is inverted bit for bit
+    as `numpy.fft.irfft2` would, except that the complex pass along y runs in
+    place on those K + 1 columns only (the others are zero).
+    """
+    K, N = grid.max_wavenumber, grid.physical_resolution
+    half = np.zeros(coeffs.shape[:-2] + (N, N // 2 + 1), dtype=np.complex128)
+    cols = half[..., : K + 1]
+    cols[..., : K + 1, :] = coeffs[..., K:, K:]
+    cols[..., N - K :, :] = coeffs[..., :K, K:]
+    np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
+    return np.fft.irfft(half, n=N, axis=-1, norm="forward")
 
 
 def from_physical(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    """Fourier coefficients of grid data, truncated to the retained modes."""
-    N = grid.physical_resolution
-    full = np.fft.fft2(values, axes=(-2, -1)) / (N * N)
-    idx = grid._embed
-    return full[..., idx[:, None], idx[None, :]]
+    """Fourier coefficients of real grid data, truncated to the retained modes.
+
+    The kx >= 0 half is read bit for bit from the half spectrum
+    (..., N, N//2 + 1) that `numpy.fft.rfft2` would return, except that the
+    complex pass along y runs in place on the kept columns 0..K only.  The
+    rest is its conjugate mirror, so the output is exactly conjugate symmetric.
+    """
+    K, N = grid.max_wavenumber, grid.physical_resolution
+    cols = np.fft.rfft(values, axis=-1, norm="forward")[..., : K + 1]
+    # in place: a fresh output array page-faults on every call at batch 256
+    np.fft.fft(cols, axis=-2, norm="forward", out=cols)
+    S = grid.n_coeff
+    out = np.empty(cols.shape[:-2] + (S, S), dtype=np.complex128)
+    out[..., K:, K:] = cols[..., : K + 1, :]
+    out[..., :K, K + 1 :] = cols[..., N - K :, 1:]
+    out[..., :K, K] = np.conj(cols[..., K:0:-1, 0])
+    out[..., :, :K] = np.conj(out[..., ::-1, :K:-1])
+    return out
+
+
+def _check_product_margin(grid: SpectralGrid) -> None:
+    if not grid.supports_products():
+        raise GridConfigError(
+            f"physical_resolution {grid.physical_resolution} < 3K = "
+            f"{3 * grid.max_wavenumber}: dealiasing margin violated"
+        )
 
 
 def advection_array(grid: SpectralGrid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Dealiased, projected advective product (u . grad) v on coefficient arrays.
 
     Batched over leading axes.  Exact Galerkin truncation for N >= 3K + 1.
+    Self-advection (`v is u`, the stepper's call) requires a divergence-free u
+    and is formed as div(u u): two inverse transforms, the products
+    u_x u_x, u_x u_y, u_y u_y and three forward transforms.  Other pairs take
+    the gradient form, u_x dv/dx + u_y dv/dy, with no condition on div u.
     """
-    if not grid.supports_products():
-        raise GridConfigError(
-            f"physical_resolution {grid.physical_resolution} < 3K = "
-            f"{3 * grid.max_wavenumber}: dealiasing margin violated"
-        )
+    _check_product_margin(grid)
     ikx = 1j * grid.kx
     iky = 1j * grid.ky
     u_phys = to_physical(grid, u)
-    dvdx = to_physical(grid, ikx * v)
-    dvdy = to_physical(grid, iky * v)
-    w = u_phys[..., 0:1, :, :] * dvdx + u_phys[..., 1:2, :, :] * dvdy
-    w_hat = from_physical(grid, w)
-    K = grid.max_wavenumber
-    w_hat[..., :, K, K] = 0.0
+    if v is u:
+        ux, uy = u_phys[..., 0, :, :], u_phys[..., 1, :, :]
+        # the products go straight into one array; np.stack would copy them
+        uu = np.empty(u_phys.shape[:-3] + (3,) + u_phys.shape[-2:])
+        np.multiply(ux, ux, out=uu[..., 0, :, :])
+        np.multiply(ux, uy, out=uu[..., 1, :, :])
+        np.multiply(uy, uy, out=uu[..., 2, :, :])
+        uu = from_physical(grid, uu)
+        w_hat = ikx * uu[..., 0:2, :, :] + iky * uu[..., 1:3, :, :]
+    else:
+        dvdx = to_physical(grid, ikx * v)
+        dvdy = to_physical(grid, iky * v)
+        w = u_phys[..., 0:1, :, :] * dvdx + u_phys[..., 1:2, :, :] * dvdy
+        w_hat = from_physical(grid, w)
     return leray_project_array(grid, w_hat)
 
 
@@ -218,11 +263,7 @@ def advection_gradient_transpose_array(
     This is the L2 adjoint of x -> P((x . grad) a) on divergence-free fields,
     used by the adjoint sweep of the controlled linearization.
     """
-    if not grid.supports_products():
-        raise GridConfigError(
-            f"physical_resolution {grid.physical_resolution} < 3K = "
-            f"{3 * grid.max_wavenumber}: dealiasing margin violated"
-        )
+    _check_product_margin(grid)
     dadx = to_physical(grid, 1j * grid.kx * a)
     dady = to_physical(grid, 1j * grid.ky * a)
     y_phys = to_physical(grid, y)
@@ -233,10 +274,7 @@ def advection_gradient_transpose_array(
         ],
         axis=-3,
     )
-    g_hat = from_physical(grid, g)
-    K = grid.max_wavenumber
-    g_hat[..., :, K, K] = 0.0
-    return leray_project_array(grid, g_hat)
+    return leray_project_array(grid, from_physical(grid, g))
 
 
 def advection_form(u: SpectralField, v: SpectralField, w: SpectralField) -> float:

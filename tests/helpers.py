@@ -1,7 +1,8 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately implemented by a different route than the
-package: fields are evaluated by explicit mode summation (no FFT), Fourier
+package: fields are evaluated by explicit mode summation (no FFT) or by full
+complex FFTs of the whole mode square (the package uses real ones), Fourier
 coefficients are extracted with dense exponential matrices, trilinear forms
 get both a quadrature and a convolution-sum evaluation, and the linear-regime
 statistics come from scalar recursions written from the closed-form update.
@@ -141,6 +142,23 @@ def advection_convolution(u, v) -> np.ndarray:
             vq = v.coeffs[:, K + qy, K + qx]
             out[:, K + ky, K + kx] += 1j * (up[0] * qx + up[1] * qy) * vq
     return project_mode(K, out)
+
+
+def complex_to_physical(grid, coeffs: np.ndarray) -> np.ndarray:
+    """Grid values by a full complex inverse FFT of the whole mode square."""
+    N = grid.physical_resolution
+    idx = np.arange(-grid.max_wavenumber, grid.max_wavenumber + 1) % N
+    full = np.zeros(coeffs.shape[:-2] + (N, N), dtype=np.complex128)
+    full[..., idx[:, None], idx[None, :]] = coeffs
+    return np.fft.ifft2(full, axes=(-2, -1)).real * (N * N)
+
+
+def complex_from_physical(grid, values: np.ndarray) -> np.ndarray:
+    """Retained Fourier coefficients by a full complex forward FFT."""
+    N = grid.physical_resolution
+    idx = np.arange(-grid.max_wavenumber, grid.max_wavenumber + 1) % N
+    full = np.fft.fft2(values, axes=(-2, -1)) / (N * N)
+    return full[..., idx[:, None], idx[None, :]]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from snse_lab.config import (
     example_config,
     validate_config,
 )
+from snse_lab.deviation import ConstantsLedger
 from snse_lab.persist import (
     read_report,
     read_trajectory,
@@ -82,6 +83,13 @@ class TestConfig:
         assert config_hash(a) == config_hash(b)
         b["seed"] = a["seed"] + 1
         assert config_hash(a) != config_hash(b)
+
+    @pytest.mark.parametrize("kind", ["lil-strassen", "lil-classical"])
+    def test_default_j_min_is_admissible(self, kind):
+        cfg = example_config(kind)
+        del cfg["experiment"]["j_min"]
+        validate_config(cfg)
+        admissibility_check(cfg, ConstantsLedger())
 
     def test_admissibility_threshold_named(self):
         cfg = example_config("mdp-scaling")
@@ -173,6 +181,18 @@ class TestRunVerb:
         assert manifest["status"] == "failed" and "j_min=5" in manifest["error"]["message"]
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["offending_keys"] == ["experiment/j_min"]
+
+    def test_incompatible_dyadic_depth_is_config_error(self, tmp_path, capsys):
+        # 2^6 = 64 dyadic cells cannot tile the example's 32 recorded steps
+        cfg = example_config("fw-probe")
+        cfg["experiment"]["dyadic_depth"] = 6
+        path = _write(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", path, "--out", out]) == 3
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert manifest["status"] == "failed" and "64 cells" in manifest["error"]["message"]
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["offending_keys"] == ["experiment/dyadic_depth"]
 
     def test_seed_override_changes_hashless_outputs(self, tmp_path):
         cfg = example_config("simulate")

@@ -10,6 +10,7 @@ from snse_lab.spectral import (
     FieldFormatError,
     GridConfigError,
     SpectralGrid,
+    advection_array,
     advection_form,
     advection_gradient_transpose_array,
     advection_term,
@@ -19,6 +20,7 @@ from snse_lab.spectral import (
     divergence_defect,
     field_from_record,
     field_to_record,
+    from_physical,
     leray_project,
     norm_bundle,
     random_solenoidal_field,
@@ -312,6 +314,62 @@ class TestAdjointHelper:
         g = advection_gradient_transpose_array(grid3, a.coeffs, y.coeffs)
         rhs = float(np.vdot(x.coeffs, g).real)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+def _symmetric_batch(grid, rng, batch):
+    """Random conjugate-symmetric, mean-free coefficients; not divergence free."""
+    S = grid.n_coeff
+    raw = rng.standard_normal((batch, 2, S, S)) + 1j * rng.standard_normal((batch, 2, S, S))
+    raw = 0.5 * (raw + np.conj(raw[..., ::-1, ::-1]))
+    raw[..., grid.max_wavenumber, grid.max_wavenumber] = 0.0
+    return raw
+
+
+def _solenoidal_batch(grid, rng, batch):
+    return np.stack([random_solenoidal_field(grid, rng).coeffs for _ in range(batch)])
+
+
+class TestRealTransforms:
+    # the default grids (even N) and one odd N, whose half spectrum has no
+    # Nyquist column
+    @pytest.mark.parametrize("K, N", [(3, 12), (10, 32), (16, 50), (3, 11)])
+    def test_match_complex_fft_oracle(self, rng, K, N):
+        g = SpectralGrid(K, N)
+        coeffs = _symmetric_batch(g, rng, 5)
+        phys = to_physical(g, coeffs)
+        oracle = helpers.complex_to_physical(g, coeffs)
+        assert np.max(np.abs(phys - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+        values = rng.standard_normal((5, 2, g.physical_resolution, g.physical_resolution))
+        back = from_physical(g, values)
+        oracle = helpers.complex_from_physical(g, values)
+        assert np.max(np.abs(back - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("K, N", [(3, 12), (10, 32), (16, 50), (3, 11)])
+    def test_from_physical_exactly_conjugate_symmetric(self, rng, K, N):
+        g = SpectralGrid(K, N)
+        values = rng.standard_normal((5, 2, g.physical_resolution, g.physical_resolution))
+        out = from_physical(g, values)
+        assert np.array_equal(out, np.conj(out[..., ::-1, ::-1]))
+
+    @pytest.mark.parametrize("K", [3, 10])
+    def test_advection_batch_invariant(self, rng, K):
+        g = default_grid(K)
+        u = _solenoidal_batch(g, rng, 256)
+        v = _solenoidal_batch(g, rng, 256)
+        self_full = advection_array(g, u, u)
+        cross_full = advection_array(g, u, v)
+        for lo, hi in ((0, 1), (100, 101), (0, 7), (249, 256)):
+            x = u[lo:hi].copy()
+            assert np.array_equal(advection_array(g, x, x), self_full[lo:hi])
+            assert np.array_equal(advection_array(g, u[lo:hi], v[lo:hi]), cross_full[lo:hi])
+
+    @pytest.mark.parametrize("K", [3, 10, 16])
+    def test_self_path_matches_cross_path(self, rng, K):
+        g = default_grid(K)
+        u = _solenoidal_batch(g, rng, 7)
+        ours = advection_array(g, u, u)
+        gradient_form = advection_array(g, u, u.copy())
+        assert np.max(np.abs(ours - gradient_form)) <= 1e-14 * np.max(np.abs(gradient_form))
 
 
 class TestSerialization:
