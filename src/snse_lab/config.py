@@ -406,11 +406,20 @@ def example_config(kind: str = "simulate") -> dict:
 
 
 def admissibility_check(data: dict, ledger: ConstantsLedger) -> None:
-    """Cross-field rule: deviation experiments must keep the grid admissible,
-    the LIL schedules must start above the admissibility floor, and the
-    conditional probe's dyadic cells must tile its recording grid."""
+    """Cross-field rule: a nonlinear run needs the product margin N >= 3K + 1,
+    deviation experiments must keep the grid admissible, the LIL schedules
+    must start above the admissibility floor, and the conditional probe's
+    dyadic cells must tile its recording grid."""
     exp = data["experiment"]
     kind = exp["kind"]
+    grid = build_grid(data)
+    if data["solver"].get("nonlinear", True) and not grid.supports_products():
+        K, N = grid.max_wavenumber, grid.physical_resolution
+        raise ConfigError(
+            f"physical_resolution {N} < 3K + 1 = {3 * K + 1}: the products of a "
+            "nonlinear run would alias onto the retained modes",
+            offending=["grid/physical_resolution"],
+        )
     if kind == "fw-probe":
         solver = data["solver"]
         n_steps = round(solver["horizon"] / solver["dt"])

@@ -27,12 +27,12 @@ from .noise import (
 )
 from .rng import substream
 from .solvers import (
-    Propagator,
     SimConfig,
     Trajectory,
     TrajectoryObserver,
     ensemble_run,
     loglog,
+    propagator,
     shifted_ensemble_run,
     skeleton_forward,
     solve_deterministic,
@@ -51,8 +51,8 @@ from .spectral import (
     advection_gradient_transpose_array,
     a_norm_sq_array,
     h_norm_sq_array,
+    hv_norm_sq_array,
     to_physical,
-    v_norm_sq_array,
 )
 
 
@@ -136,8 +136,7 @@ def energy_norm(traj: Trajectory) -> float:
 
 
 def _frames_energy_sq(grid, times: np.ndarray, frames: np.ndarray) -> float:
-    h2 = h_norm_sq_array(grid, frames)
-    v2 = v_norm_sq_array(grid, frames)
+    h2, v2 = hv_norm_sq_array(grid, frames)
     return float(_sup_plus_integral(h2, v2, times))
 
 
@@ -221,8 +220,7 @@ class _SkeletonObjective:
     def distance_parts(self, frames: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
         grid = self.config.grid
         e = frames - self.v
-        x = h_norm_sq_array(grid, e)  # (N+1,)
-        v2 = v_norm_sq_array(grid, e)
+        x, v2 = hv_norm_sq_array(grid, e)  # (N+1,) each
         x_star = float(np.max(x))
         w = np.exp(self.alpha * (x - x_star))
         lse = x_star + math.log(float(np.sum(w))) / self.alpha
@@ -254,7 +252,7 @@ def _adjoint_sweep(config: SimConfig, u0_frames, p_end, sources) -> np.ndarray:
     gradient with shape (n_steps, J).
     """
     grid = config.grid
-    prop = Propagator(grid, config.dt)
+    prop = propagator(grid, config.dt)
     grad = np.zeros((config.n_steps, config.noise.n_directions))
     p = p_end
     for n in range(config.n_steps - 1, -1, -1):
@@ -401,8 +399,7 @@ def max_energy_response(
         value = 0.0
         for _ in range(n_iter):
             frames = skeleton_forward(h, u0_traj.frames, cfg)
-            x = h_norm_sq_array(grid, frames)
-            v2 = v_norm_sq_array(grid, frames)
+            x, v2 = hv_norm_sq_array(grid, frames)
             value = float(np.max(x) + np.sum(v2[:-1]) * cfg.dt)
             n_star = int(np.argmax(x))
             sources = cfg.dt * (grid.k2 * frames[:n])
@@ -542,8 +539,7 @@ class DiffEnergyObserver:
 
     def on_record(self, slot, z):
         d = z if self.targets is None else z[:, None] - self.targets[None, :, slot]
-        self.h2[..., slot] = h_norm_sq_array(self.grid, d)
-        self.v2[..., slot] = v_norm_sq_array(self.grid, d)
+        self.h2[..., slot], self.v2[..., slot] = hv_norm_sq_array(self.grid, d)
 
     def finish(self) -> dict:
         return {"diff_energy_sq": _sup_plus_integral(self.h2, self.v2, self.rec.times)}
@@ -750,8 +746,7 @@ class _ConditionalObserver(DiffEnergyObserver):
         if slot % self.per_cell == 0 and slot < len(self.rec) - 1:
             self.anchor = z
         inc = z - self.anchor
-        self.inc_h2[:, slot] = h_norm_sq_array(self.grid, inc)
-        self.inc_v2[:, slot] = v_norm_sq_array(self.grid, inc)
+        self.inc_h2[:, slot], self.inc_v2[:, slot] = hv_norm_sq_array(self.grid, inc)
 
     def finish(self) -> dict:
         return {
@@ -889,8 +884,7 @@ class _MomentObserver:
 
     def on_state(self, idx, t, coeffs):
         dt = self.config.dt
-        h2 = h_norm_sq_array(self.grid, coeffs)
-        v2 = v_norm_sq_array(self.grid, coeffs)
+        h2, v2 = hv_norm_sq_array(self.grid, coeffs)
         np.maximum(self.sup_h2, h2, out=self.sup_h2)
         np.maximum(self.sup_h4, h2**2, out=self.sup_h4)
         for p in self.p_list:
@@ -903,11 +897,10 @@ class _MomentObserver:
                 self.int_h2p[p] += h2 ** (p - 1) * v2 * dt
             self.int_a2 += a_norm_sq_array(self.grid, coeffs) * dt
         if self.u0 is not None:
-            d = coeffs - self.u0[idx]
-            dh2 = h_norm_sq_array(self.grid, d)
+            dh2, dv2 = hv_norm_sq_array(self.grid, coeffs - self.u0[idx])
             np.maximum(self.sup_d2, dh2, out=self.sup_d2)
             if idx < self.n_steps:
-                self.int_dv2 += v_norm_sq_array(self.grid, d) * dt
+                self.int_dv2 += dv2 * dt
 
     def finish(self) -> dict:
         out = {

@@ -99,7 +99,14 @@ class NoiseModel:
         gains = np.repeat(gain_pair, 2)[:J]
         S = self.grid.n_coeff
         pos_plus = (K + kvec[:, 1]) * S + (K + kvec[:, 0])
-        pos_minus = (K - kvec[:, 1]) * S + (K - kvec[:, 0])
+        # the pair representatives fill the flat upper half S^2//2 + 1 .. S^2 - 1;
+        # per slot from the zero mode S^2//2 on, in raster order, its pair and
+        # direction (0 for the zero mode and for a pair left out)
+        H = S * S // 2
+        upper_source = np.zeros(H + 1, dtype=np.int64)
+        upper_source[pos_plus - H] = np.arange(n_pairs)
+        upper_direction = np.zeros((2, H + 1))
+        upper_direction[:, pos_plus - H] = direction.T
         for name, arr in (
             ("eigenvalues", lam),
             ("gains", gains),
@@ -107,7 +114,8 @@ class NoiseModel:
             ("pair_abs_k", kabs),
             ("pair_direction", direction),
             ("_pos_plus", pos_plus),
-            ("_pos_minus", pos_minus),
+            ("_upper_source", upper_source),
+            ("_upper_direction", upper_direction),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -153,10 +161,11 @@ def scatter_coefficients(
         xi = xi * weights
     c = _pair_complex(model, xi)  # (..., P)
     S = model.grid.n_coeff
-    amp = c[..., None, :] * model.pair_direction.T  # (..., 2, P)
-    out = np.zeros(c.shape[:-1] + (2, S * S), dtype=np.complex128)
-    out[..., model._pos_plus] = amp
-    out[..., model._pos_minus] = np.conj(amp)
+    H = S * S // 2  # flat index of the zero mode
+    out = np.empty(c.shape[:-1] + (2, S * S), dtype=np.complex128)
+    upper = np.take(c, model._upper_source, axis=-1)[..., None, :]
+    np.multiply(upper, model._upper_direction, out=out[..., H:])
+    np.conjugate(out[..., :H:-1], out=out[..., :H])
     return out.reshape(c.shape[:-1] + (2, S, S))
 
 

@@ -18,6 +18,7 @@ module) are stepped by observers of that loop on the same increments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -32,7 +33,7 @@ from .spectral import (
     TWO_PI,
     advection_array,
     h_norm_sq_array,
-    v_norm_sq_array,
+    hv_norm_sq_array,
     zero_field,
 )
 
@@ -110,7 +111,11 @@ class SimConfig:
 
 
 class Propagator:
-    """Per-mode integrating-factor weights for one step size."""
+    """Per-mode integrating-factor weights for one step size (read-only arrays).
+
+    Build it through `propagator`, which returns one shared instance per
+    (grid, dt).
+    """
 
     def __init__(self, grid: SpectralGrid, dt: float):
         self.grid = grid
@@ -122,11 +127,19 @@ class Propagator:
         self.phi_rate = phi / dt
         # exact integral of ||u||^2 over one pure-decay step, per unit |u_k|^2
         self.int_weight = (1.0 - self.decay**2) / 2.0
+        for arr in (self.decay, self.phi, self.phi_rate, self.int_weight):
+            arr.setflags(write=False)
 
     def step_int_v2(self, coeffs: np.ndarray) -> np.ndarray:
         return TWO_PI**2 * np.sum(
             self.int_weight * np.abs(coeffs) ** 2, axis=(-3, -2, -1)
         )
+
+
+@functools.lru_cache(maxsize=32)
+def propagator(grid: SpectralGrid, dt: float) -> Propagator:
+    """The shared read-only Propagator of one (grid, dt)."""
+    return Propagator(grid, dt)
 
 
 def _forcing_at(config: SimConfig, t: float) -> np.ndarray | None:
@@ -167,7 +180,7 @@ def step_deterministic(
     nonlinear: bool = True,
 ) -> SpectralField:
     """One integrating-factor step of the unforced-noise dynamics."""
-    prop = Propagator(u.grid, dt)
+    prop = propagator(u.grid, dt)
     rhs = None if f_t is None else f_t.coeffs
     out = _step_array(prop, u.coeffs, rhs, nonlinear)
     return SpectralField(u.grid, out)
@@ -188,12 +201,14 @@ def step_snse(
     With epsilon = 0 the noise branch is skipped entirely, so the result is
     bit-identical to step_deterministic.
     """
-    prop = Propagator(u.grid, dt)
+    prop = propagator(u.grid, dt)
     rhs = None if f_t is None else f_t.coeffs
     out = _step_array(prop, u.coeffs, rhs, nonlinear)
     if epsilon > 0.0:
         noise = sigma_apply_array(model, t, u.coeffs, dW)
-        out = out + prop.phi_rate * (math.sqrt(epsilon) * noise)
+        noise *= math.sqrt(epsilon)
+        noise *= prop.phi_rate
+        out += noise
     return SpectralField(u.grid, out)
 
 
@@ -203,14 +218,13 @@ def _step_array(
     forcing: np.ndarray | None,
     nonlinear: bool,
 ) -> np.ndarray:
-    rhs = None
-    if nonlinear:
-        rhs = -advection_array(prop.grid, coeffs, coeffs)
-    if forcing is not None:
-        rhs = forcing if rhs is None else rhs + forcing
     out = prop.decay * coeffs
-    if rhs is not None:
-        out = out + prop.phi * rhs
+    if forcing is not None:
+        out += prop.phi * forcing
+    if nonlinear:
+        adv = advection_array(prop.grid, coeffs, coeffs)
+        adv *= prop.phi
+        out -= adv
     return out
 
 
@@ -273,8 +287,7 @@ def derived_trajectory(
     provenance: dict | None = None,
 ) -> Trajectory:
     """Trajectory from precomputed frames; functionals on the recording grid."""
-    h2 = h_norm_sq_array(grid, frames)
-    v2 = v_norm_sq_array(grid, frames)
+    h2, v2 = hv_norm_sq_array(grid, frames)
     return Trajectory(
         grid=grid,
         dt=dt,
@@ -337,7 +350,7 @@ def _integrate_batch(
     can be stepped inside it on the same increments.  state has shape
     (n, 2, S, S) and normals (n, n_steps, J).
     """
-    prop = Propagator(config.grid, config.dt)
+    prop = propagator(config.grid, config.dt)
     model = config.noise
     sqrt_eps = math.sqrt(config.epsilon)
     scale = _guard_scale(config, state)
@@ -356,7 +369,9 @@ def _integrate_batch(
                 on_noise(step, t, state, dW)
             if config.epsilon > 0.0:
                 noise = sigma_apply_array(model, t, state, dW)
-                new = new + prop.phi_rate * (sqrt_eps * noise)
+                noise *= sqrt_eps
+                noise *= prop.phi_rate
+                new += noise
         state[...] = new
         _blowup_guard(state, scale, step)
         if on_state:
@@ -383,7 +398,7 @@ def _trajectory(
 
 def _solve_single(config: SimConfig, normals: np.ndarray | None, provenance: dict) -> Trajectory:
     obs = TrajectoryObserver(config)
-    obs.on_start(Propagator(config.grid, config.dt), 1, config.n_steps)
+    obs.on_start(propagator(config.grid, config.dt), 1, config.n_steps)
     _integrate_batch(config, _initial_coeffs(config)[None].copy(), normals, obs)
     return _trajectory(config, obs.finish(), 0, provenance)
 
@@ -437,7 +452,7 @@ def skeleton_forward(
     linear in the state and in the control (the noise map is frozen at the
     deterministic limit).
     """
-    prop = Propagator(config.grid, config.dt)
+    prop = propagator(config.grid, config.dt)
     model = config.noise
     n = config.n_steps
     S = config.grid.n_coeff
@@ -466,7 +481,7 @@ def solve_skeleton(
     h_values = _control_values_on_steps(h, config)
     frames = skeleton_forward(h_values, u0_traj.frames, config)
     obs = TrajectoryObserver(config)
-    obs.on_start(Propagator(config.grid, config.dt), 1, config.n_steps)
+    obs.on_start(propagator(config.grid, config.dt), 1, config.n_steps)
     for idx in range(config.n_steps + 1):
         obs.on_state(idx, idx * config.dt, frames[idx][None])
     return _trajectory(config, obs.finish(), 0, provenance)
@@ -547,7 +562,7 @@ def solve_tilde_z(
         normals = substream(seed, 0).standard_normal((n, J))
     dW = normals * np.sqrt(config.noise.eigenvalues * config.dt)
     u = u_eps_traj.frames[:, None]
-    obs.on_start(Propagator(config.grid, config.dt), 1, n)
+    obs.on_start(propagator(config.grid, config.dt), 1, n)
     obs.on_state(0, 0.0, u[0])
     for step in range(n):
         t = step * config.dt
@@ -608,7 +623,7 @@ def ensemble_run(
             _initial_coeffs(config), (count, 2, config.grid.n_coeff, config.grid.n_coeff)
         ).copy()
         obs = observer_factory()
-        obs.on_start(Propagator(config.grid, config.dt), count, n_steps)
+        obs.on_start(propagator(config.grid, config.dt), count, n_steps)
         _integrate_batch(config, state, normals, obs)
         for key, val in obs.finish().items():
             merged.setdefault(key, []).append(val)
@@ -667,15 +682,17 @@ class TrajectoryObserver:
         self.int_v2 = np.zeros(n_paths)
 
     def on_state(self, idx, t, coeffs):
-        h2 = h_norm_sq_array(self.prop.grid, coeffs)
+        slot = self.rec.slot(idx, t)
+        if slot is None:
+            h2 = h_norm_sq_array(self.prop.grid, coeffs)
+        else:
+            h2, v2 = hv_norm_sq_array(self.prop.grid, coeffs)
+            self.frames[:, slot] = coeffs
+            self.h2[:, slot] = h2
+            self.v2[:, slot] = v2
         np.maximum(self.sup_h2, h2, out=self.sup_h2)
         if idx < self.n_steps:
             self.int_v2 += self.prop.step_int_v2(coeffs)
-        slot = self.rec.slot(idx, t)
-        if slot is not None:
-            self.frames[:, slot] = coeffs
-            self.h2[:, slot] = h2
-            self.v2[:, slot] = v_norm_sq_array(self.prop.grid, coeffs)
 
     def finish(self) -> dict:
         n = self.frames.shape[0]

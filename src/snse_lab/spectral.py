@@ -50,7 +50,8 @@ class SpectralGrid:
         Cutoff K; retained modes are k in Z^2 with |kx|, |ky| <= K, k != 0.
     physical_resolution : int
         Quadrature/dealiasing grid size N.  Must satisfy N >= 2(K+1); forming
-        nonlinear products additionally requires N >= 3K.
+        nonlinear products additionally requires N >= 3K + 1, so that no mode
+        of a product (|k| <= 2K per axis) aliases onto a retained one.
     """
 
     max_wavenumber: int
@@ -70,7 +71,13 @@ class SpectralGrid:
         kx = np.broadcast_to(order[None, :], (S, S)).copy()
         ky = np.broadcast_to(order[:, None], (S, S)).copy()
         k2 = (kx**2 + ky**2).astype(np.float64)
-        for name, arr in (("kx", kx), ("ky", ky), ("k2", k2)):
+        k2safe = np.where(k2 > 0, k2, 1.0)
+        # weights of the curl-form self-advection, both 0 at k = 0
+        curl_a = kx * ky / k2safe
+        curl_b = (ky**2 - kx**2) / k2safe
+        for name, arr in (
+            ("kx", kx), ("ky", ky), ("k2", k2), ("curl_a", curl_a), ("curl_b", curl_b)
+        ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -79,7 +86,7 @@ class SpectralGrid:
         return 2 * self.max_wavenumber + 1
 
     def supports_products(self) -> bool:
-        return self.physical_resolution >= 3 * self.max_wavenumber
+        return self.physical_resolution >= 3 * self.max_wavenumber + 1
 
 
 def default_grid(max_wavenumber: int) -> SpectralGrid:
@@ -213,39 +220,46 @@ def from_physical(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
 def _check_product_margin(grid: SpectralGrid) -> None:
     if not grid.supports_products():
         raise GridConfigError(
-            f"physical_resolution {grid.physical_resolution} < 3K = "
-            f"{3 * grid.max_wavenumber}: dealiasing margin violated"
+            f"physical_resolution {grid.physical_resolution} < 3K + 1 = "
+            f"{3 * grid.max_wavenumber + 1}: dealiasing margin violated"
         )
 
 
 def advection_array(grid: SpectralGrid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dealiased, projected advective product (u . grad) v on coefficient arrays.
+    """Dealiased, projected advective product P((u . grad) v) on coefficient arrays.
 
     Batched over leading axes.  Exact Galerkin truncation for N >= 3K + 1.
     Self-advection (`v is u`, the stepper's call) requires a divergence-free u
-    and is formed as div(u u): two inverse transforms, the products
-    u_x u_x, u_x u_y, u_y u_y and three forward transforms.  Other pairs take
-    the gradient form, u_x dv/dx + u_y dv/dy, with no condition on div u.
+    and is formed in curl (stream-function) form: two inverse transforms, the
+    products q0 = u_x u_y and q1 = (u_x - u_y)(u_x + u_y) = u_x^2 - u_y^2, two
+    forward transforms, then s = i (a q1 + b q0) with a = kx ky / |k|^2 and
+    b = (ky^2 - kx^2) / |k|^2, and the result (ky s, -kx s), which is
+    P div(u u) exactly.  It is divergence free, mean free and exactly
+    conjugate symmetric by construction, so no projection pass follows.
+    Other pairs take the gradient form, u_x dv/dx + u_y dv/dy, with no
+    condition on div u, and are Leray projected.
     """
     _check_product_margin(grid)
-    ikx = 1j * grid.kx
-    iky = 1j * grid.ky
     u_phys = to_physical(grid, u)
     if v is u:
         ux, uy = u_phys[..., 0, :, :], u_phys[..., 1, :, :]
-        # the products go straight into one array; np.stack would copy them
-        uu = np.empty(u_phys.shape[:-3] + (3,) + u_phys.shape[-2:])
-        np.multiply(ux, ux, out=uu[..., 0, :, :])
-        np.multiply(ux, uy, out=uu[..., 1, :, :])
-        np.multiply(uy, uy, out=uu[..., 2, :, :])
-        uu = from_physical(grid, uu)
-        w_hat = ikx * uu[..., 0:2, :, :] + iky * uu[..., 1:3, :, :]
-    else:
-        dvdx = to_physical(grid, ikx * v)
-        dvdy = to_physical(grid, iky * v)
-        w = u_phys[..., 0:1, :, :] * dvdx + u_phys[..., 1:2, :, :] * dvdy
-        w_hat = from_physical(grid, w)
-    return leray_project_array(grid, w_hat)
+        # both products go straight into one array; u_phys is ours to reuse
+        q = np.empty_like(u_phys)
+        np.multiply(ux, uy, out=q[..., 0, :, :])
+        np.subtract(ux, uy, out=q[..., 1, :, :])
+        ux += uy
+        q[..., 1, :, :] *= ux
+        q = from_physical(grid, q)
+        s = grid.curl_a * q[..., 1, :, :]
+        s += grid.curl_b * q[..., 0, :, :]
+        s *= 1j
+        np.multiply(grid.ky, s, out=q[..., 0, :, :])
+        np.multiply(-grid.kx, s, out=q[..., 1, :, :])
+        return q
+    dvdx = to_physical(grid, 1j * grid.kx * v)
+    dvdy = to_physical(grid, 1j * grid.ky * v)
+    w = u_phys[..., 0:1, :, :] * dvdx + u_phys[..., 1:2, :, :] * dvdy
+    return leray_project_array(grid, from_physical(grid, w))
 
 
 def advection_term(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -316,6 +330,13 @@ def v_norm_sq_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     return TWO_PI**2 * np.sum(grid.k2 * np.abs(coeffs) ** 2, axis=(-3, -2, -1))
 
 
+def hv_norm_sq_array(grid: SpectralGrid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both squared norms, (h_norm_sq_array, v_norm_sq_array), from one |c|^2."""
+    a2 = np.abs(coeffs) ** 2
+    axes = (-3, -2, -1)
+    return TWO_PI**2 * np.sum(a2, axis=axes), TWO_PI**2 * np.sum(grid.k2 * a2, axis=axes)
+
+
 def a_norm_sq_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     """Squared L2 norm of the dissipation operator applied to the field."""
     return TWO_PI**2 * np.sum(grid.k2**2 * np.abs(coeffs) ** 2, axis=(-3, -2, -1))
@@ -341,8 +362,7 @@ class NormBundle:
 def norm_bundle(field: SpectralField) -> NormBundle:
     """L2 and gradient norms by Parseval; L4 by quadrature at resolution N."""
     g, c = field.grid, field.coeffs
-    h2 = h_norm_sq_array(g, c)
-    v2 = v_norm_sq_array(g, c)
+    h2, v2 = hv_norm_sq_array(g, c)
     phys = to_physical(g, c)
     speed_sq = phys[0] ** 2 + phys[1] ** 2
     l4_4 = float(np.mean(speed_sq**2) * TWO_PI**2)

@@ -161,6 +161,26 @@ def complex_from_physical(grid, values: np.ndarray) -> np.ndarray:
     return full[..., idx[:, None], idx[None, :]]
 
 
+def fancy_index_scatter(model, xi: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Noise-field coefficients by two fancy-index assignments into zeros:
+    each pair amplitude at +k and its conjugate at -k."""
+    xi = np.asarray(xi)
+    if weights is not None:
+        xi = xi * weights
+    J, P = model.n_directions, model.n_pairs
+    if J < 2 * P:
+        xi = np.concatenate([xi, np.zeros(xi.shape[:-1] + (2 * P - J,))], axis=-1)
+    c = 0.5 * model._basis_amp * (xi[..., 0::2] - 1j * xi[..., 1::2])
+    S = model.grid.n_coeff
+    pos_plus = model._pos_plus
+    pos_minus = S * S - 1 - pos_plus
+    amp = c[..., None, :] * model.pair_direction.T
+    out = np.zeros(c.shape[:-1] + (2, S * S), dtype=np.complex128)
+    out[..., pos_plus] = amp
+    out[..., pos_minus] = np.conj(amp)
+    return out.reshape(c.shape[:-1] + (2, S, S))
+
+
 # ---------------------------------------------------------------------------
 # linear-regime (diagonal) closed forms for the integrating-factor scheme
 

@@ -194,6 +194,28 @@ class TestRunVerb:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["offending_keys"] == ["experiment/dyadic_depth"]
 
+    # K=4: at N=12 = 3K the product modes at |k| = 2K alias onto |k| = K;
+    # N=10 is the smallest grid SpectralGrid accepts at all
+    @pytest.mark.parametrize("resolution", [10, 12])
+    def test_nonlinear_below_product_margin_is_config_error(self, tmp_path, capsys, resolution):
+        cfg = example_config("simulate")
+        cfg["grid"]["physical_resolution"] = resolution
+        cfg["solver"]["nonlinear"] = True
+        path = _write(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", path, "--out", out]) == 3
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert manifest["status"] == "failed" and "3K + 1 = 13" in manifest["error"]["message"]
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["offending_keys"] == ["grid/physical_resolution"]
+
+    def test_linear_run_needs_no_product_margin(self, tmp_path):
+        cfg = example_config("simulate")
+        cfg["grid"]["physical_resolution"] = 10
+        cfg["solver"]["horizon"] = 0.05
+        path = _write(tmp_path, cfg)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
     def test_seed_override_changes_hashless_outputs(self, tmp_path):
         cfg = example_config("simulate")
         cfg["solver"]["horizon"] = 0.05

@@ -35,6 +35,8 @@ from snse_lab.spectral import (
     zero_field,
 )
 
+import helpers
+
 class TestModel:
     def test_trace_class_and_ordering(self, noise3):
         lam = noise3.eigenvalues
@@ -61,6 +63,16 @@ class TestModel:
         lhs = TWO_PI**2 * float(np.vdot(scatter_coefficients(noise3, xi), y.coeffs).real)
         rhs = float(xi @ gather_coefficients(noise3, y.coeffs))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+    # full J = 2 * 24 = 48 at K=3; 10 directions end on a sine, 9 on a cosine
+    @pytest.mark.parametrize("J", [None, 10, 9])
+    @pytest.mark.parametrize("batch", [(), (1,), (256,)])
+    def test_scatter_matches_fancy_index_oracle(self, grid3, rng, J, batch):
+        m = NoiseModel(grid=grid3, num_directions=J)
+        xi = rng.standard_normal(batch + (m.n_directions,))
+        ours = scatter_coefficients(m, xi, weights=m.gains)
+        assert np.array_equal(ours, helpers.fancy_index_scatter(m, xi, weights=m.gains))
 
 
 class TestWienerIncrements:

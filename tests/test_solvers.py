@@ -25,6 +25,7 @@ from snse_lab.solvers import (
     combine_trajectories,
     ensemble_run,
     loglog,
+    propagator,
     shifted_ensemble_run,
     solve_deterministic,
     solve_skeleton,
@@ -79,6 +80,15 @@ class TestSteps:
         a = step_deterministic(u, None, 1e-3)
         b = step_snse(u, None, 0.0, dW, 1e-3, noise3)
         assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_propagator_shared_and_read_only(self, grid3):
+        prop = propagator(grid3, 1e-3)
+        assert propagator(default_grid(3), 1e-3) is prop
+        assert propagator(grid3, 2e-3) is not prop
+        for arr in (prop.decay, prop.phi, prop.phi_rate, prop.int_weight):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
 
 
 class TestDeterministicSolve:

@@ -21,6 +21,8 @@ from snse_lab.spectral import (
     field_from_record,
     field_to_record,
     from_physical,
+    h_norm_sq_array,
+    hv_norm_sq_array,
     leray_project,
     norm_bundle,
     random_solenoidal_field,
@@ -28,6 +30,7 @@ from snse_lab.spectral import (
     single_mode_field,
     taylor_green,
     to_physical,
+    v_norm_sq_array,
     zero_field,
     TWO_PI,
 )
@@ -370,6 +373,44 @@ class TestRealTransforms:
         ours = advection_array(g, u, u)
         gradient_form = advection_array(g, u, u.copy())
         assert np.max(np.abs(ours - gradient_form)) <= 1e-14 * np.max(np.abs(gradient_form))
+
+
+class TestCurlFormSelfAdvection:
+    # (4, 13) is the smallest grid with the product margin N >= 3K + 1 at K=4
+    @pytest.mark.parametrize("K, N", [(3, 10), (3, 11), (4, 13), (10, 32), (16, 50)])
+    def test_matches_convolution_oracle(self, rng, K, N):
+        g = SpectralGrid(K, N)
+        u = random_solenoidal_field(g, rng)
+        ours = advection_array(g, u.coeffs, u.coeffs)
+        oracle = helpers.advection_convolution(u, u)
+        assert np.max(np.abs(ours - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("K, N", [(3, 10), (3, 11), (10, 32)])
+    def test_exactly_symmetric_and_mean_free(self, rng, K, N):
+        g = SpectralGrid(K, N)
+        u = _solenoidal_batch(g, rng, 7)
+        out = advection_array(g, u, u)
+        assert np.array_equal(out, np.conj(out[..., ::-1, ::-1]))
+        assert np.all(out[..., K, K] == 0.0)
+
+    def test_below_product_margin_rejected(self, rng):
+        assert not SpectralGrid(4, 12).supports_products()
+        assert SpectralGrid(4, 13).supports_products()
+        g = SpectralGrid(4, 12)
+        u = random_solenoidal_field(g, rng).coeffs
+        with pytest.raises(GridConfigError, match="3K \\+ 1 = 13"):
+            advection_array(g, u, u)
+
+
+class TestNormPair:
+    @pytest.mark.parametrize("shape", [(), (1,), (7, 3)])
+    def test_equals_separate_norms_bitwise(self, rng, shape):
+        g = default_grid(5)
+        S = g.n_coeff
+        c = rng.standard_normal(shape + (2, S, S)) + 1j * rng.standard_normal(shape + (2, S, S))
+        h2, v2 = hv_norm_sq_array(g, c)
+        assert np.array_equal(h2, h_norm_sq_array(g, c))
+        assert np.array_equal(v2, v_norm_sq_array(g, c))
 
 
 class TestSerialization:
