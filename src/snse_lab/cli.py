@@ -2,12 +2,14 @@
 
 Verbs:
     run                 dispatch the experiment selected in the config
-    verify              run the cross-module invariant suite
+    verify              run the cross-module invariant suite: `run` with the
+                        experiment kind forced to `verify`
     emit-tables         flatten report JSONs referenced by a manifest to CSV
                         plus companion gnuplot scripts
     print-config-schema print the JSON schema and a starter config
 
-Every run writes a manifest (even on failure, with the partial inventory).
+Every run writes a manifest, also on failure, listing the files written
+before it; the exit code and a JSON line on stderr say how a run failed.
 Reports carry no timestamps, so identical (config, seed) runs produce
 byte-identical report files.
 """
@@ -65,8 +67,12 @@ ENV_SEED = "SNSE_LAB_SEED"
 ENV_WORKERS = "SNSE_LAB_WORKERS"
 
 
-def _dispatch(data: dict, out_dir: str, seed: int, workers: int) -> list[str]:
-    """Run the configured experiment; returns the produced file names."""
+class InvariantFailure(RuntimeError):
+    """The invariant suite ran to the end and at least one invariant failed."""
+
+
+def _dispatch(data: dict, out_dir: str, seed: int, workers: int, outputs: list[str]) -> None:
+    """Run the configured experiment, appending each file it writes to `outputs`."""
     grid = build_grid(data)
     noise = build_noise(data, grid)
     sim = build_sim_config(data, grid, noise)
@@ -76,7 +82,10 @@ def _dispatch(data: dict, out_dir: str, seed: int, workers: int) -> list[str]:
     kind = exp["kind"]
     chash = config_hash(data)
     prov = {"config_hash": chash, "seed": seed}
-    outputs: list[str] = []
+
+    def trajectory(name: str, traj) -> None:
+        write_trajectory(os.path.join(out_dir, name), traj)
+        outputs.append(name)
 
     def report(name: str, payload: dict) -> None:
         payload = {
@@ -94,8 +103,7 @@ def _dispatch(data: dict, out_dir: str, seed: int, workers: int) -> list[str]:
             traj = solve_snse(sim, seed, provenance=prov)
         else:
             traj = solve_deterministic(sim, provenance=prov)
-        write_trajectory(os.path.join(out_dir, "trajectory.bin"), traj)
-        outputs.append("trajectory.bin")
+        trajectory("trajectory.bin", traj)
         report(
             "simulate_report.json",
             {
@@ -110,9 +118,8 @@ def _dispatch(data: dict, out_dir: str, seed: int, workers: int) -> list[str]:
         u0 = solve_deterministic(replace(sim, record_stride=1), provenance=prov)
         control = build_control(exp.get("control"), noise, sim)
         x = solve_skeleton(control, u0, sim, provenance=prov)
-        write_trajectory(os.path.join(out_dir, "limit_trajectory.bin"), u0)
-        write_trajectory(os.path.join(out_dir, "steered_trajectory.bin"), x)
-        outputs += ["limit_trajectory.bin", "steered_trajectory.bin"]
+        trajectory("limit_trajectory.bin", u0)
+        trajectory("steered_trajectory.bin", x)
         from .noise import control_energy
 
         report(
@@ -183,186 +190,116 @@ def _dispatch(data: dict, out_dir: str, seed: int, workers: int) -> list[str]:
             print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: value={r.value:.3e} "
                   f"threshold={r.threshold:.3e} {r.detail}")
         if not payload["all_passed"]:
-            raise RuntimeError("invariant suite failed")
+            raise InvariantFailure("invariant suite failed")
     else:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    return outputs
+
+
+def _failure(loaded: bool, exc: Exception) -> tuple[str, int]:
+    """Stage and exit code of the exception that ended a run."""
+    if not loaded and isinstance(exc, (OSError, ValueError)):
+        return "config", 2
+    if isinstance(exc, InvariantFailure):
+        return "invariants", 1
+    if isinstance(exc, (ConfigError, AdmissibilityError)):
+        return "admissibility", 3
+    return "runtime", 4
+
+
+def _override(value: int | None, flag: str, env: str, key: str, default: int) -> int:
+    """The flag, else its environment variable, else `default` (the config's
+    value), held to the schema's minimum for the config key `key`."""
+    name = flag
+    if value is None:
+        name, raw = env, os.environ.get(env)
+        if not raw:
+            return default
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ConfigError(f"{env} must be an integer, got {raw!r}", offending=[env]) from None
+    minimum = CONFIG_SCHEMA["properties"][key]["minimum"]
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}", offending=[name])
+    return value
 
 
 def cmd_run(args) -> int:
+    """Load, run and record one experiment; every outcome writes a manifest."""
+    out_dir, chash, seeds, outputs = args.out or "out", None, [], []
+    loaded, code, error = False, 0, None
     try:
         data = load_config(args.config)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
-        _print_error("config", exc)
-        return 2
-    seed = args.seed if args.seed is not None else data.get("seed", 0)
-    workers = args.workers if args.workers is not None else data.get("workers", 1)
-    out_dir = args.out or data.get("output", {}).get("dir", "out")
-    chash = config_hash(data)
-    outputs: list[str] = []
-    status, error, code = "ok", None, 0
-    try:
-        outputs = _dispatch(data, out_dir, seed, workers)
-    except (ConfigError, AdmissibilityError) as exc:
-        status, error, code = "failed", {"type": type(exc).__name__, "message": str(exc)}, 3
-        _print_error("admissibility", exc)
-    except IntegrationError as exc:
-        status, error, code = "failed", _report_integration_error(exc), 4
+        if args.experiment is not None:
+            data = {**data, "experiment": {"kind": args.experiment}}
+        out_dir = args.out or data.get("output", {}).get("dir", "out")
+        chash = config_hash(data)
+        seed = _override(args.seed, "--seed", ENV_SEED, "seed", data.get("seed", 0))
+        workers = _override(args.workers, "--workers", ENV_WORKERS, "workers",
+                            data.get("workers", 1))
+        seeds, loaded = [seed], True
+        _dispatch(data, out_dir, seed, workers, outputs)
     except Exception as exc:  # noqa: BLE001 - structured reporting at the boundary
-        status, error, code = "failed", {"type": type(exc).__name__, "message": str(exc)}, 4
-        _print_error("runtime", exc)
+        stage, code = _failure(loaded, exc)
+        _print_error(stage, exc)
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, IntegrationError):
+            error["step"] = exc.step
     manifest = write_manifest(
-        out_dir, chash, __version__, [seed], outputs, status, error
+        out_dir, chash, __version__, seeds, outputs, "failed" if code else "ok", error
     )
     if code == 0:
         print(f"wrote {len(outputs)} output file(s); manifest at {manifest}")
     return code
 
 
-def cmd_verify(args) -> int:
-    try:
-        data = load_config(args.config)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
-        _print_error("config", exc)
-        return 2
-    data = dict(data)
-    data["experiment"] = {"kind": "verify"}
-    tmp = args.out or data.get("output", {}).get("dir", "out")
-    seed = args.seed if args.seed is not None else data.get("seed", 0)
-    try:
-        outputs = _dispatch(data, tmp, seed, args.workers or 1)
-    except IntegrationError as exc:
-        write_manifest(tmp, config_hash(data), __version__, [seed], [], "failed",
-                       _report_integration_error(exc))
-        return 4
-    except RuntimeError as exc:
-        write_manifest(tmp, config_hash(data), __version__, [seed], ["verify_report.json"],
-                       "failed", {"type": "RuntimeError", "message": str(exc)})
-        return 1
-    except (ConfigError, AdmissibilityError) as exc:
-        _print_error("admissibility", exc)
-        return 3
-    write_manifest(tmp, config_hash(data), __version__, [seed], outputs, "ok", None)
-    return 0
+# report -> (CSV name, rows of `results`, columns); a column missing from a
+# row is read from `results` itself (mdp-scaling's one `neg_rate`)
+_TABLES = {
+    "mdp_scaling_report.json": [
+        ("mdp_scaling.csv", "rows", ["epsilon", "p_hat", "lo", "hi", "a2_log_p", "neg_rate"]),
+    ],
+    "fw_report.json": [
+        ("fw_probe.csv", "rows",
+         ["epsilon", "p_hat", "lo", "hi", "upper_bound", "bound", "below_bound"]),
+    ],
+    "moments_report.json": [
+        ("moments.csv", "rows", ["section", "epsilon", "p", "mean", "se"]),
+        ("moment_fits.csv", "fits",
+         ["section", "fitted_exponent", "stated_power", "implied_constant"]),
+    ],
+    "strassen_report.json": [
+        ("strassen.csv", "rows",
+         ["replicate", "j", "epsilon", "distance", "nearest", "within_tolerance"]),
+    ],
+    "ratio_report.json": [
+        ("ratio.csv", "rows", ["replicate", "j", "epsilon", "ratio"]),
+        ("ratio_quantiles.csv", "per_j_quantiles", ["j", "epsilon", "q10", "q50", "q90", "mean"]),
+    ],
+    "verify_report.json": [
+        ("verify.csv", "rows", ["name", "passed", "value", "threshold", "detail"]),
+    ],
+}
+
+_PLOTS = {
+    "mdp_scaling_report.json": (
+        "mdp_scaling.gp",
+        "set datafile separator ','\nset logscale x\n"
+        "set xlabel 'epsilon'\nset ylabel 'a^2 log P'\n"
+        "plot 'mdp_scaling.csv' using 1:5 skip 1 with linespoints title 'probe', \\\n"
+        "     'mdp_scaling.csv' using 1:6 skip 1 with lines title 'minus rate'\n",
+    ),
+    "ratio_report.json": (
+        "ratio.gp",
+        "set datafile separator ','\nset xlabel 'j'\nset ylabel 'ratio'\n"
+        "plot 'ratio_quantiles.csv' using 1:4 skip 1 with linespoints title 'median'\n",
+    ),
+}
 
 
-_TABLE_BUILDERS = {}
-
-
-def _table(name):
-    def deco(fn):
-        _TABLE_BUILDERS[name] = fn
-        return fn
-
-    return deco
-
-
-@_table("mdp_scaling_report.json")
-def _mdp_tables(payload: dict, out_dir: str) -> list[str]:
-    rows = payload["results"]["rows"]
-    neg_rate = payload["results"].get("neg_rate")
-    path = os.path.join(out_dir, "mdp_scaling.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epsilon", "p_hat", "lo", "hi", "a2_log_p", "neg_rate"])
-        for r in rows:
-            w.writerow(
-                [r["epsilon"], r["p_hat"], r["lo"], r["hi"], r["a2_log_p"],
-                 "" if neg_rate is None else neg_rate]
-            )
-    gp = os.path.join(out_dir, "mdp_scaling.gp")
-    with open(gp, "w") as fh:
-        fh.write(
-            "set datafile separator ','\nset logscale x\n"
-            "set xlabel 'epsilon'\nset ylabel 'a^2 log P'\n"
-            "plot 'mdp_scaling.csv' using 1:5 skip 1 with linespoints title 'probe', \\\n"
-            "     'mdp_scaling.csv' using 1:6 skip 1 with lines title 'minus rate'\n"
-        )
-    return ["mdp_scaling.csv", "mdp_scaling.gp"]
-
-
-@_table("fw_report.json")
-def _fw_tables(payload: dict, out_dir: str) -> list[str]:
-    rows = payload["results"]["rows"]
-    path = os.path.join(out_dir, "fw_probe.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epsilon", "p_hat", "lo", "hi", "upper_bound", "bound", "below_bound"])
-        for r in rows:
-            w.writerow([r["epsilon"], r["p_hat"], r["lo"], r["hi"],
-                        r["upper_bound"], r["bound"], int(r["below_bound"])])
-    return ["fw_probe.csv"]
-
-
-@_table("moments_report.json")
-def _moment_tables(payload: dict, out_dir: str) -> list[str]:
-    rows = payload["results"]["rows"]
-    path = os.path.join(out_dir, "moments.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["section", "epsilon", "p", "mean", "se"])
-        for r in rows:
-            w.writerow([r["section"], r["epsilon"], r["p"], r["mean"], r["se"]])
-    fits = payload["results"]["fits"]
-    fpath = os.path.join(out_dir, "moment_fits.csv")
-    with open(fpath, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["section", "fitted_exponent", "stated_power", "implied_constant"])
-        for section, entry in sorted(fits.items()):
-            w.writerow(
-                [section, entry.get("fitted_exponent"), entry.get("stated_power"),
-                 entry.get("implied_constant")]
-            )
-    return ["moments.csv", "moment_fits.csv"]
-
-
-@_table("strassen_report.json")
-def _strassen_tables(payload: dict, out_dir: str) -> list[str]:
-    rows = payload["results"]["rows"]
-    path = os.path.join(out_dir, "strassen.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["replicate", "j", "epsilon", "distance", "nearest", "within_tolerance"])
-        for r in rows:
-            w.writerow([r["replicate"], r["j"], r["epsilon"], r["distance"],
-                        r["nearest"], int(r["within_tolerance"])])
-    return ["strassen.csv"]
-
-
-@_table("ratio_report.json")
-def _ratio_tables(payload: dict, out_dir: str) -> list[str]:
-    res = payload["results"]
-    path = os.path.join(out_dir, "ratio.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["replicate", "j", "epsilon", "ratio"])
-        for r in res["rows"]:
-            w.writerow([r["replicate"], r["j"], r["epsilon"], r["ratio"]])
-    qpath = os.path.join(out_dir, "ratio_quantiles.csv")
-    with open(qpath, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "epsilon", "q10", "q50", "q90", "mean"])
-        for q in res["per_j_quantiles"]:
-            w.writerow([q["j"], q["epsilon"], q["q10"], q["q50"], q["q90"], q["mean"]])
-    gp = os.path.join(out_dir, "ratio.gp")
-    with open(gp, "w") as fh:
-        fh.write(
-            "set datafile separator ','\nset xlabel 'j'\nset ylabel 'ratio'\n"
-            "plot 'ratio_quantiles.csv' using 1:4 skip 1 with linespoints title 'median'\n"
-        )
-    return ["ratio.csv", "ratio_quantiles.csv", "ratio.gp"]
-
-
-@_table("verify_report.json")
-def _verify_tables(payload: dict, out_dir: str) -> list[str]:
-    rows = payload["results"]["rows"]
-    path = os.path.join(out_dir, "verify.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "passed", "value", "threshold", "detail"])
-        for r in rows:
-            w.writerow([r["name"], int(r["passed"]), r["value"], r["threshold"], r["detail"]])
-    return ["verify.csv"]
+def _cell(value):
+    """A CSV cell: booleans as 0/1; csv writes None as an empty cell."""
+    return int(value) if isinstance(value, bool) else value
 
 
 def emit_tables(manifest_path: str) -> list[str]:
@@ -372,14 +309,29 @@ def emit_tables(manifest_path: str) -> list[str]:
     out_dir = os.path.dirname(os.path.abspath(manifest_path))
     produced: list[str] = []
     for entry in manifest.get("outputs", []):
-        name = entry["path"]
-        builder = _TABLE_BUILDERS.get(name)
-        if builder is None:
+        name = entry.get("path") if isinstance(entry, dict) else None
+        if not isinstance(name, str):
+            raise ValueError(f"manifest outputs entry without a path: {entry!r}")
+        if name not in _TABLES:
             continue
         full = os.path.join(out_dir, name)
         if not os.path.exists(full):
             raise FileNotFoundError(f"report listed in manifest is missing: {name}")
-        produced += builder(read_report(full), out_dir)
+        results = read_report(full)["results"]
+        for csv_name, key, columns in _TABLES[name]:
+            rows = results[key]
+            if isinstance(rows, dict):  # moment fits: section -> entry
+                rows = [{"section": section, **e} for section, e in sorted(rows.items())]
+            with open(os.path.join(out_dir, csv_name), "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(columns)
+                w.writerows([_cell(r.get(c, results.get(c))) for c in columns] for r in rows)
+            produced.append(csv_name)
+        if name in _PLOTS:
+            gp_name, script = _PLOTS[name]
+            with open(os.path.join(out_dir, gp_name), "w") as fh:
+                fh.write(script)
+            produced.append(gp_name)
     if not produced:
         print("warning: manifest lists no tabulatable reports", file=sys.stderr)
     return produced
@@ -388,7 +340,7 @@ def emit_tables(manifest_path: str) -> list[str]:
 def cmd_emit_tables(args) -> int:
     try:
         produced = emit_tables(args.manifest)
-    except FileNotFoundError as exc:
+    except (OSError, ValueError) as exc:
         _print_error("emit-tables", exc)
         return 2
     for name in produced:
@@ -405,12 +357,6 @@ def cmd_print_schema(args) -> int:
     return 0
 
 
-def _report_integration_error(exc: IntegrationError) -> dict:
-    """Report a solver blow-up on stderr; returns the failed manifest's error entry."""
-    _print_error("runtime", exc)
-    return {"type": "IntegrationError", "message": str(exc), "step": exc.step}
-
-
 def _print_error(stage: str, exc: Exception) -> None:
     payload = {"stage": stage, "type": type(exc).__name__, "message": str(exc)}
     offending = getattr(exc, "offending", None)
@@ -419,48 +365,23 @@ def _print_error(stage: str, exc: Exception) -> None:
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {raw!r}", offending=[name]) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snse-lab",
         description="Spectral stochastic Navier-Stokes laboratory",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    env_seed = _env_int(ENV_SEED)
-    env_workers = _env_int(ENV_WORKERS)
-
-    def common(p):
+    for verb, experiment, text in (("run", None, "run the configured experiment"),
+                                   ("verify", "verify", "run the invariant suite")):
+        p = sub.add_parser(verb, help=text)
         p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=env_seed,
-            help="override the config seed",
-        )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=env_workers,
-            help="worker processes for replicate-level fan-out",
-        )
+        p.add_argument("--seed", type=int, default=None,
+                       help=f"override the config seed; ${ENV_SEED} if unset")
+        p.add_argument("--workers", type=int, default=None,
+                       help="worker processes for replicate-level fan-out; "
+                            f"${ENV_WORKERS} if unset")
         p.add_argument("--out", default=None, help="override the output directory")
-
-    p_run = sub.add_parser("run", help="run the configured experiment")
-    common(p_run)
-    p_run.set_defaults(fn=cmd_run)
-
-    p_verify = sub.add_parser("verify", help="run the invariant suite")
-    common(p_verify)
-    p_verify.set_defaults(fn=cmd_verify)
+        p.set_defaults(fn=cmd_run, experiment=experiment)
 
     p_emit = sub.add_parser("emit-tables", help="emit CSV tables from a manifest")
     p_emit.add_argument("--manifest", required=True, help="path to manifest.json")
@@ -473,12 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        parser = build_parser()
-    except ConfigError as exc:
-        _print_error("config", exc)
-        return 2
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -49,10 +49,10 @@ from .spectral import (
     TWO_PI,
     advection_array,
     advection_gradient_transpose_array,
-    a_norm_sq_array,
     h_norm_sq_array,
     hv_norm_sq_array,
     to_physical,
+    weighted_norm_sq,
 )
 
 
@@ -884,18 +884,19 @@ class _MomentObserver:
 
     def on_state(self, idx, t, coeffs):
         dt = self.config.dt
-        h2, v2 = hv_norm_sq_array(self.grid, coeffs)
+        a2 = np.abs(coeffs) ** 2
+        h2, v2 = weighted_norm_sq(a2), weighted_norm_sq(a2, self.grid.k2)
         np.maximum(self.sup_h2, h2, out=self.sup_h2)
         np.maximum(self.sup_h4, h2**2, out=self.sup_h4)
         for p in self.p_list:
             np.maximum(self.sup_h2p[p], h2**p, out=self.sup_h2p[p])
             np.maximum(self.sup_v2p[p], v2**p, out=self.sup_v2p[p])
         if idx < self.n_steps:
-            self.int_v2 += self.prop.step_int_v2(coeffs)
+            self.int_v2 += weighted_norm_sq(a2, self.prop.int_weight)
             self.int_h2v2 += h2 * v2 * dt
             for p in self.p_list:
                 self.int_h2p[p] += h2 ** (p - 1) * v2 * dt
-            self.int_a2 += a_norm_sq_array(self.grid, coeffs) * dt
+            self.int_a2 += weighted_norm_sq(a2, self.grid.k2**2) * dt
         if self.u0 is not None:
             dh2, dv2 = hv_norm_sq_array(self.grid, coeffs - self.u0[idx])
             np.maximum(self.sup_d2, dh2, out=self.sup_d2)

@@ -32,8 +32,8 @@ from .spectral import (
     SpectralGrid,
     TWO_PI,
     advection_array,
-    h_norm_sq_array,
     hv_norm_sq_array,
+    weighted_norm_sq,
     zero_field,
 )
 
@@ -131,9 +131,7 @@ class Propagator:
             arr.setflags(write=False)
 
     def step_int_v2(self, coeffs: np.ndarray) -> np.ndarray:
-        return TWO_PI**2 * np.sum(
-            self.int_weight * np.abs(coeffs) ** 2, axis=(-3, -2, -1)
-        )
+        return weighted_norm_sq(np.abs(coeffs) ** 2, self.int_weight)
 
 
 @functools.lru_cache(maxsize=32)
@@ -682,17 +680,16 @@ class TrajectoryObserver:
         self.int_v2 = np.zeros(n_paths)
 
     def on_state(self, idx, t, coeffs):
+        a2 = np.abs(coeffs) ** 2
+        h2 = weighted_norm_sq(a2)
         slot = self.rec.slot(idx, t)
-        if slot is None:
-            h2 = h_norm_sq_array(self.prop.grid, coeffs)
-        else:
-            h2, v2 = hv_norm_sq_array(self.prop.grid, coeffs)
+        if slot is not None:
             self.frames[:, slot] = coeffs
             self.h2[:, slot] = h2
-            self.v2[:, slot] = v2
+            self.v2[:, slot] = weighted_norm_sq(a2, self.prop.grid.k2)
         np.maximum(self.sup_h2, h2, out=self.sup_h2)
         if idx < self.n_steps:
-            self.int_v2 += self.prop.step_int_v2(coeffs)
+            self.int_v2 += weighted_norm_sq(a2, self.prop.int_weight)
 
     def finish(self) -> dict:
         n = self.frames.shape[0]

@@ -320,26 +320,28 @@ def scalar_l2_norm(grid: SpectralGrid, coeffs: np.ndarray) -> float:
     return float(np.sqrt(TWO_PI**2 * np.sum(np.abs(coeffs) ** 2)))
 
 
+def weighted_norm_sq(a2: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+    """(2 pi)^2 sum_k weight_k a2_k over the (2, S, S) axes, batched.
+
+    `a2` is |c|^2 of a state, computed once and shared by every norm of it.
+    """
+    return TWO_PI**2 * np.sum(a2 if weight is None else weight * a2, axis=(-3, -2, -1))
+
+
 def h_norm_sq_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     """Squared L2 velocity norm, batched: (..., 2, S, S) -> (...)."""
-    return TWO_PI**2 * np.sum(np.abs(coeffs) ** 2, axis=(-3, -2, -1))
+    return weighted_norm_sq(np.abs(coeffs) ** 2)
 
 
 def v_norm_sq_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     """Squared gradient norm, batched."""
-    return TWO_PI**2 * np.sum(grid.k2 * np.abs(coeffs) ** 2, axis=(-3, -2, -1))
+    return weighted_norm_sq(np.abs(coeffs) ** 2, grid.k2)
 
 
 def hv_norm_sq_array(grid: SpectralGrid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both squared norms, (h_norm_sq_array, v_norm_sq_array), from one |c|^2."""
     a2 = np.abs(coeffs) ** 2
-    axes = (-3, -2, -1)
-    return TWO_PI**2 * np.sum(a2, axis=axes), TWO_PI**2 * np.sum(grid.k2 * a2, axis=axes)
-
-
-def a_norm_sq_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Squared L2 norm of the dissipation operator applied to the field."""
-    return TWO_PI**2 * np.sum(grid.k2**2 * np.abs(coeffs) ** 2, axis=(-3, -2, -1))
+    return weighted_norm_sq(a2), weighted_norm_sq(a2, grid.k2)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Harness tests: config validation, hashing, dispatch, manifests, tables."""
 
+import csv
 import json
 import os
 
@@ -24,6 +25,7 @@ from snse_lab.persist import (
 )
 from snse_lab.solvers import IntegrationError, SimConfig, solve_deterministic
 from snse_lab.spectral import single_mode_field
+from snse_lab.verification import CheckRow
 
 
 def _write(tmp_path, cfg, name="config.json"):
@@ -152,12 +154,6 @@ class TestRunVerb:
         sums2 = {o["path"]: o["sha256"] for o in m2["outputs"]}
         assert sums1 == sums2
 
-    def test_schema_error_exit_code(self, tmp_path):
-        cfg = example_config("simulate")
-        cfg["solver"]["dt"] = -1
-        path = _write(tmp_path, cfg)
-        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
-
     def test_admissibility_error_writes_failed_manifest(self, tmp_path):
         cfg = example_config("mdp-scaling")
         cfg["constants"] = {"K9": 1000.0}
@@ -241,6 +237,35 @@ class TestRunVerb:
         s2 = sha256_file(os.path.join(out2, "trajectory.bin"))
         assert s1 == s2
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_workers_below_one_is_config_error(self, tmp_path, monkeypatch, capsys, source):
+        path = _write(tmp_path, example_config("simulate"))
+        argv = ["run", "--config", path, "--out", str(tmp_path / "o")]
+        if source == "flag":
+            argv += ["--workers", "0"]
+        else:
+            monkeypatch.setenv("SNSE_LAB_WORKERS", "0")
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        name = "--workers" if source == "flag" else "SNSE_LAB_WORKERS"
+        assert err["stage"] == "config" and err["offending_keys"] == [name]
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed_is_config_error(self, tmp_path, monkeypatch, capsys, source):
+        path = _write(tmp_path, example_config("simulate"))
+        out = str(tmp_path / "o")
+        argv = ["run", "--config", path, "--out", out]
+        if source == "flag":
+            argv += ["--seed", "-5"]
+        else:
+            monkeypatch.setenv("SNSE_LAB_SEED", "-5")
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        name = "--seed" if source == "flag" else "SNSE_LAB_SEED"
+        assert err["stage"] == "config" and err["offending_keys"] == [name]
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert manifest["status"] == "failed" and manifest["outputs"] == []
+
     def test_invalid_env_integer_is_config_error(self, tmp_path, monkeypatch, capsys):
         path = _write(tmp_path, example_config("simulate"))
         monkeypatch.setenv("SNSE_LAB_SEED", "abc")
@@ -276,11 +301,12 @@ class TestRunVerb:
 
 
 class TestVerifyVerb:
-    def test_verify_passes_on_default_preset(self, tmp_path):
+    def test_verify_passes_on_default_preset(self, tmp_path, capsys):
         cfg = example_config("verify")
         path = _write(tmp_path, cfg)
         out = str(tmp_path / "out")
         assert main(["verify", "--config", path, "--out", out]) == 0
+        assert "wrote 1 output file(s)" in capsys.readouterr().out
         rep = read_report(os.path.join(out, "verify_report.json"))
         assert rep["results"]["all_passed"]
         names = [r["name"] for r in rep["results"]["rows"]]
@@ -289,23 +315,142 @@ class TestVerifyVerb:
                if r["name"] == "corrupted_field_detected"][0]
         assert "offending mode" in neg["detail"]
 
-    def test_solver_blowup_exit_code(self, tmp_path, monkeypatch, capsys):
+
+
+def _last_stderr_line(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("verb", ["run", "verify"])
+class TestFailurePaths:
+    """Every failure exits with its code and writes a failed manifest that
+    lists the files written before it, whichever verb ran."""
+
+    def _manifest(self, out):
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert manifest["status"] == "failed"
+        return manifest
+
+    def test_config_load_error(self, tmp_path, capsys, verb):
+        cfg = example_config("verify")
+        cfg["solver"]["dt"] = -1
+        out = str(tmp_path / "out")
+        assert main([verb, "--config", _write(tmp_path, cfg), "--out", out]) == 2
+        manifest = self._manifest(out)
+        assert manifest["config_hash"] is None and manifest["outputs"] == []
+        err = _last_stderr_line(capsys)
+        assert err["stage"] == "config" and err["offending_keys"] == ["solver/dt"]
+
+    def test_admissibility_error(self, tmp_path, capsys, verb):
+        cfg = example_config("verify")
+        cfg["grid"]["physical_resolution"] = 12
+        cfg["solver"]["nonlinear"] = True
+        out = str(tmp_path / "out")
+        assert main([verb, "--config", _write(tmp_path, cfg), "--out", out]) == 3
+        assert "3K + 1 = 13" in self._manifest(out)["error"]["message"]
+        err = _last_stderr_line(capsys)
+        assert err["stage"] == "admissibility"
+        assert err["offending_keys"] == ["grid/physical_resolution"]
+
+    def test_unexpected_error(self, tmp_path, monkeypatch, capsys, verb):
+        def broken(config, seed=0):
+            raise ValueError("injected")
+
+        monkeypatch.setattr("snse_lab.cli.run_invariant_suite", broken)
+        path, out = _write(tmp_path, example_config("verify")), str(tmp_path / "out")
+        assert main([verb, "--config", path, "--out", out]) == 4
+        manifest = self._manifest(out)
+        assert manifest["error"] == {"type": "ValueError", "message": "injected"}
+        err = _last_stderr_line(capsys)
+        assert err["stage"] == "runtime" and err["type"] == "ValueError"
+
+    def test_solver_blowup(self, tmp_path, monkeypatch, capsys, verb):
         def blow_up(config, seed=0):
             raise IntegrationError(7, "amplitude exceeded blowup guard")
 
         monkeypatch.setattr("snse_lab.cli.run_invariant_suite", blow_up)
-        path = _write(tmp_path, example_config("verify"))
-        out = str(tmp_path / "out")
-        assert main(["verify", "--config", path, "--out", out]) == 4
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
-        assert manifest["status"] == "failed"
+        path, out = _write(tmp_path, example_config("verify")), str(tmp_path / "out")
+        assert main([verb, "--config", path, "--out", out]) == 4
+        manifest = self._manifest(out)
         assert manifest["error"]["type"] == "IntegrationError"
         assert manifest["error"]["step"] == 7
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        err = _last_stderr_line(capsys)
         assert err["stage"] == "runtime" and err["type"] == "IntegrationError"
+
+    def test_invariant_failure(self, tmp_path, monkeypatch, capsys, verb):
+        def failing(config, seed=0):
+            return [CheckRow("injected", False, 1.0, 0.5, "forced failure")]
+
+        monkeypatch.setattr("snse_lab.cli.run_invariant_suite", failing)
+        path, out = _write(tmp_path, example_config("verify")), str(tmp_path / "out")
+        assert main([verb, "--config", path, "--out", out]) == 1
+        manifest = self._manifest(out)
+        assert [o["path"] for o in manifest["outputs"]] == ["verify_report.json"]
+        assert manifest["error"]["type"] == "InvariantFailure"
+        assert _last_stderr_line(capsys)["stage"] == "invariants"
+        rep = read_report(os.path.join(out, "verify_report.json"))
+        assert rep["results"]["all_passed"] is False
+
+
+# experiment kind -> its report and the tables made from it:
+# (CSV name, rows of `results`, header)
+REPORT_TABLES = {
+    "mdp-scaling": ("mdp_scaling_report.json", [
+        ("mdp_scaling.csv", "rows", "epsilon,p_hat,lo,hi,a2_log_p,neg_rate")]),
+    "fw-probe": ("fw_report.json", [
+        ("fw_probe.csv", "rows", "epsilon,p_hat,lo,hi,upper_bound,bound,below_bound")]),
+    "moments": ("moments_report.json", [
+        ("moments.csv", "rows", "section,epsilon,p,mean,se"),
+        ("moment_fits.csv", "fits", "section,fitted_exponent,stated_power,implied_constant")]),
+    "lil-strassen": ("strassen_report.json", [
+        ("strassen.csv", "rows", "replicate,j,epsilon,distance,nearest,within_tolerance")]),
+    "lil-classical": ("ratio_report.json", [
+        ("ratio.csv", "rows", "replicate,j,epsilon,ratio"),
+        ("ratio_quantiles.csv", "per_j_quantiles", "j,epsilon,q10,q50,q90,mean")]),
+    "verify": ("verify_report.json", [
+        ("verify.csv", "rows", "name,passed,value,threshold,detail")]),
+}
 
 
 class TestEmitTables:
+    # the linear mdp-scaling probe has a rate (neg_rate), the nonlinear one null
+    @pytest.mark.parametrize("kind, nonlinear", [
+        ("mdp-scaling", False), ("mdp-scaling", True), ("fw-probe", False),
+        ("moments", False), ("lil-strassen", False), ("lil-classical", False),
+        ("verify", False)])
+    def test_tables_follow_report_rows(self, tmp_path, kind, nonlinear):
+        cfg = example_config(kind)
+        cfg["solver"]["nonlinear"] = nonlinear
+        for key, n in (("samples", 40), ("replicates", 2)):
+            if key in cfg["experiment"]:
+                cfg["experiment"][key] = n
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", _write(tmp_path, cfg), "--out", out]) == 0
+        emit_tables(os.path.join(out, "manifest.json"))
+        report, tables = REPORT_TABLES[kind]
+        results = read_report(os.path.join(out, report))["results"]
+        if kind == "mdp-scaling":
+            assert (results["neg_rate"] is None) == nonlinear
+        for csv_name, key, header in tables:
+            with open(os.path.join(out, csv_name), newline="") as fh:
+                lines = list(csv.reader(fh))
+            columns = header.split(",")
+            assert lines[0] == columns
+            rows = results[key]
+            if isinstance(rows, dict):
+                rows = [{"section": k, **v} for k, v in sorted(rows.items())]
+            assert len(lines) - 1 == len(rows)
+            for row, cells in zip(rows, lines[1:]):
+                assert len(cells) == len(columns)
+                for col, cell in zip(columns, cells):
+                    value = row.get(col, results.get(col))
+                    if isinstance(value, bool):
+                        assert cell == str(int(value))  # 0/1
+                    elif value is None:
+                        assert cell == ""
+                    else:
+                        assert cell == str(value)
+
     def test_mdp_tables_schema(self, tmp_path):
         cfg = example_config("mdp-scaling")
         cfg["experiment"]["samples"] = 40
@@ -345,6 +490,15 @@ class TestEmitTables:
             {"outputs": [{"path": "ratio_report.json", "sha256": "x", "bytes": 1}]}
         ))
         assert main(["emit-tables", "--manifest", str(manifest)]) == 2
+
+    @pytest.mark.parametrize("content", [
+        "{not json", json.dumps({"outputs": [{"sha256": "x", "bytes": 1}]})],
+        ids=["invalid-json", "entry-without-path"])
+    def test_malformed_manifest_errors(self, tmp_path, capsys, content):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(content)
+        assert main(["emit-tables", "--manifest", str(manifest)]) == 2
+        assert _last_stderr_line(capsys)["stage"] == "emit-tables"
 
 
 class TestSchemaVerb:

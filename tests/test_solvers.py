@@ -39,9 +39,11 @@ from snse_lab.solvers import (
 from snse_lab.spectral import (
     default_grid,
     divergence_defect,
+    h_norm_sq_array,
     random_solenoidal_field,
     single_mode_field,
     taylor_green,
+    v_norm_sq_array,
     zero_field,
     TWO_PI,
 )
@@ -176,6 +178,32 @@ class TestStochasticSolve:
         assert np.array_equal(a.frames, b.frames)
         c = solve_snse(cfg, seed=10)
         assert not np.array_equal(a.frames, c.frames)
+
+    def test_observer_norms_equal_separate_calls(self, grid3, noise3, rng):
+        # both observers square |c| once per state; every norm stays bitwise
+        # equal to the one-norm-per-call definitions
+        cfg = SimConfig(grid=grid3, noise=noise3, horizon=0.03, dt=1e-3, epsilon=1e-2,
+                        initial=random_solenoidal_field(grid3, rng, amplitude=0.1),
+                        record_stride=1)
+        u0 = solve_deterministic(cfg)
+        traj = ensemble_run(cfg, 3, 4, lambda: TrajectoryObserver(cfg))
+        mom = ensemble_run(cfg, 3, 4, lambda: _MomentObserver(cfg, [1.0], u0.frames))
+        frames = traj["frames"]
+        h2, v2 = h_norm_sq_array(grid3, frames), v_norm_sq_array(grid3, frames)
+        assert np.array_equal(traj["h2"], h2) and np.array_equal(traj["v2"], v2)
+        assert np.array_equal(traj["sup_h2"], h2.max(axis=1))
+        assert np.array_equal(mom["sup_h2"], h2.max(axis=1))
+        prop = Propagator(grid3, cfg.dt)
+        int_v2, int_h2v2, int_a2 = np.zeros(4), np.zeros(4), np.zeros(4)
+        for i in range(frames.shape[1] - 1):
+            int_v2 += prop.step_int_v2(frames[:, i])
+            int_h2v2 += h2[:, i] * v2[:, i] * cfg.dt
+            a_sq = TWO_PI**2 * np.sum(grid3.k2**2 * np.abs(frames[:, i]) ** 2, axis=(-3, -2, -1))
+            int_a2 += a_sq * cfg.dt
+        assert np.array_equal(traj["int_v2"], int_v2)
+        assert np.array_equal(mom["int_v2"], int_v2)
+        assert np.array_equal(mom["int_h2v2"], int_h2v2)
+        assert np.array_equal(mom["int_a2"], int_a2)
 
     def test_ou_moments_exact_discrete(self, grid1, noise1):
         # B off, additive noise: each mode follows the closed-form Gaussian
