@@ -21,6 +21,7 @@ import csv
 import json
 import os
 import sys
+import traceback
 from dataclasses import replace
 
 from . import __version__
@@ -173,7 +174,8 @@ def _dispatch(data: dict, out_dir: str, seed: int, workers: int, outputs: list[s
             tolerance=exp.get("tolerance", 0.5),
         )
         rep = strassen_cluster_study(
-            schedule, probe, exp.get("replicates", 8), sim, seed, workers=workers
+            schedule, probe, exp.get("replicates", 8), sim, seed, workers=workers,
+            u0_traj=u0_full,
         )
         report("strassen_report.json", rep.to_dict())
     elif kind == "lil-classical":
@@ -245,6 +247,10 @@ def cmd_run(args) -> int:
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, IntegrationError):
             error["step"] = exc.step
+        if stage == "runtime":
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            error["raised_at"] = {"file": os.path.basename(frame.filename),
+                                  "line": frame.lineno, "function": frame.name}
     manifest = write_manifest(
         out_dir, chash, __version__, seeds, outputs, "failed" if code else "ok", error
     )
@@ -302,6 +308,20 @@ def _cell(value):
     return int(value) if isinstance(value, bool) else value
 
 
+def _report_rows(name: str, results: dict, key: str) -> list[dict]:
+    """The rows `results[key]` of a report as a list of objects; a map of
+    section -> entry (moment fits) becomes rows with a `section` column."""
+    rows = results.get(key)
+    if isinstance(rows, dict):  # moment fits: section -> entry
+        rows = [{"section": section, **e} if isinstance(e, dict) else e
+                for section, e in sorted(rows.items())]
+    if not isinstance(rows, list):
+        raise ValueError(f"report {name} has no {key!r} rows in its results")
+    if not all(isinstance(r, dict) for r in rows):
+        raise ValueError(f"report {name} has a {key!r} row that is not an object")
+    return rows
+
+
 def emit_tables(manifest_path: str) -> list[str]:
     """Flatten the reports referenced by a manifest into CSV/plot files."""
     with open(manifest_path) as fh:
@@ -317,11 +337,13 @@ def emit_tables(manifest_path: str) -> list[str]:
         full = os.path.join(out_dir, name)
         if not os.path.exists(full):
             raise FileNotFoundError(f"report listed in manifest is missing: {name}")
-        results = read_report(full)["results"]
-        for csv_name, key, columns in _TABLES[name]:
-            rows = results[key]
-            if isinstance(rows, dict):  # moment fits: section -> entry
-                rows = [{"section": section, **e} for section, e in sorted(rows.items())]
+        results = read_report(full)
+        results = results.get("results") if isinstance(results, dict) else None
+        if not isinstance(results, dict):
+            raise ValueError(f"report {name} has no results object")
+        tables = [(csv_name, _report_rows(name, results, key), columns)
+                  for csv_name, key, columns in _TABLES[name]]
+        for csv_name, rows, columns in tables:
             with open(os.path.join(out_dir, csv_name), "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(columns)

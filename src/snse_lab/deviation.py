@@ -249,22 +249,24 @@ def _adjoint_sweep(config: SimConfig, u0_frames, p_end, sources) -> np.ndarray:
     frames x of skeleton_forward, by its discrete adjoint (L2 pairing).
 
     p_end has shape (2, S, S) and sources (n_steps, 2, S, S); returns the
-    gradient with shape (n_steps, J).
+    gradient with shape (n_steps, J).  The loop keeps phi * p of every step;
+    the noise map, frozen at the deterministic limit, takes them all in one
+    call after it.
     """
     grid = config.grid
     prop = propagator(grid, config.dt)
-    grad = np.zeros((config.n_steps, config.noise.n_directions))
+    n_steps = config.n_steps
+    phi_p = np.empty((n_steps,) + np.shape(p_end), dtype=np.complex128)
     p = p_end
-    for n in range(config.n_steps - 1, -1, -1):
+    for n in range(n_steps - 1, -1, -1):
         u0n = u0_frames[n]
-        phi_p = prop.phi * p
-        grad[n] = sigma_adjoint_array(config.noise, n * config.dt, u0n, phi_p)
+        np.multiply(prop.phi, p, out=phi_p[n])
         p_next = prop.decay * p
         if config.nonlinear:
-            p_next = p_next + advection_array(grid, u0n, phi_p)
-            p_next = p_next - advection_gradient_transpose_array(grid, u0n, phi_p)
+            p_next = p_next + advection_array(grid, u0n, phi_p[n])
+            p_next = p_next - advection_gradient_transpose_array(grid, u0n, phi_p[n])
         p = p_next + sources[n]
-    return grad
+    return sigma_adjoint_array(config.noise, 0.0, u0_frames[:n_steps], phi_p)
 
 
 def rate_function(

@@ -30,8 +30,11 @@ from .solvers import (
     combine_trajectories,
     ensemble_run,
     loglog,
+    skeleton_forward,
     solve_deterministic,
-    solve_skeleton,
+    _control_values_on_steps,
+    _require_solver_grid,
+    _skeleton_trajectories,
 )
 
 
@@ -155,7 +158,12 @@ def build_probe(
     include_zero: bool = True,
 ) -> LimitSetProbe:
     """Probe from per-direction temporal profiles rescaled to the rate-ball
-    boundary, plus optionally the zero element (which always belongs)."""
+    boundary, plus optionally the zero element (which always belongs).
+
+    The nonzero controls are solved in one batched skeleton_forward call; the
+    zero control's image is exactly zero and is not integrated.
+    """
+    _require_solver_grid(u0_traj, config, "deterministic trajectory")
     model = config.noise
     dirs = directions if directions is not None else list(range(model.n_directions))
     n_cells = max(config.n_steps, 1)
@@ -174,7 +182,13 @@ def build_probe(
             controls.append(
                 Control(model, config.horizon, values * math.sqrt(2.0 / energy))
             )
-    images = [solve_skeleton(h, u0_traj, config) for h in controls]
+    S = config.grid.n_coeff
+    frames = np.zeros((len(controls), config.n_steps + 1, 2, S, S), dtype=np.complex128)
+    first = int(include_zero)
+    if len(controls) > first:
+        h_values = np.stack([_control_values_on_steps(h, config) for h in controls[first:]])
+        frames[first:] = skeleton_forward(h_values, u0_traj.frames, config)
+    images = _skeleton_trajectories(frames, config)
     return LimitSetProbe(tuple(controls), tuple(images), tolerance)
 
 
@@ -210,10 +224,14 @@ def _replicate_sq_distances(args) -> list[np.ndarray]:
     return out
 
 
-def _schedule_study(schedule, config, n_reps, seed, workers, scale_of, targets=None):
+def _schedule_study(schedule, config, n_reps, seed, workers, scale_of, targets=None, u0_traj=None):
     """(replicate, j, epsilon, squared trajectory norm of scale_of(eps) * (u - u0),
-    or its squared distance to each target), merged by replicate index."""
-    u0_frames = solve_deterministic(replace(config, record_stride=1)).frames
+    or its squared distance to each target), merged by replicate index.
+    u0_traj is the deterministic limit at every step, solved here when None."""
+    if u0_traj is None:
+        u0_traj = solve_deterministic(replace(config, record_stride=1))
+    _require_solver_grid(u0_traj, config, "deterministic trajectory")
+    u0_frames = u0_traj.frames
     epsilons = [schedule.epsilon(j) for j in schedule.indices]
     scales = [scale_of(eps) for eps in epsilons]
     args = [(config, u0_frames, epsilons, scales, targets, seed, rep) for rep in range(n_reps)]
@@ -241,6 +259,7 @@ def strassen_cluster_study(
     config: SimConfig,
     seed: int,
     workers: int = 1,
+    u0_traj: Trajectory | None = None,
 ) -> ClusterReport:
     """Distances from the rescaled fluctuation to the probe along the schedule.
 
@@ -248,10 +267,13 @@ def strassen_cluster_study(
     indices (the noise is rescaled, not redrawn), mirroring the geometric
     coupling of the schedule and reducing cross-index variance.  Replicates
     are independent workers; results merge deterministically by replicate
-    index regardless of the worker count.
+    index regardless of the worker count.  u0_traj, the deterministic limit
+    recorded at every step (as the probe was built from), is solved when None.
     """
     targets = np.stack([g.frames for g in probe.images])
-    study = _schedule_study(schedule, config, n_reps, seed, workers, _fluctuation_scale, targets)
+    study = _schedule_study(
+        schedule, config, n_reps, seed, workers, _fluctuation_scale, targets, u0_traj
+    )
     rows = []
     for rep, j, eps, d2 in study:
         dist = np.sqrt(d2)

@@ -128,6 +128,11 @@ class NoiseModel:
     def trace(self) -> float:
         return float(self.eigenvalues.sum())
 
+    @property
+    def state_dependent(self) -> bool:
+        """Whether sigma(t, u) reads the state (the additive family does not)."""
+        return self.family != "additive"
+
     def basis_field(self, j: int) -> SpectralField:
         """The j-th noise direction as a unit-L2 divergence-free field."""
         xi = np.zeros(self.n_directions)
@@ -205,9 +210,13 @@ def saturation_factor(params: SigmaParams, r):
 
 
 def sigma_factor(model: NoiseModel, t: float, u_coeffs: np.ndarray):
-    """State-dependent gain modulation; identically 1 for the additive family."""
-    if model.family == "additive":
-        return np.ones(u_coeffs.shape[:-3]) if u_coeffs.ndim > 3 else 1.0
+    """State-dependent gain modulation, one value per state of a batch.
+
+    The scalar 1.0 for the additive family, whatever the batch shape.  No
+    family reads t, so one call may cover states at different times.
+    """
+    if not model.state_dependent:
+        return 1.0
     r = np.sqrt(v_norm_sq_array(model.grid, u_coeffs))
     return saturation_factor(model.params, r)
 
@@ -215,7 +224,11 @@ def sigma_factor(model: NoiseModel, t: float, u_coeffs: np.ndarray):
 def sigma_apply_array(
     model: NoiseModel, t: float, u_coeffs: np.ndarray, xi: np.ndarray
 ) -> np.ndarray:
-    """Coefficients of sigma(t, u) xi; batched when u_coeffs and xi carry a batch axis."""
+    """Coefficients of sigma(t, u) xi; batched when u_coeffs and xi carry a batch axis.
+
+    The factor of u_coeffs (..., 2, S, S) broadcasts against xi (..., J), so
+    xi may carry more leading axes than u_coeffs.
+    """
     factor = sigma_factor(model, t, u_coeffs)
     out = scatter_coefficients(model, xi, weights=model.gains)
     if np.ndim(factor) == 0:

@@ -25,7 +25,13 @@ from typing import Callable
 
 import numpy as np
 
-from .noise import Control, NoiseModel, sigma_apply_array
+from .noise import (
+    Control,
+    NoiseModel,
+    scatter_coefficients,
+    sigma_apply_array,
+    sigma_factor,
+)
 from .rng import substream
 from .spectral import (
     SpectralField,
@@ -334,6 +340,10 @@ class _RecordingGrid:
         return None
 
 
+# path-steps of noise scattered per call of the stepper: one step at batch 256
+_NOISE_BLOCK_PATH_STEPS = 256
+
+
 def _integrate_batch(
     config: SimConfig,
     state: np.ndarray,
@@ -347,6 +357,11 @@ def _integrate_batch(
     optional callables; on_noise sees the pre-step state, so a coupled process
     can be stepped inside it on the same increments.  state has shape
     (n, 2, S, S) and normals (n, n_steps, J).
+
+    The noise field scatter(dW * gains) does not read the state, so it is
+    formed for a block of steps at once, _NOISE_BLOCK_PATH_STEPS path-steps
+    per call; only a state-dependent family's factor is applied per step.
+    Every operation is elementwise, so the values do not depend on the block.
     """
     prop = propagator(config.grid, config.dt)
     model = config.noise
@@ -357,20 +372,32 @@ def _integrate_batch(
     if on_state:
         on_state(0, 0.0, state)
     sqrt_lam_dt = np.sqrt(model.eigenvalues * config.dt)
+    block = max(1, _NOISE_BLOCK_PATH_STEPS // state.shape[0])
     for step in range(config.n_steps):
         t = step * config.dt
-        forcing = _forcing_at(config, t)
-        new = _step_array(prop, state, forcing, config.nonlinear)
+        new = _step_array(prop, state, _forcing_at(config, t), config.nonlinear)
         if normals is not None:
-            dW = normals[:, step, :] * sqrt_lam_dt
+            i = step % block
+            if i == 0:
+                dW_block = normals[:, step : step + block, :] * sqrt_lam_dt
+                if config.epsilon > 0.0:
+                    noise_block = scatter_coefficients(model, dW_block, weights=model.gains)
+                    if not model.state_dependent:
+                        noise_block *= sqrt_eps
+                        noise_block *= prop.phi_rate
             if on_noise:
-                on_noise(step, t, state, dW)
-            if config.epsilon > 0.0:
-                noise = sigma_apply_array(model, t, state, dW)
-                noise *= sqrt_eps
-                noise *= prop.phi_rate
-                new += noise
+                on_noise(step, t, state, dW_block[:, i])
+            if config.epsilon > 0.0 and model.state_dependent:
+                factor = sigma_factor(model, t, state)[:, None, None, None]
+                new += noise_block[:, i] * factor * sqrt_eps * prop.phi_rate
+            elif config.epsilon > 0.0:
+                new += noise_block[:, i]
+            if i == block - 1:
+                dW_block = noise_block = None
         state[...] = new
+        # `new` and a used-up noise block are freed here, not held through the
+        # next step's advection: that lowers the peak RSS of a batched run
+        del new
         _blowup_guard(state, scale, step)
         if on_state:
             on_state(step + 1, t + config.dt, state)
@@ -445,27 +472,42 @@ def skeleton_forward(
 ) -> np.ndarray:
     """All frames of the controlled linearization driven by per-step controls.
 
-    h_values has shape (n_steps, J); u0_frames holds the deterministic limit at
-    every solver step.  Returns (n_steps + 1, 2, S, S).  The dynamics are
-    linear in the state and in the control (the noise map is frozen at the
-    deterministic limit).
+    h_values has shape (..., n_steps, J), one control per leading index;
+    u0_frames holds the deterministic limit at every solver step.  Returns
+    (..., n_steps + 1, 2, S, S).  The dynamics are linear in the state and in
+    the control: the noise map is frozen at the deterministic limit, so it is
+    applied to every step in one call before the loop.
     """
     prop = propagator(config.grid, config.dt)
-    model = config.noise
     n = config.n_steps
     S = config.grid.n_coeff
-    out = np.zeros((n + 1, 2, S, S), dtype=np.complex128)
+    h_values = np.asarray(h_values)
+    out = np.zeros(h_values.shape[:-2] + (n + 1, 2, S, S), dtype=np.complex128)
+    rhs = sigma_apply_array(config.noise, 0.0, u0_frames[:n], h_values)
+    if not config.nonlinear:
+        rhs *= prop.phi
     for step in range(n):
-        t = step * config.dt
-        u0 = u0_frames[step]
-        x = out[step]
-        rhs = sigma_apply_array(model, t, u0, h_values[step])
+        x = out[..., step, :, :, :]
+        r = rhs[..., step, :, :, :]
         if config.nonlinear:
-            rhs = rhs - advection_array(config.grid, x, u0) - advection_array(
-                config.grid, u0, x
-            )
-        out[step + 1] = prop.decay * x + prop.phi * rhs
+            u0 = u0_frames[step]
+            r = r - advection_array(config.grid, x, u0) - advection_array(config.grid, u0, x)
+            r = prop.phi * r
+        out[..., step + 1, :, :, :] = prop.decay * x + r
     return out
+
+
+def _skeleton_trajectories(
+    frames: np.ndarray, config: SimConfig, provenance: dict | None = None
+) -> list[Trajectory]:
+    """Trajectories of skeleton_forward solutions (m, n_steps + 1, 2, S, S),
+    recorded on config's grid by one batched observer pass."""
+    obs = TrajectoryObserver(config)
+    obs.on_start(propagator(config.grid, config.dt), frames.shape[0], config.n_steps)
+    for idx in range(config.n_steps + 1):
+        obs.on_state(idx, idx * config.dt, frames[:, idx])
+    data = obs.finish()
+    return [_trajectory(config, data, i, provenance) for i in range(frames.shape[0])]
 
 
 def solve_skeleton(
@@ -478,11 +520,7 @@ def solve_skeleton(
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
     h_values = _control_values_on_steps(h, config)
     frames = skeleton_forward(h_values, u0_traj.frames, config)
-    obs = TrajectoryObserver(config)
-    obs.on_start(propagator(config.grid, config.dt), 1, config.n_steps)
-    for idx in range(config.n_steps + 1):
-        obs.on_state(idx, idx * config.dt, frames[idx][None])
-    return _trajectory(config, obs.finish(), 0, provenance)
+    return _skeleton_trajectories(frames[None], config, provenance)[0]
 
 
 def shifted_diffusion_argument(

@@ -182,6 +182,58 @@ def fancy_index_scatter(model, xi: np.ndarray, weights: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
+# per-step loops of the controlled linearization and its adjoint: the noise
+# map is applied one step at a time, where the package applies it to all
+# steps in one batched call
+
+
+def skeleton_forward_per_step(h_values: np.ndarray, u0_frames: np.ndarray, config) -> np.ndarray:
+    """Frames (n_steps + 1, 2, S, S) of the controlled linearization for
+    controls h_values (n_steps, J), one noise-map call per step."""
+    from snse_lab.noise import sigma_apply_array
+    from snse_lab.solvers import propagator
+    from snse_lab.spectral import advection_array
+
+    prop = propagator(config.grid, config.dt)
+    n = config.n_steps
+    S = config.grid.n_coeff
+    out = np.zeros((n + 1, 2, S, S), dtype=np.complex128)
+    for step in range(n):
+        u0 = u0_frames[step]
+        x = out[step]
+        rhs = sigma_apply_array(config.noise, step * config.dt, u0, h_values[step])
+        if config.nonlinear:
+            rhs = rhs - advection_array(config.grid, x, u0) - advection_array(
+                config.grid, u0, x
+            )
+        out[step + 1] = prop.decay * x + prop.phi * rhs
+    return out
+
+
+def adjoint_sweep_per_step(config, u0_frames, p_end, sources) -> np.ndarray:
+    """Control gradient (n_steps, J) of <p_end, x_N> + sum_n <sources[n], x_n>
+    over skeleton frames x, one noise-adjoint call per step."""
+    from snse_lab.noise import sigma_adjoint_array
+    from snse_lab.solvers import propagator
+    from snse_lab.spectral import advection_array, advection_gradient_transpose_array
+
+    grid = config.grid
+    prop = propagator(grid, config.dt)
+    grad = np.zeros((config.n_steps, config.noise.n_directions))
+    p = p_end
+    for n in range(config.n_steps - 1, -1, -1):
+        u0n = u0_frames[n]
+        phi_p = prop.phi * p
+        grad[n] = sigma_adjoint_array(config.noise, n * config.dt, u0n, phi_p)
+        p_next = prop.decay * p
+        if config.nonlinear:
+            p_next = p_next + advection_array(grid, u0n, phi_p)
+            p_next = p_next - advection_gradient_transpose_array(grid, u0n, phi_p)
+        p = p_next + sources[n]
+    return grad
+
+
+# ---------------------------------------------------------------------------
 # linear-regime (diagonal) closed forms for the integrating-factor scheme
 
 

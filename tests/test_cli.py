@@ -360,7 +360,13 @@ class TestFailurePaths:
         path, out = _write(tmp_path, example_config("verify")), str(tmp_path / "out")
         assert main([verb, "--config", path, "--out", out]) == 4
         manifest = self._manifest(out)
-        assert manifest["error"] == {"type": "ValueError", "message": "injected"}
+        # the innermost frame is the raise in `broken`, one line below its def
+        assert manifest["error"] == {
+            "type": "ValueError",
+            "message": "injected",
+            "raised_at": {"file": "test_cli.py", "function": "broken",
+                          "line": broken.__code__.co_firstlineno + 1},
+        }
         err = _last_stderr_line(capsys)
         assert err["stage"] == "runtime" and err["type"] == "ValueError"
 
@@ -499,6 +505,23 @@ class TestEmitTables:
         manifest.write_text(content)
         assert main(["emit-tables", "--manifest", str(manifest)]) == 2
         assert _last_stderr_line(capsys)["stage"] == "emit-tables"
+
+    @pytest.mark.parametrize("report", [
+        {"experiment": "x"},
+        {"results": {"rows": []}},
+        {"results": {"rows": [], "per_j_quantiles": [{"j": 7}, 3]}},
+        {"results": {"rows": [], "per_j_quantiles": {"j": [7]}}},
+    ], ids=["no-results", "no-rows-key", "row-not-object", "rows-not-list"])
+    def test_malformed_report_errors(self, tmp_path, capsys, report):
+        # ratio_report.json has two tables: rows and per_j_quantiles
+        (tmp_path / "ratio_report.json").write_text(json.dumps(report))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"outputs": [{"path": "ratio_report.json"}]}))
+        assert main(["emit-tables", "--manifest", str(manifest)]) == 2
+        err = _last_stderr_line(capsys)
+        assert err["stage"] == "emit-tables" and err["type"] == "ValueError"
+        assert "ratio_report.json" in err["message"]
+        assert not (tmp_path / "ratio.csv").exists()
 
 
 class TestSchemaVerb:

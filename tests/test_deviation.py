@@ -24,6 +24,7 @@ from snse_lab.deviation import (
     rate_function,
     rate_gradient_check,
     wilson_interval,
+    _adjoint_sweep,
 )
 from snse_lab.lil import z_process
 from snse_lab.noise import Control, NoiseModel, control_energy, zero_control
@@ -32,6 +33,7 @@ from snse_lab.solvers import (
     SimConfig,
     TrajectoryObserver,
     ensemble_run,
+    skeleton_forward,
     solve_deterministic,
     solve_skeleton,
     trajectories_from_ensemble,
@@ -145,6 +147,23 @@ class TestRateFunction:
         target = solve_skeleton(h, u0, cfg)
         err = rate_gradient_check(target, u0, cfg, n_directions=10, seed=4)
         assert err <= 1e-4
+
+    @pytest.mark.parametrize("family", ["additive", "saturated"])
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_adjoint_sweep_matches_per_step_oracle(self, grid3, family, nonlinear):
+        # the noise adjoint applied to all steps after the loop gives the
+        # gradient of the per-step loop bit for bit
+        m = NoiseModel(grid=grid3, family=family, num_directions=7)
+        rng = np.random.default_rng(12)
+        cfg = SimConfig(grid=grid3, noise=m, horizon=0.013, dt=1e-3,
+                        initial=random_solenoidal_field(grid3, rng, amplitude=0.5),
+                        nonlinear=nonlinear, record_stride=1)
+        u0 = solve_deterministic(cfg).frames
+        x = skeleton_forward(rng.standard_normal((cfg.n_steps, 7)), u0, cfg)
+        sources = rng.standard_normal(x[:-1].shape) * x[:-1]
+        grad = _adjoint_sweep(cfg, u0, x[-1], sources)
+        assert grad.shape == (cfg.n_steps, 7)
+        assert np.array_equal(grad, helpers.adjoint_sweep_per_step(cfg, u0, x[-1], sources))
 
     def test_zero_target_zero_rate(self, setup):
         g, m, cfg, u0 = setup

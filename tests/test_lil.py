@@ -154,6 +154,24 @@ class TestLimitSetProbe:
         for h in probe.controls[1:]:
             assert abs(0.5 * control_energy(h) - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("include_zero", [True, False])
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_images_equal_single_solves(self, include_zero, nonlinear):
+        # one batched solve of the nonzero controls (and an unintegrated zero
+        # image) gives each control's solve_skeleton trajectory bit for bit
+        g = default_grid(3)
+        m = NoiseModel(grid=g, family="saturated", num_directions=6)
+        cfg = SimConfig(grid=g, noise=m, horizon=0.02, dt=1e-3,
+                        initial=random_solenoidal_field(g, np.random.default_rng(5), amplitude=0.5),
+                        nonlinear=nonlinear, record_stride=5)
+        u0 = solve_deterministic(replace(cfg, record_stride=1))
+        probe = build_probe(cfg, u0, directions=[0, 3], n_shapes=2, include_zero=include_zero)
+        assert probe.size == 4 + include_zero
+        for h, image in zip(probe.controls, probe.images):
+            single = solve_skeleton(h, u0, cfg)
+            for name in ("times", "frames", "h2", "v2", "sup_h2", "int_v2"):
+                assert np.array_equal(getattr(image, name), getattr(single, name))
+
     def test_distance_zero_on_candidates(self, study_setup):
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
         probe = build_probe(cfg, u0_full, n_shapes=2, tolerance=0.5)

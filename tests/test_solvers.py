@@ -305,6 +305,63 @@ class TestStochasticSolve:
             assert div <= 1e-12 * max(amp, 1e-300)
 
 
+_ENSEMBLE_KINDS = [
+    "ensemble_run", "deviation_energy_samples", "mc_probability",
+    "fw_conditional_probe", "shifted_ensemble_run",
+    "first_order_remainder_samples",
+]
+
+
+def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
+    """Run one ensemble entry point at chunk 1, 7 and 256 and assert that every
+    per-path output of every ensemble it runs is identical."""
+    eps, seed, n = 1e-2, 8, 9
+    grid = noise.grid
+    cfg = SimConfig(
+        grid=grid, noise=noise, horizon=n_steps * 1e-3, dt=1e-3, epsilon=eps,
+        initial=random_solenoidal_field(grid, np.random.default_rng(3), amplitude=0.5),
+        nonlinear=True, record_stride=5,
+    )
+    u0 = solve_deterministic(replace(cfg, record_stride=1))
+    h = Control(noise, cfg.horizon, np.random.default_rng(4).standard_normal(
+        (4, noise.n_directions)))
+    fw = FWConfig(rho=0.18, eta=0.9, target_exponent=0.5, increment_threshold=0.01,
+                  dyadic_depth=1, eps_grid=(eps,), n_samples=n)
+    runs = {
+        "ensemble_run": lambda c: solvers.ensemble_run(
+            cfg, seed, n, lambda: TrajectoryObserver(cfg), chunk=c),
+        "deviation_energy_samples": lambda c: deviation_energy_samples(
+            cfg, eps, u0, n, seed, chunk=c),
+        "mc_probability": lambda c: mc_probability(
+            lambda tr: tr.h2[-1] > u0.h2[-1], eps, n, cfg, seed, chunk=c).to_dict(),
+        "fw_conditional_probe": lambda c: fw_conditional_probe(
+            h, fw, cfg, seed, chunk=c).to_dict(),
+        "shifted_ensemble_run": lambda c: shifted_ensemble_run(
+            cfg, h, eps, u0, seed, n, lambda: _MomentObserver(cfg, [1.0, 2.0]), chunk=c),
+        "first_order_remainder_samples": lambda c: first_order_remainder_samples(
+            cfg, eps, u0, n, seed, chunk=c),
+    }
+    captured = []
+
+    def spy(*args, **kwargs):
+        captured.append(ensemble_run(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(solvers, "ensemble_run", spy)
+    monkeypatch.setattr(deviation, "ensemble_run", spy)
+    outputs = []
+    for chunk in (1, 7, 256):
+        captured.clear()
+        result = runs[kind](chunk)
+        assert captured
+        if kind == "fw_conditional_probe":
+            # per-path statistics only: no ensemble returns recorded frames
+            assert all(v.ndim <= 2 for out in captured for v in out.values())
+        outputs.append((result, list(captured)))
+    for other in outputs[1:]:
+        _assert_identical(outputs[0], other)
+
+
 def _assert_identical(a, b):
     """Exact equality of nested dicts, sequences and arrays."""
     if isinstance(a, dict):
@@ -403,6 +460,26 @@ class TestSkeleton:
         slope = np.polyfit(np.log(sizes), np.log(responses), 1)[0]
         assert abs(slope - 1.0) <= 0.05
 
+    @pytest.mark.parametrize("family", ["additive", "saturated"])
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    @pytest.mark.parametrize("control_axes", [(), (1,), (3,)])
+    def test_forward_matches_per_step_oracle(self, grid3, family, nonlinear, control_axes):
+        # the noise map applied to all steps in one call gives the frames of
+        # the per-step loop bit for bit, control by control
+        m = NoiseModel(grid=grid3, family=family, num_directions=7)
+        rng = np.random.default_rng(11)
+        cfg = SimConfig(grid=grid3, noise=m, horizon=0.013, dt=1e-3,
+                        initial=random_solenoidal_field(grid3, rng, amplitude=0.5),
+                        nonlinear=nonlinear, record_stride=1)
+        u0 = solve_deterministic(cfg).frames
+        h = rng.standard_normal(control_axes + (cfg.n_steps, m.n_directions))
+        frames = solvers.skeleton_forward(h, u0, cfg)
+        assert frames.shape == control_axes + (cfg.n_steps + 1, 2, 7, 7)
+        flat_h = h.reshape((-1,) + h.shape[-2:])
+        flat_frames = frames.reshape((-1,) + frames.shape[-4:])
+        for hv, got in zip(flat_h, flat_frames):
+            assert np.array_equal(got, helpers.skeleton_forward_per_step(hv, u0, cfg))
+
     def test_grid_mismatch_rejected(self, grid1, noise1):
         cfg = SimConfig(grid=grid1, noise=noise1, horizon=0.5, dt=1e-3,
                         nonlinear=False, record_stride=5)
@@ -475,58 +552,19 @@ class TestTrajectoryCombinators:
         np.testing.assert_allclose(diff.frames, a.frames - b.frames, atol=1e-16)
         assert diff.sup_h2 >= 0
 
-    @pytest.mark.parametrize("kind", [
-        "ensemble_run", "deviation_energy_samples", "mc_probability",
-        "fw_conditional_probe", "shifted_ensemble_run",
-        "first_order_remainder_samples",
-    ])
-    def test_ensemble_chunking_invariance(self, grid3, noise3, kind, monkeypatch):
+    @pytest.mark.parametrize("kind", _ENSEMBLE_KINDS)
+    def test_ensemble_chunking_invariance(self, noise3, kind, monkeypatch):
         # every per-path output of every ensemble an entry point runs is
         # identical whatever the chunk size
-        eps, seed, n = 1e-2, 8, 9
-        cfg = SimConfig(
-            grid=grid3, noise=noise3, horizon=0.02, dt=1e-3, epsilon=eps,
-            initial=random_solenoidal_field(grid3, np.random.default_rng(3), amplitude=0.5),
-            nonlinear=True, record_stride=5,
-        )
-        u0 = solve_deterministic(replace(cfg, record_stride=1))
-        h = Control(noise3, cfg.horizon, np.random.default_rng(4).standard_normal(
-            (4, noise3.n_directions)))
-        fw = FWConfig(rho=0.18, eta=0.9, target_exponent=0.5, increment_threshold=0.01,
-                      dyadic_depth=1, eps_grid=(eps,), n_samples=n)
-        runs = {
-            "ensemble_run": lambda c: solvers.ensemble_run(
-                cfg, seed, n, lambda: TrajectoryObserver(cfg), chunk=c),
-            "deviation_energy_samples": lambda c: deviation_energy_samples(
-                cfg, eps, u0, n, seed, chunk=c),
-            "mc_probability": lambda c: mc_probability(
-                lambda tr: tr.h2[-1] > u0.h2[-1], eps, n, cfg, seed, chunk=c).to_dict(),
-            "fw_conditional_probe": lambda c: fw_conditional_probe(
-                h, fw, cfg, seed, chunk=c).to_dict(),
-            "shifted_ensemble_run": lambda c: shifted_ensemble_run(
-                cfg, h, eps, u0, seed, n, lambda: _MomentObserver(cfg, [1.0, 2.0]), chunk=c),
-            "first_order_remainder_samples": lambda c: first_order_remainder_samples(
-                cfg, eps, u0, n, seed, chunk=c),
-        }
-        captured = []
+        _check_chunking_invariance(noise3, kind, 20, monkeypatch)
 
-        def spy(*args, **kwargs):
-            captured.append(ensemble_run(*args, **kwargs))
-            return captured[-1]
-
-        monkeypatch.setattr(solvers, "ensemble_run", spy)
-        monkeypatch.setattr(deviation, "ensemble_run", spy)
-        outputs = []
-        for chunk in (1, 7, 256):
-            captured.clear()
-            result = runs[kind](chunk)
-            assert captured
-            if kind == "fw_conditional_probe":
-                # per-path statistics only: no ensemble returns recorded frames
-                assert all(v.ndim <= 2 for out in captured for v in out.values())
-            outputs.append((result, list(captured)))
-        for other in outputs[1:]:
-            _assert_identical(outputs[0], other)
+    @pytest.mark.parametrize("kind", _ENSEMBLE_KINDS)
+    def test_ensemble_chunking_invariance_state_dependent(self, grid3, kind, monkeypatch):
+        # the saturated family takes its factor per step from the state; the
+        # 40 steps split into noise blocks of 28 steps (chunk 256: 9 paths),
+        # 36 and 128 (chunk 7: 7 and 2 paths) and 256 (chunk 1)
+        noise = NoiseModel(grid=grid3, family="saturated")
+        _check_chunking_invariance(noise, kind, 40, monkeypatch)
 
     def test_trajectories_from_ensemble(self, grid1, noise1):
         cfg = SimConfig(grid=grid1, noise=noise1, horizon=0.05, dt=1e-3,
