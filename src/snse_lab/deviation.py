@@ -21,8 +21,10 @@ from .noise import (
     Control,
     control_energy,
     kernel_norm_sq,
+    scatter_coefficients,
     sigma_adjoint_array,
-    sigma_apply_array,
+    sigma_factor,
+    times_factor,
     zero_control,
 )
 from .rng import substream
@@ -537,7 +539,9 @@ class DiffEnergyObserver:
     def on_state(self, idx, t, coeffs):
         slot = self.rec.slot(idx, t)
         if slot is not None:
-            self.on_record(slot, self.scale * coeffs - self.scale * self.ref[idx])
+            z = coeffs * self.scale
+            z -= self.scale * self.ref[idx]
+            self.on_record(slot, z)
 
     def on_record(self, slot, z):
         d = z if self.targets is None else z[:, None] - self.targets[None, :, slot]
@@ -963,17 +967,19 @@ class _RemainderObserver:
         S = prop.grid.n_coeff
         self.y = np.zeros((n_paths, 2, S, S), dtype=np.complex128)
         self.sup = np.zeros(n_paths)
+        # the noise map is frozen at u0: its factor for every step in one call
+        factor = sigma_factor(self.config.noise, 0.0, self.u0[:n_steps])
+        self.factor = np.broadcast_to(factor, (n_steps,))
 
     def on_noise(self, step, t, coeffs, dW):
         cfg, prop, y, u0n = self.config, self.prop, self.y, self.u0[step]
-        rhs = np.zeros_like(y)
+        noise = scatter_coefficients(cfg.noise, dW, weights=cfg.noise.gains)
+        noise = times_factor(noise, self.factor[step])
+        y_next = prop.decay * y
         if cfg.nonlinear:
             rhs = -advection_array(cfg.grid, y, u0n) - advection_array(cfg.grid, u0n, y)
-        self.y = (
-            prop.decay * y
-            + prop.phi * rhs
-            + prop.phi_rate * sigma_apply_array(cfg.noise, t, u0n, dW)
-        )
+            y_next = y_next + prop.phi * rhs
+        self.y = y_next + prop.phi_rate * noise
         _blowup_guard(self.y, self.scale, step)
 
     def on_state(self, idx, t, coeffs):

@@ -221,6 +221,14 @@ def sigma_factor(model: NoiseModel, t: float, u_coeffs: np.ndarray):
     return saturation_factor(model.params, r)
 
 
+def times_factor(field: np.ndarray, factor) -> np.ndarray:
+    """field (..., 2, S, S) modulated by a `sigma_factor` value: field itself
+    for the scalar 1.0, else a new array, one factor per leading index."""
+    if np.ndim(factor) == 0:
+        return field if factor == 1.0 else field * factor
+    return field * np.asarray(factor)[..., None, None, None]
+
+
 def sigma_apply_array(
     model: NoiseModel, t: float, u_coeffs: np.ndarray, xi: np.ndarray
 ) -> np.ndarray:
@@ -230,10 +238,7 @@ def sigma_apply_array(
     xi may carry more leading axes than u_coeffs.
     """
     factor = sigma_factor(model, t, u_coeffs)
-    out = scatter_coefficients(model, xi, weights=model.gains)
-    if np.ndim(factor) == 0:
-        return out if factor == 1.0 else out * factor
-    return out * np.asarray(factor)[..., None, None, None]
+    return times_factor(scatter_coefficients(model, xi, weights=model.gains), factor)
 
 
 def sigma_apply(

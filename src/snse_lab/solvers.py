@@ -31,6 +31,7 @@ from .noise import (
     scatter_coefficients,
     sigma_apply_array,
     sigma_factor,
+    times_factor,
 )
 from .rng import substream
 from .spectral import (
@@ -216,19 +217,31 @@ def step_snse(
     return SpectralField(u.grid, out)
 
 
+def _advance(
+    prop: Propagator,
+    state: np.ndarray,
+    forcing: np.ndarray | None,
+    adv: np.ndarray | None,
+) -> None:
+    """state <- decay * state + phi * forcing - phi * adv, in place; adv, the
+    advection of the pre-step state, is consumed."""
+    state *= prop.decay
+    if forcing is not None:
+        state += prop.phi * forcing
+    if adv is not None:
+        adv *= prop.phi
+        state -= adv
+
+
 def _step_array(
     prop: Propagator,
     coeffs: np.ndarray,
     forcing: np.ndarray | None,
     nonlinear: bool,
 ) -> np.ndarray:
-    out = prop.decay * coeffs
-    if forcing is not None:
-        out += prop.phi * forcing
-    if nonlinear:
-        adv = advection_array(prop.grid, coeffs, coeffs)
-        adv *= prop.phi
-        out -= adv
+    adv = advection_array(prop.grid, coeffs, coeffs) if nonlinear else None
+    out = coeffs.copy()
+    _advance(prop, out, forcing, adv)
     return out
 
 
@@ -356,7 +369,9 @@ def _integrate_batch(
     hooks.on_noise(step, t, coeffs, dW) and hooks.on_state(idx, t, coeffs) are
     optional callables; on_noise sees the pre-step state, so a coupled process
     can be stepped inside it on the same increments.  state has shape
-    (n, 2, S, S) and normals (n, n_steps, J).
+    (n, 2, S, S) and normals (n, n_steps, J).  The advection and the noise
+    factor are formed from the pre-step state before the state is updated in
+    place, with no second state-sized array.
 
     The noise field scatter(dW * gains) does not read the state, so it is
     formed for a block of steps at once, _NOISE_BLOCK_PATH_STEPS path-steps
@@ -375,7 +390,8 @@ def _integrate_batch(
     block = max(1, _NOISE_BLOCK_PATH_STEPS // state.shape[0])
     for step in range(config.n_steps):
         t = step * config.dt
-        new = _step_array(prop, state, _forcing_at(config, t), config.nonlinear)
+        adv = advection_array(config.grid, state, state) if config.nonlinear else None
+        noise = None
         if normals is not None:
             i = step % block
             if i == 0:
@@ -389,15 +405,18 @@ def _integrate_batch(
                 on_noise(step, t, state, dW_block[:, i])
             if config.epsilon > 0.0 and model.state_dependent:
                 factor = sigma_factor(model, t, state)[:, None, None, None]
-                new += noise_block[:, i] * factor * sqrt_eps * prop.phi_rate
+                noise = noise_block[:, i] * factor * sqrt_eps * prop.phi_rate
             elif config.epsilon > 0.0:
-                new += noise_block[:, i]
+                noise = noise_block[:, i]
             if i == block - 1:
                 dW_block = noise_block = None
-        state[...] = new
-        # `new` and a used-up noise block are freed here, not held through the
-        # next step's advection: that lowers the peak RSS of a batched run
-        del new
+        _advance(prop, state, _forcing_at(config, t), adv)
+        if noise is not None:
+            state += noise
+        # the advection and a used-up noise block are freed here, not held
+        # through the observers and the next step's advection: that lowers
+        # the peak RSS of a batched run
+        adv = noise = None
         _blowup_guard(state, scale, step)
         if on_state:
             on_state(step + 1, t + config.dt, state)
@@ -463,6 +482,13 @@ def _control_values_on_steps(h: Control, config: SimConfig) -> np.ndarray:
     if abs(h.horizon - config.horizon) > 1e-12 * max(1.0, config.horizon):
         raise GridMismatchError("control horizon differs from run horizon")
     return h.value_at(np.arange(config.n_steps) * config.dt)
+
+
+def _control_fields(h: Control, config: SimConfig) -> np.ndarray:
+    """Unmodulated noise-map images of the control at every step, one call:
+    scatter(h gains), shape (n_steps, 2, S, S)."""
+    model = config.noise
+    return scatter_coefficients(model, _control_values_on_steps(h, config), weights=model.gains)
 
 
 def skeleton_forward(
@@ -535,12 +561,14 @@ class _ShiftedObserver:
     shows the wrapped observer z in place of the noisy state.
 
     The drift couples to the pre-step noisy state u and the deterministic
-    limit u0; the diffusion coefficient is evaluated at the recentred state.
+    limit u0; the diffusion coefficient is evaluated at the recentred state,
+    once per step, and modulates both the control and the noise.  h_field
+    holds the unmodulated control field of every step (`_control_fields`).
     """
 
-    def __init__(self, config: SimConfig, h_values, u0_frames, inner):
+    def __init__(self, config: SimConfig, h_field, u0_frames, inner):
         self.config = config
-        self.h_values = h_values
+        self.h_field = h_field
         self.u0 = u0_frames
         self.inner = inner
         self.inv_sq = 1.0 / math.sqrt(2.0 * loglog(config.epsilon))
@@ -554,11 +582,13 @@ class _ShiftedObserver:
 
     def on_noise(self, step, t, coeffs, dW):
         cfg, prop, z, u0 = self.config, self.prop, self.z, self.u0[step]
-        arg = shifted_diffusion_argument(z, u0, cfg.epsilon)
-        rhs = sigma_apply_array(cfg.noise, t, arg, np.broadcast_to(self.h_values[step], dW.shape))
+        factor = 1.0  # the additive family's, which reads no state
+        if cfg.noise.state_dependent:
+            factor = sigma_factor(cfg.noise, t, shifted_diffusion_argument(z, u0, cfg.epsilon))
+        rhs = times_factor(self.h_field[step], factor)
         if cfg.nonlinear:
             rhs = rhs - advection_array(cfg.grid, coeffs, z) - advection_array(cfg.grid, z, u0)
-        noise = sigma_apply_array(cfg.noise, t, arg, dW)
+        noise = times_factor(scatter_coefficients(cfg.noise, dW, weights=cfg.noise.gains), factor)
         self.z = prop.decay * z + prop.phi * rhs + prop.phi_rate * (self.inv_sq * noise)
         _blowup_guard(self.z, self.scale, step)
 
@@ -586,9 +616,11 @@ def solve_tilde_z(
     """
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
     _require_solver_grid(u_eps_traj, config, "noisy trajectory")
-    h_values = _control_values_on_steps(h, config)
     obs = _ShiftedObserver(
-        config.with_epsilon(epsilon), h_values, u0_traj.frames, TrajectoryObserver(config)
+        config.with_epsilon(epsilon),
+        _control_fields(h, config),
+        u0_traj.frames,
+        TrajectoryObserver(config),
     )
     n = config.n_steps
     J = config.noise.n_directions
@@ -652,7 +684,7 @@ def ensemble_run(
                 if normal_source is not None:
                     normals[i] = normal_source(idx)
                 else:
-                    normals[i] = substream(seed, idx).standard_normal((n_steps, J))
+                    substream(seed, idx).standard_normal(out=normals[i])
         else:
             normals = None
         state = np.broadcast_to(
@@ -683,13 +715,13 @@ def shifted_ensemble_run(
     leading path axis.  Used by the moment studies for the shifted process.
     """
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
-    h_values = _control_values_on_steps(h, config)
+    h_field = _control_fields(h, config)
     cfg = config.with_epsilon(epsilon)
     return ensemble_run(
         cfg,
         seed,
         n_paths,
-        lambda: _ShiftedObserver(cfg, h_values, u0_traj.frames, observer_factory()),
+        lambda: _ShiftedObserver(cfg, h_field, u0_traj.frames, observer_factory()),
         chunk=chunk,
     )
 

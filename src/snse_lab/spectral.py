@@ -75,8 +75,14 @@ class SpectralGrid:
         # weights of the curl-form self-advection, both 0 at k = 0
         curl_a = kx * ky / k2safe
         curl_b = (ky**2 - kx**2) / k2safe
+        # the kx >= 0 columns, where self-advection is formed, of the weights
+        # (b, a) of (q0, q1) and of the output factors (ky, -kx), each stacked
+        # for one operation over both
+        half_curl = np.stack([curl_b, curl_a])[:, :, K:].copy()
+        half_curl_k = np.stack([ky, -kx])[:, :, K:].copy()
         for name, arr in (
-            ("kx", kx), ("ky", ky), ("k2", k2), ("curl_a", curl_a), ("curl_b", curl_b)
+            ("kx", kx), ("ky", ky), ("k2", k2), ("curl_a", curl_a), ("curl_b", curl_b),
+            ("half_curl", half_curl), ("half_curl_k", half_curl_k),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -178,14 +184,14 @@ def apply_stokes(field: SpectralField) -> SpectralField:
     return SpectralField(field.grid, field.coeffs * field.grid.k2)
 
 
-def to_physical(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Evaluate coefficient arrays (..., S, S) on the N x N grid (batched).
+def _inverse_half(grid: SpectralGrid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid values of conjugate-symmetric coefficients (..., S, S), and the
+    half-spectrum buffer (..., N, N//2 + 1) they were inverted from.
 
-    The coefficients must be conjugate symmetric, coeffs(-k) = conj(coeffs(k)):
-    only the kx >= 0 columns are read.  They fill columns 0..K of the half
-    spectrum (..., N, N//2 + 1), rows ky mod N, which is inverted bit for bit
-    as `numpy.fft.irfft2` would, except that the complex pass along y runs in
-    place on those K + 1 columns only (the others are zero).
+    The kx >= 0 columns fill columns 0..K of the half spectrum, rows ky mod N;
+    the complex pass along y runs in place on those K + 1 columns only (the
+    others are zero), then the real pass along x.  The buffer is spent once
+    the values exist, so a caller may write a forward transform into it.
     """
     K, N = grid.max_wavenumber, grid.physical_resolution
     half = np.zeros(coeffs.shape[:-2] + (N, N // 2 + 1), dtype=np.complex128)
@@ -193,27 +199,46 @@ def to_physical(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     cols[..., : K + 1, :] = coeffs[..., K:, K:]
     cols[..., N - K :, :] = coeffs[..., :K, K:]
     np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
-    return np.fft.irfft(half, n=N, axis=-1, norm="forward")
+    return np.fft.irfft(half, n=N, axis=-1, norm="forward"), half
+
+
+def _forward_columns(grid: SpectralGrid, values: np.ndarray, out=None) -> np.ndarray:
+    """Columns kx = 0..K, all N rows ky mod N, of the half spectrum of real
+    grid data (..., N, N): the real pass along x (into `out` if given), then
+    the complex pass along y in place on the kept columns only."""
+    half = np.fft.rfft(values, axis=-1, norm="forward", out=out)
+    cols = half[..., : grid.max_wavenumber + 1]
+    # in place: a fresh output array page-faults on every call at batch 256
+    np.fft.fft(cols, axis=-2, norm="forward", out=cols)
+    return cols
+
+
+def to_physical(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Evaluate coefficient arrays (..., S, S) on the N x N grid (batched).
+
+    The coefficients must be conjugate symmetric, coeffs(-k) = conj(coeffs(k)):
+    only the kx >= 0 columns are read.  The transform is a complex inverse
+    FFT along y on the K + 1 retained columns of the half spectrum, then a
+    real inverse FFT along x (`_inverse_half`).
+    """
+    return _inverse_half(grid, coeffs)[0]
 
 
 def from_physical(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
     """Fourier coefficients of real grid data, truncated to the retained modes.
 
-    The kx >= 0 half is read bit for bit from the half spectrum
-    (..., N, N//2 + 1) that `numpy.fft.rfft2` would return, except that the
-    complex pass along y runs in place on the kept columns 0..K only.  The
-    rest is its conjugate mirror, so the output is exactly conjugate symmetric.
+    The kx >= 0 half is read from a real FFT along x followed by a complex FFT
+    along y on the kept columns 0..K only.  The rest is its conjugate mirror,
+    so the output is exactly conjugate symmetric.
     """
     K, N = grid.max_wavenumber, grid.physical_resolution
-    cols = np.fft.rfft(values, axis=-1, norm="forward")[..., : K + 1]
-    # in place: a fresh output array page-faults on every call at batch 256
-    np.fft.fft(cols, axis=-2, norm="forward", out=cols)
+    cols = _forward_columns(grid, values)
     S = grid.n_coeff
     out = np.empty(cols.shape[:-2] + (S, S), dtype=np.complex128)
     out[..., K:, K:] = cols[..., : K + 1, :]
     out[..., :K, K + 1 :] = cols[..., N - K :, 1:]
-    out[..., :K, K] = np.conj(cols[..., K:0:-1, 0])
-    out[..., :, :K] = np.conj(out[..., ::-1, :K:-1])
+    np.conjugate(cols[..., K:0:-1, 0], out=out[..., :K, K])
+    np.conjugate(out[..., ::-1, :K:-1], out=out[..., :, :K])
     return out
 
 
@@ -225,6 +250,39 @@ def _check_product_margin(grid: SpectralGrid) -> None:
         )
 
 
+def _self_advection(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
+    """P div(u u) of divergence-free u (..., 2, S, S) in curl form, formed on
+    the kx >= 0 columns and mirrored onto the kx < 0 ones."""
+    K, N = grid.max_wavenumber, grid.physical_resolution
+    u_phys, half = _inverse_half(grid, u)
+    ux, uy = u_phys[..., 0, :, :], u_phys[..., 1, :, :]
+    # both products go straight into one array; u_phys is ours to reuse
+    q = np.empty_like(u_phys)
+    np.multiply(ux, uy, out=q[..., 0, :, :])
+    np.subtract(ux, uy, out=q[..., 1, :, :])
+    ux += uy
+    q[..., 1, :, :] *= ux
+    # grid-space buffers are freed as soon as they are spent: a lower peak
+    del u_phys, ux, uy
+    # the forward transform reuses the inverse's spent half-spectrum buffer
+    cols = _forward_columns(grid, q, out=half)
+    del q
+    # the kx = 0 entries of rows ky < 0 are the conjugate mirror of ky = K..1,
+    # as in `from_physical`
+    np.conjugate(cols[..., K:0:-1, 0], out=cols[..., N - K :, 0])
+    # s = i (a q1 + b q0) on rows ky = 0..K (FFT rows 0..K) and on rows
+    # ky = -K..-1 (FFT rows N-K..N-1)
+    s = np.empty(cols.shape[:-3] + (grid.n_coeff, K + 1), dtype=np.complex128)
+    for rows, src in ((slice(K, None), slice(None, K + 1)), (slice(None, K), slice(N - K, None))):
+        bq0_aq1 = grid.half_curl[:, rows] * cols[..., src, :]
+        np.add(bq0_aq1[..., 1, :, :], bq0_aq1[..., 0, :, :], out=s[..., rows, :])
+    s *= 1j
+    out = np.empty(u.shape, dtype=np.complex128)
+    np.multiply(grid.half_curl_k, s[..., None, :, :], out=out[..., K:])
+    np.conjugate(out[..., ::-1, :K:-1], out=out[..., :, :K])
+    return out
+
+
 def advection_array(grid: SpectralGrid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Dealiased, projected advective product P((u . grad) v) on coefficient arrays.
 
@@ -234,28 +292,17 @@ def advection_array(grid: SpectralGrid, u: np.ndarray, v: np.ndarray) -> np.ndar
     products q0 = u_x u_y and q1 = (u_x - u_y)(u_x + u_y) = u_x^2 - u_y^2, two
     forward transforms, then s = i (a q1 + b q0) with a = kx ky / |k|^2 and
     b = (ky^2 - kx^2) / |k|^2, and the result (ky s, -kx s), which is
-    P div(u u) exactly.  It is divergence free, mean free and exactly
-    conjugate symmetric by construction, so no projection pass follows.
+    P div(u u) exactly.  The weights are applied on the kx >= 0 columns only,
+    read straight from the transform's rows, and the kx < 0 columns are their
+    conjugate mirror, so the result is divergence free, mean free and exactly
+    conjugate symmetric by construction and no projection pass follows.
     Other pairs take the gradient form, u_x dv/dx + u_y dv/dy, with no
     condition on div u, and are Leray projected.
     """
     _check_product_margin(grid)
-    u_phys = to_physical(grid, u)
     if v is u:
-        ux, uy = u_phys[..., 0, :, :], u_phys[..., 1, :, :]
-        # both products go straight into one array; u_phys is ours to reuse
-        q = np.empty_like(u_phys)
-        np.multiply(ux, uy, out=q[..., 0, :, :])
-        np.subtract(ux, uy, out=q[..., 1, :, :])
-        ux += uy
-        q[..., 1, :, :] *= ux
-        q = from_physical(grid, q)
-        s = grid.curl_a * q[..., 1, :, :]
-        s += grid.curl_b * q[..., 0, :, :]
-        s *= 1j
-        np.multiply(grid.ky, s, out=q[..., 0, :, :])
-        np.multiply(-grid.kx, s, out=q[..., 1, :, :])
-        return q
+        return _self_advection(grid, u)
+    u_phys = to_physical(grid, u)
     dvdx = to_physical(grid, 1j * grid.kx * v)
     dvdy = to_physical(grid, 1j * grid.ky * v)
     w = u_phys[..., 0:1, :, :] * dvdx + u_phys[..., 1:2, :, :] * dvdy
@@ -340,8 +387,11 @@ def v_norm_sq_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
 
 def hv_norm_sq_array(grid: SpectralGrid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both squared norms, (h_norm_sq_array, v_norm_sq_array), from one |c|^2."""
-    a2 = np.abs(coeffs) ** 2
-    return weighted_norm_sq(a2), weighted_norm_sq(a2, grid.k2)
+    a2 = np.abs(coeffs)
+    a2 *= a2
+    h2 = weighted_norm_sq(a2)
+    a2 *= grid.k2
+    return h2, weighted_norm_sq(a2)
 
 
 @dataclass(frozen=True)

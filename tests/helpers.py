@@ -161,6 +161,21 @@ def complex_from_physical(grid, values: np.ndarray) -> np.ndarray:
     return full[..., idx[:, None], idx[None, :]]
 
 
+def self_advection_assembled(grid, u: np.ndarray) -> np.ndarray:
+    """Curl-form self-advection with the weights applied to the whole mode
+    square: the assembled output of `from_physical`, both halves, is combined
+    into s = i (a q1 + b q0) and (ky s, -kx s)."""
+    from snse_lab.spectral import from_physical, to_physical
+
+    u_phys = to_physical(grid, u)
+    ux, uy = u_phys[..., 0, :, :], u_phys[..., 1, :, :]
+    q = from_physical(grid, np.stack([ux * uy, (ux - uy) * (ux + uy)], axis=-3))
+    s = grid.curl_a * q[..., 1, :, :]
+    s += grid.curl_b * q[..., 0, :, :]
+    s *= 1j
+    return np.stack([grid.ky * s, -grid.kx * s], axis=-3)
+
+
 def fancy_index_scatter(model, xi: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """Noise-field coefficients by two fancy-index assignments into zeros:
     each pair amplitude at +k and its conjugate at -k."""
@@ -182,9 +197,9 @@ def fancy_index_scatter(model, xi: np.ndarray, weights: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
-# per-step loops of the controlled linearization and its adjoint: the noise
-# map is applied one step at a time, where the package applies it to all
-# steps in one batched call
+# per-step loops of the controlled linearization, its adjoint and the coupled
+# processes: the noise map is applied one step at a time, where the package
+# applies it to all steps in one batched call
 
 
 def skeleton_forward_per_step(h_values: np.ndarray, u0_frames: np.ndarray, config) -> np.ndarray:
@@ -231,6 +246,62 @@ def adjoint_sweep_per_step(config, u0_frames, p_end, sources) -> np.ndarray:
             p_next = p_next - advection_gradient_transpose_array(grid, u0n, phi_p)
         p = p_next + sources[n]
     return grad
+
+
+def tilde_z_per_step(h_values, u_frames, u0_frames, epsilon, dW, config) -> np.ndarray:
+    """Frames (n_steps + 1, 2, S, S) of the shifted fluctuation along one
+    recorded noisy path, with the noise map applied twice per step, once to
+    the control and once to the increment."""
+    from snse_lab.noise import sigma_apply_array
+    from snse_lab.solvers import loglog, propagator, shifted_diffusion_argument
+    from snse_lab.spectral import advection_array
+
+    prop = propagator(config.grid, config.dt)
+    inv_sq = 1.0 / math.sqrt(2.0 * loglog(epsilon))
+    z = np.zeros((config.n_steps + 1,) + u0_frames.shape[1:], dtype=np.complex128)
+    for step in range(config.n_steps):
+        t, x, u, u0 = step * config.dt, z[step], u_frames[step], u0_frames[step]
+        arg = shifted_diffusion_argument(x, u0, epsilon)
+        rhs = sigma_apply_array(config.noise, t, arg, h_values[step])
+        if config.nonlinear:
+            rhs = rhs - advection_array(config.grid, u, x) - advection_array(config.grid, x, u0)
+        noise = sigma_apply_array(config.noise, t, arg, dW[step])
+        z[step + 1] = prop.decay * x + prop.phi * rhs + prop.phi_rate * (inv_sq * noise)
+    return z
+
+
+class RemainderObserverPerStep:
+    """sup over steps of |u - u0 - sqrt(eps) Y|^2, with the noise map frozen
+    at u0 applied at every step and a zero drift in the linear regime."""
+
+    def __init__(self, config, u0_frames):
+        self.config = config
+        self.u0 = u0_frames
+
+    def on_start(self, prop, n_paths, n_steps):
+        self.prop = prop
+        self.y = np.zeros((n_paths,) + self.u0.shape[1:], dtype=np.complex128)
+        self.sup = np.zeros(n_paths)
+
+    def on_noise(self, step, t, coeffs, dW):
+        from snse_lab.noise import sigma_apply_array
+        from snse_lab.spectral import advection_array
+
+        cfg, prop, y, u0n = self.config, self.prop, self.y, self.u0[step]
+        rhs = np.zeros_like(y)
+        if cfg.nonlinear:
+            rhs = -advection_array(cfg.grid, y, u0n) - advection_array(cfg.grid, u0n, y)
+        noise = sigma_apply_array(cfg.noise, t, u0n, dW)
+        self.y = prop.decay * y + prop.phi * rhs + prop.phi_rate * noise
+
+    def on_state(self, idx, t, coeffs):
+        from snse_lab.spectral import h_norm_sq_array
+
+        rem = coeffs - self.u0[idx] - math.sqrt(self.config.epsilon) * self.y
+        np.maximum(self.sup, h_norm_sq_array(self.config.grid, rem), out=self.sup)
+
+    def finish(self) -> dict:
+        return {"sup": self.sup}
 
 
 # ---------------------------------------------------------------------------

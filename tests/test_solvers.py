@@ -1,6 +1,8 @@
 """Integrator tests: exact linear behavior, stochastic moments, reductions."""
 
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -205,6 +207,64 @@ class TestStochasticSolve:
         assert np.array_equal(mom["int_h2v2"], int_h2v2)
         assert np.array_equal(mom["int_a2"], int_a2)
 
+    def test_on_noise_sees_pre_step_state(self, grid3):
+        # the batched step updates the state in place only after the hooks:
+        # a hook's copy is the pre-step state of each path stepped on its own
+        noise = NoiseModel(grid=grid3, family="saturated")
+        eps, seed, n_paths = 1e-2, 4, 3
+        rng = np.random.default_rng(6)
+        cfg = SimConfig(
+            grid=grid3, noise=noise, horizon=0.01, dt=1e-3, epsilon=eps,
+            initial=random_solenoidal_field(grid3, rng, amplitude=0.5),
+            forcing=random_solenoidal_field(grid3, rng, amplitude=0.3),
+        )
+
+        class Copies:
+            def on_start(self, prop, n, n_steps):
+                self.pre = []
+
+            def on_noise(self, step, t, coeffs, dW):
+                self.pre.append(coeffs.copy())
+
+            def finish(self):
+                return {"pre": np.stack(self.pre, axis=1)}
+
+        pre = ensemble_run(cfg, seed, n_paths, Copies)["pre"]
+        sqrt_lam_dt = np.sqrt(noise.eigenvalues * cfg.dt)
+        for path in range(n_paths):
+            dW = substream(seed, path).standard_normal((cfg.n_steps, noise.n_directions))
+            u = cfg.initial
+            for step in range(cfg.n_steps):
+                assert np.array_equal(pre[path, step], u.coeffs)
+                t = step * cfg.dt
+                u = step_snse(u, cfg.forcing, eps, dW[step] * sqrt_lam_dt, cfg.dt, noise, t)
+
+    def test_step_peak_traced_allocation(self):
+        # one batch-64, K=10, 8-step run: 11.22 MB peak traced allocation on
+        # numpy 2.4 (12.80 MB with an out-of-place step, a full assembled
+        # spectrum and fresh forward-transform output); pinned with 5% margin
+        g = default_grid(10)
+        cfg = SimConfig(
+            grid=g, noise=NoiseModel(grid=g), horizon=8e-3, dt=1e-3, epsilon=1e-2,
+            initial=random_solenoidal_field(g, np.random.default_rng(0)),
+        )
+
+        class Noop:
+            def on_start(self, prop, n, n_steps):
+                pass
+
+            def finish(self):
+                return {}
+
+        ensemble_run(cfg, 0, 64, Noop)  # caches and FFT plans outside the trace
+        tracemalloc.start()
+        try:
+            ensemble_run(cfg, 0, 64, Noop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 11_218_216
+
     def test_ou_moments_exact_discrete(self, grid1, noise1):
         # B off, additive noise: each mode follows the closed-form Gaussian
         # recursion; compare terminal mean/variance over an ensemble
@@ -376,6 +436,20 @@ def _assert_identical(a, b):
         np.testing.assert_array_equal(a, b)
 
 
+def _count_calls_by_caller(monkeypatch, module, *names):
+    """Wrap module-level functions so that calls are counted per calling
+    function name: {name: {caller: count}}."""
+    calls = {name: {} for name in names}
+    for name in names:
+        def wrapper(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            caller = sys._getframe(1).f_code.co_name
+            calls[_name][caller] = calls[_name].get(caller, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def _fast_path(cfg, seed, path):
     """Terminal frame of one ensemble path (scalar-speed helper)."""
     class Last:
@@ -525,6 +599,52 @@ class TestShiftedProcess:
         dev = np.max(np.abs(z_h.frames - z_0.frames - x.frames))
         assert dev <= 1e-12 * max(np.max(np.abs(z_h.frames)), 1.0)
 
+    @pytest.mark.parametrize("family", ["additive", "saturated"])
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_replay_matches_per_step_oracle(self, grid3, family, nonlinear):
+        # one factor per step for both fields and the control scattered once
+        # give the values of two noise-map calls per step
+        noise = NoiseModel(grid=grid3, family=family)
+        cfg = SimConfig(
+            grid=grid3, noise=noise, horizon=0.02, dt=1e-3, nonlinear=nonlinear,
+            initial=random_solenoidal_field(grid3, np.random.default_rng(3), amplitude=0.5),
+            record_stride=1,
+        )
+        eps = 1e-3
+        u0 = solve_deterministic(cfg)
+        ue = solve_snse(cfg.with_epsilon(eps), seed=5)
+        h = Control(noise, cfg.horizon, np.random.default_rng(4).standard_normal(
+            (4, noise.n_directions)))
+        z = solve_tilde_z(h, ue, u0, eps, 9, cfg)
+        dW = substream(9, 0).standard_normal((cfg.n_steps, noise.n_directions))
+        dW = dW * np.sqrt(noise.eigenvalues * cfg.dt)
+        h_values = h.value_at(np.arange(cfg.n_steps) * cfg.dt)
+        oracle = helpers.tilde_z_per_step(h_values, ue.frames, u0.frames, eps, dW, cfg)
+        assert np.array_equal(z.frames, oracle)
+
+    def test_observer_factor_once_per_step_and_one_control_scatter(
+        self, grid3, monkeypatch
+    ):
+        noise = NoiseModel(grid=grid3, family="saturated")
+        cfg = SimConfig(
+            grid=grid3, noise=noise, horizon=0.02, dt=1e-3,
+            initial=random_solenoidal_field(grid3, np.random.default_rng(3), amplitude=0.5),
+            record_stride=1,
+        )
+        u0 = solve_deterministic(cfg)
+        h = Control(noise, cfg.horizon, np.ones((4, noise.n_directions)))
+        calls = _count_calls_by_caller(monkeypatch, solvers, "sigma_factor", "scatter_coefficients")
+        shifted_ensemble_run(
+            cfg, h, 1e-3, u0, seed=2, n_paths=9,
+            observer_factory=lambda: _MomentObserver(cfg, [1.0]),
+        )
+        # the stepper takes the noisy path's factor once per step, the observer
+        # the recentred state's; the control is scattered once for all steps
+        assert calls["sigma_factor"] == {"_integrate_batch": 20, "on_noise": 20}
+        assert calls["scatter_coefficients"] == {
+            "_integrate_batch": 1, "_control_fields": 1, "on_noise": 20,
+        }
+
     def test_moment_stability_across_epsilon(self, grid1, noise1):
         # second moments finite and stable within a factor two across levels
         from snse_lab.solvers import shifted_ensemble_run
@@ -565,6 +685,27 @@ class TestTrajectoryCombinators:
         # 36 and 128 (chunk 7: 7 and 2 paths) and 256 (chunk 1)
         noise = NoiseModel(grid=grid3, family="saturated")
         _check_chunking_invariance(noise, kind, 40, monkeypatch)
+
+    @pytest.mark.parametrize("family", ["additive", "saturated"])
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_remainder_matches_per_step_oracle(self, grid3, family, nonlinear, monkeypatch):
+        # the frozen noise map's factor is taken once per chunk for all steps
+        noise = NoiseModel(grid=grid3, family=family)
+        cfg = SimConfig(
+            grid=grid3, noise=noise, horizon=0.02, dt=1e-3, nonlinear=nonlinear,
+            initial=random_solenoidal_field(grid3, np.random.default_rng(3), amplitude=0.5),
+            record_stride=1,
+        )
+        eps = 1e-2
+        u0 = solve_deterministic(cfg)
+        calls = _count_calls_by_caller(monkeypatch, deviation, "sigma_factor")
+        ours = first_order_remainder_samples(cfg, eps, u0, 9, seed=5)
+        assert calls["sigma_factor"] == {"on_start": 1}
+        oracle = ensemble_run(
+            cfg.with_epsilon(eps), 5, 9,
+            lambda: helpers.RemainderObserverPerStep(cfg.with_epsilon(eps), u0.frames),
+        )["sup"]
+        assert np.array_equal(ours, oracle)
 
     def test_trajectories_from_ensemble(self, grid1, noise1):
         cfg = SimConfig(grid=grid1, noise=noise1, horizon=0.05, dt=1e-3,

@@ -393,6 +393,28 @@ class TestCurlFormSelfAdvection:
         assert np.array_equal(out, np.conj(out[..., ::-1, ::-1]))
         assert np.all(out[..., K, K] == 0.0)
 
+    # odd N, the margin N = 3K + 1 (N = 10, 13) and the smallest grid (1, 4)
+    @pytest.mark.parametrize(
+        "K, N", [(1, 4), (3, 10), (3, 11), (4, 13), (10, 32), (10, 33), (16, 50)]
+    )
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    def test_half_spectrum_matches_assembled_oracle(self, rng, K, N, batch):
+        # the weights on the kx >= 0 columns plus a conjugate mirror give the
+        # same values as the weights on the assembled whole mode square
+        g = SpectralGrid(K, N)
+        u = _solenoidal_batch(g, rng, batch)
+        assert np.array_equal(advection_array(g, u, u), helpers.self_advection_assembled(g, u))
+
+    def test_half_weights_are_read_only_column_blocks(self):
+        g = SpectralGrid(3, 10)
+        K = g.max_wavenumber
+        for half, full in (
+            (g.half_curl, np.stack([g.curl_b, g.curl_a])),
+            (g.half_curl_k, np.stack([g.ky, -g.kx])),
+        ):
+            assert half.shape == (2, g.n_coeff, K + 1) and not half.flags.writeable
+            assert np.array_equal(half, full[..., K:])
+
     def test_below_product_margin_rejected(self, rng):
         assert not SpectralGrid(4, 12).supports_products()
         assert SpectralGrid(4, 13).supports_products()
