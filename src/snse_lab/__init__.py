@@ -7,7 +7,9 @@ of deviation scaling and conditional exponential bounds; and empirical
 iterated-logarithm studies.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
+
+from types import ModuleType as _ModuleType
 
 from .spectral import (
     SpectralGrid,
@@ -18,7 +20,6 @@ from .spectral import (
     apply_stokes,
     advection_term,
     advection_form,
-    curl,
     norm_bundle,
     zero_field,
     single_mode_field,
@@ -30,7 +31,6 @@ from .noise import (
     SigmaParams,
     Control,
     wiener_increment,
-    sigma_apply,
     verify_assumptions,
     control_energy,
     zero_control,
@@ -38,12 +38,9 @@ from .noise import (
 from .solvers import (
     SimConfig,
     Trajectory,
-    step_deterministic,
-    step_snse,
     solve_deterministic,
     solve_snse,
     solve_skeleton,
-    solve_tilde_z,
     IntegrationError,
 )
 from .deviation import (
@@ -52,14 +49,10 @@ from .deviation import (
     RateResult,
     FWConfig,
     ASpec,
-    epsilon_thresholds,
-    energy_norm,
     energy_distance,
     rate_function,
-    mc_probability,
     mdp_scaling_probe,
     fw_conditional_probe,
-    dyadic_increment_stat,
     moment_bound_suite,
 )
 from .lil import (
@@ -72,4 +65,8 @@ from .lil import (
     classical_ratio_study,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names, not the submodules that importing them binds here
+__all__ = [
+    name for name, value in dict(globals()).items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -31,7 +31,6 @@ from .rng import substream
 from .solvers import (
     SimConfig,
     Trajectory,
-    TrajectoryObserver,
     ensemble_run,
     loglog,
     propagator,
@@ -45,7 +44,6 @@ from .solvers import (
     _initial_coeffs,
     _require_solver_grid,
     _sup_plus_integral,
-    _trajectory,
 )
 from .spectral import (
     TWO_PI,
@@ -112,11 +110,6 @@ class ConstantsLedger:
         return {f"K{i}": getattr(self, f"K{i}") for i in range(1, 10)}
 
 
-def epsilon_thresholds(ledger: ConstantsLedger, p: float = 1.0) -> tuple[float, float, float]:
-    """The three admissibility thresholds (moment estimates hold below them)."""
-    return ledger.epsilon0, ledger.epsilon1, ledger.epsilon2(p)
-
-
 def require_admissible(epsilon: float, threshold: float, label: str) -> None:
     if not 0.0 < epsilon < threshold:
         raise AdmissibilityError(
@@ -126,15 +119,6 @@ def require_admissible(epsilon: float, threshold: float, label: str) -> None:
 
 # ---------------------------------------------------------------------------
 # trajectory-space norms
-
-
-def energy_norm_sq(traj: Trajectory) -> float:
-    """Squared trajectory norm: sup of |u|^2 plus left-endpoint integral of ||u||^2."""
-    return float(_sup_plus_integral(traj.h2, traj.v2, traj.times))
-
-
-def energy_norm(traj: Trajectory) -> float:
-    return math.sqrt(energy_norm_sq(traj))
 
 
 def _frames_energy_sq(grid, times: np.ndarray, frames: np.ndarray) -> float:
@@ -478,41 +462,6 @@ def estimate_from_hits(hits: int, n: int, alpha: float = 0.05) -> ProbabilityEst
     )
 
 
-class _PredicateObserver(TrajectoryObserver):
-    """Evaluates an event on each path inside its chunk, keeping only booleans."""
-
-    def __init__(self, config: SimConfig, event):
-        super().__init__(config)
-        self.event = event
-
-    def finish(self) -> dict:
-        data = super().finish()
-        n = data["frames"].shape[0]
-        hits = np.zeros(n, dtype=bool)
-        for i in range(n):
-            hits[i] = bool(self.event(_trajectory(self.config, data, i)))
-        return {"hit": hits}
-
-
-def mc_probability(
-    event,
-    epsilon: float,
-    n_samples: int,
-    config: SimConfig,
-    seed: int,
-    chunk: int | None = None,
-) -> ProbabilityEstimate:
-    """Indicator-mean probability of a trajectory event; deterministic given seed."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    cfg = config.with_epsilon(epsilon)
-    out = ensemble_run(
-        cfg, seed, n_samples, lambda: _PredicateObserver(cfg, event), chunk=chunk
-    )
-    hits = int(np.sum(out["hit"]))
-    return estimate_from_hits(hits, n_samples)
-
-
 # ---------------------------------------------------------------------------
 # deviation observers (difference to a reference trajectory on the fly)
 
@@ -557,13 +506,10 @@ def deviation_energy_samples(
     u0_traj_full: Trajectory,
     n_samples: int,
     seed: int,
-    chunk: int | None = None,
 ) -> np.ndarray:
     """Trajectory-norm samples of (noisy - deterministic) at noise level epsilon."""
     cfg = config.with_epsilon(epsilon)
-    out = ensemble_run(
-        cfg, seed, n_samples, lambda: DiffEnergyObserver(cfg, u0_traj_full.frames), chunk=chunk
-    )
+    out = ensemble_run(cfg, seed, n_samples, lambda: DiffEnergyObserver(cfg, u0_traj_full.frames))
     return np.sqrt(out["diff_energy_sq"])
 
 
@@ -624,7 +570,6 @@ def mdp_scaling_probe(
     n_samples: int,
     seed: int,
     ledger: ConstantsLedger | None = None,
-    chunk: int | None = None,
 ) -> ScalingReport:
     """Tabulate a(eps)^2 log P(||v^eps||_E >= r) across the grid.
 
@@ -643,7 +588,7 @@ def mdp_scaling_probe(
     rows = []
     for eps in reversed(eps_grid):  # largest to smallest
         a = a_spec.value(eps)
-        dist = deviation_energy_samples(config, eps, u0, n_samples, seed, chunk=chunk)
+        dist = deviation_energy_samples(config, eps, u0, n_samples, seed)
         scaled = (a / math.sqrt(eps)) * dist
         if radius <= 0.0:
             est = estimate_from_hits(n_samples, n_samples)
@@ -780,7 +725,6 @@ def fw_conditional_probe(
     config: SimConfig,
     seed: int,
     ledger: ConstantsLedger | None = None,
-    chunk: int | None = None,
 ) -> FWReport:
     """Estimate the probability that the rescaled fluctuation strays from the
     steered path while the rescaled noise stays near the control, per epsilon,
@@ -803,7 +747,6 @@ def fw_conditional_probe(
             seed,
             fw.n_samples,
             lambda: _ConditionalObserver(cfg, u0.frames, x_traj.frames, h_prim, eps, per_cell),
-            chunk=chunk,
         )
         dist = np.sqrt(out["dist_sq"])
         close = np.sqrt(out["w_close_sq"])
@@ -850,14 +793,6 @@ def _dyadic_cell_records(times: np.ndarray, depth: int) -> int:
     if not np.allclose(dt_rec, dt_rec[0], rtol=1e-9, atol=1e-12):
         raise ValueError("dyadic statistic requires a uniform recording grid")
     return steps // cells
-
-
-def dyadic_increment_stat(traj: Trajectory, depth: int) -> float:
-    """Trajectory norm of t -> u(t) - u(left dyadic anchor of t) at given depth."""
-    per_cell = _dyadic_cell_records(traj.times, depth)
-    cells = 2**depth
-    anchors = (np.arange(traj.n_records) // per_cell).clip(max=cells - 1) * per_cell
-    return math.sqrt(_frames_energy_sq(traj.grid, traj.times, traj.frames - traj.frames[anchors]))
 
 
 # ---------------------------------------------------------------------------
@@ -996,7 +931,6 @@ def first_order_remainder_samples(
     u0_traj_full: Trajectory,
     n_samples: int,
     seed: int,
-    chunk: int | None = None,
 ) -> np.ndarray:
     """sup-norm-squared samples of u^eps - u0 - sqrt(eps) Y, with Y the
     linearization of the dynamics around u0 driven by the same noise.
@@ -1005,9 +939,7 @@ def first_order_remainder_samples(
     quadratic term on it measures the second-order part of the deviation.
     """
     cfg = config.with_epsilon(epsilon)
-    out = ensemble_run(
-        cfg, seed, n_samples, lambda: _RemainderObserver(cfg, u0_traj_full.frames), chunk=chunk
-    )
+    out = ensemble_run(cfg, seed, n_samples, lambda: _RemainderObserver(cfg, u0_traj_full.frames))
     return out["sup"]
 
 
@@ -1020,7 +952,6 @@ def moment_bound_suite(
     ledger: ConstantsLedger | None = None,
     control: Control | None = None,
     with_remainder: bool = False,
-    chunk: int | None = None,
 ) -> MomentReport:
     """Empirical expectations of every moment functional, regressed in epsilon.
 
@@ -1064,7 +995,6 @@ def moment_bound_suite(
             seed,
             n_samples,
             lambda: _MomentObserver(cfg, [p for p in p_list], u0_full.frames),
-            chunk=chunk,
         )
         add_row(
             "state_sup_sq_plus_int", eps, None, out["sup_h2p_1.0"] + out["int_h2p_1.0"]
@@ -1089,7 +1019,6 @@ def moment_bound_suite(
             seed,
             n_samples,
             lambda: _MomentObserver(config, [p for p in p_list]),
-            chunk=chunk,
         )
         add_row(
             "shifted_sup_sq_plus_int",
@@ -1103,9 +1032,7 @@ def moment_bound_suite(
                 "shifted_moment_2p", eps, p, zout[f"sup_h2p_{p}"] + zout[f"int_h2p_{p}"]
             )
         if with_remainder:
-            rem = first_order_remainder_samples(
-                config, eps, u0_full, n_samples, seed, chunk=chunk
-            )
+            rem = first_order_remainder_samples(config, eps, u0_full, n_samples, seed)
             add_row("second_order_remainder_sup_sq", eps, None, rem)
 
     stated = {

@@ -241,13 +241,6 @@ def sigma_apply_array(
     return times_factor(scatter_coefficients(model, xi, weights=model.gains), factor)
 
 
-def sigma_apply(
-    model: NoiseModel, t: float, u: SpectralField, xi: np.ndarray
-) -> SpectralField:
-    """Noise operator applied to a coefficient vector, as a velocity field."""
-    return SpectralField(model.grid, sigma_apply_array(model, t, u.coeffs, xi))
-
-
 def sigma_adjoint_array(
     model: NoiseModel, t: float, u_coeffs: np.ndarray, y_coeffs: np.ndarray
 ) -> np.ndarray:
@@ -462,14 +455,6 @@ class Control:
         )
         m = self.cell_index(t)
         return csum[m] + (t - m * w)[:, None] * self.values[m]
-
-    def to_record(self) -> dict:
-        return {"horizon": self.horizon, "values": np.asarray(self.values).tolist()}
-
-
-def control_from_record(model: NoiseModel, record: dict) -> Control:
-    return Control(model, float(record["horizon"]), np.asarray(record["values"]))
-
 
 def control_energy(h: Control) -> float:
     """Exact energy integral of |h(s)|_0^2 with kernel weights 1/lambda_j."""

@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from .solvers import Trajectory
-from .spectral import SpectralGrid
 
 _MAGIC = "snse-lab-trajectory-v1"
 
@@ -90,36 +89,6 @@ def write_trajectory(path: str, traj: Trajectory) -> None:
         fh.write(np.ascontiguousarray(traj.h2, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(traj.v2, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(traj.frames, dtype="<c16").tobytes())
-
-
-def read_trajectory(path: str) -> Trajectory:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("magic") != _MAGIC:
-            raise ValueError(f"{path}: not a trajectory file")
-        R = header["n_records"]
-        grid = SpectralGrid(header["max_wavenumber"], header["physical_resolution"])
-        S = grid.n_coeff
-        times = np.frombuffer(fh.read(8 * R), dtype="<f8").copy()
-        h2 = np.frombuffer(fh.read(8 * R), dtype="<f8").copy()
-        v2 = np.frombuffer(fh.read(8 * R), dtype="<f8").copy()
-        frames = (
-            np.frombuffer(fh.read(16 * R * 2 * S * S), dtype="<c16")
-            .reshape(R, 2, S, S)
-            .copy()
-        )
-    return Trajectory(
-        grid=grid,
-        dt=header["dt"],
-        record_stride=header["record_stride"],
-        times=times,
-        frames=frames,
-        h2=h2,
-        v2=v2,
-        sup_h2=header["sup_h2"],
-        int_v2=header["int_v2"],
-        provenance=header.get("provenance", {}),
-    )
 
 
 def write_manifest(

@@ -89,7 +89,7 @@ class SimConfig:
     dt: float
     epsilon: float = 0.0
     initial: SpectralField | None = None
-    forcing: SpectralField | Callable[[float], SpectralField] | None = None
+    forcing: SpectralField | None = None
     nonlinear: bool = True
     record_stride: int = 1
     blowup_factor: float = 1e6
@@ -108,6 +108,8 @@ class SimConfig:
             raise ParameterError("horizon must be an integral multiple of dt")
         if self.noise.grid != self.grid:
             raise GridMismatchError("noise model grid differs from state grid")
+        if self.forcing is not None and not isinstance(self.forcing, SpectralField):
+            raise ParameterError("forcing must be a SpectralField or None")
 
     @property
     def n_steps(self) -> int:
@@ -147,15 +149,6 @@ def propagator(grid: SpectralGrid, dt: float) -> Propagator:
     return Propagator(grid, dt)
 
 
-def _forcing_at(config: SimConfig, t: float) -> np.ndarray | None:
-    f = config.forcing
-    if f is None:
-        return None
-    if isinstance(f, SpectralField):
-        return f.coeffs
-    return f(t).coeffs
-
-
 def _initial_coeffs(config: SimConfig) -> np.ndarray:
     if config.initial is None:
         return zero_field(config.grid).coeffs
@@ -176,73 +169,6 @@ def _blowup_guard(coeffs: np.ndarray, scale: float, step: int) -> None:
         raise IntegrationError(step, "non-finite coefficients")
     if peak > scale:
         raise IntegrationError(step, f"amplitude {peak:.3e} exceeded blowup guard")
-
-
-def step_deterministic(
-    u: SpectralField,
-    f_t: SpectralField | None,
-    dt: float,
-    nonlinear: bool = True,
-) -> SpectralField:
-    """One integrating-factor step of the unforced-noise dynamics."""
-    prop = propagator(u.grid, dt)
-    rhs = None if f_t is None else f_t.coeffs
-    out = _step_array(prop, u.coeffs, rhs, nonlinear)
-    return SpectralField(u.grid, out)
-
-
-def step_snse(
-    u: SpectralField,
-    f_t: SpectralField | None,
-    epsilon: float,
-    dW: np.ndarray,
-    dt: float,
-    model: NoiseModel,
-    t: float = 0.0,
-    nonlinear: bool = True,
-) -> SpectralField:
-    """Deterministic step plus the phi-weighted left-endpoint noise term.
-
-    With epsilon = 0 the noise branch is skipped entirely, so the result is
-    bit-identical to step_deterministic.
-    """
-    prop = propagator(u.grid, dt)
-    rhs = None if f_t is None else f_t.coeffs
-    out = _step_array(prop, u.coeffs, rhs, nonlinear)
-    if epsilon > 0.0:
-        noise = sigma_apply_array(model, t, u.coeffs, dW)
-        noise *= math.sqrt(epsilon)
-        noise *= prop.phi_rate
-        out += noise
-    return SpectralField(u.grid, out)
-
-
-def _advance(
-    prop: Propagator,
-    state: np.ndarray,
-    forcing: np.ndarray | None,
-    adv: np.ndarray | None,
-) -> None:
-    """state <- decay * state + phi * forcing - phi * adv, in place; adv, the
-    advection of the pre-step state, is consumed."""
-    state *= prop.decay
-    if forcing is not None:
-        state += prop.phi * forcing
-    if adv is not None:
-        adv *= prop.phi
-        state -= adv
-
-
-def _step_array(
-    prop: Propagator,
-    coeffs: np.ndarray,
-    forcing: np.ndarray | None,
-    nonlinear: bool,
-) -> np.ndarray:
-    adv = advection_array(prop.grid, coeffs, coeffs) if nonlinear else None
-    out = coeffs.copy()
-    _advance(prop, out, forcing, adv)
-    return out
 
 
 @dataclass
@@ -380,6 +306,7 @@ def _integrate_batch(
     """
     prop = propagator(config.grid, config.dt)
     model = config.noise
+    phi_forcing = None if config.forcing is None else prop.phi * config.forcing.coeffs
     sqrt_eps = math.sqrt(config.epsilon)
     scale = _guard_scale(config, state)
     on_noise = getattr(hooks, "on_noise", None)
@@ -410,7 +337,13 @@ def _integrate_batch(
                 noise = noise_block[:, i]
             if i == block - 1:
                 dW_block = noise_block = None
-        _advance(prop, state, _forcing_at(config, t), adv)
+        # state <- decay * state + phi * forcing - phi * adv + noise, in place
+        state *= prop.decay
+        if phi_forcing is not None:
+            state += phi_forcing
+        if adv is not None:
+            adv *= prop.phi
+            state -= adv
         if noise is not None:
             state += noise
         # the advection and a used-up noise block are freed here, not held
@@ -599,54 +532,16 @@ class _ShiftedObserver:
         return self.inner.finish()
 
 
-def solve_tilde_z(
-    h: Control,
-    u_eps_traj: Trajectory,
-    u0_traj: Trajectory,
-    epsilon: float,
-    seed: int | None,
-    config: SimConfig,
-    provenance: dict | None = None,
-) -> Trajectory:
-    """Integrate the shifted fluctuation process along a recorded noisy path.
-
-    The recorded path is replayed through the observer that steps z in
-    shifted_ensemble_run, as a batch of one.  `seed` is the noise substream;
-    None runs the degenerate zero-noise mode.
-    """
-    _require_solver_grid(u0_traj, config, "deterministic trajectory")
-    _require_solver_grid(u_eps_traj, config, "noisy trajectory")
-    obs = _ShiftedObserver(
-        config.with_epsilon(epsilon),
-        _control_fields(h, config),
-        u0_traj.frames,
-        TrajectoryObserver(config),
-    )
-    n = config.n_steps
-    J = config.noise.n_directions
-    if seed is None:
-        normals = np.zeros((n, J))
-    else:
-        normals = substream(seed, 0).standard_normal((n, J))
-    dW = normals * np.sqrt(config.noise.eigenvalues * config.dt)
-    u = u_eps_traj.frames[:, None]
-    obs.on_start(propagator(config.grid, config.dt), 1, n)
-    obs.on_state(0, 0.0, u[0])
-    for step in range(n):
-        t = step * config.dt
-        obs.on_noise(step, t, u[step], dW[step : step + 1])
-        obs.on_state(step + 1, t + config.dt, u[step + 1])
-    prov = dict(provenance or {})
-    prov.setdefault("epsilon", epsilon)
-    prov.setdefault("seed", seed)
-    return _trajectory(config, obs.finish(), 0, prov)
+# paths integrated together per ensemble chunk, unless a chunk's normals
+# would exceed 8M floats
+_CHUNK_PATHS = 256
 
 
-def _auto_chunk(requested: int | None, n_steps: int, n_dirs: int) -> int:
+def _auto_chunk(n_steps: int, n_dirs: int) -> int:
     budget_floats = 8_000_000
     per_path = max(1, n_steps * n_dirs)
     cap = max(1, budget_floats // per_path)
-    return max(1, min(requested or 256, cap))
+    return max(1, min(_CHUNK_PATHS, cap))
 
 
 def ensemble_run(
@@ -654,7 +549,6 @@ def ensemble_run(
     seed: int,
     n_paths: int,
     observer_factory: Callable[[], object],
-    chunk: int | None = None,
     normal_source: Callable[[int], np.ndarray] | None = None,
 ) -> dict:
     """Integrate n_paths independent paths, merging per-path observer output.
@@ -671,7 +565,7 @@ def ensemble_run(
     """
     J = config.noise.n_directions
     n_steps = config.n_steps
-    size = _auto_chunk(chunk, n_steps, J)
+    size = _auto_chunk(n_steps, J)
     merged: dict[str, list[np.ndarray]] = {}
     start = 0
     while start < n_paths:
@@ -707,7 +601,6 @@ def shifted_ensemble_run(
     seed: int,
     n_paths: int,
     observer_factory: Callable[[], object],
-    chunk: int | None = None,
 ) -> dict:
     """Co-integrate (noisy solution, shifted fluctuation) pairs on shared noise.
 
@@ -722,7 +615,6 @@ def shifted_ensemble_run(
         seed,
         n_paths,
         lambda: _ShiftedObserver(cfg, h_field, u0_traj.frames, observer_factory()),
-        chunk=chunk,
     )
 
 
@@ -772,9 +664,3 @@ class TrajectoryObserver:
             "times": np.broadcast_to(self.rec.times, (n, len(self.rec))).copy(),
         }
 
-
-def trajectories_from_ensemble(result: dict, config: SimConfig, seed: int) -> list[Trajectory]:
-    return [
-        _trajectory(config, result, i, {"seed": seed, "path": i, "epsilon": config.epsilon})
-        for i in range(result["frames"].shape[0])
-    ]

@@ -29,7 +29,6 @@ TWO_PI = 2.0 * np.pi
 
 # Relative tolerances for structural validation of incoming coefficient data.
 SYMMETRY_RTOL = 1e-10
-DIVERGENCE_RTOL = 1e-10
 
 
 class FieldFormatError(ValueError):
@@ -356,17 +355,6 @@ def advection_form(u: SpectralField, v: SpectralField, w: SpectralField) -> floa
     return float(integrand.sum() / integrand[0].size * TWO_PI**2)
 
 
-def curl(field: SpectralField) -> np.ndarray:
-    """Scalar vorticity coefficients i (kx u_y - ky u_x), shape (S, S)."""
-    g, c = field.grid, field.coeffs
-    return 1j * (g.kx * c[1] - g.ky * c[0])
-
-
-def scalar_l2_norm(grid: SpectralGrid, coeffs: np.ndarray) -> float:
-    """L2 norm of a scalar spectral field via Parseval."""
-    return float(np.sqrt(TWO_PI**2 * np.sum(np.abs(coeffs) ** 2)))
-
-
 def weighted_norm_sq(a2: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
     """(2 pi)^2 sum_k weight_k a2_k over the (2, S, S) axes, batched.
 
@@ -482,26 +470,3 @@ def random_solenoidal_field(
     raw[:, K, K] = 0.0
     return SpectralField(grid, leray_project_array(grid, raw))
 
-
-def field_to_record(field: SpectralField) -> dict:
-    """Flat JSON-serializable record: grid header + interleaved coefficients."""
-    c = field.coeffs
-    flat = np.empty(c.size * 2, dtype=np.float64)
-    flat[0::2] = c.real.ravel()
-    flat[1::2] = c.imag.ravel()
-    return {
-        "max_wavenumber": field.grid.max_wavenumber,
-        "physical_resolution": field.grid.physical_resolution,
-        "coeffs_interleaved": flat.tolist(),
-    }
-
-
-def field_from_record(record: dict) -> SpectralField:
-    grid = SpectralGrid(record["max_wavenumber"], record["physical_resolution"])
-    S = grid.n_coeff
-    flat = np.asarray(record["coeffs_interleaved"], dtype=np.float64)
-    if flat.size != 2 * 2 * S * S:
-        raise FieldFormatError("coefficient record has wrong length")
-    c = (flat[0::2] + 1j * flat[1::2]).reshape(2, S, S)
-    _check_symmetry(grid, c)
-    return SpectralField(grid, c)

@@ -6,6 +6,10 @@ complex FFTs of the whole mode square (the package uses real ones), Fourier
 coefficients are extracted with dense exponential matrices, trilinear forms
 get both a quadrature and a convolution-sum evaluation, and the linear-regime
 statistics come from scalar recursions written from the closed-form update.
+The reference definitions at the end (a single step, per-trajectory norms and
+events, the trajectory-file reader) were once the package's own; its
+batched stepper and streaming observers replaced them, and they stay here as
+the per-path oracles those are checked against.
 """
 
 from __future__ import annotations
@@ -378,3 +382,97 @@ def wilson_oracle(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
     center = (p + z2 / (2 * n)) / (1 + z2 / n)
     half = (z / (1 + z2 / n)) * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n))
     return center - half, center + half
+
+
+# ---------------------------------------------------------------------------
+# per-path reference definitions: one step, trajectory norms and events, the
+# trajectory-file reader
+
+
+def step_snse(u, f_t, epsilon, dW, dt, model, t=0.0, nonlinear=True):
+    """One integrating-factor step of one path as a field: decay, forcing and
+    advection of u, plus the phi-weighted left-endpoint noise term."""
+    from snse_lab.noise import sigma_apply_array
+    from snse_lab.solvers import propagator
+    from snse_lab.spectral import SpectralField, advection_array
+
+    prop = propagator(u.grid, dt)
+    out = u.coeffs * prop.decay
+    if f_t is not None:
+        out += prop.phi * f_t.coeffs
+    if nonlinear:
+        out -= prop.phi * advection_array(u.grid, u.coeffs, u.coeffs)
+    if epsilon > 0.0:
+        noise = sigma_apply_array(model, t, u.coeffs, dW)
+        noise *= math.sqrt(epsilon)
+        noise *= prop.phi_rate
+        out += noise
+    return SpectralField(u.grid, out)
+
+
+def energy_norm(traj) -> float:
+    """Trajectory norm: sqrt of the sup of |u|^2 plus the left-endpoint
+    integral of ||u||^2 on the recording grid."""
+    from snse_lab.solvers import _sup_plus_integral
+
+    return math.sqrt(float(_sup_plus_integral(traj.h2, traj.v2, traj.times)))
+
+
+def dyadic_increment_stat(traj, depth: int) -> float:
+    """Trajectory norm of t -> u(t) - u(left dyadic anchor of t) at given depth."""
+    from snse_lab.deviation import _dyadic_cell_records, _frames_energy_sq
+
+    per_cell = _dyadic_cell_records(traj.times, depth)
+    anchors = (np.arange(traj.n_records) // per_cell).clip(max=2**depth - 1) * per_cell
+    return math.sqrt(_frames_energy_sq(traj.grid, traj.times, traj.frames - traj.frames[anchors]))
+
+
+def trajectories_from_ensemble(result: dict, config, seed: int) -> list:
+    """Per-path trajectories of a TrajectoryObserver ensemble output."""
+    from snse_lab.solvers import _trajectory
+
+    return [
+        _trajectory(config, result, i, {"seed": seed, "path": i, "epsilon": config.epsilon})
+        for i in range(result["frames"].shape[0])
+    ]
+
+
+def mc_probability(event, epsilon: float, n_samples: int, config, seed: int):
+    """Indicator-mean probability of a per-trajectory event over an ensemble,
+    each chunk's trajectories materialized and reduced to booleans."""
+    from snse_lab import solvers
+    from snse_lab.deviation import estimate_from_hits
+
+    class PredicateObserver(solvers.TrajectoryObserver):
+        def finish(self) -> dict:
+            trajs = trajectories_from_ensemble(super().finish(), self.config, seed)
+            return {"hit": np.array([bool(event(tr)) for tr in trajs], dtype=bool)}
+
+    cfg = config.with_epsilon(epsilon)
+    # looked up at call time, so a test can wrap the module's ensemble_run
+    out = solvers.ensemble_run(cfg, seed, n_samples, lambda: PredicateObserver(cfg))
+    return estimate_from_hits(int(np.sum(out["hit"])), n_samples)
+
+
+def read_trajectory(path: str):
+    """Read a trajectory file: a one-line JSON header, then little-endian
+    times, h2, v2 and interleaved complex frames."""
+    import json
+
+    from snse_lab.solvers import Trajectory
+    from snse_lab.spectral import SpectralGrid
+
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline().decode())
+        if header.get("magic") != "snse-lab-trajectory-v1":
+            raise ValueError(f"{path}: not a trajectory file")
+        R = header["n_records"]
+        grid = SpectralGrid(header["max_wavenumber"], header["physical_resolution"])
+        S = grid.n_coeff
+        times, h2, v2 = (np.frombuffer(fh.read(8 * R), dtype="<f8").copy() for _ in range(3))
+        frames = np.frombuffer(fh.read(16 * R * 2 * S * S), dtype="<c16").reshape(R, 2, S, S).copy()
+    return Trajectory(
+        grid=grid, dt=header["dt"], record_stride=header["record_stride"], times=times,
+        frames=frames, h2=h2, v2=v2, sup_h2=header["sup_h2"], int_v2=header["int_v2"],
+        provenance=header.get("provenance", {}),
+    )

@@ -21,7 +21,6 @@ from snse_lab.deviation import (
     FWConfig,
     OptParams,
     energy_distance,
-    epsilon_thresholds,
     fw_conditional_probe,
     mdp_scaling_probe,
     moment_bound_suite,
@@ -448,7 +447,7 @@ class TestCriterionThresholds:
             for c in candidates[1:]:
                 if c < expected:
                     expected = c
-            e0, _, _ = epsilon_thresholds(led)
+            e0 = led.epsilon0
             if e0 != expected:
                 bad += 1
         ok = bad == 0

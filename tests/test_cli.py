@@ -19,13 +19,14 @@ from snse_lab.config import (
 from snse_lab.deviation import ConstantsLedger
 from snse_lab.persist import (
     read_report,
-    read_trajectory,
     sha256_file,
     write_trajectory,
 )
 from snse_lab.solvers import IntegrationError, SimConfig, solve_deterministic
 from snse_lab.spectral import single_mode_field
 from snse_lab.verification import CheckRow
+
+from helpers import read_trajectory
 
 
 def _write(tmp_path, cfg, name="config.json"):

@@ -12,13 +12,9 @@ from snse_lab.deviation import (
     ConstantsLedger,
     FWConfig,
     OptParams,
-    dyadic_increment_stat,
     energy_distance,
-    energy_norm,
-    epsilon_thresholds,
     fw_conditional_probe,
     max_energy_response,
-    mc_probability,
     mdp_scaling_probe,
     moment_bound_suite,
     rate_function,
@@ -36,17 +32,22 @@ from snse_lab.solvers import (
     skeleton_forward,
     solve_deterministic,
     solve_skeleton,
-    trajectories_from_ensemble,
 )
 from snse_lab.spectral import default_grid, random_solenoidal_field, single_mode_field, TWO_PI
 
 import helpers
+from helpers import (
+    dyadic_increment_stat,
+    energy_norm,
+    mc_probability,
+    trajectories_from_ensemble,
+)
 
 
 class TestThresholds:
     def test_hand_values(self):
         led = ConstantsLedger()
-        e0, e1, e2 = epsilon_thresholds(led, p=1.0)
+        e0, e1, e2 = led.epsilon0, led.epsilon1, led.epsilon2(1.0)
         assert e0 == 1.0 / 78.0
         assert e1 == 1.0 / 36.0
         assert e2 == 1.0 / 38.0
@@ -66,7 +67,7 @@ class TestThresholds:
                 1.0 / (36.0 * K9),
             )
             e2_oracle = min(e1_oracle, 1.0 / (K9 * (36.0 * p + 2.0)))
-            e0, e1, e2 = epsilon_thresholds(led, p)
+            e0, e1, e2 = led.epsilon0, led.epsilon1, led.epsilon2(p)
             assert e0 == e0_oracle and e1 == e1_oracle and e2 == e2_oracle
 
     def test_monotone_in_constants(self):

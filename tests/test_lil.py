@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snse_lab.deviation import ConstantsLedger, energy_norm
+from snse_lab.deviation import ConstantsLedger
 from snse_lab.lil import (
     GeometricSchedule,
     LimitSetProbe,
@@ -28,11 +28,11 @@ from snse_lab.solvers import (
     solve_deterministic,
     solve_skeleton,
     solve_snse,
-    trajectories_from_ensemble,
 )
 from snse_lab.spectral import default_grid, random_solenoidal_field, single_mode_field
 
 import helpers
+from helpers import energy_norm, trajectories_from_ensemble
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,6 @@ from snse_lab.deviation import (
     deviation_energy_samples,
     first_order_remainder_samples,
     fw_conditional_probe,
-    mc_probability,
 )
 from snse_lab.noise import Control, NoiseModel, zero_control
 from snse_lab.rng import substream
@@ -32,10 +31,6 @@ from snse_lab.solvers import (
     solve_deterministic,
     solve_skeleton,
     solve_snse,
-    solve_tilde_z,
-    step_deterministic,
-    step_snse,
-    trajectories_from_ensemble,
     TrajectoryObserver,
 )
 from snse_lab.spectral import (
@@ -51,6 +46,7 @@ from snse_lab.spectral import (
 )
 
 import helpers
+from helpers import mc_probability, step_snse, trajectories_from_ensemble
 
 
 def _mode_index(grid, k):
@@ -58,32 +54,38 @@ def _mode_index(grid, k):
     return (K + k[1], K + k[0])
 
 
+def _one_step(noise, dt, initial=None, nonlinear=True) -> np.ndarray:
+    """State after one deterministic solver step."""
+    cfg = SimConfig(grid=noise.grid, noise=noise, horizon=dt, dt=dt, initial=initial,
+                    nonlinear=nonlinear)
+    return solve_deterministic(cfg).frames[-1]
+
+
 class TestSteps:
     def test_zero_state_zero_forcing(self, grid3, noise3):
-        z = zero_field(grid3)
-        out = step_deterministic(z, None, 1e-3)
-        assert np.max(np.abs(out.coeffs)) == 0.0
+        out = _one_step(noise3, 1e-3, zero_field(grid3))
+        assert np.max(np.abs(out)) == 0.0
 
-    def test_pure_decay_exact(self, grid1):
+    def test_pure_decay_exact(self, grid1, noise1):
         u = single_mode_field(grid1, (1, 0), (0.0, 1.0))
-        out = step_deterministic(u, None, 0.25, nonlinear=False)
+        out = _one_step(noise1, 0.25, u, nonlinear=False)
         iy, ix = _mode_index(grid1, (1, 0))
-        assert abs(out.coeffs[1, iy, ix] - u.coeffs[1, iy, ix] * math.exp(-0.25)) < 1e-16
+        assert abs(out[1, iy, ix] - u.coeffs[1, iy, ix] * math.exp(-0.25)) < 1e-16
 
     def test_taylor_green_remains_pure_decay(self):
         g = default_grid(4)
         tg = taylor_green(g, 0.8)
-        out = step_deterministic(tg, None, 0.1, nonlinear=True)
+        out = _one_step(NoiseModel(grid=g), 0.1, tg, nonlinear=True)
         np.testing.assert_allclose(
-            out.coeffs, tg.coeffs * math.exp(-2 * 0.1), atol=1e-15
+            out, tg.coeffs * math.exp(-2 * 0.1), atol=1e-15
         )
 
     def test_snse_step_reduces_at_zero_noise(self, grid3, noise3, rng):
         u = random_solenoidal_field(grid3, rng)
-        dW = np.zeros(noise3.n_directions)
-        a = step_deterministic(u, None, 1e-3)
-        b = step_snse(u, None, 0.0, dW, 1e-3, noise3)
-        assert np.array_equal(a.coeffs, b.coeffs)
+        cfg = SimConfig(grid=grid3, noise=noise3, horizon=1e-3, dt=1e-3, initial=u)
+        a = solve_deterministic(cfg)
+        b = solve_snse(cfg.with_epsilon(0.0), seed=3)
+        assert np.array_equal(a.frames, b.frames)
 
     def test_propagator_shared_and_read_only(self, grid3):
         prop = propagator(grid3, 1e-3)
@@ -106,6 +108,11 @@ class TestDeterministicSolve:
     def test_horizon_must_divide(self, grid1, noise1):
         with pytest.raises(ParameterError):
             SimConfig(grid=grid1, noise=noise1, horizon=1.0, dt=3e-4)
+
+    def test_forcing_must_be_a_field(self, grid1, noise1):
+        f = single_mode_field(grid1, (1, 0), (0.0, 1.0))
+        with pytest.raises(ParameterError):
+            SimConfig(grid=grid1, noise=noise1, horizon=1.0, dt=1e-3, forcing=lambda t: f)
 
     def test_stokes_energy_identity(self, linear_config):
         # |u(T)|^2 + 2 int ||u||^2 == |u(0)|^2, exact for the per-step
@@ -324,8 +331,7 @@ class TestStochasticSolve:
         assert abs(slope - 1.0) <= 0.1
 
     @pytest.mark.parametrize("solver", [
-        "solve_snse", "ensemble_run", "shifted_ensemble_run", "solve_tilde_z",
-        "first_order_remainder_samples",
+        "solve_snse", "ensemble_run", "shifted_ensemble_run", "first_order_remainder_samples",
     ])
     def test_blowup_guard(self, grid1, noise1, solver):
         # every stochastic solver applies the same guard, scaled by |u(0)|
@@ -342,7 +348,6 @@ class TestStochasticSolve:
                 cfg, 0, 3, lambda: TrajectoryObserver(cfg)),
             "shifted_ensemble_run": lambda: shifted_ensemble_run(
                 cfg, h, cfg.epsilon, u0, 0, 3, lambda: _MomentObserver(cfg, [1.0])),
-            "solve_tilde_z": lambda: solve_tilde_z(h, u0, u0, cfg.epsilon, 0, cfg),
             "first_order_remainder_samples": lambda: first_order_remainder_samples(
                 cfg, cfg.epsilon, u0, 3, seed=0),
         }
@@ -373,8 +378,8 @@ _ENSEMBLE_KINDS = [
 
 
 def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
-    """Run one ensemble entry point at chunk 1, 7 and 256 and assert that every
-    per-path output of every ensemble it runs is identical."""
+    """Run one ensemble entry point at chunk 1, 7 and 256 paths and assert
+    that every per-path output of every ensemble it runs is identical."""
     eps, seed, n = 1e-2, 8, 9
     grid = noise.grid
     cfg = SimConfig(
@@ -388,18 +393,16 @@ def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
     fw = FWConfig(rho=0.18, eta=0.9, target_exponent=0.5, increment_threshold=0.01,
                   dyadic_depth=1, eps_grid=(eps,), n_samples=n)
     runs = {
-        "ensemble_run": lambda c: solvers.ensemble_run(
-            cfg, seed, n, lambda: TrajectoryObserver(cfg), chunk=c),
-        "deviation_energy_samples": lambda c: deviation_energy_samples(
-            cfg, eps, u0, n, seed, chunk=c),
-        "mc_probability": lambda c: mc_probability(
-            lambda tr: tr.h2[-1] > u0.h2[-1], eps, n, cfg, seed, chunk=c).to_dict(),
-        "fw_conditional_probe": lambda c: fw_conditional_probe(
-            h, fw, cfg, seed, chunk=c).to_dict(),
-        "shifted_ensemble_run": lambda c: shifted_ensemble_run(
-            cfg, h, eps, u0, seed, n, lambda: _MomentObserver(cfg, [1.0, 2.0]), chunk=c),
-        "first_order_remainder_samples": lambda c: first_order_remainder_samples(
-            cfg, eps, u0, n, seed, chunk=c),
+        "ensemble_run": lambda: solvers.ensemble_run(
+            cfg, seed, n, lambda: TrajectoryObserver(cfg)),
+        "deviation_energy_samples": lambda: deviation_energy_samples(cfg, eps, u0, n, seed),
+        "mc_probability": lambda: mc_probability(
+            lambda tr: tr.h2[-1] > u0.h2[-1], eps, n, cfg, seed).to_dict(),
+        "fw_conditional_probe": lambda: fw_conditional_probe(h, fw, cfg, seed).to_dict(),
+        "shifted_ensemble_run": lambda: shifted_ensemble_run(
+            cfg, h, eps, u0, seed, n, lambda: _MomentObserver(cfg, [1.0, 2.0])),
+        "first_order_remainder_samples": lambda: first_order_remainder_samples(
+            cfg, eps, u0, n, seed),
     }
     captured = []
 
@@ -411,8 +414,9 @@ def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
     monkeypatch.setattr(deviation, "ensemble_run", spy)
     outputs = []
     for chunk in (1, 7, 256):
+        monkeypatch.setattr(solvers, "_CHUNK_PATHS", chunk)
         captured.clear()
-        result = runs[kind](chunk)
+        result = runs[kind]()
         assert captured
         if kind == "fw_conditional_probe":
             # per-path statistics only: no ensemble returns recorded frames
@@ -566,12 +570,20 @@ class TestSkeleton:
 
 class TestShiftedProcess:
     def test_degenerate_zero(self, grid1, noise1):
+        # zero increments and a zero control leave the shifted process at zero
         cfg = SimConfig(grid=grid1, noise=noise1, horizon=0.25, dt=1e-3,
                         nonlinear=False, record_stride=1)
         u0 = solve_deterministic(cfg)
         h = zero_control(noise1, 0.25, 10)
-        z = solve_tilde_z(h, u0, u0, 1e-4, None, cfg)
-        assert np.max(np.abs(z.frames)) == 0.0
+        # the observer of shifted_ensemble_run, on all-zero increments
+        cfg_eps = cfg.with_epsilon(1e-4)
+        h_field = solvers._control_fields(h, cfg)
+        z = ensemble_run(
+            cfg_eps, 0, 1,
+            lambda: solvers._ShiftedObserver(cfg_eps, h_field, u0.frames, TrajectoryObserver(cfg)),
+            normal_source=lambda i: np.zeros((cfg.n_steps, noise1.n_directions)),
+        )["frames"]
+        assert np.max(np.abs(z)) == 0.0
 
     def test_epsilon_domain(self, grid1, noise1):
         cfg = SimConfig(grid=grid1, noise=noise1, horizon=0.25, dt=1e-3,
@@ -579,7 +591,8 @@ class TestShiftedProcess:
         u0 = solve_deterministic(cfg)
         h = zero_control(noise1, 0.25, 10)
         with pytest.raises(ParameterError):
-            solve_tilde_z(h, u0, u0, 0.5, 1, cfg)  # above exp(-e)
+            shifted_ensemble_run(  # above exp(-e)
+                cfg, h, 0.5, u0, 1, 1, lambda: TrajectoryObserver(cfg))
         with pytest.raises(ParameterError):
             loglog(0.0)
 
@@ -590,14 +603,15 @@ class TestShiftedProcess:
         cfg = SimConfig(grid=grid1, noise=noise1, horizon=0.25, dt=1e-3,
                         nonlinear=False, record_stride=1)
         u0 = solve_deterministic(cfg)
-        ue = solve_snse(cfg.with_epsilon(eps), seed=31)
         hv = 0.7 * rng.standard_normal((5, 2))
         h = Control(noise1, 0.25, hv)
-        z_h = solve_tilde_z(h, ue, u0, eps, 13, cfg)
-        z_0 = solve_tilde_z(zero_control(noise1, 0.25, 5), ue, u0, eps, 13, cfg)
+        observe = lambda: TrajectoryObserver(cfg)  # noqa: E731
+        z_h = shifted_ensemble_run(cfg, h, eps, u0, 13, 1, observe)["frames"][0]
+        z_0 = shifted_ensemble_run(
+            cfg, zero_control(noise1, 0.25, 5), eps, u0, 13, 1, observe)["frames"][0]
         x = solve_skeleton(h, u0, cfg)
-        dev = np.max(np.abs(z_h.frames - z_0.frames - x.frames))
-        assert dev <= 1e-12 * max(np.max(np.abs(z_h.frames)), 1.0)
+        dev = np.max(np.abs(z_h - z_0 - x.frames))
+        assert dev <= 1e-12 * max(np.max(np.abs(z_h)), 1.0)
 
     @pytest.mark.parametrize("family", ["additive", "saturated"])
     @pytest.mark.parametrize("nonlinear", [False, True])
@@ -610,17 +624,21 @@ class TestShiftedProcess:
             initial=random_solenoidal_field(grid3, np.random.default_rng(3), amplitude=0.5),
             record_stride=1,
         )
-        eps = 1e-3
+        eps, seed, n_paths = 1e-3, 9, 3
         u0 = solve_deterministic(cfg)
-        ue = solve_snse(cfg.with_epsilon(eps), seed=5)
         h = Control(noise, cfg.horizon, np.random.default_rng(4).standard_normal(
             (4, noise.n_directions)))
-        z = solve_tilde_z(h, ue, u0, eps, 9, cfg)
-        dW = substream(9, 0).standard_normal((cfg.n_steps, noise.n_directions))
-        dW = dW * np.sqrt(noise.eigenvalues * cfg.dt)
+        z = shifted_ensemble_run(
+            cfg, h, eps, u0, seed, n_paths, lambda: TrajectoryObserver(cfg))["frames"]
+        # the noisy paths the shifted process was stepped along
+        ue = ensemble_run(cfg.with_epsilon(eps), seed, n_paths,
+                          lambda: TrajectoryObserver(cfg))["frames"]
         h_values = h.value_at(np.arange(cfg.n_steps) * cfg.dt)
-        oracle = helpers.tilde_z_per_step(h_values, ue.frames, u0.frames, eps, dW, cfg)
-        assert np.array_equal(z.frames, oracle)
+        for path in range(n_paths):
+            dW = substream(seed, path).standard_normal((cfg.n_steps, noise.n_directions))
+            dW = dW * np.sqrt(noise.eigenvalues * cfg.dt)
+            oracle = helpers.tilde_z_per_step(h_values, ue[path], u0.frames, eps, dW, cfg)
+            assert np.array_equal(z[path], oracle)
 
     def test_observer_factor_once_per_step_and_one_control_scatter(
         self, grid3, monkeypatch

@@ -15,18 +15,14 @@ from snse_lab.spectral import (
     advection_gradient_transpose_array,
     advection_term,
     apply_stokes,
-    curl,
     default_grid,
     divergence_defect,
-    field_from_record,
-    field_to_record,
     from_physical,
     h_norm_sq_array,
     hv_norm_sq_array,
     leray_project,
     norm_bundle,
     random_solenoidal_field,
-    scalar_l2_norm,
     single_mode_field,
     taylor_green,
     to_physical,
@@ -247,37 +243,6 @@ class TestTrilinearForm:
         assert 0.0 < worst < 10.0
 
 
-class TestCurl:
-    def test_zero(self, grid3):
-        assert np.max(np.abs(curl(zero_field(grid3)))) == 0.0
-
-    def test_single_mode_hand_value(self):
-        g = default_grid(2)
-        u = single_mode_field(g, (1, 0), (0.0, 1.0))
-        w = curl(u)
-        assert abs(w[2, 2 + 1] - 1j) < 1e-15
-
-    def test_l2_norm_equals_gradient_norm(self, grid3, rng):
-        u = random_solenoidal_field(grid3, rng)
-        nb = norm_bundle(u)
-        assert abs(scalar_l2_norm(grid3, curl(u)) - nb.v_norm) <= 1e-10 * nb.v_norm
-
-    def test_matches_finite_differences(self):
-        g = default_grid(2)
-        u = single_mode_field(g, (1, 2), (1.0, 0.5))
-        n = 256
-        vals = helpers.eval_field(u, n)
-        h = TWO_PI / n
-        dvdx = (np.roll(vals[1], -1, axis=1) - np.roll(vals[1], 1, axis=1)) / (2 * h)
-        dudy = (np.roll(vals[0], -1, axis=0) - np.roll(vals[0], 1, axis=0)) / (2 * h)
-        omega_grid = dvdx - dudy
-        omega_spec = helpers.dft_coefficients(
-            np.stack([omega_grid, np.zeros_like(omega_grid)]), g.max_wavenumber
-        )[0]
-        ours = curl(u)
-        assert np.max(np.abs(ours - omega_spec)) < 5e-3  # second-order differences
-
-
 class TestNorms:
     def test_zero_field(self, grid3):
         nb = norm_bundle(zero_field(grid3))
@@ -436,11 +401,6 @@ class TestNormPair:
 
 
 class TestSerialization:
-    def test_round_trip(self, grid3, rng):
-        u = random_solenoidal_field(grid3, rng)
-        back = field_from_record(field_to_record(u))
-        np.testing.assert_array_equal(back.coeffs, u.coeffs)
-
     def test_physical_transform_matches_mode_sum(self, rng):
         g = default_grid(2)
         u = random_solenoidal_field(g, rng)
