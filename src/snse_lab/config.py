@@ -408,8 +408,10 @@ def example_config(kind: str = "simulate") -> dict:
 def admissibility_check(data: dict, ledger: ConstantsLedger) -> None:
     """Cross-field rule: a nonlinear run needs the product margin N >= 3K + 1,
     deviation experiments must keep the grid admissible, the LIL schedules
-    must start above the admissibility floor, and the conditional probe's
-    dyadic cells must tile its recording grid."""
+    must be nonempty and start above the admissibility floor, the conditional
+    probe's dyadic cells must tile its recording grid, a power-law a(eps)
+    needs theta in (0, 1/2), and the cluster study's probe directions must
+    be directions of the noise model."""
     exp = data["experiment"]
     kind = exp["kind"]
     grid = build_grid(data)
@@ -430,11 +432,23 @@ def admissibility_check(data: dict, ledger: ConstantsLedger) -> None:
         except ValueError as exc:
             raise ConfigError(str(exc), offending=["experiment/dyadic_depth"]) from None
     if kind in ("lil-strassen", "lil-classical"):
-        schedule = build_schedule(exp)
         try:
-            schedule.check_admissible(ledger)
+            build_schedule(exp).check_admissible(ledger)
         except ParameterError as exc:
             raise ConfigError(str(exc), offending=["experiment/j_min"]) from None
+    if kind == "lil-strassen":
+        n_dirs = build_noise(data, grid).n_directions
+        bad = [j for j in exp.get("probe_directions", []) if j >= n_dirs]
+        if bad:
+            raise ConfigError(
+                f"probe directions {bad} out of range for {n_dirs} noise directions",
+                offending=["experiment/probe_directions"],
+            )
+    if kind == "mdp-scaling":
+        try:
+            build_a_spec(exp)
+        except ValueError as exc:
+            raise ConfigError(str(exc), offending=["experiment/a_spec/theta"]) from None
     if kind in ("mdp-scaling", "fw-probe", "moments"):
         eps0 = ledger.epsilon0
         for eps in exp.get("epsilon_grid", []):

@@ -34,12 +34,14 @@ from .solvers import (
     ensemble_run,
     loglog,
     propagator,
-    shifted_ensemble_run,
     skeleton_forward,
     solve_deterministic,
     solve_skeleton,
+    _FanOutObserver,
     _RecordingGrid,
+    _ShiftedObserver,
     _blowup_guard,
+    _control_fields,
     _guard_scale,
     _initial_coeffs,
     _require_solver_grid,
@@ -500,19 +502,6 @@ class DiffEnergyObserver:
         return {"diff_energy_sq": _sup_plus_integral(self.h2, self.v2, self.rec.times)}
 
 
-def deviation_energy_samples(
-    config: SimConfig,
-    epsilon: float,
-    u0_traj_full: Trajectory,
-    n_samples: int,
-    seed: int,
-) -> np.ndarray:
-    """Trajectory-norm samples of (noisy - deterministic) at noise level epsilon."""
-    cfg = config.with_epsilon(epsilon)
-    out = ensemble_run(cfg, seed, n_samples, lambda: DiffEnergyObserver(cfg, u0_traj_full.frames))
-    return np.sqrt(out["diff_energy_sq"])
-
-
 # ---------------------------------------------------------------------------
 # moderate-deviation scaling probe
 
@@ -588,7 +577,9 @@ def mdp_scaling_probe(
     rows = []
     for eps in reversed(eps_grid):  # largest to smallest
         a = a_spec.value(eps)
-        dist = deviation_energy_samples(config, eps, u0, n_samples, seed)
+        cfg = config.with_epsilon(eps)
+        out = ensemble_run(cfg, seed, n_samples, lambda: DiffEnergyObserver(cfg, u0.frames))
+        dist = np.sqrt(out["diff_energy_sq"])
         scaled = (a / math.sqrt(eps)) * dist
         if radius <= 0.0:
             est = estimate_from_hits(n_samples, n_samples)
@@ -889,7 +880,11 @@ class MomentReport:
 
 class _RemainderObserver:
     """sup over steps of |u - u0 - sqrt(eps) Y|^2, with the linearization Y
-    stepped on the increments of the noisy path u."""
+    of the dynamics around u0 stepped on the increments of the noisy path u.
+
+    In the additive linear regime the remainder vanishes identically; with the
+    quadratic term on it measures the second-order part of the deviation.
+    """
 
     def __init__(self, config: SimConfig, u0_frames):
         self.config = config
@@ -923,24 +918,6 @@ class _RemainderObserver:
 
     def finish(self) -> dict:
         return {"sup": self.sup}
-
-
-def first_order_remainder_samples(
-    config: SimConfig,
-    epsilon: float,
-    u0_traj_full: Trajectory,
-    n_samples: int,
-    seed: int,
-) -> np.ndarray:
-    """sup-norm-squared samples of u^eps - u0 - sqrt(eps) Y, with Y the
-    linearization of the dynamics around u0 driven by the same noise.
-
-    In the additive linear regime the remainder vanishes identically; with the
-    quadratic term on it measures the second-order part of the deviation.
-    """
-    cfg = config.with_epsilon(epsilon)
-    out = ensemble_run(cfg, seed, n_samples, lambda: _RemainderObserver(cfg, u0_traj_full.frames))
-    return out["sup"]
 
 
 def moment_bound_suite(
@@ -988,14 +965,24 @@ def moment_bound_suite(
         if eps is not None:
             sections.setdefault(section, {})[eps] = m
 
+    # one ensemble per epsilon: the state moments, the shifted fluctuation
+    # and the first-order remainder all observe the same noisy paths
+    h_field = _control_fields(h, config)
     for eps in eps_grid:
         cfg = config.with_epsilon(eps)
-        out = ensemble_run(
-            cfg,
-            seed,
-            n_samples,
-            lambda: _MomentObserver(cfg, [p for p in p_list], u0_full.frames),
-        )
+
+        def observers():
+            children = {
+                "": _MomentObserver(cfg, p_list, u0_full.frames),
+                "shifted_": _ShiftedObserver(
+                    cfg, h_field, u0_full.frames, _MomentObserver(config, p_list)
+                ),
+            }
+            if with_remainder:
+                children["remainder_"] = _RemainderObserver(cfg, u0_full.frames)
+            return _FanOutObserver(children)
+
+        out = ensemble_run(cfg, seed, n_samples, observers)
         add_row(
             "state_sup_sq_plus_int", eps, None, out["sup_h2p_1.0"] + out["int_h2p_1.0"]
         )
@@ -1011,29 +998,18 @@ def moment_bound_suite(
             add_row(
                 "state_moment_2p", eps, p, out[f"sup_h2p_{p}"] + out[f"int_h2p_{p}"]
             )
-        zout = shifted_ensemble_run(
-            config,
-            h,
-            eps,
-            u0_full,
-            seed,
-            n_samples,
-            lambda: _MomentObserver(config, [p for p in p_list]),
-        )
         add_row(
             "shifted_sup_sq_plus_int",
             eps,
             None,
-            zout["sup_h2p_1.0"] + zout["int_h2p_1.0"],
+            out["shifted_sup_h2p_1.0"] + out["shifted_int_h2p_1.0"],
         )
-        add_row("shifted_fourth_moment", eps, None, zout["sup_h4"] + zout["int_h2v2"])
+        add_row("shifted_fourth_moment", eps, None, out["shifted_sup_h4"] + out["shifted_int_h2v2"])
         for p in p_list:
-            add_row(
-                "shifted_moment_2p", eps, p, zout[f"sup_h2p_{p}"] + zout[f"int_h2p_{p}"]
-            )
+            z = out[f"shifted_sup_h2p_{p}"] + out[f"shifted_int_h2p_{p}"]
+            add_row("shifted_moment_2p", eps, p, z)
         if with_remainder:
-            rem = first_order_remainder_samples(config, eps, u0_full, n_samples, seed)
-            add_row("second_order_remainder_sup_sq", eps, None, rem)
+            add_row("second_order_remainder_sup_sq", eps, None, out["remainder_sup"])
 
     stated = {
         "state_sup_sq_plus_int": 1.0,

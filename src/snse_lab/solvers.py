@@ -532,6 +532,35 @@ class _ShiftedObserver:
         return self.inner.finish()
 
 
+class _FanOutObserver:
+    """Several observers of one ensemble, keyed by output prefix: each hook is
+    forwarded to every child in insertion order (on_noise only to those that
+    define it), and finish() merges their outputs under prefixed keys."""
+
+    def __init__(self, children: dict):
+        self.children = children
+        self.noisy = [c for c in children.values() if hasattr(c, "on_noise")]
+
+    def on_start(self, prop: Propagator, n_paths: int, n_steps: int):
+        for child in self.children.values():
+            child.on_start(prop, n_paths, n_steps)
+
+    def on_noise(self, step, t, coeffs, dW):
+        for child in self.noisy:
+            child.on_noise(step, t, coeffs, dW)
+
+    def on_state(self, idx, t, coeffs):
+        for child in self.children.values():
+            child.on_state(idx, t, coeffs)
+
+    def finish(self) -> dict:
+        return {
+            prefix + key: val
+            for prefix, child in self.children.items()
+            for key, val in child.finish().items()
+        }
+
+
 # paths integrated together per ensemble chunk, unless a chunk's normals
 # would exceed 8M floats
 _CHUNK_PATHS = 256
@@ -591,31 +620,6 @@ def ensemble_run(
             merged.setdefault(key, []).append(val)
         start = stop
     return {k: np.concatenate(v, axis=0) for k, v in merged.items()}
-
-
-def shifted_ensemble_run(
-    config: SimConfig,
-    h: Control,
-    epsilon: float,
-    u0_traj: Trajectory,
-    seed: int,
-    n_paths: int,
-    observer_factory: Callable[[], object],
-) -> dict:
-    """Co-integrate (noisy solution, shifted fluctuation) pairs on shared noise.
-
-    The observer sees the shifted process: on_state(idx, t, z_coeffs) with a
-    leading path axis.  Used by the moment studies for the shifted process.
-    """
-    _require_solver_grid(u0_traj, config, "deterministic trajectory")
-    h_field = _control_fields(h, config)
-    cfg = config.with_epsilon(epsilon)
-    return ensemble_run(
-        cfg,
-        seed,
-        n_paths,
-        lambda: _ShiftedObserver(cfg, h_field, u0_traj.frames, observer_factory()),
-    )
 
 
 class TrajectoryObserver:

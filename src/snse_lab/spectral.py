@@ -80,8 +80,8 @@ class SpectralGrid:
         half_curl = np.stack([curl_b, curl_a])[:, :, K:].copy()
         half_curl_k = np.stack([ky, -kx])[:, :, K:].copy()
         for name, arr in (
-            ("kx", kx), ("ky", ky), ("k2", k2), ("curl_a", curl_a), ("curl_b", curl_b),
-            ("half_curl", half_curl), ("half_curl_k", half_curl_k),
+            ("kx", kx), ("ky", ky), ("k2", k2), ("half_curl", half_curl),
+            ("half_curl_k", half_curl_k),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

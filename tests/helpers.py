@@ -7,9 +7,10 @@ coefficients are extracted with dense exponential matrices, trilinear forms
 get both a quadrature and a convolution-sum evaluation, and the linear-regime
 statistics come from scalar recursions written from the closed-form update.
 The reference definitions at the end (a single step, per-trajectory norms and
-events, the trajectory-file reader) were once the package's own; its
-batched stepper and streaming observers replaced them, and they stay here as
-the per-path oracles those are checked against.
+events, the trajectory-file reader, the moment suite with one ensemble per
+statistic) were once the package's own; its batched stepper and streaming
+observers replaced them, and they stay here as the oracles those are checked
+against.
 """
 
 from __future__ import annotations
@@ -165,6 +166,13 @@ def complex_from_physical(grid, values: np.ndarray) -> np.ndarray:
     return full[..., idx[:, None], idx[None, :]]
 
 
+def curl_weights(grid) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (a, b) = (kx ky, ky^2 - kx^2) / |k|^2 of the curl-form
+    self-advection on the whole mode square, both 0 at k = 0."""
+    k2 = np.where(grid.k2 > 0, grid.k2, 1.0)
+    return grid.kx * grid.ky / k2, (grid.ky**2 - grid.kx**2) / k2
+
+
 def self_advection_assembled(grid, u: np.ndarray) -> np.ndarray:
     """Curl-form self-advection with the weights applied to the whole mode
     square: the assembled output of `from_physical`, both halves, is combined
@@ -174,8 +182,9 @@ def self_advection_assembled(grid, u: np.ndarray) -> np.ndarray:
     u_phys = to_physical(grid, u)
     ux, uy = u_phys[..., 0, :, :], u_phys[..., 1, :, :]
     q = from_physical(grid, np.stack([ux * uy, (ux - uy) * (ux + uy)], axis=-3))
-    s = grid.curl_a * q[..., 1, :, :]
-    s += grid.curl_b * q[..., 0, :, :]
+    curl_a, curl_b = curl_weights(grid)
+    s = curl_a * q[..., 1, :, :]
+    s += curl_b * q[..., 0, :, :]
     s *= 1j
     return np.stack([grid.ky * s, -grid.kx * s], axis=-3)
 
@@ -476,3 +485,59 @@ def read_trajectory(path: str):
         frames=frames, h2=h2, v2=v2, sup_h2=header["sup_h2"], int_v2=header["int_v2"],
         provenance=header.get("provenance", {}),
     )
+
+
+def shifted_ensemble(config, h, epsilon, u0_frames, seed, n_paths, inner_factory) -> dict:
+    """The shifted fluctuation z at noise level epsilon, stepped along the
+    noisy ensemble of `ensemble_run`; `inner_factory()` observes z."""
+    from snse_lab import solvers
+
+    cfg = config.with_epsilon(epsilon)
+    h_field = solvers._control_fields(h, config)
+    # looked up at call time, so a test can wrap the module's ensemble_run
+    return solvers.ensemble_run(
+        cfg, seed, n_paths,
+        lambda: solvers._ShiftedObserver(cfg, h_field, u0_frames, inner_factory()),
+    )
+
+
+def moment_rows_by_separate_ensembles(
+    eps_grid, p_list, n_samples, config, seed, control, with_remainder
+) -> list[dict]:
+    """The rows of `moment_bound_suite`, with the noisy ensemble integrated
+    anew for each statistic: one `ensemble_run` for the state moments, one for
+    the shifted fluctuation and one for the first-order remainder, all on the
+    same substreams."""
+    from dataclasses import replace
+
+    from snse_lab.deviation import _MomentObserver, _RemainderObserver, _mean_se
+    from snse_lab.solvers import ensemble_run, solve_deterministic
+
+    p_list = sorted(set([1.0] + [float(p) for p in p_list]))
+    u0 = solve_deterministic(replace(config, record_stride=1)).frames
+    rows = []
+
+    def add(section, eps, p, samples):
+        m, se = _mean_se(samples)
+        rows.append({"section": section, "epsilon": eps, "p": p, "mean": m, "se": se})
+
+    for eps in sorted(float(e) for e in eps_grid):
+        cfg = config.with_epsilon(eps)
+        u = ensemble_run(cfg, seed, n_samples, lambda: _MomentObserver(cfg, p_list, u0))
+        z = shifted_ensemble(
+            config, control, eps, u0, seed, n_samples, lambda: _MomentObserver(config, p_list)
+        )
+        add("state_sup_sq_plus_int", eps, None, u["sup_h2p_1.0"] + u["int_h2p_1.0"])
+        add("state_fourth_moment", eps, None, u["sup_h4"] + u["int_h2v2"])
+        add("deviation_sup_sq_plus_int", eps, None, u["sup_d2"] + u["int_dv2"])
+        add("grad_sup_plus_dissipation", eps, None, u["sup_v2p_1.0"] + eps * u["int_a2"])
+        for p in p_list:
+            add("state_moment_2p", eps, p, u[f"sup_h2p_{p}"] + u[f"int_h2p_{p}"])
+        add("shifted_sup_sq_plus_int", eps, None, z["sup_h2p_1.0"] + z["int_h2p_1.0"])
+        add("shifted_fourth_moment", eps, None, z["sup_h4"] + z["int_h2v2"])
+        for p in p_list:
+            add("shifted_moment_2p", eps, p, z[f"sup_h2p_{p}"] + z[f"int_h2p_{p}"])
+        if with_remainder:
+            rem = ensemble_run(cfg, seed, n_samples, lambda: _RemainderObserver(cfg, u0))
+            add("second_order_remainder_sup_sq", eps, None, rem["sup"])
+    return rows

@@ -322,7 +322,9 @@ def _last_stderr_line(capsys):
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
-@pytest.mark.parametrize("verb", ["run", "verify"])
+_VERBS = pytest.mark.parametrize("verb", ["run", "verify"])
+
+
 class TestFailurePaths:
     """Every failure exits with its code and writes a failed manifest that
     lists the files written before it, whichever verb ran."""
@@ -332,6 +334,7 @@ class TestFailurePaths:
         assert manifest["status"] == "failed"
         return manifest
 
+    @_VERBS
     def test_config_load_error(self, tmp_path, capsys, verb):
         cfg = example_config("verify")
         cfg["solver"]["dt"] = -1
@@ -342,6 +345,7 @@ class TestFailurePaths:
         err = _last_stderr_line(capsys)
         assert err["stage"] == "config" and err["offending_keys"] == ["solver/dt"]
 
+    @_VERBS
     def test_admissibility_error(self, tmp_path, capsys, verb):
         cfg = example_config("verify")
         cfg["grid"]["physical_resolution"] = 12
@@ -353,6 +357,7 @@ class TestFailurePaths:
         assert err["stage"] == "admissibility"
         assert err["offending_keys"] == ["grid/physical_resolution"]
 
+    @_VERBS
     def test_unexpected_error(self, tmp_path, monkeypatch, capsys, verb):
         def broken(config, seed=0):
             raise ValueError("injected")
@@ -371,6 +376,7 @@ class TestFailurePaths:
         err = _last_stderr_line(capsys)
         assert err["stage"] == "runtime" and err["type"] == "ValueError"
 
+    @_VERBS
     def test_solver_blowup(self, tmp_path, monkeypatch, capsys, verb):
         def blow_up(config, seed=0):
             raise IntegrationError(7, "amplitude exceeded blowup guard")
@@ -384,6 +390,7 @@ class TestFailurePaths:
         err = _last_stderr_line(capsys)
         assert err["stage"] == "runtime" and err["type"] == "IntegrationError"
 
+    @_VERBS
     def test_invariant_failure(self, tmp_path, monkeypatch, capsys, verb):
         def failing(config, seed=0):
             return [CheckRow("injected", False, 1.0, 0.5, "forced failure")]
@@ -397,6 +404,23 @@ class TestFailurePaths:
         assert _last_stderr_line(capsys)["stage"] == "invariants"
         rep = read_report(os.path.join(out, "verify_report.json"))
         assert rep["results"]["all_passed"] is False
+
+    # experiment keys checked before the experiment builds what they describe
+    # (`verify` replaces the experiment block, so only `run` reads them)
+    @pytest.mark.parametrize("kind, update, offending", [
+        ("lil-classical", {"j_min": 9, "j_max": 8}, "experiment/j_min"),
+        ("mdp-scaling", {"a_spec": {"kind": "power", "theta": 0.7}}, "experiment/a_spec/theta"),
+        ("lil-strassen", {"probe_directions": [0, 999]}, "experiment/probe_directions"),
+    ], ids=["empty-schedule", "power-theta", "probe-direction"])
+    def test_experiment_admissibility_error(self, tmp_path, capsys, kind, update, offending):
+        cfg = example_config(kind)
+        cfg["experiment"].update(update)
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", _write(tmp_path, cfg), "--out", out]) == 3
+        assert self._manifest(out)["outputs"] == []
+        err = _last_stderr_line(capsys)
+        assert err["stage"] == "admissibility" and err["type"] == "ConfigError"
+        assert err["offending_keys"] == [offending]
 
 
 # experiment kind -> its report and the tables made from it:

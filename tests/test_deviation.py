@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from snse_lab import deviation
+from snse_lab import deviation, solvers
 from snse_lab.deviation import (
     ASpec,
     AdmissibilityError,
@@ -427,8 +427,6 @@ class TestConditionalProbe:
 
     def test_vacuous_conditioning_matches_plain_probability(self, linear_config, noise1):
         # h = 0 and huge eta: the joint event reduces to the deviation event
-        from dataclasses import replace as dc_replace
-
         eps = 1e-4
         rho = 0.35
         fw = FWConfig(rho=rho, eta=1e9, target_exponent=0.2,
@@ -547,3 +545,33 @@ class TestMomentSuite:
                                  with_remainder=True)
         fit = rep.fits["second_order_remainder_sup_sq"]
         assert abs(fit["fitted_exponent"] - 2.0) <= 0.2
+
+    @pytest.mark.parametrize("family", ["additive", "saturated"])
+    @pytest.mark.parametrize("with_remainder", [False, True])
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_one_ensemble_per_epsilon_matches_separate_ensembles(
+        self, grid3, monkeypatch, nonlinear, with_remainder, family
+    ):
+        # the state moments, the shifted fluctuation and the remainder observe
+        # one noisy ensemble per epsilon, with the values of one ensemble each
+        noise = NoiseModel(grid=grid3, family=family)
+        cfg = SimConfig(
+            grid=grid3, noise=noise, horizon=0.02, dt=1e-3, nonlinear=nonlinear,
+            initial=random_solenoidal_field(grid3, np.random.default_rng(3), amplitude=0.5),
+            record_stride=5,
+        )
+        h = Control(noise, cfg.horizon, np.random.default_rng(4).standard_normal(
+            (4, noise.n_directions)))
+        args = ([1e-3, 1e-4], [2.0], 9, cfg, 7)
+        expected = helpers.moment_rows_by_separate_ensembles(*args, h, with_remainder)
+        epsilons = []
+
+        def spy(config, *rest, **kwargs):
+            epsilons.append(config.epsilon)
+            return ensemble_run(config, *rest, **kwargs)
+
+        monkeypatch.setattr(solvers, "ensemble_run", spy)
+        monkeypatch.setattr(deviation, "ensemble_run", spy)
+        rep = moment_bound_suite(*args, control=h, with_remainder=with_remainder)
+        assert epsilons == [1e-4, 1e-3]
+        assert rep.rows == expected

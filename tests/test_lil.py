@@ -378,7 +378,6 @@ class TestShiftedProcessLaw:
         # h = 0, zero deterministic limit, additive noise: the shifted process
         # is the diagonal recursion scaled by 1/sqrt(2 log log(1/eps))
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
-        from snse_lab.solvers import shifted_ensemble_run
         from snse_lab.noise import zero_control
 
         eps = 1e-3
@@ -394,10 +393,8 @@ class TestShiftedProcessLaw:
             def finish(self):
                 return {"c": self.last}
 
-        out = shifted_ensemble_run(
-            cfg1, zero_control(m, cfg1.horizon, 10), eps, u0_full,
-            seed=31, n_paths=n, observer_factory=Terminal,
-        )
+        out = helpers.shifted_ensemble(
+            cfg1, zero_control(m, cfg1.horizon, 10), eps, u0_full.frames, 31, n, Terminal)
         c = out["c"]
         A = math.sqrt(2.0) / (2 * math.pi)
         noise_rms = (A / 2.0) * math.sqrt(m.eigenvalues[0] * cfg1.dt)

@@ -10,11 +10,12 @@ import pytest
 
 from snse_lab import deviation, solvers
 from snse_lab.deviation import (
+    DiffEnergyObserver,
     FWConfig,
     _MomentObserver,
-    deviation_energy_samples,
-    first_order_remainder_samples,
+    _RemainderObserver,
     fw_conditional_probe,
+    moment_bound_suite,
 )
 from snse_lab.noise import Control, NoiseModel, zero_control
 from snse_lab.rng import substream
@@ -27,7 +28,6 @@ from snse_lab.solvers import (
     ensemble_run,
     loglog,
     propagator,
-    shifted_ensemble_run,
     solve_deterministic,
     solve_skeleton,
     solve_snse,
@@ -46,7 +46,7 @@ from snse_lab.spectral import (
 )
 
 import helpers
-from helpers import mc_probability, step_snse, trajectories_from_ensemble
+from helpers import mc_probability, shifted_ensemble, step_snse, trajectories_from_ensemble
 
 
 def _mode_index(grid, k):
@@ -331,7 +331,7 @@ class TestStochasticSolve:
         assert abs(slope - 1.0) <= 0.1
 
     @pytest.mark.parametrize("solver", [
-        "solve_snse", "ensemble_run", "shifted_ensemble_run", "first_order_remainder_samples",
+        "solve_snse", "ensemble_run", "shifted_observer", "remainder_observer",
     ])
     def test_blowup_guard(self, grid1, noise1, solver):
         # every stochastic solver applies the same guard, scaled by |u(0)|
@@ -346,10 +346,10 @@ class TestStochasticSolve:
             "solve_snse": lambda: solve_snse(cfg, seed=0),
             "ensemble_run": lambda: ensemble_run(
                 cfg, 0, 3, lambda: TrajectoryObserver(cfg)),
-            "shifted_ensemble_run": lambda: shifted_ensemble_run(
-                cfg, h, cfg.epsilon, u0, 0, 3, lambda: _MomentObserver(cfg, [1.0])),
-            "first_order_remainder_samples": lambda: first_order_remainder_samples(
-                cfg, cfg.epsilon, u0, 3, seed=0),
+            "shifted_observer": lambda: shifted_ensemble(
+                cfg, h, cfg.epsilon, u0.frames, 0, 3, lambda: _MomentObserver(cfg, [1.0])),
+            "remainder_observer": lambda: ensemble_run(
+                cfg, 0, 3, lambda: _RemainderObserver(cfg, u0.frames)),
         }
         with pytest.raises(IntegrationError) as exc:
             runs[solver]()
@@ -371,9 +371,9 @@ class TestStochasticSolve:
 
 
 _ENSEMBLE_KINDS = [
-    "ensemble_run", "deviation_energy_samples", "mc_probability",
-    "fw_conditional_probe", "shifted_ensemble_run",
-    "first_order_remainder_samples",
+    "ensemble_run", "diff_energy_observer", "mc_probability",
+    "fw_conditional_probe", "shifted_observer", "remainder_observer",
+    "moment_bound_suite",
 ]
 
 
@@ -395,14 +395,17 @@ def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
     runs = {
         "ensemble_run": lambda: solvers.ensemble_run(
             cfg, seed, n, lambda: TrajectoryObserver(cfg)),
-        "deviation_energy_samples": lambda: deviation_energy_samples(cfg, eps, u0, n, seed),
+        "diff_energy_observer": lambda: solvers.ensemble_run(
+            cfg, seed, n, lambda: DiffEnergyObserver(cfg, u0.frames)),
         "mc_probability": lambda: mc_probability(
             lambda tr: tr.h2[-1] > u0.h2[-1], eps, n, cfg, seed).to_dict(),
         "fw_conditional_probe": lambda: fw_conditional_probe(h, fw, cfg, seed).to_dict(),
-        "shifted_ensemble_run": lambda: shifted_ensemble_run(
-            cfg, h, eps, u0, seed, n, lambda: _MomentObserver(cfg, [1.0, 2.0])),
-        "first_order_remainder_samples": lambda: first_order_remainder_samples(
-            cfg, eps, u0, n, seed),
+        "shifted_observer": lambda: shifted_ensemble(
+            cfg, h, eps, u0.frames, seed, n, lambda: _MomentObserver(cfg, [1.0, 2.0])),
+        "remainder_observer": lambda: solvers.ensemble_run(
+            cfg, seed, n, lambda: _RemainderObserver(cfg, u0.frames)),
+        "moment_bound_suite": lambda: moment_bound_suite(
+            [eps], [2.0], n, cfg, seed, control=h, with_remainder=True).to_dict(),
     }
     captured = []
 
@@ -575,7 +578,7 @@ class TestShiftedProcess:
                         nonlinear=False, record_stride=1)
         u0 = solve_deterministic(cfg)
         h = zero_control(noise1, 0.25, 10)
-        # the observer of shifted_ensemble_run, on all-zero increments
+        # the shifted observer, on all-zero increments
         cfg_eps = cfg.with_epsilon(1e-4)
         h_field = solvers._control_fields(h, cfg)
         z = ensemble_run(
@@ -591,8 +594,8 @@ class TestShiftedProcess:
         u0 = solve_deterministic(cfg)
         h = zero_control(noise1, 0.25, 10)
         with pytest.raises(ParameterError):
-            shifted_ensemble_run(  # above exp(-e)
-                cfg, h, 0.5, u0, 1, 1, lambda: TrajectoryObserver(cfg))
+            shifted_ensemble(  # above exp(-e)
+                cfg, h, 0.5, u0.frames, 1, 1, lambda: TrajectoryObserver(cfg))
         with pytest.raises(ParameterError):
             loglog(0.0)
 
@@ -606,9 +609,9 @@ class TestShiftedProcess:
         hv = 0.7 * rng.standard_normal((5, 2))
         h = Control(noise1, 0.25, hv)
         observe = lambda: TrajectoryObserver(cfg)  # noqa: E731
-        z_h = shifted_ensemble_run(cfg, h, eps, u0, 13, 1, observe)["frames"][0]
-        z_0 = shifted_ensemble_run(
-            cfg, zero_control(noise1, 0.25, 5), eps, u0, 13, 1, observe)["frames"][0]
+        z_h = shifted_ensemble(cfg, h, eps, u0.frames, 13, 1, observe)["frames"][0]
+        z_0 = shifted_ensemble(
+            cfg, zero_control(noise1, 0.25, 5), eps, u0.frames, 13, 1, observe)["frames"][0]
         x = solve_skeleton(h, u0, cfg)
         dev = np.max(np.abs(z_h - z_0 - x.frames))
         assert dev <= 1e-12 * max(np.max(np.abs(z_h)), 1.0)
@@ -628,8 +631,8 @@ class TestShiftedProcess:
         u0 = solve_deterministic(cfg)
         h = Control(noise, cfg.horizon, np.random.default_rng(4).standard_normal(
             (4, noise.n_directions)))
-        z = shifted_ensemble_run(
-            cfg, h, eps, u0, seed, n_paths, lambda: TrajectoryObserver(cfg))["frames"]
+        z = shifted_ensemble(
+            cfg, h, eps, u0.frames, seed, n_paths, lambda: TrajectoryObserver(cfg))["frames"]
         # the noisy paths the shifted process was stepped along
         ue = ensemble_run(cfg.with_epsilon(eps), seed, n_paths,
                           lambda: TrajectoryObserver(cfg))["frames"]
@@ -652,10 +655,7 @@ class TestShiftedProcess:
         u0 = solve_deterministic(cfg)
         h = Control(noise, cfg.horizon, np.ones((4, noise.n_directions)))
         calls = _count_calls_by_caller(monkeypatch, solvers, "sigma_factor", "scatter_coefficients")
-        shifted_ensemble_run(
-            cfg, h, 1e-3, u0, seed=2, n_paths=9,
-            observer_factory=lambda: _MomentObserver(cfg, [1.0]),
-        )
+        shifted_ensemble(cfg, h, 1e-3, u0.frames, 2, 9, lambda: _MomentObserver(cfg, [1.0]))
         # the stepper takes the noisy path's factor once per step, the observer
         # the recentred state's; the control is scattered once for all steps
         assert calls["sigma_factor"] == {"_integrate_batch": 20, "on_noise": 20}
@@ -665,19 +665,14 @@ class TestShiftedProcess:
 
     def test_moment_stability_across_epsilon(self, grid1, noise1):
         # second moments finite and stable within a factor two across levels
-        from snse_lab.solvers import shifted_ensemble_run
-        from snse_lab.deviation import _MomentObserver
-
         cfg = SimConfig(grid=grid1, noise=noise1, horizon=0.25, dt=1e-3,
                         nonlinear=False, record_stride=1)
         u0 = solve_deterministic(cfg)
         h = zero_control(noise1, 0.25, 10)
         means = []
         for eps in (1e-3, 1e-4, 1e-5):
-            out = shifted_ensemble_run(
-                cfg, h, eps, u0, seed=41, n_paths=300,
-                observer_factory=lambda: _MomentObserver(cfg, [1.0]),
-            )
+            out = shifted_ensemble(
+                cfg, h, eps, u0.frames, 41, 300, lambda: _MomentObserver(cfg, [1.0]))
             means.append(float(np.mean(out["sup_h2"] + out["int_v2"])))
         assert max(means) <= 2.0 * min(means)
 
@@ -717,12 +712,11 @@ class TestTrajectoryCombinators:
         eps = 1e-2
         u0 = solve_deterministic(cfg)
         calls = _count_calls_by_caller(monkeypatch, deviation, "sigma_factor")
-        ours = first_order_remainder_samples(cfg, eps, u0, 9, seed=5)
+        cfg = cfg.with_epsilon(eps)
+        ours = ensemble_run(cfg, 5, 9, lambda: _RemainderObserver(cfg, u0.frames))["sup"]
         assert calls["sigma_factor"] == {"on_start": 1}
         oracle = ensemble_run(
-            cfg.with_epsilon(eps), 5, 9,
-            lambda: helpers.RemainderObserverPerStep(cfg.with_epsilon(eps), u0.frames),
-        )["sup"]
+            cfg, 5, 9, lambda: helpers.RemainderObserverPerStep(cfg, u0.frames))["sup"]
         assert np.array_equal(ours, oracle)
 
     def test_trajectories_from_ensemble(self, grid1, noise1):

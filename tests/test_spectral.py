@@ -373,8 +373,9 @@ class TestCurlFormSelfAdvection:
     def test_half_weights_are_read_only_column_blocks(self):
         g = SpectralGrid(3, 10)
         K = g.max_wavenumber
+        curl_a, curl_b = helpers.curl_weights(g)
         for half, full in (
-            (g.half_curl, np.stack([g.curl_b, g.curl_a])),
+            (g.half_curl, np.stack([curl_b, curl_a])),
             (g.half_curl_k, np.stack([g.ky, -g.kx])),
         ):
             assert half.shape == (2, g.n_coeff, K + 1) and not half.flags.writeable
