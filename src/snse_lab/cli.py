@@ -11,7 +11,9 @@ Verbs:
 Every run writes a manifest, also on failure, listing the files written
 before it; the exit code and a JSON line on stderr say how a run failed.
 Reports carry no timestamps, so identical (config, seed) runs produce
-byte-identical report files.
+byte-identical report files.  Every experiment's result, a dataclass or a
+dict that may hold dataclasses, becomes JSON through one `dataclasses.asdict`
+call in `_dispatch`'s `report`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import asdict, dataclass, replace
 
 from . import __version__
 from .config import (
@@ -72,6 +74,17 @@ class InvariantFailure(RuntimeError):
     """The invariant suite ran to the end and at least one invariant failed."""
 
 
+@dataclass
+class _Report:
+    """A report file: provenance around the experiment's `results`."""
+
+    experiment: str
+    config_hash: str
+    seed: int
+    code_version: str
+    results: object
+
+
 def _dispatch(data: dict, out_dir: str, seed: int, workers: int, outputs: list[str]) -> None:
     """Run the configured experiment, appending each file it writes to `outputs`."""
     grid = build_grid(data)
@@ -88,14 +101,8 @@ def _dispatch(data: dict, out_dir: str, seed: int, workers: int, outputs: list[s
         write_trajectory(os.path.join(out_dir, name), traj)
         outputs.append(name)
 
-    def report(name: str, payload: dict) -> None:
-        payload = {
-            "experiment": kind,
-            "config_hash": chash,
-            "seed": seed,
-            "code_version": __version__,
-            "results": payload,
-        }
+    def report(name: str, results) -> None:
+        payload = asdict(_Report(kind, chash, seed, __version__, results))
         write_report(os.path.join(out_dir, name), payload)
         outputs.append(name)
 
@@ -136,7 +143,8 @@ def _dispatch(data: dict, out_dir: str, seed: int, workers: int, outputs: list[s
         target_control = build_control(exp.get("target_control"), noise, sim)
         target = solve_skeleton(target_control, u0, replace(sim, record_stride=1))
         result = rate_function(target, u0, replace(sim, record_stride=1), build_opt_params(exp))
-        report("rate_report.json", result.to_dict())
+        # the optimal control is not part of the report
+        report("rate_report.json", {k: v for k, v in vars(result).items() if k != "control"})
     elif kind == "mdp-scaling":
         rep = mdp_scaling_probe(
             radius=exp["radius"],
@@ -147,11 +155,11 @@ def _dispatch(data: dict, out_dir: str, seed: int, workers: int, outputs: list[s
             seed=seed,
             ledger=ledger,
         )
-        report("mdp_scaling_report.json", rep.to_dict())
+        report("mdp_scaling_report.json", rep)
     elif kind == "fw-probe":
         control = build_control(exp.get("control"), noise, sim)
         rep = fw_conditional_probe(control, build_fw_config(exp), sim, seed, ledger=ledger)
-        report("fw_report.json", rep.to_dict())
+        report("fw_report.json", rep)
     elif kind == "moments":
         rep = moment_bound_suite(
             eps_grid=exp["epsilon_grid"],
@@ -160,9 +168,10 @@ def _dispatch(data: dict, out_dir: str, seed: int, workers: int, outputs: list[s
             config=sim,
             seed=seed,
             ledger=ledger,
+            control=build_control(exp.get("control"), noise, sim),
             with_remainder=exp.get("with_remainder", False),
         )
-        report("moments_report.json", rep.to_dict())
+        report("moments_report.json", rep)
     elif kind == "lil-strassen":
         schedule = build_schedule(exp)
         u0_full = solve_deterministic(replace(sim, record_stride=1))
@@ -177,21 +186,21 @@ def _dispatch(data: dict, out_dir: str, seed: int, workers: int, outputs: list[s
             schedule, probe, exp.get("replicates", 8), sim, seed, workers=workers,
             u0_traj=u0_full,
         )
-        report("strassen_report.json", rep.to_dict())
+        report("strassen_report.json", rep)
     elif kind == "lil-classical":
         schedule = build_schedule(exp)
         rep = classical_ratio_study(
             schedule, exp.get("replicates", 8), sim, seed, workers=workers
         )
-        report("ratio_report.json", rep.to_dict())
+        report("ratio_report.json", rep)
     elif kind == "verify":
         rows = run_invariant_suite(sim, seed=seed)
-        payload = {"rows": [r.to_dict() for r in rows], "all_passed": all(r.passed for r in rows)}
-        report("verify_report.json", payload)
+        all_passed = all(r.passed for r in rows)
+        report("verify_report.json", {"rows": rows, "all_passed": all_passed})
         for r in rows:
             print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: value={r.value:.3e} "
                   f"threshold={r.threshold:.3e} {r.detail}")
-        if not payload["all_passed"]:
+        if not all_passed:
             raise InvariantFailure("invariant suite failed")
     else:
         raise ConfigError(f"unknown experiment kind {kind!r}")

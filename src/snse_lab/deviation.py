@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .noise import (
     Control,
@@ -108,9 +107,6 @@ class ConstantsLedger:
             raise AdmissibilityError("epsilon2 threshold requires p >= 1")
         return min(self.epsilon1, 1.0 / (self.K9 * (36.0 * p + 2.0)))
 
-    def to_dict(self) -> dict:
-        return {f"K{i}": getattr(self, f"K{i}") for i in range(1, 10)}
-
 
 def require_admissible(epsilon: float, threshold: float, label: str) -> None:
     if not 0.0 < epsilon < threshold:
@@ -166,18 +162,6 @@ class RateResult:
     grad_norm: float
     penalty: float
     diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "residual": self.residual,
-            "surrogate_residual": self.surrogate_residual,
-            "feasible": self.feasible,
-            "iterations": self.iterations,
-            "grad_norm": self.grad_norm,
-            "penalty": self.penalty,
-            "diagnostics": dict(self.diagnostics),
-        }
 
 
 class _SkeletonObjective:
@@ -270,6 +254,10 @@ def rate_function(
     or the penalty ceiling, the result is flagged infeasible (the unreachable
     branch of the rate function) and carries the best iterate.
     """
+    # imported here, not at module level: only the optimizer needs scipy,
+    # whose import would otherwise dominate the start-up of every run
+    from scipy.optimize import minimize
+
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
     _require_solver_grid(target, config, "target trajectory")
     objective = _SkeletonObjective(target.frames, u0_traj.frames, config, opt)
@@ -434,17 +422,6 @@ class ProbabilityEstimate:
     def log_p_or_bound(self) -> float:
         return math.log(self.p_hat) if self.hits > 0 else math.log(self.upper_bound)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "hits": self.hits,
-            "p_hat": self.p_hat,
-            "lo": self.lo,
-            "hi": self.hi,
-            "upper_bound": self.upper_bound,
-            "alpha": self.alpha,
-        }
-
 
 def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
     if n == 0:
@@ -538,17 +515,6 @@ class ScalingReport:
     gaps: list[float] | None
     gap_monotone: bool | None
     trend_slope: float
-
-    def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "a_spec": dict(self.a_spec),
-            "rows": [dict(r) for r in self.rows],
-            "neg_rate": self.neg_rate,
-            "gaps": list(self.gaps) if self.gaps is not None else None,
-            "gap_monotone": self.gap_monotone,
-            "trend_slope": self.trend_slope,
-        }
 
 
 def mdp_scaling_probe(
@@ -702,12 +668,6 @@ class _ConditionalObserver(DiffEnergyObserver):
 class FWReport:
     rows: list[dict]
     below_bound_at_smallest: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [dict(r) for r in self.rows],
-            "below_bound_at_smallest": self.below_bound_at_smallest,
-        }
 
 
 def fw_conditional_probe(
@@ -869,13 +829,6 @@ class MomentReport:
     rows: list[dict]
     fits: dict
     deterministic: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [dict(r) for r in self.rows],
-            "fits": {k: dict(v) for k, v in self.fits.items()},
-            "deterministic": dict(self.deterministic),
-        }
 
 
 class _RemainderObserver:

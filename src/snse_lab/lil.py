@@ -117,13 +117,6 @@ class LimitSetProbe:
     def size(self) -> int:
         return len(self.controls)
 
-    def refined(self, extra_controls, extra_images) -> "LimitSetProbe":
-        return LimitSetProbe(
-            self.controls + tuple(extra_controls),
-            self.images + tuple(extra_images),
-            self.tolerance,
-        )
-
 
 def limit_set_distance(z: Trajectory, probe: LimitSetProbe) -> tuple[float, int]:
     """Min trajectory-norm distance to the probe images and the nearest index."""
@@ -198,14 +191,6 @@ class ClusterReport:
     rows: list[dict]
     candidate_hit_fraction: list[float]
     running_max_distance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "rows": [dict(r) for r in self.rows],
-            "candidate_hit_fraction": list(self.candidate_hit_fraction),
-            "running_max_distance": self.running_max_distance,
-        }
 
 
 def _replicate_sq_distances(args) -> list[np.ndarray]:
@@ -310,15 +295,6 @@ class RatioReport:
     running_max: float
     running_min: float
     trend_slope: float
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [dict(r) for r in self.rows],
-            "per_j_quantiles": [dict(q) for q in self.per_j_quantiles],
-            "running_max": self.running_max,
-            "running_min": self.running_min,
-            "trend_slope": self.trend_slope,
-        }
 
 
 def classical_ratio_study(

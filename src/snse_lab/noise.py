@@ -125,10 +125,6 @@ class NoiseModel:
         object.__setattr__(self, "_basis_amp", np.sqrt(2.0) / TWO_PI)
 
     @property
-    def trace(self) -> float:
-        return float(self.eigenvalues.sum())
-
-    @property
     def state_dependent(self) -> bool:
         """Whether sigma(t, u) reads the state (the additive family does not)."""
         return self.family != "additive"
@@ -318,20 +314,6 @@ class AssumptionReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n_samples": self.n_samples,
-            "bound_est": self.bound_est,
-            "growth_est": self.growth_est,
-            "lipschitz_est": self.lipschitz_est,
-            "curl_bound_est": self.curl_bound_est,
-            "curl_ratio_est": self.curl_ratio_est,
-            "declared": dict(self.declared),
-            "violations": list(self.violations),
-            "sweep": {"r": list(self.sweep_r), "hs_norm": list(self.sweep_norm)},
-        }
 
 
 def verify_assumptions(

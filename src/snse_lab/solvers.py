@@ -139,9 +139,6 @@ class Propagator:
         for arr in (self.decay, self.phi, self.phi_rate, self.int_weight):
             arr.setflags(write=False)
 
-    def step_int_v2(self, coeffs: np.ndarray) -> np.ndarray:
-        return weighted_norm_sq(np.abs(coeffs) ** 2, self.int_weight)
-
 
 @functools.lru_cache(maxsize=32)
 def propagator(grid: SpectralGrid, dt: float) -> Propagator:
@@ -389,9 +386,10 @@ def solve_deterministic(config: SimConfig, provenance: dict | None = None) -> Tr
 
 
 def solve_snse(config: SimConfig, seed: int, provenance: dict | None = None) -> Trajectory:
-    """Integrate the noisy dynamics; deterministic given (config, seed)."""
-    if config.epsilon == 0.0:
-        return solve_deterministic(config, provenance)
+    """Integrate the noisy dynamics; deterministic given (config, seed).
+
+    At epsilon 0 the path still runs through the noisy stepper and consumes
+    its normals; only the noise term vanishes."""
     rng = substream(seed, 0)
     normals = rng.standard_normal((1, config.n_steps, config.noise.n_directions))
     prov = dict(provenance or {})

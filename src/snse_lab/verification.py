@@ -47,15 +47,6 @@ class CheckRow:
     threshold: float
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "value": self.value,
-            "threshold": self.threshold,
-            "detail": self.detail,
-        }
-
 
 def _rel_divergence(field: SpectralField) -> float:
     div, amp = divergence_defect(field)

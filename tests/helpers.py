@@ -419,6 +419,28 @@ def step_snse(u, f_t, epsilon, dW, dt, model, t=0.0, nonlinear=True):
     return SpectralField(u.grid, out)
 
 
+def step_int_v2(prop, coeffs: np.ndarray) -> np.ndarray:
+    """Exact integral of ||u||^2 over one pure-decay step of `prop` from
+    coeffs (..., 2, S, S), as the package's observers accumulate it."""
+    from snse_lab.spectral import weighted_norm_sq
+
+    return weighted_norm_sq(np.abs(coeffs) ** 2, prop.int_weight)
+
+
+def noise_trace(model) -> float:
+    """Trace of the noise covariance: the sum of its eigenvalues."""
+    return float(model.eigenvalues.sum())
+
+
+def refined_probe(probe, extra_controls, extra_images):
+    """`probe` with more candidate controls and their steered images."""
+    from snse_lab.lil import LimitSetProbe
+
+    return LimitSetProbe(
+        probe.controls + tuple(extra_controls), probe.images + tuple(extra_images), probe.tolerance
+    )
+
+
 def energy_norm(traj) -> float:
     """Trajectory norm: sqrt of the sup of |u|^2 plus the left-endpoint
     integral of ||u||^2 on the recording grid."""

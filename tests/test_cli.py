@@ -155,6 +155,29 @@ class TestRunVerb:
         sums2 = {o["path"]: o["sha256"] for o in m2["outputs"]}
         assert sums1 == sums2
 
+    def test_moments_follows_experiment_control(self, tmp_path):
+        # the control steers the shifted process and the steered path; the
+        # noisy state it does not touch
+        cfg = example_config("moments")
+        cfg["experiment"]["samples"] = 10
+        cfg["solver"]["horizon"] = 0.05
+        results = []
+        for control in (None, {"type": "single_direction", "direction": 0, "amplitude": 1.0}):
+            if control is not None:
+                cfg["experiment"]["control"] = control
+            out = str(tmp_path / f"out{len(results)}")
+            assert main(["run", "--config", _write(tmp_path, cfg), "--out", out]) == 0
+            results.append(read_report(os.path.join(out, "moments_report.json"))["results"])
+        zero, steered = results
+        assert zero["deterministic"]["steered_sup_sq_plus_int"] == 0.0
+        assert steered["deterministic"]["steered_sup_sq_plus_int"] > 0.0
+
+        def rows(res, prefix):
+            return [r for r in res["rows"] if r["section"].startswith(prefix)]
+
+        assert rows(steered, "state_") == rows(zero, "state_")
+        assert rows(steered, "shifted_") != rows(zero, "shifted_")
+
     def test_admissibility_error_writes_failed_manifest(self, tmp_path):
         cfg = example_config("mdp-scaling")
         cfg["constants"] = {"K9": 1000.0}

@@ -362,7 +362,7 @@ class TestDenseSamplingOracle:
             h = Control(m, cfg.horizon, values * scale)  # boundary: half-energy 1
             extra_controls.append(h)
             extra_images.append(solve_skeleton(h, u0_full, cfg))
-        dense = probe.refined(extra_controls, extra_images)
+        dense = helpers.refined_probe(probe, extra_controls, extra_images)
         eps = 2.0**-9
         for seed in range(5):
             ue = solve_snse(cfg.with_epsilon(eps), seed=seed)

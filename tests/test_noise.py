@@ -41,7 +41,7 @@ class TestModel:
         lam = noise3.eigenvalues
         assert np.all(lam > 0)
         assert np.all(np.diff(lam) <= 0)
-        assert np.isfinite(noise3.trace)
+        assert np.isfinite(helpers.noise_trace(noise3))
 
     def test_basis_unit_norm_divergence_free(self, noise3):
         for j in range(0, noise3.n_directions, 7):
@@ -94,7 +94,7 @@ class TestWienerIncrements:
         draws = wiener_increment(noise3, dt, substream(2, 0), size=n)
         # increments land on unit-norm directions, so |dW|_H^2 = sum_j dw_j^2
         total = np.sum(draws**2, axis=1)
-        expected = noise3.trace * dt
+        expected = helpers.noise_trace(noise3) * dt
         se = np.std(total) / math.sqrt(n)
         assert abs(total.mean() - expected) <= 3.0 * se
 

@@ -1,11 +1,14 @@
 """Guards on the package surface: what the benchmark's tracer looks up, the
-exported names, the version, and no top-level definition in src/ that neither
-the CLI nor the benchmark reaches."""
+exported names, the version, and no top-level definition, method or property
+in src/ that neither the CLI nor the benchmark reaches."""
 
 import ast
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import snse_lab
 
@@ -41,10 +44,15 @@ def _tracer_targets() -> dict:
     raise AssertionError("perfbench/spans.py defines no TARGETS")
 
 
-def _top_level_definitions() -> dict:
-    """name -> [(module, node)] for every top-level function, class and
-    assignment of the package (dunder names excluded)."""
-    defs = {}
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions() -> tuple[dict, dict]:
+    """(top, members), each name -> [(qualified name, node)]: every top-level
+    function, class and assignment of the package, and every method and
+    property of its classes (dunder names excluded from both)."""
+    top, members = {}, {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -56,25 +64,58 @@ def _top_level_definitions() -> dict:
                 continue
             for name in names:
                 if not name.startswith("__"):
-                    defs.setdefault(name, []).append((path.stem, node))
-    return defs
+                    top.setdefault(name, []).append((f"{path.stem}.{name}", node))
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not _is_dunder(sub.name):
+                        qualified = f"{path.stem}.{node.name}.{sub.name}"
+                        members.setdefault(sub.name, []).append((qualified, sub))
+    return top, members
 
 
-def _reached(defs: dict, seeds) -> set:
-    """Names of the definitions reached from the seeds, following every name
-    and attribute a reached definition mentions."""
-    reached, todo = set(), list(seeds)
+def _mentions(node):
+    """The AST nodes of a definition whose names and attributes it mentions.
+    A class's methods and properties are definitions of their own, left out;
+    its dunder methods count as part of it."""
+    if not isinstance(node, ast.ClassDef):
+        return ast.walk(node)
+    parts = node.bases + node.keywords + node.decorator_list + [
+        s for s in node.body if not isinstance(s, ast.FunctionDef) or _is_dunder(s.name)
+    ]
+    return (sub for part in parts for sub in ast.walk(part))
+
+
+def _literal_lookup(node) -> bool:
+    """Whether node is `getattr(x, "name", ...)` or `hasattr(x, "name")`."""
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("getattr", "hasattr")
+        and len(node.args) > 1
+        and isinstance(node.args[1], ast.Constant)
+    )
+
+
+def _reached(top: dict, members: dict, seeds) -> set:
+    """Qualified names of the definitions reached from the seeds.  A name or
+    an attribute that a reached definition mentions reaches the top-level
+    definitions of that name; an attribute, also one looked up by a literal
+    `getattr`/`hasattr` name, reaches the members of that name too."""
+    seen, todo, reached = set(), [(False, name) for name in seeds], set()
     while todo:
-        name = todo.pop()
-        if name in reached or name not in defs:
+        item = todo.pop()
+        if item in seen:
             continue
-        reached.add(name)
-        for _, node in defs[name]:
-            for sub in ast.walk(node):
+        seen.add(item)
+        is_attribute, name = item
+        for qualified, node in top.get(name, []) + (members.get(name, []) if is_attribute else []):
+            reached.add(qualified)
+            for sub in _mentions(node):
                 if isinstance(sub, ast.Name):
-                    todo.append(sub.id)
+                    todo.append((False, sub.id))
                 elif isinstance(sub, ast.Attribute):
-                    todo.append(sub.attr)
+                    todo.append((True, sub.attr))
+                elif _literal_lookup(sub):
+                    todo.append((True, sub.args[1].value))
     return reached
 
 
@@ -97,12 +138,20 @@ def test_version_matches_pyproject():
 
 
 def test_every_definition_reached_from_cli_or_benchmark():
-    defs = _top_level_definitions()
+    # methods and properties too: a member only tests call belongs in tests/
+    top, members = _definitions()
     seeds = {"main"} | {fn for fns in _tracer_targets().values() for fn in fns}
-    unreached = sorted(
-        f"{module}.{name}"
-        for name in set(defs) - _reached(defs, seeds)
-        for module, _ in defs[name]
-    )
+    every = {q for defs in (top, members) for entries in defs.values() for q, _ in entries}
+    unreached = sorted(every - _reached(top, members, seeds))
     assert not unreached, f"not reached from cli.main or the tracer targets: {unreached}"
 
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only the rate kind's optimizer uses scipy; no other run pays for its import
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, snse_lab.cli; print('scipy.optimize' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

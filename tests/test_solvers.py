@@ -3,7 +3,7 @@
 import math
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -149,7 +149,8 @@ class TestDeterministicSolve:
         )
         traj = solve_deterministic(cfg)
         ints = np.cumsum(
-            [Propagator(grid3, cfg.dt).step_int_v2(traj.frames[i]) for i in range(traj.n_records - 1)]
+            [helpers.step_int_v2(Propagator(grid3, cfg.dt), traj.frames[i])
+             for i in range(traj.n_records - 1)]
         )
         assert np.all(np.diff(ints) >= 0)
         assert abs(ints[-1] - traj.int_v2) <= 1e-12 * max(traj.int_v2, 1.0)
@@ -180,6 +181,20 @@ class TestStochasticSolve:
         sto = solve_snse(linear_config.with_epsilon(0.0), seed=5)
         assert np.array_equal(det.frames, sto.frames)
 
+    def test_zero_noise_steps_the_noisy_path(self, linear_config, monkeypatch):
+        # at epsilon 0 the path still consumes its normals in the noisy
+        # stepper, so the bit-exact reductions compare two different runs
+        seen = []
+        integrate = solvers._integrate_batch
+
+        def spy(config, state, normals, hooks):
+            seen.append(normals)
+            return integrate(config, state, normals, hooks)
+
+        monkeypatch.setattr(solvers, "_integrate_batch", spy)
+        solve_snse(linear_config.with_epsilon(0.0), seed=5)
+        assert len(seen) == 1 and seen[0] is not None
+
     def test_determinism(self, linear_config):
         cfg = linear_config.with_epsilon(1e-3)
         a = solve_snse(cfg, seed=9)
@@ -205,7 +220,7 @@ class TestStochasticSolve:
         prop = Propagator(grid3, cfg.dt)
         int_v2, int_h2v2, int_a2 = np.zeros(4), np.zeros(4), np.zeros(4)
         for i in range(frames.shape[1] - 1):
-            int_v2 += prop.step_int_v2(frames[:, i])
+            int_v2 += helpers.step_int_v2(prop, frames[:, i])
             int_h2v2 += h2[:, i] * v2[:, i] * cfg.dt
             a_sq = TWO_PI**2 * np.sum(grid3.k2**2 * np.abs(frames[:, i]) ** 2, axis=(-3, -2, -1))
             int_a2 += a_sq * cfg.dt
@@ -397,15 +412,15 @@ def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
             cfg, seed, n, lambda: TrajectoryObserver(cfg)),
         "diff_energy_observer": lambda: solvers.ensemble_run(
             cfg, seed, n, lambda: DiffEnergyObserver(cfg, u0.frames)),
-        "mc_probability": lambda: mc_probability(
-            lambda tr: tr.h2[-1] > u0.h2[-1], eps, n, cfg, seed).to_dict(),
-        "fw_conditional_probe": lambda: fw_conditional_probe(h, fw, cfg, seed).to_dict(),
+        "mc_probability": lambda: asdict(mc_probability(
+            lambda tr: tr.h2[-1] > u0.h2[-1], eps, n, cfg, seed)),
+        "fw_conditional_probe": lambda: asdict(fw_conditional_probe(h, fw, cfg, seed)),
         "shifted_observer": lambda: shifted_ensemble(
             cfg, h, eps, u0.frames, seed, n, lambda: _MomentObserver(cfg, [1.0, 2.0])),
         "remainder_observer": lambda: solvers.ensemble_run(
             cfg, seed, n, lambda: _RemainderObserver(cfg, u0.frames)),
-        "moment_bound_suite": lambda: moment_bound_suite(
-            [eps], [2.0], n, cfg, seed, control=h, with_remainder=True).to_dict(),
+        "moment_bound_suite": lambda: asdict(moment_bound_suite(
+            [eps], [2.0], n, cfg, seed, control=h, with_remainder=True)),
     }
     captured = []
 
