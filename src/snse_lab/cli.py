@@ -33,12 +33,9 @@ from .config import (
     build_a_spec,
     build_control,
     build_fw_config,
-    build_grid,
     build_ledger,
-    build_noise,
     build_opt_params,
     build_schedule,
-    build_sim_config,
     config_hash,
     example_config,
     load_config,
@@ -87,11 +84,9 @@ class _Report:
 
 def _dispatch(data: dict, out_dir: str, seed: int, workers: int, outputs: list[str]) -> None:
     """Run the configured experiment, appending each file it writes to `outputs`."""
-    grid = build_grid(data)
-    noise = build_noise(data, grid)
-    sim = build_sim_config(data, grid, noise)
     ledger = build_ledger(data)
-    admissibility_check(data, ledger)
+    sim = admissibility_check(data, ledger)
+    noise = sim.noise
     exp = data["experiment"]
     kind = exp["kind"]
     chash = config_hash(data)

@@ -10,16 +10,22 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 
 import jsonschema
 import numpy as np
 
-from .deviation import ASpec, ConstantsLedger, FWConfig, OptParams, _dyadic_cell_records
+from .deviation import (
+    AdmissibilityError,
+    ASpec,
+    ConstantsLedger,
+    FWConfig,
+    OptParams,
+    _dyadic_cell_records,
+)
 from .lil import GeometricSchedule
 from .noise import Control, NoiseModel, SigmaParams
 from .rng import substream
-from .solvers import ParameterError, SimConfig, _RecordingGrid
+from .solvers import SimConfig, _RecordingGrid
 from .spectral import (
     SpectralField,
     SpectralGrid,
@@ -112,7 +118,7 @@ CONFIG_SCHEMA = {
         },
         "constants": {
             "type": "object",
-            "patternProperties": {"^K[1-9]$": {"type": "number", "exclusiveMinimum": 0}},
+            "patternProperties": {"^K[129]$": {"type": "number", "exclusiveMinimum": 0}},
             "additionalProperties": False,
         },
         "experiment": {
@@ -405,17 +411,29 @@ def example_config(kind: str = "simulate") -> dict:
     return base
 
 
-def admissibility_check(data: dict, ledger: ConstantsLedger) -> None:
-    """Cross-field rule: a nonlinear run needs the product margin N >= 3K + 1,
-    deviation experiments must keep the grid admissible, the LIL schedules
-    must be nonempty and start above the admissibility floor, the conditional
-    probe's dyadic cells must tile its recording grid, a power-law a(eps)
-    needs theta in (0, 1/2), and the cluster study's probe directions must
-    be directions of the noise model."""
+def _built(offending: str, build, *args):
+    """`build(*args)`, any ValueError it raises re-raised as a ConfigError
+    naming the config key `offending`."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc), offending=[offending]) from None
+
+
+def admissibility_check(data: dict, ledger: ConstantsLedger) -> SimConfig:
+    """The run's SimConfig (its grid and noise model included), once the
+    cross-field rules hold: the grid, noise and solver sections build, a
+    nonlinear run has the product margin N >= 3K + 1, the conditional probe's
+    dyadic cells tile its recording grid, a power-law a(eps) has theta in
+    (0, 1/2), the cluster study's probe directions are directions of the
+    noise model, and every epsilon grid and the largest intensity of a LIL
+    schedule pass `ledger.require`.  Any violation raises ConfigError."""
     exp = data["experiment"]
     kind = exp["kind"]
-    grid = build_grid(data)
-    if data["solver"].get("nonlinear", True) and not grid.supports_products():
+    grid = _built("grid", build_grid, data)
+    noise = _built("noise", build_noise, data, grid)
+    sim = _built("solver", build_sim_config, data, grid, noise)
+    if sim.nonlinear and not grid.supports_products():
         K, N = grid.max_wavenumber, grid.physical_resolution
         raise ConfigError(
             f"physical_resolution {N} < 3K + 1 = {3 * K + 1}: the products of a "
@@ -423,45 +441,27 @@ def admissibility_check(data: dict, ledger: ConstantsLedger) -> None:
             offending=["grid/physical_resolution"],
         )
     if kind == "fw-probe":
-        solver = data["solver"]
-        n_steps = round(solver["horizon"] / solver["dt"])
-        steps = _RecordingGrid(n_steps, solver.get("record_stride", 1)).steps
+        steps = _RecordingGrid(sim.n_steps, sim.record_stride).steps
         depth = build_fw_config(exp).dyadic_depth
-        try:
-            _dyadic_cell_records(solver["dt"] * np.array(steps), depth)
-        except ValueError as exc:
-            raise ConfigError(str(exc), offending=["experiment/dyadic_depth"]) from None
+        _built("experiment/dyadic_depth", _dyadic_cell_records, sim.dt * np.array(steps), depth)
     if kind in ("lil-strassen", "lil-classical"):
+        schedule = _built("experiment/j_min", build_schedule, exp)
         try:
-            build_schedule(exp).check_admissible(ledger)
-        except ParameterError as exc:
-            raise ConfigError(str(exc), offending=["experiment/j_min"]) from None
+            ledger.require([schedule.epsilon(schedule.j_min)])
+        except AdmissibilityError as exc:
+            raise ConfigError(
+                f"schedule start j_min={schedule.j_min}: {exc}", offending=["experiment/j_min"]
+            ) from None
     if kind == "lil-strassen":
-        n_dirs = build_noise(data, grid).n_directions
-        bad = [j for j in exp.get("probe_directions", []) if j >= n_dirs]
+        bad = [j for j in exp.get("probe_directions", []) if j >= noise.n_directions]
         if bad:
             raise ConfigError(
-                f"probe directions {bad} out of range for {n_dirs} noise directions",
+                f"probe directions {bad} out of range for {noise.n_directions} noise directions",
                 offending=["experiment/probe_directions"],
             )
     if kind == "mdp-scaling":
-        try:
-            build_a_spec(exp)
-        except ValueError as exc:
-            raise ConfigError(str(exc), offending=["experiment/a_spec/theta"]) from None
+        _built("experiment/a_spec/theta", build_a_spec, exp)
     if kind in ("mdp-scaling", "fw-probe", "moments"):
-        eps0 = ledger.epsilon0
-        for eps in exp.get("epsilon_grid", []):
-            if not 0.0 < eps < eps0:
-                raise ConfigError(
-                    f"epsilon {eps} violates the admissibility threshold "
-                    f"min(1/(2 K1^2), 1/(4 K1), 1/(2 K2), 1/(78 K9)) = {eps0:.6g}",
-                    offending=["experiment/epsilon_grid"],
-                )
-        if kind != "moments":
-            for eps in exp.get("epsilon_grid", []):
-                if eps >= math.exp(-math.e):
-                    raise ConfigError(
-                        f"epsilon {eps} too large for the iterated-logarithm scaling",
-                        offending=["experiment/epsilon_grid"],
-                    )
+        p_list = exp.get("p_list", []) if kind == "moments" else []
+        _built("experiment/epsilon_grid", ledger.require, exp.get("epsilon_grid", []), p_list)
+    return sim

@@ -28,9 +28,12 @@ from .noise import (
 )
 from .rng import substream
 from .solvers import (
+    LOGLOG_LIMIT,
     SimConfig,
     Trajectory,
     ensemble_run,
+    lil_a,
+    lil_lambda,
     loglog,
     propagator,
     skeleton_forward,
@@ -67,20 +70,15 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class ConstantsLedger:
-    """Positive constants of the assumption set; thresholds derive from them."""
+    """Positive constants of the assumption set that the admissibility
+    thresholds read; `require` is the one admissibility rule."""
 
     K1: float = 1.0
     K2: float = 1.0
-    K3: float = 1.0
-    K4: float = 1.0
-    K5: float = 1.0
-    K6: float = 1.0
-    K7: float = 1.0
-    K8: float = 1.0
     K9: float = 1.0
 
     def __post_init__(self):
-        for name in "K1 K2 K3 K4 K5 K6 K7 K8 K9".split():
+        for name in ("K1", "K2", "K9"):
             if getattr(self, name) <= 0:
                 raise AdmissibilityError(f"{name} must be positive")
 
@@ -107,12 +105,25 @@ class ConstantsLedger:
             raise AdmissibilityError("epsilon2 threshold requires p >= 1")
         return min(self.epsilon1, 1.0 / (self.K9 * (36.0 * p + 2.0)))
 
-
-def require_admissible(epsilon: float, threshold: float, label: str) -> None:
-    if not 0.0 < epsilon < threshold:
-        raise AdmissibilityError(
-            f"epsilon={epsilon} outside (0, {threshold:.6g}) required by {label}"
-        )
+    def require(self, epsilons, p_list=()) -> None:
+        """Raise AdmissibilityError unless every epsilon lies in (0, eps0),
+        below exp(-e) (where log log(1/eps) > 0), below eps2(p) for every
+        moment order p, and below 2/(1 + 2p) for every p >= 2."""
+        eps0 = self.epsilon0
+        bounds = [(LOGLOG_LIMIT, "the iterated-logarithm limit exp(-e)")]
+        for p in p_list:
+            bounds.append((self.epsilon2(p), f"the shifted 2p-moment threshold eps2({p:g})"))
+            if p >= 2:
+                bounds.append((2.0 / (1.0 + 2.0 * p), f"the 2p-moment threshold 2/(1 + 2*{p:g})"))
+        for eps in epsilons:
+            if not 0.0 < eps < eps0:
+                raise AdmissibilityError(
+                    f"epsilon {eps} violates the admissibility threshold "
+                    f"min(1/(2 K1^2), 1/(4 K1), 1/(2 K2), 1/(78 K9)) = {eps0:.6g}"
+                )
+            for bound, label in bounds:
+                if not eps < bound:
+                    raise AdmissibilityError(f"epsilon {eps} is not below {label} = {bound:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +513,7 @@ class ASpec:
 
     def value(self, epsilon: float) -> float:
         if self.kind == "lil":
-            return 1.0 / math.sqrt(2.0 * loglog(epsilon))
+            return lil_a(epsilon)
         return epsilon**self.theta
 
 
@@ -524,7 +535,7 @@ def mdp_scaling_probe(
     config: SimConfig,
     n_samples: int,
     seed: int,
-    ledger: ConstantsLedger | None = None,
+    ledger: ConstantsLedger = ConstantsLedger(),
 ) -> ScalingReport:
     """Tabulate a(eps)^2 log P(||v^eps||_E >= r) across the grid.
 
@@ -533,12 +544,11 @@ def mdp_scaling_probe(
     linear regime the indicator sets are pathwise nested and the tabulated
     curve is exactly monotone in the threshold.  In the linear regime the
     optimizer surrogate for the cheapest rate in the event is included and the
-    gap between the two curves is reported.
+    gap between the two curves is reported.  Every epsilon must pass
+    `ledger.require`; `ledger` defaults to the default constants.
     """
     eps_grid = sorted(float(e) for e in eps_grid)
-    if ledger is not None:
-        for e in eps_grid:
-            require_admissible(e, ledger.epsilon0, "the scaling-probe threshold")
+    ledger.require(eps_grid)
     u0 = solve_deterministic(replace(config, record_stride=1))
     rows = []
     for eps in reversed(eps_grid):  # largest to smallest
@@ -628,10 +638,9 @@ class _ConditionalObserver(DiffEnergyObserver):
     against the frame of z at the left anchor of the current dyadic cell."""
 
     def __init__(self, config, u0_frames, x_frames_rec, h_primitive, eps, per_cell):
-        ll = loglog(eps)
-        super().__init__(config, u0_frames, 1.0 / math.sqrt(2.0 * eps * ll), x_frames_rec[None])
+        super().__init__(config, u0_frames, 1.0 / lil_lambda(eps), x_frames_rec[None])
         self.h_prim = h_primitive  # (n_steps + 1, J)
-        self.w_scale = 1.0 / math.sqrt(2.0 * ll)
+        self.w_scale = lil_a(eps)
         self.per_cell = per_cell  # recorded steps per dyadic cell
 
     def on_start(self, prop, n_paths, n_steps):
@@ -675,15 +684,14 @@ def fw_conditional_probe(
     fw: FWConfig,
     config: SimConfig,
     seed: int,
-    ledger: ConstantsLedger | None = None,
+    ledger: ConstantsLedger = ConstantsLedger(),
 ) -> FWReport:
     """Estimate the probability that the rescaled fluctuation strays from the
     steered path while the rescaled noise stays near the control, per epsilon,
-    against the exponential comparison bound."""
+    against the exponential comparison bound.  Every epsilon must pass
+    `ledger.require`; `ledger` defaults to the default constants."""
     eps_grid = sorted(fw.eps_grid)
-    if ledger is not None:
-        for e in eps_grid:
-            require_admissible(e, ledger.epsilon0, "the conditional-probe threshold")
+    ledger.require(eps_grid)
     rec_steps = _RecordingGrid(config.n_steps, config.record_stride).steps
     per_cell = _dyadic_cell_records(config.dt * np.array(rec_steps), fw.dyadic_depth)
     u0 = solve_deterministic(replace(config, record_stride=1))
@@ -879,7 +887,7 @@ def moment_bound_suite(
     n_samples: int,
     config: SimConfig,
     seed: int,
-    ledger: ConstantsLedger | None = None,
+    ledger: ConstantsLedger = ConstantsLedger(),
     control: Control | None = None,
     with_remainder: bool = False,
 ) -> MomentReport:
@@ -889,24 +897,12 @@ def moment_bound_suite(
     the log-log slope across the grid together with the stated power and the
     implied constant sup_eps mean / eps^stated.  Deterministic quantities
     (the zero-noise solution and steered-path bounds) are single numbers.
+    Every epsilon must pass `ledger.require` for the orders p_list and 1;
+    `ledger` defaults to the default constants.
     """
-    ledger = ledger or ConstantsLedger()
     eps_grid = sorted(float(e) for e in eps_grid)
     p_list = sorted(set([1.0] + [float(p) for p in p_list]))
-    if p_list[0] < 1.0:
-        raise AdmissibilityError("moment orders p must satisfy p >= 1")
-    lemma_threshold = min(
-        1.0 / (2.0 * ledger.K1 * ledger.K1),
-        1.0 / (4.0 * ledger.K1),
-        1.0 / (2.0 * ledger.K2),
-    )
-    for e in eps_grid:
-        require_admissible(e, lemma_threshold, "the second-moment estimates")
-        require_admissible(e, ledger.epsilon1, "the shifted-process estimates")
-        for p in p_list:
-            if p >= 2:
-                require_admissible(e, 2.0 / (1.0 + 2.0 * p), "the 2p-moment estimate")
-            require_admissible(e, ledger.epsilon2(max(p, 1.0)), "the shifted 2p-moment estimate")
+    ledger.require(eps_grid, p_list)
     u0_full = solve_deterministic(replace(config, record_stride=1))
     h = control or zero_control(config.noise, config.horizon, max(config.n_steps, 1))
     rows: list[dict] = []

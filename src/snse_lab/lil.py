@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .deviation import ConstantsLedger, DiffEnergyObserver, energy_distance
+from .deviation import DiffEnergyObserver, energy_distance
 from .noise import Control, control_energy
 from .rng import substream
 from .solvers import (
@@ -29,7 +29,7 @@ from .solvers import (
     Trajectory,
     combine_trajectories,
     ensemble_run,
-    loglog,
+    lil_lambda,
     skeleton_forward,
     solve_deterministic,
     _control_values_on_steps,
@@ -64,23 +64,10 @@ class GeometricSchedule:
     def indices(self) -> list[int]:
         return list(range(self.j_min, self.j_max + 1))
 
-    def check_admissible(self, ledger: ConstantsLedger) -> None:
-        """Enforce the index floor implied by the admissibility threshold."""
-        floor = math.log(1.0 / ledger.epsilon0) / math.log(self.base)
-        if self.j_min <= floor:
-            raise ParameterError(
-                f"schedule start j_min={self.j_min} must exceed "
-                f"log(1/eps0)/log(base) = {floor:.3f}"
-            )
-
-
-def _fluctuation_scale(epsilon: float) -> float:
-    return 1.0 / math.sqrt(2.0 * epsilon * loglog(epsilon))
-
 
 def z_process(u_eps_traj: Trajectory, u0_traj: Trajectory, epsilon: float) -> Trajectory:
     """Rescaled fluctuation (u_eps - u0) / sqrt(2 eps log log(1/eps))."""
-    scale = _fluctuation_scale(epsilon)
+    scale = 1.0 / lil_lambda(epsilon)
     return combine_trajectories(
         u_eps_traj,
         u0_traj,
@@ -257,7 +244,7 @@ def strassen_cluster_study(
     """
     targets = np.stack([g.frames for g in probe.images])
     study = _schedule_study(
-        schedule, config, n_reps, seed, workers, _fluctuation_scale, targets, u0_traj
+        schedule, config, n_reps, seed, workers, lambda e: 1.0 / lil_lambda(e), targets, u0_traj
     )
     rows = []
     for rep, j, eps, d2 in study:
@@ -312,7 +299,7 @@ def classical_ratio_study(
     """
     rows = []
     for rep, j, eps, d2 in _schedule_study(schedule, config, n_reps, seed, workers, lambda e: 1.0):
-        ratio = math.sqrt(d2) / math.sqrt(2.0 * eps * loglog(eps))
+        ratio = math.sqrt(d2) / lil_lambda(eps)
         rows.append({"replicate": rep, "j": j, "epsilon": eps, "ratio": ratio})
     per_j: dict[int, list[float]] = {j: [] for j in schedule.indices}
     for row in rows:

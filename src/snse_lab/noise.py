@@ -297,18 +297,16 @@ def declared_constants(model: NoiseModel) -> dict:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Empirical estimates of the boundedness/growth/Lipschitz constants."""
+    """Empirical bound and Lipschitz estimates, the declared constants the
+    samples violate, and the Hilbert-Schmidt norm at the 25 gradient norms
+    logspace(-3, 3, 25)."""
 
     family: str
     n_samples: int
     bound_est: float
-    growth_est: float
     lipschitz_est: float
-    curl_bound_est: float
-    curl_ratio_est: float
     declared: dict
     violations: tuple[str, ...]
-    sweep_r: tuple[float, ...]
     sweep_norm: tuple[float, ...]
 
     @property
@@ -333,8 +331,7 @@ def verify_assumptions(
         raise NoiseConfigError("verify_assumptions needs n_samples >= 100")
     declared = declared_constants(model)
     slack = 1.05
-    bound_est = growth_est = lip_est = 0.0
-    curl_bound_est = curl_ratio_est = 0.0
+    bound_est = lip_est = 0.0
     violations = set()
     for _ in range(n_samples):
         scale = 10.0 ** rng.uniform(-2.0, 2.0)
@@ -346,12 +343,6 @@ def verify_assumptions(
         s_v = sigma_hs_norm(model, t, v)
         c_u = sigma_curl_hs_norm(model, t, u)
         bound_est = max(bound_est, s_u)
-        growth_est = max(growth_est, s_u**2 / (1.0 + nu2))
-        curl_bound_est = max(curl_bound_est, c_u**2)
-        curl_ratio_est = max(
-            curl_ratio_est,
-            c_u**2 / (declared["curl_bound"] + declared["curl_growth"] * nu2),
-        )
         dv = float(np.sqrt(v_norm_sq_array(model.grid, u.coeffs - v.coeffs)))
         if dv > 1e-12:
             lip_est = max(lip_est, abs(s_u - s_v) / dv)
@@ -373,13 +364,9 @@ def verify_assumptions(
         family=model.family,
         n_samples=n_samples,
         bound_est=bound_est,
-        growth_est=growth_est,
         lipschitz_est=lip_est,
-        curl_bound_est=curl_bound_est,
-        curl_ratio_est=curl_ratio_est,
         declared=declared,
         violations=tuple(sorted(violations)),
-        sweep_r=tuple(float(r) for r in sweep_r),
         sweep_norm=tuple(float(s) for s in sweep_norm),
     )
 

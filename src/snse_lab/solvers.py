@@ -73,6 +73,16 @@ def loglog(epsilon: float) -> float:
     return math.log(math.log(1.0 / epsilon))
 
 
+def lil_lambda(epsilon: float) -> float:
+    """lambda(eps) = sqrt(2 eps log log(1/eps)), the fluctuation's LIL normalizer."""
+    return math.sqrt(2.0 * epsilon * loglog(epsilon))
+
+
+def lil_a(epsilon: float) -> float:
+    """a(eps) = 1/sqrt(2 log log(1/eps)), the LIL rescaling of the noise."""
+    return 1.0 / math.sqrt(2.0 * loglog(epsilon))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Complete description of one integration run.
@@ -484,7 +494,7 @@ def shifted_diffusion_argument(
     z_coeffs: np.ndarray, u0_coeffs: np.ndarray, epsilon: float
 ) -> np.ndarray:
     """State at which the diffusion coefficient is evaluated for the shifted process."""
-    return math.sqrt(2.0 * epsilon * loglog(epsilon)) * z_coeffs + u0_coeffs
+    return lil_lambda(epsilon) * z_coeffs + u0_coeffs
 
 
 class _ShiftedObserver:
@@ -502,7 +512,7 @@ class _ShiftedObserver:
         self.h_field = h_field
         self.u0 = u0_frames
         self.inner = inner
-        self.inv_sq = 1.0 / math.sqrt(2.0 * loglog(config.epsilon))
+        self.inv_sq = lil_a(config.epsilon)
         self.scale = _guard_scale(config, _initial_coeffs(config))
 
     def on_start(self, prop: Propagator, n_paths: int, n_steps: int):

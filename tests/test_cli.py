@@ -229,6 +229,41 @@ class TestRunVerb:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["offending_keys"] == ["grid/physical_resolution"]
 
+    # configs that pass the schema but name a run that cannot be built: each
+    # is an admissibility failure (exit 3) naming its section, not a run-time one
+    @pytest.mark.parametrize("kind, changes, offending", [
+        ("moments", {"constants": {"K1": 0.05, "K2": 0.05, "K9": 0.05},
+                     "experiment/epsilon_grid": [0.1]}, "experiment/epsilon_grid"),
+        ("simulate", {"solver/initial": {"type": "single_mode", "k": [9, 0]}}, "solver"),
+        ("simulate", {"noise/num_directions": 10000}, "noise"),
+        ("simulate", {"grid/physical_resolution": 5}, "grid"),
+        ("simulate", {"solver/horizon": 0.2505}, "solver"),
+    ], ids=["moments-loglog", "mode-outside-K", "too-many-directions",
+            "resolution-5", "horizon-not-multiple-of-dt"])
+    def test_unbuildable_config_is_admissibility_error(self, tmp_path, capsys, kind,
+                                                       changes, offending):
+        cfg = example_config(kind)
+        for key, value in changes.items():
+            *sections, name = key.split("/")
+            target = cfg
+            for section in sections:
+                target = target[section]
+            target[name] = value
+        validate_config(cfg)
+        path = _write(tmp_path, cfg)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["stage"] == "admissibility"
+        assert err["offending_keys"] == [offending]
+
+    def test_constant_no_threshold_reads_is_config_error(self, tmp_path, capsys):
+        cfg = example_config("simulate")
+        cfg["constants"]["K5"] = 1.0
+        path = _write(tmp_path, cfg)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["stage"] == "config" and err["offending_keys"] == ["constants"]
+
     def test_linear_run_needs_no_product_margin(self, tmp_path):
         cfg = example_config("simulate")
         cfg["grid"]["physical_resolution"] = 10

@@ -26,6 +26,7 @@ from snse_lab.lil import z_process
 from snse_lab.noise import Control, NoiseModel, control_energy, zero_control
 from snse_lab.rng import substream
 from snse_lab.solvers import (
+    LOGLOG_LIMIT,
     SimConfig,
     TrajectoryObserver,
     ensemble_run,
@@ -85,6 +86,20 @@ class TestThresholds:
             ConstantsLedger(K1=-1.0)
         with pytest.raises(AdmissibilityError):
             ConstantsLedger().epsilon2(0.5)
+
+    # one row per bound, each on a ledger where it is the smallest: eps0 under
+    # the default constants, exp(-e) under small ones, eps2(3) = 1/110 below
+    # eps0 = 1/78, and 2/(1 + 2p) at p = 20 below exp(-e) and eps2(20)
+    @pytest.mark.parametrize("ledger, p_list, bound", [
+        (ConstantsLedger(), (), 1.0 / 78.0),
+        (ConstantsLedger(K1=0.05, K2=0.05, K9=0.05), (), LOGLOG_LIMIT),
+        (ConstantsLedger(), (1.0, 3.0), 1.0 / 110.0),
+        (ConstantsLedger(K1=1e-3, K2=1e-3, K9=1e-3), (1.0, 20.0), 2.0 / 41.0),
+    ], ids=["eps0", "loglog", "eps2", "2p-moment"])
+    def test_require_rejects_at_each_bound(self, ledger, p_list, bound):
+        with pytest.raises(AdmissibilityError):
+            ledger.require([1e-6, bound], p_list)
+        ledger.require([1e-6, math.nextafter(bound, 0.0)], p_list)
 
 
 class TestEnergyNorm:
@@ -378,6 +393,11 @@ class TestScalingProbe:
             mdp_scaling_probe(1.0, [1e-3], ASpec("lil"), linear_config, 10,
                               seed=2, ledger=led)
 
+    def test_default_ledger_enforced(self, linear_config):
+        # 0.05 lies below exp(-e) but above the default eps0 = 1/78
+        with pytest.raises(AdmissibilityError):
+            mdp_scaling_probe(1.0, [0.05], ASpec("lil"), linear_config, 10, seed=2)
+
     def test_power_a_spec_validation(self):
         with pytest.raises(ValueError):
             ASpec("power", theta=0.7)
@@ -406,6 +426,14 @@ class TestConditionalProbe:
             assert row["zero_hit"]
             assert math.isfinite(math.log(row["upper_bound"]))
         assert rep.below_bound_at_smallest
+
+    def test_default_ledger_enforced(self, linear_config, noise1):
+        # 0.05 lies below exp(-e) but above the default eps0 = 1/78
+        fw = FWConfig(rho=1.0, eta=1.0, target_exponent=0.5, increment_threshold=1.0,
+                      dyadic_depth=2, eps_grid=(0.05,), n_samples=4)
+        h = zero_control(noise1, linear_config.horizon, 10)
+        with pytest.raises(AdmissibilityError):
+            fw_conditional_probe(h, fw, linear_config, seed=0)
 
     def test_joint_probability_against_oversampled_oracle(self, linear_config, noise1):
         # additive linear regime: a second run of the same estimator at 10x

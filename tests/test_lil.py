@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snse_lab.deviation import ConstantsLedger
+from snse_lab.deviation import AdmissibilityError, ConstantsLedger
 from snse_lab.lil import (
     GeometricSchedule,
     LimitSetProbe,
@@ -69,11 +69,13 @@ class TestSchedule:
         assert s.indices == [5, 6, 7, 8]
 
     def test_admissibility_floor(self):
+        # eps0 = 1/78: a base-2 schedule must start above log2(78), about 6.3
+        led = ConstantsLedger()
         s = GeometricSchedule(base=2.0, j_min=5, j_max=8)
-        led = ConstantsLedger()  # eps0 = 1/78 -> floor about 6.3
-        with pytest.raises(ParameterError):
-            s.check_admissible(led)
-        GeometricSchedule(base=2.0, j_min=7, j_max=9).check_admissible(led)
+        with pytest.raises(AdmissibilityError):
+            led.require([s.epsilon(s.j_min)])
+        s = GeometricSchedule(base=2.0, j_min=7, j_max=9)
+        led.require([s.epsilon(s.j_min)])
 
 
 class TestRescaledProcess:
