@@ -30,12 +30,9 @@ from . import __version__
 from .config import (
     ConfigError,
     admissibility_check,
-    build_a_spec,
     build_control,
-    build_fw_config,
     build_ledger,
     build_opt_params,
-    build_schedule,
     config_hash,
     example_config,
     load_config,
@@ -85,7 +82,8 @@ class _Report:
 def _dispatch(data: dict, out_dir: str, seed: int, workers: int, outputs: list[str]) -> None:
     """Run the configured experiment, appending each file it writes to `outputs`."""
     ledger = build_ledger(data)
-    sim = admissibility_check(data, ledger)
+    run = admissibility_check(data, ledger)
+    sim = run.sim
     noise = sim.noise
     exp = data["experiment"]
     kind = exp["kind"]
@@ -144,7 +142,7 @@ def _dispatch(data: dict, out_dir: str, seed: int, workers: int, outputs: list[s
         rep = mdp_scaling_probe(
             radius=exp["radius"],
             eps_grid=exp["epsilon_grid"],
-            a_spec=build_a_spec(exp),
+            a_spec=run.a_spec,
             config=sim,
             n_samples=exp.get("samples", 1000),
             seed=seed,
@@ -153,7 +151,7 @@ def _dispatch(data: dict, out_dir: str, seed: int, workers: int, outputs: list[s
         report("mdp_scaling_report.json", rep)
     elif kind == "fw-probe":
         control = build_control(exp.get("control"), noise, sim)
-        rep = fw_conditional_probe(control, build_fw_config(exp), sim, seed, ledger=ledger)
+        rep = fw_conditional_probe(control, run.fw, sim, seed, ledger=ledger)
         report("fw_report.json", rep)
     elif kind == "moments":
         rep = moment_bound_suite(
@@ -168,7 +166,6 @@ def _dispatch(data: dict, out_dir: str, seed: int, workers: int, outputs: list[s
         )
         report("moments_report.json", rep)
     elif kind == "lil-strassen":
-        schedule = build_schedule(exp)
         u0_full = solve_deterministic(replace(sim, record_stride=1))
         probe = build_probe(
             sim,
@@ -178,14 +175,13 @@ def _dispatch(data: dict, out_dir: str, seed: int, workers: int, outputs: list[s
             tolerance=exp.get("tolerance", 0.5),
         )
         rep = strassen_cluster_study(
-            schedule, probe, exp.get("replicates", 8), sim, seed, workers=workers,
+            run.schedule, probe, exp.get("replicates", 8), sim, seed, workers=workers,
             u0_traj=u0_full,
         )
         report("strassen_report.json", rep)
     elif kind == "lil-classical":
-        schedule = build_schedule(exp)
         rep = classical_ratio_study(
-            schedule, exp.get("replicates", 8), sim, seed, workers=workers
+            run.schedule, exp.get("replicates", 8), sim, seed, workers=workers
         )
         report("ratio_report.json", rep)
     elif kind == "verify":

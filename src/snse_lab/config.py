@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from dataclasses import dataclass
 
 import jsonschema
 import numpy as np
@@ -60,6 +61,13 @@ _FIELD_SPEC_SCHEMA = {
     },
     "required": ["type"],
     "additionalProperties": False,
+}
+
+# experiment keys that a kind reads without a default
+_KIND_REQUIRED = {
+    "mdp-scaling": ["radius", "epsilon_grid"],
+    "fw-probe": ["rho", "eta", "target_exponent", "epsilon_grid"],
+    "moments": ["epsilon_grid"],
 }
 
 _CONTROL_SCHEMA = {
@@ -167,6 +175,10 @@ CONFIG_SCHEMA = {
                 "with_remainder": {"type": "boolean"},
             },
             "required": ["kind"],
+            "allOf": [
+                {"if": {"properties": {"kind": {"const": kind}}}, "then": {"required": keys}}
+                for kind, keys in _KIND_REQUIRED.items()
+            ],
             "additionalProperties": False,
         },
         "seed": {"type": "integer", "minimum": 0},
@@ -420,8 +432,20 @@ def _built(offending: str, build, *args):
         raise ConfigError(str(exc), offending=[offending]) from None
 
 
-def admissibility_check(data: dict, ledger: ConstantsLedger) -> SimConfig:
-    """The run's SimConfig (its grid and noise model included), once the
+@dataclass(frozen=True)
+class AdmittedRun:
+    """What `admissibility_check` built and checked: the run's SimConfig (its
+    grid and noise model included) and the experiment objects its kind reads,
+    None for every other kind."""
+
+    sim: SimConfig
+    schedule: GeometricSchedule | None = None
+    fw: FWConfig | None = None
+    a_spec: ASpec | None = None
+
+
+def admissibility_check(data: dict, ledger: ConstantsLedger) -> AdmittedRun:
+    """The run's SimConfig and experiment objects, each built once, after the
     cross-field rules hold: the grid, noise and solver sections build, a
     nonlinear run has the product margin N >= 3K + 1, the conditional probe's
     dyadic cells tile its recording grid, a power-law a(eps) has theta in
@@ -433,6 +457,7 @@ def admissibility_check(data: dict, ledger: ConstantsLedger) -> SimConfig:
     grid = _built("grid", build_grid, data)
     noise = _built("noise", build_noise, data, grid)
     sim = _built("solver", build_sim_config, data, grid, noise)
+    schedule = fw = a_spec = None
     if sim.nonlinear and not grid.supports_products():
         K, N = grid.max_wavenumber, grid.physical_resolution
         raise ConfigError(
@@ -441,9 +466,10 @@ def admissibility_check(data: dict, ledger: ConstantsLedger) -> SimConfig:
             offending=["grid/physical_resolution"],
         )
     if kind == "fw-probe":
+        fw = build_fw_config(exp)
         steps = _RecordingGrid(sim.n_steps, sim.record_stride).steps
-        depth = build_fw_config(exp).dyadic_depth
-        _built("experiment/dyadic_depth", _dyadic_cell_records, sim.dt * np.array(steps), depth)
+        _built("experiment/dyadic_depth", _dyadic_cell_records, sim.dt * np.array(steps),
+               fw.dyadic_depth)
     if kind in ("lil-strassen", "lil-classical"):
         schedule = _built("experiment/j_min", build_schedule, exp)
         try:
@@ -460,8 +486,8 @@ def admissibility_check(data: dict, ledger: ConstantsLedger) -> SimConfig:
                 offending=["experiment/probe_directions"],
             )
     if kind == "mdp-scaling":
-        _built("experiment/a_spec/theta", build_a_spec, exp)
+        a_spec = _built("experiment/a_spec/theta", build_a_spec, exp)
     if kind in ("mdp-scaling", "fw-probe", "moments"):
         p_list = exp.get("p_list", []) if kind == "moments" else []
         _built("experiment/epsilon_grid", ledger.require, exp.get("epsilon_grid", []), p_list)
-    return sim
+    return AdmittedRun(sim, schedule, fw, a_spec)

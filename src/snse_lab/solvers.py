@@ -18,8 +18,10 @@ module) are stepped by observers of that loop on the same increments.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -286,14 +288,37 @@ class _RecordingGrid:
         return None
 
 
-# path-steps of noise scattered per call of the stepper: one step at batch 256
+# path-steps of noise drawn and scattered per call of the stepper: one step at
+# batch 256; a chunk holds no other normals
 _NOISE_BLOCK_PATH_STEPS = 256
+
+
+def _normal_blocks(sources: list, n_dirs: int) -> Callable[[int, int], np.ndarray]:
+    """draw(start, stop): the standard normals of steps [start, stop) of every
+    path, shape (n, stop - start, n_dirs), in a fresh array.
+
+    A path's source is its own Generator, which must be drawn from in step
+    order, or its whole (n_steps, n_dirs) array, which is sliced.  A
+    Generator gives the same normals whether it fills a path in one call or
+    block by block, so the values do not depend on the block.
+    """
+
+    def draw(start: int, stop: int) -> np.ndarray:
+        out = np.empty((len(sources), stop - start, n_dirs))
+        for row, src in zip(out, sources):
+            if isinstance(src, np.random.Generator):
+                src.standard_normal(out=row)
+            else:
+                row[...] = src[start:stop]
+        return out
+
+    return draw
 
 
 def _integrate_batch(
     config: SimConfig,
     state: np.ndarray,
-    normals: np.ndarray | None,
+    draw_normals: Callable[[int, int], np.ndarray] | None,
     hooks,
 ) -> None:
     """Advance a batch of paths in place, invoking hooks at each step.
@@ -302,17 +327,21 @@ def _integrate_batch(
     hooks.on_noise(step, t, coeffs, dW) and hooks.on_state(idx, t, coeffs) are
     optional callables; on_noise sees the pre-step state, so a coupled process
     can be stepped inside it on the same increments.  state has shape
-    (n, 2, S, S) and normals (n, n_steps, J).  The advection and the noise
-    factor are formed from the pre-step state before the state is updated in
-    place, with no second state-sized array.
+    (n, 2, S, S); draw_normals(start, stop) returns the (n, stop - start, J)
+    standard normals of steps [start, stop) (`_normal_blocks`), or is None
+    for a noiseless run.  The advection and the noise factor are formed from
+    the pre-step state before the state is updated in place, with no second
+    state-sized array.
 
-    The noise field scatter(dW * gains) does not read the state, so it is
-    formed for a block of steps at once, _NOISE_BLOCK_PATH_STEPS path-steps
-    per call; only a state-dependent family's factor is applied per step.
-    Every operation is elementwise, so the values do not depend on the block.
+    The normals are drawn, and the noise field scatter(dW * gains), which
+    does not read the state, is formed, for a block of steps at once,
+    _NOISE_BLOCK_PATH_STEPS path-steps per call; only a state-dependent
+    family's factor is applied per step.  Every operation is elementwise, so
+    the values do not depend on the block.
     """
     prop = propagator(config.grid, config.dt)
     model = config.noise
+    n_steps = config.n_steps
     phi_forcing = None if config.forcing is None else prop.phi * config.forcing.coeffs
     sqrt_eps = math.sqrt(config.epsilon)
     scale = _guard_scale(config, state)
@@ -322,14 +351,15 @@ def _integrate_batch(
         on_state(0, 0.0, state)
     sqrt_lam_dt = np.sqrt(model.eigenvalues * config.dt)
     block = max(1, _NOISE_BLOCK_PATH_STEPS // state.shape[0])
-    for step in range(config.n_steps):
+    for step in range(n_steps):
         t = step * config.dt
         adv = advection_array(config.grid, state, state) if config.nonlinear else None
         noise = None
-        if normals is not None:
+        if draw_normals is not None:
             i = step % block
             if i == 0:
-                dW_block = normals[:, step : step + block, :] * sqrt_lam_dt
+                dW_block = draw_normals(step, min(step + block, n_steps))
+                dW_block *= sqrt_lam_dt
                 if config.epsilon > 0.0:
                     noise_block = scatter_coefficients(model, dW_block, weights=model.gains)
                     if not model.state_dependent:
@@ -380,10 +410,12 @@ def _trajectory(
     )
 
 
-def _solve_single(config: SimConfig, normals: np.ndarray | None, provenance: dict) -> Trajectory:
+def _solve_single(
+    config: SimConfig, draw_normals: Callable[[int, int], np.ndarray] | None, provenance: dict
+) -> Trajectory:
     obs = TrajectoryObserver(config)
     obs.on_start(propagator(config.grid, config.dt), 1, config.n_steps)
-    _integrate_batch(config, _initial_coeffs(config)[None].copy(), normals, obs)
+    _integrate_batch(config, _initial_coeffs(config)[None].copy(), draw_normals, obs)
     return _trajectory(config, obs.finish(), 0, provenance)
 
 
@@ -400,12 +432,11 @@ def solve_snse(config: SimConfig, seed: int, provenance: dict | None = None) -> 
 
     At epsilon 0 the path still runs through the noisy stepper and consumes
     its normals; only the noise term vanishes."""
-    rng = substream(seed, 0)
-    normals = rng.standard_normal((1, config.n_steps, config.noise.n_directions))
+    draw = _normal_blocks([substream(seed, 0)], config.noise.n_directions)
     prov = dict(provenance or {})
     prov.setdefault("seed", seed)
     prov.setdefault("epsilon", config.epsilon)
-    return _solve_single(config, normals, prov)
+    return _solve_single(config, draw, prov)
 
 
 def _require_solver_grid(traj: Trajectory, config: SimConfig, name: str) -> None:
@@ -569,16 +600,59 @@ class _FanOutObserver:
         }
 
 
-# paths integrated together per ensemble chunk, unless a chunk's normals
-# would exceed 8M floats
+# paths integrated together per ensemble chunk
 _CHUNK_PATHS = 256
 
+# glibc's mallopt parameters, its default mmap threshold and the largest one
+# it accepts on 64-bit systems
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_GLIBC_MMAP_THRESHOLD = 128 * 1024
+_GLIBC_MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
 
-def _auto_chunk(n_steps: int, n_dirs: int) -> int:
-    budget_floats = 8_000_000
-    per_path = max(1, n_steps * n_dirs)
-    cap = max(1, budget_floats // per_path)
-    return max(1, min(_CHUNK_PATHS, cap))
+# the mmap threshold in force, glibc's default until _reuse_step_memory sets
+# one; the allocator's settings belong to the process, and so does this record
+_mmap_threshold = _GLIBC_MMAP_THRESHOLD
+
+
+def _glibc_mallopt():
+    """glibc's mallopt(param, value) through ctypes, or None under any other C
+    library or when the lookup fails."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return None
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (AttributeError, OSError, ValueError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def _reuse_step_memory(state_nbytes: int) -> None:
+    """Have glibc serve a chunk's per-step temporaries from the heap and keep
+    them there once freed, so that the next step reuses their pages.
+
+    Each step allocates a few arrays about the size of the state (transform
+    outputs, the advection, the noise); the largest is the half spectrum, a
+    quarter larger than the state.  Above the mmap threshold glibc maps each
+    one afresh and unmaps it on free, so every step faults its pages in
+    again.  The mmap threshold is set to twice the state size and the trim
+    threshold, the freed heap top kept in the process, to eight times it.
+    Setting either also stops glibc's dynamic threshold.  This is done once,
+    and again only for a larger state; under any other C library, or while
+    the state's temporaries fit under the threshold in force, nothing is
+    called.  No value depends on it.
+    """
+    global _mmap_threshold
+    threshold = min(2 * state_nbytes, _GLIBC_MMAP_THRESHOLD_MAX)
+    if threshold <= _mmap_threshold:
+        return
+    _mmap_threshold = threshold
+    mallopt = _glibc_mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, threshold)
+        mallopt(_M_TRIM_THRESHOLD, min(8 * state_nbytes, 2**31 - 1))  # a C int
 
 
 def ensemble_run(
@@ -592,41 +666,35 @@ def ensemble_run(
 
     Path i consumes substream(seed, i) unless normal_source provides its
     standard-normal array of shape (n_steps, J) (used for common-noise
-    couplings across parameter grids).  The observer factory is invoked per
-    chunk; each observer must implement on_start(prop, n, n_steps), optional
-    on_noise(step, t, coeffs, dW) (called with the pre-step state before each
-    noisy step), optional on_state(idx, t, coeffs) (called with the state
-    after each step, and once with the initial state), and finish() -> dict
-    of arrays with leading axis n.  Results are concatenated across chunks,
-    so output is independent of the chunk size.
+    couplings across parameter grids).  Paths are integrated _CHUNK_PATHS at
+    a time, and a chunk's normals are drawn one noise block at a time
+    (`_integrate_batch`), under the allocator policy of `_reuse_step_memory`.
+    The observer factory is invoked per chunk; each observer must implement
+    on_start(prop, n, n_steps), optional on_noise(step, t, coeffs, dW)
+    (called with the pre-step state before each noisy step), optional
+    on_state(idx, t, coeffs) (called with the state after each step, and
+    once with the initial state), and finish() -> dict of arrays with
+    leading axis n.  Results are concatenated across chunks, so output is
+    independent of the chunk size.
     """
     J = config.noise.n_directions
     n_steps = config.n_steps
-    size = _auto_chunk(n_steps, J)
+    S = config.grid.n_coeff
     merged: dict[str, list[np.ndarray]] = {}
-    start = 0
-    while start < n_paths:
-        stop = min(start + size, n_paths)
-        count = stop - start
-        if config.epsilon > 0.0 or normal_source is not None:
-            normals = np.empty((count, n_steps, J))
-            for i in range(count):
-                idx = start + i
-                if normal_source is not None:
-                    normals[i] = normal_source(idx)
-                else:
-                    substream(seed, idx).standard_normal(out=normals[i])
-        else:
-            normals = None
-        state = np.broadcast_to(
-            _initial_coeffs(config), (count, 2, config.grid.n_coeff, config.grid.n_coeff)
-        ).copy()
+    for start in range(0, n_paths, _CHUNK_PATHS):
+        paths = range(start, min(start + _CHUNK_PATHS, n_paths))
+        draw = None
+        if normal_source is not None:
+            draw = _normal_blocks([normal_source(i) for i in paths], J)
+        elif config.epsilon > 0.0:
+            draw = _normal_blocks([substream(seed, i) for i in paths], J)
+        state = np.broadcast_to(_initial_coeffs(config), (len(paths), 2, S, S)).copy()
+        _reuse_step_memory(state.nbytes)
         obs = observer_factory()
-        obs.on_start(propagator(config.grid, config.dt), count, n_steps)
-        _integrate_batch(config, state, normals, obs)
+        obs.on_start(propagator(config.grid, config.dt), len(paths), n_steps)
+        _integrate_batch(config, state, draw, obs)
         for key, val in obs.finish().items():
             merged.setdefault(key, []).append(val)
-        start = stop
     return {k: np.concatenate(v, axis=0) for k, v in merged.items()}
 
 

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from snse_lab import cli, config
 from snse_lab.cli import emit_tables, main
 from snse_lab.config import (
     ConfigError,
@@ -256,6 +257,28 @@ class TestRunVerb:
         assert err["stage"] == "admissibility"
         assert err["offending_keys"] == [offending]
 
+    # the gate builds the schedule, the fw config and a(eps) once and the
+    # dispatch uses what it built
+    @pytest.mark.parametrize("kind, builder", [
+        ("lil-classical", "build_schedule"), ("fw-probe", "build_fw_config"),
+        ("mdp-scaling", "build_a_spec"),
+    ])
+    def test_experiment_objects_built_once(self, tmp_path, monkeypatch, kind, builder):
+        calls = {name: 0 for name in ("build_schedule", "build_fw_config", "build_a_spec")}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(config, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            for module in (config, cli):
+                monkeypatch.setattr(module, name, counted, raising=False)
+        cfg = example_config(kind)
+        if "samples" in cfg["experiment"]:
+            cfg["experiment"]["samples"] = 20
+        path = _write(tmp_path, cfg)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert calls == {name: int(name == builder) for name in calls}
+
     def test_constant_no_threshold_reads_is_config_error(self, tmp_path, capsys):
         cfg = example_config("simulate")
         cfg["constants"]["K5"] = 1.0
@@ -402,6 +425,22 @@ class TestFailurePaths:
         assert manifest["config_hash"] is None and manifest["outputs"] == []
         err = _last_stderr_line(capsys)
         assert err["stage"] == "config" and err["offending_keys"] == ["solver/dt"]
+
+    # a key that the experiment kind reads without a default is required by
+    # the schema: its absence is a config error, not a KeyError at run time
+    @pytest.mark.parametrize("kind, key", [
+        ("fw-probe", "rho"), ("mdp-scaling", "radius"), ("moments", "epsilon_grid"),
+        ("mdp-scaling", "epsilon_grid"), ("fw-probe", "epsilon_grid"),
+    ])
+    def test_missing_kind_key_is_config_error(self, tmp_path, capsys, kind, key):
+        cfg = example_config(kind)
+        del cfg["experiment"][key]
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", _write(tmp_path, cfg), "--out", out]) == 2
+        assert self._manifest(out)["outputs"] == []
+        err = _last_stderr_line(capsys)
+        assert err["stage"] == "config" and err["offending_keys"] == ["experiment"]
+        assert repr(key) in err["message"]
 
     @_VERBS
     def test_admissibility_error(self, tmp_path, capsys, verb):

@@ -1,14 +1,16 @@
 """Integrator tests: exact linear behavior, stochastic moments, reductions."""
 
+import itertools
 import math
 import sys
 import tracemalloc
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from snse_lab import deviation, solvers
+from snse_lab import deviation, lil, solvers
 from snse_lab.deviation import (
     DiffEnergyObserver,
     FWConfig,
@@ -17,6 +19,7 @@ from snse_lab.deviation import (
     fw_conditional_probe,
     moment_bound_suite,
 )
+from snse_lab.lil import GeometricSchedule, classical_ratio_study
 from snse_lab.noise import Control, NoiseModel, zero_control
 from snse_lab.rng import substream
 from snse_lab.solvers import (
@@ -261,13 +264,12 @@ class TestStochasticSolve:
                 t = step * cfg.dt
                 u = step_snse(u, cfg.forcing, eps, dW[step] * sqrt_lam_dt, cfg.dt, noise, t)
 
-    def test_step_peak_traced_allocation(self):
-        # one batch-64, K=10, 8-step run: 11.22 MB peak traced allocation on
-        # numpy 2.4 (12.80 MB with an out-of-place step, a full assembled
-        # spectrum and fresh forward-transform output); pinned with 5% margin
+    @staticmethod
+    def _traced_peak(n_steps: int) -> int:
+        """Peak traced allocation of one batch-64, K=10 ensemble of n_steps."""
         g = default_grid(10)
         cfg = SimConfig(
-            grid=g, noise=NoiseModel(grid=g), horizon=8e-3, dt=1e-3, epsilon=1e-2,
+            grid=g, noise=NoiseModel(grid=g), horizon=n_steps * 1e-3, dt=1e-3, epsilon=1e-2,
             initial=random_solenoidal_field(g, np.random.default_rng(0)),
         )
 
@@ -282,10 +284,57 @@ class TestStochasticSolve:
         tracemalloc.start()
         try:
             ensemble_run(cfg, 0, 64, Noop)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 11_218_216
+
+    def test_step_peak_traced_allocation(self):
+        # one batch-64, K=10, 8-step run: 9.46 MB peak traced allocation on
+        # numpy 2.4; pinned with 5% margin
+        assert self._traced_peak(8) <= 1.05 * 9_455_096
+
+    def test_peak_traced_allocation_independent_of_horizon(self):
+        # the normals are drawn one noise block at a time, so a chunk holds
+        # the same memory at 8 and at 128 steps
+        short, long = self._traced_peak(8), self._traced_peak(128)
+        assert abs(long - short) <= 0.05 * short
+
+    @pytest.mark.parametrize("n_paths, lookup, calls", [
+        (1, True, 0), (256, False, 0), (256, True, 2),
+    ], ids=["batch-1", "no-glibc", "batch-256"])
+    def test_allocator_policy(self, monkeypatch, n_paths, lookup, calls):
+        # mallopt is called through glibc only, once per process for a chunk
+        # whose per-step temporaries pass the 128 KiB default mmap threshold
+        # (its two parameters, however many ensembles run), and never at
+        # batch 1; the values do not depend on it
+        g = default_grid(10)
+        cfg = SimConfig(
+            grid=g, noise=NoiseModel(grid=g), horizon=2e-3, dt=1e-3, epsilon=1e-2,
+            initial=random_solenoidal_field(g, np.random.default_rng(0)),
+        )
+        seen = []
+
+        def mallopt(param, value):
+            seen.append((param, value))
+            return 1
+
+        def confstr(name):
+            if not lookup:
+                raise ValueError(f"unrecognized configuration name {name!r}")
+            return "glibc 2.36"
+
+        expected = ensemble_run(cfg, 3, n_paths, lambda: TrajectoryObserver(cfg))
+        monkeypatch.setattr(solvers, "_mmap_threshold", solvers._GLIBC_MMAP_THRESHOLD)
+        monkeypatch.setattr(solvers.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        monkeypatch.setattr(solvers.os, "confstr", confstr)
+        for _ in range(2):
+            out = ensemble_run(cfg, 3, n_paths, lambda: TrajectoryObserver(cfg))
+            _assert_identical(out, expected)
+        assert len(seen) == calls
+        if calls:
+            state_nbytes = n_paths * 2 * g.n_coeff**2 * 16
+            assert seen == [(solvers._M_MMAP_THRESHOLD, 2 * state_nbytes),
+                            (solvers._M_TRIM_THRESHOLD, 8 * state_nbytes)]
 
     def test_ou_moments_exact_discrete(self, grid1, noise1):
         # B off, additive noise: each mode follows the closed-form Gaussian
@@ -388,13 +437,16 @@ class TestStochasticSolve:
 _ENSEMBLE_KINDS = [
     "ensemble_run", "diff_energy_observer", "mc_probability",
     "fw_conditional_probe", "shifted_observer", "remainder_observer",
-    "moment_bound_suite",
+    "moment_bound_suite", "lil_schedule_study", "solve_snse",
 ]
 
 
 def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
-    """Run one ensemble entry point at chunk 1, 7 and 256 paths and assert
-    that every per-path output of every ensemble it runs is identical."""
+    """Run one ensemble entry point at chunk 1, 7 and 256 paths, each with
+    noise blocks of 1, 7 and 256 path-steps, and assert that every per-path
+    output of every ensemble it runs is identical.  The LIL schedule study
+    feeds its one-path ensembles through normal_source; solve_snse, the
+    verify suite's solver, runs no ensemble and is compared on its result."""
     eps, seed, n = 1e-2, 8, 9
     grid = noise.grid
     cfg = SimConfig(
@@ -421,6 +473,9 @@ def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
             cfg, seed, n, lambda: _RemainderObserver(cfg, u0.frames)),
         "moment_bound_suite": lambda: asdict(moment_bound_suite(
             [eps], [2.0], n, cfg, seed, control=h, with_remainder=True)),
+        "lil_schedule_study": lambda: asdict(classical_ratio_study(
+            GeometricSchedule(base=2.0, j_min=7, j_max=8), 3, cfg, seed)),
+        "solve_snse": lambda: asdict(solve_snse(cfg, seed)),
     }
     captured = []
 
@@ -428,14 +483,15 @@ def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
         captured.append(ensemble_run(*args, **kwargs))
         return captured[-1]
 
-    monkeypatch.setattr(solvers, "ensemble_run", spy)
-    monkeypatch.setattr(deviation, "ensemble_run", spy)
+    for module in (solvers, deviation, lil):
+        monkeypatch.setattr(module, "ensemble_run", spy)
     outputs = []
-    for chunk in (1, 7, 256):
+    for chunk, block in itertools.product((1, 7, 256), (1, 7, 256)):
         monkeypatch.setattr(solvers, "_CHUNK_PATHS", chunk)
+        monkeypatch.setattr(solvers, "_NOISE_BLOCK_PATH_STEPS", block)
         captured.clear()
         result = runs[kind]()
-        assert captured
+        assert captured or kind == "solve_snse"
         if kind == "fw_conditional_probe":
             # per-path statistics only: no ensemble returns recorded frames
             assert all(v.ndim <= 2 for out in captured for v in out.values())
@@ -708,9 +764,10 @@ class TestTrajectoryCombinators:
 
     @pytest.mark.parametrize("kind", _ENSEMBLE_KINDS)
     def test_ensemble_chunking_invariance_state_dependent(self, grid3, kind, monkeypatch):
-        # the saturated family takes its factor per step from the state; the
-        # 40 steps split into noise blocks of 28 steps (chunk 256: 9 paths),
-        # 36 and 128 (chunk 7: 7 and 2 paths) and 256 (chunk 1)
+        # the saturated family takes its factor per step from the state; at
+        # 256 path-steps per noise block the 40 steps split into blocks of 28
+        # steps (chunk 256: 9 paths), 36 and 128 (chunk 7: 7 and 2 paths) and
+        # 256 (chunk 1), at 7 path-steps into blocks of 1, 1 and 3, and 7
         noise = NoiseModel(grid=grid3, family="saturated")
         _check_chunking_invariance(noise, kind, 40, monkeypatch)
 
