@@ -634,15 +634,15 @@ def _reuse_step_memory(state_nbytes: int) -> None:
     them there once freed, so that the next step reuses their pages.
 
     Each step allocates a few arrays about the size of the state (transform
-    outputs, the advection, the noise); the largest is the half spectrum, a
-    quarter larger than the state.  Above the mmap threshold glibc maps each
-    one afresh and unmaps it on free, so every step faults its pages in
-    again.  The mmap threshold is set to twice the state size and the trim
-    threshold, the freed heap top kept in the process, to eight times it.
-    Setting either also stops glibc's dynamic threshold.  This is done once,
-    and again only for a larger state; under any other C library, or while
-    the state's temporaries fit under the threshold in force, nothing is
-    called.  No value depends on it.
+    outputs, the advection, the noise); the largest, a transform's grid
+    array, is at most a quarter larger than the state.  Above the mmap
+    threshold glibc maps each one afresh and unmaps it on free, so every
+    step faults its pages in again.  The mmap threshold is set to twice the
+    state size and the trim threshold, the freed heap top kept in the
+    process, to eight times it.  Setting either also stops glibc's dynamic
+    threshold.  This is done once, and again only for a larger state; under
+    any other C library, or while the state's temporaries fit under the
+    threshold in force, nothing is called.  No value depends on it.
     """
     global _mmap_threshold
     threshold = min(2 * state_nbytes, _GLIBC_MMAP_THRESHOLD_MAX)

@@ -16,7 +16,9 @@ real N x N array, shape (..., N, N//2 + 1), whose entry [ky mod N, kx] holds
 the coefficient of mode (kx, ky) for kx >= 0 only; the kx < 0 half is implied
 by conjugate symmetry.  Conjugate symmetry of the coefficients is therefore a
 precondition of every transform: `to_physical` reads only the kx >= 0 half and
-`from_physical` writes the kx < 0 half as its conjugate mirror.
+`from_physical` writes the kx < 0 half as its conjugate mirror.  The one
+exception is self-advection, which transforms the complex field u_x + i u_y
+on a full N x N grid with its modes centered (`_packed_square`).
 """
 
 from __future__ import annotations
@@ -74,14 +76,23 @@ class SpectralGrid:
         # weights of the curl-form self-advection, both 0 at k = 0
         curl_a = kx * ky / k2safe
         curl_b = (ky**2 - kx**2) / k2safe
-        # the kx >= 0 columns, where self-advection is formed, of the weights
-        # (b, a) of (q0, q1) and of the output factors (ky, -kx), each stacked
-        # for one operation over both
-        half_curl = np.stack([curl_b, curl_a])[:, :, K:].copy()
+        # on the kx >= 0 columns, where self-advection is formed: the weights
+        # of s = alpha Q(k) + beta conj Q(-k) and the output factors (ky, -kx)
+        half_alpha = (0.5j * curl_a + 0.25 * curl_b)[:, K:].copy()
+        half_beta = (0.5j * curl_a - 0.25 * curl_b)[:, K:].copy()
         half_curl_k = np.stack([ky, -kx])[:, :, K:].copy()
+        # exp(-2 pi i (N//2) (x + y) / N) at grid indices (y, x): takes the
+        # square of centered grid values to a centered forward transform;
+        # (-1)^(x + y) for even N
+        xy = np.add.outer(np.arange(N), np.arange(N))
+        if N % 2:
+            packed_phase = np.exp(-2j * np.pi * ((N // 2) * xy % N) / N)
+        else:
+            packed_phase = 1.0 - 2.0 * (xy % 2)
         for name, arr in (
-            ("kx", kx), ("ky", ky), ("k2", k2), ("half_curl", half_curl),
-            ("half_curl_k", half_curl_k),
+            ("kx", kx), ("ky", ky), ("k2", k2), ("half_alpha", half_alpha),
+            ("half_beta", half_beta), ("half_curl_k", half_curl_k),
+            ("packed_phase", packed_phase),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -183,14 +194,14 @@ def apply_stokes(field: SpectralField) -> SpectralField:
     return SpectralField(field.grid, field.coeffs * field.grid.k2)
 
 
-def _inverse_half(grid: SpectralGrid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Grid values of conjugate-symmetric coefficients (..., S, S), and the
-    half-spectrum buffer (..., N, N//2 + 1) they were inverted from.
+def to_physical(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Evaluate coefficient arrays (..., S, S) on the N x N grid (batched).
 
-    The kx >= 0 columns fill columns 0..K of the half spectrum, rows ky mod N;
-    the complex pass along y runs in place on those K + 1 columns only (the
-    others are zero), then the real pass along x.  The buffer is spent once
-    the values exist, so a caller may write a forward transform into it.
+    The coefficients must be conjugate symmetric, coeffs(-k) = conj(coeffs(k)):
+    only the kx >= 0 columns are read.  They fill columns 0..K of the half
+    spectrum (..., N, N//2 + 1), rows ky mod N; the complex inverse FFT along
+    y runs in place on those K + 1 columns only (the others are zero), then
+    the real inverse FFT along x.
     """
     K, N = grid.max_wavenumber, grid.physical_resolution
     half = np.zeros(coeffs.shape[:-2] + (N, N // 2 + 1), dtype=np.complex128)
@@ -198,40 +209,20 @@ def _inverse_half(grid: SpectralGrid, coeffs: np.ndarray) -> tuple[np.ndarray, n
     cols[..., : K + 1, :] = coeffs[..., K:, K:]
     cols[..., N - K :, :] = coeffs[..., :K, K:]
     np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
-    return np.fft.irfft(half, n=N, axis=-1, norm="forward"), half
-
-
-def _forward_columns(grid: SpectralGrid, values: np.ndarray, out=None) -> np.ndarray:
-    """Columns kx = 0..K, all N rows ky mod N, of the half spectrum of real
-    grid data (..., N, N): the real pass along x (into `out` if given), then
-    the complex pass along y in place on the kept columns only."""
-    half = np.fft.rfft(values, axis=-1, norm="forward", out=out)
-    cols = half[..., : grid.max_wavenumber + 1]
-    # in place: a fresh output array page-faults on every call at batch 256
-    np.fft.fft(cols, axis=-2, norm="forward", out=cols)
-    return cols
-
-
-def to_physical(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Evaluate coefficient arrays (..., S, S) on the N x N grid (batched).
-
-    The coefficients must be conjugate symmetric, coeffs(-k) = conj(coeffs(k)):
-    only the kx >= 0 columns are read.  The transform is a complex inverse
-    FFT along y on the K + 1 retained columns of the half spectrum, then a
-    real inverse FFT along x (`_inverse_half`).
-    """
-    return _inverse_half(grid, coeffs)[0]
+    return np.fft.irfft(half, n=N, axis=-1, norm="forward")
 
 
 def from_physical(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
     """Fourier coefficients of real grid data, truncated to the retained modes.
 
     The kx >= 0 half is read from a real FFT along x followed by a complex FFT
-    along y on the kept columns 0..K only.  The rest is its conjugate mirror,
-    so the output is exactly conjugate symmetric.
+    along y, in place on the kept columns 0..K only.  The rest is its
+    conjugate mirror, so the output is exactly conjugate symmetric.
     """
     K, N = grid.max_wavenumber, grid.physical_resolution
-    cols = _forward_columns(grid, values)
+    cols = np.fft.rfft(values, axis=-1, norm="forward")[..., : K + 1]
+    # in place: a fresh output array page-faults on every call at batch 256
+    np.fft.fft(cols, axis=-2, norm="forward", out=cols)
     S = grid.n_coeff
     out = np.empty(cols.shape[:-2] + (S, S), dtype=np.complex128)
     out[..., K:, K:] = cols[..., : K + 1, :]
@@ -249,36 +240,56 @@ def _check_product_margin(grid: SpectralGrid) -> None:
         )
 
 
+def _packed_square(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
+    """Centered spectrum Q (..., S, S) of w^2, w = u_x + i u_y, for u
+    (..., 2, S, S): a view of the one padded (..., N, N) complex array that
+    w is transformed in.
+
+    Mode k of w sits at index k + N//2 on both axes, a contiguous block.  The
+    inverse pass along y runs on the 2K + 1 block columns only, then along x;
+    the grid values then carry the factor exp(2 pi i (N//2)(x + y) / N) at
+    grid indices (x, y).
+    The square is taken in place and multiplied by `grid.packed_phase`, so
+    that the forward pass along x, then along y on the block columns, lands
+    the retained modes of w^2 back in the block.  w^2 has modes up to 2K per
+    axis, and N >= 3K + 1 keeps their aliases off the block.
+    """
+    K, N = grid.max_wavenumber, grid.physical_resolution
+    lo, hi = N // 2 - K, N // 2 + K + 1
+    w = np.zeros(u.shape[:-3] + (N, N), dtype=np.complex128)
+    block = w[..., lo:hi, lo:hi]
+    ux, uy = u[..., 0, :, :], u[..., 1, :, :]
+    np.subtract(ux.real, uy.imag, out=block.real)
+    np.add(ux.imag, uy.real, out=block.imag)
+    cols = w[..., lo:hi]
+    np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
+    np.fft.ifft(w, axis=-1, norm="forward", out=w)
+    np.square(w, out=w)
+    w *= grid.packed_phase
+    np.fft.fft(w, axis=-1, norm="forward", out=w)
+    np.fft.fft(cols, axis=-2, norm="forward", out=cols)
+    return block
+
+
 def _self_advection(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
     """P div(u u) of divergence-free u (..., 2, S, S) in curl form, formed on
     the kx >= 0 columns and mirrored onto the kx < 0 ones."""
-    K, N = grid.max_wavenumber, grid.physical_resolution
-    u_phys, half = _inverse_half(grid, u)
-    ux, uy = u_phys[..., 0, :, :], u_phys[..., 1, :, :]
-    # both products go straight into one array; u_phys is ours to reuse
-    q = np.empty_like(u_phys)
-    np.multiply(ux, uy, out=q[..., 0, :, :])
-    np.subtract(ux, uy, out=q[..., 1, :, :])
-    ux += uy
-    q[..., 1, :, :] *= ux
-    # grid-space buffers are freed as soon as they are spent: a lower peak
-    del u_phys, ux, uy
-    # the forward transform reuses the inverse's spent half-spectrum buffer
-    cols = _forward_columns(grid, q, out=half)
-    del q
-    # the kx = 0 entries of rows ky < 0 are the conjugate mirror of ky = K..1,
-    # as in `from_physical`
-    np.conjugate(cols[..., K:0:-1, 0], out=cols[..., N - K :, 0])
-    # s = i (a q1 + b q0) on rows ky = 0..K (FFT rows 0..K) and on rows
-    # ky = -K..-1 (FFT rows N-K..N-1)
-    s = np.empty(cols.shape[:-3] + (grid.n_coeff, K + 1), dtype=np.complex128)
-    for rows, src in ((slice(K, None), slice(None, K + 1)), (slice(None, K), slice(N - K, None))):
-        bq0_aq1 = grid.half_curl[:, rows] * cols[..., src, :]
-        np.add(bq0_aq1[..., 1, :, :], bq0_aq1[..., 0, :, :], out=s[..., rows, :])
-    s *= 1j
+    K = grid.max_wavenumber
+    q = _packed_square(grid, u)
+    # s = alpha Q(k) + beta conj Q(-k) = i (a q1 + b q0), since
+    # w^2 = q1 + 2i q0 with q0 = u_x u_y and q1 = u_x^2 - u_y^2 both real;
+    # weight first in each product: numpy's complex multiply may fuse, so
+    # operand order can show in the last bit
+    s = grid.half_alpha * q[..., K:]
+    conj_q = np.conjugate(q[..., ::-1, K::-1])
+    s += np.multiply(grid.half_beta, conj_q, out=conj_q)
+    # the padded array is freed before the output exists: a lower peak
+    del q, conj_q
     out = np.empty(u.shape, dtype=np.complex128)
     np.multiply(grid.half_curl_k, s[..., None, :, :], out=out[..., K:])
     np.conjugate(out[..., ::-1, :K:-1], out=out[..., :, :K])
+    # rows ky < 0 of the kx = 0 column mirror rows ky > 0, as in `from_physical`
+    np.conjugate(out[..., :K:-1, K], out=out[..., :K, K])
     return out
 
 
@@ -287,14 +298,16 @@ def advection_array(grid: SpectralGrid, u: np.ndarray, v: np.ndarray) -> np.ndar
 
     Batched over leading axes.  Exact Galerkin truncation for N >= 3K + 1.
     Self-advection (`v is u`, the stepper's call) requires a divergence-free u
-    and is formed in curl (stream-function) form: two inverse transforms, the
-    products q0 = u_x u_y and q1 = (u_x - u_y)(u_x + u_y) = u_x^2 - u_y^2, two
-    forward transforms, then s = i (a q1 + b q0) with a = kx ky / |k|^2 and
+    and is formed in curl (stream-function) form: one inverse transform of
+    w = u_x + i u_y, its square w^2 = q1 + 2i q0 with q0 = u_x u_y and
+    q1 = u_x^2 - u_y^2, one forward transform Q (`_packed_square`), then
+    s = alpha Q(k) + beta conj Q(-k) = i (a q1 + b q0), with
+    alpha = i a/2 + b/4, beta = i a/2 - b/4, a = kx ky / |k|^2 and
     b = (ky^2 - kx^2) / |k|^2, and the result (ky s, -kx s), which is
-    P div(u u) exactly.  The weights are applied on the kx >= 0 columns only,
-    read straight from the transform's rows, and the kx < 0 columns are their
-    conjugate mirror, so the result is divergence free, mean free and exactly
-    conjugate symmetric by construction and no projection pass follows.
+    P div(u u) exactly.  The weights are applied on the kx >= 0 columns
+    only, and the kx < 0 columns are their conjugate mirror, so the result is
+    divergence free, mean free and exactly conjugate symmetric by
+    construction and no projection pass follows.
     Other pairs take the gradient form, u_x dv/dx + u_y dv/dy, with no
     condition on div u, and are Leray projected.
     """

@@ -2,10 +2,12 @@
 
 Everything here is deliberately implemented by a different route than the
 package: fields are evaluated by explicit mode summation (no FFT) or by full
-complex FFTs of the whole mode square (the package uses real ones), Fourier
-coefficients are extracted with dense exponential matrices, trilinear forms
-get both a quadrature and a convolution-sum evaluation, and the linear-regime
-statistics come from scalar recursions written from the closed-form update.
+complex FFTs of the whole mode square (the package's transforms are
+real-to-complex), self-advection by two real transforms where the package
+packs u_x + i u_y into one complex one, Fourier coefficients are extracted
+with dense exponential matrices, trilinear forms get both a quadrature and a
+convolution-sum evaluation, and the linear-regime statistics come from
+scalar recursions written from the closed-form update.
 The reference definitions at the end (a single step, per-trajectory norms and
 events, the trajectory-file reader, the moment suite with one ensemble per
 statistic) were once the package's own; its batched stepper and streaming
@@ -175,18 +177,43 @@ def curl_weights(grid) -> tuple[np.ndarray, np.ndarray]:
 
 def self_advection_assembled(grid, u: np.ndarray) -> np.ndarray:
     """Curl-form self-advection with the weights applied to the whole mode
-    square: the assembled output of `from_physical`, both halves, is combined
-    into s = i (a q1 + b q0) and (ky s, -kx s)."""
-    from snse_lab.spectral import from_physical, to_physical
+    square: the packed square Q of w = u_x + i u_y, both halves, is combined
+    into s = alpha Q(k) + beta conj Q(-k), with alpha = i a/2 + b/4 and
+    beta = i a/2 - b/4, and the result is (ky s, -kx s)."""
+    from snse_lab.spectral import _packed_square
 
-    u_phys = to_physical(grid, u)
-    ux, uy = u_phys[..., 0, :, :], u_phys[..., 1, :, :]
-    q = from_physical(grid, np.stack([ux * uy, (ux - uy) * (ux + uy)], axis=-3))
+    q = _packed_square(grid, u)
     curl_a, curl_b = curl_weights(grid)
-    s = curl_a * q[..., 1, :, :]
-    s += curl_b * q[..., 0, :, :]
-    s *= 1j
+    s = (0.5j * curl_a + 0.25 * curl_b) * q
+    s += (0.5j * curl_a - 0.25 * curl_b) * np.conj(q[..., ::-1, ::-1])
     return np.stack([grid.ky * s, -grid.kx * s], axis=-3)
+
+
+def self_advection_half_spectrum(grid, u: np.ndarray) -> np.ndarray:
+    """Curl-form self-advection from two real transforms: u_x and u_y on the
+    grid through the half spectrum (..., N, N//2 + 1), the products
+    q0 = u_x u_y and q1 = (u_x - u_y)(u_x + u_y) transformed back, then
+    s = i (a q1 + b q0) on the kx >= 0 columns, (ky s, -kx s) and the
+    conjugate mirror onto kx < 0."""
+    K, N = grid.max_wavenumber, grid.physical_resolution
+    half = np.zeros(u.shape[:-2] + (N, N // 2 + 1), dtype=np.complex128)
+    half[..., : K + 1, : K + 1] = u[..., K:, K:]
+    half[..., N - K :, : K + 1] = u[..., :K, K:]
+    half[..., : K + 1] = np.fft.ifft(half[..., : K + 1], axis=-2, norm="forward")
+    u_phys = np.fft.irfft(half, n=N, axis=-1, norm="forward")
+    ux, uy = u_phys[..., 0, :, :], u_phys[..., 1, :, :]
+    q = np.stack([ux * uy, (ux - uy) * (ux + uy)], axis=-3)
+    cols = np.fft.fft(np.fft.rfft(q, axis=-1, norm="forward")[..., : K + 1], axis=-2, norm="forward")
+    # rows ky = -K..K of the kx >= 0 columns, the kx = 0 column mirrored
+    cols = np.concatenate([cols[..., N - K :, :], cols[..., : K + 1, :]], axis=-2)
+    cols[..., :K, 0] = np.conj(cols[..., :K:-1, 0])
+    curl_a, curl_b = curl_weights(grid)
+    s = 1j * (curl_a[:, K:] * cols[..., 1, :, :] + curl_b[:, K:] * cols[..., 0, :, :])
+    out = np.empty(u.shape, dtype=np.complex128)
+    out[..., 0, :, K:] = grid.ky[:, K:] * s
+    out[..., 1, :, K:] = -grid.kx[:, K:] * s
+    out[..., :, :K] = np.conj(out[..., ::-1, :K:-1])
+    return out
 
 
 def fancy_index_scatter(model, xi: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:

@@ -290,8 +290,8 @@ class TestStochasticSolve:
 
     def test_step_peak_traced_allocation(self):
         # one batch-64, K=10, 8-step run: 9.46 MB peak traced allocation on
-        # numpy 2.4; pinned with 5% margin
-        assert self._traced_peak(8) <= 1.05 * 9_455_096
+        # numpy 2.4, reached outside the self-advection; pinned with 5% margin
+        assert self._traced_peak(8) <= 1.05 * 9_455_200
 
     def test_peak_traced_allocation_independent_of_horizon(self):
         # the normals are drawn one noise block at a time, so a chunk holds

@@ -1,6 +1,7 @@
 """Spectral operator tests against hand values and independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,9 +360,9 @@ class TestCurlFormSelfAdvection:
         assert np.all(out[..., K, K] == 0.0)
 
     # odd N, the margin N = 3K + 1 (N = 10, 13) and the smallest grid (1, 4)
-    @pytest.mark.parametrize(
-        "K, N", [(1, 4), (3, 10), (3, 11), (4, 13), (10, 32), (10, 33), (16, 50)]
-    )
+    GRIDS = [(1, 4), (3, 10), (3, 11), (4, 13), (10, 32), (10, 33), (16, 50)]
+
+    @pytest.mark.parametrize("K, N", GRIDS)
     @pytest.mark.parametrize("batch", [1, 7, 256])
     def test_half_spectrum_matches_assembled_oracle(self, rng, K, N, batch):
         # the weights on the kx >= 0 columns plus a conjugate mirror give the
@@ -370,16 +371,51 @@ class TestCurlFormSelfAdvection:
         u = _solenoidal_batch(g, rng, batch)
         assert np.array_equal(advection_array(g, u, u), helpers.self_advection_assembled(g, u))
 
+    @pytest.mark.parametrize("K, N", GRIDS)
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    def test_packed_field_matches_two_real_transforms(self, rng, K, N, batch):
+        # one complex transform of u_x + i u_y against two real ones
+        g = SpectralGrid(K, N)
+        u = _solenoidal_batch(g, rng, batch)
+        oracle = helpers.self_advection_half_spectrum(g, u)
+        ours = advection_array(g, u, u)
+        assert np.max(np.abs(ours - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
     def test_half_weights_are_read_only_column_blocks(self):
-        g = SpectralGrid(3, 10)
-        K = g.max_wavenumber
-        curl_a, curl_b = helpers.curl_weights(g)
-        for half, full in (
-            (g.half_curl, np.stack([curl_b, curl_a])),
-            (g.half_curl_k, np.stack([g.ky, -g.kx])),
-        ):
-            assert half.shape == (2, g.n_coeff, K + 1) and not half.flags.writeable
-            assert np.array_equal(half, full[..., K:])
+        # alpha, beta and (ky, -kx) on the kx >= 0 columns, and the phase
+        # exp(-2 pi i (N//2)(x + y) / N) of the packed square, real +-1 for
+        # even N; one even and one odd N
+        for K, N in ((3, 10), (3, 11)):
+            g = SpectralGrid(K, N)
+            curl_a, curl_b = helpers.curl_weights(g)
+            for half, full in (
+                (g.half_alpha, 0.5j * curl_a + 0.25 * curl_b),
+                (g.half_beta, 0.5j * curl_a - 0.25 * curl_b),
+                (g.half_curl_k, np.stack([g.ky, -g.kx])),
+            ):
+                assert half.shape[-2:] == (g.n_coeff, K + 1) and not half.flags.writeable
+                assert np.array_equal(half, full[..., K:])
+            xy = np.add.outer(np.arange(N), np.arange(N))
+            phase = g.packed_phase
+            assert phase.shape == (N, N) and not phase.flags.writeable
+            assert np.iscomplexobj(phase) == bool(N % 2)
+            assert np.allclose(phase, np.exp(-2j * np.pi * (N // 2) * xy / N), rtol=0, atol=1e-14)
+
+    def test_self_call_peak_traced_allocation(self, rng):
+        # one K=10, batch-256 call: the padded complex array (1.16 times the
+        # 3.6 MB state) and the two (2K+1) x (K+1) temporaries of s, freed
+        # before the output; 6.22 MB peak traced allocation on numpy 2.4
+        # (13.0 MB for two real transforms), pinned with 5% margin
+        g = default_grid(10)
+        u = _solenoidal_batch(g, rng, 256)
+        advection_array(g, u, u)  # FFT plans outside the trace
+        tracemalloc.start()
+        try:
+            advection_array(g, u, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 6_217_608
 
     def test_below_product_margin_rejected(self, rng):
         assert not SpectralGrid(4, 12).supports_products()
