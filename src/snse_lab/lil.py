@@ -15,7 +15,7 @@ specific limit is claimed for the upper one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,12 +83,16 @@ class LimitSetProbe:
 
     Every candidate control satisfies half-energy <= 1, so each image lies in
     the limit set; the minimum distance over candidates is an upper bound on
-    the distance to the set, nonincreasing under refinement.
+    the distance to the set, nonincreasing under refinement.  `frames` holds
+    every image's recorded frames in one (size, records, 2, S, S) array, the
+    array the images view when `build_probe` made them; left out, it is
+    stacked from the images.
     """
 
     controls: tuple[Control, ...]
     images: tuple[Trajectory, ...]
     tolerance: float
+    frames: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.controls) != len(self.images) or not self.controls:
@@ -99,6 +103,8 @@ class LimitSetProbe:
                     "probe control exceeds the unit rate ball "
                     f"(half-energy {0.5 * control_energy(h):.6f})"
                 )
+        if self.frames is None:
+            object.__setattr__(self, "frames", np.stack([g.frames for g in self.images]))
 
     @property
     def size(self) -> int:
@@ -140,8 +146,10 @@ def build_probe(
     """Probe from per-direction temporal profiles rescaled to the rate-ball
     boundary, plus optionally the zero element (which always belongs).
 
-    The nonzero controls are solved in one batched skeleton_forward call; the
-    zero control's image is exactly zero and is not integrated.
+    The nonzero controls are solved in one batched skeleton_forward call into
+    the one array that holds every image; the zero control's image is
+    exactly zero and is not integrated.  At record stride 1 the images and
+    the probe's frames are that array.
     """
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
     model = config.noise
@@ -167,9 +175,9 @@ def build_probe(
     first = int(include_zero)
     if len(controls) > first:
         h_values = np.stack([_control_values_on_steps(h, config) for h in controls[first:]])
-        frames[first:] = skeleton_forward(h_values, u0_traj.frames, config)
-    images = _skeleton_trajectories(frames, config)
-    return LimitSetProbe(tuple(controls), tuple(images), tolerance)
+        skeleton_forward(h_values, u0_traj.frames, config, out=frames[first:])
+    recorded, images = _skeleton_trajectories(frames, config)
+    return LimitSetProbe(tuple(controls), tuple(images), tolerance, recorded)
 
 
 @dataclass
@@ -220,8 +228,11 @@ def _parallel_map(fn, arg_list, workers: int) -> list:
         return [fn(a) for a in arg_list]
     from concurrent.futures import ProcessPoolExecutor
 
+    # one chunk of tasks per worker: the arrays every task shares (the
+    # targets, the deterministic frames) are pickled once per chunk, not once
+    # per task
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, arg_list))
+        return list(pool.map(fn, arg_list, chunksize=math.ceil(len(arg_list) / workers)))
 
 
 def strassen_cluster_study(
@@ -242,9 +253,9 @@ def strassen_cluster_study(
     index regardless of the worker count.  u0_traj, the deterministic limit
     recorded at every step (as the probe was built from), is solved when None.
     """
-    targets = np.stack([g.frames for g in probe.images])
     study = _schedule_study(
-        schedule, config, n_reps, seed, workers, lambda e: 1.0 / lil_lambda(e), targets, u0_traj
+        schedule, config, n_reps, seed, workers, lambda e: 1.0 / lil_lambda(e), probe.frames,
+        u0_traj,
     )
     rows = []
     for rep, j, eps, d2 in study:

@@ -150,9 +150,16 @@ def _pair_complex(model: NoiseModel, xi: np.ndarray) -> np.ndarray:
 
 
 def scatter_coefficients(
-    model: NoiseModel, xi: np.ndarray, weights: np.ndarray | None = None
+    model: NoiseModel,
+    xi: np.ndarray,
+    weights: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Field coefficients of sum_j xi_j w_j e_j; batched over leading axes."""
+    """Field coefficients of sum_j xi_j w_j e_j; batched over leading axes.
+
+    Written into `out` when given: a complex (..., 2, S, S) array, which may
+    be a view, whose two last axes are contiguous.
+    """
     xi = np.asarray(xi)
     if xi.shape[-1] != model.n_directions:
         raise NoiseConfigError(
@@ -163,11 +170,17 @@ def scatter_coefficients(
     c = _pair_complex(model, xi)  # (..., P)
     S = model.grid.n_coeff
     H = S * S // 2  # flat index of the zero mode
-    out = np.empty(c.shape[:-1] + (2, S * S), dtype=np.complex128)
+    if out is None:
+        out = np.empty(c.shape[:-1] + (2, S, S), dtype=np.complex128)
+    elif out.shape != c.shape[:-1] + (2, S, S) or out.dtype != np.complex128:
+        raise ValueError(f"out must be complex128 of shape {c.shape[:-1] + (2, S, S)}")
+    flat = out.reshape(c.shape[:-1] + (2, S * S))
+    if not np.may_share_memory(flat, out):  # reshape had to copy
+        raise ValueError("out must hold each field's S x S coefficients contiguously")
     upper = np.take(c, model._upper_source, axis=-1)[..., None, :]
-    np.multiply(upper, model._upper_direction, out=out[..., H:])
-    np.conjugate(out[..., :H:-1], out=out[..., :H])
-    return out.reshape(c.shape[:-1] + (2, S, S))
+    np.multiply(upper, model._upper_direction, out=flat[..., H:])
+    np.conjugate(flat[..., :H:-1], out=flat[..., :H])
+    return out
 
 
 def gather_coefficients(model: NoiseModel, coeffs: np.ndarray) -> np.ndarray:
@@ -217,24 +230,31 @@ def sigma_factor(model: NoiseModel, t: float, u_coeffs: np.ndarray):
     return saturation_factor(model.params, r)
 
 
-def times_factor(field: np.ndarray, factor) -> np.ndarray:
+def times_factor(field: np.ndarray, factor, out: np.ndarray | None = None) -> np.ndarray:
     """field (..., 2, S, S) modulated by a `sigma_factor` value: field itself
-    for the scalar 1.0, else a new array, one factor per leading index."""
-    if np.ndim(factor) == 0:
-        return field if factor == 1.0 else field * factor
-    return field * np.asarray(factor)[..., None, None, None]
+    for the scalar 1.0, else a new array (or `out`), one factor per leading
+    index."""
+    if np.ndim(factor) == 0 and factor == 1.0:
+        return field
+    return np.multiply(field, np.asarray(factor)[..., None, None, None], out=out)
 
 
 def sigma_apply_array(
-    model: NoiseModel, t: float, u_coeffs: np.ndarray, xi: np.ndarray
+    model: NoiseModel,
+    t: float,
+    u_coeffs: np.ndarray,
+    xi: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Coefficients of sigma(t, u) xi; batched when u_coeffs and xi carry a batch axis.
 
     The factor of u_coeffs (..., 2, S, S) broadcasts against xi (..., J), so
-    xi may carry more leading axes than u_coeffs.
+    xi may carry more leading axes than u_coeffs.  The field is scattered
+    into `out` when given (see `scatter_coefficients`), and the factor
+    applied in place.
     """
-    factor = sigma_factor(model, t, u_coeffs)
-    return times_factor(scatter_coefficients(model, xi, weights=model.gains), factor)
+    out = scatter_coefficients(model, xi, weights=model.gains, out=out)
+    return times_factor(out, sigma_factor(model, t, u_coeffs), out=out)
 
 
 def sigma_adjoint_array(

@@ -293,6 +293,11 @@ class _RecordingGrid:
 _NOISE_BLOCK_PATH_STEPS = 256
 
 
+def _noise_block_steps(n_paths: int, n_steps: int) -> int:
+    """Steps of one noise block of a batch of n_paths paths."""
+    return min(max(1, _NOISE_BLOCK_PATH_STEPS // n_paths), n_steps)
+
+
 def _normal_blocks(sources: list, n_dirs: int) -> Callable[[int, int], np.ndarray]:
     """draw(start, stop): the standard normals of steps [start, stop) of every
     path, shape (n, stop - start, n_dirs), in a fresh array.
@@ -350,7 +355,7 @@ def _integrate_batch(
     if on_state:
         on_state(0, 0.0, state)
     sqrt_lam_dt = np.sqrt(model.eigenvalues * config.dt)
-    block = max(1, _NOISE_BLOCK_PATH_STEPS // state.shape[0])
+    block = _noise_block_steps(state.shape[0], n_steps)
     for step in range(n_steps):
         t = step * config.dt
         adv = advection_array(config.grid, state, state) if config.nonlinear else None
@@ -467,45 +472,54 @@ def skeleton_forward(
     h_values: np.ndarray,
     u0_frames: np.ndarray,
     config: SimConfig,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """All frames of the controlled linearization driven by per-step controls.
 
     h_values has shape (..., n_steps, J), one control per leading index;
     u0_frames holds the deterministic limit at every solver step.  Returns
-    (..., n_steps + 1, 2, S, S).  The dynamics are linear in the state and in
-    the control: the noise map is frozen at the deterministic limit, so it is
-    applied to every step in one call before the loop.
+    (..., n_steps + 1, 2, S, S), written into `out` when given (which may be
+    a view, see `scatter_coefficients`).  The dynamics are linear in the
+    state and in the control: the noise map is frozen at the deterministic
+    limit, so it is applied to every step in one call before the loop.  Step
+    n's right-hand side is formed in frame n + 1 and stepped over in place,
+    so the solve holds no array but its output.
     """
     prop = propagator(config.grid, config.dt)
     n = config.n_steps
     S = config.grid.n_coeff
     h_values = np.asarray(h_values)
-    out = np.zeros(h_values.shape[:-2] + (n + 1, 2, S, S), dtype=np.complex128)
-    rhs = sigma_apply_array(config.noise, 0.0, u0_frames[:n], h_values)
+    if out is None:
+        out = np.empty(h_values.shape[:-2] + (n + 1, 2, S, S), dtype=np.complex128)
+    out[..., 0, :, :, :] = 0.0
+    rhs = sigma_apply_array(config.noise, 0.0, u0_frames[:n], h_values, out=out[..., 1:, :, :, :])
     if not config.nonlinear:
         rhs *= prop.phi
     for step in range(n):
         x = out[..., step, :, :, :]
-        r = rhs[..., step, :, :, :]
+        r = out[..., step + 1, :, :, :]
         if config.nonlinear:
             u0 = u0_frames[step]
-            r = r - advection_array(config.grid, x, u0) - advection_array(config.grid, u0, x)
-            r = prop.phi * r
-        out[..., step + 1, :, :, :] = prop.decay * x + r
+            r -= advection_array(config.grid, x, u0)
+            r -= advection_array(config.grid, u0, x)
+            np.multiply(prop.phi, r, out=r)
+        np.add(prop.decay * x, r, out=r)
     return out
 
 
 def _skeleton_trajectories(
     frames: np.ndarray, config: SimConfig, provenance: dict | None = None
-) -> list[Trajectory]:
+) -> tuple[np.ndarray, list[Trajectory]]:
     """Trajectories of skeleton_forward solutions (m, n_steps + 1, 2, S, S),
-    recorded on config's grid by one batched observer pass."""
-    obs = TrajectoryObserver(config)
+    recorded on config's grid by one batched observer pass, and the one
+    (m, records, 2, S, S) array their frames view.  At record stride 1 that
+    array is `frames` itself, not a copy."""
+    obs = TrajectoryObserver(config, frames if config.record_stride == 1 else None)
     obs.on_start(propagator(config.grid, config.dt), frames.shape[0], config.n_steps)
     for idx in range(config.n_steps + 1):
         obs.on_state(idx, idx * config.dt, frames[:, idx])
     data = obs.finish()
-    return [_trajectory(config, data, i, provenance) for i in range(frames.shape[0])]
+    return data["frames"], [_trajectory(config, data, i, provenance) for i in range(len(frames))]
 
 
 def solve_skeleton(
@@ -518,7 +532,7 @@ def solve_skeleton(
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
     h_values = _control_values_on_steps(h, config)
     frames = skeleton_forward(h_values, u0_traj.frames, config)
-    return _skeleton_trajectories(frames[None], config, provenance)[0]
+    return _skeleton_trajectories(frames[None], config, provenance)[1][0]
 
 
 def shifted_diffusion_argument(
@@ -629,30 +643,33 @@ def _glibc_mallopt():
     return mallopt
 
 
-def _reuse_step_memory(state_nbytes: int) -> None:
-    """Have glibc serve a chunk's per-step temporaries from the heap and keep
-    them there once freed, so that the next step reuses their pages.
+def _reuse_step_memory(temp_nbytes: int) -> None:
+    """Have glibc serve a chunk's per-step and per-block temporaries from the
+    heap and keep them there once freed, so that the next step or block
+    reuses their pages.
 
-    Each step allocates a few arrays about the size of the state (transform
-    outputs, the advection, the noise); the largest, a transform's grid
-    array, is at most a quarter larger than the state.  Above the mmap
-    threshold glibc maps each one afresh and unmaps it on free, so every
-    step faults its pages in again.  The mmap threshold is set to twice the
-    state size and the trim threshold, the freed heap top kept in the
-    process, to eight times it.  Setting either also stops glibc's dynamic
-    threshold.  This is done once, and again only for a larger state; under
-    any other C library, or while the state's temporaries fit under the
-    threshold in force, nothing is called.  No value depends on it.
+    temp_nbytes is the chunk's largest such temporary: the state, or the
+    noise block if that is larger (at batch 1 a block holds up to 256 steps
+    of noise).  Each step allocates a few arrays about the size of the state
+    (transform outputs, the advection, the noise); the largest, a
+    transform's grid array, is at most a quarter larger than the state.
+    Above the mmap threshold glibc maps each one afresh and unmaps it on
+    free, so every step faults its pages in again.  The mmap threshold is
+    set to twice temp_nbytes and the trim threshold, the freed heap top kept
+    in the process, to eight times it.  Setting either also stops glibc's
+    dynamic threshold.  This is done once, and again only for a larger
+    temporary; under any other C library, or while the temporaries fit
+    under the threshold in force, nothing is called.  No value depends on it.
     """
     global _mmap_threshold
-    threshold = min(2 * state_nbytes, _GLIBC_MMAP_THRESHOLD_MAX)
+    threshold = min(2 * temp_nbytes, _GLIBC_MMAP_THRESHOLD_MAX)
     if threshold <= _mmap_threshold:
         return
     _mmap_threshold = threshold
     mallopt = _glibc_mallopt()
     if mallopt is not None:
         mallopt(_M_MMAP_THRESHOLD, threshold)
-        mallopt(_M_TRIM_THRESHOLD, min(8 * state_nbytes, 2**31 - 1))  # a C int
+        mallopt(_M_TRIM_THRESHOLD, min(8 * temp_nbytes, 2**31 - 1))  # a C int
 
 
 def ensemble_run(
@@ -689,7 +706,9 @@ def ensemble_run(
         elif config.epsilon > 0.0:
             draw = _normal_blocks([substream(seed, i) for i in paths], J)
         state = np.broadcast_to(_initial_coeffs(config), (len(paths), 2, S, S)).copy()
-        _reuse_step_memory(state.nbytes)
+        # a scattered noise block holds block_steps states' worth of noise
+        block_steps = _noise_block_steps(len(paths), n_steps) if config.epsilon > 0.0 else 1
+        _reuse_step_memory(state.nbytes * max(1, block_steps))
         obs = observer_factory()
         obs.on_start(propagator(config.grid, config.dt), len(paths), n_steps)
         _integrate_batch(config, state, draw, obs)
@@ -703,11 +722,14 @@ class TrajectoryObserver:
 
     sup_h2 and int_v2 run over every solver step (the integral by the
     per-step integrating-factor quadrature); frames, h2 and v2 are kept on
-    the recording grid.
+    the recording grid.  The frames are recorded into `frames` when given,
+    an (n_paths, records, 2, S, S) array; a state that already is its slot
+    (a view of the same memory) is not copied.
     """
 
-    def __init__(self, config: SimConfig):
+    def __init__(self, config: SimConfig, frames: np.ndarray | None = None):
         self.config = config
+        self._out = frames
 
     def on_start(self, prop: Propagator, n_paths: int, n_steps: int):
         self.prop = prop
@@ -715,7 +737,9 @@ class TrajectoryObserver:
         self.rec = _RecordingGrid(n_steps, self.config.record_stride)
         S = prop.grid.n_coeff
         R = len(self.rec)
-        self.frames = np.zeros((n_paths, R, 2, S, S), dtype=np.complex128)
+        self.frames = self._out
+        if self._out is None:
+            self.frames = np.zeros((n_paths, R, 2, S, S), dtype=np.complex128)
         self.h2 = np.zeros((n_paths, R))
         self.v2 = np.zeros((n_paths, R))
         self.sup_h2 = np.zeros(n_paths)

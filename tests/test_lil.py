@@ -1,12 +1,14 @@
 """Iterated-logarithm study tests: rescaled process, probes, studies."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from snse_lab.deviation import AdmissibilityError, ConstantsLedger
+from snse_lab import lil
+from snse_lab.deviation import AdmissibilityError, ConstantsLedger, DiffEnergyObserver
 from snse_lab.lil import (
     GeometricSchedule,
     LimitSetProbe,
@@ -29,7 +31,12 @@ from snse_lab.solvers import (
     solve_skeleton,
     solve_snse,
 )
-from snse_lab.spectral import default_grid, random_solenoidal_field, single_mode_field
+from snse_lab.spectral import (
+    default_grid,
+    random_solenoidal_field,
+    single_mode_field,
+    taylor_green,
+)
 
 import helpers
 from helpers import energy_norm, trajectories_from_ensemble
@@ -235,9 +242,57 @@ class TestClusterStudy:
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
         probe = build_probe(cfg, u0_full, n_shapes=1, tolerance=0.5)
         sched = GeometricSchedule(base=2.0, j_min=8, j_max=9)
-        a = strassen_cluster_study(sched, probe, 2, cfg, seed=7, workers=1)
-        b = strassen_cluster_study(sched, probe, 2, cfg, seed=7, workers=2)
-        assert a.rows == b.rows
+        for n_reps in (2, 5):  # 5 replicates over 2 workers: uneven task chunks
+            a = strassen_cluster_study(sched, probe, n_reps, cfg, seed=7, workers=1)
+            b = strassen_cluster_study(sched, probe, n_reps, cfg, seed=7, workers=2)
+            assert a.rows == b.rows
+
+    @pytest.mark.parametrize("stride", [1, 25])
+    def test_probe_held_once(self, study_setup, monkeypatch, stride):
+        # the images view the probe's one frames array, and the study compares
+        # against that array itself, not a stacked copy
+        g, m, cfg, cfg1, u0_full, u0_rec = study_setup
+        cfg_s = replace(cfg, record_stride=stride)
+        probe = build_probe(cfg_s, u0_full, n_shapes=1, tolerance=0.5)
+        assert probe.frames.shape == (probe.size, probe.images[0].n_records, 2, 3, 3)
+        for image, row in zip(probe.images, probe.frames):
+            assert np.shares_memory(image.frames, probe.frames)
+            assert np.array_equal(image.frames, row)
+        seen = []
+
+        class Recording(DiffEnergyObserver):
+            def __init__(self, config, ref, scale=1.0, targets=None):
+                seen.append(targets)
+                super().__init__(config, ref, scale, targets)
+
+        monkeypatch.setattr(lil, "DiffEnergyObserver", Recording)
+        sched = GeometricSchedule(base=2.0, j_min=8, j_max=9)
+        strassen_cluster_study(sched, probe, 2, cfg_s, seed=7, u0_traj=u0_full)
+        assert len(seen) == 4 and all(t is probe.frames for t in seen)
+
+    def test_probe_and_study_peak_traced_allocation(self):
+        # a 5-control probe of 65 frames at K=10 (4.6 MB, lil-k10's shape) and
+        # a 2-replicate study on it: 9.93 MB peak traced allocation on numpy
+        # 2.4, reached in the probe's skeleton solve; pinned with 5% margin
+        g = default_grid(10)
+        cfg = SimConfig(grid=g, noise=NoiseModel(grid=g), horizon=64e-3, dt=1e-3,
+                        initial=taylor_green(g), nonlinear=True, record_stride=1)
+        u0 = solve_deterministic(cfg)
+        sched = GeometricSchedule(base=2.0, j_min=7, j_max=10)
+
+        def study():
+            probe = build_probe(cfg, u0, directions=[0, 1], n_shapes=2, tolerance=1.0)
+            assert probe.size == 5
+            strassen_cluster_study(sched, probe, 2, cfg, seed=3, u0_traj=u0)
+
+        study()  # caches and FFT plans outside the trace
+        tracemalloc.start()
+        try:
+            study()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 9_934_200
 
     def test_rows_equal_reference_distances(self):
         # streamed distances against limit_set_distance(z_process(...)) on
@@ -309,9 +364,10 @@ class TestRatioStudy:
     def test_workers_do_not_change_results(self, study_setup):
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
         sched = GeometricSchedule(base=2.0, j_min=8, j_max=9)
-        a = classical_ratio_study(sched, 2, cfg, seed=11, workers=1)
-        b = classical_ratio_study(sched, 2, cfg, seed=11, workers=2)
-        assert a.rows == b.rows
+        for n_reps in (2, 5):  # 5 replicates over 2 workers: uneven task chunks
+            a = classical_ratio_study(sched, n_reps, cfg, seed=11, workers=1)
+            b = classical_ratio_study(sched, n_reps, cfg, seed=11, workers=2)
+            assert a.rows == b.rows
 
 
 def _ratio_oracle(cfg, model, eps, n_paths, seed):

@@ -299,17 +299,19 @@ class TestStochasticSolve:
         short, long = self._traced_peak(8), self._traced_peak(128)
         assert abs(long - short) <= 0.05 * short
 
-    @pytest.mark.parametrize("n_paths, lookup, calls", [
-        (1, True, 0), (256, False, 0), (256, True, 2),
-    ], ids=["batch-1", "no-glibc", "batch-256"])
-    def test_allocator_policy(self, monkeypatch, n_paths, lookup, calls):
+    @pytest.mark.parametrize("n_paths, n_steps, lookup, calls", [
+        (1, 2, True, 0), (256, 2, False, 0), (256, 2, True, 2), (1, 64, True, 2),
+    ], ids=["batch-1", "no-glibc", "batch-256", "batch-1-64-steps"])
+    def test_allocator_policy(self, monkeypatch, n_paths, n_steps, lookup, calls):
         # mallopt is called through glibc only, once per process for a chunk
-        # whose per-step temporaries pass the 128 KiB default mmap threshold
-        # (its two parameters, however many ensembles run), and never at
-        # batch 1; the values do not depend on it
+        # whose largest per-step or per-block temporary (the state, or the
+        # noise block of min(256, n_paths * n_steps) path-steps) passes the
+        # 128 KiB default mmap threshold (its two parameters, however many
+        # ensembles run), and never for a 2-step run at batch 1; the values
+        # do not depend on it
         g = default_grid(10)
         cfg = SimConfig(
-            grid=g, noise=NoiseModel(grid=g), horizon=2e-3, dt=1e-3, epsilon=1e-2,
+            grid=g, noise=NoiseModel(grid=g), horizon=n_steps * 1e-3, dt=1e-3, epsilon=1e-2,
             initial=random_solenoidal_field(g, np.random.default_rng(0)),
         )
         seen = []
@@ -332,9 +334,9 @@ class TestStochasticSolve:
             _assert_identical(out, expected)
         assert len(seen) == calls
         if calls:
-            state_nbytes = n_paths * 2 * g.n_coeff**2 * 16
-            assert seen == [(solvers._M_MMAP_THRESHOLD, 2 * state_nbytes),
-                            (solvers._M_TRIM_THRESHOLD, 8 * state_nbytes)]
+            temp_nbytes = min(256, n_paths * n_steps) * 2 * g.n_coeff**2 * 16
+            assert seen == [(solvers._M_MMAP_THRESHOLD, 2 * temp_nbytes),
+                            (solvers._M_TRIM_THRESHOLD, 8 * temp_nbytes)]
 
     def test_ou_moments_exact_discrete(self, grid1, noise1):
         # B off, additive noise: each mode follows the closed-form Gaussian
@@ -631,6 +633,12 @@ class TestSkeleton:
         flat_frames = frames.reshape((-1,) + frames.shape[-4:])
         for hv, got in zip(flat_h, flat_frames):
             assert np.array_equal(got, helpers.skeleton_forward_per_step(hv, u0, cfg))
+        # written into a view: the frames of a larger array, one spare at each end
+        big = np.full(control_axes + (cfg.n_steps + 3, 2, 7, 7), np.nan, dtype=np.complex128)
+        view = big[..., 1:-1, :, :, :]
+        assert solvers.skeleton_forward(h, u0, cfg, out=view) is view
+        assert np.array_equal(view, frames)
+        assert np.isnan(big[..., 0, :, :, :]).all() and np.isnan(big[..., -1, :, :, :]).all()
 
     def test_grid_mismatch_rejected(self, grid1, noise1):
         cfg = SimConfig(grid=grid1, noise=noise1, horizon=0.5, dt=1e-3,
