@@ -54,6 +54,9 @@ from .spectral import (
     advection_array,
     advection_gradient_transpose_array,
     h_norm_sq_array,
+    abs_sq,
+    half_norms_sq,
+    half_spectrum,
     hv_norm_sq_array,
     to_physical,
     weighted_norm_sq,
@@ -460,7 +463,8 @@ class DiffEnergyObserver:
     """Per-path squared trajectory norm on the recording grid of
     z = scale * path - scale * reference (given at every solver step), shape
     (n,), or of z minus each recorded target of a (T, records, 2, S, S) stack,
-    shape (n, T)."""
+    shape (n, T).  z and its differences are formed on the kx >= 0 columns
+    only, all that a norm of a conjugate-symmetric field reads."""
 
     def __init__(self, config: SimConfig, ref_frames_by_step: np.ndarray, scale=1.0, targets=None):
         self.config = config
@@ -478,13 +482,15 @@ class DiffEnergyObserver:
     def on_state(self, idx, t, coeffs):
         slot = self.rec.slot(idx, t)
         if slot is not None:
-            z = coeffs * self.scale
-            z -= self.scale * self.ref[idx]
+            z = half_spectrum(coeffs) * self.scale
+            z -= self.scale * half_spectrum(self.ref[idx])
             self.on_record(slot, z)
 
     def on_record(self, slot, z):
-        d = z if self.targets is None else z[:, None] - self.targets[None, :, slot]
-        self.h2[..., slot], self.v2[..., slot] = hv_norm_sq_array(self.grid, d)
+        """Norms of z, the kx >= 0 columns (n, 2, S, K + 1) of one record."""
+        if self.targets is not None:
+            z = z[:, None] - half_spectrum(self.targets[None, :, slot])
+        self.h2[..., slot], self.v2[..., slot] = half_norms_sq(self.grid, z)
 
     def finish(self) -> dict:
         return {"diff_energy_sq": _sup_plus_integral(self.h2, self.v2, self.rec.times)}
@@ -663,7 +669,7 @@ class _ConditionalObserver(DiffEnergyObserver):
         if slot % self.per_cell == 0 and slot < len(self.rec) - 1:
             self.anchor = z
         inc = z - self.anchor
-        self.inc_h2[:, slot], self.inc_v2[:, slot] = hv_norm_sq_array(self.grid, inc)
+        self.inc_h2[:, slot], self.inc_v2[:, slot] = half_norms_sq(self.grid, inc)
 
     def finish(self) -> dict:
         return {
@@ -770,6 +776,7 @@ class _MomentObserver:
     def on_start(self, prop, n_paths, n_steps):
         self.prop = prop
         self.n_steps = n_steps
+        self.a_weight = self.grid.half_k2 * half_spectrum(self.grid.k2)
         n = n_paths
         self.sup_h2 = np.zeros(n)
         self.int_v2 = np.zeros(n)
@@ -784,21 +791,23 @@ class _MomentObserver:
 
     def on_state(self, idx, t, coeffs):
         dt = self.config.dt
-        a2 = np.abs(coeffs) ** 2
-        h2, v2 = weighted_norm_sq(a2), weighted_norm_sq(a2, self.grid.k2)
+        a2 = abs_sq(half_spectrum(coeffs))
+        h2 = weighted_norm_sq(a2, self.grid.half_weight)
+        v2 = weighted_norm_sq(a2, self.grid.half_k2)
         np.maximum(self.sup_h2, h2, out=self.sup_h2)
         np.maximum(self.sup_h4, h2**2, out=self.sup_h4)
         for p in self.p_list:
             np.maximum(self.sup_h2p[p], h2**p, out=self.sup_h2p[p])
             np.maximum(self.sup_v2p[p], v2**p, out=self.sup_v2p[p])
         if idx < self.n_steps:
-            self.int_v2 += weighted_norm_sq(a2, self.prop.int_weight)
+            self.int_v2 += weighted_norm_sq(a2, self.prop.half_int_weight)
             self.int_h2v2 += h2 * v2 * dt
             for p in self.p_list:
                 self.int_h2p[p] += h2 ** (p - 1) * v2 * dt
-            self.int_a2 += weighted_norm_sq(a2, self.grid.k2**2) * dt
+            self.int_a2 += weighted_norm_sq(a2, self.a_weight) * dt
         if self.u0 is not None:
-            dh2, dv2 = hv_norm_sq_array(self.grid, coeffs - self.u0[idx])
+            d = half_spectrum(coeffs) - half_spectrum(self.u0[idx])
+            dh2, dv2 = half_norms_sq(self.grid, d)
             np.maximum(self.sup_d2, dh2, out=self.sup_d2)
             if idx < self.n_steps:
                 self.int_dv2 += dv2 * dt
@@ -874,8 +883,10 @@ class _RemainderObserver:
         _blowup_guard(self.y, self.scale, step)
 
     def on_state(self, idx, t, coeffs):
-        rem = coeffs - self.u0[idx] - self.sqrt_eps * self.y
-        np.maximum(self.sup, h_norm_sq_array(self.config.grid, rem), out=self.sup)
+        rem = half_spectrum(coeffs) - half_spectrum(self.u0[idx])
+        rem -= self.sqrt_eps * half_spectrum(self.y)
+        h2 = weighted_norm_sq(abs_sq(rem), self.config.grid.half_weight)
+        np.maximum(self.sup, h2, out=self.sup)
 
     def finish(self) -> dict:
         return {"sup": self.sup}

@@ -136,17 +136,29 @@ class NoiseModel:
         return SpectralField(self.grid, scatter_coefficients(self, xi))
 
 
-def _pair_complex(model: NoiseModel, xi: np.ndarray) -> np.ndarray:
-    """Combine (cos, sin) coefficients into one complex amplitude per pair."""
-    J, P = model.n_directions, model.n_pairs
-    xi = np.asarray(xi, dtype=np.float64)
-    if xi.shape[-1] != J:
-        raise NoiseConfigError(
-            f"coefficient vector has length {xi.shape[-1]}, expected {J}"
-        )
-    if J < 2 * P:
-        xi = np.concatenate([xi, np.zeros(xi.shape[:-1] + (2 * P - J,))], axis=-1)
-    return 0.5 * model._basis_amp * (xi[..., 0::2] - 1j * xi[..., 1::2])
+def at_directions(model: NoiseModel, per_mode: np.ndarray) -> np.ndarray:
+    """Values (J,) of a per-mode array (S, S), symmetric in k, at each
+    direction's wavevector."""
+    return np.repeat(per_mode.reshape(-1)[model._pos_plus], 2)[: model.n_directions]
+
+
+def _pair_amplitudes(model: NoiseModel, xi: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """One complex amplitude per pair, (..., P): b (w xi)_cos - i b (w xi)_sin,
+    b half the unit basis amplitude, formed in its one array."""
+    J = model.n_directions
+    c = np.empty(xi.shape[:-1] + (model.n_pairs,), dtype=np.complex128)
+    re, im = c.real, c.imag[..., : J // 2]
+    if weights is None:
+        re[...] = xi[..., 0::2]
+        im[...] = xi[..., 1::2]
+    else:
+        np.multiply(xi[..., 0::2], weights[0::2], out=re)
+        np.multiply(xi[..., 1::2], weights[1::2], out=im)
+    c.imag[..., J // 2 :] = 0.0  # the sine of a pair left out, for odd J
+    b = 0.5 * model._basis_amp
+    re *= b
+    c.imag *= -b
+    return c
 
 
 def scatter_coefficients(
@@ -158,16 +170,16 @@ def scatter_coefficients(
     """Field coefficients of sum_j xi_j w_j e_j; batched over leading axes.
 
     Written into `out` when given: a complex (..., 2, S, S) array, which may
-    be a view, whose two last axes are contiguous.
+    be a view, whose two last axes are contiguous.  Beyond `out`, it holds
+    the (..., P) pair amplitudes and their (..., S^2 // 2 + 1) gather onto
+    the upper half.
     """
-    xi = np.asarray(xi)
+    xi = np.asarray(xi, dtype=np.float64)
     if xi.shape[-1] != model.n_directions:
         raise NoiseConfigError(
             f"coefficient vector has length {xi.shape[-1]}, expected {model.n_directions}"
         )
-    if weights is not None:
-        xi = xi * weights
-    c = _pair_complex(model, xi)  # (..., P)
+    c = _pair_amplitudes(model, xi, weights)
     S = model.grid.n_coeff
     H = S * S // 2  # flat index of the zero mode
     if out is None:

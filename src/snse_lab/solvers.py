@@ -30,6 +30,7 @@ import numpy as np
 from .noise import (
     Control,
     NoiseModel,
+    at_directions,
     scatter_coefficients,
     sigma_apply_array,
     sigma_factor,
@@ -41,6 +42,8 @@ from .spectral import (
     SpectralGrid,
     TWO_PI,
     advection_array,
+    abs_sq,
+    half_spectrum,
     hv_norm_sq_array,
     weighted_norm_sq,
     zero_field,
@@ -148,7 +151,9 @@ class Propagator:
         self.phi_rate = phi / dt
         # exact integral of ||u||^2 over one pure-decay step, per unit |u_k|^2
         self.int_weight = (1.0 - self.decay**2) / 2.0
-        for arr in (self.decay, self.phi, self.phi_rate, self.int_weight):
+        # on the kx >= 0 columns that the observers' norms read
+        self.half_int_weight = grid.half_weight * half_spectrum(self.int_weight)
+        for arr in (self.decay, self.phi, self.phi_rate, self.int_weight, self.half_int_weight):
             arr.setflags(write=False)
 
 
@@ -173,7 +178,10 @@ def _guard_scale(config: SimConfig, u0_coeffs: np.ndarray) -> float:
 
 
 def _blowup_guard(coeffs: np.ndarray, scale: float, step: int) -> None:
-    peak = np.max(np.abs(coeffs))
+    """Raise IntegrationError for a non-finite state or one whose largest
+    amplitude exceeds scale.  The state is conjugate symmetric and
+    |conj c| = |c|, so the kx >= 0 columns hold its largest amplitude."""
+    peak = np.max(np.abs(half_spectrum(coeffs)))
     if not np.isfinite(peak):
         raise IntegrationError(step, "non-finite coefficients")
     if peak > scale:
@@ -288,14 +296,19 @@ class _RecordingGrid:
         return None
 
 
-# path-steps of noise drawn and scattered per call of the stepper: one step at
-# batch 256; a chunk holds no other normals
-_NOISE_BLOCK_PATH_STEPS = 256
+# bytes of scattered noise formed per call of the stepper: 256 states of
+# K = 10, one step at batch 256; a chunk holds no other normals
+_NOISE_BLOCK_BYTES = 256 * 2 * 21**2 * 16
 
 
-def _noise_block_steps(n_paths: int, n_steps: int) -> int:
-    """Steps of one noise block of a batch of n_paths paths."""
-    return min(max(1, _NOISE_BLOCK_PATH_STEPS // n_paths), n_steps)
+def _noise_block_steps(grid: SpectralGrid, n_paths: int, n_steps: int) -> int:
+    """Steps of one noise block of a batch of n_paths paths on grid.
+
+    A path-step's scattered noise field, one complex state, is larger than
+    its J <= S^2 - 1 normals, so it alone is held to the budget.
+    """
+    path_step_nbytes = 2 * grid.n_coeff**2 * 16
+    return min(n_steps, max(1, _NOISE_BLOCK_BYTES // (n_paths * path_step_nbytes)))
 
 
 def _normal_blocks(sources: list, n_dirs: int) -> Callable[[int, int], np.ndarray]:
@@ -338,11 +351,15 @@ def _integrate_batch(
     the pre-step state before the state is updated in place, with no second
     state-sized array.
 
-    The normals are drawn, and the noise field scatter(dW * gains), which
-    does not read the state, is formed, for a block of steps at once,
-    _NOISE_BLOCK_PATH_STEPS path-steps per call; only a state-dependent
-    family's factor is applied per step.  Every operation is elementwise, so
-    the values do not depend on the block.
+    The normals are drawn, and the noise field, which does not read the
+    state, is scattered, for a block of steps at once, up to
+    _NOISE_BLOCK_BYTES of noise field per call (`_noise_block_steps`).  For a
+    state-independent family the scatter weight of direction j is
+    gain_j sqrt(eps) phi_rate(k_j), with k_j its mode, so the block is the
+    step's whole noise term; a state-dependent family's block is
+    scatter(dW * gains), and its factor, sqrt(eps) and phi_rate are applied
+    per step.  Every operation is elementwise, so the values do not depend
+    on the block.
     """
     prop = propagator(config.grid, config.dt)
     model = config.noise
@@ -355,7 +372,10 @@ def _integrate_batch(
     if on_state:
         on_state(0, 0.0, state)
     sqrt_lam_dt = np.sqrt(model.eigenvalues * config.dt)
-    block = _noise_block_steps(state.shape[0], n_steps)
+    weights = model.gains
+    if not model.state_dependent:
+        weights = model.gains * sqrt_eps * at_directions(model, prop.phi_rate)
+    block = _noise_block_steps(config.grid, state.shape[0], n_steps)
     for step in range(n_steps):
         t = step * config.dt
         adv = advection_array(config.grid, state, state) if config.nonlinear else None
@@ -366,10 +386,7 @@ def _integrate_batch(
                 dW_block = draw_normals(step, min(step + block, n_steps))
                 dW_block *= sqrt_lam_dt
                 if config.epsilon > 0.0:
-                    noise_block = scatter_coefficients(model, dW_block, weights=model.gains)
-                    if not model.state_dependent:
-                        noise_block *= sqrt_eps
-                        noise_block *= prop.phi_rate
+                    noise_block = scatter_coefficients(model, dW_block, weights=weights)
             if on_noise:
                 on_noise(step, t, state, dW_block[:, i])
             if config.epsilon > 0.0 and model.state_dependent:
@@ -649,8 +666,8 @@ def _reuse_step_memory(temp_nbytes: int) -> None:
     reuses their pages.
 
     temp_nbytes is the chunk's largest such temporary: the state, or the
-    noise block if that is larger (at batch 1 a block holds up to 256 steps
-    of noise).  Each step allocates a few arrays about the size of the state
+    noise block if that is larger (up to _NOISE_BLOCK_BYTES, 256 states of
+    K = 10).  Each step allocates a few arrays about the size of the state
     (transform outputs, the advection, the noise); the largest, a
     transform's grid array, is at most a quarter larger than the state.
     Above the mmap threshold glibc maps each one afresh and unmaps it on
@@ -707,7 +724,9 @@ def ensemble_run(
             draw = _normal_blocks([substream(seed, i) for i in paths], J)
         state = np.broadcast_to(_initial_coeffs(config), (len(paths), 2, S, S)).copy()
         # a scattered noise block holds block_steps states' worth of noise
-        block_steps = _noise_block_steps(len(paths), n_steps) if config.epsilon > 0.0 else 1
+        block_steps = 1
+        if config.epsilon > 0.0:
+            block_steps = _noise_block_steps(config.grid, len(paths), n_steps)
         _reuse_step_memory(state.nbytes * max(1, block_steps))
         obs = observer_factory()
         obs.on_start(propagator(config.grid, config.dt), len(paths), n_steps)
@@ -746,16 +765,16 @@ class TrajectoryObserver:
         self.int_v2 = np.zeros(n_paths)
 
     def on_state(self, idx, t, coeffs):
-        a2 = np.abs(coeffs) ** 2
-        h2 = weighted_norm_sq(a2)
+        a2 = abs_sq(half_spectrum(coeffs))
+        h2 = weighted_norm_sq(a2, self.prop.grid.half_weight)
         slot = self.rec.slot(idx, t)
         if slot is not None:
             self.frames[:, slot] = coeffs
             self.h2[:, slot] = h2
-            self.v2[:, slot] = weighted_norm_sq(a2, self.prop.grid.k2)
+            self.v2[:, slot] = weighted_norm_sq(a2, self.prop.grid.half_k2)
         np.maximum(self.sup_h2, h2, out=self.sup_h2)
         if idx < self.n_steps:
-            self.int_v2 += weighted_norm_sq(a2, self.prop.int_weight)
+            self.int_v2 += weighted_norm_sq(a2, self.prop.half_int_weight)
 
     def finish(self) -> dict:
         n = self.frames.shape[0]

@@ -18,7 +18,10 @@ by conjugate symmetry.  Conjugate symmetry of the coefficients is therefore a
 precondition of every transform: `to_physical` reads only the kx >= 0 half and
 `from_physical` writes the kx < 0 half as its conjugate mirror.  The one
 exception is self-advection, which transforms the complex field u_x + i u_y
-on a full N x N grid with its modes centered (`_packed_square`).
+on a full N x N grid with its modes centered (`_packed_square`).  It is a
+precondition of the squared norms too: by Parseval they read only the kx >= 0
+columns (`half_spectrum`), with weights that count kx > 0 twice and kx = 0
+once (`SpectralGrid.half_weight`).
 """
 
 from __future__ import annotations
@@ -81,6 +84,10 @@ class SpectralGrid:
         half_alpha = (0.5j * curl_a + 0.25 * curl_b)[:, K:].copy()
         half_beta = (0.5j * curl_a - 0.25 * curl_b)[:, K:].copy()
         half_curl_k = np.stack([ky, -kx])[:, :, K:].copy()
+        # Parseval on the kx >= 0 columns of a conjugate-symmetric field:
+        # kx > 0 counted twice, for its kx < 0 mirror, and kx = 0 once
+        half_weight = np.where(kx[:, K:] > 0, 2.0, 1.0)
+        half_k2 = half_weight * k2[:, K:]
         # exp(-2 pi i (N//2) (x + y) / N) at grid indices (y, x): takes the
         # square of centered grid values to a centered forward transform;
         # (-1)^(x + y) for even N
@@ -92,6 +99,7 @@ class SpectralGrid:
         for name, arr in (
             ("kx", kx), ("ky", ky), ("k2", k2), ("half_alpha", half_alpha),
             ("half_beta", half_beta), ("half_curl_k", half_curl_k),
+            ("half_weight", half_weight), ("half_k2", half_k2),
             ("packed_phase", packed_phase),
         ):
             arr.setflags(write=False)
@@ -368,31 +376,56 @@ def advection_form(u: SpectralField, v: SpectralField, w: SpectralField) -> floa
     return float(integrand.sum() / integrand[0].size * TWO_PI**2)
 
 
-def weighted_norm_sq(a2: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
-    """(2 pi)^2 sum_k weight_k a2_k over the (2, S, S) axes, batched.
+def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
+    """The kx >= 0 columns of centered arrays (..., S, S), a view of shape
+    (..., S, K + 1): all that a norm of a conjugate-symmetric field reads.
 
-    `a2` is |c|^2 of a state, computed once and shared by every norm of it.
+    Every norm and the blow-up guard take their input through this one view.
     """
-    return TWO_PI**2 * np.sum(a2 if weight is None else weight * a2, axis=(-3, -2, -1))
+    return coeffs[..., coeffs.shape[-1] // 2 :]
+
+
+def abs_sq(c: np.ndarray) -> np.ndarray:
+    """|c|^2 in a new array: np.abs, then squared in place."""
+    a2 = np.abs(c)
+    a2 *= a2
+    return a2
+
+
+def weighted_norm_sq(a2: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """(2 pi)^2 sum_k weight_k a2_k over the (2, S, K + 1) axes, batched.
+
+    `a2` is `abs_sq` of the kx >= 0 columns of a state, computed once and
+    shared by every norm of it; `weight` is a per-mode weight on those
+    columns that counts kx > 0 twice, as `SpectralGrid.half_weight` (the L2
+    norm) and `half_k2` (the gradient norm) do.
+    """
+    return TWO_PI**2 * np.sum(weight * a2, axis=(-3, -2, -1))
+
+
+def half_norms_sq(grid: SpectralGrid, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared L2 and gradient norms, batched, from the kx >= 0 columns
+    (..., 2, S, K + 1) of conjugate-symmetric coefficients, one |c|^2."""
+    a2 = abs_sq(half)
+    return weighted_norm_sq(a2, grid.half_weight), weighted_norm_sq(a2, grid.half_k2)
 
 
 def h_norm_sq_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Squared L2 velocity norm, batched: (..., 2, S, S) -> (...)."""
-    return weighted_norm_sq(np.abs(coeffs) ** 2)
+    """Squared L2 velocity norm, batched: (..., 2, S, S) -> (...).
+
+    The coefficients must be conjugate symmetric: only kx >= 0 is read."""
+    return weighted_norm_sq(abs_sq(half_spectrum(coeffs)), grid.half_weight)
 
 
 def v_norm_sq_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Squared gradient norm, batched."""
-    return weighted_norm_sq(np.abs(coeffs) ** 2, grid.k2)
+    """Squared gradient norm, batched; conjugate-symmetric coefficients."""
+    return weighted_norm_sq(abs_sq(half_spectrum(coeffs)), grid.half_k2)
 
 
 def hv_norm_sq_array(grid: SpectralGrid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both squared norms, (h_norm_sq_array, v_norm_sq_array), from one |c|^2."""
-    a2 = np.abs(coeffs)
-    a2 *= a2
-    h2 = weighted_norm_sq(a2)
-    a2 *= grid.k2
-    return h2, weighted_norm_sq(a2)
+    """Both squared norms, (h_norm_sq_array, v_norm_sq_array), from one |c|^2;
+    conjugate-symmetric coefficients."""
+    return half_norms_sq(grid, half_spectrum(coeffs))
 
 
 @dataclass(frozen=True)

@@ -448,10 +448,19 @@ def step_snse(u, f_t, epsilon, dW, dt, model, t=0.0, nonlinear=True):
 
 def step_int_v2(prop, coeffs: np.ndarray) -> np.ndarray:
     """Exact integral of ||u||^2 over one pure-decay step of `prop` from
-    coeffs (..., 2, S, S), as the package's observers accumulate it."""
-    from snse_lab.spectral import weighted_norm_sq
+    coeffs (..., 2, S, S), as the package's observers accumulate it: on the
+    kx >= 0 columns, kx > 0 counted twice."""
+    from snse_lab.spectral import abs_sq, half_spectrum, weighted_norm_sq
 
-    return weighted_norm_sq(np.abs(coeffs) ** 2, prop.int_weight)
+    return weighted_norm_sq(abs_sq(half_spectrum(coeffs)), prop.half_int_weight)
+
+
+def full_norm_sq(coeffs: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+    """(2 pi)^2 sum over every mode of weight_k |c_k|^2, (..., 2, S, S) -> (...):
+    a squared norm summed over the whole spectrum, where the package sums
+    the kx >= 0 half of a conjugate-symmetric field."""
+    a2 = np.abs(coeffs) ** 2
+    return TWO_PI**2 * np.sum(a2 if weight is None else weight * a2, axis=(-3, -2, -1))
 
 
 def noise_trace(model) -> float:

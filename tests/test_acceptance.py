@@ -5,7 +5,8 @@ criterion.  The deviation-exponent criterion asserts the quadratic power
 stated for the second moment of the deviation from the zero-noise limit; for
 square-root-scaled nondegenerate noise that moment is linear in the noise
 intensity (variance scaling), so the test is expected to fail and is marked
-strict-xfail with the measured exponent printed; see the project notes.
+strict-xfail with the measured exponent printed; see the "deliberate,
+documented red" passage of README.md.
 """
 
 import json
@@ -253,7 +254,7 @@ class TestCriterionMomentScaling:
             "sqrt(intensity) from the noise term, so its second moment is "
             "linear in the intensity; the quadratic power stated for this "
             "bound is not attainable for nondegenerate square-root-scaled "
-            "noise (see notes/decisions.md)"
+            "noise (see the 'deliberate, documented red' passage of README.md)"
         ),
     )
     def test_deviation_second_moment_exponent_two(self, scaling_fits):

@@ -59,6 +59,37 @@ class TestConfig:
         assert manifest["status"] == "ok"
         assert manifest["outputs"]
 
+    @pytest.mark.parametrize("kind", ["simulate", "skeleton", "rate", "mdp-scaling",
+                                      "fw-probe", "moments", "lil-strassen",
+                                      "lil-classical", "verify"])
+    def test_norms_read_conjugate_symmetric_inputs(self, tmp_path, kind, monkeypatch):
+        # every norm and the blow-up guard read a field through its kx >= 0
+        # columns (`half_spectrum`), which hold its whole norm only if it is
+        # conjugate symmetric: every example kind, nonlinear but for rate's
+        # slow optimizer, passes them nothing else
+        from snse_lab import deviation, solvers, spectral
+
+        half_spectrum = spectral.half_spectrum
+        seen, asymmetric = [], []
+
+        def checked(coeffs):
+            defect = np.max(np.abs(coeffs - np.conj(coeffs[..., ::-1, ::-1])), initial=0.0)
+            if defect > 1e-12 * max(np.max(np.abs(coeffs), initial=0.0), 1e-300):
+                asymmetric.append((coeffs.shape, defect))
+            seen.append(coeffs.shape)
+            return half_spectrum(coeffs)
+
+        for module in (spectral, solvers, deviation):
+            monkeypatch.setattr(module, "half_spectrum", checked)
+        cfg = example_config(kind)
+        cfg["solver"]["nonlinear"] = kind != "rate"
+        if "samples" in cfg["experiment"]:
+            cfg["experiment"]["samples"] = 30
+        if "replicates" in cfg["experiment"]:
+            cfg["experiment"]["replicates"] = 2
+        assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
+        assert seen and not asymmetric
+
     def test_schema_violation_names_keys(self):
         cfg = example_config("simulate")
         cfg["solver"]["dt"] = -1.0

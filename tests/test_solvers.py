@@ -37,9 +37,11 @@ from snse_lab.solvers import (
     TrajectoryObserver,
 )
 from snse_lab.spectral import (
+    abs_sq,
     default_grid,
     divergence_defect,
     h_norm_sq_array,
+    half_spectrum,
     random_solenoidal_field,
     single_mode_field,
     taylor_green,
@@ -208,7 +210,8 @@ class TestStochasticSolve:
 
     def test_observer_norms_equal_separate_calls(self, grid3, noise3, rng):
         # both observers square |c| once per state; every norm stays bitwise
-        # equal to the one-norm-per-call definitions
+        # equal to the one-norm-per-call definitions on the kx >= 0 half, and
+        # within 1e-14 of the sums over the whole spectrum
         cfg = SimConfig(grid=grid3, noise=noise3, horizon=0.03, dt=1e-3, epsilon=1e-2,
                         initial=random_solenoidal_field(grid3, rng, amplitude=0.1),
                         record_stride=1)
@@ -222,15 +225,25 @@ class TestStochasticSolve:
         assert np.array_equal(mom["sup_h2"], h2.max(axis=1))
         prop = Propagator(grid3, cfg.dt)
         int_v2, int_h2v2, int_a2 = np.zeros(4), np.zeros(4), np.zeros(4)
+        full_int_v2, full_int_a2 = np.zeros(4), np.zeros(4)
         for i in range(frames.shape[1] - 1):
             int_v2 += helpers.step_int_v2(prop, frames[:, i])
             int_h2v2 += h2[:, i] * v2[:, i] * cfg.dt
-            a_sq = TWO_PI**2 * np.sum(grid3.k2**2 * np.abs(frames[:, i]) ** 2, axis=(-3, -2, -1))
+            a2 = abs_sq(half_spectrum(frames[:, i]))
+            a_weight = grid3.half_k2 * half_spectrum(grid3.k2)
+            a_sq = TWO_PI**2 * np.sum(a_weight * a2, axis=(-3, -2, -1))
             int_a2 += a_sq * cfg.dt
+            full_int_v2 += helpers.full_norm_sq(frames[:, i], prop.int_weight)
+            full_int_a2 += helpers.full_norm_sq(frames[:, i], grid3.k2**2) * cfg.dt
         assert np.array_equal(traj["int_v2"], int_v2)
         assert np.array_equal(mom["int_v2"], int_v2)
         assert np.array_equal(mom["int_h2v2"], int_h2v2)
         assert np.array_equal(mom["int_a2"], int_a2)
+        for ours, full in (
+            (h2, helpers.full_norm_sq(frames)), (v2, helpers.full_norm_sq(frames, grid3.k2)),
+            (int_v2, full_int_v2), (int_a2, full_int_a2),
+        ):
+            np.testing.assert_allclose(ours, full, rtol=1e-14, atol=0)
 
     def test_on_noise_sees_pre_step_state(self, grid3):
         # the batched step updates the state in place only after the hooks:
@@ -265,9 +278,9 @@ class TestStochasticSolve:
                 u = step_snse(u, cfg.forcing, eps, dW[step] * sqrt_lam_dt, cfg.dt, noise, t)
 
     @staticmethod
-    def _traced_peak(n_steps: int) -> int:
-        """Peak traced allocation of one batch-64, K=10 ensemble of n_steps."""
-        g = default_grid(10)
+    def _traced_peak(n_steps: int, K: int = 10) -> int:
+        """Peak traced allocation of one batch-64 ensemble of n_steps at K."""
+        g = default_grid(K)
         cfg = SimConfig(
             grid=g, noise=NoiseModel(grid=g), horizon=n_steps * 1e-3, dt=1e-3, epsilon=1e-2,
             initial=random_solenoidal_field(g, np.random.default_rng(0)),
@@ -295,9 +308,35 @@ class TestStochasticSolve:
 
     def test_peak_traced_allocation_independent_of_horizon(self):
         # the normals are drawn one noise block at a time, so a chunk holds
-        # the same memory at 8 and at 128 steps
-        short, long = self._traced_peak(8), self._traced_peak(128)
-        assert abs(long - short) <= 0.05 * short
+        # the same memory at both horizons: at K=10 a 64-path block is 4
+        # steps, at K=1 it is 196 (its byte budget), and the K=1 horizons
+        # span 2 and 16 blocks
+        for K, short_steps, long_steps in ((10, 8, 128), (1, 392, 3136)):
+            short = self._traced_peak(short_steps, K)
+            long = self._traced_peak(long_steps, K)
+            assert abs(long - short) <= 0.05 * short, K
+
+    def test_small_grid_draws_normals_by_the_block(self, grid1, noise1, monkeypatch):
+        # a noise block is sized in bytes: at K=1 a 256-path block holds
+        # 3612672 // (256 * 288) = 49 steps, so each path of a 1000-step
+        # chunk draws its normals in 21 calls, not in one call per step
+        cfg = SimConfig(grid=grid1, noise=noise1, horizon=1.0, dt=1e-3, epsilon=1e-2,
+                        initial=single_mode_field(grid1, (1, 0), (0.0, 1.0)), nonlinear=False)
+        u0 = solve_deterministic(cfg)
+        calls = []
+
+        class Counting(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                calls.append(kwargs["out"].shape)
+                return super().standard_normal(*args, **kwargs)
+
+        expected = ensemble_run(cfg, 3, 256, lambda: DiffEnergyObserver(cfg, u0.frames))
+        monkeypatch.setattr(
+            solvers, "substream", lambda seed, i: Counting(substream(seed, i).bit_generator))
+        out = ensemble_run(cfg, 3, 256, lambda: DiffEnergyObserver(cfg, u0.frames))
+        assert len(calls) == 256 * 21
+        assert sorted(set(calls)) == [(20, 2), (49, 2)]
+        _assert_identical(out, expected)
 
     @pytest.mark.parametrize("n_paths, n_steps, lookup, calls", [
         (1, 2, True, 0), (256, 2, False, 0), (256, 2, True, 2), (1, 64, True, 2),
@@ -421,6 +460,45 @@ class TestStochasticSolve:
             runs[solver]()
         assert exc.value.step >= 0
 
+    @pytest.mark.parametrize("solver", ["solve_snse", "ensemble_run"])
+    def test_guard_fails_at_the_full_spectrum_step(self, grid3, noise3, solver, monkeypatch):
+        # the guard reads the kx >= 0 half, where a conjugate-symmetric state
+        # holds its largest amplitude: a forced blow-up and an overflow to NaN
+        # fail at the same steps, 153 and 9, as a guard over every mode
+        rng = np.random.default_rng(2)
+        forced = SimConfig(
+            grid=grid3, noise=noise3, horizon=0.2, dt=1e-3, epsilon=1e-3,
+            initial=random_solenoidal_field(grid3, rng, amplitude=0.05),
+            forcing=single_mode_field(grid3, (1, 2), (3.0, -1.5)), blowup_factor=2.0,
+        )
+        unstable = SimConfig(
+            grid=grid3, noise=noise3, horizon=5.0, dt=0.05, epsilon=1e-3,
+            initial=random_solenoidal_field(grid3, np.random.default_rng(5), amplitude=50.0),
+            blowup_factor=math.inf,
+        )
+        runs = {
+            "solve_snse": lambda cfg: solve_snse(cfg, seed=1),
+            "ensemble_run": lambda cfg: ensemble_run(cfg, 1, 5, lambda: TrajectoryObserver(cfg)),
+        }
+
+        def full_guard(coeffs, scale, step):
+            peak = np.max(np.abs(coeffs))
+            if not np.isfinite(peak):
+                raise IntegrationError(step, "non-finite coefficients")
+            if peak > scale:
+                raise IntegrationError(step, f"amplitude {peak:.3e} exceeded blowup guard")
+
+        for cfg, step, message in ((forced, 153, "amplitude 3.196e-01 exceeded"),
+                                   (unstable, 9, "non-finite")):
+            steps = []
+            for guard in (solvers._blowup_guard, full_guard):
+                monkeypatch.setattr(solvers, "_blowup_guard", guard)
+                with pytest.raises(IntegrationError, match=message) as exc, \
+                        np.errstate(over="ignore", invalid="ignore"):
+                    runs[solver](cfg)
+                steps.append(exc.value.step)
+            assert steps == [step, step]
+
     def test_divergence_preserved_nonlinear(self, rng):
         g = default_grid(5)
         m = NoiseModel(grid=g)
@@ -488,9 +566,10 @@ def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
     for module in (solvers, deviation, lil):
         monkeypatch.setattr(module, "ensemble_run", spy)
     outputs = []
+    path_step_nbytes = 2 * grid.n_coeff**2 * 16  # one path-step's noise field
     for chunk, block in itertools.product((1, 7, 256), (1, 7, 256)):
         monkeypatch.setattr(solvers, "_CHUNK_PATHS", chunk)
-        monkeypatch.setattr(solvers, "_NOISE_BLOCK_PATH_STEPS", block)
+        monkeypatch.setattr(solvers, "_NOISE_BLOCK_BYTES", block * path_step_nbytes)
         captured.clear()
         result = runs[kind]()
         assert captured or kind == "solve_snse"

@@ -392,6 +392,8 @@ class TestCurlFormSelfAdvection:
                 (g.half_alpha, 0.5j * curl_a + 0.25 * curl_b),
                 (g.half_beta, 0.5j * curl_a - 0.25 * curl_b),
                 (g.half_curl_k, np.stack([g.ky, -g.kx])),
+                (g.half_weight, np.where(g.kx > 0, 2.0, 1.0)),
+                (g.half_k2, np.where(g.kx > 0, 2.0, 1.0) * g.k2),
             ):
                 assert half.shape[-2:] == (g.n_coeff, K + 1) and not half.flags.writeable
                 assert np.array_equal(half, full[..., K:])
@@ -431,10 +433,33 @@ class TestNormPair:
     def test_equals_separate_norms_bitwise(self, rng, shape):
         g = default_grid(5)
         S = g.n_coeff
-        c = rng.standard_normal(shape + (2, S, S)) + 1j * rng.standard_normal(shape + (2, S, S))
+        c = _symmetric_batch(g, rng, math.prod(shape)).reshape(shape + (2, S, S))
         h2, v2 = hv_norm_sq_array(g, c)
         assert np.array_equal(h2, h_norm_sq_array(g, c))
         assert np.array_equal(v2, v_norm_sq_array(g, c))
+
+
+class TestHalfSpectrumNorms:
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    def test_match_full_spectrum_oracle(self, rng, K, batch):
+        # the kx >= 0 columns, kx > 0 counted twice, against the sum over
+        # every mode of a conjugate-symmetric batch
+        g = default_grid(K)
+        c = _symmetric_batch(g, rng, batch)
+        h2, v2 = hv_norm_sq_array(g, c)
+        np.testing.assert_allclose(h2, helpers.full_norm_sq(c), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(v2, helpers.full_norm_sq(c, g.k2), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    def test_rows_bitwise_batch_invariant(self, rng, K):
+        # a path's norms do not depend on the batch it is stepped in
+        g = default_grid(K)
+        c = _symmetric_batch(g, rng, 256)
+        h2, v2 = hv_norm_sq_array(g, c)
+        for lo, hi in ((0, 1), (3, 10), (100, 256)):
+            part = hv_norm_sq_array(g, c[lo:hi])
+            assert np.array_equal(part[0], h2[lo:hi]) and np.array_equal(part[1], v2[lo:hi])
 
 
 class TestSerialization:
