@@ -371,6 +371,12 @@ def example_config(kind: str = "simulate") -> dict:
         "output": {"dir": "out"},
     }
     exp = base["experiment"]
+    if kind in ("rate", "skeleton", "lil-strassen"):
+        # a deterministic limit around which the linearization couples: along
+        # the first noise directions, B(x, u0) + B(u0, x) of the single mode
+        # k = (1, 0) is a gradient, so the nonlinear skeleton would equal
+        # the linear one
+        base["solver"]["initial"] = {"type": "random", "seed": 1, "amplitude": 1.0}
     if kind == "rate":
         base["solver"].update({"horizon": 0.1, "dt": 2e-3, "record_stride": 1})
         base["noise"]["num_directions"] = 2

@@ -51,13 +51,13 @@ from .solvers import (
 )
 from .spectral import (
     TWO_PI,
-    advection_array,
-    advection_gradient_transpose_array,
     h_norm_sq_array,
     abs_sq,
     half_norms_sq,
     half_spectrum,
     hv_norm_sq_array,
+    linearized_advection_adjoint_array,
+    linearized_advection_array,
     to_physical,
     weighted_norm_sq,
 )
@@ -235,9 +235,12 @@ def _adjoint_sweep(config: SimConfig, u0_frames, p_end, sources) -> np.ndarray:
     frames x of skeleton_forward, by its discrete adjoint (L2 pairing).
 
     p_end has shape (2, S, S) and sources (n_steps, 2, S, S); returns the
-    gradient with shape (n_steps, J).  The loop keeps phi * p of every step;
-    the noise map, frozen at the deterministic limit, takes them all in one
-    call after it.
+    gradient with shape (n_steps, J).  In the nonlinear regime each step
+    applies the adjoint of the linearized advection, -P(2 D(P phi p) u0)
+    with D the symmetric gradient, in one
+    `linearized_advection_adjoint_array` call.  The loop keeps phi * p of
+    every step; the noise map, frozen at the deterministic limit, takes them
+    all in one call after it.
     """
     grid = config.grid
     prop = propagator(grid, config.dt)
@@ -249,8 +252,7 @@ def _adjoint_sweep(config: SimConfig, u0_frames, p_end, sources) -> np.ndarray:
         np.multiply(prop.phi, p, out=phi_p[n])
         p_next = prop.decay * p
         if config.nonlinear:
-            p_next = p_next + advection_array(grid, u0n, phi_p[n])
-            p_next = p_next - advection_gradient_transpose_array(grid, u0n, phi_p[n])
+            p_next = p_next - linearized_advection_adjoint_array(grid, phi_p[n], u0n)
         p = p_next + sources[n]
     return sigma_adjoint_array(config.noise, 0.0, u0_frames[:n_steps], phi_p)
 
@@ -852,8 +854,11 @@ class _RemainderObserver:
     """sup over steps of |u - u0 - sqrt(eps) Y|^2, with the linearization Y
     of the dynamics around u0 stepped on the increments of the noisy path u.
 
-    In the additive linear regime the remainder vanishes identically; with the
-    quadratic term on it measures the second-order part of the deviation.
+    Y is stepped with the noise map frozen at u0 and, in the nonlinear
+    regime, the drift -(B(Y, u0) + B(u0, Y)), one `linearized_advection_array`
+    call per step.  In the additive linear regime the remainder vanishes
+    identically; with the quadratic term on it measures the second-order part
+    of the deviation.
     """
 
     def __init__(self, config: SimConfig, u0_frames):
@@ -877,8 +882,7 @@ class _RemainderObserver:
         noise = times_factor(noise, self.factor[step])
         y_next = prop.decay * y
         if cfg.nonlinear:
-            rhs = -advection_array(cfg.grid, y, u0n) - advection_array(cfg.grid, u0n, y)
-            y_next = y_next + prop.phi * rhs
+            y_next = y_next - prop.phi * linearized_advection_array(cfg.grid, y, u0n)
         self.y = y_next + prop.phi_rate * noise
         _blowup_guard(self.y, self.scale, step)
 

@@ -45,6 +45,7 @@ from .spectral import (
     abs_sq,
     half_spectrum,
     hv_norm_sq_array,
+    linearized_advection_array,
     weighted_norm_sq,
     zero_field,
 )
@@ -498,9 +499,11 @@ def skeleton_forward(
     (..., n_steps + 1, 2, S, S), written into `out` when given (which may be
     a view, see `scatter_coefficients`).  The dynamics are linear in the
     state and in the control: the noise map is frozen at the deterministic
-    limit, so it is applied to every step in one call before the loop.  Step
-    n's right-hand side is formed in frame n + 1 and stepped over in place,
-    so the solve holds no array but its output.
+    limit, so it is applied to every step in one call before the loop, and
+    in the nonlinear regime each step subtracts the advection linearized
+    around u0, B(x, u0) + B(u0, x), in one `linearized_advection_array`
+    call.  Step n's right-hand side is formed in frame n + 1 and stepped
+    over in place, so the solve holds no array but its output.
     """
     prop = propagator(config.grid, config.dt)
     n = config.n_steps
@@ -517,8 +520,7 @@ def skeleton_forward(
         r = out[..., step + 1, :, :, :]
         if config.nonlinear:
             u0 = u0_frames[step]
-            r -= advection_array(config.grid, x, u0)
-            r -= advection_array(config.grid, u0, x)
+            r -= linearized_advection_array(config.grid, x, u0)
             np.multiply(prop.phi, r, out=r)
         np.add(prop.decay * x, r, out=r)
     return out

@@ -16,9 +16,10 @@ real N x N array, shape (..., N, N//2 + 1), whose entry [ky mod N, kx] holds
 the coefficient of mode (kx, ky) for kx >= 0 only; the kx < 0 half is implied
 by conjugate symmetry.  Conjugate symmetry of the coefficients is therefore a
 precondition of every transform: `to_physical` reads only the kx >= 0 half and
-`from_physical` writes the kx < 0 half as its conjugate mirror.  The one
-exception is self-advection, which transforms the complex field u_x + i u_y
-on a full N x N grid with its modes centered (`_packed_square`).  It is a
+`from_physical` writes the kx < 0 half as its conjugate mirror.  The
+exceptions are self-advection and the advection linearized around a field,
+which transform complex fields such as u_x + i u_y on a full N x N grid with
+their modes centered (`_padded_values`).  Conjugate symmetry is a
 precondition of the squared norms too: by Parseval they read only the kx >= 0
 columns (`half_spectrum`), with weights that count kx > 0 twice and kx = 0
 once (`SpectralGrid.half_weight`).
@@ -248,19 +249,14 @@ def _check_product_margin(grid: SpectralGrid) -> None:
         )
 
 
-def _packed_square(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
-    """Centered spectrum Q (..., S, S) of w^2, w = u_x + i u_y, for u
-    (..., 2, S, S): a view of the one padded (..., N, N) complex array that
-    w is transformed in.
+def _padded_values(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
+    """Grid values of w = u_x + i u_y for u (..., 2, S, S), in the one padded
+    (..., N, N) complex array that w is transformed in.
 
     Mode k of w sits at index k + N//2 on both axes, a contiguous block.  The
     inverse pass along y runs on the 2K + 1 block columns only, then along x;
     the grid values then carry the factor exp(2 pi i (N//2)(x + y) / N) at
     grid indices (x, y).
-    The square is taken in place and multiplied by `grid.packed_phase`, so
-    that the forward pass along x, then along y on the block columns, lands
-    the retained modes of w^2 back in the block.  w^2 has modes up to 2K per
-    axis, and N >= 3K + 1 keeps their aliases off the block.
     """
     K, N = grid.max_wavenumber, grid.physical_resolution
     lo, hi = N // 2 - K, N // 2 + K + 1
@@ -272,28 +268,55 @@ def _packed_square(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
     cols = w[..., lo:hi]
     np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
     np.fft.ifft(w, axis=-1, norm="forward", out=w)
-    np.square(w, out=w)
+    return w
+
+
+def _centered_spectrum(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
+    """Centered spectrum (..., S, S) of the product of two `_padded_values`
+    arrays, formed in place in `w`, the product, and returned as its block.
+
+    The product carries the phase factor twice; one multiply by
+    `grid.packed_phase` leaves it once, so that the forward pass along x,
+    then along y on the block columns, lands the retained modes of the
+    product back in the block.  The product has modes up to 2K per axis, and
+    N >= 3K + 1 keeps their aliases off the block.
+    """
+    K, N = grid.max_wavenumber, grid.physical_resolution
+    lo, hi = N // 2 - K, N // 2 + K + 1
     w *= grid.packed_phase
     np.fft.fft(w, axis=-1, norm="forward", out=w)
+    cols = w[..., lo:hi]
     np.fft.fft(cols, axis=-2, norm="forward", out=cols)
-    return block
+    return w[..., lo:hi, lo:hi]
 
 
-def _self_advection(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
-    """P div(u u) of divergence-free u (..., 2, S, S) in curl form, formed on
-    the kx >= 0 columns and mirrored onto the kx < 0 ones."""
+def _curl_form(grid: SpectralGrid, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """P div(x a + a x) / 2 of divergence-free x (..., 2, S, S) and a (one
+    field, or a batch of x's shape) in curl form, formed on the kx >= 0
+    columns and mirrored onto the kx < 0 ones; P div(x x) for `a is x`.
+
+    The traceless part of the symmetric tensor T = (x a + a x) / 2 is packed
+    in Q, the centered spectrum of w_x w_a = q1 + 2i q0 with w = u_x + i u_y,
+    q1 = T_xx - T_yy and q0 = T_xy; for a = x that is w^2, with
+    q0 = u_x u_y and q1 = u_x^2 - u_y^2.  The trace of T is a gradient,
+    which P removes.
+    """
     K = grid.max_wavenumber
-    q = _packed_square(grid, u)
-    # s = alpha Q(k) + beta conj Q(-k) = i (a q1 + b q0), since
-    # w^2 = q1 + 2i q0 with q0 = u_x u_y and q1 = u_x^2 - u_y^2 both real;
-    # weight first in each product: numpy's complex multiply may fuse, so
-    # operand order can show in the last bit
+    w = _padded_values(grid, x)
+    if a is x:
+        np.square(w, out=w)
+    else:
+        w *= _padded_values(grid, a)
+    q = _centered_spectrum(grid, w)
+    # s = alpha Q(k) + beta conj Q(-k) = i (a q1 + b q0), since q0 and q1
+    # are both real; weight first in each product: numpy's complex multiply
+    # may fuse, so operand order can show in the last bit
     s = grid.half_alpha * q[..., K:]
     conj_q = np.conjugate(q[..., ::-1, K::-1])
     s += np.multiply(grid.half_beta, conj_q, out=conj_q)
     # the padded array is freed before the output exists: a lower peak
-    del q, conj_q
-    out = np.empty(u.shape, dtype=np.complex128)
+    del w, q, conj_q
+    out = np.empty(x.shape, dtype=np.complex128)
     np.multiply(grid.half_curl_k, s[..., None, :, :], out=out[..., K:])
     np.conjugate(out[..., ::-1, :K:-1], out=out[..., :, :K])
     # rows ky < 0 of the kx = 0 column mirror rows ky > 0, as in `from_physical`
@@ -306,9 +329,9 @@ def advection_array(grid: SpectralGrid, u: np.ndarray, v: np.ndarray) -> np.ndar
 
     Batched over leading axes.  Exact Galerkin truncation for N >= 3K + 1.
     Self-advection (`v is u`, the stepper's call) requires a divergence-free u
-    and is formed in curl (stream-function) form: one inverse transform of
-    w = u_x + i u_y, its square w^2 = q1 + 2i q0 with q0 = u_x u_y and
-    q1 = u_x^2 - u_y^2, one forward transform Q (`_packed_square`), then
+    and is formed in curl (stream-function) form (`_curl_form`): one inverse
+    transform of w = u_x + i u_y, its square w^2 = q1 + 2i q0 with
+    q0 = u_x u_y and q1 = u_x^2 - u_y^2, one forward transform Q, then
     s = alpha Q(k) + beta conj Q(-k) = i (a q1 + b q0), with
     alpha = i a/2 + b/4, beta = i a/2 - b/4, a = kx ky / |k|^2 and
     b = (ky^2 - kx^2) / |k|^2, and the result (ky s, -kx s), which is
@@ -321,7 +344,7 @@ def advection_array(grid: SpectralGrid, u: np.ndarray, v: np.ndarray) -> np.ndar
     """
     _check_product_margin(grid)
     if v is u:
-        return _self_advection(grid, u)
+        return _curl_form(grid, u, u)
     u_phys = to_physical(grid, u)
     dvdx = to_physical(grid, 1j * grid.kx * v)
     dvdy = to_physical(grid, 1j * grid.ky * v)
@@ -329,33 +352,57 @@ def advection_array(grid: SpectralGrid, u: np.ndarray, v: np.ndarray) -> np.ndar
     return leray_project_array(grid, from_physical(grid, w))
 
 
+def linearized_advection_array(grid: SpectralGrid, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """B(x, a) + B(a, x) = P div(x a + a x), the advection linearized around a,
+    for divergence-free x (..., 2, S, S) and a (one field, or a batch of x's
+    shape).
+
+    Formed in curl form like self-advection, from the product w_x w_(2a) of
+    the packed fields w = u_x + i u_y on the padded grid (`_curl_form`): one
+    inverse transform of each, one forward transform, no projection pass.
+    The result is mean free and exactly conjugate symmetric.
+    """
+    _check_product_margin(grid)
+    return _curl_form(grid, x, 2.0 * a)
+
+
+def linearized_advection_adjoint_array(
+    grid: SpectralGrid, p: np.ndarray, a: np.ndarray
+) -> np.ndarray:
+    """L2 adjoint of x -> `linearized_advection_array(grid, x, a)` on
+    divergence-free fields: -P(2 D(Pp) a), with D the symmetric gradient,
+    batched over p (..., 2, S, S); a is one field or a batch of p's shape.
+
+    D(Pp) is trace free, so it is packed as the complex field
+    d = D_xx + i D_xy, and 2 D a = 2 d conj(w_a) with w_a = a_x + i a_y:
+    one product on the padded grid, whose real and imaginary parts are
+    separated mode-wise and Leray projected.  Projecting p first makes this
+    the exact adjoint for any conjugate-symmetric p.  The result is mean free
+    and exactly conjugate symmetric.
+    """
+    _check_product_margin(grid)
+    kx, ky = grid.kx, grid.ky
+    p = leray_project_array(grid, p)
+    px, py = p[..., 0, :, :], p[..., 1, :, :]
+    d = np.stack([1j * kx * px, 0.5j * (ky * px + kx * py)], axis=-3)
+    w = _padded_values(grid, d)
+    # the packed field of (-a_x, a_y) is -conj(w_a), so the product is -d conj(w_a)
+    w *= _padded_values(grid, np.stack([-a[..., 0, :, :], a[..., 1, :, :]], axis=-3))
+    g = _centered_spectrum(grid, w)
+    g_mirror = np.conjugate(g[..., ::-1, ::-1])
+    # -2 D a = (g + conj g(-k), -i (g - conj g(-k))) mode-wise
+    out = np.empty(p.shape, dtype=np.complex128)
+    np.add(g, g_mirror, out=out[..., 0, :, :])
+    np.subtract(g.imag, g_mirror.imag, out=out[..., 1, :, :].real)
+    np.subtract(g_mirror.real, g.real, out=out[..., 1, :, :].imag)
+    return leray_project_array(grid, out)
+
+
 def advection_term(u: SpectralField, v: SpectralField) -> SpectralField:
     """Projected advection P((u . grad) v); bilinear in (u, v)."""
     if u.grid != v.grid:
         raise GridConfigError("advection_term requires a common grid")
     return SpectralField(u.grid, advection_array(u.grid, u.coeffs, v.coeffs))
-
-
-def advection_gradient_transpose_array(
-    grid: SpectralGrid, a: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """Projected field with components sum_j (d_i a_j) y_j (batched).
-
-    This is the L2 adjoint of x -> P((x . grad) a) on divergence-free fields,
-    used by the adjoint sweep of the controlled linearization.
-    """
-    _check_product_margin(grid)
-    dadx = to_physical(grid, 1j * grid.kx * a)
-    dady = to_physical(grid, 1j * grid.ky * a)
-    y_phys = to_physical(grid, y)
-    g = np.stack(
-        [
-            np.sum(dadx * y_phys, axis=-3),
-            np.sum(dady * y_phys, axis=-3),
-        ],
-        axis=-3,
-    )
-    return leray_project_array(grid, from_physical(grid, g))
 
 
 def advection_form(u: SpectralField, v: SpectralField, w: SpectralField) -> float:

@@ -4,7 +4,9 @@ Everything here is deliberately implemented by a different route than the
 package: fields are evaluated by explicit mode summation (no FFT) or by full
 complex FFTs of the whole mode square (the package's transforms are
 real-to-complex), self-advection by two real transforms where the package
-packs u_x + i u_y into one complex one, Fourier coefficients are extracted
+packs u_x + i u_y into one complex one, the adjoint of the advection
+linearized around a field by the gradient-form transpose where the package
+forms one packed product, Fourier coefficients are extracted
 with dense exponential matrices, trilinear forms get both a quadrature and a
 convolution-sum evaluation, and the linear-regime statistics come from
 scalar recursions written from the closed-form update.
@@ -151,6 +153,29 @@ def advection_convolution(u, v) -> np.ndarray:
     return project_mode(K, out)
 
 
+def advection_gradient_transpose(grid, a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Projected field with components sum_j (d_i a_j) y_j (batched), by real
+    transforms in gradient form: the L2 adjoint of x -> P((x . grad) a) on
+    divergence-free fields."""
+    from snse_lab.spectral import from_physical, leray_project_array, to_physical
+
+    dadx = to_physical(grid, 1j * grid.kx * a)
+    dady = to_physical(grid, 1j * grid.ky * a)
+    y_phys = to_physical(grid, y)
+    g = np.stack([np.sum(dadx * y_phys, axis=-3), np.sum(dady * y_phys, axis=-3)], axis=-3)
+    return leray_project_array(grid, from_physical(grid, g))
+
+
+def symmetric_batch(grid, rng, batch: int) -> np.ndarray:
+    """Random conjugate-symmetric, mean-free coefficients (batch, 2, S, S);
+    not divergence free."""
+    S = grid.n_coeff
+    raw = rng.standard_normal((batch, 2, S, S)) + 1j * rng.standard_normal((batch, 2, S, S))
+    raw = 0.5 * (raw + np.conj(raw[..., ::-1, ::-1]))
+    raw[..., grid.max_wavenumber, grid.max_wavenumber] = 0.0
+    return raw
+
+
 def complex_to_physical(grid, coeffs: np.ndarray) -> np.ndarray:
     """Grid values by a full complex inverse FFT of the whole mode square."""
     N = grid.physical_resolution
@@ -180,9 +205,10 @@ def self_advection_assembled(grid, u: np.ndarray) -> np.ndarray:
     square: the packed square Q of w = u_x + i u_y, both halves, is combined
     into s = alpha Q(k) + beta conj Q(-k), with alpha = i a/2 + b/4 and
     beta = i a/2 - b/4, and the result is (ky s, -kx s)."""
-    from snse_lab.spectral import _packed_square
+    from snse_lab.spectral import _centered_spectrum, _padded_values
 
-    q = _packed_square(grid, u)
+    w = _padded_values(grid, u)
+    q = _centered_spectrum(grid, np.square(w, out=w))
     curl_a, curl_b = curl_weights(grid)
     s = (0.5j * curl_a + 0.25 * curl_b) * q
     s += (0.5j * curl_a - 0.25 * curl_b) * np.conj(q[..., ::-1, ::-1])
@@ -247,7 +273,7 @@ def skeleton_forward_per_step(h_values: np.ndarray, u0_frames: np.ndarray, confi
     controls h_values (n_steps, J), one noise-map call per step."""
     from snse_lab.noise import sigma_apply_array
     from snse_lab.solvers import propagator
-    from snse_lab.spectral import advection_array
+    from snse_lab.spectral import linearized_advection_array
 
     prop = propagator(config.grid, config.dt)
     n = config.n_steps
@@ -258,9 +284,7 @@ def skeleton_forward_per_step(h_values: np.ndarray, u0_frames: np.ndarray, confi
         x = out[step]
         rhs = sigma_apply_array(config.noise, step * config.dt, u0, h_values[step])
         if config.nonlinear:
-            rhs = rhs - advection_array(config.grid, x, u0) - advection_array(
-                config.grid, u0, x
-            )
+            rhs = rhs - linearized_advection_array(config.grid, x, u0)
         out[step + 1] = prop.decay * x + prop.phi * rhs
     return out
 
@@ -270,7 +294,7 @@ def adjoint_sweep_per_step(config, u0_frames, p_end, sources) -> np.ndarray:
     over skeleton frames x, one noise-adjoint call per step."""
     from snse_lab.noise import sigma_adjoint_array
     from snse_lab.solvers import propagator
-    from snse_lab.spectral import advection_array, advection_gradient_transpose_array
+    from snse_lab.spectral import linearized_advection_adjoint_array
 
     grid = config.grid
     prop = propagator(grid, config.dt)
@@ -282,8 +306,7 @@ def adjoint_sweep_per_step(config, u0_frames, p_end, sources) -> np.ndarray:
         grad[n] = sigma_adjoint_array(config.noise, n * config.dt, u0n, phi_p)
         p_next = prop.decay * p
         if config.nonlinear:
-            p_next = p_next + advection_array(grid, u0n, phi_p)
-            p_next = p_next - advection_gradient_transpose_array(grid, u0n, phi_p)
+            p_next = p_next - linearized_advection_adjoint_array(grid, phi_p, u0n)
         p = p_next + sources[n]
     return grad
 
@@ -325,12 +348,12 @@ class RemainderObserverPerStep:
 
     def on_noise(self, step, t, coeffs, dW):
         from snse_lab.noise import sigma_apply_array
-        from snse_lab.spectral import advection_array
+        from snse_lab.spectral import linearized_advection_array
 
         cfg, prop, y, u0n = self.config, self.prop, self.y, self.u0[step]
         rhs = np.zeros_like(y)
         if cfg.nonlinear:
-            rhs = -advection_array(cfg.grid, y, u0n) - advection_array(cfg.grid, u0n, y)
+            rhs = -linearized_advection_array(cfg.grid, y, u0n)
         noise = sigma_apply_array(cfg.noise, t, u0n, dW)
         self.y = prop.decay * y + prop.phi * rhs + prop.phi_rate * noise
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,11 @@ from snse_lab.cli import emit_tables, main
 from snse_lab.config import (
     ConfigError,
     admissibility_check,
+    build_control,
+    build_grid,
     build_ledger,
+    build_noise,
+    build_sim_config,
     config_hash,
     example_config,
     validate_config,
@@ -23,8 +28,9 @@ from snse_lab.persist import (
     sha256_file,
     write_trajectory,
 )
-from snse_lab.solvers import IntegrationError, SimConfig, solve_deterministic
-from snse_lab.spectral import single_mode_field
+from snse_lab.lil import build_probe
+from snse_lab.solvers import IntegrationError, SimConfig, solve_deterministic, solve_skeleton
+from snse_lab.spectral import h_norm_sq_array, single_mode_field
 from snse_lab.verification import CheckRow
 
 from helpers import read_trajectory
@@ -89,6 +95,31 @@ class TestConfig:
             cfg["experiment"]["replicates"] = 2
         assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
         assert seen and not asymmetric
+
+    @pytest.mark.parametrize("kind", ["skeleton", "rate", "lil-strassen"])
+    def test_example_skeletons_couple(self, kind):
+        # each example control's nonlinear skeleton differs from its linear
+        # one, so the nonlinear example runs exercise the linearization
+        # around u0; relative sup-in-time L2 distance per control
+        images = {}
+        for nonlinear in (False, True):
+            cfg = example_config(kind)
+            cfg["solver"]["nonlinear"] = nonlinear
+            exp = cfg["experiment"]
+            grid = build_grid(cfg)
+            noise = build_noise(cfg, grid)
+            sim = build_sim_config(cfg, grid, noise)
+            u0 = solve_deterministic(replace(sim, record_stride=1))
+            if kind == "lil-strassen":
+                probe = build_probe(sim, u0, exp["probe_directions"], exp["probe_shapes"])
+                images[nonlinear] = probe.frames[1:]  # the zero control's image is zero
+            else:
+                control = build_control(exp["target_control" if kind == "rate" else "control"],
+                                        noise, sim)
+                images[nonlinear] = solve_skeleton(control, u0, sim).frames[None]
+        diff = np.max(h_norm_sq_array(grid, images[True] - images[False]), axis=-1)
+        size = np.max(h_norm_sq_array(grid, images[False]), axis=-1)
+        assert np.all(np.sqrt(diff / size) >= 1e-3)
 
     def test_schema_violation_names_keys(self):
         cfg = example_config("simulate")

@@ -151,7 +151,7 @@ class TestRateFunction:
         assert err <= 1e-4
 
     def test_gradient_with_advective_coupling(self, grid3, noise3, rng):
-        # nonzero deterministic limit exercises the transpose terms
+        # nonzero deterministic limit exercises the linearization's adjoint
         cfg = SimConfig(
             grid=grid3, noise=noise3, horizon=0.04, dt=2e-3,
             initial=single_mode_field(grid3, (1, 1), (0.5, -0.5)),
@@ -180,6 +180,26 @@ class TestRateFunction:
         grad = _adjoint_sweep(cfg, u0, x[-1], sources)
         assert grad.shape == (cfg.n_steps, 7)
         assert np.array_equal(grad, helpers.adjoint_sweep_per_step(cfg, u0, x[-1], sources))
+
+    @pytest.mark.parametrize("family", ["additive", "saturated"])
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_adjoint_sweep_is_adjoint_of_skeleton_forward(self, grid3, family, nonlinear):
+        # dot test: sum_n,j grad h equals <p_end, x_N> + sum_n <sources[n], x_n>
+        # in the L2 pairing (2 pi)^2 Re sum conj(a) b, for any
+        # conjugate-symmetric p_end and sources, around a u0 that couples
+        m = NoiseModel(grid=grid3, family=family, num_directions=7)
+        rng = np.random.default_rng(12)
+        cfg = SimConfig(grid=grid3, noise=m, horizon=0.02, dt=1e-3,
+                        initial=random_solenoidal_field(grid3, rng, amplitude=2.0),
+                        nonlinear=nonlinear, record_stride=1)
+        u0 = solve_deterministic(cfg).frames
+        h = rng.standard_normal((cfg.n_steps, 7))
+        x = skeleton_forward(h, u0, cfg)
+        fields = helpers.symmetric_batch(grid3, rng, cfg.n_steps + 1)
+        p_end, sources = fields[-1], fields[:-1]
+        grad = _adjoint_sweep(cfg, u0, p_end, sources)
+        paired = TWO_PI**2 * (np.vdot(p_end, x[-1]).real + np.vdot(sources, x[:-1]).real)
+        assert abs(np.sum(grad * h) - paired) <= 1e-12 * abs(paired)
 
     def test_zero_target_zero_rate(self, setup):
         g, m, cfg, u0 = setup

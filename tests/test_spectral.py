@@ -13,7 +13,6 @@ from snse_lab.spectral import (
     SpectralGrid,
     advection_array,
     advection_form,
-    advection_gradient_transpose_array,
     advection_term,
     apply_stokes,
     default_grid,
@@ -22,6 +21,8 @@ from snse_lab.spectral import (
     h_norm_sq_array,
     hv_norm_sq_array,
     leray_project,
+    linearized_advection_adjoint_array,
+    linearized_advection_array,
     norm_bundle,
     random_solenoidal_field,
     single_mode_field,
@@ -280,18 +281,9 @@ class TestAdjointHelper:
         x = random_solenoidal_field(grid3, rng)
         y = random_solenoidal_field(grid3, rng)
         lhs = float(np.vdot(advection_term(x, a).coeffs, y.coeffs).real)
-        g = advection_gradient_transpose_array(grid3, a.coeffs, y.coeffs)
+        g = helpers.advection_gradient_transpose(grid3, a.coeffs, y.coeffs)
         rhs = float(np.vdot(x.coeffs, g).real)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
-
-
-def _symmetric_batch(grid, rng, batch):
-    """Random conjugate-symmetric, mean-free coefficients; not divergence free."""
-    S = grid.n_coeff
-    raw = rng.standard_normal((batch, 2, S, S)) + 1j * rng.standard_normal((batch, 2, S, S))
-    raw = 0.5 * (raw + np.conj(raw[..., ::-1, ::-1]))
-    raw[..., grid.max_wavenumber, grid.max_wavenumber] = 0.0
-    return raw
 
 
 def _solenoidal_batch(grid, rng, batch):
@@ -304,7 +296,7 @@ class TestRealTransforms:
     @pytest.mark.parametrize("K, N", [(3, 12), (10, 32), (16, 50), (3, 11)])
     def test_match_complex_fft_oracle(self, rng, K, N):
         g = SpectralGrid(K, N)
-        coeffs = _symmetric_batch(g, rng, 5)
+        coeffs = helpers.symmetric_batch(g, rng, 5)
         phys = to_physical(g, coeffs)
         oracle = helpers.complex_to_physical(g, coeffs)
         assert np.max(np.abs(phys - oracle)) <= 1e-14 * np.max(np.abs(oracle))
@@ -428,12 +420,61 @@ class TestCurlFormSelfAdvection:
             advection_array(g, u, u)
 
 
+class TestLinearization:
+    """B(x, a) + B(a, x) and its L2 adjoint, each one packed product on the
+    padded grid, against the gradient-form pairs they replace."""
+
+    GRIDS = TestCurlFormSelfAdvection.GRIDS
+
+    @staticmethod
+    def _fields(K, N, rng, batch):
+        g = SpectralGrid(K, N)
+        return g, _solenoidal_batch(g, rng, batch), random_solenoidal_field(g, rng).coeffs
+
+    @pytest.mark.parametrize("K, N", GRIDS)
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    def test_matches_two_call_oracles(self, rng, K, N, batch):
+        g, x, a = self._fields(K, N, rng, batch)
+        oracle = advection_array(g, x, a) + advection_array(g, a, x)
+        ours = linearized_advection_array(g, x, a)
+        assert np.max(np.abs(ours - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+        # the adjoint of B(., a) is the gradient transpose, of B(a, .) -B(a, .)
+        oracle = helpers.advection_gradient_transpose(g, a, x) - advection_array(g, a, x)
+        ours = linearized_advection_adjoint_array(g, x, a)
+        assert np.max(np.abs(ours - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("K, N", GRIDS)
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    def test_dot_identity(self, rng, K, N, batch):
+        # <L x, p> = <x, L^T p> per path, for divergence-free x and any
+        # conjugate-symmetric p, relative to |L x| |p|
+        g, x, a = self._fields(K, N, rng, batch)
+        p = helpers.symmetric_batch(g, rng, batch)
+        lx = linearized_advection_array(g, x, a)
+        lhs = np.sum(np.conj(lx) * p, axis=(-3, -2, -1)).real
+        rhs = np.sum(np.conj(x) * linearized_advection_adjoint_array(g, p, a), axis=(-3, -2, -1)).real
+        scale = np.sqrt(helpers.full_norm_sq(lx) * helpers.full_norm_sq(p)) / TWO_PI**2
+        assert np.all(np.abs(lhs - rhs) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("K, N", GRIDS)
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    def test_symmetric_mean_free_and_batch_invariant(self, rng, K, N, batch):
+        g, x, a = self._fields(K, N, rng, batch)
+        p = helpers.symmetric_batch(g, rng, batch)
+        for kernel, arg in ((linearized_advection_array, x), (linearized_advection_adjoint_array, p)):
+            out = kernel(g, arg, a)
+            assert np.array_equal(out, np.conj(out[..., ::-1, ::-1]))
+            assert np.all(out[..., K, K] == 0.0)
+            for lo, hi in ((0, 1), (batch - 1, batch), (batch // 2, batch)):
+                assert np.array_equal(kernel(g, arg[lo:hi].copy(), a), out[lo:hi])
+
+
 class TestNormPair:
     @pytest.mark.parametrize("shape", [(), (1,), (7, 3)])
     def test_equals_separate_norms_bitwise(self, rng, shape):
         g = default_grid(5)
         S = g.n_coeff
-        c = _symmetric_batch(g, rng, math.prod(shape)).reshape(shape + (2, S, S))
+        c = helpers.symmetric_batch(g, rng, math.prod(shape)).reshape(shape + (2, S, S))
         h2, v2 = hv_norm_sq_array(g, c)
         assert np.array_equal(h2, h_norm_sq_array(g, c))
         assert np.array_equal(v2, v_norm_sq_array(g, c))
@@ -446,7 +487,7 @@ class TestHalfSpectrumNorms:
         # the kx >= 0 columns, kx > 0 counted twice, against the sum over
         # every mode of a conjugate-symmetric batch
         g = default_grid(K)
-        c = _symmetric_batch(g, rng, batch)
+        c = helpers.symmetric_batch(g, rng, batch)
         h2, v2 = hv_norm_sq_array(g, c)
         np.testing.assert_allclose(h2, helpers.full_norm_sq(c), rtol=1e-14, atol=0)
         np.testing.assert_allclose(v2, helpers.full_norm_sq(c, g.k2), rtol=1e-14, atol=0)
@@ -455,7 +496,7 @@ class TestHalfSpectrumNorms:
     def test_rows_bitwise_batch_invariant(self, rng, K):
         # a path's norms do not depend on the batch it is stepped in
         g = default_grid(K)
-        c = _symmetric_batch(g, rng, 256)
+        c = helpers.symmetric_batch(g, rng, 256)
         h2, v2 = hv_norm_sq_array(g, c)
         for lo, hi in ((0, 1), (3, 10), (100, 256)):
             part = hv_norm_sq_array(g, c[lo:hi])
