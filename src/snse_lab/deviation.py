@@ -489,10 +489,14 @@ class DiffEnergyObserver:
             self.on_record(slot, z)
 
     def on_record(self, slot, z):
-        """Norms of z, the kx >= 0 columns (n, 2, S, K + 1) of one record."""
-        if self.targets is not None:
-            z = z[:, None] - half_spectrum(self.targets[None, :, slot])
-        self.h2[..., slot], self.v2[..., slot] = half_norms_sq(self.grid, z)
+        """Norms of z, the kx >= 0 columns (n, 2, S, K + 1) of one record, or
+        of its difference to each target in turn."""
+        if self.targets is None:
+            self.h2[:, slot], self.v2[:, slot] = half_norms_sq(self.grid, z)
+            return
+        for i, target in enumerate(self.targets):
+            diff = z - half_spectrum(target[slot])
+            self.h2[:, i, slot], self.v2[:, i, slot] = half_norms_sq(self.grid, diff)
 
     def finish(self) -> dict:
         return {"diff_energy_sq": _sup_plus_integral(self.h2, self.v2, self.rec.times)}

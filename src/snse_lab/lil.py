@@ -32,7 +32,6 @@ from .solvers import (
     lil_lambda,
     skeleton_forward,
     solve_deterministic,
-    _control_values_on_steps,
     _require_solver_grid,
     _skeleton_trajectories,
 )
@@ -146,38 +145,41 @@ def build_probe(
     """Probe from per-direction temporal profiles rescaled to the rate-ball
     boundary, plus optionally the zero element (which always belongs).
 
-    The nonzero controls are solved in one batched skeleton_forward call into
-    the one array that holds every image; the zero control's image is
-    exactly zero and is not integrated.  At record stride 1 the images and
-    the probe's frames are that array.
+    Every candidate's cell values are one row of one (controls, n_cells, J)
+    array, which the controls view.  The nonzero controls are solved in one
+    batched skeleton_forward call into the one array that holds every
+    image, from that array itself when each step is its own cell; the zero
+    control's image is exactly zero and is not integrated.  At record
+    stride 1 the images and the probe's frames are that array.
     """
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
     model = config.noise
     dirs = directions if directions is not None else list(range(model.n_directions))
     n_cells = max(config.n_steps, 1)
     shapes = _time_shapes(n_cells, config.horizon, n_shapes)
-    controls: list[Control] = []
-    if include_zero:
-        controls.append(Control(model, config.horizon, np.zeros((n_cells, model.n_directions))))
+    first = int(include_zero)
+    values = np.zeros((first + len(dirs) * len(shapes), n_cells, model.n_directions))
+    m = first
     for j in dirs:
         for shape in shapes:
-            values = np.zeros((n_cells, model.n_directions))
-            values[:, j] = shape
-            h = Control(model, config.horizon, values)
-            energy = control_energy(h)
+            values[m, :, j] = shape
+            energy = control_energy(Control(model, config.horizon, values[m]))
             if energy <= 0:
+                values[m, :, j] = 0.0
                 continue
-            controls.append(
-                Control(model, config.horizon, values * math.sqrt(2.0 / energy))
-            )
+            values[m] *= math.sqrt(2.0 / energy)
+            m += 1
+    controls = tuple(Control(model, config.horizon, row) for row in values[:m])
     S = config.grid.n_coeff
-    frames = np.zeros((len(controls), config.n_steps + 1, 2, S, S), dtype=np.complex128)
-    first = int(include_zero)
-    if len(controls) > first:
-        h_values = np.stack([_control_values_on_steps(h, config) for h in controls[first:]])
+    frames = np.zeros((m, config.n_steps + 1, 2, S, S), dtype=np.complex128)
+    if m > first:
+        cells = controls[first].cell_index(np.arange(config.n_steps) * config.dt)
+        h_values = values[first:m]
+        if not np.array_equal(cells, np.arange(n_cells)):
+            h_values = h_values[:, cells]
         skeleton_forward(h_values, u0_traj.frames, config, out=frames[first:])
     recorded, images = _skeleton_trajectories(frames, config)
-    return LimitSetProbe(tuple(controls), tuple(images), tolerance, recorded)
+    return LimitSetProbe(controls, tuple(images), tolerance, recorded)
 
 
 @dataclass
@@ -189,50 +191,58 @@ class ClusterReport:
 
 
 def _replicate_sq_distances(args) -> list[np.ndarray]:
-    """Squared distances of one replicate at each schedule intensity, each from
-    a one-path ensemble; one scaffold of normals is rescaled, not redrawn."""
-    config, u0_frames, epsilons, scales, targets, seed, rep = args
-    normals = substream(seed, rep).standard_normal((config.n_steps, config.noise.n_directions))
+    """Squared distances of a group of replicates at each schedule intensity,
+    one (len(reps), ...) array per intensity from one ensemble over the
+    group.  Replicate reps[i] is path i and draws its scaffold of normals
+    from substream(seed, reps[i]) afresh at each intensity: the scaffold is
+    rescaled, not redrawn, and not held between intensities."""
+    config, u0_frames, epsilons, scales, targets, seed, reps = args
     out = []
     for eps, scale in zip(epsilons, scales):
         cfg = config.with_epsilon(eps)
         res = ensemble_run(
-            cfg, seed, 1, lambda: DiffEnergyObserver(cfg, u0_frames, scale, targets),
-            normal_source=lambda i: normals,
+            cfg, seed, len(reps), lambda: DiffEnergyObserver(cfg, u0_frames, scale, targets),
+            normal_source=lambda i: substream(seed, reps[i]),
         )
-        out.append(res["diff_energy_sq"][0])
+        out.append(res["diff_energy_sq"])
     return out
 
 
 def _schedule_study(schedule, config, n_reps, seed, workers, scale_of, targets=None, u0_traj=None):
     """(replicate, j, epsilon, squared trajectory norm of scale_of(eps) * (u - u0),
-    or its squared distance to each target), merged by replicate index.
-    u0_traj is the deterministic limit at every step, solved here when None."""
+    or its squared distance to each target), ordered by replicate, then j.
+    u0_traj is the deterministic limit at every step, solved here when None.
+
+    The replicates split into min(workers, n_reps) contiguous groups, one
+    process each when there are several; a group steps all its replicates
+    as one ensemble per schedule index.  A replicate's values depend on its
+    index alone, not on its group."""
     if u0_traj is None:
         u0_traj = solve_deterministic(replace(config, record_stride=1))
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
     u0_frames = u0_traj.frames
     epsilons = [schedule.epsilon(j) for j in schedule.indices]
     scales = [scale_of(eps) for eps in epsilons]
-    args = [(config, u0_frames, epsilons, scales, targets, seed, rep) for rep in range(n_reps)]
-    per_rep = _parallel_map(_replicate_sq_distances, args, workers)
-    return [
-        (rep, j, eps, d2)
-        for rep, sq in enumerate(per_rep)
-        for j, eps, d2 in zip(schedule.indices, epsilons, sq)
+    n_groups = min(workers, n_reps)
+    args = [
+        (config, u0_frames, epsilons, scales, targets, seed,
+         range(g * n_reps // n_groups, (g + 1) * n_reps // n_groups))
+        for g in range(n_groups)
     ]
+    if len(args) > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-
-def _parallel_map(fn, arg_list, workers: int) -> list:
-    if workers <= 1 or len(arg_list) <= 1:
-        return [fn(a) for a in arg_list]
-    from concurrent.futures import ProcessPoolExecutor
-
-    # one chunk of tasks per worker: the arrays every task shares (the
-    # targets, the deterministic frames) are pickled once per chunk, not once
-    # per task
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, arg_list, chunksize=math.ceil(len(arg_list) / workers)))
+        with ProcessPoolExecutor(max_workers=len(args)) as pool:
+            per_group = list(pool.map(_replicate_sq_distances, args))
+    else:
+        per_group = [_replicate_sq_distances(a) for a in args]
+    # one (n_reps, ...) array per schedule index
+    per_index = [np.concatenate(sq) for sq in zip(*per_group)]
+    return [
+        (rep, j, eps, sq[rep])
+        for rep in range(n_reps)
+        for j, eps, sq in zip(schedule.indices, epsilons, per_index)
+    ]
 
 
 def strassen_cluster_study(
@@ -248,10 +258,12 @@ def strassen_cluster_study(
 
     Each replicate reuses one underlying Brownian scaffold across all schedule
     indices (the noise is rescaled, not redrawn), mirroring the geometric
-    coupling of the schedule and reducing cross-index variance.  Replicates
-    are independent workers; results merge deterministically by replicate
-    index regardless of the worker count.  u0_traj, the deterministic limit
-    recorded at every step (as the probe was built from), is solved when None.
+    coupling of the schedule and reducing cross-index variance.  The
+    replicates are stepped as one ensemble per schedule index, split into
+    at most `workers` contiguous groups run in parallel; each replicate's
+    row depends on its index alone, so the rows do not depend on the worker
+    count.  u0_traj, the deterministic limit recorded at every step (as the
+    probe was built from), is solved when None.
     """
     study = _schedule_study(
         schedule, config, n_reps, seed, workers, lambda e: 1.0 / lil_lambda(e), probe.frames,

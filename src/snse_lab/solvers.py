@@ -301,15 +301,24 @@ class _RecordingGrid:
 # K = 10, one step at batch 256; a chunk holds no other normals
 _NOISE_BLOCK_BYTES = 256 * 2 * 21**2 * 16
 
+# normals one path's draw call fills in a block: past this size a longer
+# block costs memory and saves no per-call overhead
+_NOISE_BLOCK_DRAW = 512
 
-def _noise_block_steps(grid: SpectralGrid, n_paths: int, n_steps: int) -> int:
-    """Steps of one noise block of a batch of n_paths paths on grid.
+
+def _noise_block_steps(model: NoiseModel, n_paths: int, n_steps: int) -> int:
+    """Steps of one noise block of a batch of n_paths paths under model.
 
     A path-step's scattered noise field, one complex state, is larger than
-    its J <= S^2 - 1 normals, so it alone is held to the budget.
+    its J <= S^2 - 1 normals, so it alone is held to the byte budget.  A
+    block is also no longer than ceil(_NOISE_BLOCK_DRAW / J) steps, enough
+    for each path's draw call to fill _NOISE_BLOCK_DRAW normals: at K = 10
+    and full J, 2 steps whatever the batch.
     """
-    path_step_nbytes = 2 * grid.n_coeff**2 * 16
-    return min(n_steps, max(1, _NOISE_BLOCK_BYTES // (n_paths * path_step_nbytes)))
+    path_step_nbytes = 2 * model.grid.n_coeff**2 * 16
+    by_bytes = _NOISE_BLOCK_BYTES // (n_paths * path_step_nbytes)
+    by_draw = -(-_NOISE_BLOCK_DRAW // model.n_directions)
+    return min(n_steps, max(1, min(by_bytes, by_draw)))
 
 
 def _normal_blocks(sources: list, n_dirs: int) -> Callable[[int, int], np.ndarray]:
@@ -353,8 +362,9 @@ def _integrate_batch(
     state-sized array.
 
     The normals are drawn, and the noise field, which does not read the
-    state, is scattered, for a block of steps at once, up to
-    _NOISE_BLOCK_BYTES of noise field per call (`_noise_block_steps`).  For a
+    state, is scattered, for a block of steps at once: up to
+    _NOISE_BLOCK_BYTES of noise field per call, and no more steps than fill
+    _NOISE_BLOCK_DRAW normals per path (`_noise_block_steps`).  For a
     state-independent family the scatter weight of direction j is
     gain_j sqrt(eps) phi_rate(k_j), with k_j its mode, so the block is the
     step's whole noise term; a state-dependent family's block is
@@ -376,7 +386,7 @@ def _integrate_batch(
     weights = model.gains
     if not model.state_dependent:
         weights = model.gains * sqrt_eps * at_directions(model, prop.phi_rate)
-    block = _noise_block_steps(config.grid, state.shape[0], n_steps)
+    block = _noise_block_steps(model, state.shape[0], n_steps)
     for step in range(n_steps):
         t = step * config.dt
         adv = advection_array(config.grid, state, state) if config.nonlinear else None
@@ -668,10 +678,11 @@ def _reuse_step_memory(temp_nbytes: int) -> None:
     reuses their pages.
 
     temp_nbytes is the chunk's largest such temporary: the state, or the
-    noise block if that is larger (up to _NOISE_BLOCK_BYTES, 256 states of
-    K = 10).  Each step allocates a few arrays about the size of the state
-    (transform outputs, the advection, the noise); the largest, a
-    transform's grid array, is at most a quarter larger than the state.
+    noise block if that is larger (`_noise_block_steps`, up to
+    _NOISE_BLOCK_BYTES, 256 states of K = 10).  Each step allocates a few
+    arrays about the size of the state (transform outputs, the advection,
+    the noise); the largest, a transform's grid array, is at most a quarter
+    larger than the state.
     Above the mmap threshold glibc maps each one afresh and unmaps it on
     free, so every step faults its pages in again.  The mmap threshold is
     set to twice temp_nbytes and the trim threshold, the freed heap top kept
@@ -696,14 +707,15 @@ def ensemble_run(
     seed: int,
     n_paths: int,
     observer_factory: Callable[[], object],
-    normal_source: Callable[[int], np.ndarray] | None = None,
+    normal_source: Callable[[int], np.ndarray | np.random.Generator] | None = None,
 ) -> dict:
     """Integrate n_paths independent paths, merging per-path observer output.
 
-    Path i consumes substream(seed, i) unless normal_source provides its
-    standard-normal array of shape (n_steps, J) (used for common-noise
-    couplings across parameter grids).  Paths are integrated _CHUNK_PATHS at
-    a time, and a chunk's normals are drawn one noise block at a time
+    Path i consumes substream(seed, i) unless normal_source(i) provides its
+    standard normals (used for common-noise couplings across parameter
+    grids): a fresh Generator to draw them from in step order, or their
+    (n_steps, J) array.  Paths are integrated _CHUNK_PATHS at a time, and a
+    chunk's normals are drawn one noise block at a time
     (`_integrate_batch`), under the allocator policy of `_reuse_step_memory`.
     The observer factory is invoked per chunk; each observer must implement
     on_start(prop, n, n_steps), optional on_noise(step, t, coeffs, dW)
@@ -728,7 +740,7 @@ def ensemble_run(
         # a scattered noise block holds block_steps states' worth of noise
         block_steps = 1
         if config.epsilon > 0.0:
-            block_steps = _noise_block_steps(config.grid, len(paths), n_steps)
+            block_steps = _noise_block_steps(config.noise, len(paths), n_steps)
         _reuse_step_memory(state.nbytes * max(1, block_steps))
         obs = observer_factory()
         obs.on_start(propagator(config.grid, config.dt), len(paths), n_steps)

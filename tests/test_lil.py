@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snse_lab import lil
+from snse_lab import lil, solvers
 from snse_lab.deviation import AdmissibilityError, ConstantsLedger, DiffEnergyObserver
 from snse_lab.lil import (
     GeometricSchedule,
@@ -27,6 +27,7 @@ from snse_lab.solvers import (
     combine_trajectories,
     ensemble_run,
     loglog,
+    skeleton_forward,
     solve_deterministic,
     solve_skeleton,
     solve_snse,
@@ -163,6 +164,27 @@ class TestLimitSetProbe:
         for h in probe.controls[1:]:
             assert abs(0.5 * control_energy(h) - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("stride", [1, 25])
+    def test_controls_view_one_values_array(self, study_setup, monkeypatch, stride):
+        # every candidate's values are one row of one array, and the skeleton
+        # solve reads the nonzero rows of that array, not a stacked copy
+        g, m, cfg, cfg1, u0_full, u0_rec = study_setup
+        seen = []
+
+        def spy(h_values, *args, **kwargs):
+            seen.append(h_values)
+            return skeleton_forward(h_values, *args, **kwargs)
+
+        monkeypatch.setattr(lil, "skeleton_forward", spy)
+        cfg_s = replace(cfg, record_stride=stride)
+        probe = build_probe(cfg_s, u0_full, n_shapes=2)
+        assert len(seen) == 1 and seen[0].shape == (probe.size - 1, cfg.n_steps, 2)
+        steps = np.arange(cfg.n_steps) * cfg.dt
+        for h, row in zip(probe.controls[1:], seen[0]):
+            assert np.shares_memory(h.values, seen[0])
+            assert np.array_equal(h.value_at(steps), row)
+        assert np.shares_memory(probe.controls[0].values, probe.controls[-1].values.base)
+
     @pytest.mark.parametrize("include_zero", [True, False])
     @pytest.mark.parametrize("nonlinear", [False, True])
     def test_images_equal_single_solves(self, include_zero, nonlinear):
@@ -247,10 +269,44 @@ class TestClusterStudy:
             b = strassen_cluster_study(sched, probe, n_reps, cfg, seed=7, workers=2)
             assert a.rows == b.rows
 
+    @pytest.mark.parametrize("kind", ["strassen", "classical"])
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_rows_independent_of_workers_and_chunk(self, monkeypatch, kind, nonlinear):
+        # 5 replicates in 1, 2 and 3 groups (5, 2/3 and 1/2/2 replicates per
+        # ensemble) and at 1, 7 and 256 paths per ensemble chunk: every row
+        # is bit for bit the same
+        g = default_grid(2)
+        m = NoiseModel(grid=g, num_directions=3)
+        cfg = SimConfig(grid=g, noise=m, horizon=0.02, dt=1e-3,
+                        initial=random_solenoidal_field(g, np.random.default_rng(5), amplitude=0.5),
+                        nonlinear=nonlinear, record_stride=4)
+        sched = GeometricSchedule(base=2.0, j_min=7, j_max=9)
+        if kind == "strassen":
+            probe = build_probe(cfg, solve_deterministic(replace(cfg, record_stride=1)),
+                                n_shapes=2, tolerance=0.25)
+
+            def study(workers):
+                return strassen_cluster_study(sched, probe, 5, cfg, seed=3, workers=workers)
+        else:
+            def study(workers):
+                return classical_ratio_study(sched, 5, cfg, seed=3, workers=workers)
+
+        def table(report):
+            return np.array([list(row.values()) for row in report.rows], dtype=float)
+
+        expected = table(study(1))
+        assert expected.shape[0] == 15
+        for workers in (2, 3):
+            assert np.array_equal(table(study(workers)), expected), workers
+        for chunk in (1, 7):
+            monkeypatch.setattr(solvers, "_CHUNK_PATHS", chunk)
+            assert np.array_equal(table(study(1)), expected), chunk
+
     @pytest.mark.parametrize("stride", [1, 25])
     def test_probe_held_once(self, study_setup, monkeypatch, stride):
         # the images view the probe's one frames array, and the study compares
-        # against that array itself, not a stacked copy
+        # against that array itself, not a stacked copy, in one observer per
+        # schedule index for both replicates
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
         cfg_s = replace(cfg, record_stride=stride)
         probe = build_probe(cfg_s, u0_full, n_shapes=1, tolerance=0.5)
@@ -268,12 +324,13 @@ class TestClusterStudy:
         monkeypatch.setattr(lil, "DiffEnergyObserver", Recording)
         sched = GeometricSchedule(base=2.0, j_min=8, j_max=9)
         strassen_cluster_study(sched, probe, 2, cfg_s, seed=7, u0_traj=u0_full)
-        assert len(seen) == 4 and all(t is probe.frames for t in seen)
+        assert len(seen) == 2 and all(t is probe.frames for t in seen)
 
     def test_probe_and_study_peak_traced_allocation(self):
         # a 5-control probe of 65 frames at K=10 (4.6 MB, lil-k10's shape) and
-        # a 2-replicate study on it: 9.93 MB peak traced allocation on numpy
-        # 2.4, reached in the probe's skeleton solve; pinned with 5% margin
+        # a 16-replicate study on it, one batch-16 ensemble per schedule
+        # index: 7.91 MB peak traced allocation on numpy 2.4, reached in the
+        # probe's skeleton solve; pinned with 5% margin
         g = default_grid(10)
         cfg = SimConfig(grid=g, noise=NoiseModel(grid=g), horizon=64e-3, dt=1e-3,
                         initial=taylor_green(g), nonlinear=True, record_stride=1)
@@ -283,7 +340,7 @@ class TestClusterStudy:
         def study():
             probe = build_probe(cfg, u0, directions=[0, 1], n_shapes=2, tolerance=1.0)
             assert probe.size == 5
-            strassen_cluster_study(sched, probe, 2, cfg, seed=3, u0_traj=u0)
+            strassen_cluster_study(sched, probe, 16, cfg, seed=3, u0_traj=u0)
 
         study()  # caches and FFT plans outside the trace
         tracemalloc.start()
@@ -292,7 +349,7 @@ class TestClusterStudy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 9_934_200
+        assert peak <= 1.05 * 7_906_900
 
     def test_rows_equal_reference_distances(self):
         # streamed distances against limit_set_distance(z_process(...)) on

@@ -308,18 +308,31 @@ class TestStochasticSolve:
 
     def test_peak_traced_allocation_independent_of_horizon(self):
         # the normals are drawn one noise block at a time, so a chunk holds
-        # the same memory at both horizons: at K=10 a 64-path block is 4
-        # steps, at K=1 it is 196 (its byte budget), and the K=1 horizons
-        # span 2 and 16 blocks
+        # the same memory at both horizons: at K=10 a 64-path block is 2
+        # steps, at K=1 it is 64 (512 normals over 8 directions; its byte
+        # budget is 196), and the K=1 horizons span 7 and 49 blocks
         for K, short_steps, long_steps in ((10, 8, 128), (1, 392, 3136)):
             short = self._traced_peak(short_steps, K)
             long = self._traced_peak(long_steps, K)
             assert abs(long - short) <= 0.05 * short, K
 
+    @pytest.mark.parametrize("K, n_dirs, n_paths, n_steps, block", [
+        (10, None, 256, 16, 1), (10, None, 16, 64, 2), (10, None, 1, 64, 2),
+        (1, 2, 256, 1000, 49), (2, None, 256, 40, 17), (3, 48, 9, 20, 11),
+    ], ids=["fw-k10", "k10-batch-16", "k10-batch-1", "k1-j2-batch-256",
+            "k2-batch-256", "k3-j48-batch-9"])
+    def test_noise_block_steps(self, K, n_dirs, n_paths, n_steps, block):
+        # a block holds at most 256 states of K=10 of noise field and no more
+        # steps than fill 512 normals per path: the byte budget binds on the
+        # wide batches, the draw at K=10 below batch 256 and at K=3
+        model = NoiseModel(grid=default_grid(K), num_directions=n_dirs)
+        assert solvers._noise_block_steps(model, n_paths, n_steps) == block
+
     def test_small_grid_draws_normals_by_the_block(self, grid1, noise1, monkeypatch):
         # a noise block is sized in bytes: at K=1 a 256-path block holds
-        # 3612672 // (256 * 288) = 49 steps, so each path of a 1000-step
-        # chunk draws its normals in 21 calls, not in one call per step
+        # 3612672 // (256 * 288) = 49 steps (under the 256 steps that fill
+        # 512 normals of 2 directions), so each path of a 1000-step chunk
+        # draws its normals in 21 calls, not in one call per step
         cfg = SimConfig(grid=grid1, noise=noise1, horizon=1.0, dt=1e-3, epsilon=1e-2,
                         initial=single_mode_field(grid1, (1, 0), (0.0, 1.0)), nonlinear=False)
         u0 = solve_deterministic(cfg)
@@ -338,16 +351,18 @@ class TestStochasticSolve:
         assert sorted(set(calls)) == [(20, 2), (49, 2)]
         _assert_identical(out, expected)
 
-    @pytest.mark.parametrize("n_paths, n_steps, lookup, calls", [
-        (1, 2, True, 0), (256, 2, False, 0), (256, 2, True, 2), (1, 64, True, 2),
-    ], ids=["batch-1", "no-glibc", "batch-256", "batch-1-64-steps"])
-    def test_allocator_policy(self, monkeypatch, n_paths, n_steps, lookup, calls):
+    @pytest.mark.parametrize("n_paths, n_steps, lookup, calls, block_path_steps", [
+        (1, 2, True, 0, 2), (256, 2, False, 0, 256), (256, 2, True, 2, 256),
+        (1, 64, True, 0, 2), (16, 64, True, 2, 32),
+    ], ids=["batch-1", "no-glibc", "batch-256", "batch-1-64-steps", "batch-16-64-steps"])
+    def test_allocator_policy(self, monkeypatch, n_paths, n_steps, lookup, calls,
+                              block_path_steps):
         # mallopt is called through glibc only, once per process for a chunk
         # whose largest per-step or per-block temporary (the state, or the
-        # noise block of min(256, n_paths * n_steps) path-steps) passes the
-        # 128 KiB default mmap threshold (its two parameters, however many
-        # ensembles run), and never for a 2-step run at batch 1; the values
-        # do not depend on it
+        # noise block of block_path_steps path-steps: 2-step blocks at K=10
+        # below batch 256) passes the 128 KiB default mmap threshold (its two
+        # parameters, however many ensembles run), and never at batch 1,
+        # whose 2-step block stays below it; the values do not depend on it
         g = default_grid(10)
         cfg = SimConfig(
             grid=g, noise=NoiseModel(grid=g), horizon=n_steps * 1e-3, dt=1e-3, epsilon=1e-2,
@@ -372,8 +387,10 @@ class TestStochasticSolve:
             out = ensemble_run(cfg, 3, n_paths, lambda: TrajectoryObserver(cfg))
             _assert_identical(out, expected)
         assert len(seen) == calls
+        assert n_paths * solvers._noise_block_steps(cfg.noise, n_paths, n_steps) == (
+            block_path_steps)
         if calls:
-            temp_nbytes = min(256, n_paths * n_steps) * 2 * g.n_coeff**2 * 16
+            temp_nbytes = block_path_steps * 2 * g.n_coeff**2 * 16
             assert seen == [(solvers._M_MMAP_THRESHOLD, 2 * temp_nbytes),
                             (solvers._M_TRIM_THRESHOLD, 8 * temp_nbytes)]
 
@@ -815,10 +832,12 @@ class TestShiftedProcess:
         calls = _count_calls_by_caller(monkeypatch, solvers, "sigma_factor", "scatter_coefficients")
         shifted_ensemble(cfg, h, 1e-3, u0.frames, 2, 9, lambda: _MomentObserver(cfg, [1.0]))
         # the stepper takes the noisy path's factor once per step, the observer
-        # the recentred state's; the control is scattered once for all steps
+        # the recentred state's; the control is scattered once for all steps,
+        # the stepper's noise once per block (20 steps of 48 directions in
+        # blocks of ceil(512 / 48) = 11 steps: 2 blocks)
         assert calls["sigma_factor"] == {"_integrate_batch": 20, "on_noise": 20}
         assert calls["scatter_coefficients"] == {
-            "_integrate_batch": 1, "_control_fields": 1, "on_noise": 20,
+            "_integrate_batch": 2, "_control_fields": 1, "on_noise": 20,
         }
 
     def test_moment_stability_across_epsilon(self, grid1, noise1):
