@@ -484,7 +484,7 @@ class DiffEnergyObserver:
     def on_state(self, idx, t, coeffs):
         slot = self.rec.slot(idx, t)
         if slot is not None:
-            z = half_spectrum(coeffs) * self.scale
+            z = coeffs * self.scale
             z -= self.scale * half_spectrum(self.ref[idx])
             self.on_record(slot, z)
 
@@ -797,7 +797,7 @@ class _MomentObserver:
 
     def on_state(self, idx, t, coeffs):
         dt = self.config.dt
-        a2 = abs_sq(half_spectrum(coeffs))
+        a2 = abs_sq(coeffs)
         h2 = weighted_norm_sq(a2, self.grid.half_weight)
         v2 = weighted_norm_sq(a2, self.grid.half_k2)
         np.maximum(self.sup_h2, h2, out=self.sup_h2)
@@ -812,7 +812,7 @@ class _MomentObserver:
                 self.int_h2p[p] += h2 ** (p - 1) * v2 * dt
             self.int_a2 += weighted_norm_sq(a2, self.a_weight) * dt
         if self.u0 is not None:
-            d = half_spectrum(coeffs) - half_spectrum(self.u0[idx])
+            d = coeffs - half_spectrum(self.u0[idx])
             dh2, dv2 = half_norms_sq(self.grid, d)
             np.maximum(self.sup_d2, dh2, out=self.sup_d2)
             if idx < self.n_steps:
@@ -888,10 +888,10 @@ class _RemainderObserver:
         if cfg.nonlinear:
             y_next = y_next - prop.phi * linearized_advection_array(cfg.grid, y, u0n)
         self.y = y_next + prop.phi_rate * noise
-        _blowup_guard(self.y, self.scale, step)
+        _blowup_guard(half_spectrum(self.y), self.scale, step)
 
     def on_state(self, idx, t, coeffs):
-        rem = half_spectrum(coeffs) - half_spectrum(self.u0[idx])
+        rem = coeffs - half_spectrum(self.u0[idx])
         rem -= self.sqrt_eps * half_spectrum(self.y)
         h2 = weighted_norm_sq(abs_sq(rem), self.config.grid.half_weight)
         np.maximum(self.sup, h2, out=self.sup)

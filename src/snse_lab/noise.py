@@ -27,7 +27,10 @@ from .spectral import (
     SpectralField,
     SpectralGrid,
     TWO_PI,
+    abs_sq,
+    full_spectrum,
     v_norm_sq_array,
+    weighted_norm_sq,
 )
 
 
@@ -99,14 +102,17 @@ class NoiseModel:
         gains = np.repeat(gain_pair, 2)[:J]
         S = self.grid.n_coeff
         pos_plus = (K + kvec[:, 1]) * S + (K + kvec[:, 0])
-        # the pair representatives fill the flat upper half S^2//2 + 1 .. S^2 - 1;
-        # per slot from the zero mode S^2//2 on, in raster order, its pair and
-        # direction (0 for the zero mode and for a pair left out)
-        H = S * S // 2
-        upper_source = np.zeros(H + 1, dtype=np.int64)
-        upper_source[pos_plus - H] = np.arange(n_pairs)
-        upper_direction = np.zeros((2, H + 1))
-        upper_direction[:, pos_plus - H] = direction.T
+        # per slot of the kx >= 0 half (S, K + 1), in raster order, the pair
+        # whose amplitude it reads and its direction (0 for the zero mode and
+        # for a pair left out); the pair representatives fill rows ky >= 0,
+        # and a slot on rows ky < 0 reads the pair at -k, conjugated
+        half_source = np.zeros((S, K + 1), dtype=np.int64)
+        half_direction = np.zeros((2, S, K + 1))
+        for sign in (1, -1):
+            rows, cols = K + sign * kvec[:, 1], sign * kvec[:, 0]
+            kept = cols >= 0
+            half_source[rows[kept], cols[kept]] = np.arange(n_pairs)[kept]
+            half_direction[:, rows[kept], cols[kept]] = direction[kept].T
         for name, arr in (
             ("eigenvalues", lam),
             ("gains", gains),
@@ -114,8 +120,8 @@ class NoiseModel:
             ("pair_abs_k", kabs),
             ("pair_direction", direction),
             ("_pos_plus", pos_plus),
-            ("_upper_source", upper_source),
-            ("_upper_direction", upper_direction),
+            ("_half_source", half_source.reshape(-1)),
+            ("_half_direction", half_direction),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -169,10 +175,13 @@ def scatter_coefficients(
 ) -> np.ndarray:
     """Field coefficients of sum_j xi_j w_j e_j; batched over leading axes.
 
-    Written into `out` when given: a complex (..., 2, S, S) array, which may
-    be a view, whose two last axes are contiguous.  Beyond `out`, it holds
-    the (..., P) pair amplitudes and their (..., S^2 // 2 + 1) gather onto
-    the upper half.
+    The kx >= 0 half is formed first: a slot on rows ky >= 0 holds c d, its
+    pair's amplitude c times its direction d, and a slot on rows ky < 0
+    holds conj(c d) of the pair at -k.  The full array is its conjugate
+    mirror (`full_spectrum`).  Written into `out` when given, which may be a
+    view: a complex (..., 2, S, S) array, or a (..., 2, S, K + 1) one for
+    the half alone.  Beyond `out`, it holds the (..., P) pair amplitudes and
+    their (..., S (K + 1)) gather onto the half.
     """
     xi = np.asarray(xi, dtype=np.float64)
     if xi.shape[-1] != model.n_directions:
@@ -180,18 +189,19 @@ def scatter_coefficients(
             f"coefficient vector has length {xi.shape[-1]}, expected {model.n_directions}"
         )
     c = _pair_amplitudes(model, xi, weights)
-    S = model.grid.n_coeff
-    H = S * S // 2  # flat index of the zero mode
+    K, S = model.grid.max_wavenumber, model.grid.n_coeff
     if out is None:
         out = np.empty(c.shape[:-1] + (2, S, S), dtype=np.complex128)
-    elif out.shape != c.shape[:-1] + (2, S, S) or out.dtype != np.complex128:
-        raise ValueError(f"out must be complex128 of shape {c.shape[:-1] + (2, S, S)}")
-    flat = out.reshape(c.shape[:-1] + (2, S * S))
-    if not np.may_share_memory(flat, out):  # reshape had to copy
-        raise ValueError("out must hold each field's S x S coefficients contiguously")
-    upper = np.take(c, model._upper_source, axis=-1)[..., None, :]
-    np.multiply(upper, model._upper_direction, out=flat[..., H:])
-    np.conjugate(flat[..., :H:-1], out=flat[..., :H])
+    elif out.shape not in (c.shape[:-1] + (2, S, S), c.shape[:-1] + (2, S, K + 1)) or (
+        out.dtype != np.complex128
+    ):
+        raise ValueError(f"out must be complex128 of shape {c.shape[:-1] + (2, S, S)} or its half")
+    half = out if out.shape[-1] == K + 1 else out[..., K:]
+    amp = np.take(c, model._half_source, axis=-1).reshape(c.shape[:-1] + (1, S, K + 1))
+    np.multiply(amp, model._half_direction, out=half)
+    np.conjugate(half[..., :K, :], out=half[..., :K, :])
+    if half is not out:
+        full_spectrum(half, out=out)
     return out
 
 
@@ -231,15 +241,20 @@ def saturation_factor(params: SigmaParams, r):
 
 
 def sigma_factor(model: NoiseModel, t: float, u_coeffs: np.ndarray):
-    """State-dependent gain modulation, one value per state of a batch.
+    """State-dependent gain modulation, one value per state of a batch of
+    conjugate-symmetric states (..., 2, S, S) or of their kx >= 0 halves
+    (..., 2, S, K + 1).
 
     The scalar 1.0 for the additive family, whatever the batch shape.  No
     family reads t, so one call may cover states at different times.
     """
     if not model.state_dependent:
         return 1.0
-    r = np.sqrt(v_norm_sq_array(model.grid, u_coeffs))
-    return saturation_factor(model.params, r)
+    if u_coeffs.shape[-1] == u_coeffs.shape[-2]:
+        v2 = v_norm_sq_array(model.grid, u_coeffs)
+    else:  # the kx >= 0 half of the states, the stepper's
+        v2 = weighted_norm_sq(abs_sq(u_coeffs), model.grid.half_k2)
+    return saturation_factor(model.params, np.sqrt(v2))
 
 
 def times_factor(field: np.ndarray, factor, out: np.ndarray | None = None) -> np.ndarray:

@@ -11,7 +11,8 @@ exploit.
 The ensemble entry points integrate many paths at once (vectorized over a
 chunk) while each path consumes its own counter-based substream, so results do
 not depend on chunking or scheduling.  Every stochastic path is advanced by
-the one time loop in `_integrate_batch`; processes coupled to the noisy path
+the one time loop in `_integrate_batch`, on the kx >= 0 half of its
+conjugate-symmetric state; processes coupled to the noisy path
 (the shifted fluctuation here, the first-order linearization in the deviation
 module) are stepped by observers of that loop on the same increments.
 """
@@ -43,6 +44,7 @@ from .spectral import (
     TWO_PI,
     advection_array,
     abs_sq,
+    full_spectrum,
     half_spectrum,
     hv_norm_sq_array,
     linearized_advection_array,
@@ -152,9 +154,16 @@ class Propagator:
         self.phi_rate = phi / dt
         # exact integral of ||u||^2 over one pure-decay step, per unit |u_k|^2
         self.int_weight = (1.0 - self.decay**2) / 2.0
-        # on the kx >= 0 columns that the observers' norms read
+        # on the kx >= 0 columns, where the stochastic paths are stepped and
+        # the observers' norms read
+        self.half_decay = half_spectrum(self.decay).copy()
+        self.half_phi = half_spectrum(self.phi).copy()
+        self.half_phi_rate = half_spectrum(self.phi_rate).copy()
         self.half_int_weight = grid.half_weight * half_spectrum(self.int_weight)
-        for arr in (self.decay, self.phi, self.phi_rate, self.int_weight, self.half_int_weight):
+        for arr in (
+            self.decay, self.phi, self.phi_rate, self.int_weight, self.half_decay,
+            self.half_phi, self.half_phi_rate, self.half_int_weight,
+        ):
             arr.setflags(write=False)
 
 
@@ -178,11 +187,12 @@ def _guard_scale(config: SimConfig, u0_coeffs: np.ndarray) -> float:
     return config.blowup_factor * max(np.max(np.abs(u0_coeffs)), 1.0 / TWO_PI)
 
 
-def _blowup_guard(coeffs: np.ndarray, scale: float, step: int) -> None:
+def _blowup_guard(half: np.ndarray, scale: float, step: int) -> None:
     """Raise IntegrationError for a non-finite state or one whose largest
-    amplitude exceeds scale.  The state is conjugate symmetric and
-    |conj c| = |c|, so the kx >= 0 columns hold its largest amplitude."""
-    peak = np.max(np.abs(half_spectrum(coeffs)))
+    amplitude exceeds scale, given the kx >= 0 half of the state.  The state
+    is conjugate symmetric and |conj c| = |c|, so its half holds its largest
+    amplitude."""
+    peak = np.max(np.abs(half))
     if not np.isfinite(peak):
         raise IntegrationError(step, "non-finite coefficients")
     if peak > scale:
@@ -306,6 +316,11 @@ _NOISE_BLOCK_BYTES = 256 * 2 * 21**2 * 16
 _NOISE_BLOCK_DRAW = 512
 
 
+def _state_nbytes(grid: SpectralGrid) -> int:
+    """Bytes of one path's full complex state (2, S, S)."""
+    return 2 * grid.n_coeff**2 * 16
+
+
 def _noise_block_steps(model: NoiseModel, n_paths: int, n_steps: int) -> int:
     """Steps of one noise block of a batch of n_paths paths under model.
 
@@ -315,8 +330,7 @@ def _noise_block_steps(model: NoiseModel, n_paths: int, n_steps: int) -> int:
     for each path's draw call to fill _NOISE_BLOCK_DRAW normals: at K = 10
     and full J, 2 steps whatever the batch.
     """
-    path_step_nbytes = 2 * model.grid.n_coeff**2 * 16
-    by_bytes = _NOISE_BLOCK_BYTES // (n_paths * path_step_nbytes)
+    by_bytes = _NOISE_BLOCK_BYTES // (n_paths * _state_nbytes(model.grid))
     by_draw = -(-_NOISE_BLOCK_DRAW // model.n_directions)
     return min(n_steps, max(1, min(by_bytes, by_draw)))
 
@@ -351,11 +365,14 @@ def _integrate_batch(
 ) -> None:
     """Advance a batch of paths in place, invoking hooks at each step.
 
-    This is the one time loop of every stochastic path.
-    hooks.on_noise(step, t, coeffs, dW) and hooks.on_state(idx, t, coeffs) are
-    optional callables; on_noise sees the pre-step state, so a coupled process
-    can be stepped inside it on the same increments.  state has shape
-    (n, 2, S, S); draw_normals(start, stop) returns the (n, stop - start, J)
+    This is the one time loop of every stochastic path.  The paths are
+    conjugate symmetric, and state holds only their kx >= 0 half, shape
+    (n, 2, S, K + 1): the update, the noise and the self-advection are formed
+    on that half alone.  hooks.on_noise(step, t, coeffs, dW) and
+    hooks.on_state(idx, t, coeffs) are optional callables, and coeffs is the
+    half; `full_spectrum(coeffs)` gives the full field.  on_noise sees the
+    pre-step state, so a coupled process can be stepped inside it on the same
+    increments.  draw_normals(start, stop) returns the (n, stop - start, J)
     standard normals of steps [start, stop) (`_normal_blocks`), or is None
     for a noiseless run.  The advection and the noise factor are formed from
     the pre-step state before the state is updated in place, with no second
@@ -366,16 +383,18 @@ def _integrate_batch(
     _NOISE_BLOCK_BYTES of noise field per call, and no more steps than fill
     _NOISE_BLOCK_DRAW normals per path (`_noise_block_steps`).  For a
     state-independent family the scatter weight of direction j is
-    gain_j sqrt(eps) phi_rate(k_j), with k_j its mode, so the block is the
-    step's whole noise term; a state-dependent family's block is
-    scatter(dW * gains), and its factor, sqrt(eps) and phi_rate are applied
-    per step.  Every operation is elementwise, so the values do not depend
+    gain_j sqrt(eps) phi_rate(k_j), with k_j its mode, so the block, the
+    half of the scatter, is the step's whole noise term; a state-dependent
+    family's block is scatter(dW * gains), and its factor, sqrt(eps) and
+    phi_rate are applied per step.  Every operation is elementwise, so the values do not depend
     on the block.
     """
     prop = propagator(config.grid, config.dt)
     model = config.noise
     n_steps = config.n_steps
-    phi_forcing = None if config.forcing is None else prop.phi * config.forcing.coeffs
+    phi_forcing = None
+    if config.forcing is not None:
+        phi_forcing = prop.half_phi * half_spectrum(config.forcing.coeffs)
     sqrt_eps = math.sqrt(config.epsilon)
     scale = _guard_scale(config, state)
     on_noise = getattr(hooks, "on_noise", None)
@@ -397,22 +416,23 @@ def _integrate_batch(
                 dW_block = draw_normals(step, min(step + block, n_steps))
                 dW_block *= sqrt_lam_dt
                 if config.epsilon > 0.0:
-                    noise_block = scatter_coefficients(model, dW_block, weights=weights)
+                    noise_block = np.empty(dW_block.shape[:-1] + state.shape[1:], np.complex128)
+                    scatter_coefficients(model, dW_block, weights=weights, out=noise_block)
             if on_noise:
                 on_noise(step, t, state, dW_block[:, i])
             if config.epsilon > 0.0 and model.state_dependent:
                 factor = sigma_factor(model, t, state)[:, None, None, None]
-                noise = noise_block[:, i] * factor * sqrt_eps * prop.phi_rate
+                noise = noise_block[:, i] * factor * sqrt_eps * prop.half_phi_rate
             elif config.epsilon > 0.0:
                 noise = noise_block[:, i]
             if i == block - 1:
                 dW_block = noise_block = None
         # state <- decay * state + phi * forcing - phi * adv + noise, in place
-        state *= prop.decay
+        state *= prop.half_decay
         if phi_forcing is not None:
             state += phi_forcing
         if adv is not None:
-            adv *= prop.phi
+            adv *= prop.half_phi
             state -= adv
         if noise is not None:
             state += noise
@@ -448,7 +468,7 @@ def _solve_single(
 ) -> Trajectory:
     obs = TrajectoryObserver(config)
     obs.on_start(propagator(config.grid, config.dt), 1, config.n_steps)
-    _integrate_batch(config, _initial_coeffs(config)[None].copy(), draw_normals, obs)
+    _integrate_batch(config, half_spectrum(_initial_coeffs(config))[None].copy(), draw_normals, obs)
     return _trajectory(config, obs.finish(), 0, provenance)
 
 
@@ -546,7 +566,7 @@ def _skeleton_trajectories(
     obs = TrajectoryObserver(config, frames if config.record_stride == 1 else None)
     obs.on_start(propagator(config.grid, config.dt), frames.shape[0], config.n_steps)
     for idx in range(config.n_steps + 1):
-        obs.on_state(idx, idx * config.dt, frames[:, idx])
+        obs.on_state(idx, idx * config.dt, half_spectrum(frames[:, idx]))
     data = obs.finish()
     return data["frames"], [_trajectory(config, data, i, provenance) for i in range(len(frames))]
 
@@ -575,10 +595,12 @@ class _ShiftedObserver:
     """Steps the shifted fluctuation z on the increments of the noisy path and
     shows the wrapped observer z in place of the noisy state.
 
-    The drift couples to the pre-step noisy state u and the deterministic
-    limit u0; the diffusion coefficient is evaluated at the recentred state,
-    once per step, and modulates both the control and the noise.  h_field
-    holds the unmodulated control field of every step (`_control_fields`).
+    The drift couples to the pre-step noisy state u, mirrored from its half
+    for the gradient-form B(u, z), and the deterministic limit u0; z is held
+    as full arrays.  The diffusion coefficient is evaluated at the recentred
+    state, once per step, and modulates both the control and the noise.
+    h_field holds the unmodulated control field of every step
+    (`_control_fields`).
     """
 
     def __init__(self, config: SimConfig, h_field, u0_frames, inner):
@@ -602,13 +624,14 @@ class _ShiftedObserver:
             factor = sigma_factor(cfg.noise, t, shifted_diffusion_argument(z, u0, cfg.epsilon))
         rhs = times_factor(self.h_field[step], factor)
         if cfg.nonlinear:
-            rhs = rhs - advection_array(cfg.grid, coeffs, z) - advection_array(cfg.grid, z, u0)
+            u = full_spectrum(coeffs)
+            rhs = rhs - advection_array(cfg.grid, u, z) - advection_array(cfg.grid, z, u0)
         noise = times_factor(scatter_coefficients(cfg.noise, dW, weights=cfg.noise.gains), factor)
         self.z = prop.decay * z + prop.phi * rhs + prop.phi_rate * (self.inv_sq * noise)
-        _blowup_guard(self.z, self.scale, step)
+        _blowup_guard(half_spectrum(self.z), self.scale, step)
 
     def on_state(self, idx, t, coeffs):
-        self.inner.on_state(idx, t, self.z)
+        self.inner.on_state(idx, t, half_spectrum(self.z))
 
     def finish(self) -> dict:
         return self.inner.finish()
@@ -677,12 +700,11 @@ def _reuse_step_memory(temp_nbytes: int) -> None:
     heap and keep them there once freed, so that the next step or block
     reuses their pages.
 
-    temp_nbytes is the chunk's largest such temporary: the state, or the
-    noise block if that is larger (`_noise_block_steps`, up to
+    temp_nbytes is the chunk's full-spectrum states, (n, 2, S, S), times the
+    steps of its noise block (`_noise_block_steps`, up to
     _NOISE_BLOCK_BYTES, 256 states of K = 10).  Each step allocates a few
-    arrays about the size of the state (transform outputs, the advection,
-    the noise); the largest, a transform's grid array, is at most a quarter
-    larger than the state.
+    arrays no larger than the full states (the half advection, the half
+    noise) but for a transform's grid array, at most a quarter larger.
     Above the mmap threshold glibc maps each one afresh and unmaps it on
     free, so every step faults its pages in again.  The mmap threshold is
     set to twice temp_nbytes and the trim threshold, the freed heap top kept
@@ -722,12 +744,14 @@ def ensemble_run(
     (called with the pre-step state before each noisy step), optional
     on_state(idx, t, coeffs) (called with the state after each step, and
     once with the initial state), and finish() -> dict of arrays with
-    leading axis n.  Results are concatenated across chunks, so output is
-    independent of the chunk size.
+    leading axis n.  A hook's coeffs is the (n, 2, S, K + 1) kx >= 0 half
+    of the conjugate-symmetric states, which is all the stepper holds;
+    `full_spectrum(coeffs)` gives the full fields.  Results are concatenated
+    across chunks, so output is independent of the chunk size.
     """
     J = config.noise.n_directions
     n_steps = config.n_steps
-    S = config.grid.n_coeff
+    u0_half = half_spectrum(_initial_coeffs(config))
     merged: dict[str, list[np.ndarray]] = {}
     for start in range(0, n_paths, _CHUNK_PATHS):
         paths = range(start, min(start + _CHUNK_PATHS, n_paths))
@@ -736,12 +760,11 @@ def ensemble_run(
             draw = _normal_blocks([normal_source(i) for i in paths], J)
         elif config.epsilon > 0.0:
             draw = _normal_blocks([substream(seed, i) for i in paths], J)
-        state = np.broadcast_to(_initial_coeffs(config), (len(paths), 2, S, S)).copy()
-        # a scattered noise block holds block_steps states' worth of noise
+        state = np.broadcast_to(u0_half, (len(paths),) + u0_half.shape).copy()
         block_steps = 1
         if config.epsilon > 0.0:
             block_steps = _noise_block_steps(config.noise, len(paths), n_steps)
-        _reuse_step_memory(state.nbytes * max(1, block_steps))
+        _reuse_step_memory(len(paths) * _state_nbytes(config.grid) * block_steps)
         obs = observer_factory()
         obs.on_start(propagator(config.grid, config.dt), len(paths), n_steps)
         _integrate_batch(config, state, draw, obs)
@@ -755,9 +778,10 @@ class TrajectoryObserver:
 
     sup_h2 and int_v2 run over every solver step (the integral by the
     per-step integrating-factor quadrature); frames, h2 and v2 are kept on
-    the recording grid.  The frames are recorded into `frames` when given,
-    an (n_paths, records, 2, S, S) array; a state that already is its slot
-    (a view of the same memory) is not copied.
+    the recording grid.  A state arrives as its kx >= 0 half, and a frame is
+    its full mirror (`full_spectrum`).  The frames are recorded into
+    `frames` when given, an (n_paths, records, 2, S, S) array; a half that
+    already lies in its slot (a view of the same memory) is not mirrored.
     """
 
     def __init__(self, config: SimConfig, frames: np.ndarray | None = None):
@@ -779,11 +803,13 @@ class TrajectoryObserver:
         self.int_v2 = np.zeros(n_paths)
 
     def on_state(self, idx, t, coeffs):
-        a2 = abs_sq(half_spectrum(coeffs))
+        a2 = abs_sq(coeffs)
         h2 = weighted_norm_sq(a2, self.prop.grid.half_weight)
         slot = self.rec.slot(idx, t)
         if slot is not None:
-            self.frames[:, slot] = coeffs
+            frame = self.frames[:, slot]
+            if not np.may_share_memory(coeffs, frame):
+                full_spectrum(coeffs, out=frame)
             self.h2[:, slot] = h2
             self.v2[:, slot] = weighted_norm_sq(a2, self.prop.grid.half_k2)
         np.maximum(self.sup_h2, h2, out=self.sup_h2)

@@ -11,6 +11,11 @@ real.  All operators in this module are pure functions; nonlinear products are
 evaluated pseudo-spectrally on an N x N grid with the truncation back to the
 retained modes acting as the 2/3-rule dealiasing step.
 
+The kx >= 0 columns of a conjugate-symmetric array, shape (..., S, K + 1),
+hold all of it: `half_spectrum` takes them and `full_spectrum` mirrors them
+back.  The stochastic stepper holds its paths' states, their noise and their
+self-advection as such halves only.
+
 The grid transforms are real-to-complex.  They work on the half spectrum of a
 real N x N array, shape (..., N, N//2 + 1), whose entry [ky mod N, kx] holds
 the coefficient of mode (kx, ky) for kx >= 0 only; the kx < 0 half is implied
@@ -19,10 +24,11 @@ precondition of every transform: `to_physical` reads only the kx >= 0 half and
 `from_physical` writes the kx < 0 half as its conjugate mirror.  The
 exceptions are self-advection and the advection linearized around a field,
 which transform complex fields such as u_x + i u_y on a full N x N grid with
-their modes centered (`_padded_values`).  Conjugate symmetry is a
-precondition of the squared norms too: by Parseval they read only the kx >= 0
-columns (`half_spectrum`), with weights that count kx > 0 twice and kx = 0
-once (`SpectralGrid.half_weight`).
+their modes centered (`_padded_values`); those fields are packed from the
+kx >= 0 half of their input too, its kx < 0 block columns from the conjugate
+mirror.  Conjugate symmetry is a precondition of the squared norms as well:
+by Parseval they read only the kx >= 0 columns (`half_spectrum`), with
+weights that count kx > 0 twice and kx = 0 once (`SpectralGrid.half_weight`).
 """
 
 from __future__ import annotations
@@ -234,11 +240,11 @@ def from_physical(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
     np.fft.fft(cols, axis=-2, norm="forward", out=cols)
     S = grid.n_coeff
     out = np.empty(cols.shape[:-2] + (S, S), dtype=np.complex128)
-    out[..., K:, K:] = cols[..., : K + 1, :]
-    out[..., :K, K + 1 :] = cols[..., N - K :, 1:]
-    np.conjugate(cols[..., K:0:-1, 0], out=out[..., :K, K])
-    np.conjugate(out[..., ::-1, :K:-1], out=out[..., :, :K])
-    return out
+    half = out[..., K:]
+    half[..., K:, :] = cols[..., : K + 1, :]
+    half[..., :K, 1:] = cols[..., N - K :, 1:]
+    np.conjugate(cols[..., K:0:-1, 0], out=half[..., :K, 0])
+    return full_spectrum(half, out=out)
 
 
 def _check_product_margin(grid: SpectralGrid) -> None:
@@ -250,21 +256,28 @@ def _check_product_margin(grid: SpectralGrid) -> None:
 
 
 def _padded_values(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
-    """Grid values of w = u_x + i u_y for u (..., 2, S, S), in the one padded
-    (..., N, N) complex array that w is transformed in.
+    """Grid values of w = u_x + i u_y for conjugate-symmetric u given by its
+    kx >= 0 half (..., 2, S, K + 1), in the one padded (..., N, N) complex
+    array that w is transformed in.
 
-    Mode k of w sits at index k + N//2 on both axes, a contiguous block.  The
-    inverse pass along y runs on the 2K + 1 block columns only, then along x;
-    the grid values then carry the factor exp(2 pi i (N//2)(x + y) / N) at
-    grid indices (x, y).
+    Mode k of w sits at index k + N//2 on both axes, a contiguous block.  Its
+    kx >= 0 columns are u_x + i u_y of the half; its kx < 0 columns are the
+    same of the conjugate mirror u(k) = conj u(-k): real part
+    u_x.real + u_y.imag and imaginary part u_y.real - u_x.imag, read at -k.
+    The inverse pass along y runs on the 2K + 1 block columns only, then
+    along x; the grid values then carry the factor
+    exp(2 pi i (N//2)(x + y) / N) at grid indices (x, y).
     """
     K, N = grid.max_wavenumber, grid.physical_resolution
     lo, hi = N // 2 - K, N // 2 + K + 1
     w = np.zeros(u.shape[:-3] + (N, N), dtype=np.complex128)
     block = w[..., lo:hi, lo:hi]
     ux, uy = u[..., 0, :, :], u[..., 1, :, :]
-    np.subtract(ux.real, uy.imag, out=block.real)
-    np.add(ux.imag, uy.real, out=block.imag)
+    np.subtract(ux.real, uy.imag, out=block[..., K:].real)
+    np.add(ux.imag, uy.real, out=block[..., K:].imag)
+    ux, uy = ux[..., ::-1, :0:-1], uy[..., ::-1, :0:-1]
+    np.add(ux.real, uy.imag, out=block[..., :K].real)
+    np.subtract(uy.real, ux.imag, out=block[..., :K].imag)
     cols = w[..., lo:hi]
     np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
     np.fft.ifft(w, axis=-1, norm="forward", out=w)
@@ -291,9 +304,10 @@ def _centered_spectrum(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
 
 
 def _curl_form(grid: SpectralGrid, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """P div(x a + a x) / 2 of divergence-free x (..., 2, S, S) and a (one
-    field, or a batch of x's shape) in curl form, formed on the kx >= 0
-    columns and mirrored onto the kx < 0 ones; P div(x x) for `a is x`.
+    """The kx >= 0 half (..., 2, S, K + 1) of P div(x a + a x) / 2 in curl
+    form, of divergence-free, conjugate-symmetric x and a given by their
+    halves (x (..., 2, S, K + 1), a one half or a batch of x's shape);
+    P div(x x) for `a is x`.
 
     The traceless part of the symmetric tensor T = (x a + a x) / 2 is packed
     in Q, the centered spectrum of w_x w_a = q1 + 2i q0 with w = u_x + i u_y,
@@ -316,11 +330,9 @@ def _curl_form(grid: SpectralGrid, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     s += np.multiply(grid.half_beta, conj_q, out=conj_q)
     # the padded array is freed before the output exists: a lower peak
     del w, q, conj_q
-    out = np.empty(x.shape, dtype=np.complex128)
-    np.multiply(grid.half_curl_k, s[..., None, :, :], out=out[..., K:])
-    np.conjugate(out[..., ::-1, :K:-1], out=out[..., :, :K])
+    out = np.multiply(grid.half_curl_k, s[..., None, :, :])
     # rows ky < 0 of the kx = 0 column mirror rows ky > 0, as in `from_physical`
-    np.conjugate(out[..., :K:-1, K], out=out[..., :K, K])
+    np.conjugate(out[..., :K:-1, 0], out=out[..., :K, 0])
     return out
 
 
@@ -328,22 +340,30 @@ def advection_array(grid: SpectralGrid, u: np.ndarray, v: np.ndarray) -> np.ndar
     """Dealiased, projected advective product P((u . grad) v) on coefficient arrays.
 
     Batched over leading axes.  Exact Galerkin truncation for N >= 3K + 1.
-    Self-advection (`v is u`, the stepper's call) requires a divergence-free u
-    and is formed in curl (stream-function) form (`_curl_form`): one inverse
+    Self-advection (`v is u`, the stepper's call) requires a divergence-free,
+    conjugate-symmetric u.  It takes u as a full array (..., 2, S, S) or as
+    its kx >= 0 half (..., 2, S, K + 1), the stepper's, and returns the same
+    layout; it reads only the half either way.  It is formed in curl
+    (stream-function) form (`_curl_form`): one inverse
     transform of w = u_x + i u_y, its square w^2 = q1 + 2i q0 with
     q0 = u_x u_y and q1 = u_x^2 - u_y^2, one forward transform Q, then
     s = alpha Q(k) + beta conj Q(-k) = i (a q1 + b q0), with
     alpha = i a/2 + b/4, beta = i a/2 - b/4, a = kx ky / |k|^2 and
     b = (ky^2 - kx^2) / |k|^2, and the result (ky s, -kx s), which is
     P div(u u) exactly.  The weights are applied on the kx >= 0 columns
-    only, and the kx < 0 columns are their conjugate mirror, so the result is
-    divergence free, mean free and exactly conjugate symmetric by
-    construction and no projection pass follows.
-    Other pairs take the gradient form, u_x dv/dx + u_y dv/dy, with no
-    condition on div u, and are Leray projected.
+    only, and a full result's kx < 0 columns are their conjugate mirror
+    (`full_spectrum`), so the result is divergence free, mean free and
+    exactly conjugate symmetric by construction and no projection pass
+    follows.
+    Other pairs take full arrays and the gradient form,
+    u_x dv/dx + u_y dv/dy, with no condition on div u, and are Leray
+    projected.
     """
     _check_product_margin(grid)
     if v is u:
+        if u.shape[-1] == u.shape[-2]:
+            half = half_spectrum(u)
+            return full_spectrum(_curl_form(grid, half, half))
         return _curl_form(grid, u, u)
     u_phys = to_physical(grid, u)
     dvdx = to_physical(grid, 1j * grid.kx * v)
@@ -363,7 +383,7 @@ def linearized_advection_array(grid: SpectralGrid, x: np.ndarray, a: np.ndarray)
     The result is mean free and exactly conjugate symmetric.
     """
     _check_product_margin(grid)
-    return _curl_form(grid, x, 2.0 * a)
+    return full_spectrum(_curl_form(grid, half_spectrum(x), 2.0 * half_spectrum(a)))
 
 
 def linearized_advection_adjoint_array(
@@ -385,8 +405,9 @@ def linearized_advection_adjoint_array(
     p = leray_project_array(grid, p)
     px, py = p[..., 0, :, :], p[..., 1, :, :]
     d = np.stack([1j * kx * px, 0.5j * (ky * px + kx * py)], axis=-3)
-    w = _padded_values(grid, d)
+    w = _padded_values(grid, half_spectrum(d))
     # the packed field of (-a_x, a_y) is -conj(w_a), so the product is -d conj(w_a)
+    a = half_spectrum(a)
     w *= _padded_values(grid, np.stack([-a[..., 0, :, :], a[..., 1, :, :]], axis=-3))
     g = _centered_spectrum(grid, w)
     g_mirror = np.conjugate(g[..., ::-1, ::-1])
@@ -427,9 +448,32 @@ def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
     """The kx >= 0 columns of centered arrays (..., S, S), a view of shape
     (..., S, K + 1): all that a norm of a conjugate-symmetric field reads.
 
-    Every norm and the blow-up guard take their input through this one view.
+    Every norm takes a full input through this one view.  Raises ValueError
+    for an array whose last two axes differ, such as a half.
     """
+    if coeffs.ndim < 2 or coeffs.shape[-2] != coeffs.shape[-1]:
+        raise ValueError(f"half_spectrum needs (..., S, S) arrays, got shape {coeffs.shape}")
     return coeffs[..., coeffs.shape[-1] // 2 :]
+
+
+def full_spectrum(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The centered arrays (..., S, S) of conjugate-symmetric coefficients
+    from their kx >= 0 columns (..., S, K + 1), the inverse of
+    `half_spectrum`: the kx < 0 columns are the conjugate mirror,
+    c(kx, ky) = conj c(-kx, -ky).  The kx = 0 column is taken as it is.
+
+    Written into `out` when given, which may be a view; `half` may be
+    out's own kx >= 0 columns.  Raises ValueError unless S = 2K + 1.
+    """
+    if half.ndim < 2 or half.shape[-1] < 2 or half.shape[-2] != 2 * half.shape[-1] - 1:
+        raise ValueError(f"full_spectrum needs (..., 2K+1, K+1) halves, got shape {half.shape}")
+    K = half.shape[-1] - 1
+    S = 2 * K + 1
+    if out is None:
+        out = np.empty(half.shape[:-1] + (S,), dtype=np.complex128)
+    out[..., K:] = half  # nothing to do when half is out's own columns
+    np.conjugate(half[..., ::-1, :0:-1], out=out[..., :K])
+    return out
 
 
 def abs_sq(c: np.ndarray) -> np.ndarray:

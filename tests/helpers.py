@@ -205,9 +205,9 @@ def self_advection_assembled(grid, u: np.ndarray) -> np.ndarray:
     square: the packed square Q of w = u_x + i u_y, both halves, is combined
     into s = alpha Q(k) + beta conj Q(-k), with alpha = i a/2 + b/4 and
     beta = i a/2 - b/4, and the result is (ky s, -kx s)."""
-    from snse_lab.spectral import _centered_spectrum, _padded_values
+    from snse_lab.spectral import _centered_spectrum, _padded_values, half_spectrum
 
-    w = _padded_values(grid, u)
+    w = _padded_values(grid, half_spectrum(u))
     q = _centered_spectrum(grid, np.square(w, out=w))
     curl_a, curl_b = curl_weights(grid)
     s = (0.5j * curl_a + 0.25 * curl_b) * q
@@ -358,9 +358,9 @@ class RemainderObserverPerStep:
         self.y = prop.decay * y + prop.phi * rhs + prop.phi_rate * noise
 
     def on_state(self, idx, t, coeffs):
-        from snse_lab.spectral import h_norm_sq_array
+        from snse_lab.spectral import full_spectrum, h_norm_sq_array
 
-        rem = coeffs - self.u0[idx] - math.sqrt(self.config.epsilon) * self.y
+        rem = full_spectrum(coeffs) - self.u0[idx] - math.sqrt(self.config.epsilon) * self.y
         np.maximum(self.sup, h_norm_sq_array(self.config.grid, rem), out=self.sup)
 
     def finish(self) -> dict:
@@ -566,6 +566,65 @@ def read_trajectory(path: str):
         frames=frames, h2=h2, v2=v2, sup_h2=header["sup_h2"], int_v2=header["int_v2"],
         provenance=header.get("provenance", {}),
     )
+
+
+def integrate_batch_full(config, state: np.ndarray, draw_normals, hooks) -> None:
+    """The stochastic time loop on full (n, 2, S, S) states: the stepper of
+    `solvers._integrate_batch` with the update, the noise block, the
+    self-advection and the hooks' inputs all over the whole mode square.
+    A guard over every mode stands in for the blow-up guard."""
+    from snse_lab.noise import at_directions, scatter_coefficients, sigma_factor
+    from snse_lab.solvers import (
+        IntegrationError, _guard_scale, _noise_block_steps, propagator,
+    )
+    from snse_lab.spectral import advection_array
+
+    prop = propagator(config.grid, config.dt)
+    model = config.noise
+    n_steps = config.n_steps
+    phi_forcing = None if config.forcing is None else prop.phi * config.forcing.coeffs
+    sqrt_eps = math.sqrt(config.epsilon)
+    scale = _guard_scale(config, state)
+    on_noise = getattr(hooks, "on_noise", None)
+    on_state = getattr(hooks, "on_state", None)
+    if on_state:
+        on_state(0, 0.0, state)
+    sqrt_lam_dt = np.sqrt(model.eigenvalues * config.dt)
+    weights = model.gains
+    if not model.state_dependent:
+        weights = model.gains * sqrt_eps * at_directions(model, prop.phi_rate)
+    block = _noise_block_steps(model, state.shape[0], n_steps)
+    for step in range(n_steps):
+        t = step * config.dt
+        adv = advection_array(config.grid, state, state) if config.nonlinear else None
+        noise = None
+        if draw_normals is not None:
+            i = step % block
+            if i == 0:
+                dW_block = draw_normals(step, min(step + block, n_steps))
+                dW_block *= sqrt_lam_dt
+                if config.epsilon > 0.0:
+                    noise_block = scatter_coefficients(model, dW_block, weights=weights)
+            if on_noise:
+                on_noise(step, t, state, dW_block[:, i])
+            if config.epsilon > 0.0 and model.state_dependent:
+                factor = sigma_factor(model, t, state)[:, None, None, None]
+                noise = noise_block[:, i] * factor * sqrt_eps * prop.phi_rate
+            elif config.epsilon > 0.0:
+                noise = noise_block[:, i]
+        state *= prop.decay
+        if phi_forcing is not None:
+            state += phi_forcing
+        if adv is not None:
+            adv *= prop.phi
+            state -= adv
+        if noise is not None:
+            state += noise
+        peak = np.max(np.abs(state))
+        if not np.isfinite(peak) or peak > scale:
+            raise IntegrationError(step, f"amplitude {peak:.3e}")
+        if on_state:
+            on_state(step + 1, t + config.dt, state)
 
 
 def shifted_ensemble(config, h, epsilon, u0_frames, seed, n_paths, inner_factory) -> dict:

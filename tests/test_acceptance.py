@@ -51,6 +51,7 @@ from snse_lab.spectral import (
     advection_term,
     default_grid,
     divergence_defect,
+    full_spectrum,
     random_solenoidal_field,
     single_mode_field,
 )
@@ -176,7 +177,7 @@ class TestCriterionOUOracle:
                 pass
 
             def on_state(self, idx, t, coeffs):
-                self.last = coeffs.copy()
+                self.last = full_spectrum(coeffs)
 
             def finish(self):
                 return {"c": self.last}

@@ -34,6 +34,7 @@ from snse_lab.solvers import (
 )
 from snse_lab.spectral import (
     default_grid,
+    full_spectrum,
     random_solenoidal_field,
     single_mode_field,
     taylor_green,
@@ -135,7 +136,7 @@ def _solve_one(cfg, eps, seed, path):
             pass
 
         def on_state(self, idx, t, coeffs):
-            self.c = coeffs[0].copy()
+            self.c = full_spectrum(coeffs[0])
 
         def finish(self):
             return {"c": self.c[None]}
@@ -503,7 +504,7 @@ class TestShiftedProcessLaw:
                 pass
 
             def on_state(self, idx, t, coeffs):
-                self.last = coeffs[:, 1, 1, 2].copy()
+                self.last = full_spectrum(coeffs)[:, 1, 1, 2]
 
             def finish(self):
                 return {"c": self.last}

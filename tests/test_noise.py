@@ -27,8 +27,10 @@ from snse_lab.rng import substream
 from snse_lab.spectral import (
     TWO_PI,
     SpectralField,
+    SpectralGrid,
     divergence_defect,
     h_norm_sq_array,
+    half_spectrum,
     random_solenoidal_field,
     v_norm_sq_array,
     zero_field,
@@ -63,6 +65,18 @@ class TestModel:
         rhs = float(xi @ gather_coefficients(noise3, y.coeffs))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
+
+    # full J and an odd J, which ends on a cosine, at K = 1, 3 and 10
+    @pytest.mark.parametrize("K, J", [(1, None), (1, 3), (3, None), (3, 9), (10, None), (10, 21)])
+    def test_half_scatter_is_half_of_full(self, rng, K, J):
+        m = NoiseModel(grid=SpectralGrid(K, 3 * K + 2), num_directions=J)
+        xi = rng.standard_normal((4, 3, m.n_directions))
+        full = scatter_coefficients(m, xi, weights=m.gains)
+        half = np.empty(xi.shape[:-1] + (2, 2 * K + 1, K + 1), dtype=np.complex128)
+        assert scatter_coefficients(m, xi, weights=m.gains, out=half) is half
+        assert np.array_equal(half, half_spectrum(full))
+        oracle = helpers.fancy_index_scatter(m, xi, weights=m.gains)
+        assert np.array_equal(half, half_spectrum(oracle))
 
     # full J = 2 * 24 = 48 at K=3; 10 directions end on a sine, 9 on a cosine
     @pytest.mark.parametrize("J", [None, 10, 9])

@@ -37,9 +37,11 @@ from snse_lab.solvers import (
     TrajectoryObserver,
 )
 from snse_lab.spectral import (
+    SpectralGrid,
     abs_sq,
     default_grid,
     divergence_defect,
+    full_spectrum,
     h_norm_sq_array,
     half_spectrum,
     random_solenoidal_field,
@@ -262,7 +264,7 @@ class TestStochasticSolve:
                 self.pre = []
 
             def on_noise(self, step, t, coeffs, dW):
-                self.pre.append(coeffs.copy())
+                self.pre.append(full_spectrum(coeffs))
 
             def finish(self):
                 return {"pre": np.stack(self.pre, axis=1)}
@@ -410,7 +412,7 @@ class TestStochasticSolve:
                 pass
 
             def on_state(self, idx, t, coeffs):
-                self.last = coeffs[:, 1, _mode_index(cfg.grid, (1, 0))[0], _mode_index(cfg.grid, (1, 0))[1]].copy()
+                self.last = full_spectrum(coeffs)[:, 1, _mode_index(cfg.grid, (1, 0))[0], _mode_index(cfg.grid, (1, 0))[1]]
 
             def finish(self):
                 return {"c": self.last}
@@ -626,6 +628,86 @@ def _count_calls_by_caller(monkeypatch, module, *names):
     return calls
 
 
+class _Recorder:
+    """Copies of every hook input of one batch."""
+
+    def __init__(self):
+        self.noise, self.states = [], []
+
+    def on_noise(self, step, t, coeffs, dW):
+        self.noise.append((step, t, coeffs.copy(), dW.copy()))
+
+    def on_state(self, idx, t, coeffs):
+        self.states.append((idx, t, coeffs.copy()))
+
+
+class TestHalfSpectrumStepper:
+    # the stepper holds the kx >= 0 half of its paths' states: its hooks'
+    # inputs and its final states are bitwise the halves of those of the
+    # full-spectrum loop, over 12 steps in two noise blocks
+    @pytest.mark.parametrize("N", [10, 11])
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    @pytest.mark.parametrize("family", ["additive", "saturated"])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_matches_full_spectrum_loop(self, N, batch, nonlinear, family, forced):
+        g = SpectralGrid(3, N)
+        rng = np.random.default_rng(N + batch)
+        noise = NoiseModel(grid=g, family=family)
+        cfg = SimConfig(
+            grid=g, noise=noise, horizon=12e-3, dt=1e-3, epsilon=1e-2,
+            initial=random_solenoidal_field(g, rng, amplitude=0.5),
+            forcing=random_solenoidal_field(g, rng, amplitude=0.3) if forced else None,
+            nonlinear=nonlinear,
+        )
+        assert solvers._noise_block_steps(noise, batch, cfg.n_steps) < cfg.n_steps
+        full = np.broadcast_to(cfg.initial.coeffs, (batch, 2, 7, 7)).copy()
+        half = half_spectrum(full).copy()
+        runs = []
+        for state, integrate in ((half, solvers._integrate_batch),
+                                 (full, helpers.integrate_batch_full)):
+            draw = solvers._normal_blocks([substream(5, i) for i in range(batch)],
+                                          noise.n_directions)
+            runs.append(_Recorder())
+            integrate(cfg, state, draw, runs[-1])
+        ours, oracle = runs
+        assert len(ours.noise) == len(oracle.noise) == cfg.n_steps
+        assert len(ours.states) == len(oracle.states) == cfg.n_steps + 1
+        for (step, t, c, dW), (step_f, t_f, c_f, dW_f) in zip(ours.noise, oracle.noise):
+            assert (step, t) == (step_f, t_f) and np.array_equal(dW, dW_f)
+            assert c.shape == half.shape and np.array_equal(c, half_spectrum(c_f))
+        for (idx, t, c), (idx_f, t_f, c_f) in zip(ours.states, oracle.states):
+            assert (idx, t) == (idx_f, t_f)
+            assert c.shape == half.shape and np.array_equal(c, half_spectrum(c_f))
+        assert np.array_equal(half, half_spectrum(full))
+
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_one_self_advection_per_step_per_chunk(self, monkeypatch, nonlinear):
+        # a traced run counts `spectral.advection_array` calls inside
+        # `ensemble_run` and reads each call's batch from u.shape[:-3]: the
+        # stepper makes one self-advection call per step per chunk, on the
+        # chunk's paths (9 paths at chunk 7: batches of 7, then 2), and a
+        # linear run makes none
+        g = default_grid(2)
+        cfg = SimConfig(
+            grid=g, noise=NoiseModel(grid=g), horizon=3e-3, dt=1e-3, epsilon=1e-2,
+            initial=random_solenoidal_field(g, np.random.default_rng(1), amplitude=0.5),
+            nonlinear=nonlinear,
+        )
+        batches = []
+        advect = solvers.advection_array
+
+        def spy(grid, u, v):
+            assert v is u
+            batches.append(math.prod(u.shape[:-3]))
+            return advect(grid, u, v)
+
+        monkeypatch.setattr(solvers, "advection_array", spy)
+        monkeypatch.setattr(solvers, "_CHUNK_PATHS", 7)
+        ensemble_run(cfg, 0, 9, lambda: TrajectoryObserver(cfg))
+        assert batches == ([7] * 3 + [2] * 3 if nonlinear else [])
+
+
 def _fast_path(cfg, seed, path):
     """Terminal frame of one ensemble path (scalar-speed helper)."""
     class Last:
@@ -633,7 +715,7 @@ def _fast_path(cfg, seed, path):
             pass
 
         def on_state(self, idx, t, coeffs):
-            self.c = coeffs[0].copy()
+            self.c = full_spectrum(coeffs[0])
 
         def finish(self):
             return {"c": self.c[None]}

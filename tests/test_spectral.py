@@ -18,7 +18,9 @@ from snse_lab.spectral import (
     default_grid,
     divergence_defect,
     from_physical,
+    full_spectrum,
     h_norm_sq_array,
+    half_spectrum,
     hv_norm_sq_array,
     leray_project,
     linearized_advection_adjoint_array,
@@ -288,6 +290,39 @@ class TestAdjointHelper:
 
 def _solenoidal_batch(grid, rng, batch):
     return np.stack([random_solenoidal_field(grid, rng).coeffs for _ in range(batch)])
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    def test_full_spectrum_inverts_half(self, rng, K, batch):
+        g = default_grid(K)
+        c = _solenoidal_batch(g, rng, batch)
+        half = half_spectrum(c)
+        assert half.shape == (batch, 2, 2 * K + 1, K + 1)
+        assert np.array_equal(full_spectrum(half), c)
+        # into the array whose kx >= 0 columns the half already is
+        out = c.copy()
+        out[..., :K] = np.nan
+        assert full_spectrum(half_spectrum(out), out=out) is out
+        assert np.array_equal(out, c)
+
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    def test_reject_each_others_shapes(self, rng, K):
+        c = _solenoidal_batch(default_grid(K), rng, 2)
+        with pytest.raises(ValueError):
+            half_spectrum(half_spectrum(c))
+        with pytest.raises(ValueError):
+            full_spectrum(c)
+
+    @pytest.mark.parametrize("K, N", [(1, 4), (1, 5), (3, 10), (3, 11), (10, 32), (10, 31)])
+    def test_self_advection_of_half_is_half_of_full(self, rng, K, N):
+        g = SpectralGrid(K, N)
+        u = _solenoidal_batch(g, rng, 7)
+        half = half_spectrum(u).copy()
+        ours = advection_array(g, half, half)
+        assert ours.shape == half.shape
+        assert np.array_equal(ours, half_spectrum(advection_array(g, u, u)))
 
 
 class TestRealTransforms:
