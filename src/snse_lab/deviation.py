@@ -771,67 +771,51 @@ def _dyadic_cell_records(times: np.ndarray, depth: int) -> int:
 
 
 class _MomentObserver:
-    """Running moments of one ensemble: sup and integral functionals of powers."""
+    """Running moments of one ensemble, one column per order p of `orders`:
+    `sup`, the sup over steps of |u|^(2p), and `int`, the left-endpoint
+    integral of |u|^(2p-2) ||u||^2.  Given the zero-noise frames u0, it also
+    keeps the gradient sup `sup_v2`, the left-endpoint integral `int_a2` of
+    |A u|^2, and the deviation u - u0's `sup_d2` and `int_dv2`."""
 
-    def __init__(self, config: SimConfig, p_list, u0_frames=None):
+    def __init__(self, config: SimConfig, orders, u0_frames=None):
         self.config = config
         self.grid = config.grid
-        self.p_list = list(p_list)
+        self.orders = list(orders)
         self.u0 = u0_frames
 
     def on_start(self, prop, n_paths, n_steps):
-        self.prop = prop
         self.n_steps = n_steps
-        self.a_weight = self.grid.half_k2 * half_spectrum(self.grid.k2)
-        n = n_paths
-        self.sup_h2 = np.zeros(n)
-        self.int_v2 = np.zeros(n)
-        self.sup_h4 = np.zeros(n)
-        self.int_h2v2 = np.zeros(n)
-        self.sup_h2p = {p: np.zeros(n) for p in self.p_list}
-        self.int_h2p = {p: np.zeros(n) for p in self.p_list}
-        self.sup_v2p = {p: np.zeros(n) for p in self.p_list}
-        self.int_a2 = np.zeros(n)
-        self.sup_d2 = np.zeros(n)
-        self.int_dv2 = np.zeros(n)
+        self.sup = np.zeros((n_paths, len(self.orders)))
+        self.int = np.zeros((n_paths, len(self.orders)))
+        if self.u0 is not None:
+            self.a_weight = self.grid.half_k2 * half_spectrum(self.grid.k2)
+            self.sup_v2, self.int_a2, self.sup_d2, self.int_dv2 = np.zeros((4, n_paths))
 
     def on_state(self, idx, t, coeffs):
         dt = self.config.dt
+        inside = idx < self.n_steps
         a2 = abs_sq(coeffs)
         h2 = weighted_norm_sq(a2, self.grid.half_weight)
         v2 = weighted_norm_sq(a2, self.grid.half_k2)
-        np.maximum(self.sup_h2, h2, out=self.sup_h2)
-        np.maximum(self.sup_h4, h2**2, out=self.sup_h4)
-        for p in self.p_list:
-            np.maximum(self.sup_h2p[p], h2**p, out=self.sup_h2p[p])
-            np.maximum(self.sup_v2p[p], v2**p, out=self.sup_v2p[p])
-        if idx < self.n_steps:
-            self.int_v2 += weighted_norm_sq(a2, self.prop.half_int_weight)
-            self.int_h2v2 += h2 * v2 * dt
-            for p in self.p_list:
-                self.int_h2p[p] += h2 ** (p - 1) * v2 * dt
+        # one scalar exponent per order: h2**2.0 and h2**1.0 are h2**2 and h2
+        for j, p in enumerate(self.orders):
+            np.maximum(self.sup[:, j], h2**p, out=self.sup[:, j])
+            if inside:
+                self.int[:, j] += h2 ** (p - 1) * v2 * dt
+        if self.u0 is None:
+            return
+        np.maximum(self.sup_v2, v2, out=self.sup_v2)
+        dh2, dv2 = half_norms_sq(self.grid, coeffs - half_spectrum(self.u0[idx]))
+        np.maximum(self.sup_d2, dh2, out=self.sup_d2)
+        if inside:
             self.int_a2 += weighted_norm_sq(a2, self.a_weight) * dt
-        if self.u0 is not None:
-            d = coeffs - half_spectrum(self.u0[idx])
-            dh2, dv2 = half_norms_sq(self.grid, d)
-            np.maximum(self.sup_d2, dh2, out=self.sup_d2)
-            if idx < self.n_steps:
-                self.int_dv2 += dv2 * dt
+            self.int_dv2 += dv2 * dt
 
     def finish(self) -> dict:
-        out = {
-            "sup_h2": self.sup_h2,
-            "int_v2": self.int_v2,
-            "sup_h4": self.sup_h4,
-            "int_h2v2": self.int_h2v2,
-            "int_a2": self.int_a2,
-            "sup_d2": self.sup_d2,
-            "int_dv2": self.int_dv2,
-        }
-        for p in self.p_list:
-            out[f"sup_h2p_{p}"] = self.sup_h2p[p]
-            out[f"int_h2p_{p}"] = self.int_h2p[p]
-            out[f"sup_v2p_{p}"] = self.sup_v2p[p]
+        out = {"sup": self.sup, "int": self.int}
+        if self.u0 is not None:
+            out.update(sup_v2=self.sup_v2, int_a2=self.int_a2,
+                       sup_d2=self.sup_d2, int_dv2=self.int_dv2)
         return out
 
 
@@ -934,16 +918,23 @@ def moment_bound_suite(
             sections.setdefault(section, {})[eps] = m
 
     # one ensemble per epsilon: the state moments, the shifted fluctuation
-    # and the first-order remainder all observe the same noisy paths
+    # and the first-order remainder all observe the same noisy paths; each
+    # moment process keeps one column per order, the fourth moment order 2's
+    orders = sorted(set(p_list) | {2.0})
+    col = {p: j for j, p in enumerate(orders)}
+
+    def moment(out, prefix, p):
+        return out[prefix + "sup"][:, col[p]] + out[prefix + "int"][:, col[p]]
+
     h_field = _control_fields(h, config)
     for eps in eps_grid:
         cfg = config.with_epsilon(eps)
 
         def observers():
             children = {
-                "": _MomentObserver(cfg, p_list, u0_full.frames),
+                "": _MomentObserver(cfg, orders, u0_full.frames),
                 "shifted_": _ShiftedObserver(
-                    cfg, h_field, u0_full.frames, _MomentObserver(config, p_list)
+                    cfg, h_field, u0_full.frames, _MomentObserver(config, orders)
                 ),
             }
             if with_remainder:
@@ -951,31 +942,16 @@ def moment_bound_suite(
             return _FanOutObserver(children)
 
         out = ensemble_run(cfg, seed, n_samples, observers)
-        add_row(
-            "state_sup_sq_plus_int", eps, None, out["sup_h2p_1.0"] + out["int_h2p_1.0"]
-        )
-        add_row("state_fourth_moment", eps, None, out["sup_h4"] + out["int_h2v2"])
+        add_row("state_sup_sq_plus_int", eps, None, moment(out, "", 1.0))
+        add_row("state_fourth_moment", eps, None, moment(out, "", 2.0))
         add_row("deviation_sup_sq_plus_int", eps, None, out["sup_d2"] + out["int_dv2"])
-        add_row(
-            "grad_sup_plus_dissipation",
-            eps,
-            None,
-            out["sup_v2p_1.0"] + eps * out["int_a2"],
-        )
+        add_row("grad_sup_plus_dissipation", eps, None, out["sup_v2"] + eps * out["int_a2"])
         for p in p_list:
-            add_row(
-                "state_moment_2p", eps, p, out[f"sup_h2p_{p}"] + out[f"int_h2p_{p}"]
-            )
-        add_row(
-            "shifted_sup_sq_plus_int",
-            eps,
-            None,
-            out["shifted_sup_h2p_1.0"] + out["shifted_int_h2p_1.0"],
-        )
-        add_row("shifted_fourth_moment", eps, None, out["shifted_sup_h4"] + out["shifted_int_h2v2"])
+            add_row("state_moment_2p", eps, p, moment(out, "", p))
+        add_row("shifted_sup_sq_plus_int", eps, None, moment(out, "shifted_", 1.0))
+        add_row("shifted_fourth_moment", eps, None, moment(out, "shifted_", 2.0))
         for p in p_list:
-            z = out[f"shifted_sup_h2p_{p}"] + out[f"shifted_int_h2p_{p}"]
-            add_row("shifted_moment_2p", eps, p, z)
+            add_row("shifted_moment_2p", eps, p, moment(out, "shifted_", p))
         if with_remainder:
             add_row("second_order_remainder_sup_sq", eps, None, out["remainder_sup"])
 

@@ -641,16 +641,65 @@ def shifted_ensemble(config, h, epsilon, u0_frames, seed, n_paths, inner_factory
     )
 
 
+class MomentObserverByKey:
+    """The moment suite's per-path functionals by their first definitions,
+    one array each: sup h2^2 and the integral of h2 v2 for the fourth
+    moment, sup h2^p and the integral of h2^(p - 1) v2 per order p, the sup
+    of v2 and the integral of |A u|^2, and, given u0, the sup and integral
+    of the deviation u - u0; integrals by the left endpoint."""
+
+    def __init__(self, config, p_list, u0_frames=None):
+        self.config = config
+        self.p_list = list(p_list)
+        self.u0 = u0_frames
+
+    def on_start(self, prop, n_paths, n_steps):
+        from collections import defaultdict
+
+        from snse_lab.spectral import half_spectrum
+
+        grid = self.config.grid
+        self.n_steps = n_steps
+        self.a_weight = grid.half_k2 * half_spectrum(grid.k2)
+        self.acc = defaultdict(lambda: np.zeros(n_paths))
+
+    def on_state(self, idx, t, coeffs):
+        from snse_lab.spectral import abs_sq, half_spectrum, weighted_norm_sq
+
+        grid, acc, dt = self.config.grid, self.acc, self.config.dt
+        inside = idx < self.n_steps
+        a2 = abs_sq(coeffs)
+        h2 = weighted_norm_sq(a2, grid.half_weight)
+        v2 = weighted_norm_sq(a2, grid.half_k2)
+        acc["sup_h4"] = np.maximum(acc["sup_h4"], h2**2)
+        acc["sup_v2"] = np.maximum(acc["sup_v2"], v2)
+        for p in self.p_list:
+            acc[f"sup_h2p_{p}"] = np.maximum(acc[f"sup_h2p_{p}"], h2**p)
+        if inside:
+            acc["int_h2v2"] += h2 * v2 * dt
+            for p in self.p_list:
+                acc[f"int_h2p_{p}"] += h2 ** (p - 1) * v2 * dt
+            acc["int_a2"] += weighted_norm_sq(a2, self.a_weight) * dt
+        if self.u0 is not None:
+            d2 = abs_sq(coeffs - half_spectrum(self.u0[idx]))
+            acc["sup_d2"] = np.maximum(acc["sup_d2"], weighted_norm_sq(d2, grid.half_weight))
+            if inside:
+                acc["int_dv2"] += weighted_norm_sq(d2, grid.half_k2) * dt
+
+    def finish(self) -> dict:
+        return dict(self.acc)
+
+
 def moment_rows_by_separate_ensembles(
     eps_grid, p_list, n_samples, config, seed, control, with_remainder
 ) -> list[dict]:
     """The rows of `moment_bound_suite`, with the noisy ensemble integrated
     anew for each statistic: one `ensemble_run` for the state moments, one for
     the shifted fluctuation and one for the first-order remainder, all on the
-    same substreams."""
+    same substreams; the moments are accumulated by `MomentObserverByKey`."""
     from dataclasses import replace
 
-    from snse_lab.deviation import _MomentObserver, _RemainderObserver, _mean_se
+    from snse_lab.deviation import _RemainderObserver, _mean_se
     from snse_lab.solvers import ensemble_run, solve_deterministic
 
     p_list = sorted(set([1.0] + [float(p) for p in p_list]))
@@ -663,14 +712,14 @@ def moment_rows_by_separate_ensembles(
 
     for eps in sorted(float(e) for e in eps_grid):
         cfg = config.with_epsilon(eps)
-        u = ensemble_run(cfg, seed, n_samples, lambda: _MomentObserver(cfg, p_list, u0))
+        u = ensemble_run(cfg, seed, n_samples, lambda: MomentObserverByKey(cfg, p_list, u0))
         z = shifted_ensemble(
-            config, control, eps, u0, seed, n_samples, lambda: _MomentObserver(config, p_list)
+            config, control, eps, u0, seed, n_samples, lambda: MomentObserverByKey(config, p_list)
         )
         add("state_sup_sq_plus_int", eps, None, u["sup_h2p_1.0"] + u["int_h2p_1.0"])
         add("state_fourth_moment", eps, None, u["sup_h4"] + u["int_h2v2"])
         add("deviation_sup_sq_plus_int", eps, None, u["sup_d2"] + u["int_dv2"])
-        add("grad_sup_plus_dissipation", eps, None, u["sup_v2p_1.0"] + eps * u["int_a2"])
+        add("grad_sup_plus_dissipation", eps, None, u["sup_v2"] + eps * u["int_a2"])
         for p in p_list:
             add("state_moment_2p", eps, p, u[f"sup_h2p_{p}"] + u[f"int_h2p_{p}"])
         add("shifted_sup_sq_plus_int", eps, None, z["sup_h2p_1.0"] + z["int_h2p_1.0"])
