@@ -797,7 +797,8 @@ class _MomentObserver:
         a2 = abs_sq(coeffs)
         h2 = weighted_norm_sq(a2, self.grid.half_weight)
         v2 = weighted_norm_sq(a2, self.grid.half_k2)
-        # one scalar exponent per order: h2**2.0 and h2**1.0 are h2**2 and h2
+        # a scalar exponent per order keeps h2**2.0 and h2**1.0 bitwise h2**2
+        # and h2; an array exponent (h2[:, None]**orders) need not
         for j, p in enumerate(self.orders):
             np.maximum(self.sup[:, j], h2**p, out=self.sup[:, j])
             if inside:
@@ -896,9 +897,13 @@ def moment_bound_suite(
 ) -> MomentReport:
     """Empirical expectations of every moment functional, regressed in epsilon.
 
-    Rows report means and standard errors per (section, epsilon, p); fits give
-    the log-log slope across the grid together with the stated power and the
-    implied constant sup_eps mean / eps^stated.  Deterministic quantities
+    Rows report means and standard errors per (section, epsilon, p).  The
+    state and the shifted fluctuation each accumulate the sup of |u|^(2p) and
+    the integral of |u|^(2p-2) ||u||^2 for every listed order and order 2;
+    the fourth-moment rows read order 2.  Fits give the log-log slope across
+    the grid, one per section and, in the 2p sections, one per order, keyed
+    `section[p=<p>]`; a section with a stated power adds it and the implied
+    constant sup_eps mean / eps^stated.  Deterministic quantities
     (the zero-noise solution and steered-path bounds) are single numbers.
     Every epsilon must pass `ledger.require` for the orders p_list and 1;
     `ledger` defaults to the default constants.
@@ -909,13 +914,10 @@ def moment_bound_suite(
     u0_full = solve_deterministic(replace(config, record_stride=1))
     h = control or zero_control(config.noise, config.horizon, max(config.n_steps, 1))
     rows: list[dict] = []
-    sections: dict[str, dict[float, float]] = {}
 
     def add_row(section, eps, p, samples):
         m, se = _mean_se(samples)
         rows.append({"section": section, "epsilon": eps, "p": p, "mean": m, "se": se})
-        if eps is not None:
-            sections.setdefault(section, {})[eps] = m
 
     # one ensemble per epsilon: the state moments, the shifted fluctuation
     # and the first-order remainder all observe the same noisy paths; each
@@ -962,6 +964,11 @@ def moment_bound_suite(
         "grad_sup_plus_dissipation": 1.0,
         "second_order_remainder_sup_sq": 2.0,
     }
+    # one fit per section and order: a 2p section's key names its order
+    sections: dict[str, dict[float, float]] = {}
+    for r in rows:
+        key = r["section"] if r["p"] is None else f"{r['section']}[p={r['p']:g}]"
+        sections.setdefault(key, {})[r["epsilon"]] = r["mean"]
     fits = {}
     for section, by_eps in sections.items():
         eps_sorted = sorted(by_eps)

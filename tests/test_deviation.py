@@ -555,6 +555,17 @@ class TestMomentSuite:
               if r["section"] == "shifted_moment_2p" and r["p"] == 1.0][0]
         assert base["mean"] == p1["mean"] and base["se"] == p1["se"]
 
+    def test_one_fit_per_order_of_each_2p_section(self, small_cfg):
+        # each order is fitted on its own means; order 1's means are those of
+        # the section's sup-plus-integral row, so its exponent is the same
+        rep = moment_bound_suite([1e-4, 1e-3], [1.0, 1.5, 3.0], 20, small_cfg, seed=8)
+        for section, base in (("state_moment_2p", "state_sup_sq_plus_int"),
+                              ("shifted_moment_2p", "shifted_sup_sq_plus_int")):
+            assert {k for k in rep.fits if k.startswith(section)} == {
+                f"{section}[p=1]", f"{section}[p=1.5]", f"{section}[p=3]"}
+            got = rep.fits[f"{section}[p=1]"]["fitted_exponent"]
+            assert got == rep.fits[base]["fitted_exponent"]
+
     def test_noise_driven_exponents(self, small_cfg):
         # zero initial state and forcing: second moments scale linearly
         rep = moment_bound_suite([1e-3, 1e-4, 1e-5], [1.0], 60, small_cfg, seed=3)
