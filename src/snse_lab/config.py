@@ -137,6 +137,7 @@ CONFIG_SCHEMA = {
                     "type": "array",
                     "items": {"type": "number", "exclusiveMinimum": 0},
                     "minItems": 1,
+                    "uniqueItems": True,
                 },
                 "samples": {"type": "integer", "minimum": 1},
                 "radius": {"type": "number", "minimum": 0},

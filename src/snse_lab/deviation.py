@@ -51,13 +51,13 @@ from .solvers import (
 )
 from .spectral import (
     TWO_PI,
+    _curl_form,
     h_norm_sq_array,
     abs_sq,
     half_norms_sq,
     half_spectrum,
     hv_norm_sq_array,
     linearized_advection_adjoint_array,
-    linearized_advection_array,
     to_physical,
     weighted_norm_sq,
 )
@@ -843,23 +843,23 @@ class _RemainderObserver:
     """sup over steps of |u - u0 - sqrt(eps) Y|^2, with the linearization Y
     of the dynamics around u0 stepped on the increments of the noisy path u.
 
-    Y is stepped with the noise map frozen at u0 and, in the nonlinear
-    regime, the drift -(B(Y, u0) + B(u0, Y)), one `linearized_advection_array`
-    call per step.  In the additive linear regime the remainder vanishes
-    identically; with the quadratic term on it measures the second-order part
-    of the deviation.
+    Y and u0 (copied from its frames) are contiguous kx >= 0 halves, like
+    the stepper's state.  Y is stepped with the noise map frozen at u0 and,
+    in the nonlinear regime, the drift -(B(Y, u0) + B(u0, Y)), one
+    `_curl_form` call on Y and 2 u0 per step.  In the additive linear regime
+    the remainder vanishes identically; with the quadratic term on it
+    measures the second-order part of the deviation.
     """
 
     def __init__(self, config: SimConfig, u0_frames):
         self.config = config
-        self.u0 = u0_frames
+        self.u0 = half_spectrum(u0_frames).copy()
         self.sqrt_eps = math.sqrt(config.epsilon)
         self.scale = _guard_scale(config, _initial_coeffs(config))
 
     def on_start(self, prop, n_paths, n_steps):
         self.prop = prop
-        S = prop.grid.n_coeff
-        self.y = np.zeros((n_paths, 2, S, S), dtype=np.complex128)
+        self.y = np.zeros((n_paths,) + self.u0.shape[1:], dtype=np.complex128)
         self.sup = np.zeros(n_paths)
         # the noise map is frozen at u0: its factor for every step in one call
         factor = sigma_factor(self.config.noise, 0.0, self.u0[:n_steps])
@@ -867,17 +867,17 @@ class _RemainderObserver:
 
     def on_noise(self, step, t, coeffs, dW):
         cfg, prop, y, u0n = self.config, self.prop, self.y, self.u0[step]
-        noise = scatter_coefficients(cfg.noise, dW, weights=cfg.noise.gains)
+        noise = scatter_coefficients(cfg.noise, dW, weights=cfg.noise.gains, out=np.empty_like(y))
         noise = times_factor(noise, self.factor[step])
-        y_next = prop.decay * y
+        y_next = prop.half_decay * y
         if cfg.nonlinear:
-            y_next = y_next - prop.phi * linearized_advection_array(cfg.grid, y, u0n)
-        self.y = y_next + prop.phi_rate * noise
-        _blowup_guard(half_spectrum(self.y), self.scale, step)
+            y_next = y_next - prop.half_phi * _curl_form(cfg.grid, y, 2.0 * u0n)
+        self.y = y_next + prop.half_phi_rate * noise
+        _blowup_guard(self.y, self.scale, step)
 
     def on_state(self, idx, t, coeffs):
-        rem = coeffs - half_spectrum(self.u0[idx])
-        rem -= self.sqrt_eps * half_spectrum(self.y)
+        rem = coeffs - self.u0[idx]
+        rem -= self.sqrt_eps * self.y
         h2 = weighted_norm_sq(abs_sq(rem), self.config.grid.half_weight)
         np.maximum(self.sup, h2, out=self.sup)
 

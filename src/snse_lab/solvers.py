@@ -42,6 +42,7 @@ from .spectral import (
     SpectralField,
     SpectralGrid,
     TWO_PI,
+    _curl_form,
     advection_array,
     abs_sq,
     full_spectrum,
@@ -511,9 +512,10 @@ def _control_values_on_steps(h: Control, config: SimConfig) -> np.ndarray:
 
 def _control_fields(h: Control, config: SimConfig) -> np.ndarray:
     """Unmodulated noise-map images of the control at every step, one call:
-    scatter(h gains), shape (n_steps, 2, S, S)."""
-    model = config.noise
-    return scatter_coefficients(model, _control_values_on_steps(h, config), weights=model.gains)
+    the kx >= 0 halves of scatter(h gains), shape (n_steps, 2, S, K + 1)."""
+    model, g = config.noise, config.grid
+    out = np.empty((config.n_steps, 2, g.n_coeff, g.max_wavenumber + 1), dtype=np.complex128)
+    return scatter_coefficients(model, _control_values_on_steps(h, config), model.gains, out)
 
 
 def skeleton_forward(
@@ -595,26 +597,26 @@ class _ShiftedObserver:
     """Steps the shifted fluctuation z on the increments of the noisy path and
     shows the wrapped observer z in place of the noisy state.
 
-    The drift couples to the pre-step noisy state u, mirrored from its half
-    for the gradient-form B(u, z), and the deterministic limit u0; z is held
-    as full arrays.  The diffusion coefficient is evaluated at the recentred
-    state, once per step, and modulates both the control and the noise.
-    h_field holds the unmodulated control field of every step
-    (`_control_fields`).
+    z, u0 (copied from its frames) and h_field, the unmodulated control field
+    of every step (`_control_fields`), are contiguous kx >= 0 halves, like
+    the stepper's state.  The drift B(u, z) + B(z, u0), with the pre-step
+    noisy state u, is one `_curl_form` call: P div((z s + s z)/2),
+    s = u + u0, plus the antisymmetric part z x (u0 - u).  The diffusion
+    coefficient is evaluated at the recentred state, once per step, and
+    modulates both the control and the noise.
     """
 
     def __init__(self, config: SimConfig, h_field, u0_frames, inner):
         self.config = config
         self.h_field = h_field
-        self.u0 = u0_frames
+        self.u0 = half_spectrum(u0_frames).copy()
         self.inner = inner
         self.inv_sq = lil_a(config.epsilon)
         self.scale = _guard_scale(config, _initial_coeffs(config))
 
     def on_start(self, prop: Propagator, n_paths: int, n_steps: int):
         self.prop = prop
-        S = prop.grid.n_coeff
-        self.z = np.zeros((n_paths, 2, S, S), dtype=np.complex128)
+        self.z = np.zeros((n_paths,) + self.u0.shape[1:], dtype=np.complex128)
         self.inner.on_start(prop, n_paths, n_steps)
 
     def on_noise(self, step, t, coeffs, dW):
@@ -624,14 +626,14 @@ class _ShiftedObserver:
             factor = sigma_factor(cfg.noise, t, shifted_diffusion_argument(z, u0, cfg.epsilon))
         rhs = times_factor(self.h_field[step], factor)
         if cfg.nonlinear:
-            u = full_spectrum(coeffs)
-            rhs = rhs - advection_array(cfg.grid, u, z) - advection_array(cfg.grid, z, u0)
-        noise = times_factor(scatter_coefficients(cfg.noise, dW, weights=cfg.noise.gains), factor)
-        self.z = prop.decay * z + prop.phi * rhs + prop.phi_rate * (self.inv_sq * noise)
-        _blowup_guard(half_spectrum(self.z), self.scale, step)
+            rhs = rhs - _curl_form(cfg.grid, z, coeffs + u0, d=u0 - coeffs)
+        noise = scatter_coefficients(cfg.noise, dW, weights=cfg.noise.gains, out=np.empty_like(z))
+        noise = self.inv_sq * times_factor(noise, factor)
+        self.z = prop.half_decay * z + prop.half_phi * rhs + prop.half_phi_rate * noise
+        _blowup_guard(self.z, self.scale, step)
 
     def on_state(self, idx, t, coeffs):
-        self.inner.on_state(idx, t, half_spectrum(self.z))
+        self.inner.on_state(idx, t, self.z)
 
     def finish(self) -> dict:
         return self.inner.finish()

@@ -22,11 +22,11 @@ the coefficient of mode (kx, ky) for kx >= 0 only; the kx < 0 half is implied
 by conjugate symmetry.  Conjugate symmetry of the coefficients is therefore a
 precondition of every transform: `to_physical` reads only the kx >= 0 half and
 `from_physical` writes the kx < 0 half as its conjugate mirror.  The
-exceptions are self-advection and the advection linearized around a field,
-which transform complex fields such as u_x + i u_y on a full N x N grid with
-their modes centered (`_padded_values`); those fields are packed from the
-kx >= 0 half of their input too, its kx < 0 block columns from the conjugate
-mirror.  Conjugate symmetry is a precondition of the squared norms as well:
+exception is the one kernel of every advection product (`_curl_form`), which
+transforms complex fields such as u_x + i u_y on a full N x N grid with their
+modes centered (`_padded_values`); those fields are packed from the kx >= 0
+half of their input too, its kx < 0 block columns from the conjugate mirror.
+Conjugate symmetry is a precondition of the squared norms as well:
 by Parseval they read only the kx >= 0 columns (`half_spectrum`), with
 weights that count kx > 0 twice and kx = 0 once (`SpectralGrid.half_weight`).
 """
@@ -83,10 +83,10 @@ class SpectralGrid:
         ky = np.broadcast_to(order[:, None], (S, S)).copy()
         k2 = (kx**2 + ky**2).astype(np.float64)
         k2safe = np.where(k2 > 0, k2, 1.0)
-        # weights of the curl-form self-advection, both 0 at k = 0
+        # weights of the curl-form products, both 0 at k = 0
         curl_a = kx * ky / k2safe
         curl_b = (ky**2 - kx**2) / k2safe
-        # on the kx >= 0 columns, where self-advection is formed: the weights
+        # on the kx >= 0 columns, where every product is formed: the weights
         # of s = alpha Q(k) + beta conj Q(-k) and the output factors (ky, -kx)
         half_alpha = (0.5j * curl_a + 0.25 * curl_b)[:, K:].copy()
         half_beta = (0.5j * curl_a - 0.25 * curl_b)[:, K:].copy()
@@ -303,31 +303,47 @@ def _centered_spectrum(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
     return w[..., lo:hi, lo:hi]
 
 
-def _curl_form(grid: SpectralGrid, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The kx >= 0 half (..., 2, S, K + 1) of P div(x a + a x) / 2 in curl
-    form, of divergence-free, conjugate-symmetric x and a given by their
-    halves (x (..., 2, S, K + 1), a one half or a batch of x's shape);
-    P div(x x) for `a is x`.
+def _curl_form(
+    grid: SpectralGrid, x: np.ndarray, a: np.ndarray, d: np.ndarray | None = None
+) -> np.ndarray:
+    """The kx >= 0 half (..., 2, S, K + 1) of P div T in curl form, with
+    T = (x a + a x) / 2 + (x d - d x) / 2 (no second term for d None), of
+    conjugate-symmetric x, a and d given by their halves, a and d one half
+    each or a batch of x's shape: P((x . grad) a) for divergence-free x and
+    d = a, and P div(x x) for `a is x`.
 
-    The traceless part of the symmetric tensor T = (x a + a x) / 2 is packed
-    in Q, the centered spectrum of w_x w_a = q1 + 2i q0 with w = u_x + i u_y,
-    q1 = T_xx - T_yy and q0 = T_xy; for a = x that is w^2, with
-    q0 = u_x u_y and q1 = u_x^2 - u_y^2.  The trace of T is a gradient,
-    which P removes.
+    The symmetric part is packed in Q, the centered spectrum of
+    w_x w_a = q1 + 2i q0 with w = u_x + i u_y, q1 = T_xx - T_yy and
+    q0 = T_xy; its trace is a gradient, which P removes.  Then
+    s = alpha Q(k) + beta conj Q(-k) = i (a q1 + b q0), with
+    alpha = i a/2 + b/4, beta = i a/2 - b/4, a = kx ky / |k|^2 and
+    b = (ky^2 - kx^2) / |k|^2.  The antisymmetric part's one entry,
+    T_xy - T_yx = Im(conj(w_x) w_d), a product with no grid phase (it is given
+    one), adds -(i/2) (R(k) - conj R(-k)) / (2i) to s, R its spectrum.
+    P div T = (ky s, -kx s) is divergence free, mean free and exactly
+    conjugate symmetric; no projection pass follows.
     """
     K = grid.max_wavenumber
     w = _padded_values(grid, x)
+    if d is not None:
+        r = np.conjugate(w)
+        r *= _padded_values(grid, d)
+        if grid.physical_resolution % 2:  # conj(packed_phase)^2 is 1 for even N
+            r *= np.conjugate(grid.packed_phase) ** 2
+        r = _centered_spectrum(grid, r)
     if a is x:
         np.square(w, out=w)
     else:
         w *= _padded_values(grid, a)
     q = _centered_spectrum(grid, w)
-    # s = alpha Q(k) + beta conj Q(-k) = i (a q1 + b q0), since q0 and q1
-    # are both real; weight first in each product: numpy's complex multiply
-    # may fuse, so operand order can show in the last bit
+    # weight first in each product: numpy's complex multiply may fuse, so
+    # operand order can show in the last bit
     s = grid.half_alpha * q[..., K:]
     conj_q = np.conjugate(q[..., ::-1, K::-1])
     s += np.multiply(grid.half_beta, conj_q, out=conj_q)
+    if d is not None:
+        s += 0.25 * (np.conjugate(r[..., ::-1, K::-1]) - r[..., K:])
+        del r
     # the padded array is freed before the output exists: a lower peak
     del w, q, conj_q
     out = np.multiply(grid.half_curl_k, s[..., None, :, :])
@@ -339,49 +355,26 @@ def _curl_form(grid: SpectralGrid, x: np.ndarray, a: np.ndarray) -> np.ndarray:
 def advection_array(grid: SpectralGrid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Dealiased, projected advective product P((u . grad) v) on coefficient arrays.
 
-    Batched over leading axes.  Exact Galerkin truncation for N >= 3K + 1.
-    Self-advection (`v is u`, the stepper's call) requires a divergence-free,
-    conjugate-symmetric u.  It takes u as a full array (..., 2, S, S) or as
-    its kx >= 0 half (..., 2, S, K + 1), the stepper's, and returns the same
-    layout; it reads only the half either way.  It is formed in curl
-    (stream-function) form (`_curl_form`): one inverse
-    transform of w = u_x + i u_y, its square w^2 = q1 + 2i q0 with
-    q0 = u_x u_y and q1 = u_x^2 - u_y^2, one forward transform Q, then
-    s = alpha Q(k) + beta conj Q(-k) = i (a q1 + b q0), with
-    alpha = i a/2 + b/4, beta = i a/2 - b/4, a = kx ky / |k|^2 and
-    b = (ky^2 - kx^2) / |k|^2, and the result (ky s, -kx s), which is
-    P div(u u) exactly.  The weights are applied on the kx >= 0 columns
-    only, and a full result's kx < 0 columns are their conjugate mirror
-    (`full_spectrum`), so the result is divergence free, mean free and
-    exactly conjugate symmetric by construction and no projection pass
-    follows.
-    Other pairs take full arrays and the gradient form,
-    u_x dv/dx + u_y dv/dy, with no condition on div u, and are Leray
-    projected.
+    Batched over leading axes; v is one field or a batch of u's shape.
+    Exact Galerkin truncation for N >= 3K + 1.  u must be divergence free,
+    and u and v conjugate symmetric, both full arrays (..., 2, S, S) or both
+    kx >= 0 halves (..., 2, S, K + 1), the stepper's; the result has their
+    layout.  It is P div(u v) in curl form (`_curl_form`), no projection
+    pass: self-advection (`v is u`, the stepper's call) from the one square
+    w_u^2, other pairs from w_u w_v and conj(w_u) w_v.
     """
     _check_product_margin(grid)
-    if v is u:
-        if u.shape[-1] == u.shape[-2]:
-            half = half_spectrum(u)
-            return full_spectrum(_curl_form(grid, half, half))
-        return _curl_form(grid, u, u)
-    u_phys = to_physical(grid, u)
-    dvdx = to_physical(grid, 1j * grid.kx * v)
-    dvdy = to_physical(grid, 1j * grid.ky * v)
-    w = u_phys[..., 0:1, :, :] * dvdx + u_phys[..., 1:2, :, :] * dvdy
-    return leray_project_array(grid, from_physical(grid, w))
+    full = u.shape[-1] == u.shape[-2]
+    x, b = (half_spectrum(u), half_spectrum(v)) if full else (u, v)
+    out = _curl_form(grid, x, x) if v is u else _curl_form(grid, x, b, d=b)
+    return full_spectrum(out) if full else out
 
 
 def linearized_advection_array(grid: SpectralGrid, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """B(x, a) + B(a, x) = P div(x a + a x), the advection linearized around a,
     for divergence-free x (..., 2, S, S) and a (one field, or a batch of x's
-    shape).
-
-    Formed in curl form like self-advection, from the product w_x w_(2a) of
-    the packed fields w = u_x + i u_y on the padded grid (`_curl_form`): one
-    inverse transform of each, one forward transform, no projection pass.
-    The result is mean free and exactly conjugate symmetric.
-    """
+    shape): the `_curl_form` product of x and 2a, with no antisymmetric part,
+    mean free and exactly conjugate symmetric."""
     _check_product_margin(grid)
     return full_spectrum(_curl_form(grid, half_spectrum(x), 2.0 * half_spectrum(a)))
 
@@ -427,21 +420,17 @@ def advection_term(u: SpectralField, v: SpectralField) -> SpectralField:
 
 
 def advection_form(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
-    """Trilinear form integral of (u . grad) v . w over the torus.
+    """Trilinear form integral of (u . grad) v . w over the torus, for
+    divergence-free u and w: (2 pi)^2 Re <w, B(u, v)> by Parseval, since P
+    drops only the gradient part, which is orthogonal to w.
 
     Antisymmetric in its last two slots for divergence-free arguments.
     """
     grid = u.grid
     if not (grid == v.grid == w.grid):
         raise GridConfigError("advection_form requires a common grid")
-    ikx = 1j * grid.kx
-    iky = 1j * grid.ky
-    u_phys = to_physical(grid, u.coeffs)
-    w_phys = to_physical(grid, w.coeffs)
-    dvdx = to_physical(grid, ikx * v.coeffs)
-    dvdy = to_physical(grid, iky * v.coeffs)
-    integrand = (u_phys[0] * dvdx + u_phys[1] * dvdy) * w_phys
-    return float(integrand.sum() / integrand[0].size * TWO_PI**2)
+    b = advection_array(grid, u.coeffs, v.coeffs)
+    return float(np.vdot(w.coeffs, b).real * TWO_PI**2)
 
 
 def half_spectrum(coeffs: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from .rng import substream
 from .solvers import SimConfig, solve_deterministic, solve_snse
 from .spectral import (
     SpectralField,
+    advection_array,
     advection_form,
     advection_term,
     apply_stokes,
@@ -62,6 +63,7 @@ def run_invariant_suite(config: SimConfig, seed: int = 0) -> list[CheckRow]:
     worst_proj = 0.0
     worst_anti = 0.0
     worst_orth = 0.0
+    worst_self = 0.0
     worst_stokes = 0.0
     interp_const = 0.0
     for _ in range(100):
@@ -77,6 +79,10 @@ def run_invariant_suite(config: SimConfig, seed: int = 0) -> list[CheckRow]:
         worst_orth = max(
             worst_orth, orth * (2 * math.pi) ** 2 / (nb_u.v_norm * nb_v.v_norm**2)
         )
+        # the stepper's self-advection against the general kernel on a copy
+        general = advection_array(grid, u.coeffs, u.coeffs.copy())
+        gap = np.max(np.abs(advection_array(grid, u.coeffs, u.coeffs) - general))
+        worst_self = max(worst_self, float(gap / np.max(np.abs(general))))
         au = apply_stokes(u)
         aun = float(np.vdot(au.coeffs, u.coeffs).real) * (2 * math.pi) ** 2
         worst_stokes = max(worst_stokes, abs(aun - nb_u.v_norm_sq) / nb_u.v_norm_sq)
@@ -86,6 +92,7 @@ def run_invariant_suite(config: SimConfig, seed: int = 0) -> list[CheckRow]:
     rows.append(CheckRow("advection_divergence_free", worst_proj <= 1e-12, worst_proj, 1e-12))
     rows.append(CheckRow("trilinear_antisymmetry", worst_anti <= 1e-10, worst_anti, 1e-10))
     rows.append(CheckRow("advection_energy_orthogonality", worst_orth <= 1e-10, worst_orth, 1e-10))
+    rows.append(CheckRow("self_advection_consistency", worst_self <= 1e-14, worst_self, 1e-14))
     rows.append(CheckRow("stokes_consistency", worst_stokes <= 1e-10, worst_stokes, 1e-10))
     rows.append(
         CheckRow(

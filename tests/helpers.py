@@ -4,7 +4,8 @@ Everything here is deliberately implemented by a different route than the
 package: fields are evaluated by explicit mode summation (no FFT) or by full
 complex FFTs of the whole mode square (the package's transforms are
 real-to-complex), self-advection by two real transforms where the package
-packs u_x + i u_y into one complex one, the adjoint of the advection
+packs u_x + i u_y into one complex one, the bilinear term B(u, v) in gradient
+form where the package forms it in curl form, the adjoint of the advection
 linearized around a field by the gradient-form transpose where the package
 forms one packed product, Fourier coefficients are extracted
 with dense exponential matrices, trilinear forms get both a quadrature and a
@@ -151,6 +152,19 @@ def advection_convolution(u, v) -> np.ndarray:
             vq = v.coeffs[:, K + qy, K + qx]
             out[:, K + ky, K + kx] += 1j * (up[0] * qx + up[1] * qy) * vq
     return project_mode(K, out)
+
+
+def advection_gradient_form(grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """P((u . grad) v) in gradient form, batched over full arrays: the grid
+    values u_x dv/dx + u_y dv/dy by real transforms, Leray projected.  It
+    needs no condition on div u, where the package's curl form is P div(u v)."""
+    from snse_lab.spectral import from_physical, leray_project_array, to_physical
+
+    u_phys = to_physical(grid, u)
+    dvdx = to_physical(grid, 1j * grid.kx * v)
+    dvdy = to_physical(grid, 1j * grid.ky * v)
+    w = u_phys[..., 0:1, :, :] * dvdx + u_phys[..., 1:2, :, :] * dvdy
+    return leray_project_array(grid, from_physical(grid, w))
 
 
 def advection_gradient_transpose(grid, a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -314,10 +328,11 @@ def adjoint_sweep_per_step(config, u0_frames, p_end, sources) -> np.ndarray:
 def tilde_z_per_step(h_values, u_frames, u0_frames, epsilon, dW, config) -> np.ndarray:
     """Frames (n_steps + 1, 2, S, S) of the shifted fluctuation along one
     recorded noisy path, with the noise map applied twice per step, once to
-    the control and once to the increment."""
+    the control and once to the increment, on full arrays.  The drift
+    B(u, z) + B(z, u0) is the observer's one curl-form call on the halves."""
     from snse_lab.noise import sigma_apply_array
     from snse_lab.solvers import loglog, propagator, shifted_diffusion_argument
-    from snse_lab.spectral import advection_array
+    from snse_lab.spectral import _curl_form, full_spectrum, half_spectrum
 
     prop = propagator(config.grid, config.dt)
     inv_sq = 1.0 / math.sqrt(2.0 * loglog(epsilon))
@@ -327,7 +342,9 @@ def tilde_z_per_step(h_values, u_frames, u0_frames, epsilon, dW, config) -> np.n
         arg = shifted_diffusion_argument(x, u0, epsilon)
         rhs = sigma_apply_array(config.noise, t, arg, h_values[step])
         if config.nonlinear:
-            rhs = rhs - advection_array(config.grid, u, x) - advection_array(config.grid, x, u0)
+            u, u0 = half_spectrum(u), half_spectrum(u0)
+            drift = _curl_form(config.grid, half_spectrum(x), u + u0, d=u0 - u)
+            rhs = rhs - full_spectrum(drift)
         noise = sigma_apply_array(config.noise, t, arg, dW[step])
         z[step + 1] = prop.decay * x + prop.phi * rhs + prop.phi_rate * (inv_sq * noise)
     return z

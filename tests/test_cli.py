@@ -504,6 +504,19 @@ class TestFailurePaths:
         assert err["stage"] == "config" and err["offending_keys"] == ["experiment"]
         assert repr(key) in err["message"]
 
+    # a repeated epsilon would run one more ensemble on the same paths
+    @pytest.mark.parametrize("kind", ["moments", "mdp-scaling", "fw-probe"])
+    def test_repeated_epsilon_is_config_error(self, tmp_path, capsys, kind):
+        cfg = example_config(kind)
+        eps_grid = cfg["experiment"]["epsilon_grid"]
+        cfg["experiment"]["epsilon_grid"] = eps_grid + eps_grid[:1]
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", _write(tmp_path, cfg), "--out", out]) == 2
+        assert self._manifest(out)["outputs"] == []
+        err = _last_stderr_line(capsys)
+        assert err["stage"] == "config"
+        assert err["offending_keys"] == ["experiment/epsilon_grid"]
+
     @_VERBS
     def test_admissibility_error(self, tmp_path, capsys, verb):
         cfg = example_config("verify")

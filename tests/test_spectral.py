@@ -33,6 +33,7 @@ from snse_lab.spectral import (
     v_norm_sq_array,
     zero_field,
     TWO_PI,
+    _curl_form,
 )
 
 import helpers
@@ -364,7 +365,7 @@ class TestRealTransforms:
         g = default_grid(K)
         u = _solenoidal_batch(g, rng, 7)
         ours = advection_array(g, u, u)
-        gradient_form = advection_array(g, u, u.copy())
+        gradient_form = helpers.advection_gradient_form(g, u, u.copy())
         assert np.max(np.abs(ours - gradient_form)) <= 1e-14 * np.max(np.abs(gradient_form))
 
 
@@ -470,11 +471,11 @@ class TestLinearization:
     @pytest.mark.parametrize("batch", [1, 7, 256])
     def test_matches_two_call_oracles(self, rng, K, N, batch):
         g, x, a = self._fields(K, N, rng, batch)
-        oracle = advection_array(g, x, a) + advection_array(g, a, x)
+        oracle = helpers.advection_gradient_form(g, x, a) + helpers.advection_gradient_form(g, a, x)
         ours = linearized_advection_array(g, x, a)
         assert np.max(np.abs(ours - oracle)) <= 1e-14 * np.max(np.abs(oracle))
         # the adjoint of B(., a) is the gradient transpose, of B(a, .) -B(a, .)
-        oracle = helpers.advection_gradient_transpose(g, a, x) - advection_array(g, a, x)
+        oracle = helpers.advection_gradient_transpose(g, a, x) - helpers.advection_gradient_form(g, a, x)
         ours = linearized_advection_adjoint_array(g, x, a)
         assert np.max(np.abs(ours - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
@@ -502,6 +503,49 @@ class TestLinearization:
             assert np.all(out[..., K, K] == 0.0)
             for lo, hi in ((0, 1), (batch - 1, batch), (batch // 2, batch)):
                 assert np.array_equal(kernel(g, arg[lo:hi].copy(), a), out[lo:hi])
+
+
+class TestCurlFormGeneralKernel:
+    """B(a, b) and the shifted drift B(u, z) + B(z, u0), each one curl-form
+    call with an antisymmetric part, against the gradient form."""
+
+    GRIDS = TestCurlFormSelfAdvection.GRIDS
+
+    @staticmethod
+    def _check(ours, oracle, kernel, args):
+        assert np.max(np.abs(ours - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+        batch = len(ours)
+        for lo, hi in ((0, 1), (batch - 1, batch), (batch // 2, batch)):
+            assert np.array_equal(kernel(*(x[lo:hi].copy() for x in args)), ours[lo:hi])
+
+    @pytest.mark.parametrize("K, N", GRIDS)
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    def test_bilinear_matches_gradient_form(self, rng, K, N, batch):
+        g = SpectralGrid(K, N)
+        a, b = _solenoidal_batch(g, rng, batch), _solenoidal_batch(g, rng, batch)
+        ours = advection_array(g, a, b)
+        self._check(ours, helpers.advection_gradient_form(g, a, b),
+                    lambda a, b: advection_array(g, a, b), (a, b))
+        # the halves give the half of the full result
+        half = advection_array(g, half_spectrum(a).copy(), half_spectrum(b).copy())
+        assert np.array_equal(half, half_spectrum(ours))
+
+    @pytest.mark.parametrize("K, N", GRIDS)
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    def test_shifted_drift_matches_gradient_form(self, rng, K, N, batch):
+        g = SpectralGrid(K, N)
+        u, z = _solenoidal_batch(g, rng, batch), _solenoidal_batch(g, rng, batch)
+        u0 = random_solenoidal_field(g, rng).coeffs
+
+        def drift(u, z):
+            u, z, v0 = half_spectrum(u), half_spectrum(z), half_spectrum(u0)
+            return full_spectrum(_curl_form(g, z, u + v0, d=v0 - u))
+
+        oracle = helpers.advection_gradient_form(g, u, z) + helpers.advection_gradient_form(g, z, u0)
+        ours = drift(u, z)
+        assert np.array_equal(ours, np.conj(ours[..., ::-1, ::-1]))
+        assert np.all(ours[..., K, K] == 0.0)
+        self._check(ours, oracle, drift, (u, z))
 
 
 class TestNormPair:
