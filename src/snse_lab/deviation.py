@@ -52,11 +52,10 @@ from .solvers import (
 from .spectral import (
     TWO_PI,
     _curl_form,
-    h_norm_sq_array,
     abs_sq,
+    full_spectrum,
     half_norms_sq,
     half_spectrum,
-    hv_norm_sq_array,
     linearized_advection_adjoint_array,
     to_physical,
     weighted_norm_sq,
@@ -134,7 +133,8 @@ class ConstantsLedger:
 
 
 def _frames_energy_sq(grid, times: np.ndarray, frames: np.ndarray) -> float:
-    h2, v2 = hv_norm_sq_array(grid, frames)
+    """Trajectory norm, squared, of frames given as kx >= 0 halves."""
+    h2, v2 = half_norms_sq(grid, frames)
     return float(_sup_plus_integral(h2, v2, times))
 
 
@@ -195,7 +195,8 @@ class _SkeletonObjective:
         self.J = self.model.n_directions
         self.dt = config.dt
         self.lam = self.model.eigenvalues
-        scale = max(float(np.max(h_norm_sq_array(config.grid, target_frames))), 1e-12)
+        self.k2 = half_spectrum(config.grid.k2)
+        scale = max(float(np.max(half_norms_sq(config.grid, target_frames)[0])), 1e-12)
         self.alpha = opt.softmax_sharpness / scale
         self.mu = opt.penalty_init
         self.nfev = 0
@@ -206,7 +207,7 @@ class _SkeletonObjective:
     def distance_parts(self, frames: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
         grid = self.config.grid
         e = frames - self.v
-        x, v2 = hv_norm_sq_array(grid, e)  # (N+1,) each
+        x, v2 = half_norms_sq(grid, e)  # (N+1,) each
         x_star = float(np.max(x))
         w = np.exp(self.alpha * (x - x_star))
         lse = x_star + math.log(float(np.sum(w))) / self.alpha
@@ -222,8 +223,7 @@ class _SkeletonObjective:
         lse, integral, e, weights = self.distance_parts(frames)
         energy = float(np.sum(h_values**2 / self.lam) * self.dt)
         value = 0.5 * energy + 0.5 * self.mu * (lse + integral)
-        k2 = self.config.grid.k2
-        sources = self.mu * (weights[:N, None, None, None] * e[:N] + self.dt * (k2 * e[:N]))
+        sources = self.mu * (weights[:N, None, None, None] * e[:N] + self.dt * (self.k2 * e[:N]))
         p_end = self.mu * weights[N] * e[N]
         grad_h = h_values * (self.dt / self.lam)
         grad_h = grad_h + _adjoint_sweep(self.config, self.u0, p_end, sources)
@@ -234,13 +234,14 @@ def _adjoint_sweep(config: SimConfig, u0_frames, p_end, sources) -> np.ndarray:
     """Control gradient of <p_end, x_N> + sum_n <sources[n], x_n> over the
     frames x of skeleton_forward, by its discrete adjoint (L2 pairing).
 
-    p_end has shape (2, S, S) and sources (n_steps, 2, S, S); returns the
-    gradient with shape (n_steps, J).  In the nonlinear regime each step
-    applies the adjoint of the linearized advection, -P(2 D(P phi p) u0)
-    with D the symmetric gradient, in one
-    `linearized_advection_adjoint_array` call.  The loop keeps phi * p of
-    every step; the noise map, frozen at the deterministic limit, takes them
-    all in one call after it.
+    p_end (2, S, K + 1), sources (n_steps, 2, S, K + 1) and u0_frames are
+    kx >= 0 halves, and so is the adjoint state p; returns the gradient with
+    shape (n_steps, J).  In the nonlinear regime each step applies the
+    adjoint of the linearized advection, -P(2 D(P phi p) u0) with D the
+    symmetric gradient, in one `linearized_advection_adjoint_array` call.
+    The loop keeps phi * p of every step; after it, that stack is mirrored
+    once into full fields, the input of `sigma_adjoint_array`, and the noise
+    map, frozen at the deterministic limit, takes them all in one call.
     """
     grid = config.grid
     prop = propagator(grid, config.dt)
@@ -249,12 +250,12 @@ def _adjoint_sweep(config: SimConfig, u0_frames, p_end, sources) -> np.ndarray:
     p = p_end
     for n in range(n_steps - 1, -1, -1):
         u0n = u0_frames[n]
-        np.multiply(prop.phi, p, out=phi_p[n])
-        p_next = prop.decay * p
+        np.multiply(prop.half_phi, p, out=phi_p[n])
+        p_next = prop.half_decay * p
         if config.nonlinear:
             p_next = p_next - linearized_advection_adjoint_array(grid, phi_p[n], u0n)
         p = p_next + sources[n]
-    return sigma_adjoint_array(config.noise, 0.0, u0_frames[:n_steps], phi_p)
+    return sigma_adjoint_array(config.noise, 0.0, u0_frames[:n_steps], full_spectrum(phi_p))
 
 
 def rate_function(
@@ -393,10 +394,10 @@ def max_energy_response(
         value = 0.0
         for _ in range(n_iter):
             frames = skeleton_forward(h, u0_traj.frames, cfg)
-            x, v2 = hv_norm_sq_array(grid, frames)
+            x, v2 = half_norms_sq(grid, frames)
             value = float(np.max(x) + np.sum(v2[:-1]) * cfg.dt)
             n_star = int(np.argmax(x))
-            sources = cfg.dt * (grid.k2 * frames[:n])
+            sources = cfg.dt * (half_spectrum(grid.k2) * frames[:n])
             if n_star < n:
                 sources[n_star] += frames[n_star]
             p_end = (1.0 if n_star == n else 0.0) * frames[n]
@@ -464,9 +465,10 @@ def estimate_from_hits(hits: int, n: int, alpha: float = 0.05) -> ProbabilityEst
 class DiffEnergyObserver:
     """Per-path squared trajectory norm on the recording grid of
     z = scale * path - scale * reference (given at every solver step), shape
-    (n,), or of z minus each recorded target of a (T, records, 2, S, S) stack,
-    shape (n, T).  z and its differences are formed on the kx >= 0 columns
-    only, all that a norm of a conjugate-symmetric field reads."""
+    (n,), or of z minus each recorded target of a (T, records, 2, S, K + 1)
+    stack, shape (n, T).  The reference, the targets, z and its differences
+    are kx >= 0 halves, all that a norm of a conjugate-symmetric field
+    reads."""
 
     def __init__(self, config: SimConfig, ref_frames_by_step: np.ndarray, scale=1.0, targets=None):
         self.config = config
@@ -485,7 +487,7 @@ class DiffEnergyObserver:
         slot = self.rec.slot(idx, t)
         if slot is not None:
             z = coeffs * self.scale
-            z -= self.scale * half_spectrum(self.ref[idx])
+            z -= self.scale * self.ref[idx]
             self.on_record(slot, z)
 
     def on_record(self, slot, z):
@@ -495,7 +497,7 @@ class DiffEnergyObserver:
             self.h2[:, slot], self.v2[:, slot] = half_norms_sq(self.grid, z)
             return
         for i, target in enumerate(self.targets):
-            diff = z - half_spectrum(target[slot])
+            diff = z - target[slot]
             self.h2[:, i, slot], self.v2[:, i, slot] = half_norms_sq(self.grid, diff)
 
     def finish(self) -> dict:
@@ -773,9 +775,10 @@ def _dyadic_cell_records(times: np.ndarray, depth: int) -> int:
 class _MomentObserver:
     """Running moments of one ensemble, one column per order p of `orders`:
     `sup`, the sup over steps of |u|^(2p), and `int`, the left-endpoint
-    integral of |u|^(2p-2) ||u||^2.  Given the zero-noise frames u0, it also
-    keeps the gradient sup `sup_v2`, the left-endpoint integral `int_a2` of
-    |A u|^2, and the deviation u - u0's `sup_d2` and `int_dv2`."""
+    integral of |u|^(2p-2) ||u||^2.  Given the zero-noise frames u0, as
+    kx >= 0 halves, it also keeps the gradient sup `sup_v2`, the
+    left-endpoint integral `int_a2` of |A u|^2, and the deviation u - u0's
+    `sup_d2` and `int_dv2`."""
 
     def __init__(self, config: SimConfig, orders, u0_frames=None):
         self.config = config
@@ -806,7 +809,7 @@ class _MomentObserver:
         if self.u0 is None:
             return
         np.maximum(self.sup_v2, v2, out=self.sup_v2)
-        dh2, dv2 = half_norms_sq(self.grid, coeffs - half_spectrum(self.u0[idx]))
+        dh2, dv2 = half_norms_sq(self.grid, coeffs - self.u0[idx])
         np.maximum(self.sup_d2, dh2, out=self.sup_d2)
         if inside:
             self.int_a2 += weighted_norm_sq(a2, self.a_weight) * dt
@@ -843,17 +846,17 @@ class _RemainderObserver:
     """sup over steps of |u - u0 - sqrt(eps) Y|^2, with the linearization Y
     of the dynamics around u0 stepped on the increments of the noisy path u.
 
-    Y and u0 (copied from its frames) are contiguous kx >= 0 halves, like
-    the stepper's state.  Y is stepped with the noise map frozen at u0 and,
-    in the nonlinear regime, the drift -(B(Y, u0) + B(u0, Y)), one
-    `_curl_form` call on Y and 2 u0 per step.  In the additive linear regime
-    the remainder vanishes identically; with the quadratic term on it
-    measures the second-order part of the deviation.
+    Y and the u0 frames are kx >= 0 halves, like the stepper's state.  Y is
+    stepped with the noise map frozen at u0 and, in the nonlinear regime,
+    the drift -(B(Y, u0) + B(u0, Y)), one `_curl_form` call on Y and 2 u0
+    per step.  In the additive linear regime the remainder vanishes
+    identically; with the quadratic term on it measures the second-order
+    part of the deviation.
     """
 
     def __init__(self, config: SimConfig, u0_frames):
         self.config = config
-        self.u0 = half_spectrum(u0_frames).copy()
+        self.u0 = u0_frames
         self.sqrt_eps = math.sqrt(config.epsilon)
         self.scale = _guard_scale(config, _initial_coeffs(config))
 
@@ -997,13 +1000,12 @@ def moment_bound_suite(
 
 
 def _l4_integral(traj: Trajectory) -> float:
-    """Left-endpoint integral of the fourth power of the L4 norm."""
-    total = 0.0
+    """Left-endpoint integral of the fourth power of the L4 norm; the frames
+    are mirrored once into full fields, the input of `to_physical`."""
     if traj.n_records < 2:
         return 0.0
     widths = np.diff(traj.times)
-    phys = to_physical(traj.grid, traj.frames[:-1])
+    phys = to_physical(traj.grid, full_spectrum(traj.frames[:-1]))
     speed_sq = phys[:, 0] ** 2 + phys[:, 1] ** 2
     per_frame = np.mean(speed_sq**2, axis=(-2, -1)) * TWO_PI**2
-    total = float(np.sum(per_frame * widths))
-    return total
+    return float(np.sum(per_frame * widths))

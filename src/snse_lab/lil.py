@@ -83,9 +83,9 @@ class LimitSetProbe:
     Every candidate control satisfies half-energy <= 1, so each image lies in
     the limit set; the minimum distance over candidates is an upper bound on
     the distance to the set, nonincreasing under refinement.  `frames` holds
-    every image's recorded frames in one (size, records, 2, S, S) array, the
-    array the images view when `build_probe` made them; left out, it is
-    stacked from the images.
+    every image's recorded frames, kx >= 0 halves, in one
+    (size, records, 2, S, K + 1) array, the array the images view when
+    `build_probe` made them; left out, it is stacked from the images.
     """
 
     controls: tuple[Control, ...]
@@ -148,9 +148,10 @@ def build_probe(
     Every candidate's cell values are one row of one (controls, n_cells, J)
     array, which the controls view.  The nonzero controls are solved in one
     batched skeleton_forward call into the one array that holds every
-    image, from that array itself when each step is its own cell; the zero
-    control's image is exactly zero and is not integrated.  At record
-    stride 1 the images and the probe's frames are that array.
+    image's kx >= 0 halves, from that array itself when each step is its
+    own cell; the zero control's image is exactly zero and is not
+    integrated.  At record stride 1 the images and the probe's frames are
+    that array.
     """
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
     model = config.noise
@@ -170,8 +171,7 @@ def build_probe(
             values[m] *= math.sqrt(2.0 / energy)
             m += 1
     controls = tuple(Control(model, config.horizon, row) for row in values[:m])
-    S = config.grid.n_coeff
-    frames = np.zeros((m, config.n_steps + 1, 2, S, S), dtype=np.complex128)
+    frames = np.zeros((m, config.n_steps + 1) + u0_traj.frames.shape[1:], dtype=np.complex128)
     if m > first:
         cells = controls[first].cell_index(np.arange(config.n_steps) * config.dt)
         h_values = values[first:m]

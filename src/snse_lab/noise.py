@@ -29,7 +29,7 @@ from .spectral import (
     TWO_PI,
     abs_sq,
     full_spectrum,
-    v_norm_sq_array,
+    half_spectrum,
     weighted_norm_sq,
 )
 
@@ -102,6 +102,9 @@ class NoiseModel:
         gains = np.repeat(gain_pair, 2)[:J]
         S = self.grid.n_coeff
         pos_plus = (K + kvec[:, 1]) * S + (K + kvec[:, 0])
+        # where the kx >= 0 half holds k, or -k for kx < 0 (`at_directions`)
+        flip = np.where(kvec[:, 0] < 0, -1, 1)
+        half_pos = (K + flip * kvec[:, 1]) * (K + 1) + flip * kvec[:, 0]
         # per slot of the kx >= 0 half (S, K + 1), in raster order, the pair
         # whose amplitude it reads and its direction (0 for the zero mode and
         # for a pair left out); the pair representatives fill rows ky >= 0,
@@ -120,6 +123,7 @@ class NoiseModel:
             ("pair_abs_k", kabs),
             ("pair_direction", direction),
             ("_pos_plus", pos_plus),
+            ("_half_pos", half_pos),
             ("_half_source", half_source.reshape(-1)),
             ("_half_direction", half_direction),
         ):
@@ -139,13 +143,13 @@ class NoiseModel:
         """The j-th noise direction as a unit-L2 divergence-free field."""
         xi = np.zeros(self.n_directions)
         xi[j] = 1.0
-        return SpectralField(self.grid, scatter_coefficients(self, xi))
+        return SpectralField(self.grid, full_spectrum(scatter_coefficients(self, xi)))
 
 
 def at_directions(model: NoiseModel, per_mode: np.ndarray) -> np.ndarray:
-    """Values (J,) of a per-mode array (S, S), symmetric in k, at each
-    direction's wavevector."""
-    return np.repeat(per_mode.reshape(-1)[model._pos_plus], 2)[: model.n_directions]
+    """Values (J,) of a per-mode array symmetric in k, given by its kx >= 0
+    half (S, K + 1), at each direction's wavevector."""
+    return np.repeat(per_mode.reshape(-1)[model._half_pos], 2)[: model.n_directions]
 
 
 def _pair_amplitudes(model: NoiseModel, xi: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
@@ -173,15 +177,14 @@ def scatter_coefficients(
     weights: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Field coefficients of sum_j xi_j w_j e_j; batched over leading axes.
+    """The kx >= 0 half (..., 2, S, K + 1) of the field sum_j xi_j w_j e_j;
+    batched over leading axes.
 
-    The kx >= 0 half is formed first: a slot on rows ky >= 0 holds c d, its
-    pair's amplitude c times its direction d, and a slot on rows ky < 0
-    holds conj(c d) of the pair at -k.  The full array is its conjugate
-    mirror (`full_spectrum`).  Written into `out` when given, which may be a
-    view: a complex (..., 2, S, S) array, or a (..., 2, S, K + 1) one for
-    the half alone.  Beyond `out`, it holds the (..., P) pair amplitudes and
-    their (..., S (K + 1)) gather onto the half.
+    A slot on rows ky >= 0 holds c d, its pair's amplitude c times its
+    direction d, and a slot on rows ky < 0 holds conj(c d) of the pair at
+    -k.  Written into `out` when given, a complex (..., 2, S, K + 1) array
+    that may be a view.  Beyond `out`, it holds the (..., P) pair amplitudes
+    and their (..., S (K + 1)) gather onto the half.
     """
     xi = np.asarray(xi, dtype=np.float64)
     if xi.shape[-1] != model.n_directions:
@@ -190,23 +193,20 @@ def scatter_coefficients(
         )
     c = _pair_amplitudes(model, xi, weights)
     K, S = model.grid.max_wavenumber, model.grid.n_coeff
+    shape = c.shape[:-1] + (2, S, K + 1)
     if out is None:
-        out = np.empty(c.shape[:-1] + (2, S, S), dtype=np.complex128)
-    elif out.shape not in (c.shape[:-1] + (2, S, S), c.shape[:-1] + (2, S, K + 1)) or (
-        out.dtype != np.complex128
-    ):
-        raise ValueError(f"out must be complex128 of shape {c.shape[:-1] + (2, S, S)} or its half")
-    half = out if out.shape[-1] == K + 1 else out[..., K:]
+        out = np.empty(shape, dtype=np.complex128)
+    elif out.shape != shape or out.dtype != np.complex128:
+        raise ValueError(f"out must be complex128 of shape {shape}")
     amp = np.take(c, model._half_source, axis=-1).reshape(c.shape[:-1] + (1, S, K + 1))
-    np.multiply(amp, model._half_direction, out=half)
-    np.conjugate(half[..., :K, :], out=half[..., :K, :])
-    if half is not out:
-        full_spectrum(half, out=out)
+    np.multiply(amp, model._half_direction, out=out)
+    np.conjugate(out[..., :K, :], out=out[..., :K, :])
     return out
 
 
 def gather_coefficients(model: NoiseModel, coeffs: np.ndarray) -> np.ndarray:
-    """L2-adjoint of unweighted scatter: xi_j = (e_j, field)."""
+    """L2-adjoint of unweighted scatter: xi_j = (e_j, field), for full
+    fields (..., 2, S, S)."""
     S = model.grid.n_coeff
     flat = coeffs.reshape(coeffs.shape[:-2] + (S * S,))  # (..., 2, S*S)
     plus = flat[..., model._pos_plus]  # (..., 2, P)
@@ -242,7 +242,7 @@ def saturation_factor(params: SigmaParams, r):
 
 def sigma_factor(model: NoiseModel, t: float, u_coeffs: np.ndarray):
     """State-dependent gain modulation, one value per state of a batch of
-    conjugate-symmetric states (..., 2, S, S) or of their kx >= 0 halves
+    conjugate-symmetric states given by their kx >= 0 halves
     (..., 2, S, K + 1).
 
     The scalar 1.0 for the additive family, whatever the batch shape.  No
@@ -250,15 +250,12 @@ def sigma_factor(model: NoiseModel, t: float, u_coeffs: np.ndarray):
     """
     if not model.state_dependent:
         return 1.0
-    if u_coeffs.shape[-1] == u_coeffs.shape[-2]:
-        v2 = v_norm_sq_array(model.grid, u_coeffs)
-    else:  # the kx >= 0 half of the states, the stepper's
-        v2 = weighted_norm_sq(abs_sq(u_coeffs), model.grid.half_k2)
+    v2 = weighted_norm_sq(abs_sq(u_coeffs), model.grid.half_k2)
     return saturation_factor(model.params, np.sqrt(v2))
 
 
 def times_factor(field: np.ndarray, factor, out: np.ndarray | None = None) -> np.ndarray:
-    """field (..., 2, S, S) modulated by a `sigma_factor` value: field itself
+    """field (..., 2, S, K + 1) modulated by a `sigma_factor` value: field itself
     for the scalar 1.0, else a new array (or `out`), one factor per leading
     index."""
     if np.ndim(factor) == 0 and factor == 1.0:
@@ -273,12 +270,13 @@ def sigma_apply_array(
     xi: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Coefficients of sigma(t, u) xi; batched when u_coeffs and xi carry a batch axis.
+    """The kx >= 0 half of sigma(t, u) xi; batched when u_coeffs and xi carry
+    a batch axis.
 
-    The factor of u_coeffs (..., 2, S, S) broadcasts against xi (..., J), so
-    xi may carry more leading axes than u_coeffs.  The field is scattered
-    into `out` when given (see `scatter_coefficients`), and the factor
-    applied in place.
+    The factor of u_coeffs, the states' halves (..., 2, S, K + 1),
+    broadcasts against xi (..., J), so xi may carry more leading axes than
+    u_coeffs.  The field is scattered into `out` when given (see
+    `scatter_coefficients`), and the factor applied in place.
     """
     out = scatter_coefficients(model, xi, weights=model.gains, out=out)
     return times_factor(out, sigma_factor(model, t, u_coeffs), out=out)
@@ -287,7 +285,9 @@ def sigma_apply_array(
 def sigma_adjoint_array(
     model: NoiseModel, t: float, u_coeffs: np.ndarray, y_coeffs: np.ndarray
 ) -> np.ndarray:
-    """Adjoint of sigma(t, u) against the L2 pairing: field -> coefficients."""
+    """Adjoint of sigma(t, u) against the L2 pairing: field -> coefficients,
+    for states u given by their kx >= 0 halves and full fields y_coeffs
+    (..., 2, S, S), the input of `gather_coefficients`."""
     factor = sigma_factor(model, t, u_coeffs)
     xi = gather_coefficients(model, y_coeffs) * model.gains
     if np.ndim(factor) == 0:
@@ -295,18 +295,18 @@ def sigma_adjoint_array(
     return xi * np.asarray(factor)[..., None]
 
 
-def sigma_hs_norm(model: NoiseModel, t: float, u) -> float:
-    """Hilbert-Schmidt norm of sigma(t, u) Q^(1/2) (closed form, diagonal family)."""
-    u_coeffs = u.coeffs if isinstance(u, SpectralField) else np.asarray(u)
-    factor = sigma_factor(model, t, u_coeffs)
+def sigma_hs_norm(model: NoiseModel, t: float, u: np.ndarray) -> float:
+    """Hilbert-Schmidt norm of sigma(t, u) Q^(1/2) (closed form, diagonal
+    family), for a state u given by its kx >= 0 half."""
+    factor = sigma_factor(model, t, u)
     base = np.sqrt(np.sum(model.eigenvalues * model.gains**2))
     return float(base * factor)
 
 
-def sigma_curl_hs_norm(model: NoiseModel, t: float, u) -> float:
-    """Hilbert-Schmidt norm of curl sigma(t, u) Q^(1/2)."""
-    u_coeffs = u.coeffs if isinstance(u, SpectralField) else np.asarray(u)
-    factor = sigma_factor(model, t, u_coeffs)
+def sigma_curl_hs_norm(model: NoiseModel, t: float, u: np.ndarray) -> float:
+    """Hilbert-Schmidt norm of curl sigma(t, u) Q^(1/2), for a state u given
+    by its kx >= 0 half."""
+    factor = sigma_factor(model, t, u)
     kabs = np.repeat(model.pair_abs_k, 2)[: model.n_directions]
     base = np.sqrt(np.sum(model.eigenvalues * (model.gains * kabs) ** 2))
     return float(base * factor)
@@ -382,15 +382,15 @@ def verify_assumptions(
     violations = set()
     for _ in range(n_samples):
         scale = 10.0 ** rng.uniform(-2.0, 2.0)
-        u = random_solenoidal_field(model.grid, rng, amplitude=scale)
-        v = random_solenoidal_field(model.grid, rng, amplitude=scale)
+        u, v = (half_spectrum(random_solenoidal_field(model.grid, rng, amplitude=scale).coeffs)
+                for _ in range(2))
         t = rng.uniform(0.0, 1.0)
-        nu2 = float(v_norm_sq_array(model.grid, u.coeffs))
+        nu2 = float(weighted_norm_sq(abs_sq(u), model.grid.half_k2))
         s_u = sigma_hs_norm(model, t, u)
         s_v = sigma_hs_norm(model, t, v)
         c_u = sigma_curl_hs_norm(model, t, u)
         bound_est = max(bound_est, s_u)
-        dv = float(np.sqrt(v_norm_sq_array(model.grid, u.coeffs - v.coeffs)))
+        dv = float(np.sqrt(weighted_norm_sq(abs_sq(u - v), model.grid.half_k2)))
         if dv > 1e-12:
             lip_est = max(lip_est, abs(s_u - s_v) / dv)
         if s_u > slack * declared["bound"]:

@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 from .solvers import Trajectory
+from .spectral import full_spectrum
 
 _MAGIC = "snse-lab-trajectory-v1"
 
@@ -70,6 +71,7 @@ def read_report(path: str) -> dict:
 
 
 def write_trajectory(path: str, traj: Trajectory) -> None:
+    """Write traj, its frames mirrored into the file format's full arrays."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     header = {
         "magic": _MAGIC,
@@ -88,7 +90,7 @@ def write_trajectory(path: str, traj: Trajectory) -> None:
         fh.write(np.ascontiguousarray(traj.times, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(traj.h2, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(traj.v2, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(traj.frames, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(full_spectrum(traj.frames), dtype="<c16").tobytes())
 
 
 def write_manifest(

@@ -46,8 +46,8 @@ from .spectral import (
     advection_array,
     abs_sq,
     full_spectrum,
+    half_norms_sq,
     half_spectrum,
-    hv_norm_sq_array,
     linearized_advection_array,
     weighted_norm_sq,
     zero_field,
@@ -139,7 +139,8 @@ class SimConfig:
 
 
 class Propagator:
-    """Per-mode integrating-factor weights for one step size (read-only arrays).
+    """Per-mode integrating-factor weights for one step size (read-only
+    arrays), on the kx >= 0 columns (S, K + 1) where every state is held.
 
     Build it through `propagator`, which returns one shared instance per
     (grid, dt).
@@ -148,23 +149,15 @@ class Propagator:
     def __init__(self, grid: SpectralGrid, dt: float):
         self.grid = grid
         self.dt = dt
-        k2 = grid.k2
-        self.decay = np.exp(-k2 * dt)
-        phi = np.where(k2 > 0, (1.0 - self.decay) / np.where(k2 > 0, k2, 1.0), dt)
-        self.phi = phi
-        self.phi_rate = phi / dt
-        # exact integral of ||u||^2 over one pure-decay step, per unit |u_k|^2
-        self.int_weight = (1.0 - self.decay**2) / 2.0
-        # on the kx >= 0 columns, where the stochastic paths are stepped and
-        # the observers' norms read
-        self.half_decay = half_spectrum(self.decay).copy()
-        self.half_phi = half_spectrum(self.phi).copy()
-        self.half_phi_rate = half_spectrum(self.phi_rate).copy()
-        self.half_int_weight = grid.half_weight * half_spectrum(self.int_weight)
-        for arr in (
-            self.decay, self.phi, self.phi_rate, self.int_weight, self.half_decay,
-            self.half_phi, self.half_phi_rate, self.half_int_weight,
-        ):
+        k2 = half_spectrum(grid.k2)
+        self.half_decay = np.exp(-k2 * dt)
+        phi = np.where(k2 > 0, (1.0 - self.half_decay) / np.where(k2 > 0, k2, 1.0), dt)
+        self.half_phi = phi
+        self.half_phi_rate = phi / dt
+        # exact integral of ||u||^2 over one pure-decay step, per unit |u_k|^2,
+        # with the Parseval weight of the half
+        self.half_int_weight = grid.half_weight * ((1.0 - self.half_decay**2) / 2.0)
+        for arr in (self.half_decay, self.half_phi, self.half_phi_rate, self.half_int_weight):
             arr.setflags(write=False)
 
 
@@ -175,11 +168,11 @@ def propagator(grid: SpectralGrid, dt: float) -> Propagator:
 
 
 def _initial_coeffs(config: SimConfig) -> np.ndarray:
-    if config.initial is None:
-        return zero_field(config.grid).coeffs
-    if config.initial.grid != config.grid:
+    """The kx >= 0 half (2, S, K + 1) of the initial field."""
+    initial = config.initial or zero_field(config.grid)
+    if initial.grid != config.grid:
         raise GridMismatchError("initial condition grid differs from run grid")
-    return config.initial.coeffs
+    return half_spectrum(initial.coeffs)
 
 
 def _guard_scale(config: SimConfig, u0_coeffs: np.ndarray) -> float:
@@ -204,6 +197,8 @@ def _blowup_guard(half: np.ndarray, scale: float, step: int) -> None:
 class Trajectory:
     """Recorded states plus running norm functionals of one solution path.
 
+    `frames` holds the recorded states as kx >= 0 halves,
+    (records, 2, S, K + 1); `field_at` mirrors one into a full field.
     `sup_h2` and `int_v2` are accumulated over every solver step (the integral
     by the per-step integrating-factor quadrature, exact for pure decay);
     `h2`/`v2` hold the squared norms at the recorded times only.  Treat
@@ -226,7 +221,7 @@ class Trajectory:
         return len(self.times)
 
     def field_at(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, self.frames[i])
+        return SpectralField(self.grid, full_spectrum(self.frames[i]))
 
     @property
     def horizon(self) -> float:
@@ -258,8 +253,9 @@ def derived_trajectory(
     record_stride: int,
     provenance: dict | None = None,
 ) -> Trajectory:
-    """Trajectory from precomputed frames; functionals on the recording grid."""
-    h2, v2 = hv_norm_sq_array(grid, frames)
+    """Trajectory from precomputed frames, kx >= 0 halves; functionals on
+    the recording grid."""
+    h2, v2 = half_norms_sq(grid, frames)
     return Trajectory(
         grid=grid,
         dt=dt,
@@ -371,7 +367,7 @@ def _integrate_batch(
     (n, 2, S, K + 1): the update, the noise and the self-advection are formed
     on that half alone.  hooks.on_noise(step, t, coeffs, dW) and
     hooks.on_state(idx, t, coeffs) are optional callables, and coeffs is the
-    half; `full_spectrum(coeffs)` gives the full field.  on_noise sees the
+    half.  on_noise sees the
     pre-step state, so a coupled process can be stepped inside it on the same
     increments.  draw_normals(start, stop) returns the (n, stop - start, J)
     standard normals of steps [start, stop) (`_normal_blocks`), or is None
@@ -405,7 +401,7 @@ def _integrate_batch(
     sqrt_lam_dt = np.sqrt(model.eigenvalues * config.dt)
     weights = model.gains
     if not model.state_dependent:
-        weights = model.gains * sqrt_eps * at_directions(model, prop.phi_rate)
+        weights = model.gains * sqrt_eps * at_directions(model, prop.half_phi_rate)
     block = _noise_block_steps(model, state.shape[0], n_steps)
     for step in range(n_steps):
         t = step * config.dt
@@ -469,7 +465,7 @@ def _solve_single(
 ) -> Trajectory:
     obs = TrajectoryObserver(config)
     obs.on_start(propagator(config.grid, config.dt), 1, config.n_steps)
-    _integrate_batch(config, half_spectrum(_initial_coeffs(config))[None].copy(), draw_normals, obs)
+    _integrate_batch(config, _initial_coeffs(config)[None].copy(), draw_normals, obs)
     return _trajectory(config, obs.finish(), 0, provenance)
 
 
@@ -513,9 +509,8 @@ def _control_values_on_steps(h: Control, config: SimConfig) -> np.ndarray:
 def _control_fields(h: Control, config: SimConfig) -> np.ndarray:
     """Unmodulated noise-map images of the control at every step, one call:
     the kx >= 0 halves of scatter(h gains), shape (n_steps, 2, S, K + 1)."""
-    model, g = config.noise, config.grid
-    out = np.empty((config.n_steps, 2, g.n_coeff, g.max_wavenumber + 1), dtype=np.complex128)
-    return scatter_coefficients(model, _control_values_on_steps(h, config), model.gains, out)
+    model = config.noise
+    return scatter_coefficients(model, _control_values_on_steps(h, config), model.gains)
 
 
 def skeleton_forward(
@@ -527,9 +522,10 @@ def skeleton_forward(
     """All frames of the controlled linearization driven by per-step controls.
 
     h_values has shape (..., n_steps, J), one control per leading index;
-    u0_frames holds the deterministic limit at every solver step.  Returns
-    (..., n_steps + 1, 2, S, S), written into `out` when given (which may be
-    a view, see `scatter_coefficients`).  The dynamics are linear in the
+    u0_frames holds the deterministic limit at every solver step, as kx >= 0
+    halves.  Returns the frames' halves (..., n_steps + 1, 2, S, K + 1),
+    written into `out` when given (which may be a view, see
+    `scatter_coefficients`).  The dynamics are linear in the
     state and in the control: the noise map is frozen at the deterministic
     limit, so it is applied to every step in one call before the loop, and
     in the nonlinear regime each step subtracts the advection linearized
@@ -539,36 +535,35 @@ def skeleton_forward(
     """
     prop = propagator(config.grid, config.dt)
     n = config.n_steps
-    S = config.grid.n_coeff
     h_values = np.asarray(h_values)
     if out is None:
-        out = np.empty(h_values.shape[:-2] + (n + 1, 2, S, S), dtype=np.complex128)
+        out = np.empty(h_values.shape[:-2] + (n + 1,) + u0_frames.shape[1:], dtype=np.complex128)
     out[..., 0, :, :, :] = 0.0
     rhs = sigma_apply_array(config.noise, 0.0, u0_frames[:n], h_values, out=out[..., 1:, :, :, :])
     if not config.nonlinear:
-        rhs *= prop.phi
+        rhs *= prop.half_phi
     for step in range(n):
         x = out[..., step, :, :, :]
         r = out[..., step + 1, :, :, :]
         if config.nonlinear:
             u0 = u0_frames[step]
             r -= linearized_advection_array(config.grid, x, u0)
-            np.multiply(prop.phi, r, out=r)
-        np.add(prop.decay * x, r, out=r)
+            np.multiply(prop.half_phi, r, out=r)
+        np.add(prop.half_decay * x, r, out=r)
     return out
 
 
 def _skeleton_trajectories(
     frames: np.ndarray, config: SimConfig, provenance: dict | None = None
 ) -> tuple[np.ndarray, list[Trajectory]]:
-    """Trajectories of skeleton_forward solutions (m, n_steps + 1, 2, S, S),
+    """Trajectories of skeleton_forward solutions (m, n_steps + 1, 2, S, K + 1),
     recorded on config's grid by one batched observer pass, and the one
-    (m, records, 2, S, S) array their frames view.  At record stride 1 that
-    array is `frames` itself, not a copy."""
+    (m, records, 2, S, K + 1) array their frames view.  At record stride 1
+    that array is `frames` itself, not a copy."""
     obs = TrajectoryObserver(config, frames if config.record_stride == 1 else None)
     obs.on_start(propagator(config.grid, config.dt), frames.shape[0], config.n_steps)
     for idx in range(config.n_steps + 1):
-        obs.on_state(idx, idx * config.dt, half_spectrum(frames[:, idx]))
+        obs.on_state(idx, idx * config.dt, frames[:, idx])
     data = obs.finish()
     return data["frames"], [_trajectory(config, data, i, provenance) for i in range(len(frames))]
 
@@ -597,19 +592,19 @@ class _ShiftedObserver:
     """Steps the shifted fluctuation z on the increments of the noisy path and
     shows the wrapped observer z in place of the noisy state.
 
-    z, u0 (copied from its frames) and h_field, the unmodulated control field
-    of every step (`_control_fields`), are contiguous kx >= 0 halves, like
-    the stepper's state.  The drift B(u, z) + B(z, u0), with the pre-step
-    noisy state u, is one `_curl_form` call: P div((z s + s z)/2),
-    s = u + u0, plus the antisymmetric part z x (u0 - u).  The diffusion
-    coefficient is evaluated at the recentred state, once per step, and
-    modulates both the control and the noise.
+    z, the u0 frames and h_field, the unmodulated control field of every step
+    (`_control_fields`), are kx >= 0 halves, like the stepper's state.  The
+    drift B(u, z) + B(z, u0), with the pre-step noisy state u, is one
+    `_curl_form` call: P div((z s + s z)/2), s = u + u0, plus the
+    antisymmetric part z x (u0 - u).  The diffusion coefficient is evaluated
+    at the recentred state, once per step, and modulates both the control
+    and the noise.
     """
 
     def __init__(self, config: SimConfig, h_field, u0_frames, inner):
         self.config = config
         self.h_field = h_field
-        self.u0 = half_spectrum(u0_frames).copy()
+        self.u0 = u0_frames
         self.inner = inner
         self.inv_sq = lil_a(config.epsilon)
         self.scale = _guard_scale(config, _initial_coeffs(config))
@@ -747,13 +742,13 @@ def ensemble_run(
     on_state(idx, t, coeffs) (called with the state after each step, and
     once with the initial state), and finish() -> dict of arrays with
     leading axis n.  A hook's coeffs is the (n, 2, S, K + 1) kx >= 0 half
-    of the conjugate-symmetric states, which is all the stepper holds;
-    `full_spectrum(coeffs)` gives the full fields.  Results are concatenated
+    of the conjugate-symmetric states, which is all the stepper holds.
+    Results are concatenated
     across chunks, so output is independent of the chunk size.
     """
     J = config.noise.n_directions
     n_steps = config.n_steps
-    u0_half = half_spectrum(_initial_coeffs(config))
+    u0_half = _initial_coeffs(config)
     merged: dict[str, list[np.ndarray]] = {}
     for start in range(0, n_paths, _CHUNK_PATHS):
         paths = range(start, min(start + _CHUNK_PATHS, n_paths))
@@ -781,9 +776,9 @@ class TrajectoryObserver:
     sup_h2 and int_v2 run over every solver step (the integral by the
     per-step integrating-factor quadrature); frames, h2 and v2 are kept on
     the recording grid.  A state arrives as its kx >= 0 half, and a frame is
-    its full mirror (`full_spectrum`).  The frames are recorded into
-    `frames` when given, an (n_paths, records, 2, S, S) array; a half that
-    already lies in its slot (a view of the same memory) is not mirrored.
+    a copy of it.  The frames are recorded into `frames` when given, an
+    (n_paths, records, 2, S, K + 1) array; a half that already lies in its
+    slot (a view of the same memory) is not copied.
     """
 
     def __init__(self, config: SimConfig, frames: np.ndarray | None = None):
@@ -794,11 +789,11 @@ class TrajectoryObserver:
         self.prop = prop
         self.n_steps = n_steps
         self.rec = _RecordingGrid(n_steps, self.config.record_stride)
-        S = prop.grid.n_coeff
+        S, K = prop.grid.n_coeff, prop.grid.max_wavenumber
         R = len(self.rec)
         self.frames = self._out
         if self._out is None:
-            self.frames = np.zeros((n_paths, R, 2, S, S), dtype=np.complex128)
+            self.frames = np.zeros((n_paths, R, 2, S, K + 1), dtype=np.complex128)
         self.h2 = np.zeros((n_paths, R))
         self.v2 = np.zeros((n_paths, R))
         self.sup_h2 = np.zeros(n_paths)
@@ -811,7 +806,7 @@ class TrajectoryObserver:
         if slot is not None:
             frame = self.frames[:, slot]
             if not np.may_share_memory(coeffs, frame):
-                full_spectrum(coeffs, out=frame)
+                frame[...] = coeffs
             self.h2[:, slot] = h2
             self.v2[:, slot] = weighted_norm_sq(a2, self.prop.grid.half_k2)
         np.maximum(self.sup_h2, h2, out=self.sup_h2)

@@ -181,15 +181,22 @@ def worst_divergence_mode(field: SpectralField) -> tuple[int, int, float]:
 
 def leray_project_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     """Mode-wise projection onto k-orthogonal amplitudes, mean mode zeroed;
-    batched over leading axes."""
-    kx, ky, k2 = grid.kx, grid.ky, grid.k2
+    batched over leading axes of full arrays (..., 2, S, S)."""
+    return _project(grid, coeffs, 0)
+
+
+def _project(grid: SpectralGrid, coeffs: np.ndarray, first_col: int) -> np.ndarray:
+    """coeffs - k (k . coeffs) / |k|^2 per mode, mean mode zeroed, for
+    coeffs holding the columns first_col.. of the centered arrays: 0 for
+    full arrays, K for kx >= 0 halves."""
+    K = grid.max_wavenumber
+    kx, ky, k2 = (a[:, first_col:] for a in (grid.kx, grid.ky, grid.k2))
     k2safe = np.where(k2 > 0, k2, 1.0)
     kdot = (kx * coeffs[..., 0, :, :] + ky * coeffs[..., 1, :, :]) / k2safe
     out = np.empty_like(coeffs)
     out[..., 0, :, :] = coeffs[..., 0, :, :] - kdot * kx
     out[..., 1, :, :] = coeffs[..., 1, :, :] - kdot * ky
-    K = grid.max_wavenumber
-    out[..., :, K, K] = 0.0
+    out[..., :, K, K - first_col] = 0.0
     return out
 
 
@@ -357,10 +364,12 @@ def advection_array(grid: SpectralGrid, u: np.ndarray, v: np.ndarray) -> np.ndar
 
     Batched over leading axes; v is one field or a batch of u's shape.
     Exact Galerkin truncation for N >= 3K + 1.  u must be divergence free,
-    and u and v conjugate symmetric, both full arrays (..., 2, S, S) or both
-    kx >= 0 halves (..., 2, S, K + 1), the stepper's; the result has their
-    layout.  It is P div(u v) in curl form (`_curl_form`), no projection
-    pass: self-advection (`v is u`, the stepper's call) from the one square
+    and u and v conjugate symmetric, both kx >= 0 halves (..., 2, S, K + 1),
+    the stepper's, or both full arrays (..., 2, S, S), those of
+    `advection_term` and of the benchmark's kernel timings: the one function
+    that takes either layout.  The result has their layout.  It is
+    P div(u v) in curl form (`_curl_form`), no projection pass:
+    self-advection (`v is u`, the stepper's call) from the one square
     w_u^2, other pairs from w_u w_v and conj(w_u) w_v.
     """
     _check_product_margin(grid)
@@ -372,11 +381,12 @@ def advection_array(grid: SpectralGrid, u: np.ndarray, v: np.ndarray) -> np.ndar
 
 def linearized_advection_array(grid: SpectralGrid, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """B(x, a) + B(a, x) = P div(x a + a x), the advection linearized around a,
-    for divergence-free x (..., 2, S, S) and a (one field, or a batch of x's
-    shape): the `_curl_form` product of x and 2a, with no antisymmetric part,
-    mean free and exactly conjugate symmetric."""
+    for divergence-free x and a given by their kx >= 0 halves
+    (..., 2, S, K + 1), a one half or a batch of x's shape: the `_curl_form`
+    product of x and 2a, with no antisymmetric part, returned as the half of
+    a mean-free, exactly conjugate-symmetric field."""
     _check_product_margin(grid)
-    return full_spectrum(_curl_form(grid, half_spectrum(x), 2.0 * half_spectrum(a)))
+    return _curl_form(grid, x, 2.0 * a)
 
 
 def linearized_advection_adjoint_array(
@@ -384,32 +394,34 @@ def linearized_advection_adjoint_array(
 ) -> np.ndarray:
     """L2 adjoint of x -> `linearized_advection_array(grid, x, a)` on
     divergence-free fields: -P(2 D(Pp) a), with D the symmetric gradient,
-    batched over p (..., 2, S, S); a is one field or a batch of p's shape.
+    for p and a given by their kx >= 0 halves (..., 2, S, K + 1), batched
+    over p; a is one half or a batch of p's shape.
 
     D(Pp) is trace free, so it is packed as the complex field
     d = D_xx + i D_xy, and 2 D a = 2 d conj(w_a) with w_a = a_x + i a_y:
     one product on the padded grid, whose real and imaginary parts are
-    separated mode-wise and Leray projected.  Projecting p first makes this
-    the exact adjoint for any conjugate-symmetric p.  The result is mean free
-    and exactly conjugate symmetric.
+    separated mode-wise on the kx >= 0 columns and Leray projected.
+    Projecting p first makes this the exact adjoint for any
+    conjugate-symmetric p.  The result is the half of a mean-free, exactly
+    conjugate-symmetric field.
     """
     _check_product_margin(grid)
-    kx, ky = grid.kx, grid.ky
-    p = leray_project_array(grid, p)
+    K = grid.max_wavenumber
+    kx, ky = grid.kx[:, K:], grid.ky[:, K:]
+    p = _project(grid, p, K)
     px, py = p[..., 0, :, :], p[..., 1, :, :]
-    d = np.stack([1j * kx * px, 0.5j * (ky * px + kx * py)], axis=-3)
-    w = _padded_values(grid, half_spectrum(d))
+    w = _padded_values(grid, np.stack([1j * kx * px, 0.5j * (ky * px + kx * py)], axis=-3))
     # the packed field of (-a_x, a_y) is -conj(w_a), so the product is -d conj(w_a)
-    a = half_spectrum(a)
     w *= _padded_values(grid, np.stack([-a[..., 0, :, :], a[..., 1, :, :]], axis=-3))
     g = _centered_spectrum(grid, w)
-    g_mirror = np.conjugate(g[..., ::-1, ::-1])
+    g_mirror = np.conjugate(g[..., ::-1, K::-1])
+    g = g[..., K:]
     # -2 D a = (g + conj g(-k), -i (g - conj g(-k))) mode-wise
     out = np.empty(p.shape, dtype=np.complex128)
     np.add(g, g_mirror, out=out[..., 0, :, :])
     np.subtract(g.imag, g_mirror.imag, out=out[..., 1, :, :].real)
     np.subtract(g_mirror.real, g.real, out=out[..., 1, :, :].imag)
-    return leray_project_array(grid, out)
+    return _project(grid, out, K)
 
 
 def advection_term(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -490,24 +502,6 @@ def half_norms_sq(grid: SpectralGrid, half: np.ndarray) -> tuple[np.ndarray, np.
     return weighted_norm_sq(a2, grid.half_weight), weighted_norm_sq(a2, grid.half_k2)
 
 
-def h_norm_sq_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Squared L2 velocity norm, batched: (..., 2, S, S) -> (...).
-
-    The coefficients must be conjugate symmetric: only kx >= 0 is read."""
-    return weighted_norm_sq(abs_sq(half_spectrum(coeffs)), grid.half_weight)
-
-
-def v_norm_sq_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Squared gradient norm, batched; conjugate-symmetric coefficients."""
-    return weighted_norm_sq(abs_sq(half_spectrum(coeffs)), grid.half_k2)
-
-
-def hv_norm_sq_array(grid: SpectralGrid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both squared norms, (h_norm_sq_array, v_norm_sq_array), from one |c|^2;
-    conjugate-symmetric coefficients."""
-    return half_norms_sq(grid, half_spectrum(coeffs))
-
-
 @dataclass(frozen=True)
 class NormBundle:
     """The three norms carried by every field: L2, gradient, and L4."""
@@ -528,7 +522,7 @@ class NormBundle:
 def norm_bundle(field: SpectralField) -> NormBundle:
     """L2 and gradient norms by Parseval; L4 by quadrature at resolution N."""
     g, c = field.grid, field.coeffs
-    h2, v2 = hv_norm_sq_array(g, c)
+    h2, v2 = half_norms_sq(g, half_spectrum(c))
     phys = to_physical(g, c)
     speed_sq = phys[0] ** 2 + phys[1] ** 2
     l4_4 = float(np.mean(speed_sq**2) * TWO_PI**2)

@@ -7,10 +7,11 @@ real-to-complex), self-advection by two real transforms where the package
 packs u_x + i u_y into one complex one, the bilinear term B(u, v) in gradient
 form where the package forms it in curl form, the adjoint of the advection
 linearized around a field by the gradient-form transpose where the package
-forms one packed product, Fourier coefficients are extracted
-with dense exponential matrices, trilinear forms get both a quadrature and a
-convolution-sum evaluation, and the linear-regime statistics come from
-scalar recursions written from the closed-form update.
+forms one packed product, the integrating-factor weights and the norms over
+the whole mode square where the package holds the kx >= 0 half, Fourier
+coefficients are extracted with dense exponential matrices, trilinear forms
+get both a quadrature and a convolution-sum evaluation, and the linear-regime
+statistics come from scalar recursions written from the closed-form update.
 The reference definitions at the end (a single step, per-trajectory norms and
 events, the trajectory-file reader, the moment suite with one ensemble per
 statistic) were once the package's own; its batched stepper and streaming
@@ -283,32 +284,33 @@ def fancy_index_scatter(model, xi: np.ndarray, weights: np.ndarray | None = None
 
 
 def skeleton_forward_per_step(h_values: np.ndarray, u0_frames: np.ndarray, config) -> np.ndarray:
-    """Frames (n_steps + 1, 2, S, S) of the controlled linearization for
-    controls h_values (n_steps, J), one noise-map call per step."""
+    """Frames (n_steps + 1, 2, S, K + 1), kx >= 0 halves, of the controlled
+    linearization for controls h_values (n_steps, J), one noise-map call per
+    step."""
     from snse_lab.noise import sigma_apply_array
     from snse_lab.solvers import propagator
     from snse_lab.spectral import linearized_advection_array
 
     prop = propagator(config.grid, config.dt)
     n = config.n_steps
-    S = config.grid.n_coeff
-    out = np.zeros((n + 1, 2, S, S), dtype=np.complex128)
+    out = np.zeros((n + 1,) + u0_frames.shape[1:], dtype=np.complex128)
     for step in range(n):
         u0 = u0_frames[step]
         x = out[step]
         rhs = sigma_apply_array(config.noise, step * config.dt, u0, h_values[step])
         if config.nonlinear:
             rhs = rhs - linearized_advection_array(config.grid, x, u0)
-        out[step + 1] = prop.decay * x + prop.phi * rhs
+        out[step + 1] = prop.half_decay * x + prop.half_phi * rhs
     return out
 
 
 def adjoint_sweep_per_step(config, u0_frames, p_end, sources) -> np.ndarray:
     """Control gradient (n_steps, J) of <p_end, x_N> + sum_n <sources[n], x_n>
-    over skeleton frames x, one noise-adjoint call per step."""
+    over skeleton frames x, all kx >= 0 halves, one noise-adjoint call per
+    step on the full mirror of phi p."""
     from snse_lab.noise import sigma_adjoint_array
     from snse_lab.solvers import propagator
-    from snse_lab.spectral import linearized_advection_adjoint_array
+    from snse_lab.spectral import full_spectrum, linearized_advection_adjoint_array
 
     grid = config.grid
     prop = propagator(grid, config.dt)
@@ -316,9 +318,9 @@ def adjoint_sweep_per_step(config, u0_frames, p_end, sources) -> np.ndarray:
     p = p_end
     for n in range(config.n_steps - 1, -1, -1):
         u0n = u0_frames[n]
-        phi_p = prop.phi * p
-        grad[n] = sigma_adjoint_array(config.noise, n * config.dt, u0n, phi_p)
-        p_next = prop.decay * p
+        phi_p = prop.half_phi * p
+        grad[n] = sigma_adjoint_array(config.noise, n * config.dt, u0n, full_spectrum(phi_p))
+        p_next = prop.half_decay * p
         if config.nonlinear:
             p_next = p_next - linearized_advection_adjoint_array(grid, phi_p, u0n)
         p = p_next + sources[n]
@@ -326,13 +328,13 @@ def adjoint_sweep_per_step(config, u0_frames, p_end, sources) -> np.ndarray:
 
 
 def tilde_z_per_step(h_values, u_frames, u0_frames, epsilon, dW, config) -> np.ndarray:
-    """Frames (n_steps + 1, 2, S, S) of the shifted fluctuation along one
-    recorded noisy path, with the noise map applied twice per step, once to
-    the control and once to the increment, on full arrays.  The drift
-    B(u, z) + B(z, u0) is the observer's one curl-form call on the halves."""
+    """Frames (n_steps + 1, 2, S, K + 1) of the shifted fluctuation along one
+    recorded noisy path, all kx >= 0 halves, with the noise map applied
+    twice per step, once to the control and once to the increment.  The
+    drift B(u, z) + B(z, u0) is the observer's one curl-form call."""
     from snse_lab.noise import sigma_apply_array
     from snse_lab.solvers import loglog, propagator, shifted_diffusion_argument
-    from snse_lab.spectral import _curl_form, full_spectrum, half_spectrum
+    from snse_lab.spectral import _curl_form
 
     prop = propagator(config.grid, config.dt)
     inv_sq = 1.0 / math.sqrt(2.0 * loglog(epsilon))
@@ -342,17 +344,18 @@ def tilde_z_per_step(h_values, u_frames, u0_frames, epsilon, dW, config) -> np.n
         arg = shifted_diffusion_argument(x, u0, epsilon)
         rhs = sigma_apply_array(config.noise, t, arg, h_values[step])
         if config.nonlinear:
-            u, u0 = half_spectrum(u), half_spectrum(u0)
-            drift = _curl_form(config.grid, half_spectrum(x), u + u0, d=u0 - u)
-            rhs = rhs - full_spectrum(drift)
+            rhs = rhs - _curl_form(config.grid, x, u + u0, d=u0 - u)
         noise = sigma_apply_array(config.noise, t, arg, dW[step])
-        z[step + 1] = prop.decay * x + prop.phi * rhs + prop.phi_rate * (inv_sq * noise)
+        z[step + 1] = (
+            prop.half_decay * x + prop.half_phi * rhs + prop.half_phi_rate * (inv_sq * noise)
+        )
     return z
 
 
 class RemainderObserverPerStep:
     """sup over steps of |u - u0 - sqrt(eps) Y|^2, with the noise map frozen
-    at u0 applied at every step and a zero drift in the linear regime."""
+    at u0 applied at every step and a zero drift in the linear regime; u0
+    and Y are kx >= 0 halves."""
 
     def __init__(self, config, u0_frames):
         self.config = config
@@ -372,13 +375,14 @@ class RemainderObserverPerStep:
         if cfg.nonlinear:
             rhs = -linearized_advection_array(cfg.grid, y, u0n)
         noise = sigma_apply_array(cfg.noise, t, u0n, dW)
-        self.y = prop.decay * y + prop.phi * rhs + prop.phi_rate * noise
+        self.y = prop.half_decay * y + prop.half_phi * rhs + prop.half_phi_rate * noise
 
     def on_state(self, idx, t, coeffs):
-        from snse_lab.spectral import full_spectrum, h_norm_sq_array
+        from snse_lab.spectral import abs_sq, weighted_norm_sq
 
-        rem = full_spectrum(coeffs) - self.u0[idx] - math.sqrt(self.config.epsilon) * self.y
-        np.maximum(self.sup, h_norm_sq_array(self.config.grid, rem), out=self.sup)
+        rem = coeffs - self.u0[idx] - math.sqrt(self.config.epsilon) * self.y
+        h2 = weighted_norm_sq(abs_sq(rem), self.config.grid.half_weight)
+        np.maximum(self.sup, h2, out=self.sup)
 
     def finish(self) -> dict:
         return {"sup": self.sup}
@@ -467,32 +471,69 @@ def wilson_oracle(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
 
 def step_snse(u, f_t, epsilon, dW, dt, model, t=0.0, nonlinear=True):
     """One integrating-factor step of one path as a field: decay, forcing and
-    advection of u, plus the phi-weighted left-endpoint noise term."""
+    advection of u, plus the phi-weighted left-endpoint noise term, over the
+    whole mode square."""
     from snse_lab.noise import sigma_apply_array
-    from snse_lab.solvers import propagator
-    from snse_lab.spectral import SpectralField, advection_array
+    from snse_lab.spectral import SpectralField, advection_array, full_spectrum, half_spectrum
 
-    prop = propagator(u.grid, dt)
+    prop = full_propagator(u.grid, dt)
     out = u.coeffs * prop.decay
     if f_t is not None:
         out += prop.phi * f_t.coeffs
     if nonlinear:
         out -= prop.phi * advection_array(u.grid, u.coeffs, u.coeffs)
     if epsilon > 0.0:
-        noise = sigma_apply_array(model, t, u.coeffs, dW)
+        noise = full_spectrum(sigma_apply_array(model, t, half_spectrum(u.coeffs), dW))
         noise *= math.sqrt(epsilon)
         noise *= prop.phi_rate
         out += noise
     return SpectralField(u.grid, out)
 
 
-def step_int_v2(prop, coeffs: np.ndarray) -> np.ndarray:
-    """Exact integral of ||u||^2 over one pure-decay step of `prop` from
-    coeffs (..., 2, S, S), as the package's observers accumulate it: on the
-    kx >= 0 columns, kx > 0 counted twice."""
+def full_propagator(grid, dt: float):
+    """The integrating-factor weights of one step over the whole mode square
+    (S, S): decay, phi, phi_rate and int_weight, the exact integral of
+    ||u||^2 over a pure-decay step per unit |u_k|^2.  The package holds them
+    on the kx >= 0 columns only."""
+    from types import SimpleNamespace
+
+    k2 = grid.k2
+    decay = np.exp(-k2 * dt)
+    phi = np.where(k2 > 0, (1.0 - decay) / np.where(k2 > 0, k2, 1.0), dt)
+    int_weight = (1.0 - decay**2) / 2.0
+    return SimpleNamespace(decay=decay, phi=phi, phi_rate=phi / dt, int_weight=int_weight)
+
+
+def h_norm_sq_array(grid, coeffs: np.ndarray) -> np.ndarray:
+    """Squared L2 norm, batched, of full conjugate-symmetric arrays
+    (..., 2, S, S): the package's norm of their kx >= 0 half."""
     from snse_lab.spectral import abs_sq, half_spectrum, weighted_norm_sq
 
-    return weighted_norm_sq(abs_sq(half_spectrum(coeffs)), prop.half_int_weight)
+    return weighted_norm_sq(abs_sq(half_spectrum(coeffs)), grid.half_weight)
+
+
+def v_norm_sq_array(grid, coeffs: np.ndarray) -> np.ndarray:
+    """Squared gradient norm, batched, of full conjugate-symmetric arrays."""
+    from snse_lab.spectral import abs_sq, half_spectrum, weighted_norm_sq
+
+    return weighted_norm_sq(abs_sq(half_spectrum(coeffs)), grid.half_k2)
+
+
+def hv_norm_sq_array(grid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both squared norms, (h_norm_sq_array, v_norm_sq_array), of full
+    conjugate-symmetric arrays, from one |c|^2."""
+    from snse_lab.spectral import half_norms_sq, half_spectrum
+
+    return half_norms_sq(grid, half_spectrum(coeffs))
+
+
+def step_int_v2(prop, coeffs: np.ndarray) -> np.ndarray:
+    """Exact integral of ||u||^2 over one pure-decay step of `prop` from the
+    kx >= 0 halves coeffs (..., 2, S, K + 1), as the package's observers
+    accumulate it, kx > 0 counted twice."""
+    from snse_lab.spectral import abs_sq, weighted_norm_sq
+
+    return weighted_norm_sq(abs_sq(coeffs), prop.half_int_weight)
 
 
 def full_norm_sq(coeffs: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
@@ -563,11 +604,12 @@ def mc_probability(event, epsilon: float, n_samples: int, config, seed: int):
 
 def read_trajectory(path: str):
     """Read a trajectory file: a one-line JSON header, then little-endian
-    times, h2, v2 and interleaved complex frames."""
+    times, h2, v2 and interleaved complex frames (R, 2, S, S), of which the
+    Trajectory keeps the kx >= 0 halves."""
     import json
 
     from snse_lab.solvers import Trajectory
-    from snse_lab.spectral import SpectralGrid
+    from snse_lab.spectral import SpectralGrid, half_spectrum
 
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
@@ -580,23 +622,22 @@ def read_trajectory(path: str):
         frames = np.frombuffer(fh.read(16 * R * 2 * S * S), dtype="<c16").reshape(R, 2, S, S).copy()
     return Trajectory(
         grid=grid, dt=header["dt"], record_stride=header["record_stride"], times=times,
-        frames=frames, h2=h2, v2=v2, sup_h2=header["sup_h2"], int_v2=header["int_v2"],
+        frames=half_spectrum(frames).copy(), h2=h2, v2=v2, sup_h2=header["sup_h2"],
+        int_v2=header["int_v2"],
         provenance=header.get("provenance", {}),
     )
 
 
 def integrate_batch_full(config, state: np.ndarray, draw_normals, hooks) -> None:
     """The stochastic time loop on full (n, 2, S, S) states: the stepper of
-    `solvers._integrate_batch` with the update, the noise block, the
-    self-advection and the hooks' inputs all over the whole mode square.
-    A guard over every mode stands in for the blow-up guard."""
+    `solvers._integrate_batch` with the weights, the update, the noise
+    block, the self-advection and the hooks' inputs all over the whole mode
+    square.  A guard over every mode stands in for the blow-up guard."""
     from snse_lab.noise import at_directions, scatter_coefficients, sigma_factor
-    from snse_lab.solvers import (
-        IntegrationError, _guard_scale, _noise_block_steps, propagator,
-    )
-    from snse_lab.spectral import advection_array
+    from snse_lab.solvers import IntegrationError, _guard_scale, _noise_block_steps
+    from snse_lab.spectral import advection_array, full_spectrum, half_spectrum
 
-    prop = propagator(config.grid, config.dt)
+    prop = full_propagator(config.grid, config.dt)
     model = config.noise
     n_steps = config.n_steps
     phi_forcing = None if config.forcing is None else prop.phi * config.forcing.coeffs
@@ -609,7 +650,7 @@ def integrate_batch_full(config, state: np.ndarray, draw_normals, hooks) -> None
     sqrt_lam_dt = np.sqrt(model.eigenvalues * config.dt)
     weights = model.gains
     if not model.state_dependent:
-        weights = model.gains * sqrt_eps * at_directions(model, prop.phi_rate)
+        weights = model.gains * sqrt_eps * at_directions(model, half_spectrum(prop.phi_rate))
     block = _noise_block_steps(model, state.shape[0], n_steps)
     for step in range(n_steps):
         t = step * config.dt
@@ -622,10 +663,11 @@ def integrate_batch_full(config, state: np.ndarray, draw_normals, hooks) -> None
                 dW_block *= sqrt_lam_dt
                 if config.epsilon > 0.0:
                     noise_block = scatter_coefficients(model, dW_block, weights=weights)
+                    noise_block = full_spectrum(noise_block)
             if on_noise:
                 on_noise(step, t, state, dW_block[:, i])
             if config.epsilon > 0.0 and model.state_dependent:
-                factor = sigma_factor(model, t, state)[:, None, None, None]
+                factor = sigma_factor(model, t, half_spectrum(state))[:, None, None, None]
                 noise = noise_block[:, i] * factor * sqrt_eps * prop.phi_rate
             elif config.epsilon > 0.0:
                 noise = noise_block[:, i]
@@ -681,7 +723,7 @@ class MomentObserverByKey:
         self.acc = defaultdict(lambda: np.zeros(n_paths))
 
     def on_state(self, idx, t, coeffs):
-        from snse_lab.spectral import abs_sq, half_spectrum, weighted_norm_sq
+        from snse_lab.spectral import abs_sq, weighted_norm_sq
 
         grid, acc, dt = self.config.grid, self.acc, self.config.dt
         inside = idx < self.n_steps
@@ -698,7 +740,7 @@ class MomentObserverByKey:
                 acc[f"int_h2p_{p}"] += h2 ** (p - 1) * v2 * dt
             acc["int_a2"] += weighted_norm_sq(a2, self.a_weight) * dt
         if self.u0 is not None:
-            d2 = abs_sq(coeffs - half_spectrum(self.u0[idx]))
+            d2 = abs_sq(coeffs - self.u0[idx])
             acc["sup_d2"] = np.maximum(acc["sup_d2"], weighted_norm_sq(d2, grid.half_weight))
             if inside:
                 acc["int_dv2"] += weighted_norm_sq(d2, grid.half_k2) * dt

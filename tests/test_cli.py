@@ -30,10 +30,10 @@ from snse_lab.persist import (
 )
 from snse_lab.lil import build_probe
 from snse_lab.solvers import IntegrationError, SimConfig, solve_deterministic, solve_skeleton
-from snse_lab.spectral import h_norm_sq_array, single_mode_field
+from snse_lab.spectral import full_spectrum, single_mode_field
 from snse_lab.verification import CheckRow
 
-from helpers import read_trajectory
+from helpers import h_norm_sq_array, read_trajectory
 
 
 def _write(tmp_path, cfg, name="config.json"):
@@ -117,8 +117,8 @@ class TestConfig:
                 control = build_control(exp["target_control" if kind == "rate" else "control"],
                                         noise, sim)
                 images[nonlinear] = solve_skeleton(control, u0, sim).frames[None]
-        diff = np.max(h_norm_sq_array(grid, images[True] - images[False]), axis=-1)
-        size = np.max(h_norm_sq_array(grid, images[False]), axis=-1)
+        diff = np.max(h_norm_sq_array(grid, full_spectrum(images[True] - images[False])), axis=-1)
+        size = np.max(h_norm_sq_array(grid, full_spectrum(images[False])), axis=-1)
         assert np.all(np.sqrt(diff / size) >= 1e-3)
 
     def test_schema_violation_names_keys(self):

@@ -34,7 +34,14 @@ from snse_lab.solvers import (
     solve_deterministic,
     solve_skeleton,
 )
-from snse_lab.spectral import default_grid, random_solenoidal_field, single_mode_field, TWO_PI
+from snse_lab.spectral import (
+    TWO_PI,
+    default_grid,
+    full_spectrum,
+    half_spectrum,
+    random_solenoidal_field,
+    single_mode_field,
+)
 
 import helpers
 from helpers import (
@@ -197,7 +204,8 @@ class TestRateFunction:
         x = skeleton_forward(h, u0, cfg)
         fields = helpers.symmetric_batch(grid3, rng, cfg.n_steps + 1)
         p_end, sources = fields[-1], fields[:-1]
-        grad = _adjoint_sweep(cfg, u0, p_end, sources)
+        grad = _adjoint_sweep(cfg, u0, half_spectrum(p_end), half_spectrum(sources))
+        x = full_spectrum(x)
         paired = TWO_PI**2 * (np.vdot(p_end, x[-1]).real + np.vdot(sources, x[:-1]).real)
         assert abs(np.sum(grad * h) - paired) <= 1e-12 * abs(paired)
 
@@ -240,7 +248,7 @@ class TestRateFunction:
                          nonlinear=False, record_stride=1)
         u0_0 = solve_deterministic(cfg0)
         target_mode = single_mode_field(g, (0, 1), (1.0, 0.0))
-        frames = np.repeat(target_mode.coeffs[None], cfg0.n_steps + 1, axis=0)
+        frames = np.repeat(half_spectrum(target_mode.coeffs)[None], cfg0.n_steps + 1, axis=0)
         from snse_lab.solvers import derived_trajectory
 
         target = derived_trajectory(
@@ -299,7 +307,7 @@ class TestMCProbability:
         iy, ix = 1, 2
 
         def event(traj):
-            return abs(traj.frames[-1][1, iy, ix]) >= r
+            return abs(full_spectrum(traj.frames[-1])[1, iy, ix]) >= r
 
         n = 4000
         est = mc_probability(event, eps, n, cfg, seed=11)
@@ -344,7 +352,7 @@ class TestMCProbability:
         r = math.sqrt(2.0 * var * math.log(1.0 / p_oracle))
 
         def event(traj):
-            return abs(traj.frames[-1][1, 1, 2]) >= r
+            return abs(full_spectrum(traj.frames[-1])[1, 1, 2]) >= r
 
         covered = 0
         runs = 120

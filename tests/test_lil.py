@@ -117,7 +117,7 @@ class TestRescaledProcess:
         vals = []
         for i in range(n):
             ue = _solve_one(cfg, eps, seed=900, path=i)
-            z = (ue - u0_rec.frames[-1]) / math.sqrt(2 * eps * loglog(eps))
+            z = (ue - full_spectrum(u0_rec.frames[-1])) / math.sqrt(2 * eps * loglog(eps))
             vals.append(z[1, 1, 2])
         A = math.sqrt(2.0) / (2 * math.pi)
         noise_rms = math.sqrt(eps) * (A / 2.0) * math.sqrt(m.eigenvalues[0] * cfg.dt)
@@ -311,7 +311,7 @@ class TestClusterStudy:
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
         cfg_s = replace(cfg, record_stride=stride)
         probe = build_probe(cfg_s, u0_full, n_shapes=1, tolerance=0.5)
-        assert probe.frames.shape == (probe.size, probe.images[0].n_records, 2, 3, 3)
+        assert probe.frames.shape == (probe.size, probe.images[0].n_records, 2, 3, 2)
         for image, row in zip(probe.images, probe.frames):
             assert np.shares_memory(image.frames, probe.frames)
             assert np.array_equal(image.frames, row)
@@ -328,9 +328,10 @@ class TestClusterStudy:
         assert len(seen) == 2 and all(t is probe.frames for t in seen)
 
     def test_probe_and_study_peak_traced_allocation(self):
-        # a 5-control probe of 65 frames at K=10 (4.6 MB, lil-k10's shape) and
-        # a 16-replicate study on it, one batch-16 ensemble per schedule
-        # index: 7.91 MB peak traced allocation on numpy 2.4, reached in the
+        # a 5-control probe of 65 frames at K=10 (2.4 MB as kx >= 0 halves,
+        # lil-k10's shape) and a 16-replicate study on it, one batch-16
+        # ensemble per schedule index: 5.64 MB peak traced allocation on
+        # numpy 2.4 (7.94 MB when the probe held full frames), reached in the
         # probe's skeleton solve; pinned with 5% margin
         g = default_grid(10)
         cfg = SimConfig(grid=g, noise=NoiseModel(grid=g), horizon=64e-3, dt=1e-3,
@@ -350,7 +351,7 @@ class TestClusterStudy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 7_906_900
+        assert peak <= 1.05 * 5_641_800
 
     def test_rows_equal_reference_distances(self):
         # streamed distances against limit_set_distance(z_process(...)) on

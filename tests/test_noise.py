@@ -29,14 +29,14 @@ from snse_lab.spectral import (
     SpectralField,
     SpectralGrid,
     divergence_defect,
-    h_norm_sq_array,
+    full_spectrum,
     half_spectrum,
     random_solenoidal_field,
-    v_norm_sq_array,
     zero_field,
 )
 
 import helpers
+from helpers import h_norm_sq_array, v_norm_sq_array
 
 class TestModel:
     def test_trace_class_and_ordering(self, noise3):
@@ -61,7 +61,7 @@ class TestModel:
     def test_scatter_gather_adjoint(self, noise3, rng):
         xi = rng.standard_normal(noise3.n_directions)
         y = random_solenoidal_field(noise3.grid, rng)
-        lhs = TWO_PI**2 * float(np.vdot(scatter_coefficients(noise3, xi), y.coeffs).real)
+        lhs = TWO_PI**2 * float(np.vdot(full_spectrum(scatter_coefficients(noise3, xi)), y.coeffs).real)
         rhs = float(xi @ gather_coefficients(noise3, y.coeffs))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
@@ -71,7 +71,7 @@ class TestModel:
     def test_half_scatter_is_half_of_full(self, rng, K, J):
         m = NoiseModel(grid=SpectralGrid(K, 3 * K + 2), num_directions=J)
         xi = rng.standard_normal((4, 3, m.n_directions))
-        full = scatter_coefficients(m, xi, weights=m.gains)
+        full = full_spectrum(scatter_coefficients(m, xi, weights=m.gains))
         half = np.empty(xi.shape[:-1] + (2, 2 * K + 1, K + 1), dtype=np.complex128)
         assert scatter_coefficients(m, xi, weights=m.gains, out=half) is half
         assert np.array_equal(half, half_spectrum(full))
@@ -84,7 +84,7 @@ class TestModel:
     def test_scatter_matches_fancy_index_oracle(self, grid3, rng, J, batch):
         m = NoiseModel(grid=grid3, num_directions=J)
         xi = rng.standard_normal(batch + (m.n_directions,))
-        ours = scatter_coefficients(m, xi, weights=m.gains)
+        ours = full_spectrum(scatter_coefficients(m, xi, weights=m.gains))
         assert np.array_equal(ours, helpers.fancy_index_scatter(m, xi, weights=m.gains))
 
 
@@ -126,17 +126,17 @@ class TestSigmaFamilies:
         xi = np.zeros(noise3.n_directions)
         xi[4] = 1.0
         u = random_solenoidal_field(noise3.grid, rng)
-        out_u = sigma_apply_array(noise3, 0.0, u.coeffs, xi)
-        out_0 = sigma_apply_array(noise3, 0.3, zero_field(noise3.grid).coeffs, xi)
+        out_u = sigma_apply_array(noise3, 0.0, half_spectrum(u.coeffs), xi)
+        out_0 = sigma_apply_array(noise3, 0.3, half_spectrum(zero_field(noise3.grid).coeffs), xi)
         np.testing.assert_array_equal(out_u, out_0)
         # equals the gain times the basis direction
         e = noise3.basis_field(4)
-        np.testing.assert_allclose(out_u, noise3.gains[4] * e.coeffs, atol=1e-15)
+        np.testing.assert_allclose(full_spectrum(out_u), noise3.gains[4] * e.coeffs, atol=1e-15)
 
     def test_saturated_vanishes_at_zero_state(self, grid3, rng):
         m = NoiseModel(grid=grid3, family="saturated")
         xi = rng.standard_normal(m.n_directions)
-        out = sigma_apply_array(m, 0.0, zero_field(grid3).coeffs, xi)
+        out = sigma_apply_array(m, 0.0, half_spectrum(zero_field(grid3).coeffs), xi)
         factor = saturation_factor(m.params, 0.0)
         assert factor == 0.0
         assert np.max(np.abs(out)) == 0.0
@@ -154,8 +154,8 @@ class TestSigmaFamilies:
             m = NoiseModel(grid=helpers_grid(), family=family)
             u = random_solenoidal_field(m.grid, rng)
             xi = rng.standard_normal(m.n_directions)
-            out = sigma_apply_array(m, 0.1, u.coeffs, xi)
-            div, amp = divergence_defect(SpectralField(m.grid, out))
+            out = sigma_apply_array(m, 0.1, half_spectrum(u.coeffs), xi)
+            div, amp = divergence_defect(SpectralField(m.grid, full_spectrum(out)))
             assert div <= 1e-13 * max(amp, 1e-300)
 
     def test_lipschitz_bound_sampled(self, grid3, rng):
@@ -169,7 +169,8 @@ class TestSigmaFamilies:
             du = math.sqrt(v_norm_sq_array(grid3, u.coeffs - v.coeffs))
             if du < 1e-12:
                 continue
-            ds = abs(sigma_hs_norm(m, 0.0, u) - sigma_hs_norm(m, 0.0, v))
+            ds = abs(sigma_hs_norm(m, 0.0, half_spectrum(u.coeffs))
+                     - sigma_hs_norm(m, 0.0, half_spectrum(v.coeffs)))
             worst = max(worst, ds / du)
         assert worst <= 1.05 * declared["lipschitz"]
 
@@ -180,19 +181,18 @@ class TestSigmaFamilies:
             for _ in range(100):
                 u = random_solenoidal_field(grid3, rng, amplitude=10 ** rng.uniform(-2, 2))
                 nu2 = float(v_norm_sq_array(grid3, u.coeffs))
-                assert sigma_hs_norm(m, 0.0, u) ** 2 <= declared["growth"] * (1 + nu2) * (
-                    1 + 1e-12
-                )
+                s_u = sigma_hs_norm(m, 0.0, half_spectrum(u.coeffs))
+                assert s_u**2 <= declared["growth"] * (1 + nu2) * (1 + 1e-12)
 
     def test_dimension_mismatch_rejected(self, noise3, rng):
         u = random_solenoidal_field(noise3.grid, rng)
         with pytest.raises(NoiseConfigError):
-            sigma_apply_array(noise3, 0.0, u.coeffs, np.ones(noise3.n_directions + 1))
+            sigma_apply_array(noise3, 0.0, half_spectrum(u.coeffs), np.ones(noise3.n_directions + 1))
 
     def test_batched_apply_matches_loop(self, noise3, rng):
         n = 5
         us = np.stack(
-            [random_solenoidal_field(noise3.grid, rng).coeffs for _ in range(n)]
+            [half_spectrum(random_solenoidal_field(noise3.grid, rng).coeffs) for _ in range(n)]
         )
         xis = rng.standard_normal((n, noise3.n_directions))
         batched = sigma_apply_array(noise3, 0.2, us, xis)
@@ -205,10 +205,11 @@ class TestSigmaFamilies:
         u = random_solenoidal_field(m.grid, rng)
         y = random_solenoidal_field(m.grid, rng)
         xi = rng.standard_normal(m.n_directions)
+        u = half_spectrum(u.coeffs)
         lhs = TWO_PI**2 * float(
-            np.vdot(sigma_apply_array(m, 0.0, u.coeffs, xi), y.coeffs).real
+            np.vdot(full_spectrum(sigma_apply_array(m, 0.0, u, xi)), y.coeffs).real
         )
-        rhs = float(xi @ sigma_adjoint_array(m, 0.0, u.coeffs, y.coeffs))
+        rhs = float(xi @ sigma_adjoint_array(m, 0.0, u, y.coeffs))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
@@ -225,7 +226,7 @@ class TestVerifyAssumptions:
             xi[j] = 1.0
             col = scatter_coefficients(noise3, xi, weights=noise3.gains)
             total += noise3.eigenvalues[j] * float(
-                h_norm_sq_array(noise3.grid, col)
+                h_norm_sq_array(noise3.grid, full_spectrum(col))
             )
         assert abs(rep.bound_est - math.sqrt(total)) <= 1e-10 * rep.bound_est
 

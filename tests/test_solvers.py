@@ -42,18 +42,23 @@ from snse_lab.spectral import (
     default_grid,
     divergence_defect,
     full_spectrum,
-    h_norm_sq_array,
     half_spectrum,
     random_solenoidal_field,
     single_mode_field,
     taylor_green,
-    v_norm_sq_array,
     zero_field,
     TWO_PI,
 )
 
 import helpers
-from helpers import mc_probability, shifted_ensemble, step_snse, trajectories_from_ensemble
+from helpers import (
+    h_norm_sq_array,
+    mc_probability,
+    shifted_ensemble,
+    step_snse,
+    trajectories_from_ensemble,
+    v_norm_sq_array,
+)
 
 
 def _mode_index(grid, k):
@@ -62,10 +67,10 @@ def _mode_index(grid, k):
 
 
 def _one_step(noise, dt, initial=None, nonlinear=True) -> np.ndarray:
-    """State after one deterministic solver step."""
+    """State after one deterministic solver step, as a full array."""
     cfg = SimConfig(grid=noise.grid, noise=noise, horizon=dt, dt=dt, initial=initial,
                     nonlinear=nonlinear)
-    return solve_deterministic(cfg).frames[-1]
+    return full_spectrum(solve_deterministic(cfg).frames[-1])
 
 
 class TestSteps:
@@ -98,7 +103,7 @@ class TestSteps:
         prop = propagator(grid3, 1e-3)
         assert propagator(default_grid(3), 1e-3) is prop
         assert propagator(grid3, 2e-3) is not prop
-        for arr in (prop.decay, prop.phi, prop.phi_rate, prop.int_weight):
+        for arr in (prop.half_decay, prop.half_phi, prop.half_phi_rate, prop.half_int_weight):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.0
@@ -110,7 +115,7 @@ class TestDeterministicSolve:
         cfg = SimConfig(grid=grid1, noise=noise1, horizon=0.0, dt=1e-3, initial=u0)
         traj = solve_deterministic(cfg)
         assert traj.n_records == 1
-        np.testing.assert_array_equal(traj.frames[0], u0.coeffs)
+        np.testing.assert_array_equal(full_spectrum(traj.frames[0]), u0.coeffs)
 
     def test_horizon_must_divide(self, grid1, noise1):
         with pytest.raises(ParameterError):
@@ -220,22 +225,23 @@ class TestStochasticSolve:
         u0 = solve_deterministic(cfg)
         traj = ensemble_run(cfg, 3, 4, lambda: TrajectoryObserver(cfg))
         mom = ensemble_run(cfg, 3, 4, lambda: _MomentObserver(cfg, [1.0, 2.0], u0.frames))
-        frames = traj["frames"]
+        frames = full_spectrum(traj["frames"])
         h2, v2 = h_norm_sq_array(grid3, frames), v_norm_sq_array(grid3, frames)
         assert np.array_equal(traj["h2"], h2) and np.array_equal(traj["v2"], v2)
         assert np.array_equal(traj["sup_h2"], h2.max(axis=1))
         assert np.array_equal(mom["sup"][:, 0], h2.max(axis=1))
         prop = Propagator(grid3, cfg.dt)
+        int_weight = helpers.full_propagator(grid3, cfg.dt).int_weight
         int_v2, int_h2v2, int_a2 = np.zeros(4), np.zeros(4), np.zeros(4)
         full_int_v2, full_int_a2 = np.zeros(4), np.zeros(4)
         for i in range(frames.shape[1] - 1):
-            int_v2 += helpers.step_int_v2(prop, frames[:, i])
+            int_v2 += helpers.step_int_v2(prop, half_spectrum(frames[:, i]))
             int_h2v2 += h2[:, i] * v2[:, i] * cfg.dt
             a2 = abs_sq(half_spectrum(frames[:, i]))
             a_weight = grid3.half_k2 * half_spectrum(grid3.k2)
             a_sq = TWO_PI**2 * np.sum(a_weight * a2, axis=(-3, -2, -1))
             int_a2 += a_sq * cfg.dt
-            full_int_v2 += helpers.full_norm_sq(frames[:, i], prop.int_weight)
+            full_int_v2 += helpers.full_norm_sq(frames[:, i], int_weight)
             full_int_a2 += helpers.full_norm_sq(frames[:, i], grid3.k2**2) * cfg.dt
         assert np.array_equal(traj["int_v2"], int_v2)
         assert np.array_equal(mom["int"][:, 1], int_h2v2)
@@ -754,7 +760,7 @@ class TestSkeleton:
             hc, hs = hv[min(int(n * cfg.dt / (1.0 / 20)), 19)]
             c = decay * c + phi * (A / 2.0) * (hc - 1j * hs)
         iy, ix = _mode_index(grid1, (1, 0))
-        err = abs(x.frames[-1][1, iy, ix] - c)
+        err = abs(full_spectrum(x.frames[-1])[1, iy, ix] - c)
         assert err <= 1e-6 * max(abs(c), 1e-12)
 
     def test_linearity_in_control(self, grid1, noise1, rng):
@@ -805,13 +811,13 @@ class TestSkeleton:
         u0 = solve_deterministic(cfg).frames
         h = rng.standard_normal(control_axes + (cfg.n_steps, m.n_directions))
         frames = solvers.skeleton_forward(h, u0, cfg)
-        assert frames.shape == control_axes + (cfg.n_steps + 1, 2, 7, 7)
+        assert frames.shape == control_axes + (cfg.n_steps + 1, 2, 7, 4)
         flat_h = h.reshape((-1,) + h.shape[-2:])
         flat_frames = frames.reshape((-1,) + frames.shape[-4:])
         for hv, got in zip(flat_h, flat_frames):
             assert np.array_equal(got, helpers.skeleton_forward_per_step(hv, u0, cfg))
         # written into a view: the frames of a larger array, one spare at each end
-        big = np.full(control_axes + (cfg.n_steps + 3, 2, 7, 7), np.nan, dtype=np.complex128)
+        big = np.full(control_axes + (cfg.n_steps + 3, 2, 7, 4), np.nan, dtype=np.complex128)
         view = big[..., 1:-1, :, :, :]
         assert solvers.skeleton_forward(h, u0, cfg, out=view) is view
         assert np.array_equal(view, frames)
@@ -987,3 +993,4 @@ class TestTrajectoryCombinators:
         assert len(trajs) == 3
         single = solve_snse(cfg, seed=8)  # path 0 uses substream(seed, 0)
         np.testing.assert_array_equal(trajs[0].frames, single.frames)
+

@@ -18,10 +18,10 @@ from snse_lab.spectral import (
     default_grid,
     divergence_defect,
     from_physical,
+    abs_sq,
     full_spectrum,
-    h_norm_sq_array,
+    half_norms_sq,
     half_spectrum,
-    hv_norm_sq_array,
     leray_project,
     linearized_advection_adjoint_array,
     linearized_advection_array,
@@ -30,7 +30,7 @@ from snse_lab.spectral import (
     single_mode_field,
     taylor_green,
     to_physical,
-    v_norm_sq_array,
+    weighted_norm_sq,
     zero_field,
     TWO_PI,
     _curl_form,
@@ -456,11 +456,20 @@ class TestCurlFormSelfAdvection:
             advection_array(g, u, u)
 
 
+def _on_full(kernel):
+    """A kernel of kx >= 0 halves, called on full arrays: their halves in,
+    the full mirror of its half out."""
+    return lambda g, x, a: full_spectrum(kernel(g, half_spectrum(x).copy(), half_spectrum(a).copy()))
+
+
 class TestLinearization:
     """B(x, a) + B(a, x) and its L2 adjoint, each one packed product on the
-    padded grid, against the gradient-form pairs they replace."""
+    padded grid, against the gradient-form pairs they replace.  The kernels
+    take and return kx >= 0 halves; these checks mirror their outputs."""
 
     GRIDS = TestCurlFormSelfAdvection.GRIDS
+    forward = staticmethod(_on_full(linearized_advection_array))
+    adjoint = staticmethod(_on_full(linearized_advection_adjoint_array))
 
     @staticmethod
     def _fields(K, N, rng, batch):
@@ -472,11 +481,11 @@ class TestLinearization:
     def test_matches_two_call_oracles(self, rng, K, N, batch):
         g, x, a = self._fields(K, N, rng, batch)
         oracle = helpers.advection_gradient_form(g, x, a) + helpers.advection_gradient_form(g, a, x)
-        ours = linearized_advection_array(g, x, a)
+        ours = self.forward(g, x, a)
         assert np.max(np.abs(ours - oracle)) <= 1e-14 * np.max(np.abs(oracle))
         # the adjoint of B(., a) is the gradient transpose, of B(a, .) -B(a, .)
         oracle = helpers.advection_gradient_transpose(g, a, x) - helpers.advection_gradient_form(g, a, x)
-        ours = linearized_advection_adjoint_array(g, x, a)
+        ours = self.adjoint(g, x, a)
         assert np.max(np.abs(ours - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("K, N", GRIDS)
@@ -486,9 +495,9 @@ class TestLinearization:
         # conjugate-symmetric p, relative to |L x| |p|
         g, x, a = self._fields(K, N, rng, batch)
         p = helpers.symmetric_batch(g, rng, batch)
-        lx = linearized_advection_array(g, x, a)
+        lx = self.forward(g, x, a)
         lhs = np.sum(np.conj(lx) * p, axis=(-3, -2, -1)).real
-        rhs = np.sum(np.conj(x) * linearized_advection_adjoint_array(g, p, a), axis=(-3, -2, -1)).real
+        rhs = np.sum(np.conj(x) * self.adjoint(g, p, a), axis=(-3, -2, -1)).real
         scale = np.sqrt(helpers.full_norm_sq(lx) * helpers.full_norm_sq(p)) / TWO_PI**2
         assert np.all(np.abs(lhs - rhs) <= 1e-13 * scale)
 
@@ -497,7 +506,7 @@ class TestLinearization:
     def test_symmetric_mean_free_and_batch_invariant(self, rng, K, N, batch):
         g, x, a = self._fields(K, N, rng, batch)
         p = helpers.symmetric_batch(g, rng, batch)
-        for kernel, arg in ((linearized_advection_array, x), (linearized_advection_adjoint_array, p)):
+        for kernel, arg in ((self.forward, x), (self.adjoint, p)):
             out = kernel(g, arg, a)
             assert np.array_equal(out, np.conj(out[..., ::-1, ::-1]))
             assert np.all(out[..., K, K] == 0.0)
@@ -554,9 +563,10 @@ class TestNormPair:
         g = default_grid(5)
         S = g.n_coeff
         c = helpers.symmetric_batch(g, rng, math.prod(shape)).reshape(shape + (2, S, S))
-        h2, v2 = hv_norm_sq_array(g, c)
-        assert np.array_equal(h2, h_norm_sq_array(g, c))
-        assert np.array_equal(v2, v_norm_sq_array(g, c))
+        half = half_spectrum(c)
+        h2, v2 = half_norms_sq(g, half)
+        assert np.array_equal(h2, weighted_norm_sq(abs_sq(half), g.half_weight))
+        assert np.array_equal(v2, weighted_norm_sq(abs_sq(half), g.half_k2))
 
 
 class TestHalfSpectrumNorms:
@@ -567,7 +577,7 @@ class TestHalfSpectrumNorms:
         # every mode of a conjugate-symmetric batch
         g = default_grid(K)
         c = helpers.symmetric_batch(g, rng, batch)
-        h2, v2 = hv_norm_sq_array(g, c)
+        h2, v2 = half_norms_sq(g, half_spectrum(c))
         np.testing.assert_allclose(h2, helpers.full_norm_sq(c), rtol=1e-14, atol=0)
         np.testing.assert_allclose(v2, helpers.full_norm_sq(c, g.k2), rtol=1e-14, atol=0)
 
@@ -575,10 +585,10 @@ class TestHalfSpectrumNorms:
     def test_rows_bitwise_batch_invariant(self, rng, K):
         # a path's norms do not depend on the batch it is stepped in
         g = default_grid(K)
-        c = helpers.symmetric_batch(g, rng, 256)
-        h2, v2 = hv_norm_sq_array(g, c)
+        c = half_spectrum(helpers.symmetric_batch(g, rng, 256))
+        h2, v2 = half_norms_sq(g, c)
         for lo, hi in ((0, 1), (3, 10), (100, 256)):
-            part = hv_norm_sq_array(g, c[lo:hi])
+            part = half_norms_sq(g, c[lo:hi])
             assert np.array_equal(part[0], h2[lo:hi]) and np.array_equal(part[1], v2[lo:hi])
 
 
