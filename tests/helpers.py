@@ -4,8 +4,7 @@ Everything here is deliberately implemented by a different route than the
 package: fields are evaluated by explicit mode summation (no FFT) or by full
 complex FFTs of the whole mode square (the package's transforms are
 real-to-complex), self-advection by two real transforms where the package
-packs u_x + i u_y into one complex one, the bilinear term B(u, v) in gradient
-form where the package forms it in curl form, the adjoint of the advection
+packs u_x + i u_y into one complex one, the adjoint of the advection
 linearized around a field by the gradient-form transpose where the package
 forms one packed product, the integrating-factor weights and the norms over
 the whole mode square where the package holds the kx >= 0 half, Fourier
@@ -153,19 +152,6 @@ def advection_convolution(u, v) -> np.ndarray:
             vq = v.coeffs[:, K + qy, K + qx]
             out[:, K + ky, K + kx] += 1j * (up[0] * qx + up[1] * qy) * vq
     return project_mode(K, out)
-
-
-def advection_gradient_form(grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """P((u . grad) v) in gradient form, batched over full arrays: the grid
-    values u_x dv/dx + u_y dv/dy by real transforms, Leray projected.  It
-    needs no condition on div u, where the package's curl form is P div(u v)."""
-    from snse_lab.spectral import from_physical, leray_project_array, to_physical
-
-    u_phys = to_physical(grid, u)
-    dvdx = to_physical(grid, 1j * grid.kx * v)
-    dvdy = to_physical(grid, 1j * grid.ky * v)
-    w = u_phys[..., 0:1, :, :] * dvdx + u_phys[..., 1:2, :, :] * dvdy
-    return leray_project_array(grid, from_physical(grid, w))
 
 
 def advection_gradient_transpose(grid, a: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snse_lab import cli, config
+from snse_lab import cli, config, deviation, spectral
 from snse_lab.cli import emit_tables, main
 from snse_lab.config import (
     ConfigError,
@@ -31,7 +31,7 @@ from snse_lab.persist import (
 from snse_lab.lil import build_probe
 from snse_lab.solvers import IntegrationError, SimConfig, solve_deterministic, solve_skeleton
 from snse_lab.spectral import full_spectrum, single_mode_field
-from snse_lab.verification import CheckRow
+from snse_lab.verification import CheckRow, run_invariant_suite
 
 from helpers import h_norm_sq_array, read_trajectory
 
@@ -458,6 +458,44 @@ class TestVerifyVerb:
         neg = [r for r in rep["results"]["rows"]
                if r["name"] == "corrupted_field_detected"][0]
         assert "offending mode" in neg["detail"]
+
+
+class TestInvariantRows:
+    """The rows that check the advection kernel against the gradient form
+    and the skeleton's adjoint sweep against the skeleton, each with a
+    negative control that breaks what it checks."""
+
+    @staticmethod
+    def _rows(nonlinear: bool, family: str = "additive") -> dict:
+        cfg = example_config("verify")
+        cfg["solver"]["nonlinear"] = nonlinear
+        cfg["noise"]["family"] = family
+        grid = build_grid(cfg)
+        sim = build_sim_config(cfg, grid, build_noise(cfg, grid))
+        return {row.name: row for row in run_invariant_suite(sim, 0)}
+
+    @pytest.mark.parametrize("family", ["additive", "saturated"])
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_rows_pass(self, nonlinear, family):
+        rows = self._rows(nonlinear, family)
+        assert "advection_divergence_free" not in rows
+        for name, threshold in (("advection_gradient_form_agreement", 1e-13),
+                                ("adjoint_dot_identity", 1e-12)):
+            assert rows[name].passed and rows[name].threshold == threshold
+            assert rows[name].value <= threshold
+
+    def test_sign_flipped_adjoint_fails_the_dot_row(self, monkeypatch):
+        adjoint = deviation.linearized_advection_adjoint_array
+        monkeypatch.setattr(deviation, "linearized_advection_adjoint_array",
+                            lambda grid, p, a: -adjoint(grid, p, a))
+        row = self._rows(nonlinear=True)["adjoint_dot_identity"]
+        assert not row.passed and row.value > 1e-6
+
+    def test_swapped_product_fails_the_gradient_form_row(self, monkeypatch):
+        advect = spectral.advection_array
+        monkeypatch.setattr(spectral, "advection_array", lambda grid, u, v: advect(grid, v, u))
+        row = self._rows(nonlinear=True)["advection_gradient_form_agreement"]
+        assert not row.passed and row.value > 1e-3
 
 
 

@@ -36,6 +36,8 @@ from snse_lab.spectral import (
     _curl_form,
 )
 
+from snse_lab.verification import advection_gradient_form
+
 import helpers
 
 
@@ -365,7 +367,7 @@ class TestRealTransforms:
         g = default_grid(K)
         u = _solenoidal_batch(g, rng, 7)
         ours = advection_array(g, u, u)
-        gradient_form = helpers.advection_gradient_form(g, u, u.copy())
+        gradient_form = advection_gradient_form(g, u, u.copy())
         assert np.max(np.abs(ours - gradient_form)) <= 1e-14 * np.max(np.abs(gradient_form))
 
 
@@ -480,11 +482,11 @@ class TestLinearization:
     @pytest.mark.parametrize("batch", [1, 7, 256])
     def test_matches_two_call_oracles(self, rng, K, N, batch):
         g, x, a = self._fields(K, N, rng, batch)
-        oracle = helpers.advection_gradient_form(g, x, a) + helpers.advection_gradient_form(g, a, x)
+        oracle = advection_gradient_form(g, x, a) + advection_gradient_form(g, a, x)
         ours = self.forward(g, x, a)
         assert np.max(np.abs(ours - oracle)) <= 1e-14 * np.max(np.abs(oracle))
         # the adjoint of B(., a) is the gradient transpose, of B(a, .) -B(a, .)
-        oracle = helpers.advection_gradient_transpose(g, a, x) - helpers.advection_gradient_form(g, a, x)
+        oracle = helpers.advection_gradient_transpose(g, a, x) - advection_gradient_form(g, a, x)
         ours = self.adjoint(g, x, a)
         assert np.max(np.abs(ours - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
@@ -533,7 +535,7 @@ class TestCurlFormGeneralKernel:
         g = SpectralGrid(K, N)
         a, b = _solenoidal_batch(g, rng, batch), _solenoidal_batch(g, rng, batch)
         ours = advection_array(g, a, b)
-        self._check(ours, helpers.advection_gradient_form(g, a, b),
+        self._check(ours, advection_gradient_form(g, a, b),
                     lambda a, b: advection_array(g, a, b), (a, b))
         # the halves give the half of the full result
         half = advection_array(g, half_spectrum(a).copy(), half_spectrum(b).copy())
@@ -550,7 +552,7 @@ class TestCurlFormGeneralKernel:
             u, z, v0 = half_spectrum(u), half_spectrum(z), half_spectrum(u0)
             return full_spectrum(_curl_form(g, z, u + v0, d=v0 - u))
 
-        oracle = helpers.advection_gradient_form(g, u, z) + helpers.advection_gradient_form(g, z, u0)
+        oracle = advection_gradient_form(g, u, z) + advection_gradient_form(g, z, u0)
         ours = drift(u, z)
         assert np.array_equal(ours, np.conj(ours[..., ::-1, ::-1]))
         assert np.all(ours[..., K, K] == 0.0)
