@@ -13,8 +13,17 @@ retained modes acting as the 2/3-rule dealiasing step.
 
 The kx >= 0 columns of a conjugate-symmetric array, shape (..., S, K + 1),
 hold all of it: `half_spectrum` takes them and `full_spectrum` mirrors them
-back.  The stochastic stepper holds its paths' states, their noise and their
-self-advection as such halves only.
+back.  Such a half is the one layout that arrays hold inside the package:
+the stepper's states, noise and advection, every trajectory's frames, the
+controlled skeleton and its adjoint, and the observers' references.  Full
+arrays exist only at the edges: `SpectralField` (so the config's initial and
+forcing fields), `Trajectory.field_at`, the trajectory files, and the
+inputs of the functions that the benchmark's kernels call on full arrays,
+which therefore keep a full input: `advection_array` (which also takes
+halves, the stepper's call), `to_physical` (the moment report's L4 integral
+mirrors u0's frames once for it), `from_physical`, `leray_project_array`
+and the noise map's adjoint `sigma_adjoint_array` (the adjoint sweep
+mirrors its stack of phi p once for it).
 
 The grid transforms are real-to-complex.  They work on the half spectrum of a
 real N x N array, shape (..., N, N//2 + 1), whose entry [ky mod N, kx] holds

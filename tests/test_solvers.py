@@ -19,8 +19,9 @@ from snse_lab.deviation import (
     fw_conditional_probe,
     moment_bound_suite,
 )
-from snse_lab.lil import GeometricSchedule, classical_ratio_study
+from snse_lab.lil import GeometricSchedule, build_probe, classical_ratio_study
 from snse_lab.noise import Control, NoiseModel, zero_control
+from snse_lab.persist import write_trajectory
 from snse_lab.rng import substream
 from snse_lab.solvers import (
     IntegrationError,
@@ -994,3 +995,52 @@ class TestTrajectoryCombinators:
         single = solve_snse(cfg, seed=8)  # path 0 uses substream(seed, 0)
         np.testing.assert_array_equal(trajs[0].frames, single.frames)
 
+
+class TestHalfLayout:
+    """Every trajectory, skeleton and probe frame is held as the kx >= 0
+    half (..., 2, S, K + 1); full arrays exist only at the edges: a field
+    read out of a trajectory and the trajectory file."""
+
+    @staticmethod
+    def _config(grid3, noise3, nonlinear=True):
+        return SimConfig(
+            grid=grid3, noise=noise3, horizon=0.01, dt=1e-3, epsilon=1e-2,
+            initial=random_solenoidal_field(grid3, np.random.default_rng(7), amplitude=0.5),
+            nonlinear=nonlinear, record_stride=1,
+        )
+
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_frames_are_halves(self, grid3, noise3, nonlinear):
+        cfg = self._config(grid3, noise3, nonlinear)
+        half = (2, 7, 4)
+        u0 = solve_deterministic(cfg)
+        h = Control(noise3, cfg.horizon, np.ones((5, noise3.n_directions)))
+        trajectories = {
+            "solve_deterministic": u0,
+            "solve_snse": solve_snse(cfg, seed=2),
+            "solve_skeleton": solve_skeleton(h, u0, cfg),
+        }
+        for name, traj in trajectories.items():
+            assert traj.frames.shape == (cfg.n_steps + 1,) + half, name
+        out = ensemble_run(cfg, 2, 3, lambda: TrajectoryObserver(cfg))
+        assert out["frames"].shape == (3, cfg.n_steps + 1) + half
+        x = solvers.skeleton_forward(np.ones((2, cfg.n_steps, noise3.n_directions)), u0.frames, cfg)
+        assert x.shape == (2, cfg.n_steps + 1) + half
+        probe = build_probe(cfg, u0, directions=[0, 1], n_shapes=1)
+        assert probe.frames.shape == (probe.size, cfg.n_steps + 1) + half
+
+    def test_field_at_mirrors_the_half(self, grid3, noise3):
+        traj = solve_snse(self._config(grid3, noise3), seed=4)
+        for i in range(traj.n_records):
+            assert np.array_equal(traj.field_at(i).coeffs, full_spectrum(traj.frames[i]))
+
+    def test_trajectory_file_holds_the_full_frames(self, tmp_path, grid3, noise3):
+        traj = solve_snse(replace(self._config(grid3, noise3), record_stride=3), seed=4)
+        path = tmp_path / "t.bin"
+        write_trajectory(str(path), traj)
+        data = path.read_bytes()
+        block = np.ascontiguousarray(full_spectrum(traj.frames), dtype="<c16").tobytes()
+        assert full_spectrum(traj.frames).shape == (traj.n_records, 2, 7, 7)
+        assert data.endswith(block)
+        # header line, then times, h2 and v2, then the frames
+        assert len(data) == data.index(b"\n") + 1 + 3 * 8 * traj.n_records + len(block)
