@@ -367,15 +367,16 @@ def max_energy_response(
     config: SimConfig,
     n_iter: int = 60,
     seed: int = 0,
-    restarts: int = 3,
 ) -> tuple[float, np.ndarray]:
-    """Largest trajectory-norm response per unit control energy.
+    """Largest trajectory-norm response per unit control energy, and the
+    unit-W-norm direction h that attains it.
 
     Power-type iteration on the Rayleigh ratio ||L h||_E^2 / ||h||_W^2 using
-    the adjoint for the ascent direction, best of several restarts.  The value
-    is attained by a feasible direction, so it is a certified lower bound on
-    the true ratio; it serves as the optimizer-side surrogate for the cheapest
-    rate of exiting a trajectory-norm ball.
+    the adjoint for the ascent direction, best of three restarts; a restart's
+    value is that of its last iterate's h.  The value is attained by the
+    returned direction, so it is a certified lower bound on the true ratio;
+    it serves as the optimizer-side surrogate for the cheapest rate of
+    exiting a trajectory-norm ball.
     """
     cfg = config
     grid = cfg.grid
@@ -387,12 +388,13 @@ def max_energy_response(
         return math.sqrt(float(np.sum(hv**2 * w_diag)))
 
     best_value, best_h = 0.0, np.zeros((n, J))
-    for restart in range(restarts):
+    for restart in range(3):
         rng = substream(seed, 4242 + restart)
         h = rng.standard_normal((n, J))
         h /= w_norm(h)
-        value = 0.0
+        value, h_value = 0.0, h
         for _ in range(n_iter):
+            h_value = h  # the direction whose response this iterate measures
             frames = skeleton_forward(h, u0_traj.frames, cfg)
             x, v2 = half_norms_sq(grid, frames)
             value = float(np.max(x) + np.sum(v2[:-1]) * cfg.dt)
@@ -408,7 +410,7 @@ def max_energy_response(
                 break
             h = ascent / norm
         if value > best_value:
-            best_value, best_h = value, h
+            best_value, best_h = value, h_value
     return best_value, best_h
 
 
@@ -420,8 +422,9 @@ def max_energy_response(
 class ProbabilityEstimate:
     """Indicator-mean estimate with a Wilson interval.
 
-    For zero hits, `upper_bound` is the exact one-sided (1 - alpha) bound
-    1 - alpha**(1/n), keeping log-probability summaries finite.
+    The interval is at 95%.  For zero hits, `upper_bound` is the exact
+    one-sided 95% bound 1 - 0.05**(1/n), keeping log-probability summaries
+    finite.
     """
 
     n: int
@@ -430,7 +433,6 @@ class ProbabilityEstimate:
     lo: float
     hi: float
     upper_bound: float
-    alpha: float = 0.05
 
     @property
     def zero_hit(self) -> bool:
@@ -440,9 +442,11 @@ class ProbabilityEstimate:
         return math.log(self.p_hat) if self.hits > 0 else math.log(self.upper_bound)
 
 
-def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    """The 95% Wilson score interval of hits / n."""
     if n == 0:
         return 0.0, 1.0
+    z = 1.96  # the two-sided 95% normal quantile
     p = hits / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -450,9 +454,9 @@ def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def estimate_from_hits(hits: int, n: int, alpha: float = 0.05) -> ProbabilityEstimate:
+def estimate_from_hits(hits: int, n: int) -> ProbabilityEstimate:
     lo, hi = wilson_interval(hits, n)
-    upper = 1.0 - alpha ** (1.0 / n) if n > 0 else 1.0
+    upper = 1.0 - 0.05 ** (1.0 / n) if n > 0 else 1.0
     return ProbabilityEstimate(
         n=n, hits=hits, p_hat=hits / n if n else 0.0, lo=lo, hi=hi, upper_bound=upper
     )

@@ -313,11 +313,6 @@ _NOISE_BLOCK_BYTES = 256 * 2 * 21**2 * 16
 _NOISE_BLOCK_DRAW = 512
 
 
-def _state_nbytes(grid: SpectralGrid) -> int:
-    """Bytes of one path's full complex state (2, S, S)."""
-    return 2 * grid.n_coeff**2 * 16
-
-
 def _noise_block_steps(model: NoiseModel, n_paths: int, n_steps: int) -> int:
     """Steps of one noise block of a batch of n_paths paths under model.
 
@@ -327,7 +322,8 @@ def _noise_block_steps(model: NoiseModel, n_paths: int, n_steps: int) -> int:
     for each path's draw call to fill _NOISE_BLOCK_DRAW normals: at K = 10
     and full J, 2 steps whatever the batch.
     """
-    by_bytes = _NOISE_BLOCK_BYTES // (n_paths * _state_nbytes(model.grid))
+    state_nbytes = 2 * model.grid.n_coeff**2 * 16  # one full state, (2, S, S)
+    by_bytes = _NOISE_BLOCK_BYTES // (n_paths * state_nbytes)
     by_draw = -(-_NOISE_BLOCK_DRAW // model.n_directions)
     return min(n_steps, max(1, min(by_bytes, by_draw)))
 
@@ -666,16 +662,12 @@ class _FanOutObserver:
 # paths integrated together per ensemble chunk
 _CHUNK_PATHS = 256
 
-# glibc's mallopt parameters, its default mmap threshold and the largest one
-# it accepts on 64-bit systems
+# glibc's mallopt parameters, and the values `_reuse_step_memory` gives
+# them: the mmap threshold is the largest glibc accepts on 64-bit systems
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_GLIBC_MMAP_THRESHOLD = 128 * 1024
-_GLIBC_MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
-
-# the mmap threshold in force, glibc's default until _reuse_step_memory sets
-# one; the allocator's settings belong to the process, and so does this record
-_mmap_threshold = _GLIBC_MMAP_THRESHOLD
+_MMAP_THRESHOLD = 32 * 1024 * 1024
+_TRIM_THRESHOLD = 128 * 1024 * 1024
 
 
 def _glibc_mallopt():
@@ -692,33 +684,27 @@ def _glibc_mallopt():
     return mallopt
 
 
-def _reuse_step_memory(temp_nbytes: int) -> None:
-    """Have glibc serve a chunk's per-step and per-block temporaries from the
-    heap and keep them there once freed, so that the next step or block
-    reuses their pages.
+@functools.cache
+def _reuse_step_memory() -> None:
+    """Have glibc serve an ensemble's per-step and per-block temporaries from
+    the heap and keep them there once freed, so that the next step, block or
+    ensemble reuses their pages.
 
-    temp_nbytes is the chunk's full-spectrum states, (n, 2, S, S), times the
-    steps of its noise block (`_noise_block_steps`, up to
-    _NOISE_BLOCK_BYTES, 256 states of K = 10).  Each step allocates a few
-    arrays no larger than the full states (the half advection, the half
-    noise) but for a transform's grid array, at most a quarter larger.
-    Above the mmap threshold glibc maps each one afresh and unmaps it on
-    free, so every step faults its pages in again.  The mmap threshold is
-    set to twice temp_nbytes and the trim threshold, the freed heap top kept
-    in the process, to eight times it.  Setting either also stops glibc's
-    dynamic threshold.  This is done once, and again only for a larger
-    temporary; under any other C library, or while the temporaries fit
-    under the threshold in force, nothing is called.  No value depends on it.
+    Each step allocates a few arrays about the size of the chunk's states
+    (the advection, a transform's grid array) and each noise block one
+    more.  Above glibc's default 128 KiB mmap threshold each one is mapped
+    afresh and unmapped on free, and every step faults its pages in again.
+    The mmap threshold is set to 32 MiB, above every such array of a
+    256-path chunk at K = 10, and the trim threshold, the freed heap top
+    kept in the process, to 128 MiB.  Setting either also stops glibc's
+    dynamic threshold.  The settings belong to the process, so this is done
+    once, by the first ensemble; under any other C library nothing is
+    called.  No value depends on it.
     """
-    global _mmap_threshold
-    threshold = min(2 * temp_nbytes, _GLIBC_MMAP_THRESHOLD_MAX)
-    if threshold <= _mmap_threshold:
-        return
-    _mmap_threshold = threshold
     mallopt = _glibc_mallopt()
     if mallopt is not None:
-        mallopt(_M_MMAP_THRESHOLD, threshold)
-        mallopt(_M_TRIM_THRESHOLD, min(8 * temp_nbytes, 2**31 - 1))  # a C int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def ensemble_run(
@@ -735,7 +721,8 @@ def ensemble_run(
     grids): a fresh Generator to draw them from in step order, or their
     (n_steps, J) array.  Paths are integrated _CHUNK_PATHS at a time, and a
     chunk's normals are drawn one noise block at a time
-    (`_integrate_batch`), under the allocator policy of `_reuse_step_memory`.
+    (`_integrate_batch`).  The first call sets the process's allocator
+    policy (`_reuse_step_memory`).
     The observer factory is invoked per chunk; each observer must implement
     on_start(prop, n, n_steps), optional on_noise(step, t, coeffs, dW)
     (called with the pre-step state before each noisy step), optional
@@ -749,6 +736,7 @@ def ensemble_run(
     J = config.noise.n_directions
     n_steps = config.n_steps
     u0_half = _initial_coeffs(config)
+    _reuse_step_memory()
     merged: dict[str, list[np.ndarray]] = {}
     for start in range(0, n_paths, _CHUNK_PATHS):
         paths = range(start, min(start + _CHUNK_PATHS, n_paths))
@@ -758,10 +746,6 @@ def ensemble_run(
         elif config.epsilon > 0.0:
             draw = _normal_blocks([substream(seed, i) for i in paths], J)
         state = np.broadcast_to(u0_half, (len(paths),) + u0_half.shape).copy()
-        block_steps = 1
-        if config.epsilon > 0.0:
-            block_steps = _noise_block_steps(config.noise, len(paths), n_steps)
-        _reuse_step_memory(len(paths) * _state_nbytes(config.grid) * block_steps)
         obs = observer_factory()
         obs.on_start(propagator(config.grid, config.dt), len(paths), n_steps)
         _integrate_batch(config, state, draw, obs)

@@ -273,6 +273,22 @@ class TestRateFunction:
             values.append(res.value)
         assert values[0] <= values[1] + 1e-12 <= values[2] + 2e-12
 
+    @pytest.mark.parametrize("n_iter", [1, 2, 5])
+    def test_max_energy_response_returns_the_measured_direction(self, n_iter):
+        # the value is the trajectory-norm response of the returned unit
+        # direction, not of the ascent direction one step past it (at K=2
+        # and full J the two still differ by 1e-5 relative after 5 steps)
+        g = default_grid(2)
+        m = NoiseModel(grid=g)
+        cfg = SimConfig(grid=g, noise=m, horizon=0.25, dt=2e-3, nonlinear=False)
+        u0 = solve_deterministic(cfg)
+        value, h = max_energy_response(u0, cfg, n_iter=n_iter, seed=1)
+        a2 = np.abs(full_spectrum(skeleton_forward(h, u0.frames, cfg))) ** 2
+        x = TWO_PI**2 * np.sum(a2, axis=(1, 2, 3))
+        v = TWO_PI**2 * np.sum(g.k2 * a2, axis=(1, 2, 3))
+        assert value == pytest.approx(np.max(x) + cfg.dt * np.sum(v[:-1]), rel=1e-12)
+        assert np.sum(h**2 * cfg.dt / m.eigenvalues) == pytest.approx(1.0, rel=1e-12)
+
     def test_max_energy_response_dominates_samples(self, setup):
         g, m, cfg, u0 = setup
         sigma2, h_star = max_energy_response(u0, cfg, n_iter=40, seed=1)

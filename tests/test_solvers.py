@@ -326,9 +326,10 @@ class TestStochasticSolve:
 
     @pytest.mark.parametrize("K, n_dirs, n_paths, n_steps, block", [
         (10, None, 256, 16, 1), (10, None, 16, 64, 2), (10, None, 1, 64, 2),
-        (1, 2, 256, 1000, 49), (2, None, 256, 40, 17), (3, 48, 9, 20, 11),
-    ], ids=["fw-k10", "k10-batch-16", "k10-batch-1", "k1-j2-batch-256",
-            "k2-batch-256", "k3-j48-batch-9"])
+        (10, None, 1, 2, 2), (1, 2, 256, 1000, 49), (2, None, 256, 40, 17),
+        (3, 48, 9, 20, 11),
+    ], ids=["fw-k10", "k10-batch-16", "k10-batch-1", "k10-batch-1-2-steps",
+            "k1-j2-batch-256", "k2-batch-256", "k3-j48-batch-9"])
     def test_noise_block_steps(self, K, n_dirs, n_paths, n_steps, block):
         # a block holds at most 256 states of K=10 of noise field and no more
         # steps than fill 512 normals per path: the byte budget binds on the
@@ -359,23 +360,19 @@ class TestStochasticSolve:
         assert sorted(set(calls)) == [(20, 2), (49, 2)]
         _assert_identical(out, expected)
 
-    @pytest.mark.parametrize("n_paths, n_steps, lookup, calls, block_path_steps", [
-        (1, 2, True, 0, 2), (256, 2, False, 0, 256), (256, 2, True, 2, 256),
-        (1, 64, True, 0, 2), (16, 64, True, 2, 32),
-    ], ids=["batch-1", "no-glibc", "batch-256", "batch-1-64-steps", "batch-16-64-steps"])
-    def test_allocator_policy(self, monkeypatch, n_paths, n_steps, lookup, calls,
-                              block_path_steps):
-        # mallopt is called through glibc only, once per process for a chunk
-        # whose largest per-step or per-block temporary (the state, or the
-        # noise block of block_path_steps path-steps: 2-step blocks at K=10
-        # below batch 256) passes the 128 KiB default mmap threshold (its two
-        # parameters, however many ensembles run), and never at batch 1,
-        # whose 2-step block stays below it; the values do not depend on it
+    @pytest.mark.parametrize("glibc", [True, False], ids=["glibc", "other-libc"])
+    def test_allocator_policy(self, monkeypatch, request, glibc):
+        # mallopt is called through glibc only, with one fixed setting (the
+        # 32 MiB mmap threshold, glibc's ceiling, and a 128 MiB trim
+        # threshold) once per process, by its first ensemble, however many
+        # ensembles run and whatever their batch; the values do not depend
+        # on it
         g = default_grid(10)
         cfg = SimConfig(
-            grid=g, noise=NoiseModel(grid=g), horizon=n_steps * 1e-3, dt=1e-3, epsilon=1e-2,
+            grid=g, noise=NoiseModel(grid=g), horizon=2e-3, dt=1e-3, epsilon=1e-2,
             initial=random_solenoidal_field(g, np.random.default_rng(0)),
         )
+        batches = (1, 16, 256, 1, 16, 256)
         seen = []
 
         def mallopt(param, value):
@@ -383,24 +380,24 @@ class TestStochasticSolve:
             return 1
 
         def confstr(name):
-            if not lookup:
+            if not glibc:
                 raise ValueError(f"unrecognized configuration name {name!r}")
             return "glibc 2.36"
 
-        expected = ensemble_run(cfg, 3, n_paths, lambda: TrajectoryObserver(cfg))
-        monkeypatch.setattr(solvers, "_mmap_threshold", solvers._GLIBC_MMAP_THRESHOLD)
+        expected = [ensemble_run(cfg, 3, n, lambda: TrajectoryObserver(cfg)) for n in batches]
         monkeypatch.setattr(solvers.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
         monkeypatch.setattr(solvers.os, "confstr", confstr)
-        for _ in range(2):
-            out = ensemble_run(cfg, 3, n_paths, lambda: TrajectoryObserver(cfg))
-            _assert_identical(out, expected)
-        assert len(seen) == calls
-        assert n_paths * solvers._noise_block_steps(cfg.noise, n_paths, n_steps) == (
-            block_path_steps)
-        if calls:
-            temp_nbytes = block_path_steps * 2 * g.n_coeff**2 * 16
-            assert seen == [(solvers._M_MMAP_THRESHOLD, 2 * temp_nbytes),
-                            (solvers._M_TRIM_THRESHOLD, 8 * temp_nbytes)]
+        # forget that this process has the setting, for the test and again
+        # after it, so that the next ensemble applies the real one
+        solvers._reuse_step_memory.cache_clear()
+        request.addfinalizer(solvers._reuse_step_memory.cache_clear)
+        for n, want in zip(batches, expected):
+            _assert_identical(ensemble_run(cfg, 3, n, lambda: TrajectoryObserver(cfg)), want)
+        if glibc:
+            assert seen == [(solvers._M_MMAP_THRESHOLD, 32 * 1024 * 1024),
+                            (solvers._M_TRIM_THRESHOLD, 128 * 1024 * 1024)]
+        else:
+            assert seen == []
 
     def test_ou_moments_exact_discrete(self, grid1, noise1):
         # B off, additive noise: each mode follows the closed-form Gaussian
