@@ -7,7 +7,7 @@ of deviation scaling and conditional exponential bounds; and empirical
 iterated-logarithm studies.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from types import ModuleType as _ModuleType
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
 
 from .deviation import (
@@ -201,12 +201,142 @@ class ConfigError(ValueError):
         self.offending = offending or []
 
 
+# ---------------------------------------------------------------------------
+# schema checking: the JSON Schema keywords CONFIG_SCHEMA uses, nothing more
+
+_TYPE_CHECKS = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    # a JSON integer literal only: 4.0 is a number but not an integer
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+}
+
+_KEYWORDS = {
+    "$schema", "type", "enum", "const", "minimum", "exclusiveMinimum", "minItems",
+    "maxItems", "uniqueItems", "items", "properties", "patternProperties",
+    "additionalProperties", "required", "allOf", "if", "then",
+}
+
+
+def _json_key(value):
+    """A hashable stand-in for a JSON value under JSON equality: true and
+    false are not 1 and 0, while 1 and 1.0 are the same number."""
+    if isinstance(value, bool):
+        return ("boolean", value)
+    if isinstance(value, list):
+        return ("array", tuple(map(_json_key, value)))
+    if isinstance(value, dict):
+        return ("object", frozenset((k, _json_key(v)) for k, v in value.items()))
+    return value
+
+
+def _require_known_keywords(schema: dict) -> None:
+    """Raise NotImplementedError if `schema` or any schema nested in it uses
+    a keyword `_violations` does not check, or an additionalProperties other
+    than false."""
+    unknown = schema.keys() - _KEYWORDS
+    if schema.get("additionalProperties", False) is not False:
+        unknown.add("additionalProperties")
+    if unknown:
+        raise NotImplementedError(f"the config checker lacks schema keywords {sorted(unknown)}")
+    nested = [*schema.get("properties", {}).values(), *schema.get("patternProperties", {}).values(),
+              *schema.get("allOf", []), *(schema[k] for k in ("items", "if", "then") if k in schema)]
+    for sub in nested:
+        _require_known_keywords(sub)
+
+
+def _violations(schema: dict, value, path: tuple):
+    """(instance path, message) for each way `value` breaks `schema`, in the
+    schema's keyword order; `required` and `additionalProperties` errors sit
+    at the object, as in a standard JSON Schema validator."""
+    number = _TYPE_CHECKS["number"](value)
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            types = [arg] if isinstance(arg, str) else arg
+            if not any(_TYPE_CHECKS[t](value) for t in types):
+                yield path, f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif keyword == "enum":
+            if _json_key(value) not in map(_json_key, arg):
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif keyword == "const":
+            if _json_key(value) != _json_key(arg):
+                yield path, f"{arg!r} was expected"
+        elif keyword == "minimum":
+            if number and value < arg:
+                yield path, f"{value!r} is less than the minimum of {arg!r}"
+        elif keyword == "exclusiveMinimum":
+            if number and value <= arg:
+                yield path, f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif keyword == "minItems":
+            if is_array and len(value) < arg:
+                yield path, f"{value!r} is too short"
+        elif keyword == "maxItems":
+            if is_array and len(value) > arg:
+                yield path, f"{value!r} is too long"
+        elif keyword == "uniqueItems":
+            if arg and is_array and len(set(map(_json_key, value))) < len(value):
+                yield path, f"{value!r} has non-unique elements"
+        elif keyword == "items":
+            if is_array:
+                for i, item in enumerate(value):
+                    yield from _violations(arg, item, path + (i,))
+        elif keyword == "properties":
+            if is_object:
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _violations(sub, value[name], path + (name,))
+        elif keyword == "patternProperties":
+            if is_object:
+                for pattern, sub in arg.items():
+                    for name, item in value.items():
+                        if re.search(pattern, name):
+                            yield from _violations(sub, item, path + (name,))
+        elif keyword == "additionalProperties":
+            if is_object:
+                patterns = schema.get("patternProperties", {})
+                extras = sorted(
+                    name for name in value if name not in schema.get("properties", {})
+                    and not any(re.search(pattern, name) for pattern in patterns)
+                )
+                if extras:
+                    yield path, f"unexpected properties {', '.join(map(repr, extras))}"
+        elif keyword == "required":
+            if is_object:
+                for name in arg:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+        elif keyword == "allOf":
+            for sub in arg:
+                yield from _violations(sub, value, path)
+        elif keyword == "if":
+            if "then" in schema and next(_violations(arg, value, path), None) is None:
+                yield from _violations(schema["then"], value, path)
+
+
+def _schema_errors(schema: dict, data) -> list[tuple[tuple, str]]:
+    """`_violations` of `data` against `schema`, sorted by path (stably, so
+    errors at one path keep the schema's order)."""
+    _require_known_keywords(schema)
+    return sorted(_violations(schema, data, ()), key=lambda e: e[0])
+
+
 def validate_config(data: dict) -> None:
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
+    """Check `data` against CONFIG_SCHEMA in-package, with JSON Schema
+    (draft 2020-12) semantics for the keywords the schema uses and JSON
+    equality in `enum`, `const` and `uniqueItems` (true is not 1; 1 and 1.0
+    are one value).  The one difference from the standard: an `integer` is
+    a JSON integer literal, so 4.0 is rejected where an integer is asked
+    for.  Raises ConfigError naming each offending key ("grid/max_wavenumber";
+    a missing or unexpected key names its object), sorted by path."""
+    errors = _schema_errors(CONFIG_SCHEMA, data)
     if errors:
-        keys = ["/".join(str(p) for p in e.absolute_path) or "<root>" for e in errors]
-        details = "; ".join(f"{k}: {e.message}" for k, e in zip(keys, errors))
+        keys = ["/".join(map(str, path)) or "<root>" for path, _ in errors]
+        details = "; ".join(f"{k}: {message}" for k, (_, message) in zip(keys, errors))
         raise ConfigError(f"config schema violation: {details}", offending=keys)
 
 

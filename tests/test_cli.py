@@ -555,6 +555,29 @@ class TestFailurePaths:
         assert err["stage"] == "config"
         assert err["offending_keys"] == ["experiment/epsilon_grid"]
 
+    # an integer key takes a JSON integer literal only: an integer-valued
+    # float would fail at run time (exit 4) or run on as a float
+    @pytest.mark.parametrize("kind, key, value", [
+        ("simulate", "grid/max_wavenumber", 4.0), ("mdp-scaling", "experiment/samples", 8.0),
+        ("simulate", "seed", 3.0), ("simulate", "workers", 2.0),
+        ("lil-classical", "experiment/replicates", 2.0), ("simulate", "solver/initial/k", [1.0, 0]),
+        ("simulate", "solver/record_stride", 2.0), ("fw-probe", "experiment/dyadic_depth", 1.0),
+        ("simulate", "noise/num_directions", 2.0),
+    ])
+    def test_integer_valued_float_is_config_error(self, tmp_path, capsys, kind, key, value):
+        cfg = example_config(kind)
+        *sections, name = key.split("/")
+        target = cfg
+        for section in sections:
+            target = target[section]
+        target[name] = value
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", _write(tmp_path, cfg), "--out", out]) == 2
+        assert self._manifest(out)["outputs"] == []
+        err = _last_stderr_line(capsys)
+        assert err["stage"] == "config"
+        assert err["offending_keys"] == [key + "/0" if isinstance(value, list) else key]
+
     @_VERBS
     def test_admissibility_error(self, tmp_path, capsys, verb):
         cfg = example_config("verify")

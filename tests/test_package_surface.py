@@ -1,9 +1,11 @@
 """Guards on the package surface: what the benchmark's tracer looks up, the
-exported names, the version, and no top-level definition, method or property
-in src/ that neither the CLI nor the benchmark reaches."""
+exported names, the version, the modules a run imports, and no top-level
+definition, method or property in src/ that neither the CLI nor the benchmark
+reaches."""
 
 import ast
 import importlib
+import json
 import os
 import pathlib
 import re
@@ -11,6 +13,8 @@ import subprocess
 import sys
 
 import snse_lab
+from snse_lab.cli import main
+from snse_lab.config import example_config
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "snse_lab"
@@ -146,12 +150,42 @@ def test_every_definition_reached_from_cli_or_benchmark():
     assert not unreached, f"not reached from cli.main or the tracer targets: {unreached}"
 
 
-
-def test_cli_import_leaves_scipy_unloaded():
-    # only the rate kind's optimizer uses scipy; no other run pays for its import
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """`code` run by a fresh interpreter that imports the package from src/."""
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, snse_lab.cli; print('scipy.optimize' in sys.modules)"],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # only the rate kind's optimizer uses scipy; no other run pays for its
+    # import, and no run imports jsonschema, a test-only dependency
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(example_config("simulate")))
+    out = _run_python(
+        "import sys, snse_lab.cli; from snse_lab.config import load_config; "
+        "load_config(sys.argv[1]); "
+        "print('scipy.optimize' in sys.modules, 'jsonschema' in sys.modules)",
+        str(config),
+    )
+    assert out.stdout.strip() == "False False"
+
+
+def test_run_needs_no_jsonschema(tmp_path):
+    # with jsonschema's import blocked, the simulate example writes the same
+    # report and trajectory bytes as a run in this process
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(example_config("simulate")))
+    blocked, plain = tmp_path / "blocked", tmp_path / "plain"
+    _run_python(
+        "import sys; sys.modules['jsonschema'] = None; from snse_lab.cli import main; "
+        "sys.exit(main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]))",
+        str(config), str(blocked),
+    )
+    assert main(["run", "--config", str(config), "--out", str(plain)]) == 0
+    written = sorted(p.name for p in plain.iterdir() if p.name != "manifest.json")
+    assert written and sorted(p.name for p in blocked.iterdir()) == sorted(written + ["manifest.json"])
+    for name in written:
+        assert (blocked / name).read_bytes() == (plain / name).read_bytes(), name
