@@ -304,8 +304,9 @@ class _RecordingGrid:
         return None
 
 
-# bytes of scattered noise formed per call of the stepper: 256 states of
-# K = 10, one step at batch 256; a chunk holds no other normals
+# bytes of scattered noise formed per call of the stepper: 256 full states
+# of K = 10 (3.6 MB), 4 steps of a 64-path chunk, the largest at K = 10;
+# a chunk holds no other normals
 _NOISE_BLOCK_BYTES = 256 * 2 * 21**2 * 16
 
 # normals one path's draw call fills in a block: past this size a longer
@@ -659,8 +660,23 @@ class _FanOutObserver:
         }
 
 
-# paths integrated together per ensemble chunk
+# most paths integrated together per ensemble chunk
 _CHUNK_PATHS = 256
+
+# bytes of the self-advection's padded (N, N) complex array over a chunk's
+# paths: 256 paths at K = 10 (4.2 MB, twice a 2 MiB L2) advected in one call
+# about 10% slower than in four calls of 64 (1 MiB each), and at K = 16
+# about 20% slower, while up to K = 4 one call on all 256 was the fastest
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunk_paths(grid: SpectralGrid) -> int:
+    """Paths per ensemble chunk on grid: as many as fill _CHUNK_BYTES with
+    one padded (N, N) complex array each, at least 1 and at most
+    _CHUNK_PATHS (64 at K = 10, 26 at K = 16, 256 at K <= 4)."""
+    by_bytes = _CHUNK_BYTES // (grid.physical_resolution**2 * 16)
+    return max(1, min(_CHUNK_PATHS, by_bytes))
+
 
 # glibc's mallopt parameters, and the values `_reuse_step_memory` gives
 # them: the mmap threshold is the largest glibc accepts on 64-bit systems
@@ -694,8 +710,8 @@ def _reuse_step_memory() -> None:
     (the advection, a transform's grid array) and each noise block one
     more.  Above glibc's default 128 KiB mmap threshold each one is mapped
     afresh and unmapped on free, and every step faults its pages in again.
-    The mmap threshold is set to 32 MiB, above every such array of a
-    256-path chunk at K = 10, and the trim threshold, the freed heap top
+    The mmap threshold is set to 32 MiB, above every such array of any
+    chunk (`_chunk_paths`), and the trim threshold, the freed heap top
     kept in the process, to 128 MiB.  Setting either also stops glibc's
     dynamic threshold.  The settings belong to the process, so this is done
     once, by the first ensemble; under any other C library nothing is
@@ -719,10 +735,12 @@ def ensemble_run(
     Path i consumes substream(seed, i) unless normal_source(i) provides its
     standard normals (used for common-noise couplings across parameter
     grids): a fresh Generator to draw them from in step order, or their
-    (n_steps, J) array.  Paths are integrated _CHUNK_PATHS at a time, and a
-    chunk's normals are drawn one noise block at a time
-    (`_integrate_batch`).  The first call sets the process's allocator
-    policy (`_reuse_step_memory`).
+    (n_steps, J) array.  Paths are integrated one chunk at a time, full
+    chunks of `_chunk_paths(config.grid)` paths and then the remainder: as
+    many paths as fill _CHUNK_BYTES with the self-advection's padded
+    transform array, at most _CHUNK_PATHS.  A chunk's normals are drawn one
+    noise block at a time (`_integrate_batch`).  The first call sets the
+    process's allocator policy (`_reuse_step_memory`).
     The observer factory is invoked per chunk; each observer must implement
     on_start(prop, n, n_steps), optional on_noise(step, t, coeffs, dW)
     (called with the pre-step state before each noisy step), optional
@@ -738,8 +756,9 @@ def ensemble_run(
     u0_half = _initial_coeffs(config)
     _reuse_step_memory()
     merged: dict[str, list[np.ndarray]] = {}
-    for start in range(0, n_paths, _CHUNK_PATHS):
-        paths = range(start, min(start + _CHUNK_PATHS, n_paths))
+    chunk = _chunk_paths(config.grid)
+    for start in range(0, n_paths, chunk):
+        paths = range(start, min(start + chunk, n_paths))
         draw = None
         if normal_source is not None:
             draw = _normal_blocks([normal_source(i) for i in paths], J)

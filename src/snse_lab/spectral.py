@@ -278,8 +278,10 @@ def _padded_values(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
 
     Mode k of w sits at index k + N//2 on both axes, a contiguous block.  Its
     kx >= 0 columns are u_x + i u_y of the half; its kx < 0 columns are the
-    same of the conjugate mirror u(k) = conj u(-k): real part
-    u_x.real + u_y.imag and imaginary part u_y.real - u_x.imag, read at -k.
+    same of the conjugate mirror u(k) = conj u(-k), that is
+    conj(u_x - i u_y) read at -k.  Both are formed on the contiguous half,
+    whose inner loops run over all its S (K + 1) entries rather than the
+    block's K + 1 columns, and each is written into the block once.
     The inverse pass along y runs on the 2K + 1 block columns only, then
     along x; the grid values then carry the factor
     exp(2 pi i (N//2)(x + y) / N) at grid indices (x, y).
@@ -288,12 +290,10 @@ def _padded_values(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
     lo, hi = N // 2 - K, N // 2 + K + 1
     w = np.zeros(u.shape[:-3] + (N, N), dtype=np.complex128)
     block = w[..., lo:hi, lo:hi]
-    ux, uy = u[..., 0, :, :], u[..., 1, :, :]
-    np.subtract(ux.real, uy.imag, out=block[..., K:].real)
-    np.add(ux.imag, uy.real, out=block[..., K:].imag)
-    ux, uy = ux[..., ::-1, :0:-1], uy[..., ::-1, :0:-1]
-    np.add(ux.real, uy.imag, out=block[..., :K].real)
-    np.subtract(uy.real, ux.imag, out=block[..., :K].imag)
+    ux, iuy = u[..., 0, :, :], 1j * u[..., 1, :, :]
+    block[..., K:] = ux + iuy
+    mirror = np.subtract(ux, iuy, out=iuy)
+    np.conjugate(mirror[..., ::-1, :0:-1], out=block[..., :K])
     cols = w[..., lo:hi]
     np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
     np.fft.ifft(w, axis=-1, norm="forward", out=w)

@@ -201,6 +201,26 @@ def curl_weights(grid) -> tuple[np.ndarray, np.ndarray]:
     return grid.kx * grid.ky / k2, (grid.ky**2 - grid.kx**2) / k2
 
 
+def padded_values_by_parts(grid, u: np.ndarray) -> np.ndarray:
+    """`_padded_values` with the block filled one real or imaginary part at
+    a time: u_x.real - u_y.imag and u_x.imag + u_y.real on the kx >= 0
+    columns, u_x.real + u_y.imag and u_y.real - u_x.imag read at -k on the
+    kx < 0 columns, then the same two inverse passes."""
+    K, N = grid.max_wavenumber, grid.physical_resolution
+    lo, hi = N // 2 - K, N // 2 + K + 1
+    w = np.zeros(u.shape[:-3] + (N, N), dtype=np.complex128)
+    block = w[..., lo:hi, lo:hi]
+    ux, uy = u[..., 0, :, :], u[..., 1, :, :]
+    block[..., K:].real = ux.real - uy.imag
+    block[..., K:].imag = ux.imag + uy.real
+    ux, uy = ux[..., ::-1, :0:-1], uy[..., ::-1, :0:-1]
+    block[..., :K].real = ux.real + uy.imag
+    block[..., :K].imag = uy.real - ux.imag
+    cols = w[..., lo:hi]
+    np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
+    return np.fft.ifft(w, axis=-1, norm="forward", out=w)
+
+
 def self_advection_assembled(grid, u: np.ndarray) -> np.ndarray:
     """Curl-form self-advection with the weights applied to the whole mode
     square: the packed square Q of w = u_x + i u_y, both halves, is combined

@@ -1,6 +1,7 @@
 """Rate functional, thresholds, Monte Carlo estimators, moment suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from snse_lab.spectral import (
     half_spectrum,
     random_solenoidal_field,
     single_mode_field,
+    taylor_green,
 )
 
 import helpers
@@ -541,6 +543,27 @@ class TestConditionalProbe:
         row = fw_conditional_probe(h, fw, cfg, seed).rows[0]
         assert 0.0 < row["increment_p_hat"] < 1.0
         assert row["increment_p_hat"] == np.sum(stats > threshold) / n
+
+    def test_fw_k10_peak_traced_allocation(self):
+        # the fw-k10 benchmark's shape: K=10, 16 steps, 256 paths at each of
+        # two epsilons, dyadic depth 2, stepped in chunks of 64 paths:
+        # 4.65 MB peak traced allocation on numpy 2.4 (12.78 MB in chunks of
+        # 256 paths); pinned with 5% margin
+        g = default_grid(10)
+        cfg = SimConfig(grid=g, noise=NoiseModel(grid=g), horizon=16e-3, dt=1e-3,
+                        epsilon=1e-3, initial=taylor_green(g), nonlinear=True,
+                        record_stride=1)
+        fw = FWConfig(rho=0.15, eta=10.0, target_exponent=0.5, increment_threshold=0.085,
+                      dyadic_depth=2, eps_grid=(1e-4, 1e-3), n_samples=256)
+        h = zero_control(cfg.noise, cfg.horizon, cfg.n_steps)
+        fw_conditional_probe(h, fw, cfg, seed=1)  # caches and FFT plans outside the trace
+        tracemalloc.start()
+        try:
+            fw_conditional_probe(h, fw, cfg, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 4_646_571
 
     def test_incompatible_dyadic_depth_fails_before_integrating(self, linear_config, noise1,
                                                                 monkeypatch):

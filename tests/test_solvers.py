@@ -631,6 +631,20 @@ def _count_calls_by_caller(monkeypatch, module, *names):
     return calls
 
 
+def _advection_batches(monkeypatch) -> list:
+    """Wrap solvers.advection_array so that each call appends its batch, the
+    product of u's leading axes, to the returned list."""
+    batches = []
+    advect = solvers.advection_array
+
+    def spy(grid, u, v):
+        batches.append(math.prod(u.shape[:-3]))
+        return advect(grid, u, v)
+
+    monkeypatch.setattr(solvers, "advection_array", spy)
+    return batches
+
+
 class _Recorder:
     """Copies of every hook input of one batch."""
 
@@ -709,6 +723,41 @@ class TestHalfSpectrumStepper:
         monkeypatch.setattr(solvers, "_CHUNK_PATHS", 7)
         ensemble_run(cfg, 0, 9, lambda: TrajectoryObserver(cfg))
         assert batches == ([7] * 3 + [2] * 3 if nonlinear else [])
+
+    @pytest.mark.parametrize("K, chunks", [(10, [64] * 4), (2, [256])])
+    def test_chunks_sized_by_the_padded_array(self, monkeypatch, K, chunks):
+        # a chunk holds as many paths as fill _CHUNK_BYTES (1 MiB) with one
+        # padded (N, N) complex array of the self-advection each, at most
+        # 256: 64 at K=10 (N=32), so a 256-path ensemble advects in four
+        # batches per step, and all 256 at K=2 (N=8)
+        g = default_grid(K)
+        cfg = SimConfig(
+            grid=g, noise=NoiseModel(grid=g), horizon=2e-3, dt=1e-3, epsilon=1e-2,
+            initial=random_solenoidal_field(g, np.random.default_rng(1), amplitude=0.5),
+            nonlinear=True,
+        )
+        batches = _advection_batches(monkeypatch)
+        ensemble_run(cfg, 0, 256, lambda: TrajectoryObserver(cfg))
+        assert batches == [n for n in chunks for _ in range(cfg.n_steps)]
+
+    @pytest.mark.parametrize("family", ["additive", "saturated"])
+    def test_k10_output_independent_of_the_working_set_chunk(self, monkeypatch, family):
+        # 150 paths at K=10 step in chunks of 64, 64 and 22, and give the
+        # same per-path output, bit for bit, as one chunk of all 150
+        g = default_grid(10)
+        cfg = SimConfig(
+            grid=g, noise=NoiseModel(grid=g, family=family), horizon=3e-3, dt=1e-3,
+            epsilon=1e-2, nonlinear=True,
+            initial=random_solenoidal_field(g, np.random.default_rng(2), amplitude=0.5),
+        )
+        batches = _advection_batches(monkeypatch)
+        outputs = []
+        for budget, chunks in ((solvers._CHUNK_BYTES, [64, 64, 22]), (150 * 32**2 * 16, [150])):
+            monkeypatch.setattr(solvers, "_CHUNK_BYTES", budget)
+            batches.clear()
+            outputs.append(ensemble_run(cfg, 4, 150, lambda: TrajectoryObserver(cfg)))
+            assert batches == [n for n in chunks for _ in range(cfg.n_steps)]
+        _assert_identical(*outputs)
 
 
 def _fast_path(cfg, seed, path):

@@ -34,6 +34,7 @@ from snse_lab.spectral import (
     zero_field,
     TWO_PI,
     _curl_form,
+    _padded_values,
 )
 
 from snse_lab.verification import advection_gradient_form
@@ -410,6 +411,16 @@ class TestCurlFormSelfAdvection:
         oracle = helpers.self_advection_half_spectrum(g, u)
         ours = advection_array(g, u, u)
         assert np.max(np.abs(ours - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("K, N", GRIDS)
+    @pytest.mark.parametrize("batch", [1, 16, 64, 256])
+    def test_padded_values_match_fill_by_parts(self, rng, K, N, batch):
+        # the block filled from u_x + i u_y and the mirrored conj(u_x - i u_y),
+        # each formed on the contiguous half, holds the same values as one
+        # filled a real or imaginary part at a time
+        g = SpectralGrid(K, N)
+        u = half_spectrum(_solenoidal_batch(g, rng, batch))
+        assert np.array_equal(_padded_values(g, u), helpers.padded_values_by_parts(g, u))
 
     def test_half_weights_are_read_only_column_blocks(self):
         # alpha, beta and (ky, -kx) on the kx >= 0 columns, and the phase
