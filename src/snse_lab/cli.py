@@ -147,11 +147,12 @@ def _dispatch(data: dict, out_dir: str, seed: int, workers: int, outputs: list[s
             n_samples=exp.get("samples", 1000),
             seed=seed,
             ledger=ledger,
+            workers=workers,
         )
         report("mdp_scaling_report.json", rep)
     elif kind == "fw-probe":
         control = build_control(exp.get("control"), noise, sim)
-        rep = fw_conditional_probe(control, run.fw, sim, seed, ledger=ledger)
+        rep = fw_conditional_probe(control, run.fw, sim, seed, ledger=ledger, workers=workers)
         report("fw_report.json", rep)
     elif kind == "moments":
         rep = moment_bound_suite(
@@ -163,6 +164,7 @@ def _dispatch(data: dict, out_dir: str, seed: int, workers: int, outputs: list[s
             ledger=ledger,
             control=build_control(exp.get("control"), noise, sim),
             with_remainder=exp.get("with_remainder", False),
+            workers=workers,
         )
         report("moments_report.json", rep)
     elif kind == "lil-strassen":
@@ -400,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help=f"override the config seed; ${ENV_SEED} if unset")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for replicate-level fan-out; "
-                            f"${ENV_WORKERS} if unset")
+                       help="threads for the Monte Carlo kinds, one ensemble (epsilon "
+                            f"or schedule index) each; ${ENV_WORKERS} if unset")
         p.add_argument("--out", default=None, help="override the output directory")
         p.set_defaults(fn=cmd_run, experiment=experiment)
 

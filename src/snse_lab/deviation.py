@@ -31,7 +31,6 @@ from .solvers import (
     LOGLOG_LIMIT,
     SimConfig,
     Trajectory,
-    ensemble_run,
     lil_a,
     lil_lambda,
     loglog,
@@ -44,6 +43,7 @@ from .solvers import (
     _ShiftedObserver,
     _blowup_guard,
     _control_fields,
+    _epsilon_ensembles,
     _guard_scale,
     _initial_coeffs,
     _require_solver_grid,
@@ -554,6 +554,7 @@ def mdp_scaling_probe(
     n_samples: int,
     seed: int,
     ledger: ConstantsLedger = ConstantsLedger(),
+    workers: int = 1,
 ) -> ScalingReport:
     """Tabulate a(eps)^2 log P(||v^eps||_E >= r) across the grid.
 
@@ -563,16 +564,17 @@ def mdp_scaling_probe(
     curve is exactly monotone in the threshold.  In the linear regime the
     optimizer surrogate for the cheapest rate in the event is included and the
     gap between the two curves is reported.  Every epsilon must pass
-    `ledger.require`; `ledger` defaults to the default constants.
+    `ledger.require`; `ledger` defaults to the default constants.  The
+    epsilons' ensembles run on up to `workers` threads (`_epsilon_ensembles`).
     """
     eps_grid = sorted(float(e) for e in eps_grid)
     ledger.require(eps_grid)
     u0 = solve_deterministic(replace(config, record_stride=1))
+    outs = _epsilon_ensembles(config, eps_grid, seed, n_samples,
+                              lambda cfg: DiffEnergyObserver(cfg, u0.frames), workers)
     rows = []
-    for eps in reversed(eps_grid):  # largest to smallest
+    for eps, out in zip(eps_grid, outs):
         a = a_spec.value(eps)
-        cfg = config.with_epsilon(eps)
-        out = ensemble_run(cfg, seed, n_samples, lambda: DiffEnergyObserver(cfg, u0.frames))
         dist = np.sqrt(out["diff_energy_sq"])
         scaled = (a / math.sqrt(eps)) * dist
         if radius <= 0.0:
@@ -592,7 +594,6 @@ def mdp_scaling_probe(
                 "a2_log_p": y,
             }
         )
-    rows.reverse()  # ascending epsilon
     neg_rate = None
     gaps = None
     gap_monotone = None
@@ -703,11 +704,13 @@ def fw_conditional_probe(
     config: SimConfig,
     seed: int,
     ledger: ConstantsLedger = ConstantsLedger(),
+    workers: int = 1,
 ) -> FWReport:
     """Estimate the probability that the rescaled fluctuation strays from the
     steered path while the rescaled noise stays near the control, per epsilon,
     against the exponential comparison bound.  Every epsilon must pass
-    `ledger.require`; `ledger` defaults to the default constants."""
+    `ledger.require`; `ledger` defaults to the default constants.  The
+    epsilons' ensembles run on up to `workers` threads (`_epsilon_ensembles`)."""
     eps_grid = sorted(fw.eps_grid)
     ledger.require(eps_grid)
     rec_steps = _RecordingGrid(config.n_steps, config.record_stride).steps
@@ -716,15 +719,11 @@ def fw_conditional_probe(
     x_traj = solve_skeleton(h, u0, config)
     times = config.dt * np.arange(config.n_steps + 1)
     h_prim = h.cumulative(times)
+    outs = _epsilon_ensembles(config, eps_grid, seed, fw.n_samples, lambda cfg: (
+        _ConditionalObserver(cfg, u0.frames, x_traj.frames, h_prim, cfg.epsilon, per_cell)
+    ), workers)
     rows = []
-    for eps in eps_grid:
-        cfg = config.with_epsilon(eps)
-        out = ensemble_run(
-            cfg,
-            seed,
-            fw.n_samples,
-            lambda: _ConditionalObserver(cfg, u0.frames, x_traj.frames, h_prim, eps, per_cell),
-        )
+    for eps, out in zip(eps_grid, outs):
         dist = np.sqrt(out["dist_sq"])
         close = np.sqrt(out["w_close_sq"])
         joint = (dist > fw.rho) & (close < fw.eta)
@@ -901,6 +900,7 @@ def moment_bound_suite(
     ledger: ConstantsLedger = ConstantsLedger(),
     control: Control | None = None,
     with_remainder: bool = False,
+    workers: int = 1,
 ) -> MomentReport:
     """Empirical expectations of every moment functional, regressed in epsilon.
 
@@ -913,7 +913,8 @@ def moment_bound_suite(
     constant sup_eps mean / eps^stated.  Deterministic quantities
     (the zero-noise solution and steered-path bounds) are single numbers.
     Every epsilon must pass `ledger.require` for the orders p_list and 1;
-    `ledger` defaults to the default constants.
+    `ledger` defaults to the default constants.  The epsilons' ensembles run
+    on up to `workers` threads (`_epsilon_ensembles`).
     """
     eps_grid = sorted(float(e) for e in eps_grid)
     p_list = sorted(set([1.0] + [float(p) for p in p_list]))
@@ -936,21 +937,20 @@ def moment_bound_suite(
         return out[prefix + "sup"][:, col[p]] + out[prefix + "int"][:, col[p]]
 
     h_field = _control_fields(h, config)
-    for eps in eps_grid:
-        cfg = config.with_epsilon(eps)
 
-        def observers():
-            children = {
-                "": _MomentObserver(cfg, orders, u0_full.frames),
-                "shifted_": _ShiftedObserver(
-                    cfg, h_field, u0_full.frames, _MomentObserver(config, orders)
-                ),
-            }
-            if with_remainder:
-                children["remainder_"] = _RemainderObserver(cfg, u0_full.frames)
-            return _FanOutObserver(children)
+    def observers(cfg):
+        children = {
+            "": _MomentObserver(cfg, orders, u0_full.frames),
+            "shifted_": _ShiftedObserver(
+                cfg, h_field, u0_full.frames, _MomentObserver(config, orders)
+            ),
+        }
+        if with_remainder:
+            children["remainder_"] = _RemainderObserver(cfg, u0_full.frames)
+        return _FanOutObserver(children)
 
-        out = ensemble_run(cfg, seed, n_samples, observers)
+    outs = _epsilon_ensembles(config, eps_grid, seed, n_samples, observers, workers)
+    for eps, out in zip(eps_grid, outs):
         add_row("state_sup_sq_plus_int", eps, None, moment(out, "", 1.0))
         add_row("state_fourth_moment", eps, None, moment(out, "", 2.0))
         add_row("deviation_sup_sq_plus_int", eps, None, out["sup_d2"] + out["int_dv2"])

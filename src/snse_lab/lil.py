@@ -21,18 +21,17 @@ import numpy as np
 
 from .deviation import DiffEnergyObserver, energy_distance
 from .noise import Control, control_energy
-from .rng import substream
 from .solvers import (
     LOGLOG_LIMIT,
     ParameterError,
     SimConfig,
     Trajectory,
     combine_trajectories,
-    ensemble_run,
     lil_lambda,
     skeleton_forward,
     solve_deterministic,
     _require_solver_grid,
+    _epsilon_ensembles,
     _skeleton_trajectories,
 )
 
@@ -190,58 +189,25 @@ class ClusterReport:
     running_max_distance: float
 
 
-def _replicate_sq_distances(args) -> list[np.ndarray]:
-    """Squared distances of a group of replicates at each schedule intensity,
-    one (len(reps), ...) array per intensity from one ensemble over the
-    group.  Replicate reps[i] is path i and draws its scaffold of normals
-    from substream(seed, reps[i]) afresh at each intensity: the scaffold is
-    rescaled, not redrawn, and not held between intensities."""
-    config, u0_frames, epsilons, scales, targets, seed, reps = args
-    out = []
-    for eps, scale in zip(epsilons, scales):
-        cfg = config.with_epsilon(eps)
-        res = ensemble_run(
-            cfg, seed, len(reps), lambda: DiffEnergyObserver(cfg, u0_frames, scale, targets),
-            normal_source=lambda i: substream(seed, reps[i]),
-        )
-        out.append(res["diff_energy_sq"])
-    return out
-
-
 def _schedule_study(schedule, config, n_reps, seed, workers, scale_of, targets=None, u0_traj=None):
     """(replicate, j, epsilon, squared trajectory norm of scale_of(eps) * (u - u0),
     or its squared distance to each target), ordered by replicate, then j.
     u0_traj is the deterministic limit at every step, solved here when None.
 
-    The replicates split into min(workers, n_reps) contiguous groups, one
-    process each when there are several; a group steps all its replicates
-    as one ensemble per schedule index.  A replicate's values depend on its
-    index alone, not on its group."""
+    Each schedule index steps all the replicates as one ensemble, the
+    indices on up to `workers` threads.  Replicate r is path r and draws
+    its scaffold of normals from substream(seed, r) afresh at each index:
+    the scaffold is rescaled, not redrawn, and not held between indices."""
     if u0_traj is None:
         u0_traj = solve_deterministic(replace(config, record_stride=1))
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
-    u0_frames = u0_traj.frames
     epsilons = [schedule.epsilon(j) for j in schedule.indices]
-    scales = [scale_of(eps) for eps in epsilons]
-    n_groups = min(workers, n_reps)
-    args = [
-        (config, u0_frames, epsilons, scales, targets, seed,
-         range(g * n_reps // n_groups, (g + 1) * n_reps // n_groups))
-        for g in range(n_groups)
-    ]
-    if len(args) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(args)) as pool:
-            per_group = list(pool.map(_replicate_sq_distances, args))
-    else:
-        per_group = [_replicate_sq_distances(a) for a in args]
-    # one (n_reps, ...) array per schedule index
-    per_index = [np.concatenate(sq) for sq in zip(*per_group)]
+    outs = _epsilon_ensembles(config, epsilons, seed, n_reps, lambda cfg: DiffEnergyObserver(
+        cfg, u0_traj.frames, scale_of(cfg.epsilon), targets), workers)
     return [
-        (rep, j, eps, sq[rep])
+        (rep, j, eps, out["diff_energy_sq"][rep])
         for rep in range(n_reps)
-        for j, eps, sq in zip(schedule.indices, epsilons, per_index)
+        for j, eps, out in zip(schedule.indices, epsilons, outs)
     ]
 
 
@@ -259,11 +225,11 @@ def strassen_cluster_study(
     Each replicate reuses one underlying Brownian scaffold across all schedule
     indices (the noise is rescaled, not redrawn), mirroring the geometric
     coupling of the schedule and reducing cross-index variance.  The
-    replicates are stepped as one ensemble per schedule index, split into
-    at most `workers` contiguous groups run in parallel; each replicate's
-    row depends on its index alone, so the rows do not depend on the worker
-    count.  u0_traj, the deterministic limit recorded at every step (as the
-    probe was built from), is solved when None.
+    replicates are stepped as one ensemble per schedule index, the indices
+    on up to `workers` threads; each replicate's row depends on its index
+    alone, so the rows do not depend on the worker count.  u0_traj, the
+    deterministic limit recorded at every step (as the probe was built
+    from), is solved when None.
     """
     study = _schedule_study(
         schedule, config, n_reps, seed, workers, lambda e: 1.0 / lil_lambda(e), probe.frames,
@@ -317,8 +283,9 @@ def classical_ratio_study(
     """Normalized deviation ratios along the schedule: per-replicate running
     extremes, per-index quantiles, and the regression trend in the index.
 
-    The report presents the observed trend only; it asserts no limit values
-    for the ratio.
+    The schedule indices' ensembles run on up to `workers` threads.  The
+    report presents the observed trend only; it asserts no limit values for
+    the ratio.
     """
     rows = []
     for rep, j, eps, d2 in _schedule_study(schedule, config, n_reps, seed, workers, lambda e: 1.0):

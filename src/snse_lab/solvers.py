@@ -304,10 +304,10 @@ class _RecordingGrid:
         return None
 
 
-# bytes of scattered noise formed per call of the stepper: 256 full states
-# of K = 10 (3.6 MB), 4 steps of a 64-path chunk, the largest at K = 10;
-# a chunk holds no other normals
-_NOISE_BLOCK_BYTES = 256 * 2 * 21**2 * 16
+# bytes of scattered noise formed per call of the stepper: 256 kx >= 0
+# halves of K = 10, (2, 21, 11) each (1.9 MB), 4 steps of a 64-path chunk,
+# the largest at K = 10; a chunk holds no other normals
+_NOISE_BLOCK_BYTES = 256 * 2 * 21 * 11 * 16
 
 # normals one path's draw call fills in a block: past this size a longer
 # block costs memory and saves no per-call overhead
@@ -317,14 +317,14 @@ _NOISE_BLOCK_DRAW = 512
 def _noise_block_steps(model: NoiseModel, n_paths: int, n_steps: int) -> int:
     """Steps of one noise block of a batch of n_paths paths under model.
 
-    A path-step's scattered noise field, one complex state, is larger than
-    its J <= S^2 - 1 normals, so it alone is held to the byte budget.  A
-    block is also no longer than ceil(_NOISE_BLOCK_DRAW / J) steps, enough
-    for each path's draw call to fill _NOISE_BLOCK_DRAW normals: at K = 10
-    and full J, 2 steps whatever the batch.
+    A path-step's scattered noise field, a (2, S, K + 1) complex half, is
+    larger than its J <= S^2 - 1 normals, so it alone is held to the byte
+    budget.  A block is also no longer than ceil(_NOISE_BLOCK_DRAW / J)
+    steps, enough for each path's draw call to fill _NOISE_BLOCK_DRAW
+    normals: at K = 10 and full J, 2 steps whatever the batch.
     """
-    state_nbytes = 2 * model.grid.n_coeff**2 * 16  # one full state, (2, S, S)
-    by_bytes = _NOISE_BLOCK_BYTES // (n_paths * state_nbytes)
+    half_nbytes = 32 * model.grid.n_coeff * (model.grid.max_wavenumber + 1)  # (2, S, K + 1)
+    by_bytes = _NOISE_BLOCK_BYTES // (n_paths * half_nbytes)
     by_draw = -(-_NOISE_BLOCK_DRAW // model.n_directions)
     return min(n_steps, max(1, min(by_bytes, by_draw)))
 
@@ -771,6 +771,35 @@ def ensemble_run(
         for key, val in obs.finish().items():
             merged.setdefault(key, []).append(val)
     return {k: np.concatenate(v, axis=0) for k, v in merged.items()}
+
+
+# padded transform bytes of an ensemble's paths below which a study's
+# ensembles run on one thread: two threads ran as fast as one at about this
+# size (32 paths at K = 4, 8 at K = 10) and half as fast at 4 paths
+_THREAD_MIN_BYTES = 128 * 1024
+
+
+def _epsilon_ensembles(config: SimConfig, epsilons: list, seed: int, n_paths: int,
+                       observer_factory: Callable, workers: int = 1) -> list[dict]:
+    """The `ensemble_run` of config.with_epsilon(eps) for each eps, observed
+    by observer_factory(that config), in the order of epsilons.  They are
+    independent, so they run on min(workers, len(epsilons)) threads when
+    their paths hold _THREAD_MIN_BYTES of transform; numpy's transforms and
+    loops release the GIL.  The allocator policy is set first: its cache
+    does not lock a first call."""
+
+    def run(eps):
+        cfg = config.with_epsilon(eps)
+        return ensemble_run(cfg, seed, n_paths, lambda: observer_factory(cfg))
+
+    n_threads = min(workers, len(epsilons))
+    if n_threads <= 1 or n_paths * config.grid.physical_resolution**2 * 16 < _THREAD_MIN_BYTES:
+        return [run(eps) for eps in epsilons]
+    from concurrent.futures import ThreadPoolExecutor
+
+    _reuse_step_memory()
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        return list(pool.map(run, epsilons))
 
 
 class TrajectoryObserver:

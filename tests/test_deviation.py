@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snse_lab import deviation, solvers
+from snse_lab import solvers
 from snse_lab.deviation import (
     ASpec,
     AdmissibilityError,
@@ -570,7 +570,7 @@ class TestConditionalProbe:
         def no_run(*args, **kwargs):
             raise AssertionError("ensemble_run called")
 
-        monkeypatch.setattr(deviation, "ensemble_run", no_run)
+        monkeypatch.setattr(solvers, "ensemble_run", no_run)
         # more cells than recorded steps, then a cell count that does not divide them
         for depth in (12, 3):
             fw = FWConfig(rho=1.0, eta=1.0, target_exponent=0.5, increment_threshold=1.0,
@@ -677,7 +677,6 @@ class TestMomentSuite:
             return ensemble_run(config, *rest, **kwargs)
 
         monkeypatch.setattr(solvers, "ensemble_run", spy)
-        monkeypatch.setattr(deviation, "ensemble_run", spy)
         rep = moment_bound_suite(*args, control=h, with_remainder=with_remainder)
         assert epsilons == [1e-4, 1e-3]
         assert rep.rows == expected

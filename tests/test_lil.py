@@ -261,21 +261,27 @@ class TestClusterStudy:
         rep = strassen_cluster_study(sched, probe, 1, cfg, seed=6)
         assert len(rep.rows) == 2
 
-    def test_workers_do_not_change_results(self, study_setup):
+    def test_workers_do_not_change_results(self, study_setup, monkeypatch):
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
         probe = build_probe(cfg, u0_full, n_shapes=1, tolerance=0.5)
         sched = GeometricSchedule(base=2.0, j_min=8, j_max=9)
-        for n_reps in (2, 5):  # 5 replicates over 2 workers: uneven task chunks
+        # 2 schedule indices, one thread each at 2 workers and at 3, one
+        # more worker than indices, however few the replicates
+        monkeypatch.setattr(solvers, "_THREAD_MIN_BYTES", 0)
+        for n_reps in (2, 5):
             a = strassen_cluster_study(sched, probe, n_reps, cfg, seed=7, workers=1)
-            b = strassen_cluster_study(sched, probe, n_reps, cfg, seed=7, workers=2)
-            assert a.rows == b.rows
+            for workers in (2, 3):
+                b = strassen_cluster_study(sched, probe, n_reps, cfg, seed=7, workers=workers)
+                assert a.rows == b.rows, (n_reps, workers)
 
     @pytest.mark.parametrize("kind", ["strassen", "classical"])
     @pytest.mark.parametrize("nonlinear", [False, True])
     def test_rows_independent_of_workers_and_chunk(self, monkeypatch, kind, nonlinear):
-        # 5 replicates in 1, 2 and 3 groups (5, 2/3 and 1/2/2 replicates per
-        # ensemble) and at 1, 7 and 256 paths per ensemble chunk: every row
+        # 5 replicates as one ensemble per schedule index, the 3 indices on
+        # 1, 2 (two threads share three indices), 3 and 4 workers (more than
+        # indices), and at 1, 7 and 256 paths per ensemble chunk: every row
         # is bit for bit the same
+        monkeypatch.setattr(solvers, "_THREAD_MIN_BYTES", 0)
         g = default_grid(2)
         m = NoiseModel(grid=g, num_directions=3)
         cfg = SimConfig(grid=g, noise=m, horizon=0.02, dt=1e-3,
@@ -297,7 +303,7 @@ class TestClusterStudy:
 
         expected = table(study(1))
         assert expected.shape[0] == 15
-        for workers in (2, 3):
+        for workers in (2, 3, 4):
             assert np.array_equal(table(study(workers)), expected), workers
         for chunk in (1, 7):
             monkeypatch.setattr(solvers, "_CHUNK_PATHS", chunk)
@@ -420,13 +426,17 @@ class TestRatioStudy:
             se = math.sqrt(q * (1 - q) / n_study)
             assert abs(f_hat - q) <= 3.0 * se + 0.5 / n_study
 
-    def test_workers_do_not_change_results(self, study_setup):
+    def test_workers_do_not_change_results(self, study_setup, monkeypatch):
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
         sched = GeometricSchedule(base=2.0, j_min=8, j_max=9)
-        for n_reps in (2, 5):  # 5 replicates over 2 workers: uneven task chunks
+        # 2 schedule indices, one thread each at 2 workers and at 3, one
+        # more worker than indices, however few the replicates
+        monkeypatch.setattr(solvers, "_THREAD_MIN_BYTES", 0)
+        for n_reps in (2, 5):
             a = classical_ratio_study(sched, n_reps, cfg, seed=11, workers=1)
-            b = classical_ratio_study(sched, n_reps, cfg, seed=11, workers=2)
-            assert a.rows == b.rows
+            for workers in (2, 3):
+                b = classical_ratio_study(sched, n_reps, cfg, seed=11, workers=workers)
+                assert a.rows == b.rows, (n_reps, workers)
 
 
 def _ratio_oracle(cfg, model, eps, n_paths, seed):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import threading
 import tracemalloc
 from dataclasses import asdict, replace
 from types import SimpleNamespace
@@ -10,13 +11,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from snse_lab import deviation, lil, solvers
+from snse_lab import deviation, solvers
 from snse_lab.deviation import (
+    ASpec,
     DiffEnergyObserver,
     FWConfig,
     _MomentObserver,
     _RemainderObserver,
     fw_conditional_probe,
+    mdp_scaling_probe,
     moment_bound_suite,
 )
 from snse_lab.lil import GeometricSchedule, build_probe, classical_ratio_study
@@ -310,15 +313,15 @@ class TestStochasticSolve:
             tracemalloc.stop()
 
     def test_step_peak_traced_allocation(self):
-        # one batch-64, K=10, 8-step run: 9.46 MB peak traced allocation on
-        # numpy 2.4, reached outside the self-advection; pinned with 5% margin
-        assert self._traced_peak(8) <= 1.05 * 9_455_200
+        # one batch-64, K=10, 8-step run: 3.58 MB peak traced allocation on
+        # numpy 2.4 (3,576,104 to 3,576,584 B); pinned with 5% margin
+        assert self._traced_peak(8) <= 1.05 * 3_576_600
 
     def test_peak_traced_allocation_independent_of_horizon(self):
         # the normals are drawn one noise block at a time, so a chunk holds
         # the same memory at both horizons: at K=10 a 64-path block is 2
         # steps, at K=1 it is 64 (512 normals over 8 directions; its byte
-        # budget is 196), and the K=1 horizons span 7 and 49 blocks
+        # budget is 154), and the K=1 horizons span 7 and 49 blocks
         for K, short_steps, long_steps in ((10, 8, 128), (1, 392, 3136)):
             short = self._traced_peak(short_steps, K)
             long = self._traced_peak(long_steps, K)
@@ -326,22 +329,22 @@ class TestStochasticSolve:
 
     @pytest.mark.parametrize("K, n_dirs, n_paths, n_steps, block", [
         (10, None, 256, 16, 1), (10, None, 16, 64, 2), (10, None, 1, 64, 2),
-        (10, None, 1, 2, 2), (1, 2, 256, 1000, 49), (2, None, 256, 40, 17),
+        (10, None, 1, 2, 2), (1, 2, 256, 1000, 38), (2, None, 256, 40, 15),
         (3, 48, 9, 20, 11),
     ], ids=["fw-k10", "k10-batch-16", "k10-batch-1", "k10-batch-1-2-steps",
             "k1-j2-batch-256", "k2-batch-256", "k3-j48-batch-9"])
     def test_noise_block_steps(self, K, n_dirs, n_paths, n_steps, block):
-        # a block holds at most 256 states of K=10 of noise field and no more
-        # steps than fill 512 normals per path: the byte budget binds on the
-        # wide batches, the draw at K=10 below batch 256 and at K=3
+        # a block holds at most 256 kx >= 0 halves of K=10 of noise field and
+        # no more steps than fill 512 normals per path: the byte budget binds
+        # on the wide batches, the draw at K=10 below batch 256 and at K=3
         model = NoiseModel(grid=default_grid(K), num_directions=n_dirs)
         assert solvers._noise_block_steps(model, n_paths, n_steps) == block
 
     def test_small_grid_draws_normals_by_the_block(self, grid1, noise1, monkeypatch):
         # a noise block is sized in bytes: at K=1 a 256-path block holds
-        # 3612672 // (256 * 288) = 49 steps (under the 256 steps that fill
-        # 512 normals of 2 directions), so each path of a 1000-step chunk
-        # draws its normals in 21 calls, not in one call per step
+        # 1892352 // (256 * 192) = 38 steps of halves (under the 256 steps that
+        # fill 512 normals of 2 directions), so each path of a 1000-step
+        # chunk draws its normals in 27 calls, not in one call per step
         cfg = SimConfig(grid=grid1, noise=noise1, horizon=1.0, dt=1e-3, epsilon=1e-2,
                         initial=single_mode_field(grid1, (1, 0), (0.0, 1.0)), nonlinear=False)
         u0 = solve_deterministic(cfg)
@@ -356,8 +359,8 @@ class TestStochasticSolve:
         monkeypatch.setattr(
             solvers, "substream", lambda seed, i: Counting(substream(seed, i).bit_generator))
         out = ensemble_run(cfg, 3, 256, lambda: DiffEnergyObserver(cfg, u0.frames))
-        assert len(calls) == 256 * 21
-        assert sorted(set(calls)) == [(20, 2), (49, 2)]
+        assert len(calls) == 256 * 27
+        assert sorted(set(calls)) == [(12, 2), (38, 2)]
         _assert_identical(out, expected)
 
     @pytest.mark.parametrize("glibc", [True, False], ids=["glibc", "other-libc"])
@@ -539,17 +542,26 @@ class TestStochasticSolve:
 _ENSEMBLE_KINDS = [
     "ensemble_run", "diff_energy_observer", "mc_probability",
     "fw_conditional_probe", "shifted_observer", "remainder_observer",
-    "moment_bound_suite", "lil_schedule_study", "solve_snse",
+    "moment_bound_suite", "mdp_scaling_probe", "lil_schedule_study", "solve_snse",
 ]
+
+# the kinds that take `workers`: one ensemble per epsilon or schedule index
+_WORKER_KINDS = {
+    "fw_conditional_probe", "moment_bound_suite", "mdp_scaling_probe", "lil_schedule_study",
+}
 
 
 def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
     """Run one ensemble entry point at chunk 1, 7 and 256 paths, each with
     noise blocks of 1, 7 and 256 path-steps, and assert that every per-path
-    output of every ensemble it runs is identical.  The LIL schedule study
-    feeds its one-path ensembles through normal_source; solve_snse, the
-    verify suite's solver, runs no ensemble and is compared on its result."""
+    output of every ensemble it runs is identical.  The kinds that take
+    `workers` run on two-entry epsilon grids (two schedule indices) at
+    1, 2 and 3 workers as well, on threads whatever the ensemble's size;
+    their ensembles may finish in any order, so they are compared by
+    epsilon.  solve_snse, the verify suite's solver, runs no ensemble and
+    is compared on its result."""
     eps, seed, n = 1e-2, 8, 9
+    eps_grid = [eps, 5e-3]
     grid = noise.grid
     cfg = SimConfig(
         grid=grid, noise=noise, horizon=n_steps * 1e-3, dt=1e-3, epsilon=eps,
@@ -560,45 +572,57 @@ def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
     h = Control(noise, cfg.horizon, np.random.default_rng(4).standard_normal(
         (4, noise.n_directions)))
     fw = FWConfig(rho=0.18, eta=0.9, target_exponent=0.5, increment_threshold=0.01,
-                  dyadic_depth=1, eps_grid=(eps,), n_samples=n)
+                  dyadic_depth=1, eps_grid=tuple(eps_grid), n_samples=n)
     runs = {
-        "ensemble_run": lambda: solvers.ensemble_run(
+        "ensemble_run": lambda w: solvers.ensemble_run(
             cfg, seed, n, lambda: TrajectoryObserver(cfg)),
-        "diff_energy_observer": lambda: solvers.ensemble_run(
+        "diff_energy_observer": lambda w: solvers.ensemble_run(
             cfg, seed, n, lambda: DiffEnergyObserver(cfg, u0.frames)),
-        "mc_probability": lambda: asdict(mc_probability(
+        "mc_probability": lambda w: asdict(mc_probability(
             lambda tr: tr.h2[-1] > u0.h2[-1], eps, n, cfg, seed)),
-        "fw_conditional_probe": lambda: asdict(fw_conditional_probe(h, fw, cfg, seed)),
-        "shifted_observer": lambda: shifted_ensemble(
+        "fw_conditional_probe": lambda w: asdict(fw_conditional_probe(
+            h, fw, cfg, seed, workers=w)),
+        "shifted_observer": lambda w: shifted_ensemble(
             cfg, h, eps, u0.frames, seed, n, lambda: _MomentObserver(cfg, [1.0, 2.0])),
-        "remainder_observer": lambda: solvers.ensemble_run(
+        "remainder_observer": lambda w: solvers.ensemble_run(
             cfg, seed, n, lambda: _RemainderObserver(cfg, u0.frames)),
-        "moment_bound_suite": lambda: asdict(moment_bound_suite(
-            [eps], [2.0], n, cfg, seed, control=h, with_remainder=True)),
-        "lil_schedule_study": lambda: asdict(classical_ratio_study(
-            GeometricSchedule(base=2.0, j_min=7, j_max=8), 3, cfg, seed)),
-        "solve_snse": lambda: asdict(solve_snse(cfg, seed)),
+        "moment_bound_suite": lambda w: asdict(moment_bound_suite(
+            eps_grid, [2.0], n, cfg, seed, control=h, with_remainder=True, workers=w)),
+        # at radius 0.19 the two epsilons' hit counts differ (3 and 2 of 9
+        # additive, 8 and 7 saturated), so a row built from the other
+        # epsilon's ensemble would show
+        "mdp_scaling_probe": lambda w: asdict(mdp_scaling_probe(
+            0.19, eps_grid, ASpec("lil"), cfg, n, seed, workers=w)),
+        "lil_schedule_study": lambda w: asdict(classical_ratio_study(
+            GeometricSchedule(base=2.0, j_min=7, j_max=8), 3, cfg, seed, workers=w)),
+        "solve_snse": lambda w: asdict(solve_snse(cfg, seed)),
     }
-    captured = []
+    captured = {}
 
-    def spy(*args, **kwargs):
-        captured.append(ensemble_run(*args, **kwargs))
-        return captured[-1]
+    def spy(config, *args, **kwargs):
+        out = ensemble_run(config, *args, **kwargs)
+        captured.setdefault(config.epsilon, []).append(out)
+        return out
 
-    for module in (solvers, deviation, lil):
-        monkeypatch.setattr(module, "ensemble_run", spy)
+    monkeypatch.setattr(solvers, "ensemble_run", spy)
+    monkeypatch.setattr(solvers, "_THREAD_MIN_BYTES", 0)
     outputs = []
-    path_step_nbytes = 2 * grid.n_coeff**2 * 16  # one path-step's noise field
-    for chunk, block in itertools.product((1, 7, 256), (1, 7, 256)):
+    # one path-step's noise field, a (2, S, K + 1) half
+    path_step_nbytes = 2 * grid.n_coeff * (grid.max_wavenumber + 1) * 16
+    workers = (1, 2, 3) if kind in _WORKER_KINDS else (1,)
+    for w, chunk, block in itertools.product(workers, (1, 7, 256), (1, 7, 256)):
         monkeypatch.setattr(solvers, "_CHUNK_PATHS", chunk)
         monkeypatch.setattr(solvers, "_NOISE_BLOCK_BYTES", block * path_step_nbytes)
         captured.clear()
-        result = runs[kind]()
+        result = runs[kind](w)
         assert captured or kind == "solve_snse"
+        if kind in _WORKER_KINDS:
+            assert len(captured) == 2 and all(len(c) == 1 for c in captured.values())
         if kind == "fw_conditional_probe":
             # per-path statistics only: no ensemble returns recorded frames
-            assert all(v.ndim <= 2 for out in captured for v in out.values())
-        outputs.append((result, list(captured)))
+            assert all(v.ndim <= 2 for c in captured.values() for out in c
+                       for v in out.values())
+        outputs.append((result, dict(sorted(captured.items()))))
     for other in outputs[1:]:
         _assert_identical(outputs[0], other)
 
@@ -1040,6 +1064,54 @@ class TestTrajectoryCombinators:
         assert len(trajs) == 3
         single = solve_snse(cfg, seed=8)  # path 0 uses substream(seed, 0)
         np.testing.assert_array_equal(trajs[0].frames, single.frames)
+
+
+class TestEpsilonEnsembles:
+    EPSILONS = [1e-2, 5e-3, 2e-3]
+
+    @staticmethod
+    def _run(monkeypatch, noise, n_paths, workers):
+        """Outputs, thread pool sizes and the threads that made observers."""
+        import concurrent.futures
+
+        sizes, threads = [], set()
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        cfg = SimConfig(grid=noise.grid, noise=noise, horizon=0.01, dt=1e-3, record_stride=5,
+                        initial=random_solenoidal_field(noise.grid, np.random.default_rng(2)))
+
+        def factory(c):
+            threads.add(threading.get_ident())
+            return TrajectoryObserver(c)
+
+        outs = solvers._epsilon_ensembles(cfg, TestEpsilonEnsembles.EPSILONS, 4, n_paths,
+                                          factory, workers)
+        return outs, sizes, threads
+
+    def test_small_ensembles_run_inline(self, noise3, monkeypatch):
+        # K=3 (N=11): 9 paths hold 9 * 11**2 * 16 = 17 KB of transform, under
+        # 128 KiB, so at 3 workers every ensemble still runs on this thread
+        outs, sizes, threads = self._run(monkeypatch, noise3, 9, 3)
+        assert sizes == [] and threads == {threading.get_ident()}
+        _assert_identical(outs, self._run(monkeypatch, noise3, 9, 1)[0])
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_threads_capped_by_the_grid(self, noise3, monkeypatch, workers):
+        # 68 paths hold 131 KB, above 128 KiB: the three epsilons run on
+        # min(workers, 3) threads, none of them this one, and the outputs
+        # keep the order of the epsilons
+        monkeypatch.setattr(solvers, "_CHUNK_PATHS", 7)
+        outs, sizes, threads = self._run(monkeypatch, noise3, 68, workers)
+        assert sizes == [min(workers, 3)]
+        assert 1 <= len(threads) <= min(workers, 3) and threading.get_ident() not in threads
+        serial, sizes, _ = self._run(monkeypatch, noise3, 68, 1)
+        assert sizes == []
+        _assert_identical(outs, serial)
 
 
 class TestHalfLayout:
