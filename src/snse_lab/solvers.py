@@ -733,14 +733,16 @@ def ensemble_run(
     """Integrate n_paths independent paths, merging per-path observer output.
 
     Path i consumes substream(seed, i) unless normal_source(i) provides its
-    standard normals (used for common-noise couplings across parameter
-    grids): a fresh Generator to draw them from in step order, or their
-    (n_steps, J) array.  Paths are integrated one chunk at a time, full
-    chunks of `_chunk_paths(config.grid)` paths and then the remainder: as
-    many paths as fill _CHUNK_BYTES with the self-advection's padded
-    transform array, at most _CHUNK_PATHS.  A chunk's normals are drawn one
-    noise block at a time (`_integrate_batch`).  The first call sets the
-    process's allocator policy (`_reuse_step_memory`).
+    standard normals: a fresh Generator to draw them from in step order, or
+    their (n_steps, J) array.  No caller in the package passes it: the tests
+    use it to drive paths with given normals, as a step-size convergence
+    check that feeds coarse and fine solves one Brownian path would.
+    Paths are integrated one chunk at a time, full chunks of
+    `_chunk_paths(config.grid)` paths and then the remainder: as many paths
+    as fill _CHUNK_BYTES with the self-advection's padded transform array,
+    at most _CHUNK_PATHS.  A chunk's normals are drawn one noise block at a
+    time (`_integrate_batch`).  The first call sets the process's allocator
+    policy (`_reuse_step_memory`).
     The observer factory is invoked per chunk; each observer must implement
     on_start(prop, n, n_steps), optional on_noise(step, t, coeffs, dW)
     (called with the pre-step state before each noisy step), optional
@@ -773,27 +775,20 @@ def ensemble_run(
     return {k: np.concatenate(v, axis=0) for k, v in merged.items()}
 
 
-# padded transform bytes of an ensemble's paths below which a study's
-# ensembles run on one thread: two threads ran as fast as one at about this
-# size (32 paths at K = 4, 8 at K = 10) and half as fast at 4 paths
-_THREAD_MIN_BYTES = 128 * 1024
-
-
 def _epsilon_ensembles(config: SimConfig, epsilons: list, seed: int, n_paths: int,
                        observer_factory: Callable, workers: int = 1) -> list[dict]:
     """The `ensemble_run` of config.with_epsilon(eps) for each eps, observed
     by observer_factory(that config), in the order of epsilons.  They are
-    independent, so they run on min(workers, len(epsilons)) threads when
-    their paths hold _THREAD_MIN_BYTES of transform; numpy's transforms and
-    loops release the GIL.  The allocator policy is set first: its cache
-    does not lock a first call."""
+    independent, so they run on min(workers, len(epsilons)) threads, inline
+    when that is one; numpy's transforms and loops release the GIL.  The
+    allocator policy is set first: its cache does not lock a first call."""
 
     def run(eps):
         cfg = config.with_epsilon(eps)
         return ensemble_run(cfg, seed, n_paths, lambda: observer_factory(cfg))
 
     n_threads = min(workers, len(epsilons))
-    if n_threads <= 1 or n_paths * config.grid.physical_resolution**2 * 16 < _THREAD_MIN_BYTES:
+    if n_threads <= 1:
         return [run(eps) for eps in epsilons]
     from concurrent.futures import ThreadPoolExecutor
 

@@ -261,13 +261,12 @@ class TestClusterStudy:
         rep = strassen_cluster_study(sched, probe, 1, cfg, seed=6)
         assert len(rep.rows) == 2
 
-    def test_workers_do_not_change_results(self, study_setup, monkeypatch):
+    def test_workers_do_not_change_results(self, study_setup):
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
         probe = build_probe(cfg, u0_full, n_shapes=1, tolerance=0.5)
         sched = GeometricSchedule(base=2.0, j_min=8, j_max=9)
         # 2 schedule indices, one thread each at 2 workers and at 3, one
         # more worker than indices, however few the replicates
-        monkeypatch.setattr(solvers, "_THREAD_MIN_BYTES", 0)
         for n_reps in (2, 5):
             a = strassen_cluster_study(sched, probe, n_reps, cfg, seed=7, workers=1)
             for workers in (2, 3):
@@ -281,7 +280,6 @@ class TestClusterStudy:
         # 1, 2 (two threads share three indices), 3 and 4 workers (more than
         # indices), and at 1, 7 and 256 paths per ensemble chunk: every row
         # is bit for bit the same
-        monkeypatch.setattr(solvers, "_THREAD_MIN_BYTES", 0)
         g = default_grid(2)
         m = NoiseModel(grid=g, num_directions=3)
         cfg = SimConfig(grid=g, noise=m, horizon=0.02, dt=1e-3,
@@ -426,12 +424,11 @@ class TestRatioStudy:
             se = math.sqrt(q * (1 - q) / n_study)
             assert abs(f_hat - q) <= 3.0 * se + 0.5 / n_study
 
-    def test_workers_do_not_change_results(self, study_setup, monkeypatch):
+    def test_workers_do_not_change_results(self, study_setup):
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
         sched = GeometricSchedule(base=2.0, j_min=8, j_max=9)
         # 2 schedule indices, one thread each at 2 workers and at 3, one
         # more worker than indices, however few the replicates
-        monkeypatch.setattr(solvers, "_THREAD_MIN_BYTES", 0)
         for n_reps in (2, 5):
             a = classical_ratio_study(sched, n_reps, cfg, seed=11, workers=1)
             for workers in (2, 3):

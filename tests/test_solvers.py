@@ -556,10 +556,9 @@ def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
     noise blocks of 1, 7 and 256 path-steps, and assert that every per-path
     output of every ensemble it runs is identical.  The kinds that take
     `workers` run on two-entry epsilon grids (two schedule indices) at
-    1, 2 and 3 workers as well, on threads whatever the ensemble's size;
-    their ensembles may finish in any order, so they are compared by
-    epsilon.  solve_snse, the verify suite's solver, runs no ensemble and
-    is compared on its result."""
+    1, 2 and 3 workers as well; their ensembles may finish in any order,
+    so they are compared by epsilon.  solve_snse, the verify suite's
+    solver, runs no ensemble and is compared on its result."""
     eps, seed, n = 1e-2, 8, 9
     eps_grid = [eps, 5e-3]
     grid = noise.grid
@@ -605,7 +604,6 @@ def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
         return out
 
     monkeypatch.setattr(solvers, "ensemble_run", spy)
-    monkeypatch.setattr(solvers, "_THREAD_MIN_BYTES", 0)
     outputs = []
     # one path-step's noise field, a (2, S, K + 1) half
     path_step_nbytes = 2 * grid.n_coeff * (grid.max_wavenumber + 1) * 16
@@ -1070,7 +1068,7 @@ class TestEpsilonEnsembles:
     EPSILONS = [1e-2, 5e-3, 2e-3]
 
     @staticmethod
-    def _run(monkeypatch, noise, n_paths, workers):
+    def _run(monkeypatch, noise, n_paths, workers, epsilons=EPSILONS):
         """Outputs, thread pool sizes and the threads that made observers."""
         import concurrent.futures
 
@@ -1089,27 +1087,26 @@ class TestEpsilonEnsembles:
             threads.add(threading.get_ident())
             return TrajectoryObserver(c)
 
-        outs = solvers._epsilon_ensembles(cfg, TestEpsilonEnsembles.EPSILONS, 4, n_paths,
-                                          factory, workers)
+        outs = solvers._epsilon_ensembles(cfg, epsilons, 4, n_paths, factory, workers)
         return outs, sizes, threads
 
-    def test_small_ensembles_run_inline(self, noise3, monkeypatch):
-        # K=3 (N=11): 9 paths hold 9 * 11**2 * 16 = 17 KB of transform, under
-        # 128 KiB, so at 3 workers every ensemble still runs on this thread
-        outs, sizes, threads = self._run(monkeypatch, noise3, 9, 3)
+    def test_one_thread_runs_inline(self, noise3, monkeypatch):
+        # one worker over three epsilons, or three workers over one epsilon:
+        # no pool, every ensemble on this thread
+        _, sizes, threads = self._run(monkeypatch, noise3, 9, 1)
         assert sizes == [] and threads == {threading.get_ident()}
-        _assert_identical(outs, self._run(monkeypatch, noise3, 9, 1)[0])
+        _, sizes, threads = self._run(monkeypatch, noise3, 9, 3, self.EPSILONS[:1])
+        assert sizes == [] and threads == {threading.get_ident()}
 
     @pytest.mark.parametrize("workers", [2, 3, 5])
     def test_threads_capped_by_the_grid(self, noise3, monkeypatch, workers):
-        # 68 paths hold 131 KB, above 128 KiB: the three epsilons run on
-        # min(workers, 3) threads, none of them this one, and the outputs
-        # keep the order of the epsilons
+        # the three epsilons run on min(workers, 3) threads, none of them
+        # this one, and the outputs keep the order of the epsilons
         monkeypatch.setattr(solvers, "_CHUNK_PATHS", 7)
-        outs, sizes, threads = self._run(monkeypatch, noise3, 68, workers)
+        outs, sizes, threads = self._run(monkeypatch, noise3, 9, workers)
         assert sizes == [min(workers, 3)]
         assert 1 <= len(threads) <= min(workers, 3) and threading.get_ident() not in threads
-        serial, sizes, _ = self._run(monkeypatch, noise3, 68, 1)
+        serial, sizes, _ = self._run(monkeypatch, noise3, 9, 1)
         assert sizes == []
         _assert_identical(outs, serial)
 
