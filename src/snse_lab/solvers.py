@@ -305,7 +305,7 @@ class _RecordingGrid:
 
 
 # bytes of scattered noise formed per call of the stepper: 256 kx >= 0
-# halves of K = 10, (2, 21, 11) each (1.9 MB), 4 steps of a 64-path chunk,
+# halves of K = 10, (2, 21, 11) each (1.9 MB), 8 steps of a 32-path chunk,
 # the largest at K = 10; a chunk holds no other normals
 _NOISE_BLOCK_BYTES = 256 * 2 * 21 * 11 * 16
 
@@ -364,13 +364,17 @@ def _integrate_batch(
     (n, 2, S, K + 1): the update, the noise and the self-advection are formed
     on that half alone.  hooks.on_noise(step, t, coeffs, dW) and
     hooks.on_state(idx, t, coeffs) are optional callables, and coeffs is the
-    half.  on_noise sees the
-    pre-step state, so a coupled process can be stepped inside it on the same
-    increments.  draw_normals(start, stop) returns the (n, stop - start, J)
-    standard normals of steps [start, stop) (`_normal_blocks`), or is None
-    for a noiseless run.  The advection and the noise factor are formed from
-    the pre-step state before the state is updated in place, with no second
-    state-sized array.
+    half.  on_noise sees the pre-step state, so a coupled process can be
+    stepped inside it on the same increments.  draw_normals(start, stop)
+    returns the (n, stop - start, J) standard normals of steps [start, stop)
+    (`_normal_blocks`), or is None for a noiseless run.
+
+    Each step first takes its noise, drawing and scattering a new block when
+    one starts, and calls on_noise; only then is the self-advection formed,
+    then the noise factor, and the state is updated in place, with no second
+    state-sized array.  So neither the scatter's nor on_noise's temporaries
+    are made while the advection is held.  Every term reads the pre-step
+    state, which is changed only by the update.
 
     The normals are drawn, and the noise field, which does not read the
     state, is scattered, for a block of steps at once: up to
@@ -380,8 +384,8 @@ def _integrate_batch(
     gain_j sqrt(eps) phi_rate(k_j), with k_j its mode, so the block, the
     half of the scatter, is the step's whole noise term; a state-dependent
     family's block is scatter(dW * gains), and its factor, sqrt(eps) and
-    phi_rate are applied per step.  Every operation is elementwise, so the values do not depend
-    on the block.
+    phi_rate are applied per step.  Every operation is elementwise, so the
+    values do not depend on the block.
     """
     prop = propagator(config.grid, config.dt)
     model = config.noise
@@ -402,7 +406,6 @@ def _integrate_batch(
     block = _noise_block_steps(model, state.shape[0], n_steps)
     for step in range(n_steps):
         t = step * config.dt
-        adv = advection_array(config.grid, state, state) if config.nonlinear else None
         noise = None
         if draw_normals is not None:
             i = step % block
@@ -414,13 +417,14 @@ def _integrate_batch(
                     scatter_coefficients(model, dW_block, weights=weights, out=noise_block)
             if on_noise:
                 on_noise(step, t, state, dW_block[:, i])
-            if config.epsilon > 0.0 and model.state_dependent:
-                factor = sigma_factor(model, t, state)[:, None, None, None]
-                noise = noise_block[:, i] * factor * sqrt_eps * prop.half_phi_rate
-            elif config.epsilon > 0.0:
+            if config.epsilon > 0.0:
                 noise = noise_block[:, i]
             if i == block - 1:
                 dW_block = noise_block = None
+        adv = advection_array(config.grid, state, state) if config.nonlinear else None
+        if noise is not None and model.state_dependent:
+            factor = sigma_factor(model, t, state)[:, None, None, None]
+            noise = noise * factor * sqrt_eps * prop.half_phi_rate
         # state <- decay * state + phi * forcing - phi * adv + noise, in place
         state *= prop.half_decay
         if phi_forcing is not None:
@@ -431,8 +435,8 @@ def _integrate_batch(
         if noise is not None:
             state += noise
         # the advection and a used-up noise block are freed here, not held
-        # through the observers and the next step's advection: that lowers
-        # the peak RSS of a batched run
+        # through the observers and the next step's noise and advection: that
+        # lowers the peak RSS of a batched run
         adv = noise = None
         _blowup_guard(state, scale, step)
         if on_state:
@@ -664,16 +668,19 @@ class _FanOutObserver:
 _CHUNK_PATHS = 256
 
 # bytes of the self-advection's padded (N, N) complex array over a chunk's
-# paths: 256 paths at K = 10 (4.2 MB, twice a 2 MiB L2) advected in one call
-# about 10% slower than in four calls of 64 (1 MiB each), and at K = 16
-# about 20% slower, while up to K = 4 one call on all 256 was the fastest
-_CHUNK_BYTES = 1 << 20
+# paths: 32 paths at K = 10, whose whole step working set (the padded array,
+# state, advection, noise block and scatter and observer temporaries, about
+# 80 KB a path) fits a 2 MiB L2, and sets a batched run's peak memory.  Per
+# path, 32 paths at K = 10 advected as fast as 64 and up to 15% faster than
+# 256 (4.2 MB of padded array); 13 at K = 16 and 167 at K = 4 advected
+# within 5% of 26 and 256
+_CHUNK_BYTES = 1 << 19
 
 
 def _chunk_paths(grid: SpectralGrid) -> int:
     """Paths per ensemble chunk on grid: as many as fill _CHUNK_BYTES with
     one padded (N, N) complex array each, at least 1 and at most
-    _CHUNK_PATHS (64 at K = 10, 26 at K = 16, 256 at K <= 4)."""
+    _CHUNK_PATHS (32 at K = 10, 13 at K = 16, 167 at K = 4, 256 at K <= 2)."""
     by_bytes = _CHUNK_BYTES // (grid.physical_resolution**2 * 16)
     return max(1, min(_CHUNK_PATHS, by_bytes))
 

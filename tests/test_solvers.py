@@ -290,7 +290,7 @@ class TestStochasticSolve:
 
     @staticmethod
     def _traced_peak(n_steps: int, K: int = 10) -> int:
-        """Peak traced allocation of one batch-64 ensemble of n_steps at K."""
+        """Peak traced allocation of one 64-path ensemble of n_steps at K."""
         g = default_grid(K)
         cfg = SimConfig(
             grid=g, noise=NoiseModel(grid=g), horizon=n_steps * 1e-3, dt=1e-3, epsilon=1e-2,
@@ -313,14 +313,16 @@ class TestStochasticSolve:
             tracemalloc.stop()
 
     def test_step_peak_traced_allocation(self):
-        # one batch-64, K=10, 8-step run: 3.58 MB peak traced allocation on
-        # numpy 2.4 (3,576,104 to 3,576,584 B); pinned with 5% margin
-        assert self._traced_peak(8) <= 1.05 * 3_576_600
+        # one 64-path, K=10, 8-step run, stepped as two chunks of 32 paths:
+        # 1.84 MB peak traced allocation on numpy 2.4 (1,843,824 to
+        # 1,844,896 B; 3.58 MB in one chunk of 64 with the advection formed
+        # before the noise); pinned with 5% margin
+        assert self._traced_peak(8) <= 1.05 * 1_844_900
 
     def test_peak_traced_allocation_independent_of_horizon(self):
         # the normals are drawn one noise block at a time, so a chunk holds
-        # the same memory at both horizons: at K=10 a 64-path block is 2
-        # steps, at K=1 it is 64 (512 normals over 8 directions; its byte
+        # the same memory at both horizons: at K=10 a 32-path chunk's block
+        # is 2 steps, at K=1 it is 64 (512 normals over 8 directions; its byte
         # budget is 154), and the K=1 horizons span 7 and 49 blocks
         for K, short_steps, long_steps in ((10, 8, 128), (1, 392, 3136)):
             short = self._traced_peak(short_steps, K)
@@ -570,7 +572,11 @@ def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
     u0 = solve_deterministic(replace(cfg, record_stride=1))
     h = Control(noise, cfg.horizon, np.random.default_rng(4).standard_normal(
         (4, noise.n_directions)))
-    fw = FWConfig(rho=0.18, eta=0.9, target_exponent=0.5, increment_threshold=0.01,
+    # at increment threshold 0.185 the two epsilons' increment counts differ
+    # (1 and 0 of 9 additive, 2 and 1 saturated; the additive joint counts
+    # are 1 and 3 as well), so a row built from the other epsilon's
+    # ensemble would show
+    fw = FWConfig(rho=0.18, eta=0.9, target_exponent=0.5, increment_threshold=0.185,
                   dyadic_depth=1, eps_grid=tuple(eps_grid), n_samples=n)
     runs = {
         "ensemble_run": lambda w: solvers.ensemble_run(
@@ -620,6 +626,8 @@ def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
             # per-path statistics only: no ensemble returns recorded frames
             assert all(v.ndim <= 2 for c in captured.values() for out in c
                        for v in out.values())
+            rows = result["rows"]
+            assert rows[0]["increment_p_hat"] != rows[1]["increment_p_hat"]
         outputs.append((result, dict(sorted(captured.items()))))
     for other in outputs[1:]:
         _assert_identical(outputs[0], other)
@@ -746,11 +754,11 @@ class TestHalfSpectrumStepper:
         ensemble_run(cfg, 0, 9, lambda: TrajectoryObserver(cfg))
         assert batches == ([7] * 3 + [2] * 3 if nonlinear else [])
 
-    @pytest.mark.parametrize("K, chunks", [(10, [64] * 4), (2, [256])])
+    @pytest.mark.parametrize("K, chunks", [(10, [32] * 8), (2, [256])])
     def test_chunks_sized_by_the_padded_array(self, monkeypatch, K, chunks):
-        # a chunk holds as many paths as fill _CHUNK_BYTES (1 MiB) with one
+        # a chunk holds as many paths as fill _CHUNK_BYTES (512 KiB) with one
         # padded (N, N) complex array of the self-advection each, at most
-        # 256: 64 at K=10 (N=32), so a 256-path ensemble advects in four
+        # 256: 32 at K=10 (N=32), so a 256-path ensemble advects in eight
         # batches per step, and all 256 at K=2 (N=8)
         g = default_grid(K)
         cfg = SimConfig(
@@ -764,8 +772,8 @@ class TestHalfSpectrumStepper:
 
     @pytest.mark.parametrize("family", ["additive", "saturated"])
     def test_k10_output_independent_of_the_working_set_chunk(self, monkeypatch, family):
-        # 150 paths at K=10 step in chunks of 64, 64 and 22, and give the
-        # same per-path output, bit for bit, as one chunk of all 150
+        # 150 paths at K=10 step in four chunks of 32 and one of 22, and
+        # give the same per-path output, bit for bit, as one chunk of all 150
         g = default_grid(10)
         cfg = SimConfig(
             grid=g, noise=NoiseModel(grid=g, family=family), horizon=3e-3, dt=1e-3,
@@ -774,7 +782,7 @@ class TestHalfSpectrumStepper:
         )
         batches = _advection_batches(monkeypatch)
         outputs = []
-        for budget, chunks in ((solvers._CHUNK_BYTES, [64, 64, 22]), (150 * 32**2 * 16, [150])):
+        for budget, chunks in ((solvers._CHUNK_BYTES, [32] * 4 + [22]), (150 * 32**2 * 16, [150])):
             monkeypatch.setattr(solvers, "_CHUNK_BYTES", budget)
             batches.clear()
             outputs.append(ensemble_run(cfg, 4, 150, lambda: TrajectoryObserver(cfg)))
