@@ -7,7 +7,7 @@ of deviation scaling and conditional exponential bounds; and empirical
 iterated-logarithm studies.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from types import ModuleType as _ModuleType
 
@@ -49,7 +49,6 @@ from .deviation import (
     RateResult,
     FWConfig,
     ASpec,
-    energy_distance,
     rate_function,
     mdp_scaling_probe,
     fw_conditional_probe,

@@ -138,13 +138,6 @@ def _frames_energy_sq(grid, times: np.ndarray, frames: np.ndarray) -> float:
     return float(_sup_plus_integral(h2, v2, times))
 
 
-def energy_distance(a: Trajectory, b: Trajectory) -> float:
-    """Trajectory-norm distance between two aligned trajectories."""
-    if not a.aligned_with(b):
-        raise ValueError("trajectories are not aligned")
-    return math.sqrt(_frames_energy_sq(a.grid, a.times, a.frames - b.frames))
-
-
 # ---------------------------------------------------------------------------
 # rate functional by adjoint-based penalty optimization
 

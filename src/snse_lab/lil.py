@@ -6,10 +6,12 @@ them by finite surrogates.  The cluster study measures distances from the
 rescaled fluctuation to a finite probe of the unit rate-ball (a certified
 upper bound on the distance to the true limit set, refinable by adding
 candidates), using one Brownian scaffold per replicate rescaled across the
-geometric noise schedule.  The ratio study reports trends and quantiles of
-the normalized deviation ratio without asserting limit values: the ratio is a
-norm over a positive scalar, so a negative lower limit is impossible, and no
-specific limit is claimed for the upper one.
+geometric noise schedule.  The probe holds its candidates' skeleton
+solutions as one array on the recording grid, and each path's distance to
+every row of it is streamed as the path is stepped.  The ratio study reports
+trends and quantiles of the normalized deviation ratio without asserting
+limit values: the ratio is a norm over a positive scalar, so a negative lower
+limit is impossible, and no specific limit is claimed for the upper one.
 """
 
 from __future__ import annotations
@@ -19,21 +21,23 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .deviation import DiffEnergyObserver, energy_distance
+from .deviation import DiffEnergyObserver
 from .noise import Control, control_energy
 from .solvers import (
     LOGLOG_LIMIT,
+    GridMismatchError,
     ParameterError,
     SimConfig,
     Trajectory,
-    combine_trajectories,
     lil_lambda,
     skeleton_forward,
     solve_deterministic,
+    _RecordingGrid,
     _require_solver_grid,
     _epsilon_ensembles,
-    _skeleton_trajectories,
+    _sup_plus_integral,
 )
+from .spectral import half_norms_sq
 
 
 @dataclass(frozen=True)
@@ -64,45 +68,60 @@ class GeometricSchedule:
 
 
 def z_process(u_eps_traj: Trajectory, u0_traj: Trajectory, epsilon: float) -> Trajectory:
-    """Rescaled fluctuation (u_eps - u0) / sqrt(2 eps log log(1/eps))."""
+    """Rescaled fluctuation (u_eps - u0) / sqrt(2 eps log log(1/eps)) on the
+    recording grid of two aligned trajectories; its norms are taken on that
+    grid."""
     scale = 1.0 / lil_lambda(epsilon)
-    return combine_trajectories(
-        u_eps_traj,
-        u0_traj,
-        scale,
-        -scale,
+    if not u_eps_traj.aligned_with(u0_traj):
+        raise GridMismatchError("trajectories are not aligned")
+    frames = scale * u_eps_traj.frames + (-scale) * u0_traj.frames
+    h2, v2 = half_norms_sq(u_eps_traj.grid, frames)
+    return replace(
+        u_eps_traj, frames=frames, h2=h2, v2=v2, sup_h2=float(np.max(h2)),
+        int_v2=float(np.sum(v2[:-1] * np.diff(u_eps_traj.times))),
         provenance={"epsilon": epsilon, "kind": "rescaled_fluctuation"},
     )
 
 
 @dataclass(frozen=True)
 class LimitSetProbe:
-    """Finite family of unit-rate-ball controls and their steered images.
+    """Finite family of unit-rate-ball controls and the skeleton solutions
+    they steer.
 
-    Every candidate control satisfies half-energy <= 1, so each image lies in
-    the limit set; the minimum distance over candidates is an upper bound on
-    the distance to the set, nonincreasing under refinement.  `frames` holds
-    every image's recorded frames, kx >= 0 halves, in one
-    (size, records, 2, S, K + 1) array, the array the images view when
-    `build_probe` made them; left out, it is stacked from the images.
+    Every candidate control satisfies half-energy <= 1, so each solution lies
+    in the limit set; the minimum distance over candidates is an upper bound
+    on the distance to the set, nonincreasing under refinement.  `frames`
+    holds the solutions' recorded frames, kx >= 0 halves, one row per
+    control, in one (size, records, 2, S, K + 1) array, and `times` the
+    recording times.
     """
 
     controls: tuple[Control, ...]
-    images: tuple[Trajectory, ...]
+    frames: np.ndarray = field(repr=False, compare=False)
+    times: np.ndarray = field(repr=False, compare=False)
     tolerance: float
-    frames: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.controls) != len(self.images) or not self.controls:
-            raise ParameterError("probe needs matching, nonempty controls and images")
+        if not self.controls:
+            raise ParameterError("probe needs at least one control")
         for h in self.controls:
             if 0.5 * control_energy(h) > 1.0 + 1e-12:
                 raise ParameterError(
                     "probe control exceeds the unit rate ball "
                     f"(half-energy {0.5 * control_energy(h):.6f})"
                 )
-        if self.frames is None:
-            object.__setattr__(self, "frames", np.stack([g.frames for g in self.images]))
+        shape = np.shape(self.frames)
+        if len(shape) != 5 or shape[0] != len(self.controls):
+            raise ParameterError(
+                f"probe frames of shape {shape} need one (records, 2, S, K + 1) "
+                f"row per control, {len(self.controls)}"
+            )
+        if shape[2] != 2 or shape[3] != 2 * shape[4] - 1:
+            raise ParameterError(f"probe frames of shape {shape} are not kx >= 0 halves")
+        if len(self.times) != shape[1]:
+            raise ParameterError(
+                f"probe has {len(self.times)} recording times for {shape[1]} records"
+            )
 
     @property
     def size(self) -> int:
@@ -110,14 +129,16 @@ class LimitSetProbe:
 
 
 def limit_set_distance(z: Trajectory, probe: LimitSetProbe) -> tuple[float, int]:
-    """Min trajectory-norm distance to the probe images and the nearest index."""
-    best = math.inf
-    best_i = -1
-    for i, g in enumerate(probe.images):
-        d = energy_distance(z, g)
-        if d < best:
-            best, best_i = d, i
-    return best, best_i
+    """Min trajectory-norm distance to the probe's rows and the nearest index,
+    the first at a tie; z must lie on the probe's recording grid."""
+    if z.frames.shape != probe.frames.shape[1:] or not np.allclose(
+        z.times, probe.times, atol=1e-12
+    ):
+        raise GridMismatchError("trajectory is not aligned with the probe")
+    h2, v2 = half_norms_sq(z.grid, z.frames - probe.frames)
+    dist = np.sqrt(_sup_plus_integral(h2, v2, z.times))
+    nearest = int(np.argmin(dist))
+    return float(dist[nearest]), nearest
 
 
 def _time_shapes(n_cells: int, horizon: float, n_shapes: int) -> list[np.ndarray]:
@@ -147,10 +168,10 @@ def build_probe(
     Every candidate's cell values are one row of one (controls, n_cells, J)
     array, which the controls view.  The nonzero controls are solved in one
     batched skeleton_forward call into the one array that holds every
-    image's kx >= 0 halves, from that array itself when each step is its
-    own cell; the zero control's image is exactly zero and is not
-    integrated.  At record stride 1 the images and the probe's frames are
-    that array.
+    solution's kx >= 0 halves, from that array itself when each step is its
+    own cell; the zero control's solution is exactly zero and is not
+    integrated.  At record stride 1 the probe's frames are that array, and
+    otherwise its rows at the recorded steps.
     """
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
     model = config.noise
@@ -177,8 +198,10 @@ def build_probe(
         if not np.array_equal(cells, np.arange(n_cells)):
             h_values = h_values[:, cells]
         skeleton_forward(h_values, u0_traj.frames, config, out=frames[first:])
-    recorded, images = _skeleton_trajectories(frames, config)
-    return LimitSetProbe(controls, tuple(images), tolerance, recorded)
+    steps = _RecordingGrid(config.n_steps, config.record_stride).steps
+    if config.record_stride != 1:
+        frames = frames[:, steps]
+    return LimitSetProbe(controls, frames, config.dt * np.array(steps), tolerance)
 
 
 @dataclass

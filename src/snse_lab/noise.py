@@ -24,11 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (
-    SpectralField,
     SpectralGrid,
     TWO_PI,
     abs_sq,
-    full_spectrum,
     half_spectrum,
     weighted_norm_sq,
 )
@@ -138,12 +136,6 @@ class NoiseModel:
     def state_dependent(self) -> bool:
         """Whether sigma(t, u) reads the state (the additive family does not)."""
         return self.family != "additive"
-
-    def basis_field(self, j: int) -> SpectralField:
-        """The j-th noise direction as a unit-L2 divergence-free field."""
-        xi = np.zeros(self.n_directions)
-        xi[j] = 1.0
-        return SpectralField(self.grid, full_spectrum(scatter_coefficients(self, xi)))
 
 
 def at_directions(model: NoiseModel, per_mode: np.ndarray) -> np.ndarray:

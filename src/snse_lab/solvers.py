@@ -46,7 +46,6 @@ from .spectral import (
     advection_array,
     abs_sq,
     full_spectrum,
-    half_norms_sq,
     half_spectrum,
     linearized_advection_array,
     weighted_norm_sq,
@@ -243,43 +242,6 @@ def _sup_plus_integral(h2: np.ndarray, v2: np.ndarray, times: np.ndarray) -> np.
     """Trajectory-norm contract over the last axis: sup of |u|^2 plus the
     left-endpoint integral of ||u||^2 on the recording times."""
     return np.max(h2, axis=-1) + np.sum(v2[..., :-1] * np.diff(times), axis=-1)
-
-
-def derived_trajectory(
-    grid: SpectralGrid,
-    times: np.ndarray,
-    frames: np.ndarray,
-    dt: float,
-    record_stride: int,
-    provenance: dict | None = None,
-) -> Trajectory:
-    """Trajectory from precomputed frames, kx >= 0 halves; functionals on
-    the recording grid."""
-    h2, v2 = half_norms_sq(grid, frames)
-    return Trajectory(
-        grid=grid,
-        dt=dt,
-        record_stride=record_stride,
-        times=np.asarray(times, dtype=np.float64),
-        frames=frames,
-        h2=h2,
-        v2=v2,
-        sup_h2=float(np.max(h2)),
-        int_v2=float(_sup_plus_integral(np.zeros(1), v2, times)),  # the integral alone
-        provenance=dict(provenance or {}),
-    )
-
-
-def combine_trajectories(
-    a: Trajectory, b: Trajectory, coef_a: float, coef_b: float, provenance=None
-) -> Trajectory:
-    """Pointwise linear combination coef_a * a + coef_b * b (aligned grids)."""
-    if not a.aligned_with(b):
-        raise GridMismatchError("trajectories are not aligned")
-    frames = coef_a * a.frames + coef_b * b.frames
-    return derived_trajectory(
-        a.grid, a.times, frames, a.dt, a.record_stride, provenance
-    )
 
 
 class _RecordingGrid:
@@ -554,32 +516,23 @@ def skeleton_forward(
     return out
 
 
-def _skeleton_trajectories(
-    frames: np.ndarray, config: SimConfig, provenance: dict | None = None
-) -> tuple[np.ndarray, list[Trajectory]]:
-    """Trajectories of skeleton_forward solutions (m, n_steps + 1, 2, S, K + 1),
-    recorded on config's grid by one batched observer pass, and the one
-    (m, records, 2, S, K + 1) array their frames view.  At record stride 1
-    that array is `frames` itself, not a copy."""
-    obs = TrajectoryObserver(config, frames if config.record_stride == 1 else None)
-    obs.on_start(propagator(config.grid, config.dt), frames.shape[0], config.n_steps)
-    for idx in range(config.n_steps + 1):
-        obs.on_state(idx, idx * config.dt, frames[:, idx])
-    data = obs.finish()
-    return data["frames"], [_trajectory(config, data, i, provenance) for i in range(len(frames))]
-
-
 def solve_skeleton(
     h: Control,
     u0_traj: Trajectory,
     config: SimConfig,
     provenance: dict | None = None,
 ) -> Trajectory:
-    """Integrate the controlled linearization around the deterministic limit."""
+    """Integrate the controlled linearization around the deterministic limit,
+    recorded on config's grid by one observer pass over skeleton_forward's
+    frames; at record stride 1 the trajectory's frames are those frames."""
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
     h_values = _control_values_on_steps(h, config)
-    frames = skeleton_forward(h_values, u0_traj.frames, config)
-    return _skeleton_trajectories(frames[None], config, provenance)[1][0]
+    frames = skeleton_forward(h_values, u0_traj.frames, config)[None]
+    obs = TrajectoryObserver(config, frames if config.record_stride == 1 else None)
+    obs.on_start(propagator(config.grid, config.dt), 1, config.n_steps)
+    for idx in range(config.n_steps + 1):
+        obs.on_state(idx, idx * config.dt, frames[:, idx])
+    return _trajectory(config, obs.finish(), 0, provenance)
 
 
 def shifted_diffusion_argument(

@@ -11,11 +11,12 @@ the whole mode square where the package holds the kx >= 0 half, Fourier
 coefficients are extracted with dense exponential matrices, trilinear forms
 get both a quadrature and a convolution-sum evaluation, and the linear-regime
 statistics come from scalar recursions written from the closed-form update.
-The reference definitions at the end (a single step, per-trajectory norms and
-events, the trajectory-file reader, the moment suite with one ensemble per
-statistic) were once the package's own; its batched stepper and streaming
-observers replaced them, and they stay here as the oracles those are checked
-against.
+The reference definitions at the end (a single step, a noise direction as a
+full field, per-trajectory norms, combinations, distances and events, the
+probe's candidates as trajectories, the trajectory-file reader, the moment
+suite with one ensemble per statistic) were once the package's own; its
+batched stepper, streaming observers and one-array probe replaced them, and
+they stay here as the oracles those are checked against.
 """
 
 from __future__ import annotations
@@ -555,12 +556,76 @@ def noise_trace(model) -> float:
     return float(model.eigenvalues.sum())
 
 
+def basis_field(model, j: int):
+    """The j-th noise direction as a unit-L2 divergence-free full field."""
+    from snse_lab.noise import scatter_coefficients
+    from snse_lab.spectral import SpectralField, full_spectrum
+
+    xi = np.zeros(model.n_directions)
+    xi[j] = 1.0
+    return SpectralField(model.grid, full_spectrum(scatter_coefficients(model, xi)))
+
+
+def derived_trajectory(grid, times, frames, dt: float, record_stride: int, provenance=None):
+    """Trajectory from precomputed frames, kx >= 0 halves; functionals on
+    the recording grid."""
+    from snse_lab.solvers import Trajectory, _sup_plus_integral
+    from snse_lab.spectral import half_norms_sq
+
+    h2, v2 = half_norms_sq(grid, frames)
+    return Trajectory(
+        grid=grid,
+        dt=dt,
+        record_stride=record_stride,
+        times=np.asarray(times, dtype=np.float64),
+        frames=frames,
+        h2=h2,
+        v2=v2,
+        sup_h2=float(np.max(h2)),
+        int_v2=float(_sup_plus_integral(np.zeros(1), v2, times)),  # the integral alone
+        provenance=dict(provenance or {}),
+    )
+
+
+def combine_trajectories(a, b, coef_a: float, coef_b: float, provenance=None):
+    """Pointwise linear combination coef_a * a + coef_b * b (aligned grids)."""
+    from snse_lab.solvers import GridMismatchError
+
+    if not a.aligned_with(b):
+        raise GridMismatchError("trajectories are not aligned")
+    frames = coef_a * a.frames + coef_b * b.frames
+    return derived_trajectory(a.grid, a.times, frames, a.dt, a.record_stride, provenance)
+
+
+def energy_distance(a, b) -> float:
+    """Trajectory-norm distance between two aligned trajectories."""
+    from snse_lab.deviation import _frames_energy_sq
+
+    if not a.aligned_with(b):
+        raise ValueError("trajectories are not aligned")
+    return math.sqrt(_frames_energy_sq(a.grid, a.times, a.frames - b.frames))
+
+
+def skeleton_trajectories(frames: np.ndarray, config) -> list:
+    """Trajectories of skeleton_forward solutions (m, n_steps + 1, 2, S, K + 1),
+    recorded on config's grid by one batched observer pass."""
+    from snse_lab.solvers import TrajectoryObserver, _trajectory, propagator
+
+    obs = TrajectoryObserver(config)
+    obs.on_start(propagator(config.grid, config.dt), frames.shape[0], config.n_steps)
+    for idx in range(config.n_steps + 1):
+        obs.on_state(idx, idx * config.dt, frames[:, idx])
+    data = obs.finish()
+    return [_trajectory(config, data, i) for i in range(len(frames))]
+
+
 def refined_probe(probe, extra_controls, extra_images):
-    """`probe` with more candidate controls and their steered images."""
+    """`probe` with more candidate controls and their steered solutions."""
     from snse_lab.lil import LimitSetProbe
 
+    frames = np.concatenate([probe.frames, np.stack([g.frames for g in extra_images])])
     return LimitSetProbe(
-        probe.controls + tuple(extra_controls), probe.images + tuple(extra_images), probe.tolerance
+        probe.controls + tuple(extra_controls), frames, probe.times, probe.tolerance
     )
 
 

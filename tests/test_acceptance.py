@@ -21,7 +21,6 @@ from snse_lab.deviation import (
     ConstantsLedger,
     FWConfig,
     OptParams,
-    energy_distance,
     fw_conditional_probe,
     mdp_scaling_probe,
     moment_bound_suite,
@@ -305,7 +304,7 @@ class TestCriterionSkeleton:
         resp = []
         for s in sizes:
             x = solve_skeleton(Control(m, 0.5, base + s * pert), u0, cfg1)
-            resp.append(energy_distance(x, x_base))
+            resp.append(helpers.energy_distance(x, x_base))
         slope = float(np.polyfit(np.log(sizes), np.log(resp), 1)[0])
         ok = abs(slope - 1.0) <= 0.05
         report_line("skeleton-continuity", ok, f"log-log slope {slope:.4f}")

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snse_lab import cli, config, deviation, spectral
+from snse_lab import cli, config, deviation, noise, spectral
 from snse_lab.cli import emit_tables, main
 from snse_lab.config import (
     ConfigError,
@@ -461,9 +461,10 @@ class TestVerifyVerb:
 
 
 class TestInvariantRows:
-    """The rows that check the advection kernel against the gradient form
-    and the skeleton's adjoint sweep against the skeleton, each with a
-    negative control that breaks what it checks."""
+    """The rows that check the advection kernel against the gradient form,
+    the skeleton's adjoint sweep against the skeleton and against central
+    differences, and the noise directions' divergence, each with a negative
+    control that breaks what it checks."""
 
     @staticmethod
     def _rows(nonlinear: bool, family: str = "additive") -> dict:
@@ -480,7 +481,9 @@ class TestInvariantRows:
         rows = self._rows(nonlinear, family)
         assert "advection_divergence_free" not in rows
         for name, threshold in (("advection_gradient_form_agreement", 1e-13),
-                                ("adjoint_dot_identity", 1e-12)):
+                                ("adjoint_dot_identity", 1e-12),
+                                ("adjoint_gradient_check", 1e-4),
+                                ("sigma_output_divergence_free", 1e-12)):
             assert rows[name].passed and rows[name].threshold == threshold
             assert rows[name].value <= threshold
 
@@ -490,6 +493,32 @@ class TestInvariantRows:
                             lambda grid, p, a: -adjoint(grid, p, a))
         row = self._rows(nonlinear=True)["adjoint_dot_identity"]
         assert not row.passed and row.value > 1e-6
+
+    @pytest.mark.parametrize("family", ["additive", "saturated"])
+    def test_sign_flipped_adjoint_fails_the_gradient_row(self, monkeypatch, family):
+        # the row's u0 starts from a random field, so the linearization
+        # around it couples and the central differences see the flip
+        adjoint = deviation.linearized_advection_adjoint_array
+        monkeypatch.setattr(deviation, "linearized_advection_adjoint_array",
+                            lambda grid, p, a: -adjoint(grid, p, a))
+        row = self._rows(nonlinear=True, family=family)["adjoint_gradient_check"]
+        assert not row.passed and row.value > 1e-2
+
+    def test_tilted_direction_fails_the_divergence_row(self, monkeypatch):
+        # pair 0, k = (1, 0), its one slot on the kx >= 0 half at row K,
+        # column 1: its direction tilted toward k in every model built
+        post_init = noise.NoiseModel.__post_init__
+
+        def tilted(model):
+            post_init(model)
+            assert tuple(model.pair_k[0]) == (1, 0)
+            direction = model._half_direction.copy()
+            direction[0, model.grid.max_wavenumber, 1] += 0.1
+            object.__setattr__(model, "_half_direction", direction)
+
+        monkeypatch.setattr(noise.NoiseModel, "__post_init__", tilted)
+        row = self._rows(nonlinear=False)["sigma_output_divergence_free"]
+        assert not row.passed and row.value > 1e-3
 
     def test_swapped_product_fails_the_gradient_form_row(self, monkeypatch):
         advect = spectral.advection_array

@@ -13,7 +13,6 @@ from snse_lab.deviation import (
     ConstantsLedger,
     FWConfig,
     OptParams,
-    energy_distance,
     fw_conditional_probe,
     max_energy_response,
     mdp_scaling_probe,
@@ -236,7 +235,7 @@ class TestRateFunction:
         # optimizer-simulator consistency: re-solving with the returned
         # control reproduces the reported residual
         x = solve_skeleton(res.control, u0, cfg)
-        re_resid = energy_distance(x, target)
+        re_resid = helpers.energy_distance(x, target)
         assert abs(re_resid - res.residual) <= 1e-10
 
     def test_unreachable_target_flagged_infeasible(self, setup):
@@ -251,9 +250,7 @@ class TestRateFunction:
         u0_0 = solve_deterministic(cfg0)
         target_mode = single_mode_field(g, (0, 1), (1.0, 0.0))
         frames = np.repeat(half_spectrum(target_mode.coeffs)[None], cfg0.n_steps + 1, axis=0)
-        from snse_lab.solvers import derived_trajectory
-
-        target = derived_trajectory(
+        target = helpers.derived_trajectory(
             g, cfg0.dt * np.arange(cfg0.n_steps + 1), frames, cfg0.dt, 1
         )
         res = rate_function(target, u0_0, cfg0,
@@ -392,9 +389,7 @@ class TestDyadicStat:
         traj = solve_deterministic(linear_config)
         stat = dyadic_increment_stat(traj, 0)
         d0 = traj.frames - traj.frames[0]
-        from snse_lab.solvers import derived_trajectory
-
-        manual = derived_trajectory(traj.grid, traj.times, d0, traj.dt, traj.record_stride)
+        manual = helpers.derived_trajectory(traj.grid, traj.times, d0, traj.dt, traj.record_stride)
         assert abs(stat - energy_norm(manual)) <= 1e-12 * max(stat, 1e-12)
 
     def test_decay_closed_form(self, linear_config):
@@ -513,9 +508,7 @@ class TestConditionalProbe:
         u0 = solve_deterministic(linear_config)
 
         def event(traj):
-            from snse_lab.solvers import combine_trajectories
-
-            z = combine_trajectories(traj, u0, scale, -scale)
+            z = helpers.combine_trajectories(traj, u0, scale, -scale)
             return energy_norm(z) > rho
 
         est = mc_probability(event, eps, 400, linear_config, seed=9)

@@ -21,10 +21,10 @@ from snse_lab.lil import (
 from snse_lab.noise import Control, NoiseModel, control_energy, zero_control
 from snse_lab.rng import substream
 from snse_lab.solvers import (
+    GridMismatchError,
     ParameterError,
     SimConfig,
     TrajectoryObserver,
-    combine_trajectories,
     ensemble_run,
     loglog,
     skeleton_forward,
@@ -99,7 +99,7 @@ class TestRescaledProcess:
         eps = 1e-3
         ue = solve_snse(cfg.with_epsilon(eps), seed=3)
         z = z_process(ue, u0_rec, eps)
-        blend = combine_trajectories(ue, u0_rec, 0.25, 0.75)
+        blend = helpers.combine_trajectories(ue, u0_rec, 0.25, 0.75)
         z_blend = z_process(blend, u0_rec, eps)
         np.testing.assert_allclose(z_blend.frames, 0.25 * z.frames, atol=1e-16)
 
@@ -156,7 +156,36 @@ class TestLimitSetProbe:
         too_big = Control(m, cfg.horizon, 10.0 * np.ones((10, 2)))
         x = solve_skeleton(too_big, u0_full, cfg)
         with pytest.raises(ParameterError):
-            LimitSetProbe((too_big,), (x,), 0.5)
+            LimitSetProbe((too_big,), x.frames[None], x.times, 0.5)
+
+    def test_frames_need_one_row_per_control(self, study_setup):
+        g, m, cfg, cfg1, u0_full, u0_rec = study_setup
+        probe = build_probe(cfg, u0_full, n_shapes=1)
+        with pytest.raises(ParameterError, match="row per control"):
+            LimitSetProbe(probe.controls, probe.frames[1:], probe.times, 0.5)
+
+    def test_frames_must_be_halves(self, study_setup):
+        g, m, cfg, cfg1, u0_full, u0_rec = study_setup
+        probe = build_probe(cfg, u0_full, n_shapes=1)
+        with pytest.raises(ParameterError, match="kx >= 0 halves"):
+            LimitSetProbe(probe.controls, full_spectrum(probe.frames), probe.times, 0.5)
+
+    def test_times_need_one_per_record(self, study_setup):
+        g, m, cfg, cfg1, u0_full, u0_rec = study_setup
+        probe = build_probe(cfg, u0_full, n_shapes=1)
+        with pytest.raises(ParameterError, match="recording times"):
+            LimitSetProbe(probe.controls, probe.frames, probe.times[:-1], 0.5)
+
+    def test_distance_needs_the_recording_grid(self, study_setup):
+        # the rule of the aligned-trajectory distance: same record count and
+        # times within 1e-12
+        g, m, cfg, cfg1, u0_full, u0_rec = study_setup
+        probe = build_probe(cfg, u0_full, n_shapes=1)
+        with pytest.raises(GridMismatchError):
+            limit_set_distance(z_process(u0_full, u0_full, 1e-3), probe)
+        shifted = replace(u0_rec, times=u0_rec.times + 1e-9)
+        with pytest.raises(GridMismatchError):
+            limit_set_distance(z_process(shifted, shifted, 1e-3), probe)
 
     def test_build_probe_on_boundary(self, study_setup):
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
@@ -190,7 +219,9 @@ class TestLimitSetProbe:
     @pytest.mark.parametrize("nonlinear", [False, True])
     def test_images_equal_single_solves(self, include_zero, nonlinear):
         # one batched solve of the nonzero controls (and an unintegrated zero
-        # image) gives each control's solve_skeleton trajectory bit for bit
+        # solution) gives each control's solve_skeleton trajectory bit for
+        # bit, recorded from the every-step probe, and the recorded probe
+        # holds its frames and times
         g = default_grid(3)
         m = NoiseModel(grid=g, family="saturated", num_directions=6)
         cfg = SimConfig(grid=g, noise=m, horizon=0.02, dt=1e-3,
@@ -198,17 +229,24 @@ class TestLimitSetProbe:
                         nonlinear=nonlinear, record_stride=5)
         u0 = solve_deterministic(replace(cfg, record_stride=1))
         probe = build_probe(cfg, u0, directions=[0, 3], n_shapes=2, include_zero=include_zero)
+        every = build_probe(replace(cfg, record_stride=1), u0, directions=[0, 3], n_shapes=2,
+                            include_zero=include_zero)
         assert probe.size == 4 + include_zero
-        for h, image in zip(probe.controls, probe.images):
+        images = helpers.skeleton_trajectories(every.frames, cfg)
+        for h, image, row in zip(probe.controls, images, probe.frames):
             single = solve_skeleton(h, u0, cfg)
             for name in ("times", "frames", "h2", "v2", "sup_h2", "int_v2"):
                 assert np.array_equal(getattr(image, name), getattr(single, name))
+            assert np.array_equal(row, single.frames)
+            assert np.array_equal(probe.times, single.times)
 
     def test_distance_zero_on_candidates(self, study_setup):
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
         probe = build_probe(cfg, u0_full, n_shapes=2, tolerance=0.5)
         for i in (0, probe.size - 1):
-            d, nearest = limit_set_distance(probe.images[i], probe)
+            image = helpers.derived_trajectory(g, probe.times, probe.frames[i], cfg.dt,
+                                               cfg.record_stride)
+            d, nearest = limit_set_distance(image, probe)
             assert d <= 1e-12
             assert nearest == i or d == 0.0
 
@@ -309,16 +347,31 @@ class TestClusterStudy:
 
     @pytest.mark.parametrize("stride", [1, 25])
     def test_probe_held_once(self, study_setup, monkeypatch, stride):
-        # the images view the probe's one frames array, and the study compares
-        # against that array itself, not a stacked copy, in one observer per
-        # schedule index for both replicates
+        # the probe builds no trajectory per candidate, its one frames array
+        # is the skeleton solve's output at record stride 1, and the study
+        # compares against that array itself, not a stacked copy, in one
+        # observer per schedule index for both replicates
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
         cfg_s = replace(cfg, record_stride=stride)
+        built, solved = [], []
+        init = solvers.Trajectory.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def spy(h_values, u0_frames, config, out):
+            solved.append(out)
+            return skeleton_forward(h_values, u0_frames, config, out=out)
+
+        monkeypatch.setattr(solvers.Trajectory, "__init__", counting_init)
+        monkeypatch.setattr(lil, "skeleton_forward", spy)
         probe = build_probe(cfg_s, u0_full, n_shapes=1, tolerance=0.5)
-        assert probe.frames.shape == (probe.size, probe.images[0].n_records, 2, 3, 2)
-        for image, row in zip(probe.images, probe.frames):
-            assert np.shares_memory(image.frames, probe.frames)
-            assert np.array_equal(image.frames, row)
+        monkeypatch.undo()
+        assert built == [] and len(solved) == 1
+        assert probe.frames.shape == (probe.size, cfg.n_steps // stride + 1, 2, 3, 2)
+        assert np.shares_memory(solved[0], probe.frames) == (stride == 1)
+        assert np.array_equal(probe.times, cfg.dt * np.arange(0, cfg.n_steps + 1, stride))
         seen = []
 
         class Recording(DiffEnergyObserver):
@@ -542,9 +595,7 @@ class TestCompactnessSurrogates:
             frames = _solve_traj_with_normals(cfg, eps, normals)
             z = z_process(frames, u0_rec, eps)
             zs.append(z)
-        from snse_lab.deviation import energy_distance
-
-        gaps = [energy_distance(zs[i], zs[i + 1]) for i in range(len(zs) - 1)]
+        gaps = [helpers.energy_distance(zs[i], zs[i + 1]) for i in range(len(zs) - 1)]
         assert gaps[0] >= gaps[1] >= gaps[2]
 
     def test_short_time_mass_vanishes_pathwise(self, study_setup):

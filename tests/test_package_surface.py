@@ -31,8 +31,8 @@ EXPORTED = {
     "SimConfig", "Trajectory", "solve_deterministic", "solve_snse", "solve_skeleton",
     "IntegrationError",
     # deviation
-    "ConstantsLedger", "OptParams", "RateResult", "FWConfig", "ASpec", "energy_distance",
-    "rate_function", "mdp_scaling_probe", "fw_conditional_probe", "moment_bound_suite",
+    "ConstantsLedger", "OptParams", "RateResult", "FWConfig", "ASpec", "rate_function",
+    "mdp_scaling_probe", "fw_conditional_probe", "moment_bound_suite",
     # lil
     "GeometricSchedule", "LimitSetProbe", "z_process", "limit_set_distance", "build_probe",
     "strassen_cluster_study", "classical_ratio_study",

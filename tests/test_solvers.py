@@ -31,7 +31,6 @@ from snse_lab.solvers import (
     ParameterError,
     Propagator,
     SimConfig,
-    combine_trajectories,
     ensemble_run,
     loglog,
     propagator,
@@ -856,8 +855,6 @@ class TestSkeleton:
 
     def test_continuity_slope_one(self, grid3, noise3, rng):
         # response to a control perturbation scales linearly (log-log slope 1)
-        from snse_lab.deviation import energy_distance
-
         g, m = grid3, noise3
         u0_init = random_solenoidal_field(g, rng, amplitude=0.4)
         cfg1 = SimConfig(grid=g, noise=m, horizon=0.25, dt=1e-3,
@@ -870,7 +867,7 @@ class TestSkeleton:
         responses = []
         for s in sizes:
             x = solve_skeleton(Control(m, 0.25, base + s * pert), u0, cfg1)
-            responses.append(energy_distance(x, x_base))
+            responses.append(helpers.energy_distance(x, x_base))
         slope = np.polyfit(np.log(sizes), np.log(responses), 1)[0]
         assert abs(slope - 1.0) <= 0.05
 
@@ -1022,7 +1019,7 @@ class TestTrajectoryCombinators:
     def test_combination_matches_manual(self, linear_config):
         a = solve_snse(linear_config.with_epsilon(1e-3), seed=1)
         b = solve_deterministic(linear_config)
-        diff = combine_trajectories(a, b, 1.0, -1.0)
+        diff = helpers.combine_trajectories(a, b, 1.0, -1.0)
         np.testing.assert_allclose(diff.frames, a.frames - b.frames, atol=1e-16)
         assert diff.sup_h2 >= 0
 
