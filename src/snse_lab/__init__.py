@@ -7,7 +7,7 @@ of deviation scaling and conditional exponential bounds; and empirical
 iterated-logarithm studies.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from types import ModuleType as _ModuleType
 
@@ -30,7 +30,6 @@ from .noise import (
     NoiseModel,
     SigmaParams,
     Control,
-    wiener_increment,
     verify_assumptions,
     control_energy,
     zero_control,

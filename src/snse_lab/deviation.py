@@ -50,14 +50,13 @@ from .solvers import (
     _sup_plus_integral,
 )
 from .spectral import (
-    TWO_PI,
     _curl_form,
+    _l4_fourth_power,
     abs_sq,
     full_spectrum,
     half_norms_sq,
     half_spectrum,
     linearized_advection_adjoint_array,
-    to_physical,
     weighted_norm_sq,
 )
 
@@ -142,18 +141,23 @@ def _frames_energy_sq(grid, times: np.ndarray, frames: np.ndarray) -> float:
 # rate functional by adjoint-based penalty optimization
 
 
+# the rate optimizer's fixed settings: the first penalty and its growth per
+# round of the continuation, L-BFGS-B's projected-gradient tolerance, and the
+# log-sum-exp sharpness of the sup, relative to the target's largest |v|^2
+_PENALTY_INIT = 1.0
+_PENALTY_GROWTH = 10.0
+_GTOL = 1e-12
+_SOFTMAX_SHARPNESS = 25.0
+
+
 @dataclass(frozen=True)
 class OptParams:
     """Penalty-continuation settings for the rate optimizer."""
 
     feasibility_tol: float = 1e-4
     energy_cap: float = 1e3
-    penalty_init: float = 1.0
-    penalty_growth: float = 10.0
     penalty_max: float = 1e12
     maxiter: int = 400
-    gtol: float = 1e-12
-    softmax_sharpness: float = 25.0
 
 
 @dataclass
@@ -179,7 +183,7 @@ class _SkeletonObjective:
     optimizes a smooth function; the exact distance is reported separately.
     """
 
-    def __init__(self, target_frames, u0_frames, config: SimConfig, opt: OptParams):
+    def __init__(self, target_frames, u0_frames, config: SimConfig):
         self.config = config
         self.model = config.noise
         self.u0 = u0_frames
@@ -190,8 +194,8 @@ class _SkeletonObjective:
         self.lam = self.model.eigenvalues
         self.k2 = half_spectrum(config.grid.k2)
         scale = max(float(np.max(half_norms_sq(config.grid, target_frames)[0])), 1e-12)
-        self.alpha = opt.softmax_sharpness / scale
-        self.mu = opt.penalty_init
+        self.alpha = _SOFTMAX_SHARPNESS / scale
+        self.mu = _PENALTY_INIT
         self.nfev = 0
 
     def forward(self, h_values: np.ndarray) -> np.ndarray:
@@ -270,10 +274,10 @@ def rate_function(
 
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
     _require_solver_grid(target, config, "target trajectory")
-    objective = _SkeletonObjective(target.frames, u0_traj.frames, config, opt)
+    objective = _SkeletonObjective(target.frames, u0_traj.frames, config)
     n, J = config.n_steps, config.noise.n_directions
     h = np.zeros(n * J)
-    mu = opt.penalty_init
+    mu = _PENALTY_INIT
     iterations = 0
     grad_norm = math.inf
     feasible = False
@@ -286,7 +290,7 @@ def rate_function(
             h,
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": opt.maxiter, "gtol": opt.gtol, "ftol": 1e-16},
+            options={"maxiter": opt.maxiter, "gtol": _GTOL, "ftol": 1e-16},
         )
         h = res.x
         iterations += int(res.nit)
@@ -306,7 +310,7 @@ def rate_function(
             break
         if mu >= opt.penalty_max:
             break
-        mu *= opt.penalty_growth
+        mu *= _PENALTY_GROWTH
     h_values = h.reshape(n, J)
     control = Control(config.noise, config.horizon, h_values)
     energy = control_energy(control)
@@ -333,10 +337,9 @@ def rate_gradient_check(
     n_directions: int = 20,
     step: float = 1e-5,
     seed: int = 0,
-    opt: OptParams = OptParams(),
 ) -> float:
     """Max relative error of the adjoint gradient against central differences."""
-    objective = _SkeletonObjective(target.frames, u0_traj.frames, config, opt)
+    objective = _SkeletonObjective(target.frames, u0_traj.frames, config)
     objective.mu = 1.0
     n = config.n_steps * config.noise.n_directions
     rng = substream(seed, 777)
@@ -998,11 +1001,8 @@ def moment_bound_suite(
 
 def _l4_integral(traj: Trajectory) -> float:
     """Left-endpoint integral of the fourth power of the L4 norm; the frames
-    are mirrored once into full fields, the input of `to_physical`."""
+    are mirrored once into full fields, the input of `_l4_fourth_power`."""
     if traj.n_records < 2:
         return 0.0
-    widths = np.diff(traj.times)
-    phys = to_physical(traj.grid, full_spectrum(traj.frames[:-1]))
-    speed_sq = phys[:, 0] ** 2 + phys[:, 1] ** 2
-    per_frame = np.mean(speed_sq**2, axis=(-2, -1)) * TWO_PI**2
-    return float(np.sum(per_frame * widths))
+    per_frame = _l4_fourth_power(traj.grid, full_spectrum(traj.frames[:-1]))
+    return float(np.sum(per_frame * np.diff(traj.times)))

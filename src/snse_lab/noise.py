@@ -129,6 +129,14 @@ class NoiseModel:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "n_directions", J)
         object.__setattr__(self, "n_pairs", n_pairs)
+        # Hilbert-Schmidt norms of the gains times Q^(1/2), and of their curl
+        # (gains g_j |k_j|): the bases of `sigma_hs_norm`,
+        # `sigma_curl_hs_norm` and `declared_constants`
+        kabs_dir = np.repeat(kabs, 2)[:J]
+        object.__setattr__(self, "_hs_base", float(np.sqrt(np.sum(lam * gains**2))))
+        object.__setattr__(
+            self, "_curl_hs_base", float(np.sqrt(np.sum(lam * (gains * kabs_dir) ** 2)))
+        )
         # unit L2 normalization of cos/sin mode-pair fields on the torus
         object.__setattr__(self, "_basis_amp", np.sqrt(2.0) / TWO_PI)
 
@@ -210,20 +218,6 @@ def gather_coefficients(model: NoiseModel, coeffs: np.ndarray) -> np.ndarray:
     return xi[..., : model.n_directions]
 
 
-def wiener_increment(
-    model: NoiseModel, dt: float, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Coefficients of a Q-Wiener increment over a step of length dt.
-
-    Coefficient j is sqrt(lambda_j * dt) times a standard normal draw,
-    independent across directions and across calls on one stream.
-    """
-    if dt < 0:
-        raise NoiseConfigError("dt must be nonnegative")
-    shape = (model.n_directions,) if size is None else (size, model.n_directions)
-    return rng.standard_normal(shape) * np.sqrt(model.eigenvalues * dt)
-
-
 def saturation_factor(params: SigmaParams, r):
     """Bounded, Lipschitz gain modulation m(r), monotone with plateau s0."""
     r = np.asarray(r, dtype=np.float64)
@@ -290,18 +284,13 @@ def sigma_adjoint_array(
 def sigma_hs_norm(model: NoiseModel, t: float, u: np.ndarray) -> float:
     """Hilbert-Schmidt norm of sigma(t, u) Q^(1/2) (closed form, diagonal
     family), for a state u given by its kx >= 0 half."""
-    factor = sigma_factor(model, t, u)
-    base = np.sqrt(np.sum(model.eigenvalues * model.gains**2))
-    return float(base * factor)
+    return float(model._hs_base * sigma_factor(model, t, u))
 
 
 def sigma_curl_hs_norm(model: NoiseModel, t: float, u: np.ndarray) -> float:
     """Hilbert-Schmidt norm of curl sigma(t, u) Q^(1/2), for a state u given
     by its kx >= 0 half."""
-    factor = sigma_factor(model, t, u)
-    kabs = np.repeat(model.pair_abs_k, 2)[: model.n_directions]
-    base = np.sqrt(np.sum(model.eigenvalues * (model.gains * kabs) ** 2))
-    return float(base * factor)
+    return float(model._curl_hs_base * sigma_factor(model, t, u))
 
 
 def declared_constants(model: NoiseModel) -> dict:
@@ -312,9 +301,7 @@ def declared_constants(model: NoiseModel) -> dict:
     lipschitz:  constant in ||sigma(u) - sigma(v)|| <= lipschitz * ||u - v||
     curl_bound / curl_growth: same pair for the curl of the map
     """
-    base = float(np.sqrt(np.sum(model.eigenvalues * model.gains**2)))
-    kabs = np.repeat(model.pair_abs_k, 2)[: model.n_directions]
-    curl_base = float(np.sqrt(np.sum(model.eigenvalues * (model.gains * kabs) ** 2)))
+    base, curl_base = model._hs_base, model._curl_hs_base
     if model.family == "additive":
         return {
             "bound": base,

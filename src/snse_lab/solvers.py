@@ -291,45 +291,26 @@ def _noise_block_steps(model: NoiseModel, n_paths: int, n_steps: int) -> int:
     return min(n_steps, max(1, min(by_bytes, by_draw)))
 
 
-def _normal_blocks(sources: list, n_dirs: int) -> Callable[[int, int], np.ndarray]:
-    """draw(start, stop): the standard normals of steps [start, stop) of every
-    path, shape (n, stop - start, n_dirs), in a fresh array.
-
-    A path's source is its own Generator, which must be drawn from in step
-    order, or its whole (n_steps, n_dirs) array, which is sliced.  A
-    Generator gives the same normals whether it fills a path in one call or
-    block by block, so the values do not depend on the block.
-    """
-
-    def draw(start: int, stop: int) -> np.ndarray:
-        out = np.empty((len(sources), stop - start, n_dirs))
-        for row, src in zip(out, sources):
-            if isinstance(src, np.random.Generator):
-                src.standard_normal(out=row)
-            else:
-                row[...] = src[start:stop]
-        return out
-
-    return draw
-
-
 def _integrate_batch(
     config: SimConfig,
     state: np.ndarray,
-    draw_normals: Callable[[int, int], np.ndarray] | None,
+    sources: list | None,
     hooks,
 ) -> None:
     """Advance a batch of paths in place, invoking hooks at each step.
 
-    This is the one time loop of every stochastic path.  The paths are
+    This is the one time loop of every stochastic path, and the one place
+    where standard normals become Wiener increments.  The paths are
     conjugate symmetric, and state holds only their kx >= 0 half, shape
     (n, 2, S, K + 1): the update, the noise and the self-advection are formed
     on that half alone.  hooks.on_noise(step, t, coeffs, dW) and
     hooks.on_state(idx, t, coeffs) are optional callables, and coeffs is the
     half.  on_noise sees the pre-step state, so a coupled process can be
-    stepped inside it on the same increments.  draw_normals(start, stop)
-    returns the (n, stop - start, J) standard normals of steps [start, stop)
-    (`_normal_blocks`), or is None for a noiseless run.
+    stepped inside it on the same increments.  sources holds one generator
+    per path, drawn from in step order, or is None for a noiseless run; the
+    stepper calls only its standard_normal(out=), so a generator-like object
+    may stand in for one.  Step m's increment of path i is its source's
+    normals times sqrt(lambda_j dt).
 
     Each step first takes its noise, drawing and scattering a new block when
     one starts, and calls on_noise; only then is the self-advection formed,
@@ -338,10 +319,12 @@ def _integrate_batch(
     are made while the advection is held.  Every term reads the pre-step
     state, which is changed only by the update.
 
-    The normals are drawn, and the noise field, which does not read the
-    state, is scattered, for a block of steps at once: up to
-    _NOISE_BLOCK_BYTES of noise field per call, and no more steps than fill
-    _NOISE_BLOCK_DRAW normals per path (`_noise_block_steps`).  For a
+    The normals are drawn, one standard_normal(out=) call per path into its
+    row of the block, and the noise field, which does not read the state, is
+    scattered, for a block of steps at once: up to _NOISE_BLOCK_BYTES of
+    noise field per call, and no more steps than fill _NOISE_BLOCK_DRAW
+    normals per path (`_noise_block_steps`).  A generator gives the same
+    normals whether it fills a path in one call or block by block.  For a
     state-independent family the scatter weight of direction j is
     gain_j sqrt(eps) phi_rate(k_j), with k_j its mode, so the block, the
     half of the scatter, is the step's whole noise term; a state-dependent
@@ -369,10 +352,14 @@ def _integrate_batch(
     for step in range(n_steps):
         t = step * config.dt
         noise = None
-        if draw_normals is not None:
+        if sources is not None:
             i = step % block
             if i == 0:
-                dW_block = draw_normals(step, min(step + block, n_steps))
+                dW_block = np.empty((len(sources), min(block, n_steps - step), model.n_directions))
+                # by index: a loop variable bound to a row view would keep
+                # the block alive past its last step
+                for k, src in enumerate(sources):
+                    src.standard_normal(out=dW_block[k])
                 dW_block *= sqrt_lam_dt
                 if config.epsilon > 0.0:
                     noise_block = np.empty(dW_block.shape[:-1] + state.shape[1:], np.complex128)
@@ -423,12 +410,10 @@ def _trajectory(
     )
 
 
-def _solve_single(
-    config: SimConfig, draw_normals: Callable[[int, int], np.ndarray] | None, provenance: dict
-) -> Trajectory:
+def _solve_single(config: SimConfig, sources: list | None, provenance: dict) -> Trajectory:
     obs = TrajectoryObserver(config)
     obs.on_start(propagator(config.grid, config.dt), 1, config.n_steps)
-    _integrate_batch(config, _initial_coeffs(config)[None].copy(), draw_normals, obs)
+    _integrate_batch(config, _initial_coeffs(config)[None].copy(), sources, obs)
     return _trajectory(config, obs.finish(), 0, provenance)
 
 
@@ -445,11 +430,10 @@ def solve_snse(config: SimConfig, seed: int, provenance: dict | None = None) -> 
 
     At epsilon 0 the path still runs through the noisy stepper and consumes
     its normals; only the noise term vanishes."""
-    draw = _normal_blocks([substream(seed, 0)], config.noise.n_directions)
     prov = dict(provenance or {})
     prov.setdefault("seed", seed)
     prov.setdefault("epsilon", config.epsilon)
-    return _solve_single(config, draw, prov)
+    return _solve_single(config, [substream(seed, 0)], prov)
 
 
 def _require_solver_grid(traj: Trajectory, config: SimConfig, name: str) -> None:
@@ -688,32 +672,27 @@ def ensemble_run(
     seed: int,
     n_paths: int,
     observer_factory: Callable[[], object],
-    normal_source: Callable[[int], np.ndarray | np.random.Generator] | None = None,
 ) -> dict:
     """Integrate n_paths independent paths, merging per-path observer output.
 
-    Path i consumes substream(seed, i) unless normal_source(i) provides its
-    standard normals: a fresh Generator to draw them from in step order, or
-    their (n_steps, J) array.  No caller in the package passes it: the tests
-    use it to drive paths with given normals, as a step-size convergence
-    check that feeds coarse and fine solves one Brownian path would.
-    Paths are integrated one chunk at a time, full chunks of
-    `_chunk_paths(config.grid)` paths and then the remainder: as many paths
-    as fill _CHUNK_BYTES with the self-advection's padded transform array,
-    at most _CHUNK_PATHS.  A chunk's normals are drawn one noise block at a
-    time (`_integrate_batch`).  The first call sets the process's allocator
-    policy (`_reuse_step_memory`).
+    Path i draws its standard normals from substream(seed, i), its only
+    source; a noiseless run (epsilon 0) draws none.  Paths are integrated
+    one chunk at a time, full chunks of `_chunk_paths(config.grid)` paths
+    and then the remainder: as many paths as fill _CHUNK_BYTES with the
+    self-advection's padded transform array, at most _CHUNK_PATHS.  A
+    chunk's normals are drawn one noise block at a time and scaled into
+    increments by the stepper (`_integrate_batch`).  The first call sets
+    the process's allocator policy (`_reuse_step_memory`).
     The observer factory is invoked per chunk; each observer must implement
     on_start(prop, n, n_steps), optional on_noise(step, t, coeffs, dW)
-    (called with the pre-step state before each noisy step), optional
-    on_state(idx, t, coeffs) (called with the state after each step, and
-    once with the initial state), and finish() -> dict of arrays with
-    leading axis n.  A hook's coeffs is the (n, 2, S, K + 1) kx >= 0 half
-    of the conjugate-symmetric states, which is all the stepper holds.
-    Results are concatenated
-    across chunks, so output is independent of the chunk size.
+    (called with the pre-step state and the step's increments before each
+    noisy step), optional on_state(idx, t, coeffs) (called with the state
+    after each step, and once with the initial state), and finish() -> dict
+    of arrays with leading axis n.  A hook's coeffs is the (n, 2, S, K + 1)
+    kx >= 0 half of the conjugate-symmetric states, which is all the stepper
+    holds.  Results are concatenated across chunks, so output is
+    independent of the chunk size.
     """
-    J = config.noise.n_directions
     n_steps = config.n_steps
     u0_half = _initial_coeffs(config)
     _reuse_step_memory()
@@ -721,15 +700,11 @@ def ensemble_run(
     chunk = _chunk_paths(config.grid)
     for start in range(0, n_paths, chunk):
         paths = range(start, min(start + chunk, n_paths))
-        draw = None
-        if normal_source is not None:
-            draw = _normal_blocks([normal_source(i) for i in paths], J)
-        elif config.epsilon > 0.0:
-            draw = _normal_blocks([substream(seed, i) for i in paths], J)
+        sources = [substream(seed, i) for i in paths] if config.epsilon > 0.0 else None
         state = np.broadcast_to(u0_half, (len(paths),) + u0_half.shape).copy()
         obs = observer_factory()
         obs.on_start(propagator(config.grid, config.dt), len(paths), n_steps)
-        _integrate_batch(config, state, draw, obs)
+        _integrate_batch(config, state, sources, obs)
         for key, val in obs.finish().items():
             merged.setdefault(key, []).append(val)
     return {k: np.concatenate(v, axis=0) for k, v in merged.items()}

@@ -528,13 +528,19 @@ class NormBundle:
         return self.v_norm**2
 
 
+def _l4_fourth_power(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
+    """The fourth power of the L4 norm, mean(|u|^4) (2 pi)^2 by quadrature at
+    resolution N, batched over full arrays (..., 2, S, S)."""
+    phys = to_physical(grid, coeffs)
+    speed_sq = phys[..., 0, :, :] ** 2 + phys[..., 1, :, :] ** 2
+    return np.mean(speed_sq**2, axis=(-2, -1)) * TWO_PI**2
+
+
 def norm_bundle(field: SpectralField) -> NormBundle:
     """L2 and gradient norms by Parseval; L4 by quadrature at resolution N."""
     g, c = field.grid, field.coeffs
     h2, v2 = half_norms_sq(g, half_spectrum(c))
-    phys = to_physical(g, c)
-    speed_sq = phys[0] ** 2 + phys[1] ** 2
-    l4_4 = float(np.mean(speed_sq**2) * TWO_PI**2)
+    l4_4 = float(_l4_fourth_power(g, c))
     return NormBundle(float(np.sqrt(h2)), float(np.sqrt(v2)), l4_4**0.25)
 
 

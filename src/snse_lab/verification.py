@@ -16,21 +16,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .deviation import (
-    OptParams,
-    _adjoint_sweep,
-    rate_gradient_check,
-)
+from .deviation import _adjoint_sweep, rate_gradient_check
 from .noise import (
     Control,
     NoiseModel,
     control_energy,
     scatter_coefficients,
     verify_assumptions,
-    wiener_increment,
 )
 from .rng import substream
-from .solvers import SimConfig, skeleton_forward, solve_deterministic, solve_snse
+from .solvers import SimConfig, ensemble_run, skeleton_forward, solve_deterministic, solve_snse
 from .spectral import (
     TWO_PI,
     SpectralField,
@@ -75,6 +70,25 @@ def advection_gradient_form(grid: SpectralGrid, u: np.ndarray, v: np.ndarray) ->
 def _rel_divergence(field: SpectralField) -> float:
     div, amp = divergence_defect(field)
     return div / max(amp, 1e-300)
+
+
+class _IncrementSums:
+    """Per path, the sums over steps of the increments dW of J directions and
+    of dW^2, (n, J) each, summed as the stepper hands them to on_noise."""
+
+    def __init__(self, n_directions: int):
+        self.J = n_directions
+
+    def on_start(self, prop, n_paths, n_steps):
+        self.dW = np.zeros((n_paths, self.J))
+        self.dW_sq = np.zeros((n_paths, self.J))
+
+    def on_noise(self, step, t, coeffs, dW):
+        self.dW += dW
+        self.dW_sq += dW**2
+
+    def finish(self) -> dict:
+        return {"dW": self.dW, "dW_sq": self.dW_sq}
 
 
 def run_invariant_suite(config: SimConfig, seed: int = 0) -> list[CheckRow]:
@@ -176,11 +190,17 @@ def run_invariant_suite(config: SimConfig, seed: int = 0) -> list[CheckRow]:
     sigma_div = float(np.max(np.max(kdot, axis=(1, 2)) / np.max(np.abs(halves), axis=(1, 2, 3))))
     rows.append(CheckRow("sigma_output_divergence_free", sigma_div <= 1e-12, sigma_div, 1e-12))
 
-    # Wiener increment variance against the spectrum
-    draws = wiener_increment(model, config.dt, substream(seed, 3), size=20000)
-    var = np.var(draws, axis=0)
+    # the variance of the increments the stepper hands its observers, against
+    # the spectrum: 2000 linear paths of 10 steps, 20000 draws per direction
+    eps = min(0.01, config.epsilon or 0.01)
+    linear = replace(config, horizon=10 * config.dt, epsilon=eps, nonlinear=False,
+                     record_stride=1)
+    sums = ensemble_run(linear, seed, 2000, lambda: _IncrementSums(model.n_directions))
+    n = 2000 * linear.n_steps
+    mean = np.sum(sums["dW"], axis=0) / n
+    var = np.sum(sums["dW_sq"], axis=0) / n - mean**2
     expected = model.eigenvalues * config.dt
-    se = expected * math.sqrt(2.0 / 20000)
+    se = expected * math.sqrt(2.0 / n)
     worst_z = float(np.max(np.abs(var - expected) / se))
     rows.append(CheckRow("wiener_increment_variance", worst_z <= 4.0, worst_z, 4.0, "z-score"))
 
@@ -200,7 +220,6 @@ def run_invariant_suite(config: SimConfig, seed: int = 0) -> list[CheckRow]:
     rows.append(CheckRow("zero_noise_reduction_bit_exact", bit_equal, float(not bit_equal), 0.0))
 
     # determinism of the stochastic solver
-    eps = min(0.01, config.epsilon or 0.01)
     t1 = solve_snse(short.with_epsilon(eps), seed=seed)
     t2 = solve_snse(short.with_epsilon(eps), seed=seed)
     det_equal = bool(np.array_equal(t1.frames, t2.frames))
@@ -222,7 +241,7 @@ def run_invariant_suite(config: SimConfig, seed: int = 0) -> list[CheckRow]:
     coupled = replace(small, initial=random_solenoidal_field(small.grid, rng))
     u0 = solve_deterministic(coupled)
     target = solve_skeleton_target(coupled, u0, seed)
-    err = rate_gradient_check(target, u0, coupled, n_directions=5, seed=seed, opt=OptParams())
+    err = rate_gradient_check(target, u0, coupled, n_directions=5, seed=seed)
     rows.append(CheckRow("adjoint_gradient_check", err <= 1e-4, err, 1e-4))
 
     # then the dot-product identity <x(h), s> = <h, adjoint(s)> of the

@@ -699,11 +699,27 @@ def read_trajectory(path: str):
     )
 
 
-def integrate_batch_full(config, state: np.ndarray, draw_normals, hooks) -> None:
+class ScaledNormals:
+    """A stand-in for one path's generator in the stepper, returned in place
+    of `solvers.substream(seed, i)`: the normals of rng times scale, through
+    the one call the stepper makes, standard_normal(out=)."""
+
+    def __init__(self, rng: np.random.Generator, scale: float):
+        self.rng, self.scale = rng, scale
+
+    def standard_normal(self, out: np.ndarray) -> np.ndarray:
+        self.rng.standard_normal(out=out)
+        out *= self.scale
+        return out
+
+
+def integrate_batch_full(config, state: np.ndarray, sources, hooks) -> None:
     """The stochastic time loop on full (n, 2, S, S) states: the stepper of
     `solvers._integrate_batch` with the weights, the update, the noise
     block, the self-advection and the hooks' inputs all over the whole mode
-    square.  A guard over every mode stands in for the blow-up guard."""
+    square.  Each block's normals are one fresh (steps, J) draw per path's
+    generator in sources (None for a noiseless run), stacked.  A guard over
+    every mode stands in for the blow-up guard."""
     from snse_lab.noise import at_directions, scatter_coefficients, sigma_factor
     from snse_lab.solvers import IntegrationError, _guard_scale, _noise_block_steps
     from snse_lab.spectral import advection_array, full_spectrum, half_spectrum
@@ -727,10 +743,11 @@ def integrate_batch_full(config, state: np.ndarray, draw_normals, hooks) -> None
         t = step * config.dt
         adv = advection_array(config.grid, state, state) if config.nonlinear else None
         noise = None
-        if draw_normals is not None:
+        if sources is not None:
             i = step % block
             if i == 0:
-                dW_block = draw_normals(step, min(step + block, n_steps))
+                shape = (min(block, n_steps - step), model.n_directions)
+                dW_block = np.stack([src.standard_normal(shape) for src in sources])
                 dW_block *= sqrt_lam_dt
                 if config.epsilon > 0.0:
                     noise_block = scatter_coefficients(model, dW_block, weights=weights)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snse_lab import cli, config, deviation, noise, spectral
+from snse_lab import cli, config, deviation, noise, solvers, spectral
 from snse_lab.cli import emit_tables, main
 from snse_lab.config import (
     ConfigError,
@@ -29,11 +29,12 @@ from snse_lab.persist import (
     write_trajectory,
 )
 from snse_lab.lil import build_probe
+from snse_lab.rng import substream
 from snse_lab.solvers import IntegrationError, SimConfig, solve_deterministic, solve_skeleton
 from snse_lab.spectral import full_spectrum, single_mode_field
 from snse_lab.verification import CheckRow, run_invariant_suite
 
-from helpers import h_norm_sq_array, read_trajectory
+from helpers import ScaledNormals, h_norm_sq_array, read_trajectory
 
 
 def _write(tmp_path, cfg, name="config.json"):
@@ -463,8 +464,9 @@ class TestVerifyVerb:
 class TestInvariantRows:
     """The rows that check the advection kernel against the gradient form,
     the skeleton's adjoint sweep against the skeleton and against central
-    differences, and the noise directions' divergence, each with a negative
-    control that breaks what it checks."""
+    differences, the noise directions' divergence, and the variance of the
+    stepper's Wiener increments, each with a negative control that breaks
+    what it checks."""
 
     @staticmethod
     def _rows(nonlinear: bool, family: str = "additive") -> dict:
@@ -483,7 +485,8 @@ class TestInvariantRows:
         for name, threshold in (("advection_gradient_form_agreement", 1e-13),
                                 ("adjoint_dot_identity", 1e-12),
                                 ("adjoint_gradient_check", 1e-4),
-                                ("sigma_output_divergence_free", 1e-12)):
+                                ("sigma_output_divergence_free", 1e-12),
+                                ("wiener_increment_variance", 4.0)):
             assert rows[name].passed and rows[name].threshold == threshold
             assert rows[name].value <= threshold
 
@@ -519,6 +522,14 @@ class TestInvariantRows:
         monkeypatch.setattr(noise.NoiseModel, "__post_init__", tilted)
         row = self._rows(nonlinear=False)["sigma_output_divergence_free"]
         assert not row.passed and row.value > 1e-3
+
+    def test_scaled_normals_fail_the_increment_row(self, monkeypatch):
+        # every normal the stepper draws scaled by 1.1: the increments'
+        # variance is 1.21 lambda dt, about 21 standard errors off
+        monkeypatch.setattr(
+            solvers, "substream", lambda seed, i: ScaledNormals(substream(seed, i), 1.1))
+        row = self._rows(nonlinear=False)["wiener_increment_variance"]
+        assert not row.passed and row.value > 4.0
 
     def test_swapped_product_fails_the_gradient_form_row(self, monkeypatch):
         advect = spectral.advection_array

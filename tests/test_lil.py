@@ -114,40 +114,20 @@ class TestRescaledProcess:
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
         eps = 1e-3
         n = 2000
-        vals = []
-        for i in range(n):
-            ue = _solve_one(cfg, eps, seed=900, path=i)
-            z = (ue - full_spectrum(u0_rec.frames[-1])) / math.sqrt(2 * eps * loglog(eps))
-            vals.append(z[1, 1, 2])
+        # path i draws from substream(900, i); the terminal frame of each
+        cfg_eps = cfg.with_epsilon(eps)
+        out = ensemble_run(cfg_eps, 900, n, lambda: TrajectoryObserver(cfg_eps))
+        ue = full_spectrum(out["frames"][:, -1])
+        z = (ue - full_spectrum(u0_rec.frames[-1])) / math.sqrt(2 * eps * loglog(eps))
+        arr = z[:, 1, 1, 2]
         A = math.sqrt(2.0) / (2 * math.pi)
         noise_rms = math.sqrt(eps) * (A / 2.0) * math.sqrt(m.eigenvalues[0] * cfg.dt)
         _, var = helpers.ou_discrete_moments(
             1.0, cfg.dt, cfg.n_steps, 0.0, noise_rms
         )
         var_z = var / (2 * eps * loglog(eps))
-        arr = np.array(vals)
         se = var_z * math.sqrt(2.0 / n)
         assert abs(arr.real.var() - var_z) <= 3.0 * se
-
-
-def _solve_one(cfg, eps, seed, path):
-    class Last:
-        def on_start(self, prop, n, n_steps):
-            pass
-
-        def on_state(self, idx, t, coeffs):
-            self.c = full_spectrum(coeffs[0])
-
-        def finish(self):
-            return {"c": self.c[None]}
-
-    out = ensemble_run(
-        cfg.with_epsilon(eps), seed=seed, n_paths=1, observer_factory=Last,
-        normal_source=lambda i: substream(seed, path).standard_normal(
-            (cfg.n_steps, cfg.noise.n_directions)
-        ),
-    )
-    return out["c"][0]
 
 
 class TestLimitSetProbe:
@@ -426,10 +406,9 @@ class TestClusterStudy:
         seed, n_reps = 3, 3
         expected = []
         for rep in range(n_reps):
-            normals = substream(seed, rep).standard_normal((cfg.n_steps, m.n_directions))
             for j in sched.indices:
                 eps = sched.epsilon(j)
-                u = _solve_traj_with_normals(cfg, eps, normals)
+                u = _solve_path(cfg, eps, seed, rep)
                 dist, nearest = limit_set_distance(z_process(u, u0_rec, eps), probe)
                 expected.append({"replicate": rep, "j": j, "epsilon": eps, "distance": dist,
                                  "nearest": nearest, "within_tolerance": dist <= 0.25})
@@ -588,11 +567,10 @@ class TestCompactnessSurrogates:
         # common noise across levels: the rescaled processes at adjacent
         # levels get closer as the level decreases
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
-        normals = substream(12, 0).standard_normal((cfg.n_steps, 2))
         eps_grid = [2.0**-j for j in (7, 9, 11, 13)]
         zs = []
         for eps in eps_grid:
-            frames = _solve_traj_with_normals(cfg, eps, normals)
+            frames = _solve_path(cfg, eps, 12, 0)
             z = z_process(frames, u0_rec, eps)
             zs.append(z)
         gaps = [helpers.energy_distance(zs[i], zs[i + 1]) for i in range(len(zs) - 1)]
@@ -614,8 +592,12 @@ class TestCompactnessSurrogates:
         assert norms[0] >= norms[1] >= norms[2]
 
 
-def _solve_traj_with_normals(cfg, eps, normals):
+def _solve_path(cfg, eps, seed, path):
+    """Path `path` of seed's ensemble at eps, solved as a one-path ensemble
+    whose generator, in place of substream(seed, 0), is substream(seed, path)."""
     cfg = cfg.with_epsilon(eps)
-    out = ensemble_run(cfg, seed=0, n_paths=1, observer_factory=lambda: TrajectoryObserver(cfg),
-                       normal_source=lambda i: normals)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "substream", lambda s, i: substream(seed, path))
+        out = ensemble_run(cfg, seed=seed, n_paths=1,
+                           observer_factory=lambda: TrajectoryObserver(cfg))
     return trajectories_from_ensemble(out, cfg, seed=-1)[0]

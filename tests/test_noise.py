@@ -20,10 +20,10 @@ from snse_lab.noise import (
     sigma_adjoint_array,
     sigma_hs_norm,
     verify_assumptions,
-    wiener_increment,
     zero_control,
 )
 from snse_lab.rng import substream
+from snse_lab.solvers import SimConfig, ensemble_run
 from snse_lab.spectral import (
     TWO_PI,
     SpectralField,
@@ -88,37 +88,54 @@ class TestModel:
         assert np.array_equal(ours, helpers.fancy_index_scatter(m, xi, weights=m.gains))
 
 
+class _Increments:
+    """Every increment the stepper hands on_noise, (n, n_steps, J)."""
+
+    def on_start(self, prop, n_paths, n_steps):
+        self.dW = []
+
+    def on_noise(self, step, t, coeffs, dW):
+        self.dW.append(dW.copy())
+
+    def finish(self):
+        return {"dW": np.stack(self.dW, axis=1)}
+
+
+def _stepper_increments(model, dt, seed, n_paths=10_000, n_steps=10):
+    cfg = SimConfig(grid=model.grid, noise=model, horizon=n_steps * dt, dt=dt,
+                    epsilon=1e-2, nonlinear=False)
+    return ensemble_run(cfg, seed, n_paths, _Increments)["dW"]
+
+
 class TestWienerIncrements:
-    def test_zero_dt(self, noise3):
-        dw = wiener_increment(noise3, 0.0, substream(0, 0))
-        assert np.all(dw == 0.0)
+    # the increments the stepper hands its observers: 10000 paths of 10
+    # steps, 100000 draws per direction
 
     def test_coefficient_variance(self, noise3):
-        n = 100_000
         dt = 0.05
-        draws = wiener_increment(noise3, dt, substream(1, 0), size=n)
+        draws = _stepper_increments(noise3, dt, 1).reshape(-1, noise3.n_directions)
+        n = len(draws)
         var = draws.var(axis=0)
         expected = noise3.eigenvalues * dt
         se = expected * math.sqrt(2.0 / n)
         assert np.all(np.abs(var - expected) <= 3.5 * se)
 
     def test_total_h_variance(self, noise3):
-        n = 100_000
         dt = 0.03
-        draws = wiener_increment(noise3, dt, substream(2, 0), size=n)
+        draws = _stepper_increments(noise3, dt, 2).reshape(-1, noise3.n_directions)
+        n = len(draws)
         # increments land on unit-norm directions, so |dW|_H^2 = sum_j dw_j^2
         total = np.sum(draws**2, axis=1)
         expected = helpers.noise_trace(noise3) * dt
         se = np.std(total) / math.sqrt(n)
         assert abs(total.mean() - expected) <= 3.0 * se
 
-    def test_disjoint_increments_uncorrelated(self, noise3):
-        n = 100_000
-        rng = substream(3, 0)
-        a = wiener_increment(noise3, 0.01, rng, size=n)[:, 0]
-        b = wiener_increment(noise3, 0.01, rng, size=n)[:, 0]
-        corr = np.corrcoef(a, b)[0, 1]
-        assert abs(corr) <= 3.0 / math.sqrt(n)
+    def test_uncorrelated_across_steps_and_paths(self, noise3):
+        dW = _stepper_increments(noise3, 0.01, 3)[..., 0]
+        # even against odd steps of each path, even against odd paths
+        for a, b in ((dW[:, 0::2], dW[:, 1::2]), (dW[0::2], dW[1::2])):
+            corr = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+            assert abs(corr) <= 3.0 / math.sqrt(a.size)
 
 
 class TestSigmaFamilies:

@@ -25,7 +25,7 @@ EXPORTED = {
     "apply_stokes", "advection_term", "advection_form", "norm_bundle", "zero_field",
     "single_mode_field", "taylor_green", "random_solenoidal_field",
     # noise
-    "NoiseModel", "SigmaParams", "Control", "wiener_increment", "verify_assumptions",
+    "NoiseModel", "SigmaParams", "Control", "verify_assumptions",
     "control_energy", "zero_control",
     # solvers
     "SimConfig", "Trajectory", "solve_deterministic", "solve_snse", "solve_skeleton",

@@ -453,10 +453,9 @@ class TestStochasticSolve:
                 grid=grid1, noise=noise1, horizon=0.25, dt=1e-3, epsilon=eps,
                 initial=u0, nonlinear=False, record_stride=10**9,
             )
-            vals = []
-            for i in range(400):
-                traj = _fast_path(cfg, seed=77, path=i)
-                vals.append(traj[1, iy, ix])
+            # path i draws from substream(77, i); the terminal frame of each
+            out = ensemble_run(cfg, 77, 400, lambda: TrajectoryObserver(cfg))
+            vals = full_spectrum(out["frames"][:, -1])[:, 1, iy, ix]
             variances.append(np.var(np.real(vals)))
         slope = np.polyfit(np.log(eps_grid), np.log(variances), 1)[0]
         assert abs(slope - 1.0) <= 0.1
@@ -712,10 +711,8 @@ class TestHalfSpectrumStepper:
         runs = []
         for state, integrate in ((half, solvers._integrate_batch),
                                  (full, helpers.integrate_batch_full)):
-            draw = solvers._normal_blocks([substream(5, i) for i in range(batch)],
-                                          noise.n_directions)
             runs.append(_Recorder())
-            integrate(cfg, state, draw, runs[-1])
+            integrate(cfg, state, [substream(5, i) for i in range(batch)], runs[-1])
         ours, oracle = runs
         assert len(ours.noise) == len(oracle.noise) == cfg.n_steps
         assert len(ours.states) == len(oracle.states) == cfg.n_steps + 1
@@ -787,27 +784,6 @@ class TestHalfSpectrumStepper:
             outputs.append(ensemble_run(cfg, 4, 150, lambda: TrajectoryObserver(cfg)))
             assert batches == [n for n in chunks for _ in range(cfg.n_steps)]
         _assert_identical(*outputs)
-
-
-def _fast_path(cfg, seed, path):
-    """Terminal frame of one ensemble path (scalar-speed helper)."""
-    class Last:
-        def on_start(self, prop, n, n_steps):
-            pass
-
-        def on_state(self, idx, t, coeffs):
-            self.c = full_spectrum(coeffs[0])
-
-        def finish(self):
-            return {"c": self.c[None]}
-
-    out = ensemble_run(
-        cfg, seed=seed, n_paths=1, observer_factory=Last,
-        normal_source=lambda i: substream(seed, path).standard_normal(
-            (cfg.n_steps, cfg.noise.n_directions)
-        ),
-    )
-    return out["c"][0]
 
 
 class TestSkeleton:
@@ -908,19 +884,20 @@ class TestSkeleton:
 
 
 class TestShiftedProcess:
-    def test_degenerate_zero(self, grid1, noise1):
+    def test_degenerate_zero(self, grid1, noise1, monkeypatch):
         # zero increments and a zero control leave the shifted process at zero
         cfg = SimConfig(grid=grid1, noise=noise1, horizon=0.25, dt=1e-3,
                         nonlinear=False, record_stride=1)
         u0 = solve_deterministic(cfg)
         h = zero_control(noise1, 0.25, 10)
-        # the shifted observer, on all-zero increments
+        # the shifted observer, on all-zero increments: every normal scaled by 0
         cfg_eps = cfg.with_epsilon(1e-4)
         h_field = solvers._control_fields(h, cfg)
+        monkeypatch.setattr(
+            solvers, "substream", lambda seed, i: helpers.ScaledNormals(substream(seed, i), 0.0))
         z = ensemble_run(
             cfg_eps, 0, 1,
             lambda: solvers._ShiftedObserver(cfg_eps, h_field, u0.frames, TrajectoryObserver(cfg)),
-            normal_source=lambda i: np.zeros((cfg.n_steps, noise1.n_directions)),
         )["frames"]
         assert np.max(np.abs(z)) == 0.0
 
