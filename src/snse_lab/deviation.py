@@ -53,10 +53,10 @@ from .spectral import (
     _curl_form,
     _l4_fourth_power,
     abs_sq,
-    full_spectrum,
     half_norms_sq,
     half_spectrum,
     linearized_advection_adjoint_array,
+    to_velocity,
     weighted_norm_sq,
 )
 
@@ -132,7 +132,7 @@ class ConstantsLedger:
 
 
 def _frames_energy_sq(grid, times: np.ndarray, frames: np.ndarray) -> float:
-    """Trajectory norm, squared, of frames given as kx >= 0 halves."""
+    """Trajectory norm, squared, of frames given as scalar halves."""
     h2, v2 = half_norms_sq(grid, frames)
     return float(_sup_plus_integral(h2, v2, times))
 
@@ -220,7 +220,7 @@ class _SkeletonObjective:
         lse, integral, e, weights = self.distance_parts(frames)
         energy = float(np.sum(h_values**2 / self.lam) * self.dt)
         value = 0.5 * energy + 0.5 * self.mu * (lse + integral)
-        sources = self.mu * (weights[:N, None, None, None] * e[:N] + self.dt * (self.k2 * e[:N]))
+        sources = self.mu * (weights[:N, None, None] * e[:N] + self.dt * (self.k2 * e[:N]))
         p_end = self.mu * weights[N] * e[N]
         grad_h = h_values * (self.dt / self.lam)
         grad_h = grad_h + _adjoint_sweep(self.config, self.u0, p_end, sources)
@@ -231,14 +231,13 @@ def _adjoint_sweep(config: SimConfig, u0_frames, p_end, sources) -> np.ndarray:
     """Control gradient of <p_end, x_N> + sum_n <sources[n], x_n> over the
     frames x of skeleton_forward, by its discrete adjoint (L2 pairing).
 
-    p_end (2, S, K + 1), sources (n_steps, 2, S, K + 1) and u0_frames are
-    kx >= 0 halves, and so is the adjoint state p; returns the gradient with
-    shape (n_steps, J).  In the nonlinear regime each step applies the
-    adjoint of the linearized advection, -P(2 D(P phi p) u0) with D the
-    symmetric gradient, in one `linearized_advection_adjoint_array` call.
-    The loop keeps phi * p of every step; after it, that stack is mirrored
-    once into full fields, the input of `sigma_adjoint_array`, and the noise
-    map, frozen at the deterministic limit, takes them all in one call.
+    p_end (S, K + 1), sources (n_steps, S, K + 1) and u0_frames are scalar
+    halves, and so is the adjoint state p; returns the gradient with shape
+    (n_steps, J).  In the nonlinear regime each step applies the adjoint of
+    the linearized advection, -P(2 D(phi p) u0) with D the symmetric
+    gradient, in one `linearized_advection_adjoint_array` call.  The loop
+    keeps phi * p of every step; after it the noise map's adjoint, frozen
+    at the deterministic limit, takes that whole stack in one call.
     """
     grid = config.grid
     prop = propagator(grid, config.dt)
@@ -252,7 +251,7 @@ def _adjoint_sweep(config: SimConfig, u0_frames, p_end, sources) -> np.ndarray:
         if config.nonlinear:
             p_next = p_next - linearized_advection_adjoint_array(grid, phi_p[n], u0n)
         p = p_next + sources[n]
-    return sigma_adjoint_array(config.noise, 0.0, u0_frames[:n_steps], full_spectrum(phi_p))
+    return sigma_adjoint_array(config.noise, 0.0, u0_frames[:n_steps], phi_p)
 
 
 def rate_function(
@@ -465,10 +464,10 @@ def estimate_from_hits(hits: int, n: int) -> ProbabilityEstimate:
 class DiffEnergyObserver:
     """Per-path squared trajectory norm on the recording grid of
     z = scale * path - scale * reference (given at every solver step), shape
-    (n,), or of z minus each recorded target of a (T, records, 2, S, K + 1)
+    (n,), or of z minus each recorded target of a (T, records, S, K + 1)
     stack, shape (n, T).  The reference, the targets, z and its differences
-    are kx >= 0 halves, all that a norm of a conjugate-symmetric field
-    reads."""
+    are scalar halves, one value per mode, all that a norm of a
+    divergence-free, conjugate-symmetric field reads."""
 
     def __init__(self, config: SimConfig, ref_frames_by_step: np.ndarray, scale=1.0, targets=None):
         self.config = config
@@ -491,8 +490,8 @@ class DiffEnergyObserver:
             self.on_record(slot, z)
 
     def on_record(self, slot, z):
-        """Norms of z, the kx >= 0 columns (n, 2, S, K + 1) of one record, or
-        of its difference to each target in turn."""
+        """Norms of z, the scalar halves (n, S, K + 1) of one record, or of
+        its difference to each target in turn."""
         if self.targets is None:
             self.h2[:, slot], self.v2[:, slot] = half_norms_sq(self.grid, z)
             return
@@ -775,7 +774,7 @@ class _MomentObserver:
     """Running moments of one ensemble, one column per order p of `orders`:
     `sup`, the sup over steps of |u|^(2p), and `int`, the left-endpoint
     integral of |u|^(2p-2) ||u||^2.  Given the zero-noise frames u0, as
-    kx >= 0 halves, it also keeps the gradient sup `sup_v2`, the
+    scalar halves, it also keeps the gradient sup `sup_v2`, the
     left-endpoint integral `int_a2` of |A u|^2, and the deviation u - u0's
     `sup_d2` and `int_dv2`."""
 
@@ -845,7 +844,7 @@ class _RemainderObserver:
     """sup over steps of |u - u0 - sqrt(eps) Y|^2, with the linearization Y
     of the dynamics around u0 stepped on the increments of the noisy path u.
 
-    Y and the u0 frames are kx >= 0 halves, like the stepper's state.  Y is
+    Y and the u0 frames are scalar halves, like the stepper's state.  Y is
     stepped with the noise map frozen at u0 and, in the nonlinear regime,
     the drift -(B(Y, u0) + B(u0, Y)), one `_curl_form` call on Y and 2 u0
     per step.  In the additive linear regime the remainder vanishes
@@ -1001,8 +1000,8 @@ def moment_bound_suite(
 
 def _l4_integral(traj: Trajectory) -> float:
     """Left-endpoint integral of the fourth power of the L4 norm; the frames
-    are mirrored once into full fields, the input of `_l4_fourth_power`."""
+    are expanded once into full fields, the input of `_l4_fourth_power`."""
     if traj.n_records < 2:
         return 0.0
-    per_frame = _l4_fourth_power(traj.grid, full_spectrum(traj.frames[:-1]))
+    per_frame = _l4_fourth_power(traj.grid, to_velocity(traj.grid, traj.frames[:-1]))
     return float(np.sum(per_frame * np.diff(traj.times)))

@@ -7,11 +7,12 @@ rescaled fluctuation to a finite probe of the unit rate-ball (a certified
 upper bound on the distance to the true limit set, refinable by adding
 candidates), using one Brownian scaffold per replicate rescaled across the
 geometric noise schedule.  The probe holds its candidates' skeleton
-solutions as one array on the recording grid, and each path's distance to
-every row of it is streamed as the path is stepped.  The ratio study reports
-trends and quantiles of the normalized deviation ratio without asserting
-limit values: the ratio is a norm over a positive scalar, so a negative lower
-limit is impossible, and no specific limit is claimed for the upper one.
+solutions as one array of scalar halves on the recording grid, and each
+path's distance to every row of it is streamed as the path is stepped.  The
+ratio study reports trends and quantiles of the normalized deviation ratio
+without asserting limit values: the ratio is a norm over a positive scalar,
+so a negative lower limit is impossible, and no specific limit is claimed
+for the upper one.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ class LimitSetProbe:
     Every candidate control satisfies half-energy <= 1, so each solution lies
     in the limit set; the minimum distance over candidates is an upper bound
     on the distance to the set, nonincreasing under refinement.  `frames`
-    holds the solutions' recorded frames, kx >= 0 halves, one row per
-    control, in one (size, records, 2, S, K + 1) array, and `times` the
+    holds the solutions' recorded frames, scalar halves, one row per
+    control, in one (size, records, S, K + 1) array, and `times` the
     recording times.
     """
 
@@ -111,13 +112,13 @@ class LimitSetProbe:
                     f"(half-energy {0.5 * control_energy(h):.6f})"
                 )
         shape = np.shape(self.frames)
-        if len(shape) != 5 or shape[0] != len(self.controls):
+        if len(shape) != 4 or shape[0] != len(self.controls):
             raise ParameterError(
-                f"probe frames of shape {shape} need one (records, 2, S, K + 1) "
+                f"probe frames of shape {shape} need one (records, S, K + 1) "
                 f"row per control, {len(self.controls)}"
             )
-        if shape[2] != 2 or shape[3] != 2 * shape[4] - 1:
-            raise ParameterError(f"probe frames of shape {shape} are not kx >= 0 halves")
+        if shape[2] != 2 * shape[3] - 1:
+            raise ParameterError(f"probe frames of shape {shape} are not scalar halves")
         if len(self.times) != shape[1]:
             raise ParameterError(
                 f"probe has {len(self.times)} recording times for {shape[1]} records"
@@ -168,10 +169,12 @@ def build_probe(
     Every candidate's cell values are one row of one (controls, n_cells, J)
     array, which the controls view.  The nonzero controls are solved in one
     batched skeleton_forward call into the one array that holds every
-    solution's kx >= 0 halves, from that array itself when each step is its
+    solution's scalar halves, from that array itself when each step is its
     own cell; the zero control's solution is exactly zero and is not
     integrated.  At record stride 1 the probe's frames are that array, and
-    otherwise its rows at the recorded steps.
+    otherwise its rows at the recorded steps, moved forward within it and
+    the array shrunk to them (`_keep_steps`), so that no second array holds
+    them.
     """
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
     model = config.noise
@@ -200,8 +203,24 @@ def build_probe(
         skeleton_forward(h_values, u0_traj.frames, config, out=frames[first:])
     steps = _RecordingGrid(config.n_steps, config.record_stride).steps
     if config.record_stride != 1:
-        frames = frames[:, steps]
+        _keep_steps(frames, steps)
     return LimitSetProbe(controls, frames, config.dt * np.array(steps), tolerance)
+
+
+def _keep_steps(frames: np.ndarray, steps: list[int]) -> None:
+    """Shrink frames (m, n_steps + 1, ...), which owns its memory, to its
+    rows at the ascending steps, in place: candidate i's rows are gathered
+    (one candidate's recorded rows at a time) to the start of its slot in
+    the shrunk array, which lies at or before all the rows still to be
+    read, and the memory past the last is released.  No view of frames may
+    outlive the call: the resize does not check for one."""
+    m, n = frames.shape[:2]
+    R = len(steps)
+    rows = frames.reshape((m * n,) + frames.shape[2:])
+    for i in range(m):
+        rows[i * R : (i + 1) * R] = rows[i * n + np.asarray(steps)]
+    del rows
+    frames.resize((m, R) + frames.shape[2:], refcheck=False)
 
 
 @dataclass

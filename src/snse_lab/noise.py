@@ -27,7 +27,7 @@ from .spectral import (
     SpectralGrid,
     TWO_PI,
     abs_sq,
-    half_spectrum,
+    to_scalar,
     weighted_norm_sq,
 )
 
@@ -92,38 +92,32 @@ class NoiseModel:
         n_pairs = (J + 1) // 2
         kvec = np.array(reps[:n_pairs], dtype=np.int64)  # (P, 2)
         kabs = np.sqrt((kvec**2).sum(axis=1).astype(np.float64))
-        # rotate k by 90 degrees for the divergence-free direction
-        direction = np.stack([-kvec[:, 1], kvec[:, 0]], axis=1) / kabs[:, None]
         lam_pair = kabs ** (-2.0 * self.spectrum_exponent)
         gain_pair = self.params.amplitude * kabs ** (-self.params.gain_decay)
         lam = np.repeat(lam_pair, 2)[:J]
         gains = np.repeat(gain_pair, 2)[:J]
         S = self.grid.n_coeff
-        pos_plus = (K + kvec[:, 1]) * S + (K + kvec[:, 0])
-        # where the kx >= 0 half holds k, or -k for kx < 0 (`at_directions`)
+        # where the kx >= 0 half holds k, or -k for kx < 0 (`at_directions`),
+        # and the sign of Im c(k) relative to the value held there
         flip = np.where(kvec[:, 0] < 0, -1, 1)
         half_pos = (K + flip * kvec[:, 1]) * (K + 1) + flip * kvec[:, 0]
-        # per slot of the kx >= 0 half (S, K + 1), in raster order, the pair
-        # whose amplitude it reads and its direction (0 for the zero mode and
-        # for a pair left out); the pair representatives fill rows ky >= 0,
-        # and a slot on rows ky < 0 reads the pair at -k, conjugated
-        half_source = np.zeros((S, K + 1), dtype=np.int64)
-        half_direction = np.zeros((2, S, K + 1))
+        # per slot of the kx >= 0 half (S, K + 1) the entry of
+        # `_pair_amplitudes` it reads: the pair representatives fill rows
+        # ky >= 0, a slot on rows ky < 0 reads the pair at -k (conjugated
+        # after the gather), and the zero mode and a pair left out read the
+        # last entry, 0
+        half_source = np.full((S, K + 1), n_pairs, dtype=np.int64)
         for sign in (1, -1):
             rows, cols = K + sign * kvec[:, 1], sign * kvec[:, 0]
             kept = cols >= 0
             half_source[rows[kept], cols[kept]] = np.arange(n_pairs)[kept]
-            half_direction[:, rows[kept], cols[kept]] = direction[kept].T
         for name, arr in (
             ("eigenvalues", lam),
             ("gains", gains),
             ("pair_k", kvec),
-            ("pair_abs_k", kabs),
-            ("pair_direction", direction),
-            ("_pos_plus", pos_plus),
             ("_half_pos", half_pos),
-            ("_half_source", half_source.reshape(-1)),
-            ("_half_direction", half_direction),
+            ("_half_sign", flip.astype(np.float64)),
+            ("_half_source", half_source),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -153,21 +147,25 @@ def at_directions(model: NoiseModel, per_mode: np.ndarray) -> np.ndarray:
 
 
 def _pair_amplitudes(model: NoiseModel, xi: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    """One complex amplitude per pair, (..., P): b (w xi)_cos - i b (w xi)_sin,
-    b half the unit basis amplitude, formed in its one array."""
-    J = model.n_directions
-    c = np.empty(xi.shape[:-1] + (model.n_pairs,), dtype=np.complex128)
-    re, im = c.real, c.imag[..., : J // 2]
+    """The scalar of each pair's field at its representative k, then a 0,
+    (..., P + 1), formed in one array.  The pair's velocity at k is
+    b (w xi)_cos - i b (w xi)_sin, b half the unit basis amplitude, times
+    its direction (-ky, kx) / |k|, so its scalar is i times that amplitude:
+    b (w xi)_sin + i b (w xi)_cos."""
+    J, P = model.n_directions, model.n_pairs
+    c = np.empty(xi.shape[:-1] + (P + 1,), dtype=np.complex128)
+    re, im = c.real[..., :P], c.imag[..., :P]
     if weights is None:
-        re[...] = xi[..., 0::2]
-        im[...] = xi[..., 1::2]
+        re[..., : J // 2] = xi[..., 1::2]
+        im[...] = xi[..., 0::2]
     else:
-        np.multiply(xi[..., 0::2], weights[0::2], out=re)
-        np.multiply(xi[..., 1::2], weights[1::2], out=im)
-    c.imag[..., J // 2 :] = 0.0  # the sine of a pair left out, for odd J
+        np.multiply(xi[..., 1::2], weights[1::2], out=re[..., : J // 2])
+        np.multiply(xi[..., 0::2], weights[0::2], out=im)
+    re[..., J // 2 :] = 0.0  # the sine of a pair left out, for odd J
     b = 0.5 * model._basis_amp
     re *= b
-    c.imag *= -b
+    im *= b
+    c[..., P] = 0.0
     return c
 
 
@@ -177,14 +175,15 @@ def scatter_coefficients(
     weights: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The kx >= 0 half (..., 2, S, K + 1) of the field sum_j xi_j w_j e_j;
+    """The scalar half (..., S, K + 1) of the field sum_j xi_j w_j e_j;
     batched over leading axes.
 
-    A slot on rows ky >= 0 holds c d, its pair's amplitude c times its
-    direction d, and a slot on rows ky < 0 holds conj(c d) of the pair at
-    -k.  Written into `out` when given, a complex (..., 2, S, K + 1) array
-    that may be a view.  Beyond `out`, it holds the (..., P) pair amplitudes
-    and their (..., S (K + 1)) gather onto the half.
+    A slot on rows ky >= 0 holds the scalar of its pair
+    (`_pair_amplitudes`), and a slot on rows ky < 0 the conjugate of the
+    pair's at -k: one gather and a conjugation of those rows, with no
+    direction multiply.  Written into `out` when given, a complex
+    (..., S, K + 1) array that may be a view.  Beyond `out`, it holds the
+    (..., P + 1) amplitudes.
     """
     xi = np.asarray(xi, dtype=np.float64)
     if xi.shape[-1] != model.n_directions:
@@ -193,28 +192,35 @@ def scatter_coefficients(
         )
     c = _pair_amplitudes(model, xi, weights)
     K, S = model.grid.max_wavenumber, model.grid.n_coeff
-    shape = c.shape[:-1] + (2, S, K + 1)
+    shape = c.shape[:-1] + (S, K + 1)
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
     elif out.shape != shape or out.dtype != np.complex128:
         raise ValueError(f"out must be complex128 of shape {shape}")
-    amp = np.take(c, model._half_source, axis=-1).reshape(c.shape[:-1] + (1, S, K + 1))
-    np.multiply(amp, model._half_direction, out=out)
-    np.conjugate(out[..., :K, :], out=out[..., :K, :])
+    # np.take gathers into a copy of an out that is not one contiguous
+    # block, such as a skeleton's frames after the first of each control:
+    # then one leading row at a time
+    rows = zip(c, out) if out.ndim > 2 and not out.flags.c_contiguous else [(c, out)]
+    for c_row, out_row in rows:
+        np.take(c_row, model._half_source, axis=-1, out=out_row, mode="clip")
+        np.conjugate(out_row[..., :K, :], out=out_row[..., :K, :])
     return out
 
 
 def gather_coefficients(model: NoiseModel, coeffs: np.ndarray) -> np.ndarray:
-    """L2-adjoint of unweighted scatter: xi_j = (e_j, field), for full
-    fields (..., 2, S, S)."""
-    S = model.grid.n_coeff
-    flat = coeffs.reshape(coeffs.shape[:-2] + (S * S,))  # (..., 2, S*S)
-    plus = flat[..., model._pos_plus]  # (..., 2, P)
-    proj = np.einsum("...cp,pc->...p", plus, model.pair_direction)
+    """L2-adjoint of unweighted scatter: xi_j = (e_j, field), for fields
+    given by their scalar halves (..., S, K + 1).
+
+    The velocity at a pair's k, along its direction, is -i c(k), so the
+    cosine coefficient reads base Im c(k) and the sine one base Re c(k),
+    base = (2 pi)^2 times the unit basis amplitude.
+    """
+    flat = coeffs.reshape(coeffs.shape[:-2] + (-1,))
+    at_k = flat[..., model._half_pos]  # (..., P), c(-k) where kx < 0
     base = TWO_PI**2 * model._basis_amp
-    xi = np.empty(proj.shape[:-1] + (2 * model.n_pairs,))
-    xi[..., 0::2] = base * proj.real
-    xi[..., 1::2] = -base * proj.imag
+    xi = np.empty(at_k.shape[:-1] + (2 * model.n_pairs,))
+    xi[..., 0::2] = base * (model._half_sign * at_k.imag)
+    xi[..., 1::2] = base * at_k.real
     return xi[..., : model.n_directions]
 
 
@@ -228,8 +234,7 @@ def saturation_factor(params: SigmaParams, r):
 
 def sigma_factor(model: NoiseModel, t: float, u_coeffs: np.ndarray):
     """State-dependent gain modulation, one value per state of a batch of
-    conjugate-symmetric states given by their kx >= 0 halves
-    (..., 2, S, K + 1).
+    states given by their scalar halves (..., S, K + 1).
 
     The scalar 1.0 for the additive family, whatever the batch shape.  No
     family reads t, so one call may cover states at different times.
@@ -241,12 +246,12 @@ def sigma_factor(model: NoiseModel, t: float, u_coeffs: np.ndarray):
 
 
 def times_factor(field: np.ndarray, factor, out: np.ndarray | None = None) -> np.ndarray:
-    """field (..., 2, S, K + 1) modulated by a `sigma_factor` value: field itself
+    """field (..., S, K + 1) modulated by a `sigma_factor` value: field itself
     for the scalar 1.0, else a new array (or `out`), one factor per leading
     index."""
     if np.ndim(factor) == 0 and factor == 1.0:
         return field
-    return np.multiply(field, np.asarray(factor)[..., None, None, None], out=out)
+    return np.multiply(field, np.asarray(factor)[..., None, None], out=out)
 
 
 def sigma_apply_array(
@@ -256,10 +261,10 @@ def sigma_apply_array(
     xi: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The kx >= 0 half of sigma(t, u) xi; batched when u_coeffs and xi carry
+    """The scalar half of sigma(t, u) xi; batched when u_coeffs and xi carry
     a batch axis.
 
-    The factor of u_coeffs, the states' halves (..., 2, S, K + 1),
+    The factor of u_coeffs, the states' scalar halves (..., S, K + 1),
     broadcasts against xi (..., J), so xi may carry more leading axes than
     u_coeffs.  The field is scattered into `out` when given (see
     `scatter_coefficients`), and the factor applied in place.
@@ -272,8 +277,11 @@ def sigma_adjoint_array(
     model: NoiseModel, t: float, u_coeffs: np.ndarray, y_coeffs: np.ndarray
 ) -> np.ndarray:
     """Adjoint of sigma(t, u) against the L2 pairing: field -> coefficients,
-    for states u given by their kx >= 0 halves and full fields y_coeffs
-    (..., 2, S, S), the input of `gather_coefficients`."""
+    for states u and fields y_coeffs given by their scalar halves
+    (..., S, K + 1), or y_coeffs as full two-component arrays (..., 2, S, S),
+    which are taken to scalars first (`to_scalar`)."""
+    if y_coeffs.shape[-1] == y_coeffs.shape[-2]:
+        y_coeffs = to_scalar(model.grid, y_coeffs)
     factor = sigma_factor(model, t, u_coeffs)
     xi = gather_coefficients(model, y_coeffs) * model.gains
     if np.ndim(factor) == 0:
@@ -283,13 +291,13 @@ def sigma_adjoint_array(
 
 def sigma_hs_norm(model: NoiseModel, t: float, u: np.ndarray) -> float:
     """Hilbert-Schmidt norm of sigma(t, u) Q^(1/2) (closed form, diagonal
-    family), for a state u given by its kx >= 0 half."""
+    family), for a state u given by its scalar half."""
     return float(model._hs_base * sigma_factor(model, t, u))
 
 
 def sigma_curl_hs_norm(model: NoiseModel, t: float, u: np.ndarray) -> float:
     """Hilbert-Schmidt norm of curl sigma(t, u) Q^(1/2), for a state u given
-    by its kx >= 0 half."""
+    by its scalar half."""
     return float(model._curl_hs_base * sigma_factor(model, t, u))
 
 
@@ -361,8 +369,8 @@ def verify_assumptions(
     violations = set()
     for _ in range(n_samples):
         scale = 10.0 ** rng.uniform(-2.0, 2.0)
-        u, v = (half_spectrum(random_solenoidal_field(model.grid, rng, amplitude=scale).coeffs)
-                for _ in range(2))
+        u, v = (random_solenoidal_field(model.grid, rng, amplitude=scale) for _ in range(2))
+        u, v = to_scalar(model.grid, u.coeffs), to_scalar(model.grid, v.coeffs)
         t = rng.uniform(0.0, 1.0)
         nu2 = float(weighted_norm_sq(abs_sq(u), model.grid.half_k2))
         s_u = sigma_hs_norm(model, t, u)

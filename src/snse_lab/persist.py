@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .solvers import Trajectory
-from .spectral import full_spectrum
+from .spectral import to_velocity
 
 _MAGIC = "snse-lab-trajectory-v1"
 
@@ -71,7 +71,8 @@ def read_report(path: str) -> dict:
 
 
 def write_trajectory(path: str, traj: Trajectory) -> None:
-    """Write traj, its frames mirrored into the file format's full arrays."""
+    """Write traj, its frames expanded into the file format's full
+    two-component arrays (`to_velocity`)."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     header = {
         "magic": _MAGIC,
@@ -90,7 +91,7 @@ def write_trajectory(path: str, traj: Trajectory) -> None:
         fh.write(np.ascontiguousarray(traj.times, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(traj.h2, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(traj.v2, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(full_spectrum(traj.frames), dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(to_velocity(traj.grid, traj.frames), dtype="<c16").tobytes())
 
 
 def write_manifest(

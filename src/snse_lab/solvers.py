@@ -11,8 +11,8 @@ exploit.
 The ensemble entry points integrate many paths at once (vectorized over a
 chunk) while each path consumes its own counter-based substream, so results do
 not depend on chunking or scheduling.  Every stochastic path is advanced by
-the one time loop in `_integrate_batch`, on the kx >= 0 half of its
-conjugate-symmetric state; processes coupled to the noisy path
+the one time loop in `_integrate_batch`, on the scalar half of its state,
+one value c_k per mode (`spectral`); processes coupled to the noisy path
 (the shifted fluctuation here, the first-order linearization in the deviation
 module) are stepped by observers of that loop on the same increments.
 """
@@ -45,9 +45,10 @@ from .spectral import (
     _curl_form,
     advection_array,
     abs_sq,
-    full_spectrum,
     half_spectrum,
     linearized_advection_array,
+    to_scalar,
+    to_velocity,
     weighted_norm_sq,
     zero_field,
 )
@@ -167,24 +168,25 @@ def propagator(grid: SpectralGrid, dt: float) -> Propagator:
 
 
 def _initial_coeffs(config: SimConfig) -> np.ndarray:
-    """The kx >= 0 half (2, S, K + 1) of the initial field."""
+    """The scalar half (S, K + 1) of the initial field."""
     initial = config.initial or zero_field(config.grid)
     if initial.grid != config.grid:
         raise GridMismatchError("initial condition grid differs from run grid")
-    return half_spectrum(initial.coeffs)
+    return to_scalar(config.grid, initial.coeffs)
 
 
 def _guard_scale(config: SimConfig, u0_coeffs: np.ndarray) -> float:
     """Blow-up threshold shared by every stochastic solver: blowup_factor times
-    the initial amplitude, floored at 1/(2 pi)."""
+    the initial amplitude max_k |c_k|, the largest speed amplitude of a
+    mode, floored at 1/(2 pi)."""
     return config.blowup_factor * max(np.max(np.abs(u0_coeffs)), 1.0 / TWO_PI)
 
 
 def _blowup_guard(half: np.ndarray, scale: float, step: int) -> None:
     """Raise IntegrationError for a non-finite state or one whose largest
-    amplitude exceeds scale, given the kx >= 0 half of the state.  The state
-    is conjugate symmetric and |conj c| = |c|, so its half holds its largest
-    amplitude."""
+    amplitude max_k |c_k| exceeds scale, given the scalar half of the state.
+    The state is conjugate symmetric and |conj c| = |c|, so its half holds
+    its largest amplitude."""
     peak = np.max(np.abs(half))
     if not np.isfinite(peak):
         raise IntegrationError(step, "non-finite coefficients")
@@ -196,8 +198,8 @@ def _blowup_guard(half: np.ndarray, scale: float, step: int) -> None:
 class Trajectory:
     """Recorded states plus running norm functionals of one solution path.
 
-    `frames` holds the recorded states as kx >= 0 halves,
-    (records, 2, S, K + 1); `field_at` mirrors one into a full field.
+    `frames` holds the recorded states as scalar halves,
+    (records, S, K + 1); `field_at` expands one into a full field.
     `sup_h2` and `int_v2` are accumulated over every solver step (the integral
     by the per-step integrating-factor quadrature, exact for pure decay);
     `h2`/`v2` hold the squared norms at the recorded times only.  Treat
@@ -220,7 +222,7 @@ class Trajectory:
         return len(self.times)
 
     def field_at(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, full_spectrum(self.frames[i]))
+        return SpectralField(self.grid, to_velocity(self.grid, self.frames[i]))
 
     @property
     def horizon(self) -> float:
@@ -266,10 +268,10 @@ class _RecordingGrid:
         return None
 
 
-# bytes of scattered noise formed per call of the stepper: 256 kx >= 0
-# halves of K = 10, (2, 21, 11) each (1.9 MB), 8 steps of a 32-path chunk,
+# bytes of scattered noise formed per call of the stepper: 512 scalar
+# halves of K = 10, (21, 11) each (1.9 MB), 16 steps of a 32-path chunk,
 # the largest at K = 10; a chunk holds no other normals
-_NOISE_BLOCK_BYTES = 256 * 2 * 21 * 11 * 16
+_NOISE_BLOCK_BYTES = 512 * 21 * 11 * 16
 
 # normals one path's draw call fills in a block: past this size a longer
 # block costs memory and saves no per-call overhead
@@ -279,13 +281,14 @@ _NOISE_BLOCK_DRAW = 512
 def _noise_block_steps(model: NoiseModel, n_paths: int, n_steps: int) -> int:
     """Steps of one noise block of a batch of n_paths paths under model.
 
-    A path-step's scattered noise field, a (2, S, K + 1) complex half, is
-    larger than its J <= S^2 - 1 normals, so it alone is held to the byte
-    budget.  A block is also no longer than ceil(_NOISE_BLOCK_DRAW / J)
-    steps, enough for each path's draw call to fill _NOISE_BLOCK_DRAW
-    normals: at K = 10 and full J, 2 steps whatever the batch.
+    A path-step's scattered noise field, an (S, K + 1) complex scalar half,
+    is larger in bytes than its J <= S^2 - 1 normals, so it alone is held to
+    the byte budget.  A block is also no longer than
+    ceil(_NOISE_BLOCK_DRAW / J) steps, enough for each path's draw call to
+    fill _NOISE_BLOCK_DRAW normals: at K = 10 and full J, 2 steps whatever
+    the batch.
     """
-    half_nbytes = 32 * model.grid.n_coeff * (model.grid.max_wavenumber + 1)  # (2, S, K + 1)
+    half_nbytes = 16 * model.grid.n_coeff * (model.grid.max_wavenumber + 1)  # (S, K + 1)
     by_bytes = _NOISE_BLOCK_BYTES // (n_paths * half_nbytes)
     by_draw = -(-_NOISE_BLOCK_DRAW // model.n_directions)
     return min(n_steps, max(1, min(by_bytes, by_draw)))
@@ -301,16 +304,17 @@ def _integrate_batch(
 
     This is the one time loop of every stochastic path, and the one place
     where standard normals become Wiener increments.  The paths are
-    conjugate symmetric, and state holds only their kx >= 0 half, shape
-    (n, 2, S, K + 1): the update, the noise and the self-advection are formed
-    on that half alone.  hooks.on_noise(step, t, coeffs, dW) and
-    hooks.on_state(idx, t, coeffs) are optional callables, and coeffs is the
-    half.  on_noise sees the pre-step state, so a coupled process can be
-    stepped inside it on the same increments.  sources holds one generator
-    per path, drawn from in step order, or is None for a noiseless run; the
-    stepper calls only its standard_normal(out=), so a generator-like object
-    may stand in for one.  Step m's increment of path i is its source's
-    normals times sqrt(lambda_j dt).
+    divergence free and conjugate symmetric, and state holds only their
+    scalar half, shape (n, S, K + 1), one value c_k per mode: the update,
+    the noise and the self-advection are formed on that half alone.
+    hooks.on_noise(step, t, coeffs, dW) and hooks.on_state(idx, t, coeffs)
+    are optional callables, and coeffs is the half.  on_noise sees the
+    pre-step state, so a coupled process can be stepped inside it on the
+    same increments.  sources holds one generator per path, drawn from in
+    step order, or is None for a noiseless run; the stepper calls only its
+    standard_normal(out=), so a generator-like object may stand in for one.
+    Step m's increment of path i is its source's normals times
+    sqrt(lambda_j dt).
 
     Each step first takes its noise, drawing and scattering a new block when
     one starts, and calls on_noise; only then is the self-advection formed,
@@ -337,7 +341,7 @@ def _integrate_batch(
     n_steps = config.n_steps
     phi_forcing = None
     if config.forcing is not None:
-        phi_forcing = prop.half_phi * half_spectrum(config.forcing.coeffs)
+        phi_forcing = prop.half_phi * to_scalar(config.grid, config.forcing.coeffs)
     sqrt_eps = math.sqrt(config.epsilon)
     scale = _guard_scale(config, state)
     on_noise = getattr(hooks, "on_noise", None)
@@ -372,7 +376,7 @@ def _integrate_batch(
                 dW_block = noise_block = None
         adv = advection_array(config.grid, state, state) if config.nonlinear else None
         if noise is not None and model.state_dependent:
-            factor = sigma_factor(model, t, state)[:, None, None, None]
+            factor = sigma_factor(model, t, state)[:, None, None]
             noise = noise * factor * sqrt_eps * prop.half_phi_rate
         # state <- decay * state + phi * forcing - phi * adv + noise, in place
         state *= prop.half_decay
@@ -455,7 +459,7 @@ def _control_values_on_steps(h: Control, config: SimConfig) -> np.ndarray:
 
 def _control_fields(h: Control, config: SimConfig) -> np.ndarray:
     """Unmodulated noise-map images of the control at every step, one call:
-    the kx >= 0 halves of scatter(h gains), shape (n_steps, 2, S, K + 1)."""
+    the scalar halves of scatter(h gains), shape (n_steps, S, K + 1)."""
     model = config.noise
     return scatter_coefficients(model, _control_values_on_steps(h, config), model.gains)
 
@@ -469,8 +473,8 @@ def skeleton_forward(
     """All frames of the controlled linearization driven by per-step controls.
 
     h_values has shape (..., n_steps, J), one control per leading index;
-    u0_frames holds the deterministic limit at every solver step, as kx >= 0
-    halves.  Returns the frames' halves (..., n_steps + 1, 2, S, K + 1),
+    u0_frames holds the deterministic limit at every solver step, as scalar
+    halves.  Returns the frames' halves (..., n_steps + 1, S, K + 1),
     written into `out` when given (which may be a view, see
     `scatter_coefficients`).  The dynamics are linear in the
     state and in the control: the noise map is frozen at the deterministic
@@ -485,13 +489,13 @@ def skeleton_forward(
     h_values = np.asarray(h_values)
     if out is None:
         out = np.empty(h_values.shape[:-2] + (n + 1,) + u0_frames.shape[1:], dtype=np.complex128)
-    out[..., 0, :, :, :] = 0.0
-    rhs = sigma_apply_array(config.noise, 0.0, u0_frames[:n], h_values, out=out[..., 1:, :, :, :])
+    out[..., 0, :, :] = 0.0
+    rhs = sigma_apply_array(config.noise, 0.0, u0_frames[:n], h_values, out=out[..., 1:, :, :])
     if not config.nonlinear:
         rhs *= prop.half_phi
     for step in range(n):
-        x = out[..., step, :, :, :]
-        r = out[..., step + 1, :, :, :]
+        x = out[..., step, :, :]
+        r = out[..., step + 1, :, :]
         if config.nonlinear:
             u0 = u0_frames[step]
             r -= linearized_advection_array(config.grid, x, u0)
@@ -531,7 +535,7 @@ class _ShiftedObserver:
     shows the wrapped observer z in place of the noisy state.
 
     z, the u0 frames and h_field, the unmodulated control field of every step
-    (`_control_fields`), are kx >= 0 halves, like the stepper's state.  The
+    (`_control_fields`), are scalar halves, like the stepper's state.  The
     drift B(u, z) + B(z, u0), with the pre-step noisy state u, is one
     `_curl_form` call: P div((z s + s z)/2), s = u + u0, plus the
     antisymmetric part z x (u0 - u).  The diffusion coefficient is evaluated
@@ -607,7 +611,7 @@ _CHUNK_PATHS = 256
 # bytes of the self-advection's padded (N, N) complex array over a chunk's
 # paths: 32 paths at K = 10, whose whole step working set (the padded array,
 # state, advection, noise block and scatter and observer temporaries, about
-# 80 KB a path) fits a 2 MiB L2, and sets a batched run's peak memory.  Per
+# 50 KB a path) fits a 2 MiB L2, and sets a batched run's peak memory.  Per
 # path, 32 paths at K = 10 advected as fast as 64 and up to 15% faster than
 # 256 (4.2 MB of padded array); 13 at K = 16 and 167 at K = 4 advected
 # within 5% of 26 and 256
@@ -688,10 +692,9 @@ def ensemble_run(
     (called with the pre-step state and the step's increments before each
     noisy step), optional on_state(idx, t, coeffs) (called with the state
     after each step, and once with the initial state), and finish() -> dict
-    of arrays with leading axis n.  A hook's coeffs is the (n, 2, S, K + 1)
-    kx >= 0 half of the conjugate-symmetric states, which is all the stepper
-    holds.  Results are concatenated across chunks, so output is
-    independent of the chunk size.
+    of arrays with leading axis n.  A hook's coeffs is the (n, S, K + 1)
+    scalar half of the states, which is all the stepper holds.  Results are
+    concatenated across chunks, so output is independent of the chunk size.
     """
     n_steps = config.n_steps
     u0_half = _initial_coeffs(config)
@@ -737,9 +740,9 @@ class TrajectoryObserver:
 
     sup_h2 and int_v2 run over every solver step (the integral by the
     per-step integrating-factor quadrature); frames, h2 and v2 are kept on
-    the recording grid.  A state arrives as its kx >= 0 half, and a frame is
+    the recording grid.  A state arrives as its scalar half, and a frame is
     a copy of it.  The frames are recorded into `frames` when given, an
-    (n_paths, records, 2, S, K + 1) array; a half that already lies in its
+    (n_paths, records, S, K + 1) array; a half that already lies in its
     slot (a view of the same memory) is not copied.
     """
 
@@ -755,7 +758,7 @@ class TrajectoryObserver:
         R = len(self.rec)
         self.frames = self._out
         if self._out is None:
-            self.frames = np.zeros((n_paths, R, 2, S, K + 1), dtype=np.complex128)
+            self.frames = np.zeros((n_paths, R, S, K + 1), dtype=np.complex128)
         self.h2 = np.zeros((n_paths, R))
         self.v2 = np.zeros((n_paths, R))
         self.sup_h2 = np.zeros(n_paths)

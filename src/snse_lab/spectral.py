@@ -1,29 +1,35 @@
 """Divergence-free spectral velocity fields on the periodic torus [0, 2*pi)^2.
 
 Fields are truncated Fourier series over the square mode set |kx|, |ky| <= K
-with the zero mode removed (mean-free), stored as centered coefficient arrays
-of shape (2, 2K+1, 2K+1).  The convention is
+with the zero mode removed (mean-free).  At the edges of the package a field
+is a centered coefficient array of shape (2, 2K+1, 2K+1), with the convention
 
     u_c(x, y) = sum_k  coeffs[c, K + ky, K + kx] * exp(i (kx x + ky y)),
 
-with conjugate symmetry coeffs(-k) = conj(coeffs(k)) so that velocities are
+and conjugate symmetry coeffs(-k) = conj(coeffs(k)) so that velocities are
 real.  All operators in this module are pure functions; nonlinear products are
 evaluated pseudo-spectrally on an N x N grid with the truncation back to the
 retained modes acting as the 2/3-rule dealiasing step.
 
-The kx >= 0 columns of a conjugate-symmetric array, shape (..., S, K + 1),
-hold all of it: `half_spectrum` takes them and `full_spectrum` mirrors them
-back.  Such a half is the one layout that arrays hold inside the package:
-the stepper's states, noise and advection, every trajectory's frames, the
-controlled skeleton and its adjoint, and the observers' references.  Full
-arrays exist only at the edges: `SpectralField` (so the config's initial and
-forcing fields), `Trajectory.field_at`, the trajectory files, and the
-inputs of the functions that the benchmark's kernels call on full arrays,
-which therefore keep a full input: `advection_array` (which also takes
-halves, the stepper's call), `to_physical` (the moment report's L4 integral
-mirrors u0's frames once for it), `from_physical`, `leray_project_array`
-and the noise map's adjoint `sigma_adjoint_array` (the adjoint sweep
-mirrors its stack of phi p once for it).
+A divergence-free, mean-free mode has one degree of freedom: with the stream
+function psi, u_k = i (ky, -kx) psi_k.  Inside the package a field is held as
+the scalar c_k = |k| psi_k = -i (ky u_x - kx u_y) / |k| on the kx >= 0
+columns, shape (..., S, K + 1), c = 0 at k = 0; then u_k = i (ky, -kx) c_k / |k|
+(`SpectralGrid.half_velocity`) and |u_k|^2 = |c_k|^2.  c is conjugate
+symmetric as the transform of a real field is, so its kx >= 0 columns hold
+all of it: `half_spectrum` takes them and `full_spectrum` mirrors them back.
+This scalar half is the one layout that arrays hold inside the package: the
+stepper's states, noise and advection, every trajectory's frames, the
+controlled skeleton and its adjoint, the observers' references and targets,
+and the probe's frames.  `to_scalar` takes a two-component field to it and
+`to_velocity` expands it back.  Two-component arrays exist only at the
+edges: `SpectralField` (so the config's initial and forcing fields),
+`Trajectory.field_at`, the trajectory files, the field-level rows of the
+invariant suite, and the full arrays that the benchmark's kernels pass to
+`advection_array` (which also takes scalar halves, the stepper's call),
+`to_physical` (the moment report's L4 integral expands u0's frames once for
+it), `from_physical`, `leray_project_array` and the noise map's
+`sigma_apply_array` and `sigma_adjoint_array`.
 
 The grid transforms are real-to-complex.  They work on the half spectrum of a
 real N x N array, shape (..., N, N//2 + 1), whose entry [ky mod N, kx] holds
@@ -33,11 +39,11 @@ precondition of every transform: `to_physical` reads only the kx >= 0 half and
 `from_physical` writes the kx < 0 half as its conjugate mirror.  The
 exception is the one kernel of every advection product (`_curl_form`), which
 transforms complex fields such as u_x + i u_y on a full N x N grid with their
-modes centered (`_padded_values`); those fields are packed from the kx >= 0
-half of their input too, its kx < 0 block columns from the conjugate mirror.
-Conjugate symmetry is a precondition of the squared norms as well:
-by Parseval they read only the kx >= 0 columns (`half_spectrum`), with
-weights that count kx > 0 twice and kx = 0 once (`SpectralGrid.half_weight`).
+modes centered (`_padded_values`); such a field is a fixed factor per mode
+times c, packed from the kx >= 0 half of c, its kx < 0 block columns from the
+conjugate mirror.  Conjugate symmetry is a precondition of the squared norms
+as well: by Parseval they read only the kx >= 0 columns of c, with weights
+that count kx > 0 twice and kx = 0 once (`SpectralGrid.half_weight`).
 """
 
 from __future__ import annotations
@@ -91,15 +97,27 @@ class SpectralGrid:
         kx = np.broadcast_to(order[None, :], (S, S)).copy()
         ky = np.broadcast_to(order[:, None], (S, S)).copy()
         k2 = (kx**2 + ky**2).astype(np.float64)
-        k2safe = np.where(k2 > 0, k2, 1.0)
-        # weights of the curl-form products, both 0 at k = 0
-        curl_a = kx * ky / k2safe
-        curl_b = (ky**2 - kx**2) / k2safe
-        # on the kx >= 0 columns, where every product is formed: the weights
-        # of s = alpha Q(k) + beta conj Q(-k) and the output factors (ky, -kx)
-        half_alpha = (0.5j * curl_a + 0.25 * curl_b)[:, K:].copy()
-        half_beta = (0.5j * curl_a - 0.25 * curl_b)[:, K:].copy()
-        half_curl_k = np.stack([ky, -kx])[:, :, K:].copy()
+        # 1/|k|, 0 at k = 0: every scalar factor below vanishes at the mean
+        inv_k = np.where(k2 > 0, 1.0 / np.sqrt(np.where(k2 > 0, k2, 1.0)), 0.0)
+        # on the kx >= 0 columns, where every scalar is held: the velocity
+        # i (ky, -kx) / |k| of a unit c, and 1 / |k|
+        half_velocity = (1j * np.stack([ky, -kx]) * inv_k)[:, :, K:].copy()
+        half_inv_k = inv_k[:, K:].copy()
+        # the packed complex fields of `_padded_values`, each a factor times
+        # c on the kx >= 0 columns and the conjugate of a mirror factor times
+        # c, read at -k, on the kx < 0 ones: w = u_x + i u_y of the velocity
+        # (its conjugate packs -conj(w), that of (-u_x, u_y)), and
+        # D_xx + i D_xy of its symmetric gradient D
+        pack = (kx + 1j * ky) * inv_k
+        strain = -(kx * ky + 0.5j * (ky**2 - kx**2)) * inv_k
+        velocity_pack = np.stack([pack, -np.conjugate(pack)])[:, :, K:].copy()
+        strain_pack = np.stack([strain, np.conjugate(strain)])[:, :, K:].copy()
+        # the curl-form product's output -i |k| s, s = A Q(k) + conj(A) conj Q(-k)
+        # + (conj R(-k) - R(k)) / 4, folded into its weights: -i |k| A with
+        # A = i a/2 + b/4, a = kx ky / |k|^2, b = (ky^2 - kx^2) / |k|^2, and
+        # -i |k| / 4; all 0 at k = 0
+        half_alpha = (0.5 * kx * ky * inv_k - 0.25j * (ky**2 - kx**2) * inv_k)[:, K:].copy()
+        half_anti = (-0.25j * np.sqrt(k2))[:, K:].copy()
         # Parseval on the kx >= 0 columns of a conjugate-symmetric field:
         # kx > 0 counted twice, for its kx < 0 mirror, and kx = 0 once
         half_weight = np.where(kx[:, K:] > 0, 2.0, 1.0)
@@ -113,8 +131,9 @@ class SpectralGrid:
         else:
             packed_phase = 1.0 - 2.0 * (xy % 2)
         for name, arr in (
-            ("kx", kx), ("ky", ky), ("k2", k2), ("half_alpha", half_alpha),
-            ("half_beta", half_beta), ("half_curl_k", half_curl_k),
+            ("kx", kx), ("ky", ky), ("k2", k2), ("half_velocity", half_velocity),
+            ("half_inv_k", half_inv_k), ("velocity_pack", velocity_pack),
+            ("strain_pack", strain_pack), ("half_alpha", half_alpha), ("half_anti", half_anti),
             ("half_weight", half_weight), ("half_k2", half_k2),
             ("packed_phase", packed_phase),
         ):
@@ -190,23 +209,40 @@ def worst_divergence_mode(field: SpectralField) -> tuple[int, int, float]:
 
 def leray_project_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     """Mode-wise projection onto k-orthogonal amplitudes, mean mode zeroed;
-    batched over leading axes of full arrays (..., 2, S, S)."""
-    return _project(grid, coeffs, 0)
-
-
-def _project(grid: SpectralGrid, coeffs: np.ndarray, first_col: int) -> np.ndarray:
-    """coeffs - k (k . coeffs) / |k|^2 per mode, mean mode zeroed, for
-    coeffs holding the columns first_col.. of the centered arrays: 0 for
-    full arrays, K for kx >= 0 halves."""
+    batched over leading axes of full arrays (..., 2, S, S):
+    coeffs - k (k . coeffs) / |k|^2 per mode."""
     K = grid.max_wavenumber
-    kx, ky, k2 = (a[:, first_col:] for a in (grid.kx, grid.ky, grid.k2))
-    k2safe = np.where(k2 > 0, k2, 1.0)
+    kx, ky = grid.kx, grid.ky
+    k2safe = np.where(grid.k2 > 0, grid.k2, 1.0)
     kdot = (kx * coeffs[..., 0, :, :] + ky * coeffs[..., 1, :, :]) / k2safe
     out = np.empty_like(coeffs)
     out[..., 0, :, :] = coeffs[..., 0, :, :] - kdot * kx
     out[..., 1, :, :] = coeffs[..., 1, :, :] - kdot * ky
-    out[..., :, K, K - first_col] = 0.0
+    out[..., :, K, K] = 0.0
     return out
+
+
+def to_scalar(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
+    """The scalar half c = -i (ky u_x - kx u_y) / |k|, (..., S, K + 1), of
+    full two-component arrays (..., 2, S, S); c = 0 at k = 0.  It keeps the
+    divergence-free part of u and drops the rest, a gradient."""
+    h = half_spectrum(coeffs)
+    K = grid.max_wavenumber
+    c = grid.ky[:, K:] * h[..., 0, :, :]
+    c -= np.multiply(grid.kx[:, K:], h[..., 1, :, :])
+    c *= grid.half_inv_k
+    return np.multiply(c, -1j, out=c)
+
+
+def to_velocity(grid: SpectralGrid, c: np.ndarray) -> np.ndarray:
+    """The full two-component arrays (..., 2, S, S) of scalar halves c
+    (..., S, K + 1): u_k = i (ky, -kx) c_k / |k| on the kx >= 0 columns,
+    mirrored onto kx < 0.  The inverse of `to_scalar` on divergence-free
+    fields, and the expansion every edge of the package emits."""
+    K = grid.max_wavenumber
+    out = np.empty(c.shape[:-2] + (2, 2 * K + 1, 2 * K + 1), dtype=np.complex128)
+    half = np.multiply(grid.half_velocity, c[..., None, :, :], out=out[..., K:])
+    return full_spectrum(half, out=out)
 
 
 def leray_project(grid: SpectralGrid, raw: np.ndarray) -> SpectralField:
@@ -271,29 +307,30 @@ def _check_product_margin(grid: SpectralGrid) -> None:
         )
 
 
-def _padded_values(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
-    """Grid values of w = u_x + i u_y for conjugate-symmetric u given by its
-    kx >= 0 half (..., 2, S, K + 1), in the one padded (..., N, N) complex
-    array that w is transformed in.
+def _padded_values(grid: SpectralGrid, c: np.ndarray, pack: np.ndarray) -> np.ndarray:
+    """Grid values of the complex field packed from conjugate-symmetric
+    scalar halves c (..., S, K + 1) by `pack`, one of the grid's
+    (2, S, K + 1) factor pairs (`SpectralGrid.velocity_pack`, its
+    conjugate, `strain_pack`), in the one padded (..., N, N) complex array
+    that it is transformed in.
 
-    Mode k of w sits at index k + N//2 on both axes, a contiguous block.  Its
-    kx >= 0 columns are u_x + i u_y of the half; its kx < 0 columns are the
-    same of the conjugate mirror u(k) = conj u(-k), that is
-    conj(u_x - i u_y) read at -k.  Both are formed on the contiguous half,
-    whose inner loops run over all its S (K + 1) entries rather than the
-    block's K + 1 columns, and each is written into the block once.
-    The inverse pass along y runs on the 2K + 1 block columns only, then
-    along x; the grid values then carry the factor
-    exp(2 pi i (N//2)(x + y) / N) at grid indices (x, y).
+    Mode k of the field sits at index k + N//2 on both axes, a contiguous
+    block.  Its kx >= 0 columns are pack[0] c, and its kx < 0 columns the
+    conjugate of pack[1] c read at -k: for w = u_x + i u_y, conj(u_x - i u_y)
+    of the conjugate mirror u(k) = conj u(-k).  Each is written into the
+    block once, the mirror from reversed views and conjugated in place.  The
+    inverse pass along y runs on the 2K + 1 block columns only, then along
+    x; the grid values then carry the factor exp(2 pi i (N//2)(x + y) / N)
+    at grid indices (x, y).
     """
     K, N = grid.max_wavenumber, grid.physical_resolution
     lo, hi = N // 2 - K, N // 2 + K + 1
-    w = np.zeros(u.shape[:-3] + (N, N), dtype=np.complex128)
+    w = np.zeros(c.shape[:-2] + (N, N), dtype=np.complex128)
     block = w[..., lo:hi, lo:hi]
-    ux, iuy = u[..., 0, :, :], 1j * u[..., 1, :, :]
-    block[..., K:] = ux + iuy
-    mirror = np.subtract(ux, iuy, out=iuy)
-    np.conjugate(mirror[..., ::-1, :0:-1], out=block[..., :K])
+    np.multiply(pack[0], c, out=block[..., K:])
+    left = block[..., :K]
+    np.multiply(pack[1, ::-1, :0:-1], c[..., ::-1, :0:-1], out=left)
+    np.conjugate(left, out=left)
     cols = w[..., lo:hi]
     np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
     np.fft.ifft(w, axis=-1, norm="forward", out=w)
@@ -322,47 +359,49 @@ def _centered_spectrum(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
 def _curl_form(
     grid: SpectralGrid, x: np.ndarray, a: np.ndarray, d: np.ndarray | None = None
 ) -> np.ndarray:
-    """The kx >= 0 half (..., 2, S, K + 1) of P div T in curl form, with
+    """The scalar half (..., S, K + 1) of P div T in curl form, with
     T = (x a + a x) / 2 + (x d - d x) / 2 (no second term for d None), of
-    conjugate-symmetric x, a and d given by their halves, a and d one half
-    each or a batch of x's shape: P((x . grad) a) for divergence-free x and
-    d = a, and P div(x x) for `a is x`.
+    divergence-free x, a and d given by their scalar halves, a and d one
+    half each or a batch of x's shape: P((x . grad) a) for d = a, and
+    P div(x x) for `a is x`.
 
     The symmetric part is packed in Q, the centered spectrum of
     w_x w_a = q1 + 2i q0 with w = u_x + i u_y, q1 = T_xx - T_yy and
     q0 = T_xy; its trace is a gradient, which P removes.  Then
-    s = alpha Q(k) + beta conj Q(-k) = i (a q1 + b q0), with
-    alpha = i a/2 + b/4, beta = i a/2 - b/4, a = kx ky / |k|^2 and
-    b = (ky^2 - kx^2) / |k|^2.  The antisymmetric part's one entry,
-    T_xy - T_yx = Im(conj(w_x) w_d), a product with no grid phase (it is given
-    one), adds -(i/2) (R(k) - conj R(-k)) / (2i) to s, R its spectrum.
-    P div T = (ky s, -kx s) is divergence free, mean free and exactly
+    s = A Q(k) + conj(A) conj Q(-k) = i (a q1 + b q0), with A = i a/2 + b/4,
+    a = kx ky / |k|^2 and b = (ky^2 - kx^2) / |k|^2.  The antisymmetric
+    part's one entry, T_xy - T_yx = Im(conj(w_x) w_d), a product with no
+    grid phase (it is given one), adds -(i/2) (R(k) - conj R(-k)) / (2i) to
+    s, R its spectrum.  P div T = (ky s, -kx s), whose scalar is -i |k| s:
+    that factor is folded into the weights (`SpectralGrid.half_alpha`, its
+    conjugate, and `half_anti`).  The result is mean free and exactly
     conjugate symmetric; no projection pass follows.
     """
     K = grid.max_wavenumber
-    w = _padded_values(grid, x)
+    w = _padded_values(grid, x, grid.velocity_pack)
     if d is not None:
         r = np.conjugate(w)
-        r *= _padded_values(grid, d)
+        r *= _padded_values(grid, d, grid.velocity_pack)
         if grid.physical_resolution % 2:  # conj(packed_phase)^2 is 1 for even N
             r *= np.conjugate(grid.packed_phase) ** 2
         r = _centered_spectrum(grid, r)
     if a is x:
         np.square(w, out=w)
     else:
-        w *= _padded_values(grid, a)
+        w *= _padded_values(grid, a, grid.velocity_pack)
     q = _centered_spectrum(grid, w)
     # weight first in each product: numpy's complex multiply may fuse, so
     # operand order can show in the last bit
-    s = grid.half_alpha * q[..., K:]
-    conj_q = np.conjugate(q[..., ::-1, K::-1])
-    s += np.multiply(grid.half_beta, conj_q, out=conj_q)
+    out = grid.half_alpha * q[..., K:]
+    # conj Q(-k) formed in place in the padded array, whose kx >= 0 columns
+    # out has read: no third array of the batch's size
+    conj_q = q[..., ::-1, K::-1]
+    np.conjugate(conj_q, out=conj_q)
+    out += np.multiply(np.conjugate(grid.half_alpha), conj_q, out=conj_q)
     if d is not None:
-        s += 0.25 * (np.conjugate(r[..., ::-1, K::-1]) - r[..., K:])
-        del r
-    # the padded array is freed before the output exists: a lower peak
-    del w, q, conj_q
-    out = np.multiply(grid.half_curl_k, s[..., None, :, :])
+        anti = np.conjugate(r[..., ::-1, K::-1])
+        anti -= r[..., K:]
+        out += np.multiply(grid.half_anti, anti, out=anti)
     # rows ky < 0 of the kx = 0 column mirror rows ky > 0, as in `from_physical`
     np.conjugate(out[..., :K:-1, 0], out=out[..., :K, 0])
     return out
@@ -372,28 +411,30 @@ def advection_array(grid: SpectralGrid, u: np.ndarray, v: np.ndarray) -> np.ndar
     """Dealiased, projected advective product P((u . grad) v) on coefficient arrays.
 
     Batched over leading axes; v is one field or a batch of u's shape.
-    Exact Galerkin truncation for N >= 3K + 1.  u must be divergence free,
-    and u and v conjugate symmetric, both kx >= 0 halves (..., 2, S, K + 1),
-    the stepper's, or both full arrays (..., 2, S, S), those of
-    `advection_term` and of the benchmark's kernel timings: the one function
-    that takes either layout.  The result has their layout.  It is
-    P div(u v) in curl form (`_curl_form`), no projection pass:
-    self-advection (`v is u`, the stepper's call) from the one square
-    w_u^2, other pairs from w_u w_v and conj(w_u) w_v.
+    Exact Galerkin truncation for N >= 3K + 1.  u and v are both scalar
+    halves (..., S, K + 1), the stepper's, or both full two-component arrays
+    (..., 2, S, S), those of `advection_term` and of the benchmark's kernel
+    timings, taken to scalars (`to_scalar`, which keeps the divergence-free
+    part of each) and expanded back: the one function that takes either
+    layout.  The result has their layout.  It is P div(u v) in curl form
+    (`_curl_form`), no projection pass: self-advection (`v is u`, the
+    stepper's call) from the one square w_u^2, other pairs from w_u w_v and
+    conj(w_u) w_v.
     """
     _check_product_margin(grid)
     full = u.shape[-1] == u.shape[-2]
-    x, b = (half_spectrum(u), half_spectrum(v)) if full else (u, v)
-    out = _curl_form(grid, x, x) if v is u else _curl_form(grid, x, b, d=b)
-    return full_spectrum(out) if full else out
+    x = to_scalar(grid, u) if full else u
+    b = x if v is u else (to_scalar(grid, v) if full else v)
+    out = _curl_form(grid, x, x) if b is x else _curl_form(grid, x, b, d=b)
+    return to_velocity(grid, out) if full else out
 
 
 def linearized_advection_array(grid: SpectralGrid, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """B(x, a) + B(a, x) = P div(x a + a x), the advection linearized around a,
-    for divergence-free x and a given by their kx >= 0 halves
-    (..., 2, S, K + 1), a one half or a batch of x's shape: the `_curl_form`
-    product of x and 2a, with no antisymmetric part, returned as the half of
-    a mean-free, exactly conjugate-symmetric field."""
+    for divergence-free x and a given by their scalar halves (..., S, K + 1),
+    a one half or a batch of x's shape: the `_curl_form` product of x and
+    2a, with no antisymmetric part, returned as the scalar half of a
+    mean-free, exactly conjugate-symmetric field."""
     _check_product_margin(grid)
     return _curl_form(grid, x, 2.0 * a)
 
@@ -402,35 +443,30 @@ def linearized_advection_adjoint_array(
     grid: SpectralGrid, p: np.ndarray, a: np.ndarray
 ) -> np.ndarray:
     """L2 adjoint of x -> `linearized_advection_array(grid, x, a)` on
-    divergence-free fields: -P(2 D(Pp) a), with D the symmetric gradient,
-    for p and a given by their kx >= 0 halves (..., 2, S, K + 1), batched
-    over p; a is one half or a batch of p's shape.
+    divergence-free fields: -P(2 D(p) a), with D the symmetric gradient,
+    for p and a given by their scalar halves (..., S, K + 1), batched over
+    p; a is one half or a batch of p's shape.
 
-    D(Pp) is trace free, so it is packed as the complex field
-    d = D_xx + i D_xy, and 2 D a = 2 d conj(w_a) with w_a = a_x + i a_y:
-    one product on the padded grid, whose real and imaginary parts are
-    separated mode-wise on the kx >= 0 columns and Leray projected.
-    Projecting p first makes this the exact adjoint for any
-    conjugate-symmetric p.  The result is the half of a mean-free, exactly
+    D(p) is trace free, so it is packed as the complex field
+    d = D_xx + i D_xy, a fixed factor times the scalar of p
+    (`SpectralGrid.strain_pack`), and 2 D a = 2 d conj(w_a) with
+    w_a = a_x + i a_y: one product on the padded grid, whose spectrum g
+    gives -2 D a = (g + conj g(-k), -i (g - conj g(-k))) mode-wise.  Its
+    scalar, conj(P) g - P conj g(-k) with P = (kx + i ky) / |k|, is that of
+    its projection.  The result is the scalar half of a mean-free, exactly
     conjugate-symmetric field.
     """
     _check_product_margin(grid)
     K = grid.max_wavenumber
-    kx, ky = grid.kx[:, K:], grid.ky[:, K:]
-    p = _project(grid, p, K)
-    px, py = p[..., 0, :, :], p[..., 1, :, :]
-    w = _padded_values(grid, np.stack([1j * kx * px, 0.5j * (ky * px + kx * py)], axis=-3))
+    conj_pack = np.conjugate(grid.velocity_pack)
+    w = _padded_values(grid, p, grid.strain_pack)
     # the packed field of (-a_x, a_y) is -conj(w_a), so the product is -d conj(w_a)
-    w *= _padded_values(grid, np.stack([-a[..., 0, :, :], a[..., 1, :, :]], axis=-3))
+    w *= _padded_values(grid, a, conj_pack)
     g = _centered_spectrum(grid, w)
     g_mirror = np.conjugate(g[..., ::-1, K::-1])
-    g = g[..., K:]
-    # -2 D a = (g + conj g(-k), -i (g - conj g(-k))) mode-wise
-    out = np.empty(p.shape, dtype=np.complex128)
-    np.add(g, g_mirror, out=out[..., 0, :, :])
-    np.subtract(g.imag, g_mirror.imag, out=out[..., 1, :, :].real)
-    np.subtract(g_mirror.real, g.real, out=out[..., 1, :, :].imag)
-    return _project(grid, out, K)
+    out = np.multiply(conj_pack[0], g[..., K:])
+    out -= np.multiply(grid.velocity_pack[0], g_mirror, out=g_mirror)
+    return out
 
 
 def advection_term(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -456,10 +492,11 @@ def advection_form(u: SpectralField, v: SpectralField, w: SpectralField) -> floa
 
 def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
     """The kx >= 0 columns of centered arrays (..., S, S), a view of shape
-    (..., S, K + 1): all that a norm of a conjugate-symmetric field reads.
+    (..., S, K + 1): all of a conjugate-symmetric array.
 
-    Every norm takes a full input through this one view.  Raises ValueError
-    for an array whose last two axes differ, such as a half.
+    `to_scalar` and `norm_bundle` read a full input through this one view.
+    Raises ValueError for an array whose last two axes differ, such as a
+    half.
     """
     if coeffs.ndim < 2 or coeffs.shape[-2] != coeffs.shape[-1]:
         raise ValueError(f"half_spectrum needs (..., S, S) arrays, got shape {coeffs.shape}")
@@ -494,19 +531,20 @@ def abs_sq(c: np.ndarray) -> np.ndarray:
 
 
 def weighted_norm_sq(a2: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """(2 pi)^2 sum_k weight_k a2_k over the (2, S, K + 1) axes, batched.
+    """(2 pi)^2 sum_k weight_k a2_k over the (S, K + 1) axes, batched.
 
-    `a2` is `abs_sq` of the kx >= 0 columns of a state, computed once and
-    shared by every norm of it; `weight` is a per-mode weight on those
-    columns that counts kx > 0 twice, as `SpectralGrid.half_weight` (the L2
-    norm) and `half_k2` (the gradient norm) do.
+    `a2` is `abs_sq` of the scalar half of a state, |c_k|^2 = |u_k|^2,
+    computed once and shared by every norm of it; `weight` is a per-mode
+    weight on those columns that counts kx > 0 twice, as
+    `SpectralGrid.half_weight` (the L2 norm) and `half_k2` (the gradient
+    norm) do.
     """
-    return TWO_PI**2 * np.sum(weight * a2, axis=(-3, -2, -1))
+    return TWO_PI**2 * np.sum(weight * a2, axis=(-2, -1))
 
 
 def half_norms_sq(grid: SpectralGrid, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared L2 and gradient norms, batched, from the kx >= 0 columns
-    (..., 2, S, K + 1) of conjugate-symmetric coefficients, one |c|^2."""
+    """Squared L2 and gradient norms, batched, from scalar halves
+    (..., S, K + 1), one |c|^2."""
     a2 = abs_sq(half)
     return weighted_norm_sq(a2, grid.half_weight), weighted_norm_sq(a2, grid.half_k2)
 
@@ -537,9 +575,11 @@ def _l4_fourth_power(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def norm_bundle(field: SpectralField) -> NormBundle:
-    """L2 and gradient norms by Parseval; L4 by quadrature at resolution N."""
+    """L2 and gradient norms by Parseval, summed over both components of
+    the field's kx >= 0 columns; L4 by quadrature at resolution N."""
     g, c = field.grid, field.coeffs
-    h2, v2 = half_norms_sq(g, half_spectrum(c))
+    a2 = abs_sq(half_spectrum(c)).sum(axis=0)
+    h2, v2 = weighted_norm_sq(a2, g.half_weight), weighted_norm_sq(a2, g.half_k2)
     l4_4 = float(_l4_fourth_power(g, c))
     return NormBundle(float(np.sqrt(h2)), float(np.sqrt(v2)), l4_4**0.25)
 

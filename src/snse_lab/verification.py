@@ -36,12 +36,13 @@ from .spectral import (
     apply_stokes,
     divergence_defect,
     from_physical,
-    half_spectrum,
     leray_project_array,
     norm_bundle,
     random_solenoidal_field,
     leray_project,
     to_physical,
+    to_scalar,
+    to_velocity,
     worst_divergence_mode,
 )
 
@@ -181,13 +182,13 @@ def run_invariant_suite(config: SimConfig, seed: int = 0) -> list[CheckRow]:
             f"violations: {list(report.violations)}" if not report.ok else "",
         )
     )
-    # every noise direction's kx >= 0 half, as the solvers scatter it, in one
-    # call: the worst over directions of max |k . c| over max |c|
+    # every noise direction as the solvers scatter it, in one call, and
+    # expanded as the edges emit fields (`to_velocity`): the worst over
+    # directions of max |k . u| over max |u|
     model = config.noise
-    halves = scatter_coefficients(model, np.eye(model.n_directions))
-    K = grid.max_wavenumber
-    kdot = np.abs(grid.kx[:, K:] * halves[:, 0] + grid.ky[:, K:] * halves[:, 1])
-    sigma_div = float(np.max(np.max(kdot, axis=(1, 2)) / np.max(np.abs(halves), axis=(1, 2, 3))))
+    fields = to_velocity(grid, scatter_coefficients(model, np.eye(model.n_directions)))
+    kdot = np.abs(grid.kx * fields[:, 0] + grid.ky * fields[:, 1])
+    sigma_div = float(np.max(np.max(kdot, axis=(1, 2)) / np.max(np.abs(fields), axis=(1, 2, 3))))
     rows.append(CheckRow("sigma_output_divergence_free", sigma_div <= 1e-12, sigma_div, 1e-12))
 
     # the variance of the increments the stepper hands its observers, against
@@ -225,7 +226,8 @@ def run_invariant_suite(config: SimConfig, seed: int = 0) -> list[CheckRow]:
     det_equal = bool(np.array_equal(t1.frames, t2.frames))
     rows.append(CheckRow("stochastic_determinism", det_equal, float(not det_equal), 0.0))
 
-    # divergence preservation along a short nonlinear run
+    # divergence preservation along a short nonlinear run, of the fields its
+    # trajectory emits (`Trajectory.field_at`)
     if config.nonlinear and grid.supports_products():
         traj = solve_snse(short.with_epsilon(eps), seed=seed + 1)
         worst = 0.0
@@ -246,10 +248,10 @@ def run_invariant_suite(config: SimConfig, seed: int = 0) -> list[CheckRow]:
 
     # then the dot-product identity <x(h), s> = <h, adjoint(s)> of the
     # skeleton and its adjoint sweep, for random h and divergence-free s, in
-    # the L2 pairing on the kx >= 0 halves
+    # the L2 pairing on the scalar halves
     h = rng.standard_normal((small.n_steps, small.noise.n_directions))
     s = np.stack([
-        half_spectrum(random_solenoidal_field(small.grid, rng).coeffs)
+        to_scalar(small.grid, random_solenoidal_field(small.grid, rng).coeffs)
         for _ in range(small.n_steps + 1)
     ])
     x = skeleton_forward(h, u0.frames, coupled)

@@ -6,17 +6,20 @@ complex FFTs of the whole mode square (the package's transforms are
 real-to-complex), self-advection by two real transforms where the package
 packs u_x + i u_y into one complex one, the adjoint of the advection
 linearized around a field by the gradient-form transpose where the package
-forms one packed product, the integrating-factor weights and the norms over
-the whole mode square where the package holds the kx >= 0 half, Fourier
-coefficients are extracted with dense exponential matrices, trilinear forms
-get both a quadrature and a convolution-sum evaluation, and the linear-regime
+forms one packed product, the integrating-factor weights, the scatter and
+the norms over the whole mode square where the package holds the kx >= 0
+half of the scalar c = -i (ky u_x - kx u_y) / |k|, Fourier coefficients are
+extracted with dense exponential matrices, trilinear forms get both a
+quadrature and a convolution-sum evaluation, and the linear-regime
 statistics come from scalar recursions written from the closed-form update.
 The reference definitions at the end (a single step, a noise direction as a
 full field, per-trajectory norms, combinations, distances and events, the
 probe's candidates as trajectories, the trajectory-file reader, the moment
 suite with one ensemble per statistic) were once the package's own; its
 batched stepper, streaming observers and one-array probe replaced them, and
-they stay here as the oracles those are checked against.
+they stay here as the oracles those are checked against.  So does the
+stochastic stepper on two-component velocity fields
+(`integrate_batch_two_component`) that the scalar stepper replaced.
 """
 
 from __future__ import annotations
@@ -168,11 +171,13 @@ def advection_gradient_transpose(grid, a: np.ndarray, y: np.ndarray) -> np.ndarr
     return leray_project_array(grid, from_physical(grid, g))
 
 
-def symmetric_batch(grid, rng, batch: int) -> np.ndarray:
-    """Random conjugate-symmetric, mean-free coefficients (batch, 2, S, S);
-    not divergence free."""
+def symmetric_batch(grid, rng, batch: int, components: tuple = (2,)) -> np.ndarray:
+    """Random conjugate-symmetric, mean-free coefficients
+    (batch, *components, S, S): two-component fields, not divergence free,
+    or with components () full arrays of the scalar c."""
     S = grid.n_coeff
-    raw = rng.standard_normal((batch, 2, S, S)) + 1j * rng.standard_normal((batch, 2, S, S))
+    shape = (batch,) + tuple(components) + (S, S)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     raw = 0.5 * (raw + np.conj(raw[..., ::-1, ::-1]))
     raw[..., grid.max_wavenumber, grid.max_wavenumber] = 0.0
     return raw
@@ -202,47 +207,59 @@ def curl_weights(grid) -> tuple[np.ndarray, np.ndarray]:
     return grid.kx * grid.ky / k2, (grid.ky**2 - grid.kx**2) / k2
 
 
-def padded_values_by_parts(grid, u: np.ndarray) -> np.ndarray:
-    """`_padded_values` with the block filled one real or imaginary part at
-    a time: u_x.real - u_y.imag and u_x.imag + u_y.real on the kx >= 0
-    columns, u_x.real + u_y.imag and u_y.real - u_x.imag read at -k on the
-    kx < 0 columns, then the same two inverse passes."""
+def inverse_abs_k(grid) -> np.ndarray:
+    """1/|k| over the whole mode square, 0 at k = 0."""
+    k2 = grid.k2
+    return np.where(k2 > 0, 1.0 / np.sqrt(np.where(k2 > 0, k2, 1.0)), 0.0)
+
+
+def curl_output_weight(grid) -> np.ndarray:
+    """The self-advection's weight A of Q(k) over the whole mode square,
+    with the scalar's factor -i |k| of P div T = (ky s, -kx s) folded in:
+    kx ky / (2 |k|) - i (ky^2 - kx^2) / (4 |k|), the package's formula."""
+    kx, ky, inv = grid.kx, grid.ky, inverse_abs_k(grid)
+    return 0.5 * kx * ky * inv - 0.25j * (ky**2 - kx**2) * inv
+
+
+def padded_values_by_modes(grid, c: np.ndarray) -> np.ndarray:
+    """`_padded_values` of the velocity packing w = u_x + i u_y for scalar
+    halves c, with the block filled over the whole mode square at once:
+    (kx + i ky) / |k| times the conjugate-symmetric mirror of c
+    (`full_spectrum`), then the same two inverse passes."""
+    from snse_lab.spectral import full_spectrum
+
     K, N = grid.max_wavenumber, grid.physical_resolution
     lo, hi = N // 2 - K, N // 2 + K + 1
-    w = np.zeros(u.shape[:-3] + (N, N), dtype=np.complex128)
-    block = w[..., lo:hi, lo:hi]
-    ux, uy = u[..., 0, :, :], u[..., 1, :, :]
-    block[..., K:].real = ux.real - uy.imag
-    block[..., K:].imag = ux.imag + uy.real
-    ux, uy = ux[..., ::-1, :0:-1], uy[..., ::-1, :0:-1]
-    block[..., :K].real = ux.real + uy.imag
-    block[..., :K].imag = uy.real - ux.imag
+    w = np.zeros(c.shape[:-2] + (N, N), dtype=np.complex128)
+    pack = (grid.kx + 1j * grid.ky) * inverse_abs_k(grid)
+    w[..., lo:hi, lo:hi] = pack * full_spectrum(c)
     cols = w[..., lo:hi]
     np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
     return np.fft.ifft(w, axis=-1, norm="forward", out=w)
 
 
-def self_advection_assembled(grid, u: np.ndarray) -> np.ndarray:
-    """Curl-form self-advection with the weights applied to the whole mode
-    square: the packed square Q of w = u_x + i u_y, both halves, is combined
-    into s = alpha Q(k) + beta conj Q(-k), with alpha = i a/2 + b/4 and
-    beta = i a/2 - b/4, and the result is (ky s, -kx s)."""
-    from snse_lab.spectral import _centered_spectrum, _padded_values, half_spectrum
+def self_advection_assembled(grid, c: np.ndarray) -> np.ndarray:
+    """Curl-form self-advection of scalar halves c with the weights applied
+    to the whole mode square: the packed square Q of w = u_x + i u_y is
+    combined into A Q(k) + conj(A) conj Q(-k) (`curl_output_weight`), the
+    full scalar array (..., S, S) of the result."""
+    from snse_lab.spectral import _centered_spectrum, _padded_values
 
-    w = _padded_values(grid, half_spectrum(u))
+    w = _padded_values(grid, c, grid.velocity_pack)
     q = _centered_spectrum(grid, np.square(w, out=w))
-    curl_a, curl_b = curl_weights(grid)
-    s = (0.5j * curl_a + 0.25 * curl_b) * q
-    s += (0.5j * curl_a - 0.25 * curl_b) * np.conj(q[..., ::-1, ::-1])
-    return np.stack([grid.ky * s, -grid.kx * s], axis=-3)
+    weight = curl_output_weight(grid)
+    out = weight * q
+    out += np.conj(weight) * np.conj(q[..., ::-1, ::-1])
+    return out
 
 
 def self_advection_half_spectrum(grid, u: np.ndarray) -> np.ndarray:
-    """Curl-form self-advection from two real transforms: u_x and u_y on the
-    grid through the half spectrum (..., N, N//2 + 1), the products
-    q0 = u_x u_y and q1 = (u_x - u_y)(u_x + u_y) transformed back, then
-    s = i (a q1 + b q0) on the kx >= 0 columns, (ky s, -kx s) and the
-    conjugate mirror onto kx < 0."""
+    """Curl-form self-advection of full two-component fields u from two
+    real transforms: u_x and u_y on the grid through the half spectrum
+    (..., N, N//2 + 1), the products q0 = u_x u_y and
+    q1 = (u_x - u_y)(u_x + u_y) transformed back, then s = i (a q1 + b q0)
+    on the kx >= 0 columns and the scalar -i |k| s of (ky s, -kx s), the
+    kx = 0 column mirrored: a scalar half (..., S, K + 1)."""
     K, N = grid.max_wavenumber, grid.physical_resolution
     half = np.zeros(u.shape[:-2] + (N, N // 2 + 1), dtype=np.complex128)
     half[..., : K + 1, : K + 1] = u[..., K:, K:]
@@ -257,16 +274,32 @@ def self_advection_half_spectrum(grid, u: np.ndarray) -> np.ndarray:
     cols[..., :K, 0] = np.conj(cols[..., :K:-1, 0])
     curl_a, curl_b = curl_weights(grid)
     s = 1j * (curl_a[:, K:] * cols[..., 1, :, :] + curl_b[:, K:] * cols[..., 0, :, :])
-    out = np.empty(u.shape, dtype=np.complex128)
-    out[..., 0, :, K:] = grid.ky[:, K:] * s
-    out[..., 1, :, K:] = -grid.kx[:, K:] * s
-    out[..., :, :K] = np.conj(out[..., ::-1, :K:-1])
+    out = -1j * np.sqrt(grid.k2[:, K:]) * s
+    out[..., :K, 0] = np.conj(out[..., :K:-1, 0])
     return out
 
 
-def fancy_index_scatter(model, xi: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Noise-field coefficients by two fancy-index assignments into zeros:
-    each pair amplitude at +k and its conjugate at -k."""
+def swapped_expansion(grid, c: np.ndarray) -> np.ndarray:
+    """`to_velocity` with kx and ky swapped, u_k = i (kx, -ky) c_k / |k|:
+    full two-component arrays that are not divergence free, a negative
+    control of the divergence checks on expanded fields."""
+    from snse_lab.spectral import full_spectrum
+
+    K = grid.max_wavenumber
+    velocity = (1j * np.stack([grid.kx, -grid.ky]) * inverse_abs_k(grid))[:, :, K:]
+    return full_spectrum(velocity * c[..., None, :, :])
+
+
+def pair_direction(model) -> np.ndarray:
+    """Each pair's divergence-free direction (-ky, kx) / |k|, (P, 2): k
+    turned by 90 degrees."""
+    k = model.pair_k
+    return np.stack([-k[:, 1], k[:, 0]], axis=1) / np.hypot(k[:, 0], k[:, 1])[:, None]
+
+
+def _pair_fields(model, xi: np.ndarray, weights: np.ndarray | None):
+    """Each pair's velocity amplitude b ((w xi)_cos - i (w xi)_sin), (..., P),
+    and the flat positions of its +k and -k on the whole mode square."""
     xi = np.asarray(xi)
     if weights is not None:
         xi = xi * weights
@@ -274,10 +307,32 @@ def fancy_index_scatter(model, xi: np.ndarray, weights: np.ndarray | None = None
     if J < 2 * P:
         xi = np.concatenate([xi, np.zeros(xi.shape[:-1] + (2 * P - J,))], axis=-1)
     c = 0.5 * model._basis_amp * (xi[..., 0::2] - 1j * xi[..., 1::2])
+    K, S = model.grid.max_wavenumber, model.grid.n_coeff
+    pos_plus = (K + model.pair_k[:, 1]) * S + (K + model.pair_k[:, 0])
+    return c, pos_plus, S * S - 1 - pos_plus
+
+
+def fancy_index_scatter(model, xi: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Full scalar arrays (..., S, S) of noise fields by two fancy-index
+    assignments into zeros: each pair's scalar i times its amplitude at +k
+    (its direction (-ky, kx) / |k| times -i is the velocity of a unit c)
+    and the conjugate at -k."""
+    c, pos_plus, pos_minus = _pair_fields(model, xi, weights)
     S = model.grid.n_coeff
-    pos_plus = model._pos_plus
-    pos_minus = S * S - 1 - pos_plus
-    amp = c[..., None, :] * model.pair_direction.T
+    amp = 1j * c
+    out = np.zeros(c.shape[:-1] + (S * S,), dtype=np.complex128)
+    out[..., pos_plus] = amp
+    out[..., pos_minus] = np.conj(amp)
+    return out.reshape(c.shape[:-1] + (S, S))
+
+
+def two_component_scatter(model, xi: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Full two-component noise fields (..., 2, S, S): each pair's amplitude
+    times its direction at +k and the conjugate at -k, the scatter of the
+    two-component layout."""
+    c, pos_plus, pos_minus = _pair_fields(model, xi, weights)
+    S = model.grid.n_coeff
+    amp = c[..., None, :] * pair_direction(model).T
     out = np.zeros(c.shape[:-1] + (2, S * S), dtype=np.complex128)
     out[..., pos_plus] = amp
     out[..., pos_minus] = np.conj(amp)
@@ -291,7 +346,7 @@ def fancy_index_scatter(model, xi: np.ndarray, weights: np.ndarray | None = None
 
 
 def skeleton_forward_per_step(h_values: np.ndarray, u0_frames: np.ndarray, config) -> np.ndarray:
-    """Frames (n_steps + 1, 2, S, K + 1), kx >= 0 halves, of the controlled
+    """Frames (n_steps + 1, S, K + 1), scalar halves, of the controlled
     linearization for controls h_values (n_steps, J), one noise-map call per
     step."""
     from snse_lab.noise import sigma_apply_array
@@ -313,11 +368,11 @@ def skeleton_forward_per_step(h_values: np.ndarray, u0_frames: np.ndarray, confi
 
 def adjoint_sweep_per_step(config, u0_frames, p_end, sources) -> np.ndarray:
     """Control gradient (n_steps, J) of <p_end, x_N> + sum_n <sources[n], x_n>
-    over skeleton frames x, all kx >= 0 halves, one noise-adjoint call per
-    step on the full mirror of phi p."""
+    over skeleton frames x, all scalar halves, one noise-adjoint call per
+    step on phi p."""
     from snse_lab.noise import sigma_adjoint_array
     from snse_lab.solvers import propagator
-    from snse_lab.spectral import full_spectrum, linearized_advection_adjoint_array
+    from snse_lab.spectral import linearized_advection_adjoint_array
 
     grid = config.grid
     prop = propagator(grid, config.dt)
@@ -326,7 +381,7 @@ def adjoint_sweep_per_step(config, u0_frames, p_end, sources) -> np.ndarray:
     for n in range(config.n_steps - 1, -1, -1):
         u0n = u0_frames[n]
         phi_p = prop.half_phi * p
-        grad[n] = sigma_adjoint_array(config.noise, n * config.dt, u0n, full_spectrum(phi_p))
+        grad[n] = sigma_adjoint_array(config.noise, n * config.dt, u0n, phi_p)
         p_next = prop.half_decay * p
         if config.nonlinear:
             p_next = p_next - linearized_advection_adjoint_array(grid, phi_p, u0n)
@@ -335,8 +390,8 @@ def adjoint_sweep_per_step(config, u0_frames, p_end, sources) -> np.ndarray:
 
 
 def tilde_z_per_step(h_values, u_frames, u0_frames, epsilon, dW, config) -> np.ndarray:
-    """Frames (n_steps + 1, 2, S, K + 1) of the shifted fluctuation along one
-    recorded noisy path, all kx >= 0 halves, with the noise map applied
+    """Frames (n_steps + 1, S, K + 1) of the shifted fluctuation along one
+    recorded noisy path, all scalar halves, with the noise map applied
     twice per step, once to the control and once to the increment.  The
     drift B(u, z) + B(z, u0) is the observer's one curl-form call."""
     from snse_lab.noise import sigma_apply_array
@@ -362,7 +417,7 @@ def tilde_z_per_step(h_values, u_frames, u0_frames, epsilon, dW, config) -> np.n
 class RemainderObserverPerStep:
     """sup over steps of |u - u0 - sqrt(eps) Y|^2, with the noise map frozen
     at u0 applied at every step and a zero drift in the linear regime; u0
-    and Y are kx >= 0 halves."""
+    and Y are scalar halves."""
 
     def __init__(self, config, u0_frames):
         self.config = config
@@ -476,25 +531,28 @@ def wilson_oracle(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
 # trajectory-file reader
 
 
-def step_snse(u, f_t, epsilon, dW, dt, model, t=0.0, nonlinear=True):
-    """One integrating-factor step of one path as a field: decay, forcing and
-    advection of u, plus the phi-weighted left-endpoint noise term, over the
-    whole mode square."""
+def step_snse(c, f_t, epsilon, dW, dt, model, t=0.0, nonlinear=True):
+    """One integrating-factor step of one path: decay, forcing and advection
+    of the state, plus the phi-weighted left-endpoint noise term, over the
+    whole mode square of full scalar arrays (S, S), c the state and f_t the
+    forcing (or None)."""
     from snse_lab.noise import sigma_apply_array
-    from snse_lab.spectral import SpectralField, advection_array, full_spectrum, half_spectrum
+    from snse_lab.spectral import advection_array, full_spectrum, half_spectrum
 
-    prop = full_propagator(u.grid, dt)
-    out = u.coeffs * prop.decay
+    grid = model.grid
+    prop = full_propagator(grid, dt)
+    out = c * prop.decay
     if f_t is not None:
-        out += prop.phi * f_t.coeffs
+        out += prop.phi * f_t
     if nonlinear:
-        out -= prop.phi * advection_array(u.grid, u.coeffs, u.coeffs)
+        half = half_spectrum(c)
+        out -= prop.phi * full_spectrum(advection_array(grid, half, half))
     if epsilon > 0.0:
-        noise = full_spectrum(sigma_apply_array(model, t, half_spectrum(u.coeffs), dW))
+        noise = full_spectrum(sigma_apply_array(model, t, half_spectrum(c), dW))
         noise *= math.sqrt(epsilon)
         noise *= prop.phi_rate
         out += noise
-    return SpectralField(u.grid, out)
+    return out
 
 
 def full_propagator(grid, dt: float):
@@ -511,44 +569,38 @@ def full_propagator(grid, dt: float):
     return SimpleNamespace(decay=decay, phi=phi, phi_rate=phi / dt, int_weight=int_weight)
 
 
-def h_norm_sq_array(grid, coeffs: np.ndarray) -> np.ndarray:
-    """Squared L2 norm, batched, of full conjugate-symmetric arrays
-    (..., 2, S, S): the package's norm of their kx >= 0 half."""
-    from snse_lab.spectral import abs_sq, half_spectrum, weighted_norm_sq
+def h_norm_sq_array(grid, c: np.ndarray) -> np.ndarray:
+    """Squared L2 norm, batched, of scalar halves c (..., S, K + 1), one
+    norm per call."""
+    from snse_lab.spectral import abs_sq, weighted_norm_sq
 
-    return weighted_norm_sq(abs_sq(half_spectrum(coeffs)), grid.half_weight)
-
-
-def v_norm_sq_array(grid, coeffs: np.ndarray) -> np.ndarray:
-    """Squared gradient norm, batched, of full conjugate-symmetric arrays."""
-    from snse_lab.spectral import abs_sq, half_spectrum, weighted_norm_sq
-
-    return weighted_norm_sq(abs_sq(half_spectrum(coeffs)), grid.half_k2)
+    return weighted_norm_sq(abs_sq(c), grid.half_weight)
 
 
-def hv_norm_sq_array(grid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both squared norms, (h_norm_sq_array, v_norm_sq_array), of full
-    conjugate-symmetric arrays, from one |c|^2."""
-    from snse_lab.spectral import half_norms_sq, half_spectrum
+def v_norm_sq_array(grid, c: np.ndarray) -> np.ndarray:
+    """Squared gradient norm, batched, of scalar halves c, one norm per call."""
+    from snse_lab.spectral import abs_sq, weighted_norm_sq
 
-    return half_norms_sq(grid, half_spectrum(coeffs))
+    return weighted_norm_sq(abs_sq(c), grid.half_k2)
 
 
 def step_int_v2(prop, coeffs: np.ndarray) -> np.ndarray:
     """Exact integral of ||u||^2 over one pure-decay step of `prop` from the
-    kx >= 0 halves coeffs (..., 2, S, K + 1), as the package's observers
+    scalar halves coeffs (..., S, K + 1), as the package's observers
     accumulate it, kx > 0 counted twice."""
     from snse_lab.spectral import abs_sq, weighted_norm_sq
 
     return weighted_norm_sq(abs_sq(coeffs), prop.half_int_weight)
 
 
-def full_norm_sq(coeffs: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
-    """(2 pi)^2 sum over every mode of weight_k |c_k|^2, (..., 2, S, S) -> (...):
-    a squared norm summed over the whole spectrum, where the package sums
-    the kx >= 0 half of a conjugate-symmetric field."""
+def full_norm_sq(coeffs: np.ndarray, weight: np.ndarray | None = None,
+                 axes: tuple = (-2, -1)) -> np.ndarray:
+    """(2 pi)^2 sum over every mode of weight_k |c_k|^2 of full arrays
+    (..., S, S), summed over `axes` (add -3 for two-component fields): a
+    squared norm summed over the whole spectrum, where the package sums the
+    kx >= 0 half of the scalar of a conjugate-symmetric field."""
     a2 = np.abs(coeffs) ** 2
-    return TWO_PI**2 * np.sum(a2 if weight is None else weight * a2, axis=(-3, -2, -1))
+    return TWO_PI**2 * np.sum(a2 if weight is None else weight * a2, axis=axes)
 
 
 def noise_trace(model) -> float:
@@ -559,15 +611,15 @@ def noise_trace(model) -> float:
 def basis_field(model, j: int):
     """The j-th noise direction as a unit-L2 divergence-free full field."""
     from snse_lab.noise import scatter_coefficients
-    from snse_lab.spectral import SpectralField, full_spectrum
+    from snse_lab.spectral import SpectralField, to_velocity
 
     xi = np.zeros(model.n_directions)
     xi[j] = 1.0
-    return SpectralField(model.grid, full_spectrum(scatter_coefficients(model, xi)))
+    return SpectralField(model.grid, to_velocity(model.grid, scatter_coefficients(model, xi)))
 
 
 def derived_trajectory(grid, times, frames, dt: float, record_stride: int, provenance=None):
-    """Trajectory from precomputed frames, kx >= 0 halves; functionals on
+    """Trajectory from precomputed frames, scalar halves; functionals on
     the recording grid."""
     from snse_lab.solvers import Trajectory, _sup_plus_integral
     from snse_lab.spectral import half_norms_sq
@@ -607,7 +659,7 @@ def energy_distance(a, b) -> float:
 
 
 def skeleton_trajectories(frames: np.ndarray, config) -> list:
-    """Trajectories of skeleton_forward solutions (m, n_steps + 1, 2, S, K + 1),
+    """Trajectories of skeleton_forward solutions (m, n_steps + 1, S, K + 1),
     recorded on config's grid by one batched observer pass."""
     from snse_lab.solvers import TrajectoryObserver, _trajectory, propagator
 
@@ -676,11 +728,11 @@ def mc_probability(event, epsilon: float, n_samples: int, config, seed: int):
 def read_trajectory(path: str):
     """Read a trajectory file: a one-line JSON header, then little-endian
     times, h2, v2 and interleaved complex frames (R, 2, S, S), of which the
-    Trajectory keeps the kx >= 0 halves."""
+    Trajectory keeps the scalar halves (`to_scalar`)."""
     import json
 
     from snse_lab.solvers import Trajectory
-    from snse_lab.spectral import SpectralGrid, half_spectrum
+    from snse_lab.spectral import SpectralGrid, to_scalar
 
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
@@ -693,7 +745,7 @@ def read_trajectory(path: str):
         frames = np.frombuffer(fh.read(16 * R * 2 * S * S), dtype="<c16").reshape(R, 2, S, S).copy()
     return Trajectory(
         grid=grid, dt=header["dt"], record_stride=header["record_stride"], times=times,
-        frames=half_spectrum(frames).copy(), h2=h2, v2=v2, sup_h2=header["sup_h2"],
+        frames=to_scalar(grid, frames), h2=h2, v2=v2, sup_h2=header["sup_h2"],
         int_v2=header["int_v2"],
         provenance=header.get("provenance", {}),
     )
@@ -714,20 +766,22 @@ class ScaledNormals:
 
 
 def integrate_batch_full(config, state: np.ndarray, sources, hooks) -> None:
-    """The stochastic time loop on full (n, 2, S, S) states: the stepper of
-    `solvers._integrate_batch` with the weights, the update, the noise
+    """The stochastic time loop on full scalar arrays (n, S, S): the stepper
+    of `solvers._integrate_batch` with the weights, the update, the noise
     block, the self-advection and the hooks' inputs all over the whole mode
     square.  Each block's normals are one fresh (steps, J) draw per path's
     generator in sources (None for a noiseless run), stacked.  A guard over
     every mode stands in for the blow-up guard."""
     from snse_lab.noise import at_directions, scatter_coefficients, sigma_factor
     from snse_lab.solvers import IntegrationError, _guard_scale, _noise_block_steps
-    from snse_lab.spectral import advection_array, full_spectrum, half_spectrum
+    from snse_lab.spectral import advection_array, full_spectrum, half_spectrum, to_scalar
 
     prop = full_propagator(config.grid, config.dt)
     model = config.noise
     n_steps = config.n_steps
-    phi_forcing = None if config.forcing is None else prop.phi * config.forcing.coeffs
+    phi_forcing = None
+    if config.forcing is not None:
+        phi_forcing = prop.phi * full_spectrum(to_scalar(config.grid, config.forcing.coeffs))
     sqrt_eps = math.sqrt(config.epsilon)
     scale = _guard_scale(config, state)
     on_noise = getattr(hooks, "on_noise", None)
@@ -741,7 +795,10 @@ def integrate_batch_full(config, state: np.ndarray, sources, hooks) -> None:
     block = _noise_block_steps(model, state.shape[0], n_steps)
     for step in range(n_steps):
         t = step * config.dt
-        adv = advection_array(config.grid, state, state) if config.nonlinear else None
+        adv = None
+        if config.nonlinear:
+            half = half_spectrum(state)
+            adv = full_spectrum(advection_array(config.grid, half, half))
         noise = None
         if sources is not None:
             i = step % block
@@ -755,7 +812,7 @@ def integrate_batch_full(config, state: np.ndarray, sources, hooks) -> None:
             if on_noise:
                 on_noise(step, t, state, dW_block[:, i])
             if config.epsilon > 0.0 and model.state_dependent:
-                factor = sigma_factor(model, t, half_spectrum(state))[:, None, None, None]
+                factor = sigma_factor(model, t, half_spectrum(state))[:, None, None]
                 noise = noise_block[:, i] * factor * sqrt_eps * prop.phi_rate
             elif config.epsilon > 0.0:
                 noise = noise_block[:, i]
@@ -767,6 +824,49 @@ def integrate_batch_full(config, state: np.ndarray, sources, hooks) -> None:
             state -= adv
         if noise is not None:
             state += noise
+        peak = np.max(np.abs(state))
+        if not np.isfinite(peak) or peak > scale:
+            raise IntegrationError(step, f"amplitude {peak:.3e}")
+        if on_state:
+            on_state(step + 1, t + config.dt, state)
+
+
+def integrate_batch_two_component(config, state: np.ndarray, sources, hooks) -> None:
+    """The stochastic time loop on full two-component velocity fields
+    (n, 2, S, S), the layout the scalar stepper replaced, by routes of its
+    own: the self-advection in gradient form (`advection_gradient_form`),
+    the noise as each pair's amplitude times its direction
+    (`two_component_scatter`), the saturated factor from the gradient norm
+    summed over both components and the whole mode square, and a guard over
+    every component.  Each step's normals are one (1, J) draw per path.
+    The hooks see the two-component states."""
+    from snse_lab.noise import saturation_factor
+    from snse_lab.solvers import IntegrationError
+    from snse_lab.verification import advection_gradient_form
+
+    grid, model = config.grid, config.noise
+    prop = full_propagator(grid, config.dt)
+    sqrt_eps = math.sqrt(config.epsilon)
+    scale = config.blowup_factor * max(np.max(np.abs(state)), 1.0 / TWO_PI)
+    sqrt_lam_dt = np.sqrt(model.eigenvalues * config.dt)
+    on_state = getattr(hooks, "on_state", None)
+    if on_state:
+        on_state(0, 0.0, state)
+    for step in range(config.n_steps):
+        t = step * config.dt
+        update = state * prop.decay
+        if config.forcing is not None:
+            update += prop.phi * config.forcing.coeffs
+        if config.nonlinear:
+            update -= prop.phi * advection_gradient_form(grid, state, state.copy())
+        if sources is not None:
+            dW = np.stack([src.standard_normal((1, model.n_directions))[0] for src in sources])
+            noise = two_component_scatter(model, dW * sqrt_lam_dt, weights=model.gains)
+            if model.state_dependent:
+                v2 = full_norm_sq(state, grid.k2, axes=(-3, -2, -1))
+                noise *= saturation_factor(model.params, np.sqrt(v2))[:, None, None, None]
+            update += sqrt_eps * prop.phi_rate * noise
+        state[...] = update
         peak = np.max(np.abs(state))
         if not np.isfinite(peak) or peak > scale:
             raise IntegrationError(step, f"amplitude {peak:.3e}")

@@ -50,9 +50,9 @@ from snse_lab.spectral import (
     advection_term,
     default_grid,
     divergence_defect,
-    full_spectrum,
     random_solenoidal_field,
     single_mode_field,
+    to_velocity,
 )
 
 import helpers
@@ -176,10 +176,10 @@ class TestCriterionOUOracle:
                 pass
 
             def on_state(self, idx, t, coeffs):
-                self.last = full_spectrum(coeffs)
+                self.last = coeffs
 
             def finish(self):
-                return {"c": self.last}
+                return {"c": to_velocity(g, self.last)}
 
         out = ensemble_run(cfg, seed=103, n_paths=n, observer_factory=Terminal)
         A = math.sqrt(2.0) / TWO_PI
@@ -190,7 +190,7 @@ class TestCriterionOUOracle:
             kx, ky = m.pair_k[p]
             k2 = float(kx * kx + ky * ky)
             lam = m.eigenvalues[2 * p]
-            d = m.pair_direction[p]
+            d = helpers.pair_direction(m)[p]
             c = out["c"][:, :, K + ky, K + kx] @ d  # scalar amplitude along d
             c0 = complex(u0.coeffs[:, K + ky, K + kx] @ d)
             rate = math.sqrt(eps) * (A / 2.0) * math.sqrt(lam)
@@ -284,7 +284,7 @@ class TestCriterionSkeleton:
         for n in range(cfg1.n_steps):
             hc, hs = hv[min(int(n * cfg1.dt / cell), 19)]
             c = decay * c + phi * (A / 2.0) * (hc - 1j * hs)
-        got = full_spectrum(x.frames[-1])[1, 1, 2]
+        got = x.field_at(-1).coeffs[1, 1, 2]
         rel = abs(got - c) / max(abs(c), 1e-300)
         ok = rel <= 1e-6
         report_line("skeleton-duhamel", ok, f"terminal relative error {rel:.2e}")

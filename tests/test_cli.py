@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snse_lab import cli, config, deviation, noise, solvers, spectral
+from snse_lab import cli, config, deviation, solvers, spectral, verification
 from snse_lab.cli import emit_tables, main
 from snse_lab.config import (
     ConfigError,
@@ -31,10 +31,10 @@ from snse_lab.persist import (
 from snse_lab.lil import build_probe
 from snse_lab.rng import substream
 from snse_lab.solvers import IntegrationError, SimConfig, solve_deterministic, solve_skeleton
-from snse_lab.spectral import full_spectrum, single_mode_field
+from snse_lab.spectral import single_mode_field
 from snse_lab.verification import CheckRow, run_invariant_suite
 
-from helpers import ScaledNormals, h_norm_sq_array, read_trajectory
+from helpers import ScaledNormals, h_norm_sq_array, read_trajectory, swapped_expansion
 
 
 def _write(tmp_path, cfg, name="config.json"):
@@ -118,8 +118,8 @@ class TestConfig:
                 control = build_control(exp["target_control" if kind == "rate" else "control"],
                                         noise, sim)
                 images[nonlinear] = solve_skeleton(control, u0, sim).frames[None]
-        diff = np.max(h_norm_sq_array(grid, full_spectrum(images[True] - images[False])), axis=-1)
-        size = np.max(h_norm_sq_array(grid, full_spectrum(images[False])), axis=-1)
+        diff = np.max(h_norm_sq_array(grid, images[True] - images[False]), axis=-1)
+        size = np.max(h_norm_sq_array(grid, images[False]), axis=-1)
         assert np.all(np.sqrt(diff / size) >= 1e-3)
 
     def test_schema_violation_names_keys(self):
@@ -507,20 +507,18 @@ class TestInvariantRows:
         row = self._rows(nonlinear=True, family=family)["adjoint_gradient_check"]
         assert not row.passed and row.value > 1e-2
 
-    def test_tilted_direction_fails_the_divergence_row(self, monkeypatch):
-        # pair 0, k = (1, 0), its one slot on the kx >= 0 half at row K,
-        # column 1: its direction tilted toward k in every model built
-        post_init = noise.NoiseModel.__post_init__
-
-        def tilted(model):
-            post_init(model)
-            assert tuple(model.pair_k[0]) == (1, 0)
-            direction = model._half_direction.copy()
-            direction[0, model.grid.max_wavenumber, 1] += 0.1
-            object.__setattr__(model, "_half_direction", direction)
-
-        monkeypatch.setattr(noise.NoiseModel, "__post_init__", tilted)
-        row = self._rows(nonlinear=False)["sigma_output_divergence_free"]
+    @pytest.mark.parametrize("name, nonlinear", [
+        ("sigma_output_divergence_free", False), ("solver_divergence_preservation", True),
+    ])
+    def test_swapped_expansion_fails_the_divergence_rows(self, monkeypatch, name, nonlinear):
+        # both rows read the fields the edges emit, expanded from the
+        # scalars (`to_velocity`, which `Trajectory.field_at` calls): an
+        # expansion with kx and ky swapped is not divergence free
+        rows = self._rows(nonlinear=nonlinear)
+        assert rows[name].passed and rows[name].threshold == 1e-12
+        monkeypatch.setattr(verification, "to_velocity", swapped_expansion)
+        monkeypatch.setattr(solvers, "to_velocity", swapped_expansion)
+        row = self._rows(nonlinear=nonlinear)[name]
         assert not row.passed and row.value > 1e-3
 
     def test_scaled_normals_fail_the_increment_row(self, monkeypatch):

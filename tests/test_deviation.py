@@ -42,6 +42,7 @@ from snse_lab.spectral import (
     random_solenoidal_field,
     single_mode_field,
     taylor_green,
+    to_scalar,
 )
 
 import helpers
@@ -193,8 +194,9 @@ class TestRateFunction:
     @pytest.mark.parametrize("nonlinear", [False, True])
     def test_adjoint_sweep_is_adjoint_of_skeleton_forward(self, grid3, family, nonlinear):
         # dot test: sum_n,j grad h equals <p_end, x_N> + sum_n <sources[n], x_n>
-        # in the L2 pairing (2 pi)^2 Re sum conj(a) b, for any
-        # conjugate-symmetric p_end and sources, around a u0 that couples
+        # in the L2 pairing (2 pi)^2 Re sum conj(a) b over the whole square,
+        # for any conjugate-symmetric scalars p_end and sources, around a u0
+        # that couples
         m = NoiseModel(grid=grid3, family=family, num_directions=7)
         rng = np.random.default_rng(12)
         cfg = SimConfig(grid=grid3, noise=m, horizon=0.02, dt=1e-3,
@@ -203,7 +205,7 @@ class TestRateFunction:
         u0 = solve_deterministic(cfg).frames
         h = rng.standard_normal((cfg.n_steps, 7))
         x = skeleton_forward(h, u0, cfg)
-        fields = helpers.symmetric_batch(grid3, rng, cfg.n_steps + 1)
+        fields = helpers.symmetric_batch(grid3, rng, cfg.n_steps + 1, components=())
         p_end, sources = fields[-1], fields[:-1]
         grad = _adjoint_sweep(cfg, u0, half_spectrum(p_end), half_spectrum(sources))
         x = full_spectrum(x)
@@ -249,7 +251,7 @@ class TestRateFunction:
                          nonlinear=False, record_stride=1)
         u0_0 = solve_deterministic(cfg0)
         target_mode = single_mode_field(g, (0, 1), (1.0, 0.0))
-        frames = np.repeat(half_spectrum(target_mode.coeffs)[None], cfg0.n_steps + 1, axis=0)
+        frames = np.repeat(to_scalar(g, target_mode.coeffs)[None], cfg0.n_steps + 1, axis=0)
         target = helpers.derived_trajectory(
             g, cfg0.dt * np.arange(cfg0.n_steps + 1), frames, cfg0.dt, 1
         )
@@ -283,8 +285,8 @@ class TestRateFunction:
         u0 = solve_deterministic(cfg)
         value, h = max_energy_response(u0, cfg, n_iter=n_iter, seed=1)
         a2 = np.abs(full_spectrum(skeleton_forward(h, u0.frames, cfg))) ** 2
-        x = TWO_PI**2 * np.sum(a2, axis=(1, 2, 3))
-        v = TWO_PI**2 * np.sum(g.k2 * a2, axis=(1, 2, 3))
+        x = TWO_PI**2 * np.sum(a2, axis=(1, 2))
+        v = TWO_PI**2 * np.sum(g.k2 * a2, axis=(1, 2))
         assert value == pytest.approx(np.max(x) + cfg.dt * np.sum(v[:-1]), rel=1e-12)
         assert np.sum(h**2 * cfg.dt / m.eigenvalues) == pytest.approx(1.0, rel=1e-12)
 
@@ -322,7 +324,7 @@ class TestMCProbability:
         iy, ix = 1, 2
 
         def event(traj):
-            return abs(full_spectrum(traj.frames[-1])[1, iy, ix]) >= r
+            return abs(traj.field_at(-1).coeffs[1, iy, ix]) >= r
 
         n = 4000
         est = mc_probability(event, eps, n, cfg, seed=11)
@@ -367,7 +369,7 @@ class TestMCProbability:
         r = math.sqrt(2.0 * var * math.log(1.0 / p_oracle))
 
         def event(traj):
-            return abs(full_spectrum(traj.frames[-1])[1, 1, 2]) >= r
+            return abs(traj.field_at(-1).coeffs[1, 1, 2]) >= r
 
         covered = 0
         runs = 120
@@ -540,10 +542,10 @@ class TestConditionalProbe:
     def test_fw_k10_peak_traced_allocation(self):
         # the fw-k10 benchmark's shape: K=10, 16 steps, 256 paths at each of
         # two epsilons, dyadic depth 2, stepped in chunks of 32 paths:
-        # 2.55 MB peak traced allocation on numpy 2.4 (2,545,051 to
-        # 2,545,207 B; 4.65 MB in chunks of 64 paths with the advection
-        # formed before the noise, 12.78 MB in chunks of 256); pinned with 5%
-        # margin
+        # 2.07 MB peak traced allocation on numpy 2.4 (2,067,739 to
+        # 2,067,859 B; 2.55 MB with two-component states, 4.65 MB in chunks
+        # of 64 paths with the advection formed before the noise, 12.78 MB in
+        # chunks of 256); pinned with 5% margin
         g = default_grid(10)
         cfg = SimConfig(grid=g, noise=NoiseModel(grid=g), horizon=16e-3, dt=1e-3,
                         epsilon=1e-3, initial=taylor_green(g), nonlinear=True,
@@ -558,7 +560,7 @@ class TestConditionalProbe:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 2_545_210
+        assert peak <= 1.05 * 2_067_860
 
     def test_incompatible_dyadic_depth_fails_before_integrating(self, linear_config, noise1,
                                                                 monkeypatch):

@@ -38,6 +38,7 @@ from snse_lab.spectral import (
     random_solenoidal_field,
     single_mode_field,
     taylor_green,
+    to_velocity,
 )
 
 import helpers
@@ -117,8 +118,8 @@ class TestRescaledProcess:
         # path i draws from substream(900, i); the terminal frame of each
         cfg_eps = cfg.with_epsilon(eps)
         out = ensemble_run(cfg_eps, 900, n, lambda: TrajectoryObserver(cfg_eps))
-        ue = full_spectrum(out["frames"][:, -1])
-        z = (ue - full_spectrum(u0_rec.frames[-1])) / math.sqrt(2 * eps * loglog(eps))
+        ue = to_velocity(g, out["frames"][:, -1])
+        z = (ue - u0_rec.field_at(-1).coeffs) / math.sqrt(2 * eps * loglog(eps))
         arr = z[:, 1, 1, 2]
         A = math.sqrt(2.0) / (2 * math.pi)
         noise_rms = math.sqrt(eps) * (A / 2.0) * math.sqrt(m.eigenvalues[0] * cfg.dt)
@@ -147,8 +148,11 @@ class TestLimitSetProbe:
     def test_frames_must_be_halves(self, study_setup):
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
         probe = build_probe(cfg, u0_full, n_shapes=1)
-        with pytest.raises(ParameterError, match="kx >= 0 halves"):
+        # full arrays of the scalar, and the two-component fields of the edges
+        with pytest.raises(ParameterError, match="scalar halves"):
             LimitSetProbe(probe.controls, full_spectrum(probe.frames), probe.times, 0.5)
+        with pytest.raises(ParameterError, match="row per control"):
+            LimitSetProbe(probe.controls, to_velocity(g, probe.frames), probe.times, 0.5)
 
     def test_times_need_one_per_record(self, study_setup):
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
@@ -328,9 +332,10 @@ class TestClusterStudy:
     @pytest.mark.parametrize("stride", [1, 25])
     def test_probe_held_once(self, study_setup, monkeypatch, stride):
         # the probe builds no trajectory per candidate, its one frames array
-        # is the skeleton solve's output at record stride 1, and the study
-        # compares against that array itself, not a stacked copy, in one
-        # observer per schedule index for both replicates
+        # is the array the skeleton solve wrote, at record stride 25 shrunk
+        # in place to the recorded steps, and the study compares against
+        # that array itself, not a stacked copy, in one observer per
+        # schedule index for both replicates
         g, m, cfg, cfg1, u0_full, u0_rec = study_setup
         cfg_s = replace(cfg, record_stride=stride)
         built, solved = [], []
@@ -349,8 +354,8 @@ class TestClusterStudy:
         probe = build_probe(cfg_s, u0_full, n_shapes=1, tolerance=0.5)
         monkeypatch.undo()
         assert built == [] and len(solved) == 1
-        assert probe.frames.shape == (probe.size, cfg.n_steps // stride + 1, 2, 3, 2)
-        assert np.shares_memory(solved[0], probe.frames) == (stride == 1)
+        assert probe.frames.shape == (probe.size, cfg.n_steps // stride + 1, 3, 2)
+        assert solved[0].base is probe.frames and probe.frames.base is None
         assert np.array_equal(probe.times, cfg.dt * np.arange(0, cfg.n_steps + 1, stride))
         seen = []
 
@@ -364,11 +369,41 @@ class TestClusterStudy:
         strassen_cluster_study(sched, probe, 2, cfg_s, seed=7, u0_traj=u0_full)
         assert len(seen) == 2 and all(t is probe.frames for t in seen)
 
+    def test_strided_probe_holds_one_array(self):
+        # at record stride 25 the skeleton solve writes every step, and the
+        # probe keeps the recorded rows by moving them forward in that array
+        # and shrinking it, with no second array of them.  K=16, 9 controls
+        # of 2 directions, 200 linear steps: 16.24 MB of frames, 0.73 MB of
+        # recorded rows; the traced peak exceeds the frames by the solve's
+        # own temporaries, 0.35 MB on numpy 2.4 (0.77 MB with
+        # frames[:, steps] copied out after the solve), pinned below 3/4 of
+        # the recorded rows
+        g = default_grid(16)
+        cfg = SimConfig(grid=g, noise=NoiseModel(grid=g, num_directions=2), horizon=0.2,
+                        dt=1e-3, initial=taylor_green(g), nonlinear=False, record_stride=1)
+        u0 = solve_deterministic(cfg)
+        cfg = replace(cfg, record_stride=25)
+
+        def probe():
+            return build_probe(cfg, u0, directions=[0, 1], n_shapes=4)
+
+        probe()  # caches outside the trace
+        tracemalloc.start()
+        try:
+            p = probe()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.frames.shape == (9, 9, 33, 17)
+        solved = p.size * (cfg.n_steps + 1) * p.frames[0, 0].nbytes
+        assert peak - solved <= 0.75 * p.frames.nbytes
+
     def test_probe_and_study_peak_traced_allocation(self):
-        # a 5-control probe of 65 frames at K=10 (2.4 MB as kx >= 0 halves,
+        # a 5-control probe of 65 frames at K=10 (1.2 MB as scalar halves,
         # lil-k10's shape) and a 16-replicate study on it, one batch-16
-        # ensemble per schedule index: 5.64 MB peak traced allocation on
-        # numpy 2.4 (7.94 MB when the probe held full frames), reached in the
+        # ensemble per schedule index: 3.46 MB peak traced allocation on
+        # numpy 2.4 (3,463,376 to 3,463,784 B; 5.64 MB with two-component
+        # halves, 7.94 MB when the probe held full frames), reached in the
         # probe's skeleton solve; pinned with 5% margin
         g = default_grid(10)
         cfg = SimConfig(grid=g, noise=NoiseModel(grid=g), horizon=64e-3, dt=1e-3,
@@ -388,7 +423,7 @@ class TestClusterStudy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 5_641_800
+        assert peak <= 1.05 * 3_463_800
 
     def test_rows_equal_reference_distances(self):
         # streamed distances against limit_set_distance(z_process(...)) on
@@ -544,10 +579,10 @@ class TestShiftedProcessLaw:
                 pass
 
             def on_state(self, idx, t, coeffs):
-                self.last = full_spectrum(coeffs)[:, 1, 1, 2]
+                self.last = coeffs  # the terminal state at finish
 
             def finish(self):
-                return {"c": self.last}
+                return {"c": to_velocity(g, self.last)[:, 1, 1, 2]}
 
         out = helpers.shifted_ensemble(
             cfg1, zero_control(m, cfg1.horizon, 10), eps, u0_full.frames, 31, n, Terminal)

@@ -32,6 +32,8 @@ from snse_lab.spectral import (
     full_spectrum,
     half_spectrum,
     random_solenoidal_field,
+    to_scalar,
+    to_velocity,
     zero_field,
 )
 
@@ -48,7 +50,8 @@ class TestModel:
     def test_basis_unit_norm_divergence_free(self, noise3):
         for j in range(0, noise3.n_directions, 7):
             e = helpers.basis_field(noise3, j)
-            assert abs(math.sqrt(h_norm_sq_array(e.grid, e.coeffs)) - 1.0) < 1e-12
+            h2 = h_norm_sq_array(e.grid, to_scalar(e.grid, e.coeffs))
+            assert abs(math.sqrt(h2) - 1.0) < 1e-12
             div, amp = divergence_defect(e)
             assert div <= 1e-14 * amp
 
@@ -61,8 +64,9 @@ class TestModel:
     def test_scatter_gather_adjoint(self, noise3, rng):
         xi = rng.standard_normal(noise3.n_directions)
         y = random_solenoidal_field(noise3.grid, rng)
-        lhs = TWO_PI**2 * float(np.vdot(full_spectrum(scatter_coefficients(noise3, xi)), y.coeffs).real)
-        rhs = float(xi @ gather_coefficients(noise3, y.coeffs))
+        field = to_velocity(noise3.grid, scatter_coefficients(noise3, xi))
+        lhs = TWO_PI**2 * float(np.vdot(field, y.coeffs).real)
+        rhs = float(xi @ gather_coefficients(noise3, to_scalar(noise3.grid, y.coeffs)))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
@@ -72,11 +76,11 @@ class TestModel:
         m = NoiseModel(grid=SpectralGrid(K, 3 * K + 2), num_directions=J)
         xi = rng.standard_normal((4, 3, m.n_directions))
         full = full_spectrum(scatter_coefficients(m, xi, weights=m.gains))
-        half = np.empty(xi.shape[:-1] + (2, 2 * K + 1, K + 1), dtype=np.complex128)
+        half = np.empty(xi.shape[:-1] + (2 * K + 1, K + 1), dtype=np.complex128)
         assert scatter_coefficients(m, xi, weights=m.gains, out=half) is half
         assert np.array_equal(half, half_spectrum(full))
         oracle = helpers.fancy_index_scatter(m, xi, weights=m.gains)
-        assert np.array_equal(half, half_spectrum(oracle))
+        assert np.array_equal(half, half_spectrum(oracle)) and np.array_equal(full, oracle)
 
     # full J = 2 * 24 = 48 at K=3; 10 directions end on a sine, 9 on a cosine
     @pytest.mark.parametrize("J", [None, 10, 9])
@@ -143,17 +147,18 @@ class TestSigmaFamilies:
         xi = np.zeros(noise3.n_directions)
         xi[4] = 1.0
         u = random_solenoidal_field(noise3.grid, rng)
-        out_u = sigma_apply_array(noise3, 0.0, half_spectrum(u.coeffs), xi)
-        out_0 = sigma_apply_array(noise3, 0.3, half_spectrum(zero_field(noise3.grid).coeffs), xi)
+        g = noise3.grid
+        out_u = sigma_apply_array(noise3, 0.0, to_scalar(g, u.coeffs), xi)
+        out_0 = sigma_apply_array(noise3, 0.3, to_scalar(g, zero_field(g).coeffs), xi)
         np.testing.assert_array_equal(out_u, out_0)
         # equals the gain times the basis direction
         e = helpers.basis_field(noise3, 4)
-        np.testing.assert_allclose(full_spectrum(out_u), noise3.gains[4] * e.coeffs, atol=1e-15)
+        np.testing.assert_allclose(to_velocity(g, out_u), noise3.gains[4] * e.coeffs, atol=1e-15)
 
     def test_saturated_vanishes_at_zero_state(self, grid3, rng):
         m = NoiseModel(grid=grid3, family="saturated")
         xi = rng.standard_normal(m.n_directions)
-        out = sigma_apply_array(m, 0.0, half_spectrum(zero_field(grid3).coeffs), xi)
+        out = sigma_apply_array(m, 0.0, to_scalar(grid3, zero_field(grid3).coeffs), xi)
         factor = saturation_factor(m.params, 0.0)
         assert factor == 0.0
         assert np.max(np.abs(out)) == 0.0
@@ -171,8 +176,8 @@ class TestSigmaFamilies:
             m = NoiseModel(grid=helpers_grid(), family=family)
             u = random_solenoidal_field(m.grid, rng)
             xi = rng.standard_normal(m.n_directions)
-            out = sigma_apply_array(m, 0.1, half_spectrum(u.coeffs), xi)
-            div, amp = divergence_defect(SpectralField(m.grid, full_spectrum(out)))
+            out = sigma_apply_array(m, 0.1, to_scalar(m.grid, u.coeffs), xi)
+            div, amp = divergence_defect(SpectralField(m.grid, to_velocity(m.grid, out)))
             assert div <= 1e-13 * max(amp, 1e-300)
 
     def test_lipschitz_bound_sampled(self, grid3, rng):
@@ -183,11 +188,11 @@ class TestSigmaFamilies:
             scale = 10.0 ** rng.uniform(-2, 2)
             u = random_solenoidal_field(grid3, rng, amplitude=scale)
             v = random_solenoidal_field(grid3, rng, amplitude=scale)
-            du = math.sqrt(v_norm_sq_array(grid3, u.coeffs - v.coeffs))
+            u, v = to_scalar(grid3, u.coeffs), to_scalar(grid3, v.coeffs)
+            du = math.sqrt(v_norm_sq_array(grid3, u - v))
             if du < 1e-12:
                 continue
-            ds = abs(sigma_hs_norm(m, 0.0, half_spectrum(u.coeffs))
-                     - sigma_hs_norm(m, 0.0, half_spectrum(v.coeffs)))
+            ds = abs(sigma_hs_norm(m, 0.0, u) - sigma_hs_norm(m, 0.0, v))
             worst = max(worst, ds / du)
         assert worst <= 1.05 * declared["lipschitz"]
 
@@ -197,19 +202,22 @@ class TestSigmaFamilies:
             declared = declared_constants(m)
             for _ in range(100):
                 u = random_solenoidal_field(grid3, rng, amplitude=10 ** rng.uniform(-2, 2))
-                nu2 = float(v_norm_sq_array(grid3, u.coeffs))
-                s_u = sigma_hs_norm(m, 0.0, half_spectrum(u.coeffs))
+                u = to_scalar(grid3, u.coeffs)
+                nu2 = float(v_norm_sq_array(grid3, u))
+                s_u = sigma_hs_norm(m, 0.0, u)
                 assert s_u**2 <= declared["growth"] * (1 + nu2) * (1 + 1e-12)
 
     def test_dimension_mismatch_rejected(self, noise3, rng):
         u = random_solenoidal_field(noise3.grid, rng)
         with pytest.raises(NoiseConfigError):
-            sigma_apply_array(noise3, 0.0, half_spectrum(u.coeffs), np.ones(noise3.n_directions + 1))
+            sigma_apply_array(noise3, 0.0, to_scalar(noise3.grid, u.coeffs),
+                              np.ones(noise3.n_directions + 1))
 
     def test_batched_apply_matches_loop(self, noise3, rng):
         n = 5
         us = np.stack(
-            [half_spectrum(random_solenoidal_field(noise3.grid, rng).coeffs) for _ in range(n)]
+            [to_scalar(noise3.grid, random_solenoidal_field(noise3.grid, rng).coeffs)
+             for _ in range(n)]
         )
         xis = rng.standard_normal((n, noise3.n_directions))
         batched = sigma_apply_array(noise3, 0.2, us, xis)
@@ -222,11 +230,14 @@ class TestSigmaFamilies:
         u = random_solenoidal_field(m.grid, rng)
         y = random_solenoidal_field(m.grid, rng)
         xi = rng.standard_normal(m.n_directions)
-        u = half_spectrum(u.coeffs)
+        u = to_scalar(m.grid, u.coeffs)
         lhs = TWO_PI**2 * float(
-            np.vdot(full_spectrum(sigma_apply_array(m, 0.0, u, xi)), y.coeffs).real
+            np.vdot(to_velocity(m.grid, sigma_apply_array(m, 0.0, u, xi)), y.coeffs).real
         )
-        rhs = float(xi @ sigma_adjoint_array(m, 0.0, u, y.coeffs))
+        # y as a full two-component field, the benchmark's input, and as its scalar
+        adjoint = sigma_adjoint_array(m, 0.0, u, y.coeffs)
+        assert np.array_equal(adjoint, sigma_adjoint_array(m, 0.0, u, to_scalar(m.grid, y.coeffs)))
+        rhs = float(xi @ adjoint)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
@@ -243,7 +254,7 @@ class TestVerifyAssumptions:
             xi[j] = 1.0
             col = scatter_coefficients(noise3, xi, weights=noise3.gains)
             total += noise3.eigenvalues[j] * float(
-                h_norm_sq_array(noise3.grid, full_spectrum(col))
+                h_norm_sq_array(noise3.grid, col)
             )
         assert abs(rep.bound_est - math.sqrt(total)) <= 1e-10 * rep.bound_est
 

@@ -49,6 +49,8 @@ from snse_lab.spectral import (
     random_solenoidal_field,
     single_mode_field,
     taylor_green,
+    to_scalar,
+    to_velocity,
     zero_field,
     TWO_PI,
 )
@@ -70,10 +72,10 @@ def _mode_index(grid, k):
 
 
 def _one_step(noise, dt, initial=None, nonlinear=True) -> np.ndarray:
-    """State after one deterministic solver step, as a full array."""
+    """State after one deterministic solver step, as a full two-component array."""
     cfg = SimConfig(grid=noise.grid, noise=noise, horizon=dt, dt=dt, initial=initial,
                     nonlinear=nonlinear)
-    return full_spectrum(solve_deterministic(cfg).frames[-1])
+    return solve_deterministic(cfg).field_at(-1).coeffs
 
 
 class TestSteps:
@@ -118,7 +120,7 @@ class TestDeterministicSolve:
         cfg = SimConfig(grid=grid1, noise=noise1, horizon=0.0, dt=1e-3, initial=u0)
         traj = solve_deterministic(cfg)
         assert traj.n_records == 1
-        np.testing.assert_array_equal(full_spectrum(traj.frames[0]), u0.coeffs)
+        np.testing.assert_array_equal(traj.field_at(0).coeffs, u0.coeffs)
 
     def test_horizon_must_divide(self, grid1, noise1):
         with pytest.raises(ParameterError):
@@ -228,7 +230,8 @@ class TestStochasticSolve:
         u0 = solve_deterministic(cfg)
         traj = ensemble_run(cfg, 3, 4, lambda: TrajectoryObserver(cfg))
         mom = ensemble_run(cfg, 3, 4, lambda: _MomentObserver(cfg, [1.0, 2.0], u0.frames))
-        frames = full_spectrum(traj["frames"])
+        frames = traj["frames"]
+        full = full_spectrum(frames)
         h2, v2 = h_norm_sq_array(grid3, frames), v_norm_sq_array(grid3, frames)
         assert np.array_equal(traj["h2"], h2) and np.array_equal(traj["v2"], v2)
         assert np.array_equal(traj["sup_h2"], h2.max(axis=1))
@@ -238,20 +241,24 @@ class TestStochasticSolve:
         int_v2, int_h2v2, int_a2 = np.zeros(4), np.zeros(4), np.zeros(4)
         full_int_v2, full_int_a2 = np.zeros(4), np.zeros(4)
         for i in range(frames.shape[1] - 1):
-            int_v2 += helpers.step_int_v2(prop, half_spectrum(frames[:, i]))
+            int_v2 += helpers.step_int_v2(prop, frames[:, i])
             int_h2v2 += h2[:, i] * v2[:, i] * cfg.dt
-            a2 = abs_sq(half_spectrum(frames[:, i]))
+            a2 = abs_sq(frames[:, i])
             a_weight = grid3.half_k2 * half_spectrum(grid3.k2)
-            a_sq = TWO_PI**2 * np.sum(a_weight * a2, axis=(-3, -2, -1))
+            a_sq = TWO_PI**2 * np.sum(a_weight * a2, axis=(-2, -1))
             int_a2 += a_sq * cfg.dt
-            full_int_v2 += helpers.full_norm_sq(frames[:, i], int_weight)
-            full_int_a2 += helpers.full_norm_sq(frames[:, i], grid3.k2**2) * cfg.dt
+            full_int_v2 += helpers.full_norm_sq(full[:, i], int_weight)
+            full_int_a2 += helpers.full_norm_sq(full[:, i], grid3.k2**2) * cfg.dt
         assert np.array_equal(traj["int_v2"], int_v2)
         assert np.array_equal(mom["int"][:, 1], int_h2v2)
         assert np.array_equal(mom["int_a2"], int_a2)
+        # and the two-component fields the trajectory's edges emit
+        velocity = to_velocity(grid3, frames)
         for ours, full in (
-            (h2, helpers.full_norm_sq(frames)), (v2, helpers.full_norm_sq(frames, grid3.k2)),
+            (h2, helpers.full_norm_sq(full)), (v2, helpers.full_norm_sq(full, grid3.k2)),
             (int_v2, full_int_v2), (int_a2, full_int_a2),
+            (h2, helpers.full_norm_sq(velocity, axes=(-3, -2, -1))),
+            (v2, helpers.full_norm_sq(velocity, grid3.k2, axes=(-3, -2, -1))),
         ):
             np.testing.assert_allclose(ours, full, rtol=1e-14, atol=0)
 
@@ -279,13 +286,14 @@ class TestStochasticSolve:
 
         pre = ensemble_run(cfg, seed, n_paths, Copies)["pre"]
         sqrt_lam_dt = np.sqrt(noise.eigenvalues * cfg.dt)
+        forcing = full_spectrum(to_scalar(grid3, cfg.forcing.coeffs))
         for path in range(n_paths):
             dW = substream(seed, path).standard_normal((cfg.n_steps, noise.n_directions))
-            u = cfg.initial
+            c = full_spectrum(to_scalar(grid3, cfg.initial.coeffs))
             for step in range(cfg.n_steps):
-                assert np.array_equal(pre[path, step], u.coeffs)
+                assert np.array_equal(pre[path, step], c)
                 t = step * cfg.dt
-                u = step_snse(u, cfg.forcing, eps, dW[step] * sqrt_lam_dt, cfg.dt, noise, t)
+                c = step_snse(c, forcing, eps, dW[step] * sqrt_lam_dt, cfg.dt, noise, t)
 
     @staticmethod
     def _traced_peak(n_steps: int, K: int = 10) -> int:
@@ -313,39 +321,42 @@ class TestStochasticSolve:
 
     def test_step_peak_traced_allocation(self):
         # one 64-path, K=10, 8-step run, stepped as two chunks of 32 paths:
-        # 1.84 MB peak traced allocation on numpy 2.4 (1,843,824 to
-        # 1,844,896 B; 3.58 MB in one chunk of 64 with the advection formed
-        # before the noise); pinned with 5% margin
-        assert self._traced_peak(8) <= 1.05 * 1_844_900
+        # 1.61 MB peak traced allocation on numpy 2.4 (1,610,608 to
+        # 1,610,672 B; 1.84 MB with two-component states, 3.58 MB in one
+        # chunk of 64 with the advection formed before the noise); pinned
+        # with 5% margin
+        assert self._traced_peak(8) <= 1.05 * 1_610_700
 
     def test_peak_traced_allocation_independent_of_horizon(self):
         # the normals are drawn one noise block at a time, so a chunk holds
         # the same memory at both horizons: at K=10 a 32-path chunk's block
         # is 2 steps, at K=1 it is 64 (512 normals over 8 directions; its byte
-        # budget is 154), and the K=1 horizons span 7 and 49 blocks
+        # budget is 308), and the K=1 horizons span 7 and 49 blocks
         for K, short_steps, long_steps in ((10, 8, 128), (1, 392, 3136)):
             short = self._traced_peak(short_steps, K)
             long = self._traced_peak(long_steps, K)
             assert abs(long - short) <= 0.05 * short, K
 
     @pytest.mark.parametrize("K, n_dirs, n_paths, n_steps, block", [
-        (10, None, 256, 16, 1), (10, None, 16, 64, 2), (10, None, 1, 64, 2),
-        (10, None, 1, 2, 2), (1, 2, 256, 1000, 38), (2, None, 256, 40, 15),
+        (10, None, 256, 16, 2), (10, None, 16, 64, 2), (10, None, 1, 64, 2),
+        (10, None, 1, 2, 2), (1, 2, 256, 1000, 77), (2, None, 256, 40, 22),
         (3, 48, 9, 20, 11),
     ], ids=["fw-k10", "k10-batch-16", "k10-batch-1", "k10-batch-1-2-steps",
             "k1-j2-batch-256", "k2-batch-256", "k3-j48-batch-9"])
     def test_noise_block_steps(self, K, n_dirs, n_paths, n_steps, block):
-        # a block holds at most 256 kx >= 0 halves of K=10 of noise field and
-        # no more steps than fill 512 normals per path: the byte budget binds
-        # on the wide batches, the draw at K=10 below batch 256 and at K=3
+        # a block holds at most 512 scalar halves of K=10 (1.9 MB) of noise
+        # field and no more steps than fill 512 normals per path: the byte
+        # budget binds on the wide batches at K=1, the draw at K=10 and at
+        # K=2 and 3
         model = NoiseModel(grid=default_grid(K), num_directions=n_dirs)
         assert solvers._noise_block_steps(model, n_paths, n_steps) == block
 
     def test_small_grid_draws_normals_by_the_block(self, grid1, noise1, monkeypatch):
         # a noise block is sized in bytes: at K=1 a 256-path block holds
-        # 1892352 // (256 * 192) = 38 steps of halves (under the 256 steps that
-        # fill 512 normals of 2 directions), so each path of a 1000-step
-        # chunk draws its normals in 27 calls, not in one call per step
+        # 1892352 // (256 * 96) = 77 steps of scalar halves (under the 256
+        # steps that fill 512 normals of 2 directions), so each path of a
+        # 1000-step chunk draws its normals in 13 calls, not in one call per
+        # step
         cfg = SimConfig(grid=grid1, noise=noise1, horizon=1.0, dt=1e-3, epsilon=1e-2,
                         initial=single_mode_field(grid1, (1, 0), (0.0, 1.0)), nonlinear=False)
         u0 = solve_deterministic(cfg)
@@ -360,8 +371,8 @@ class TestStochasticSolve:
         monkeypatch.setattr(
             solvers, "substream", lambda seed, i: Counting(substream(seed, i).bit_generator))
         out = ensemble_run(cfg, 3, 256, lambda: DiffEnergyObserver(cfg, u0.frames))
-        assert len(calls) == 256 * 27
-        assert sorted(set(calls)) == [(12, 2), (38, 2)]
+        assert len(calls) == 256 * 13
+        assert sorted(set(calls)) == [(76, 2), (77, 2)]
         _assert_identical(out, expected)
 
     @pytest.mark.parametrize("glibc", [True, False], ids=["glibc", "other-libc"])
@@ -419,10 +430,11 @@ class TestStochasticSolve:
                 pass
 
             def on_state(self, idx, t, coeffs):
-                self.last = full_spectrum(coeffs)[:, 1, _mode_index(cfg.grid, (1, 0))[0], _mode_index(cfg.grid, (1, 0))[1]]
+                self.last = coeffs  # the terminal state at finish
 
             def finish(self):
-                return {"c": self.last}
+                iy, ix = _mode_index(cfg.grid, (1, 0))
+                return {"c": to_velocity(cfg.grid, self.last)[:, 1, iy, ix]}
 
         out = ensemble_run(cfg, seed=21, n_paths=n, observer_factory=Terminal)
         c = out["c"]
@@ -455,7 +467,7 @@ class TestStochasticSolve:
             )
             # path i draws from substream(77, i); the terminal frame of each
             out = ensemble_run(cfg, 77, 400, lambda: TrajectoryObserver(cfg))
-            vals = full_spectrum(out["frames"][:, -1])[:, 1, iy, ix]
+            vals = to_velocity(grid1, out["frames"][:, -1])[:, 1, iy, ix]
             variances.append(np.var(np.real(vals)))
         slope = np.polyfit(np.log(eps_grid), np.log(variances), 1)[0]
         assert abs(slope - 1.0) <= 0.1
@@ -487,9 +499,10 @@ class TestStochasticSolve:
 
     @pytest.mark.parametrize("solver", ["solve_snse", "ensemble_run"])
     def test_guard_fails_at_the_full_spectrum_step(self, grid3, noise3, solver, monkeypatch):
-        # the guard reads the kx >= 0 half, where a conjugate-symmetric state
-        # holds its largest amplitude: a forced blow-up and an overflow to NaN
-        # fail at the same steps, 153 and 9, as a guard over every mode
+        # the guard reads the scalar half, where a conjugate-symmetric state
+        # holds its largest amplitude max_k |c_k|: a forced blow-up and an
+        # overflow to NaN fail at the same steps, 130 and 9, as a guard over
+        # every mode (153 and 9 under the former per-component amplitude)
         rng = np.random.default_rng(2)
         forced = SimConfig(
             grid=grid3, noise=noise3, horizon=0.2, dt=1e-3, epsilon=1e-3,
@@ -507,13 +520,13 @@ class TestStochasticSolve:
         }
 
         def full_guard(coeffs, scale, step):
-            peak = np.max(np.abs(coeffs))
+            peak = np.max(np.abs(full_spectrum(coeffs)))
             if not np.isfinite(peak):
                 raise IntegrationError(step, "non-finite coefficients")
             if peak > scale:
                 raise IntegrationError(step, f"amplitude {peak:.3e} exceeded blowup guard")
 
-        for cfg, step, message in ((forced, 153, "amplitude 3.196e-01 exceeded"),
+        for cfg, step, message in ((forced, 130, "amplitude 3.191e-01 exceeded"),
                                    (unstable, 9, "non-finite")):
             steps = []
             for guard in (solvers._blowup_guard, full_guard):
@@ -609,8 +622,8 @@ def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
 
     monkeypatch.setattr(solvers, "ensemble_run", spy)
     outputs = []
-    # one path-step's noise field, a (2, S, K + 1) half
-    path_step_nbytes = 2 * grid.n_coeff * (grid.max_wavenumber + 1) * 16
+    # one path-step's noise field, an (S, K + 1) scalar half
+    path_step_nbytes = grid.n_coeff * (grid.max_wavenumber + 1) * 16
     workers = (1, 2, 3) if kind in _WORKER_KINDS else (1,)
     for w, chunk, block in itertools.product(workers, (1, 7, 256), (1, 7, 256)):
         monkeypatch.setattr(solvers, "_CHUNK_PATHS", chunk)
@@ -661,12 +674,13 @@ def _count_calls_by_caller(monkeypatch, module, *names):
 
 def _advection_batches(monkeypatch) -> list:
     """Wrap solvers.advection_array so that each call appends its batch, the
-    product of u's leading axes, to the returned list."""
+    product of the leading axes of u, a batch of scalar halves, to the
+    returned list."""
     batches = []
     advect = solvers.advection_array
 
     def spy(grid, u, v):
-        batches.append(math.prod(u.shape[:-3]))
+        batches.append(math.prod(u.shape[:-2]))
         return advect(grid, u, v)
 
     monkeypatch.setattr(solvers, "advection_array", spy)
@@ -687,9 +701,9 @@ class _Recorder:
 
 
 class TestHalfSpectrumStepper:
-    # the stepper holds the kx >= 0 half of its paths' states: its hooks'
+    # the stepper holds the scalar half of its paths' states: its hooks'
     # inputs and its final states are bitwise the halves of those of the
-    # full-spectrum loop, over 12 steps in two noise blocks
+    # full-spectrum loop of the scalar, over 12 steps in two noise blocks
     @pytest.mark.parametrize("N", [10, 11])
     @pytest.mark.parametrize("batch", [1, 7, 256])
     @pytest.mark.parametrize("nonlinear", [False, True])
@@ -706,7 +720,8 @@ class TestHalfSpectrumStepper:
             nonlinear=nonlinear,
         )
         assert solvers._noise_block_steps(noise, batch, cfg.n_steps) < cfg.n_steps
-        full = np.broadcast_to(cfg.initial.coeffs, (batch, 2, 7, 7)).copy()
+        c0 = full_spectrum(to_scalar(g, cfg.initial.coeffs))
+        full = np.broadcast_to(c0, (batch, 7, 7)).copy()
         half = half_spectrum(full).copy()
         runs = []
         for state, integrate in ((half, solvers._integrate_batch),
@@ -724,10 +739,37 @@ class TestHalfSpectrumStepper:
             assert c.shape == half.shape and np.array_equal(c, half_spectrum(c_f))
         assert np.array_equal(half, half_spectrum(full))
 
+    def test_matches_two_component_stepper(self):
+        # the scalar layout against the two-component one it replaced, on one
+        # nonlinear, saturated, forced run of 3 paths over 40 steps: every
+        # expanded state agrees with the two-component state within 1e-13 of
+        # the largest amplitude, the rounding of two layouts and of two
+        # advection routes (curl form against gradient form)
+        g = default_grid(3)
+        rng = np.random.default_rng(8)
+        cfg = SimConfig(
+            grid=g, noise=NoiseModel(grid=g, family="saturated"), horizon=40e-3, dt=1e-3,
+            epsilon=1e-2, initial=random_solenoidal_field(g, rng, amplitude=0.5),
+            forcing=random_solenoidal_field(g, rng, amplitude=0.3),
+        )
+        c = np.broadcast_to(to_scalar(g, cfg.initial.coeffs), (3, 7, 4)).copy()
+        u = np.broadcast_to(cfg.initial.coeffs, (3, 2, 7, 7)).copy()
+        runs = []
+        for state, integrate in ((c, solvers._integrate_batch),
+                                 (u, helpers.integrate_batch_two_component)):
+            runs.append(_Recorder())
+            integrate(cfg, state, [substream(5, i) for i in range(3)], runs[-1])
+        ours, oracle = runs[0].states, runs[1].states
+        assert len(ours) == len(oracle) == cfg.n_steps + 1
+        scale = max(np.max(np.abs(state)) for _, _, state in oracle)
+        worst = max(np.max(np.abs(to_velocity(g, c) - u))
+                    for (_, _, c), (_, _, u) in zip(ours, oracle))
+        assert 0.0 < worst <= 1e-13 * scale
+
     @pytest.mark.parametrize("nonlinear", [False, True])
     def test_one_self_advection_per_step_per_chunk(self, monkeypatch, nonlinear):
         # a traced run counts `spectral.advection_array` calls inside
-        # `ensemble_run` and reads each call's batch from u.shape[:-3]: the
+        # `ensemble_run`, each on a batch of scalar halves, u.shape[:-2]: the
         # stepper makes one self-advection call per step per chunk, on the
         # chunk's paths (9 paths at chunk 7: batches of 7, then 2), and a
         # linear run makes none
@@ -742,7 +784,7 @@ class TestHalfSpectrumStepper:
 
         def spy(grid, u, v):
             assert v is u
-            batches.append(math.prod(u.shape[:-3]))
+            batches.append(math.prod(u.shape[:-2]))
             return advect(grid, u, v)
 
         monkeypatch.setattr(solvers, "advection_array", spy)
@@ -812,7 +854,7 @@ class TestSkeleton:
             hc, hs = hv[min(int(n * cfg.dt / (1.0 / 20)), 19)]
             c = decay * c + phi * (A / 2.0) * (hc - 1j * hs)
         iy, ix = _mode_index(grid1, (1, 0))
-        err = abs(full_spectrum(x.frames[-1])[1, iy, ix] - c)
+        err = abs(x.field_at(-1).coeffs[1, iy, ix] - c)
         assert err <= 1e-6 * max(abs(c), 1e-12)
 
     def test_linearity_in_control(self, grid1, noise1, rng):
@@ -861,17 +903,17 @@ class TestSkeleton:
         u0 = solve_deterministic(cfg).frames
         h = rng.standard_normal(control_axes + (cfg.n_steps, m.n_directions))
         frames = solvers.skeleton_forward(h, u0, cfg)
-        assert frames.shape == control_axes + (cfg.n_steps + 1, 2, 7, 4)
+        assert frames.shape == control_axes + (cfg.n_steps + 1, 7, 4)
         flat_h = h.reshape((-1,) + h.shape[-2:])
-        flat_frames = frames.reshape((-1,) + frames.shape[-4:])
+        flat_frames = frames.reshape((-1,) + frames.shape[-3:])
         for hv, got in zip(flat_h, flat_frames):
             assert np.array_equal(got, helpers.skeleton_forward_per_step(hv, u0, cfg))
         # written into a view: the frames of a larger array, one spare at each end
-        big = np.full(control_axes + (cfg.n_steps + 3, 2, 7, 4), np.nan, dtype=np.complex128)
-        view = big[..., 1:-1, :, :, :]
+        big = np.full(control_axes + (cfg.n_steps + 3, 7, 4), np.nan, dtype=np.complex128)
+        view = big[..., 1:-1, :, :]
         assert solvers.skeleton_forward(h, u0, cfg, out=view) is view
         assert np.array_equal(view, frames)
-        assert np.isnan(big[..., 0, :, :, :]).all() and np.isnan(big[..., -1, :, :, :]).all()
+        assert np.isnan(big[..., 0, :, :]).all() and np.isnan(big[..., -1, :, :]).all()
 
     def test_grid_mismatch_rejected(self, grid1, noise1):
         cfg = SimConfig(grid=grid1, noise=noise1, horizon=0.5, dt=1e-3,
@@ -1094,8 +1136,8 @@ class TestEpsilonEnsembles:
 
 
 class TestHalfLayout:
-    """Every trajectory, skeleton and probe frame is held as the kx >= 0
-    half (..., 2, S, K + 1); full arrays exist only at the edges: a field
+    """Every trajectory, skeleton and probe frame is held as the scalar half
+    (..., S, K + 1); two-component arrays exist only at the edges: a field
     read out of a trajectory and the trajectory file."""
 
     @staticmethod
@@ -1109,7 +1151,7 @@ class TestHalfLayout:
     @pytest.mark.parametrize("nonlinear", [False, True])
     def test_frames_are_halves(self, grid3, noise3, nonlinear):
         cfg = self._config(grid3, noise3, nonlinear)
-        half = (2, 7, 4)
+        half = (7, 4)
         u0 = solve_deterministic(cfg)
         h = Control(noise3, cfg.horizon, np.ones((5, noise3.n_directions)))
         trajectories = {
@@ -1129,15 +1171,15 @@ class TestHalfLayout:
     def test_field_at_mirrors_the_half(self, grid3, noise3):
         traj = solve_snse(self._config(grid3, noise3), seed=4)
         for i in range(traj.n_records):
-            assert np.array_equal(traj.field_at(i).coeffs, full_spectrum(traj.frames[i]))
+            assert np.array_equal(traj.field_at(i).coeffs, to_velocity(grid3, traj.frames[i]))
 
     def test_trajectory_file_holds_the_full_frames(self, tmp_path, grid3, noise3):
         traj = solve_snse(replace(self._config(grid3, noise3), record_stride=3), seed=4)
         path = tmp_path / "t.bin"
         write_trajectory(str(path), traj)
         data = path.read_bytes()
-        block = np.ascontiguousarray(full_spectrum(traj.frames), dtype="<c16").tobytes()
-        assert full_spectrum(traj.frames).shape == (traj.n_records, 2, 7, 7)
+        block = np.ascontiguousarray(to_velocity(grid3, traj.frames), dtype="<c16").tobytes()
+        assert to_velocity(grid3, traj.frames).shape == (traj.n_records, 2, 7, 7)
         assert data.endswith(block)
         # header line, then times, h2 and v2, then the frames
         assert len(data) == data.index(b"\n") + 1 + 3 * 8 * traj.n_records + len(block)

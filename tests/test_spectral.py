@@ -30,6 +30,8 @@ from snse_lab.spectral import (
     single_mode_field,
     taylor_green,
     to_physical,
+    to_scalar,
+    to_velocity,
     weighted_norm_sq,
     zero_field,
     TWO_PI,
@@ -296,6 +298,59 @@ def _solenoidal_batch(grid, rng, batch):
     return np.stack([random_solenoidal_field(grid, rng).coeffs for _ in range(batch)])
 
 
+def _scalar_batch(grid, rng, batch):
+    """Scalar halves (batch, S, K + 1) of random divergence-free fields."""
+    return to_scalar(grid, _solenoidal_batch(grid, rng, batch))
+
+
+class TestScalarLayout:
+    """The scalar c = -i (ky u_x - kx u_y) / |k| on the kx >= 0 columns and
+    its expansion u = i (ky, -kx) c / |k|, mirrored (`to_velocity`)."""
+
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    def test_round_trip(self, rng, K):
+        g = default_grid(K)
+        c = half_spectrum(helpers.symmetric_batch(g, rng, 7, components=()))
+        back = to_scalar(g, to_velocity(g, c))
+        assert back.shape == c.shape == (7, 2 * K + 1, K + 1)
+        assert np.max(np.abs(back - c)) <= 1e-15 * np.max(np.abs(c))
+
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    def test_expansion_divergence_free_and_symmetric(self, rng, K):
+        g = default_grid(K)
+        u = to_velocity(g, half_spectrum(helpers.symmetric_batch(g, rng, 7, components=())))
+        assert u.shape == (7, 2, 2 * K + 1, 2 * K + 1)
+        div = np.abs(g.kx * u[:, 0] + g.ky * u[:, 1])
+        assert np.max(div) <= 1e-15 * np.max(np.abs(u))
+        assert np.array_equal(u, np.conj(u[..., ::-1, ::-1]))
+        assert np.all(u[..., K, K] == 0.0)
+
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    def test_parseval_matches_two_components(self, rng, K):
+        # sum |c|^2 = sum |u_x|^2 + |u_y|^2, to rounding, over the whole square
+        g = default_grid(K)
+        u = _solenoidal_batch(g, rng, 7)
+        c = full_spectrum(to_scalar(g, u))
+        for weight in (None, g.k2):
+            two = helpers.full_norm_sq(u, weight, axes=(-3, -2, -1))
+            np.testing.assert_allclose(helpers.full_norm_sq(c, weight), two, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    def test_gradient_maps_to_zero(self, rng, K):
+        # negative control: u = i k phi, with small-integer phi so that every
+        # product is exact, is a pure gradient and has no scalar
+        g = default_grid(K)
+        S = g.n_coeff
+        phi = rng.integers(-4, 5, (7, S, S)) + 1j * rng.integers(-4, 5, (7, S, S))
+        phi = phi + np.conj(phi[..., ::-1, ::-1])
+        u = 1j * np.stack([g.kx * phi, g.ky * phi], axis=-3)
+        assert np.max(np.abs(u)) > 0
+        assert np.all(to_scalar(g, u) == 0.0)
+        # and a divergence-free field keeps its whole norm
+        v = _solenoidal_batch(g, rng, 7)
+        assert np.min(helpers.full_norm_sq(full_spectrum(to_scalar(g, v)))) > 0
+
+
 class TestHalfSpectrum:
     @pytest.mark.parametrize("K", [1, 3, 10])
     @pytest.mark.parametrize("batch", [1, 7, 256])
@@ -321,12 +376,13 @@ class TestHalfSpectrum:
 
     @pytest.mark.parametrize("K, N", [(1, 4), (1, 5), (3, 10), (3, 11), (10, 32), (10, 31)])
     def test_self_advection_of_half_is_half_of_full(self, rng, K, N):
+        # the scalar halves' self-advection, expanded, is the full arrays'
         g = SpectralGrid(K, N)
         u = _solenoidal_batch(g, rng, 7)
-        half = half_spectrum(u).copy()
+        half = to_scalar(g, u)
         ours = advection_array(g, half, half)
         assert ours.shape == half.shape
-        assert np.array_equal(ours, half_spectrum(advection_array(g, u, u)))
+        assert np.array_equal(to_velocity(g, ours), advection_array(g, u, u))
 
 
 class TestRealTransforms:
@@ -399,8 +455,9 @@ class TestCurlFormSelfAdvection:
         # the weights on the kx >= 0 columns plus a conjugate mirror give the
         # same values as the weights on the assembled whole mode square
         g = SpectralGrid(K, N)
-        u = _solenoidal_batch(g, rng, batch)
-        assert np.array_equal(advection_array(g, u, u), helpers.self_advection_assembled(g, u))
+        c = _scalar_batch(g, rng, batch)
+        ours = advection_array(g, c, c)
+        assert np.array_equal(full_spectrum(ours), helpers.self_advection_assembled(g, c))
 
     @pytest.mark.parametrize("K, N", GRIDS)
     @pytest.mark.parametrize("batch", [1, 7, 256])
@@ -409,35 +466,46 @@ class TestCurlFormSelfAdvection:
         g = SpectralGrid(K, N)
         u = _solenoidal_batch(g, rng, batch)
         oracle = helpers.self_advection_half_spectrum(g, u)
-        ours = advection_array(g, u, u)
+        c = to_scalar(g, u)
+        ours = advection_array(g, c, c)
         assert np.max(np.abs(ours - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("K, N", GRIDS)
     @pytest.mark.parametrize("batch", [1, 16, 64, 256])
-    def test_padded_values_match_fill_by_parts(self, rng, K, N, batch):
-        # the block filled from u_x + i u_y and the mirrored conj(u_x - i u_y),
-        # each formed on the contiguous half, holds the same values as one
-        # filled a real or imaginary part at a time
+    def test_padded_values_match_fill_by_modes(self, rng, K, N, batch):
+        # the block filled from the factor times c and the conjugate of the
+        # mirror factor times c read at -k, each formed on the scalar half,
+        # holds the same values as one filled over the whole mode square
         g = SpectralGrid(K, N)
-        u = half_spectrum(_solenoidal_batch(g, rng, batch))
-        assert np.array_equal(_padded_values(g, u), helpers.padded_values_by_parts(g, u))
+        c = _scalar_batch(g, rng, batch)
+        ours = _padded_values(g, c, g.velocity_pack)
+        assert np.array_equal(ours, helpers.padded_values_by_modes(g, c))
 
     def test_half_weights_are_read_only_column_blocks(self):
-        # alpha, beta and (ky, -kx) on the kx >= 0 columns, and the phase
+        # the curl-form weights, the velocity of a unit scalar, its packing
+        # and 1/|k| on the kx >= 0 columns, and the phase
         # exp(-2 pi i (N//2)(x + y) / N) of the packed square, real +-1 for
         # even N; one even and one odd N
         for K, N in ((3, 10), (3, 11)):
             g = SpectralGrid(K, N)
-            curl_a, curl_b = helpers.curl_weights(g)
+            inv = helpers.inverse_abs_k(g)
+            pack = (g.kx + 1j * g.ky) * inv
+            weight = helpers.curl_output_weight(g)
             for half, full in (
-                (g.half_alpha, 0.5j * curl_a + 0.25 * curl_b),
-                (g.half_beta, 0.5j * curl_a - 0.25 * curl_b),
-                (g.half_curl_k, np.stack([g.ky, -g.kx])),
+                (g.half_alpha, weight),
+                (g.half_anti, -0.25j * np.sqrt(g.k2)),
+                (g.half_velocity, 1j * np.stack([g.ky, -g.kx]) * inv),
+                (g.half_inv_k, inv),
+                (g.velocity_pack, np.stack([pack, -np.conj(pack)])),
                 (g.half_weight, np.where(g.kx > 0, 2.0, 1.0)),
                 (g.half_k2, np.where(g.kx > 0, 2.0, 1.0) * g.k2),
             ):
                 assert half.shape[-2:] == (g.n_coeff, K + 1) and not half.flags.writeable
                 assert np.array_equal(half, full[..., K:])
+            # the folded weight is -i |k| (i a/2 + b/4) of the curl form
+            curl_a, curl_b = helpers.curl_weights(g)
+            folded = -1j * np.sqrt(g.k2) * (0.5j * curl_a + 0.25 * curl_b)
+            assert np.allclose(weight, folded, rtol=0, atol=1e-15 * K)
             xy = np.add.outer(np.arange(N), np.arange(N))
             phase = g.packed_phase
             assert phase.shape == (N, N) and not phase.flags.writeable
@@ -445,20 +513,22 @@ class TestCurlFormSelfAdvection:
             assert np.allclose(phase, np.exp(-2j * np.pi * (N // 2) * xy / N), rtol=0, atol=1e-14)
 
     def test_self_call_peak_traced_allocation(self, rng):
-        # one K=10, batch-256 call: the padded complex array (1.16 times the
-        # 3.6 MB state) and the two (2K+1) x (K+1) temporaries of s, freed
-        # before the output; 6.22 MB peak traced allocation on numpy 2.4
-        # (13.0 MB for two real transforms), pinned with 5% margin
+        # one K=10, batch-256 call on scalar halves, the stepper's: the
+        # padded complex array (4.4 times the 0.95 MB state) and the output,
+        # conj Q(-k) formed in place in the padded array; 5.53 MB peak
+        # traced allocation on numpy 2.4 (6.22 MB with the two-component
+        # halves and a temporary for conj Q(-k); 13.0 MB for two real
+        # transforms), pinned with 5% margin
         g = default_grid(10)
-        u = _solenoidal_batch(g, rng, 256)
-        advection_array(g, u, u)  # FFT plans outside the trace
+        c = _scalar_batch(g, rng, 256)
+        advection_array(g, c, c)  # FFT plans outside the trace
         tracemalloc.start()
         try:
-            advection_array(g, u, u)
+            advection_array(g, c, c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 6_217_608
+        assert peak <= 1.05 * 5_530_152
 
     def test_below_product_margin_rejected(self, rng):
         assert not SpectralGrid(4, 12).supports_products()
@@ -470,15 +540,16 @@ class TestCurlFormSelfAdvection:
 
 
 def _on_full(kernel):
-    """A kernel of kx >= 0 halves, called on full arrays: their halves in,
-    the full mirror of its half out."""
-    return lambda g, x, a: full_spectrum(kernel(g, half_spectrum(x).copy(), half_spectrum(a).copy()))
+    """A kernel of scalar halves, called on full two-component arrays: their
+    scalars in, the expansion of its scalar out."""
+    return lambda g, x, a: to_velocity(g, kernel(g, to_scalar(g, x), to_scalar(g, a)))
 
 
 class TestLinearization:
     """B(x, a) + B(a, x) and its L2 adjoint, each one packed product on the
     padded grid, against the gradient-form pairs they replace.  The kernels
-    take and return kx >= 0 halves; these checks mirror their outputs."""
+    take and return scalar halves; the oracle checks expand their outputs,
+    and the identity checks pair their scalars over the whole square."""
 
     GRIDS = TestCurlFormSelfAdvection.GRIDS
     forward = staticmethod(_on_full(linearized_advection_array))
@@ -501,28 +572,38 @@ class TestLinearization:
         ours = self.adjoint(g, x, a)
         assert np.max(np.abs(ours - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
+    @staticmethod
+    def _scalars(K, N, rng, batch):
+        g = SpectralGrid(K, N)
+        x = _scalar_batch(g, rng, batch)
+        a = to_scalar(g, random_solenoidal_field(g, rng).coeffs)
+        p = half_spectrum(helpers.symmetric_batch(g, rng, batch, components=()))
+        return g, x, a, p
+
     @pytest.mark.parametrize("K, N", GRIDS)
     @pytest.mark.parametrize("batch", [1, 7, 256])
     def test_dot_identity(self, rng, K, N, batch):
-        # <L x, p> = <x, L^T p> per path, for divergence-free x and any
-        # conjugate-symmetric p, relative to |L x| |p|
-        g, x, a = self._fields(K, N, rng, batch)
-        p = helpers.symmetric_batch(g, rng, batch)
-        lx = self.forward(g, x, a)
-        lhs = np.sum(np.conj(lx) * p, axis=(-3, -2, -1)).real
-        rhs = np.sum(np.conj(x) * self.adjoint(g, p, a), axis=(-3, -2, -1)).real
-        scale = np.sqrt(helpers.full_norm_sq(lx) * helpers.full_norm_sq(p)) / TWO_PI**2
+        # <L x, p> = <x, L^T p> per path, for any scalars x and p,
+        # relative to |L x| |p|, paired over the whole mode square
+        g, x, a, p = self._scalars(K, N, rng, batch)
+        lx = full_spectrum(linearized_advection_array(g, x, a))
+        lhs = np.sum(np.conj(lx) * full_spectrum(p), axis=(-2, -1)).real
+        ltp = full_spectrum(linearized_advection_adjoint_array(g, p, a))
+        rhs = np.sum(np.conj(full_spectrum(x)) * ltp, axis=(-2, -1)).real
+        p_norm_sq = helpers.full_norm_sq(full_spectrum(p))
+        scale = np.sqrt(helpers.full_norm_sq(lx) * p_norm_sq) / TWO_PI**2
         assert np.all(np.abs(lhs - rhs) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("K, N", GRIDS)
     @pytest.mark.parametrize("batch", [1, 7, 256])
     def test_symmetric_mean_free_and_batch_invariant(self, rng, K, N, batch):
-        g, x, a = self._fields(K, N, rng, batch)
-        p = helpers.symmetric_batch(g, rng, batch)
-        for kernel, arg in ((self.forward, x), (self.adjoint, p)):
+        g, x, a, p = self._scalars(K, N, rng, batch)
+        for kernel, arg in ((linearized_advection_array, x),
+                            (linearized_advection_adjoint_array, p)):
             out = kernel(g, arg, a)
-            assert np.array_equal(out, np.conj(out[..., ::-1, ::-1]))
-            assert np.all(out[..., K, K] == 0.0)
+            full = full_spectrum(out)
+            assert np.array_equal(full, np.conj(full[..., ::-1, ::-1]))
+            assert np.all(out[..., K, 0] == 0.0)
             for lo, hi in ((0, 1), (batch - 1, batch), (batch // 2, batch)):
                 assert np.array_equal(kernel(g, arg[lo:hi].copy(), a), out[lo:hi])
 
@@ -548,9 +629,9 @@ class TestCurlFormGeneralKernel:
         ours = advection_array(g, a, b)
         self._check(ours, advection_gradient_form(g, a, b),
                     lambda a, b: advection_array(g, a, b), (a, b))
-        # the halves give the half of the full result
-        half = advection_array(g, half_spectrum(a).copy(), half_spectrum(b).copy())
-        assert np.array_equal(half, half_spectrum(ours))
+        # the scalar halves give the scalar of the full result
+        half = advection_array(g, to_scalar(g, a), to_scalar(g, b))
+        assert np.array_equal(to_velocity(g, half), ours)
 
     @pytest.mark.parametrize("K, N", GRIDS)
     @pytest.mark.parametrize("batch", [1, 7, 256])
@@ -560,8 +641,8 @@ class TestCurlFormGeneralKernel:
         u0 = random_solenoidal_field(g, rng).coeffs
 
         def drift(u, z):
-            u, z, v0 = half_spectrum(u), half_spectrum(z), half_spectrum(u0)
-            return full_spectrum(_curl_form(g, z, u + v0, d=v0 - u))
+            u, z, v0 = to_scalar(g, u), to_scalar(g, z), to_scalar(g, u0)
+            return to_velocity(g, _curl_form(g, z, u + v0, d=v0 - u))
 
         oracle = advection_gradient_form(g, u, z) + advection_gradient_form(g, z, u0)
         ours = drift(u, z)
@@ -575,7 +656,7 @@ class TestNormPair:
     def test_equals_separate_norms_bitwise(self, rng, shape):
         g = default_grid(5)
         S = g.n_coeff
-        c = helpers.symmetric_batch(g, rng, math.prod(shape)).reshape(shape + (2, S, S))
+        c = helpers.symmetric_batch(g, rng, math.prod(shape), components=()).reshape(shape + (S, S))
         half = half_spectrum(c)
         h2, v2 = half_norms_sq(g, half)
         assert np.array_equal(h2, weighted_norm_sq(abs_sq(half), g.half_weight))
@@ -587,9 +668,9 @@ class TestHalfSpectrumNorms:
     @pytest.mark.parametrize("batch", [1, 7, 256])
     def test_match_full_spectrum_oracle(self, rng, K, batch):
         # the kx >= 0 columns, kx > 0 counted twice, against the sum over
-        # every mode of a conjugate-symmetric batch
+        # every mode of a conjugate-symmetric batch of scalars
         g = default_grid(K)
-        c = helpers.symmetric_batch(g, rng, batch)
+        c = helpers.symmetric_batch(g, rng, batch, components=())
         h2, v2 = half_norms_sq(g, half_spectrum(c))
         np.testing.assert_allclose(h2, helpers.full_norm_sq(c), rtol=1e-14, atol=0)
         np.testing.assert_allclose(v2, helpers.full_norm_sq(c, g.k2), rtol=1e-14, atol=0)
@@ -598,7 +679,7 @@ class TestHalfSpectrumNorms:
     def test_rows_bitwise_batch_invariant(self, rng, K):
         # a path's norms do not depend on the batch it is stepped in
         g = default_grid(K)
-        c = half_spectrum(helpers.symmetric_batch(g, rng, 256))
+        c = half_spectrum(helpers.symmetric_batch(g, rng, 256, components=()))
         h2, v2 = half_norms_sq(g, c)
         for lo, hi in ((0, 1), (3, 10), (100, 256)):
             part = half_norms_sq(g, c[lo:hi])
