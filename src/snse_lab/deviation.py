@@ -491,13 +491,12 @@ class DiffEnergyObserver:
 
     def on_record(self, slot, z):
         """Norms of z, the scalar halves (n, S, K + 1) of one record, or of
-        its difference to each target in turn."""
+        its differences to every target, (n, T, S, K + 1), in one pass."""
         if self.targets is None:
             self.h2[:, slot], self.v2[:, slot] = half_norms_sq(self.grid, z)
             return
-        for i, target in enumerate(self.targets):
-            diff = z - target[slot]
-            self.h2[:, i, slot], self.v2[:, i, slot] = half_norms_sq(self.grid, diff)
+        diff = z[:, None] - self.targets[:, slot]
+        self.h2[:, :, slot], self.v2[:, :, slot] = half_norms_sq(self.grid, diff)
 
     def finish(self) -> dict:
         return {"diff_energy_sq": _sup_plus_integral(self.h2, self.v2, self.rec.times)}
@@ -559,8 +558,9 @@ def mdp_scaling_probe(
     curve is exactly monotone in the threshold.  In the linear regime the
     optimizer surrogate for the cheapest rate in the event is included and the
     gap between the two curves is reported.  Every epsilon must pass
-    `ledger.require`; `ledger` defaults to the default constants.  The
-    epsilons' ensembles run on up to `workers` threads (`_epsilon_ensembles`).
+    `ledger.require`; `ledger` defaults to the default constants.  Each
+    chunk of paths is stepped at every epsilon from one draw, the grid cut
+    into groups on up to `workers` threads (`_epsilon_ensembles`).
     """
     eps_grid = sorted(float(e) for e in eps_grid)
     ledger.require(eps_grid)
@@ -704,8 +704,9 @@ def fw_conditional_probe(
     """Estimate the probability that the rescaled fluctuation strays from the
     steered path while the rescaled noise stays near the control, per epsilon,
     against the exponential comparison bound.  Every epsilon must pass
-    `ledger.require`; `ledger` defaults to the default constants.  The
-    epsilons' ensembles run on up to `workers` threads (`_epsilon_ensembles`)."""
+    `ledger.require`; `ledger` defaults to the default constants.  Each
+    chunk of paths is stepped at every epsilon from one draw, the grid cut
+    into groups on up to `workers` threads (`_epsilon_ensembles`)."""
     eps_grid = sorted(fw.eps_grid)
     ledger.require(eps_grid)
     rec_steps = _RecordingGrid(config.n_steps, config.record_stride).steps
@@ -908,8 +909,9 @@ def moment_bound_suite(
     constant sup_eps mean / eps^stated.  Deterministic quantities
     (the zero-noise solution and steered-path bounds) are single numbers.
     Every epsilon must pass `ledger.require` for the orders p_list and 1;
-    `ledger` defaults to the default constants.  The epsilons' ensembles run
-    on up to `workers` threads (`_epsilon_ensembles`).
+    `ledger` defaults to the default constants.  Each chunk of paths is
+    stepped at every epsilon from one draw, the grid cut into groups on up
+    to `workers` threads (`_epsilon_ensembles`).
     """
     eps_grid = sorted(float(e) for e in eps_grid)
     p_list = sorted(set([1.0] + [float(p) for p in p_list]))
@@ -922,7 +924,7 @@ def moment_bound_suite(
         m, se = _mean_se(samples)
         rows.append({"section": section, "epsilon": eps, "p": p, "mean": m, "se": se})
 
-    # one ensemble per epsilon: the state moments, the shifted fluctuation
+    # at each epsilon of the grid the state moments, the shifted fluctuation
     # and the first-order remainder all observe the same noisy paths; each
     # moment process keeps one column per order, the fourth moment order 2's
     orders = sorted(set(p_list) | {2.0})

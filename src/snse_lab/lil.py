@@ -236,10 +236,12 @@ def _schedule_study(schedule, config, n_reps, seed, workers, scale_of, targets=N
     or its squared distance to each target), ordered by replicate, then j.
     u0_traj is the deterministic limit at every step, solved here when None.
 
-    Each schedule index steps all the replicates as one ensemble, the
-    indices on up to `workers` threads.  Replicate r is path r and draws
-    its scaffold of normals from substream(seed, r) afresh at each index:
-    the scaffold is rescaled, not redrawn, and not held between indices."""
+    The replicates are stepped at every schedule index of the grid, each
+    chunk of them from one draw (`_epsilon_ensembles`), the indices cut
+    into groups on up to `workers` threads.  Replicate r is path r and
+    draws its scaffold of normals from substream(seed, r) once for the
+    indices of its group, one noise block at a time: the scaffold is
+    rescaled, not redrawn, and only one block of it is held."""
     if u0_traj is None:
         u0_traj = solve_deterministic(replace(config, record_stride=1))
     _require_solver_grid(u0_traj, config, "deterministic trajectory")
@@ -267,9 +269,10 @@ def strassen_cluster_study(
     Each replicate reuses one underlying Brownian scaffold across all schedule
     indices (the noise is rescaled, not redrawn), mirroring the geometric
     coupling of the schedule and reducing cross-index variance.  The
-    replicates are stepped as one ensemble per schedule index, the indices
-    on up to `workers` threads; each replicate's row depends on its index
-    alone, so the rows do not depend on the worker count.  u0_traj, the
+    replicates are stepped at every schedule index from one draw, the
+    indices cut into groups on up to `workers` threads; each replicate's
+    row depends on its index alone, so the rows do not depend on the
+    worker count.  u0_traj, the
     deterministic limit recorded at every step (as the probe was built
     from), is solved when None.
     """

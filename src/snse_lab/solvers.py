@@ -14,7 +14,10 @@ not depend on chunking or scheduling.  Every stochastic path is advanced by
 the one time loop in `_integrate_batch`, on the scalar half of its state,
 one value c_k per mode (`spectral`); processes coupled to the noisy path
 (the shifted fluctuation here, the first-order linearization in the deviation
-module) are stepped by observers of that loop on the same increments.
+module) are stepped by observers of that loop on the same increments.  A
+grid of noise levels (an epsilon grid or an iterated-logarithm schedule)
+steps each chunk of paths at every epsilon from one draw of its normals,
+one lane of that loop per epsilon (`ensemble_run`).
 """
 
 from __future__ import annotations
@@ -296,9 +299,10 @@ def _noise_block_steps(model: NoiseModel, n_paths: int, n_steps: int) -> int:
 
 def _integrate_batch(
     config: SimConfig,
-    state: np.ndarray,
+    state,
     sources: list | None,
     hooks,
+    epsilons: list | None = None,
 ) -> None:
     """Advance a batch of paths in place, invoking hooks at each step.
 
@@ -310,18 +314,29 @@ def _integrate_batch(
     hooks.on_noise(step, t, coeffs, dW) and hooks.on_state(idx, t, coeffs)
     are optional callables, and coeffs is the half.  on_noise sees the
     pre-step state, so a coupled process can be stepped inside it on the
-    same increments.  sources holds one generator per path, drawn from in
-    step order, or is None for a noiseless run; the stepper calls only its
-    standard_normal(out=), so a generator-like object may stand in for one.
-    Step m's increment of path i is its source's normals times
-    sqrt(lambda_j dt).
+    same increments; dW is read-only.  sources holds one generator per
+    path, drawn from in step order, or is None for a noiseless run; the
+    stepper calls only its standard_normal(out=), so a generator-like
+    object may stand in for one.  Step m's increment of path i is its
+    source's normals times sqrt(lambda_j dt).
 
-    Each step first takes its noise, drawing and scattering a new block when
-    one starts, and calls on_noise; only then is the self-advection formed,
-    then the noise factor, and the state is updated in place, with no second
-    state-sized array.  So neither the scatter's nor on_noise's temporaries
-    are made while the advection is held.  Every term reads the pre-step
-    state, which is changed only by the update.
+    Given epsilons, the same paths are stepped at each of them, one lane
+    per epsilon, from one draw: state and hooks are then sequences, lane
+    e's state and hooks, stepped at config.with_epsilon(epsilons[e]).  A
+    lane at epsilon 0 takes no noise and no on_noise call.  Each noise
+    block is drawn once; then, in grid order, each lane scatters it with
+    its own weights and steps its own state over the block, and its
+    scattered block is freed before the next lane starts.  So every lane's
+    arithmetic is that of the one-lane run at its epsilon, and an error
+    raised in a lane stops the grid at the first failure in (block, lane)
+    order.
+
+    Each step first takes its noise and calls on_noise; only then is the
+    self-advection formed, then the noise factor, and the state is updated
+    in place, with no second state-sized array.  So neither the scatter's
+    nor on_noise's temporaries are made while the advection is held.
+    Every term reads the pre-step state, which is changed only by the
+    update.
 
     The normals are drawn, one standard_normal(out=) call per path into its
     row of the block, and the noise field, which does not read the state, is
@@ -336,64 +351,75 @@ def _integrate_batch(
     phi_rate are applied per step.  Every operation is elementwise, so the
     values do not depend on the block.
     """
+    if epsilons is None:
+        epsilons, state, hooks = [config.epsilon], [state], [hooks]
     prop = propagator(config.grid, config.dt)
     model = config.noise
     n_steps = config.n_steps
     phi_forcing = None
     if config.forcing is not None:
         phi_forcing = prop.half_phi * to_scalar(config.grid, config.forcing.coeffs)
-    sqrt_eps = math.sqrt(config.epsilon)
-    scale = _guard_scale(config, state)
-    on_noise = getattr(hooks, "on_noise", None)
-    on_state = getattr(hooks, "on_state", None)
-    if on_state:
-        on_state(0, 0.0, state)
-    sqrt_lam_dt = np.sqrt(model.eigenvalues * config.dt)
-    weights = model.gains
-    if not model.state_dependent:
-        weights = model.gains * sqrt_eps * at_directions(model, prop.half_phi_rate)
-    block = _noise_block_steps(model, state.shape[0], n_steps)
-    for step in range(n_steps):
-        t = step * config.dt
-        noise = None
-        if sources is not None:
-            i = step % block
-            if i == 0:
-                dW_block = np.empty((len(sources), min(block, n_steps - step), model.n_directions))
-                # by index: a loop variable bound to a row view would keep
-                # the block alive past its last step
-                for k, src in enumerate(sources):
-                    src.standard_normal(out=dW_block[k])
-                dW_block *= sqrt_lam_dt
-                if config.epsilon > 0.0:
-                    noise_block = np.empty(dW_block.shape[:-1] + state.shape[1:], np.complex128)
-                    scatter_coefficients(model, dW_block, weights=weights, out=noise_block)
-            if on_noise:
-                on_noise(step, t, state, dW_block[:, i])
-            if config.epsilon > 0.0:
-                noise = noise_block[:, i]
-            if i == block - 1:
-                dW_block = noise_block = None
-        adv = advection_array(config.grid, state, state) if config.nonlinear else None
-        if noise is not None and model.state_dependent:
-            factor = sigma_factor(model, t, state)[:, None, None]
-            noise = noise * factor * sqrt_eps * prop.half_phi_rate
-        # state <- decay * state + phi * forcing - phi * adv + noise, in place
-        state *= prop.half_decay
-        if phi_forcing is not None:
-            state += phi_forcing
-        if adv is not None:
-            adv *= prop.half_phi
-            state -= adv
-        if noise is not None:
-            state += noise
-        # the advection and a used-up noise block are freed here, not held
-        # through the observers and the next step's noise and advection: that
-        # lowers the peak RSS of a batched run
-        adv = noise = None
-        _blowup_guard(state, scale, step)
+    lanes = []
+    for eps, lane_state, lane_hooks in zip(epsilons, state, hooks):
+        sqrt_eps = math.sqrt(eps)
+        weights = model.gains
+        if not model.state_dependent:
+            weights = model.gains * sqrt_eps * at_directions(model, prop.half_phi_rate)
+        on_state = getattr(lane_hooks, "on_state", None)
         if on_state:
-            on_state(step + 1, t + config.dt, state)
+            on_state(0, 0.0, lane_state)
+        lanes.append((eps > 0.0, sqrt_eps, weights, lane_state, _guard_scale(config, lane_state),
+                      getattr(lane_hooks, "on_noise", None), on_state))
+    sqrt_lam_dt = np.sqrt(model.eigenvalues * config.dt)
+    block = max(1, _noise_block_steps(model, state[0].shape[0], n_steps))
+    for start in range(0, n_steps, block):
+        steps = range(start, min(start + block, n_steps))
+        dW_block = None
+        if sources is not None:
+            dW_block = np.empty((len(sources), len(steps), model.n_directions))
+            # by index: a loop variable bound to a row view would keep the
+            # block alive past its last lane
+            for k, src in enumerate(sources):
+                src.standard_normal(out=dW_block[k])
+            dW_block *= sqrt_lam_dt
+            # shared by every lane: a hook that writes into its dW raises
+            dW_block.setflags(write=False)
+        for noisy, sqrt_eps, weights, lane_state, scale, on_noise, on_state in lanes:
+            noise_block = None
+            if noisy and dW_block is not None:
+                noise_block = np.empty(dW_block.shape[:-1] + lane_state.shape[1:], np.complex128)
+                scatter_coefficients(model, dW_block, weights=weights, out=noise_block)
+            for i, step in enumerate(steps):
+                t = step * config.dt
+                noise = None
+                if noise_block is not None:
+                    if on_noise:
+                        on_noise(step, t, lane_state, dW_block[:, i])
+                    noise = noise_block[:, i]
+                    if step == steps[-1]:
+                        noise_block = None
+                adv = None
+                if config.nonlinear:
+                    adv = advection_array(config.grid, lane_state, lane_state)
+                if noise is not None and model.state_dependent:
+                    factor = sigma_factor(model, t, lane_state)[:, None, None]
+                    noise = noise * factor * sqrt_eps * prop.half_phi_rate
+                # state <- decay * state + phi * forcing - phi * adv + noise, in place
+                lane_state *= prop.half_decay
+                if phi_forcing is not None:
+                    lane_state += phi_forcing
+                if adv is not None:
+                    adv *= prop.half_phi
+                    lane_state -= adv
+                if noise is not None:
+                    lane_state += noise
+                # the advection and a used-up noise block are freed here, not
+                # held through the observers and the next step's noise and
+                # advection: that lowers the peak RSS of a batched run
+                adv = noise = None
+                _blowup_guard(lane_state, scale, step)
+                if on_state:
+                    on_state(step + 1, t + config.dt, lane_state)
 
 
 def _trajectory(
@@ -675,8 +701,9 @@ def ensemble_run(
     config: SimConfig,
     seed: int,
     n_paths: int,
-    observer_factory: Callable[[], object],
-) -> dict:
+    observer_factory: Callable,
+    epsilons: list | None = None,
+) -> dict | list[dict]:
     """Integrate n_paths independent paths, merging per-path observer output.
 
     Path i draws its standard normals from substream(seed, i), its only
@@ -689,50 +716,75 @@ def ensemble_run(
     the process's allocator policy (`_reuse_step_memory`).
     The observer factory is invoked per chunk; each observer must implement
     on_start(prop, n, n_steps), optional on_noise(step, t, coeffs, dW)
-    (called with the pre-step state and the step's increments before each
-    noisy step), optional on_state(idx, t, coeffs) (called with the state
-    after each step, and once with the initial state), and finish() -> dict
-    of arrays with leading axis n.  A hook's coeffs is the (n, S, K + 1)
-    scalar half of the states, which is all the stepper holds.  Results are
-    concatenated across chunks, so output is independent of the chunk size.
+    (called with the pre-step state and the step's read-only increments
+    before each noisy step), optional on_state(idx, t, coeffs) (called with
+    the state after each step, and once with the initial state), and
+    finish() -> dict of arrays with leading axis n.  A hook's coeffs is the
+    (n, S, K + 1) scalar half of the states, which is all the stepper holds.
+    Results are concatenated across chunks, so output is independent of the
+    chunk size.
+
+    Given epsilons, a grid, the same paths run at config.with_epsilon(eps)
+    for each eps, observed by observer_factory(that config), and the call
+    returns one output per eps, in their order.  Each chunk is stepped at
+    every eps from one draw of its normals, one stepper lane per eps, so
+    path i's substream is drawn once for the whole grid and every output
+    is that of the one-epsilon run at its eps.  The grid holds one chunk
+    state and one observer per eps, whatever the paths and the horizon.
     """
+    configs = [config] if epsilons is None else [config.with_epsilon(e) for e in epsilons]
+    factories = [observer_factory] if epsilons is None else [
+        functools.partial(observer_factory, cfg) for cfg in configs
+    ]
     n_steps = config.n_steps
     u0_half = _initial_coeffs(config)
     _reuse_step_memory()
-    merged: dict[str, list[np.ndarray]] = {}
+    prop = propagator(config.grid, config.dt)
+    noisy = any(cfg.epsilon > 0.0 for cfg in configs)
+    merged: list[dict[str, list[np.ndarray]]] = [{} for _ in configs]
     chunk = _chunk_paths(config.grid)
     for start in range(0, n_paths, chunk):
         paths = range(start, min(start + chunk, n_paths))
-        sources = [substream(seed, i) for i in paths] if config.epsilon > 0.0 else None
-        state = np.broadcast_to(u0_half, (len(paths),) + u0_half.shape).copy()
-        obs = observer_factory()
-        obs.on_start(propagator(config.grid, config.dt), len(paths), n_steps)
-        _integrate_batch(config, state, sources, obs)
-        for key, val in obs.finish().items():
-            merged.setdefault(key, []).append(val)
-    return {k: np.concatenate(v, axis=0) for k, v in merged.items()}
+        sources = [substream(seed, i) for i in paths] if noisy else None
+        states = [np.broadcast_to(u0_half, (len(paths),) + u0_half.shape).copy()
+                  for _ in configs]
+        observers = [factory() for factory in factories]
+        for obs in observers:
+            obs.on_start(prop, len(paths), n_steps)
+        _integrate_batch(config, states, sources, observers, [cfg.epsilon for cfg in configs])
+        finished = [obs.finish() for obs in observers]
+        # a chunk's states and observers are freed before the next chunk's
+        # are made, not held by a loop variable
+        states = observers = obs = None
+        for out, result in zip(merged, finished):
+            for key, val in result.items():
+                out.setdefault(key, []).append(val)
+    outs = [{k: np.concatenate(v, axis=0) for k, v in out.items()} for out in merged]
+    return outs[0] if epsilons is None else outs
 
 
 def _epsilon_ensembles(config: SimConfig, epsilons: list, seed: int, n_paths: int,
                        observer_factory: Callable, workers: int = 1) -> list[dict]:
-    """The `ensemble_run` of config.with_epsilon(eps) for each eps, observed
-    by observer_factory(that config), in the order of epsilons.  They are
-    independent, so they run on min(workers, len(epsilons)) threads, inline
-    when that is one; numpy's transforms and loops release the GIL.  The
-    allocator policy is set first: its cache does not lock a first call."""
-
-    def run(eps):
-        cfg = config.with_epsilon(eps)
-        return ensemble_run(cfg, seed, n_paths, lambda: observer_factory(cfg))
-
+    """The `ensemble_run` of config over the grid epsilons, observed by
+    observer_factory(config at eps): one output per eps, in their order.
+    At one worker it is one grid call.  Given more, the grid is cut into
+    min(workers, len(epsilons)) contiguous groups, whose sizes differ by at
+    most one, each one grid call on its own thread; numpy's transforms and
+    loops release the GIL.  A path's normals are the same in every group,
+    so the outputs do not depend on workers.  The allocator policy is set
+    first: its cache does not lock a first call."""
     n_threads = min(workers, len(epsilons))
     if n_threads <= 1:
-        return [run(eps) for eps in epsilons]
+        return ensemble_run(config, seed, n_paths, observer_factory, list(epsilons))
     from concurrent.futures import ThreadPoolExecutor
 
+    size, extra = divmod(len(epsilons), n_threads)
+    cuts = [g * size + min(g, extra) for g in range(n_threads + 1)]
+    groups = [list(epsilons[a:b]) for a, b in zip(cuts, cuts[1:])]
     _reuse_step_memory()
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(run, epsilons))
+        outs = pool.map(lambda g: ensemble_run(config, seed, n_paths, observer_factory, g), groups)
+        return [out for group in outs for out in group]
 
 
 class TrajectoryObserver:

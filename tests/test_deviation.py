@@ -541,11 +541,15 @@ class TestConditionalProbe:
 
     def test_fw_k10_peak_traced_allocation(self):
         # the fw-k10 benchmark's shape: K=10, 16 steps, 256 paths at each of
-        # two epsilons, dyadic depth 2, stepped in chunks of 32 paths:
-        # 2.07 MB peak traced allocation on numpy 2.4 (2,067,739 to
-        # 2,067,859 B; 2.55 MB with two-component states, 4.65 MB in chunks
-        # of 64 paths with the advection formed before the noise, 12.78 MB in
-        # chunks of 256); pinned with 5% margin
+        # two epsilons, dyadic depth 2, stepped in chunks of 32 paths, both
+        # epsilons from one draw: 2.45 MB peak traced allocation on numpy 2.4
+        # (2,447,463 to 2,447,515 B), reached in a self-advection.  Over one
+        # ensemble per epsilon (2.07 MB) the grid holds a second chunk state
+        # and a second observer, whose anchor frame and noise sum are as large
+        # as a state (0.12 MB each), and holds a block's increments until
+        # both epsilons have stepped it.  2.55 MB with two-component states,
+        # 4.65 MB in chunks of 64 paths with the advection formed before the
+        # noise, 12.78 MB in chunks of 256; pinned with 5% margin
         g = default_grid(10)
         cfg = SimConfig(grid=g, noise=NoiseModel(grid=g), horizon=16e-3, dt=1e-3,
                         epsilon=1e-3, initial=taylor_green(g), nonlinear=True,
@@ -560,7 +564,31 @@ class TestConditionalProbe:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 2_067_860
+        assert peak <= 1.05 * 2_447_520
+
+    def test_fw_grid_peak_traced_allocation_independent_of_paths(self):
+        # a K=10 two-epsilon grid holds one chunk state and one observer per
+        # epsilon, not per path: its traced peak at 1024 paths, 32 chunks,
+        # is within 5% of that at 256, where only the per-path outputs grow
+        g = default_grid(10)
+        cfg = SimConfig(grid=g, noise=NoiseModel(grid=g), horizon=8e-3, dt=1e-3,
+                        epsilon=1e-3, initial=taylor_green(g), nonlinear=True,
+                        record_stride=1)
+        h = zero_control(cfg.noise, cfg.horizon, cfg.n_steps)
+
+        def peak(n):
+            fw = FWConfig(rho=0.15, eta=10.0, target_exponent=0.5, increment_threshold=0.085,
+                          dyadic_depth=2, eps_grid=(1e-4, 1e-3), n_samples=n)
+            fw_conditional_probe(h, fw, cfg, seed=1)  # caches and FFT plans outside the trace
+            tracemalloc.start()
+            try:
+                fw_conditional_probe(h, fw, cfg, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(256), peak(1024)
+        assert abs(large - small) <= 0.05 * small
 
     def test_incompatible_dyadic_depth_fails_before_integrating(self, linear_config, noise1,
                                                                 monkeypatch):
@@ -656,7 +684,8 @@ class TestMomentSuite:
         self, grid3, monkeypatch, nonlinear, with_remainder, family
     ):
         # the state moments, the shifted fluctuation and the remainder observe
-        # one noisy ensemble per epsilon, with the values of one ensemble each
+        # one noisy ensemble per epsilon, all stepped in one grid call from one
+        # draw, with the values of one separate ensemble each
         noise = NoiseModel(grid=grid3, family=family)
         cfg = SimConfig(
             grid=grid3, noise=noise, horizon=0.02, dt=1e-3, nonlinear=nonlinear,
@@ -667,13 +696,14 @@ class TestMomentSuite:
             (4, noise.n_directions)))
         args = ([1e-3, 1e-4], [2.0], 9, cfg, 7)
         expected = helpers.moment_rows_by_separate_ensembles(*args, h, with_remainder)
-        epsilons = []
+        grids = []
 
-        def spy(config, *rest, **kwargs):
-            epsilons.append(config.epsilon)
-            return ensemble_run(config, *rest, **kwargs)
+        def spy(config, seed, n_paths, factory, epsilons=None):
+            grids.append(epsilons)
+            return ensemble_run(config, seed, n_paths, factory, epsilons)
 
         monkeypatch.setattr(solvers, "ensemble_run", spy)
         rep = moment_bound_suite(*args, control=h, with_remainder=with_remainder)
-        assert epsilons == [1e-4, 1e-3]
+        # one grid call steps both epsilons from one draw
+        assert grids == [[1e-4, 1e-3]]
         assert rep.rows == expected

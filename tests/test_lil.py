@@ -400,11 +400,14 @@ class TestClusterStudy:
 
     def test_probe_and_study_peak_traced_allocation(self):
         # a 5-control probe of 65 frames at K=10 (1.2 MB as scalar halves,
-        # lil-k10's shape) and a 16-replicate study on it, one batch-16
-        # ensemble per schedule index: 3.46 MB peak traced allocation on
-        # numpy 2.4 (3,463,376 to 3,463,784 B; 5.64 MB with two-component
-        # halves, 7.94 MB when the probe held full frames), reached in the
-        # probe's skeleton solve; pinned with 5% margin
+        # lil-k10's shape) and a 16-replicate study on it, one batch-16 chunk
+        # stepped at the four schedule indices from one draw: 3.89 MB peak
+        # traced allocation on numpy 2.4 (3,890,408 to 3,891,632 B), reached
+        # in the distances to the probe's five frames, formed in one
+        # (16, 5, S, K + 1) difference (3.68 MB with one difference per
+        # frame).  3.46 MB with one ensemble per index, reached in the
+        # probe's skeleton solve; 5.64 MB with two-component halves, 7.94 MB
+        # when the probe held full frames; pinned with 5% margin
         g = default_grid(10)
         cfg = SimConfig(grid=g, noise=NoiseModel(grid=g), horizon=64e-3, dt=1e-3,
                         initial=taylor_green(g), nonlinear=True, record_stride=1)
@@ -423,7 +426,7 @@ class TestClusterStudy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 3_463_800
+        assert peak <= 1.05 * 3_891_700
 
     def test_rows_equal_reference_distances(self):
         # streamed distances against limit_set_distance(z_process(...)) on

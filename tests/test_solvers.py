@@ -558,7 +558,8 @@ _ENSEMBLE_KINDS = [
     "moment_bound_suite", "mdp_scaling_probe", "lil_schedule_study", "solve_snse",
 ]
 
-# the kinds that take `workers`: one ensemble per epsilon or schedule index
+# the kinds that take `workers`: one grid over the epsilons or schedule
+# indices, one grid call per thread
 _WORKER_KINDS = {
     "fw_conditional_probe", "moment_bound_suite", "mdp_scaling_probe", "lil_schedule_study",
 }
@@ -613,11 +614,17 @@ def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
             GeometricSchedule(base=2.0, j_min=7, j_max=8), 3, cfg, seed, workers=w)),
         "solve_snse": lambda w: asdict(solve_snse(cfg, seed)),
     }
-    captured = {}
+    captured, grids = {}, []
 
-    def spy(config, *args, **kwargs):
-        out = ensemble_run(config, *args, **kwargs)
-        captured.setdefault(config.epsilon, []).append(out)
+    def spy(config, seed, n_paths, factory, epsilons=None):
+        # a grid call returns one output per epsilon, each kept by its epsilon
+        out = ensemble_run(config, seed, n_paths, factory, epsilons)
+        grids.append(epsilons)
+        if epsilons is None:
+            captured.setdefault(config.epsilon, []).append(out)
+        else:
+            for e, o in zip(epsilons, out):
+                captured.setdefault(e, []).append(o)
         return out
 
     monkeypatch.setattr(solvers, "ensemble_run", spy)
@@ -629,9 +636,12 @@ def _check_chunking_invariance(noise, kind, n_steps, monkeypatch):
         monkeypatch.setattr(solvers, "_CHUNK_PATHS", chunk)
         monkeypatch.setattr(solvers, "_NOISE_BLOCK_BYTES", block * path_step_nbytes)
         captured.clear()
+        grids.clear()
         result = runs[kind](w)
         assert captured or kind == "solve_snse"
         if kind in _WORKER_KINDS:
+            # one grid call per thread, min(w, 2) threads, each epsilon once
+            assert len(grids) == min(w, 2) and all(g is not None for g in grids)
             assert len(captured) == 2 and all(len(c) == 1 for c in captured.values())
         if kind == "fw_conditional_probe":
             # per-path statistics only: no ensemble returns recorded frames
@@ -1125,14 +1135,114 @@ class TestEpsilonEnsembles:
     @pytest.mark.parametrize("workers", [2, 3, 5])
     def test_threads_capped_by_the_grid(self, noise3, monkeypatch, workers):
         # the three epsilons run on min(workers, 3) threads, none of them
-        # this one, and the outputs keep the order of the epsilons
+        # this one, each thread one grid call on a contiguous group of them
+        # whose sizes differ by at most one, and the outputs keep the order
+        # of the epsilons; one worker makes one grid call
         monkeypatch.setattr(solvers, "_CHUNK_PATHS", 7)
+        grids = []
+
+        def spy(config, seed, n_paths, factory, epsilons=None):
+            grids.append(epsilons)
+            return ensemble_run(config, seed, n_paths, factory, epsilons)
+
+        monkeypatch.setattr(solvers, "ensemble_run", spy)
         outs, sizes, threads = self._run(monkeypatch, noise3, 9, workers)
         assert sizes == [min(workers, 3)]
         assert 1 <= len(threads) <= min(workers, 3) and threading.get_ident() not in threads
+        e = self.EPSILONS
+        assert sorted(grids) == sorted([e[:2], e[2:]] if workers == 2 else [[x] for x in e])
+        grids.clear()
         serial, sizes, _ = self._run(monkeypatch, noise3, 9, 1)
-        assert sizes == []
+        assert sizes == [] and grids == [e]
         _assert_identical(outs, serial)
+
+    @staticmethod
+    def _config(noise, horizon=0.02):
+        return SimConfig(grid=noise.grid, noise=noise, horizon=horizon, dt=1e-3, record_stride=5,
+                         initial=random_solenoidal_field(noise.grid, np.random.default_rng(2)))
+
+    def test_one_draw_per_path_for_the_grid(self, noise3, monkeypatch):
+        # a three-epsilon grid takes each path's substream once, and each
+        # path's generator fills each noise block in one call, as one
+        # epsilon's ensemble does: 20 steps of 48 directions in blocks of
+        # ceil(512 / 48) = 11 steps, two calls per path
+        cfg, n = self._config(noise3), 9
+        made, fills = [], []
+
+        class Counted:
+            def __init__(self, gen, path):
+                self.gen, self.path = gen, path
+
+            def standard_normal(self, out):
+                fills.append(self.path)
+                return self.gen.standard_normal(out=out)
+
+        monkeypatch.setattr(solvers, "substream", lambda seed, i: (
+            made.append(i) or Counted(substream(seed, i), i)))
+        outs = ensemble_run(cfg, 4, n, TrajectoryObserver, self.EPSILONS)
+        assert made == list(range(n))
+        assert solvers._noise_block_steps(noise3, n, cfg.n_steps) == 11
+        assert sorted(fills) == sorted(list(range(n)) * 2)
+        monkeypatch.undo()
+        for eps, out in zip(self.EPSILONS, outs):
+            c = cfg.with_epsilon(eps)
+            _assert_identical(out, ensemble_run(c, 4, n, lambda: TrajectoryObserver(c)))
+
+    def test_increments_are_read_only(self, noise3):
+        # every lane of a grid reads one block of increments: a hook that
+        # writes into its dW raises, in a grid and in one epsilon's ensemble,
+        # instead of changing the noise of the lanes after it
+        class Writer:
+            def on_start(self, prop, n, n_steps):
+                pass
+
+            def on_noise(self, step, t, coeffs, dW):
+                dW *= 2.0
+
+            def finish(self):
+                return {}
+
+        cfg = self._config(noise3)
+        with pytest.raises(ValueError, match="read-only"):
+            ensemble_run(cfg, 4, 3, lambda c: Writer(), self.EPSILONS)
+        with pytest.raises(ValueError, match="read-only"):
+            ensemble_run(cfg.with_epsilon(1e-2), 4, 3, Writer)
+
+    @pytest.mark.parametrize("horizon", [0.0, 0.02])
+    def test_noiseless_lane_matches_its_own_ensemble(self, noise3, horizon):
+        # a lane at epsilon 0 takes no noise and no on_noise call, as its own
+        # ensemble, which draws nothing; every lane's output is that of its
+        # own ensemble, and with no steps each lane keeps u(0)
+        seen = {}
+
+        class Counting(TrajectoryObserver):
+            def on_noise(self, step, t, coeffs, dW):
+                seen[self.config.epsilon] = seen.get(self.config.epsilon, 0) + 1
+
+        cfg, n, grid = self._config(noise3, horizon), 9, [1e-2, 0.0, 2e-3]
+        outs = ensemble_run(cfg, 4, n, Counting, grid)
+        by_grid, seen = seen, {}
+        for eps, out in zip(grid, outs):
+            c = cfg.with_epsilon(eps)
+            _assert_identical(out, ensemble_run(c, 4, n, lambda: Counting(c)))
+        assert by_grid == seen and 0.0 not in seen
+        assert len(seen) == (2 if horizon else 0)
+
+    def test_failing_lane_raises_its_own_error(self, grid1, noise1):
+        # a grid whose second epsilon blows up, at step 58, raises the error
+        # of that epsilon's own ensemble, though its first epsilon alone
+        # completes
+        cfg = SimConfig(
+            grid=grid1, noise=noise1, horizon=0.1, dt=1e-3, nonlinear=False,
+            initial=single_mode_field(grid1, (1, 0), (0.0, 1.0)), blowup_factor=1.5,
+        )
+        big = 1e2
+        ensemble_run(cfg.with_epsilon(1e-6), 0, 3, lambda: TrajectoryObserver(cfg))
+        with pytest.raises(IntegrationError) as alone:
+            ensemble_run(cfg.with_epsilon(big), 0, 3, lambda: TrajectoryObserver(cfg))
+        with pytest.raises(IntegrationError) as grid:
+            ensemble_run(cfg, 0, 3, TrajectoryObserver, [1e-6, big])
+        assert str(grid.value) == str(alone.value) and grid.value.step == 58
 
 
 class TestHalfLayout:
